@@ -75,13 +75,21 @@ def build_point_map(geom: GridGeometry) -> PointMap:
     flat = np.round(geom.xyz.reshape(-1, 3), _ROUND_DECIMALS)
     # Quantize to integers for exact hashing.
     quant = np.round(flat * 10**_ROUND_DECIMALS).astype(np.int64)
-    uniq, inverse = np.unique(quant, axis=0, return_inverse=True)
+    # Ids number the distinct rows in lexicographic (x, y, z) order, as
+    # np.unique(quant, axis=0) would, but from a lexsort over the three
+    # int64 columns plus a run mask (no row-as-record sort).
+    order = np.lexsort((quant[:, 2], quant[:, 1], quant[:, 0]))
+    rows = quant[order]
+    new_run = np.empty(len(rows), dtype=bool)
+    new_run[:1] = True
+    np.any(rows[1:] != rows[:-1], axis=1, out=new_run[1:])
+    inverse = np.empty(len(rows), dtype=np.int64)
+    inverse[order] = np.cumsum(new_run) - 1
+    npoints = int(np.count_nonzero(new_run))
     npts = geom.npts
     point_ids = inverse.reshape(geom.nelem, npts, npts)
-    multiplicity = np.bincount(inverse, minlength=len(uniq)).astype(np.int64)
-    return PointMap(
-        point_ids=point_ids, npoints=int(len(uniq)), multiplicity=multiplicity
-    )
+    multiplicity = np.bincount(inverse, minlength=npoints).astype(np.int64)
+    return PointMap(point_ids=point_ids, npoints=npoints, multiplicity=multiplicity)
 
 
 class DSSOperator:

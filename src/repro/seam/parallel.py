@@ -3,14 +3,25 @@
 SEAM runs as one MPI rank per processor, each owning the elements its
 partition assigned, exchanging boundary-point partial sums at every
 DSS.  This module executes the *same decomposition* deterministically
-in one process: per-rank state, explicit message buffers keyed by the
-exchange schedule, and byte accounting — so a partitioned run can be
+in one process, with explicit message buffers and byte accounting, so
+a partitioned run can be
 
 * verified against the serial solver (they agree to summation
   rounding; tested), and
 * measured: the messages it sends are exactly what the machine model
   prices, closing the loop between the numerical substrate and the
   performance study.
+
+Layout: every rank's partial sums are one segment of a single float64
+buffer ordered by (rank, global point), and every message is one entry
+of a single outbox ordered by (src rank, dst rank, point).  A DSS is
+then three whole-buffer NumPy passes (gather, exchange, scatter) with
+no loop over ranks or rank pairs.  Each pass adds in the order a
+rank-by-rank execution would (each rank sums its elements in ascending
+order; a shared point takes its own partial, then its co-owners' in
+ascending source rank), so the result is bit-identical to it; the
+rank-by-rank version is kept as a test oracle
+(``tests/seam/reference_parallel.py``).
 """
 
 from __future__ import annotations
@@ -54,12 +65,30 @@ class ExchangeAccounting:
 
 
 class PartitionedDSS:
-    """Direct stiffness summation executed rank-by-rank.
+    """Direct stiffness summation over a domain decomposition.
 
     Each rank holds partial J-weighted sums for the global points its
     elements touch; shared points are completed by explicit messages
-    between the ranks that co-own them (determined once, from the
-    point map and the partition).
+    between the ranks that co-own them.  All ranks' partials live in one
+    rank-segmented float64 buffer: slot ``s`` is the pair
+    ``(slot_rank[s], slot_point[s])``, slots sort by (rank, global
+    point), and rank ``r`` owns ``[offsets[r], offsets[r + 1])``.
+    Messages are one outbox sorted by (src rank, dst rank, point); each
+    entry carries the partial of a source slot into a destination slot.
+
+    :meth:`apply` is three NumPy passes, each in a fixed order that
+    matches a rank-by-rank execution bit for bit:
+
+    * gather — weighted ``np.bincount`` of the element-local values
+      into their slots, in element order (so each slot sums its rank's
+      elements in ascending order);
+    * exchange — one ``np.bincount`` over every slot followed by every
+      message: a slot starts from its own partial, then adds the
+      pre-exchange partials of its co-owners in ascending source rank
+      (BSP semantics: all sends read the pre-exchange state);
+    * scatter — each element-local point reads ``partial / mass`` of
+      its slot, where ``mass`` is the assembled mass, completed once by
+      the same exchange.
 
     Args:
         geom: Grid geometry.
@@ -80,130 +109,68 @@ class PartitionedDSS:
         self.point_map = point_map if point_map is not None else build_point_map(geom)
         self.nranks = partition.nparts
         self.local_mass = geom.local_mass
-        self._build_rank_structures()
         self.accounting = ExchangeAccounting(nranks=self.nranks)
+        self._build_layout()
+        #: ``(nslots,)`` assembled mass of every slot (equal on every
+        #: co-owning rank after the exchange).
+        self.mass = self._exchange_into(
+            self._gather(self.local_mass.ravel()), count=False
+        )
 
-    def _build_rank_structures(self) -> None:
-        ids = self.point_map.point_ids
-        owner = self.partition.assignment
-        # Points touched by each rank (sort + run-mask dedup).
-        self.rank_elements = [
-            np.flatnonzero(owner == r) for r in range(self.nranks)
-        ]
-        rank_points: list[np.ndarray] = []
-        for r in range(self.nranks):
-            touched = np.sort(ids[self.rank_elements[r]].ravel())
-            rank_points.append(
-                touched[np.r_[True, touched[1:] != touched[:-1]]]
-                if len(touched)
-                else touched
-            )
-        self.rank_points = rank_points
-        # Every element-local point's dense local id on its owning rank,
-        # one flat index array per rank.  These drive both gather
-        # (weighted np.bincount, which accumulates in index order — the
-        # same element-by-element order as the historical np.add.at and
-        # per-element loop, so float sums are bit-identical) and scatter.
-        self._rank_idx = [
-            np.searchsorted(rank_points[r], ids[self.rank_elements[r]].ravel())
-            for r in range(self.nranks)
-        ]
-        self._build_shared_lists()
-        # Precompute each rank's assembled mass (numerically identical
-        # on every co-owning rank after exchange).
-        self.rank_mass = []
-        for r in range(self.nranks):
-            m = self._gather_rank(r, self.local_mass)
-            self.rank_mass.append(m)
-        # Complete the mass with one exchange (not counted in stats).
-        self._exchange_into(self.rank_mass, count=False)
+    def _build_layout(self) -> None:
+        ids = self.point_map.point_ids.reshape(self.geom.nelem, -1)
+        npoints = np.int64(self.point_map.npoints)
+        owner = np.asarray(self.partition.assignment, dtype=np.int64)
+        keys = (owner[:, None] * npoints + ids).ravel()
+        slot_keys, self._slot_of = np.unique(keys, return_inverse=True)
+        self.nslots = len(slot_keys)
+        self.slot_rank, self.slot_point = np.divmod(slot_keys, npoints)
+        self.offsets = np.searchsorted(self.slot_rank, np.arange(self.nranks + 1))
 
-    def _build_shared_lists(self) -> None:
-        """Shared-point message layouts for every ordered rank pair.
+        # Messages: every slot of a point shared by c ranks sends its
+        # partial to the other c - 1 slots of that point.  Sorted by
+        # point, the slots of one point are a run; pair each run
+        # position with all c positions of its run, then drop self-pairs.
+        by_point = np.argsort(self.slot_point, kind="stable")
+        pts = self.slot_point[by_point]
+        starts = np.flatnonzero(np.r_[True, pts[1:] != pts[:-1]])
+        counts = np.diff(np.r_[starts, self.nslots])
+        run_size = np.repeat(counts, counts)
+        src = np.repeat(np.arange(self.nslots), run_size)
+        nth = np.arange(len(src)) - np.repeat(np.cumsum(run_size) - run_size, run_size)
+        dst = np.repeat(np.repeat(starts, counts), run_size) + nth
+        src, dst = by_point[src], by_point[dst]
+        keep = src != dst
+        src, dst = src[keep], dst[keep]
+        src_rank, dst_rank = self.slot_rank[src], self.slot_rank[dst]
+        order = np.lexsort((self.slot_point[src], dst_rank, src_rank))
+        self.msg_src, self.msg_dst = src[order], dst[order]
 
-        ``shared[(src, dst)]`` is the ascending list of global points
-        co-owned by both ranks — the layout both sides agree on (like an
-        MPI datatype) — with the matching local-index arrays precomputed
-        on each side.  Built with the same run-length grouping and
-        size-class pair expansion as the halo schedule kernel.
+        # Exchange index: every slot once, then every message's target.
+        self._exchange_idx = np.concatenate([np.arange(self.nslots), self.msg_dst])
+        # Accounting of one exchange, counted once here.
+        pair = src_rank[order] * np.int64(self.nranks) + dst_rank[order]
+        self._pairs = int(np.count_nonzero(np.diff(pair))) + 1 if len(pair) else 0
+        self._sent = np.bincount(src_rank, minlength=self.nranks)
+
+    def _gather(self, field_flat: np.ndarray) -> np.ndarray:
+        """Rank-local partial sums of a flat element-local point field."""
+        return np.bincount(self._slot_of, weights=field_flat, minlength=self.nslots)
+
+    def _exchange_into(self, partials: np.ndarray, count: bool = True) -> np.ndarray:
+        """Return ``partials`` with every message added into its target.
+
+        Each slot sums its own partial first, then the pre-exchange
+        partials its co-owners send, in ascending source rank.
         """
-        pnt = np.concatenate(self.rank_points + [np.empty(0, dtype=np.int64)])
-        rnk = np.concatenate(
-            [
-                np.full(len(p), r, dtype=np.int64)
-                for r, p in enumerate(self.rank_points)
-            ]
-            + [np.empty(0, dtype=np.int64)]
-        )
-        order = np.argsort(pnt, kind="stable")  # ranks ascend within a point
-        pnt = pnt[order]
-        rnk = rnk[order]
-        starts = np.flatnonzero(np.r_[True, pnt[1:] != pnt[:-1]]) if len(pnt) else (
-            np.empty(0, dtype=np.int64)
-        )
-        counts = np.diff(np.r_[starts, len(pnt)])
-        srcs: list[np.ndarray] = []
-        dsts: list[np.ndarray] = []
-        pts_out: list[np.ndarray] = []
-        for size in np.unique(counts).tolist():
-            if size < 2:
-                continue
-            group_starts = starts[counts == size]
-            members = rnk[group_starts[:, None] + np.arange(size)]
-            a = np.repeat(members, size, axis=1)
-            b = np.tile(members, (1, size))
-            offdiag = a != b
-            srcs.append(a[offdiag])
-            dsts.append(b[offdiag])
-            pts_out.append(np.repeat(pnt[group_starts], size * size - size))
-        self.shared: dict[tuple[int, int], np.ndarray] = {}
-        self._shared_src_idx: dict[tuple[int, int], np.ndarray] = {}
-        self._shared_dst_idx: dict[tuple[int, int], np.ndarray] = {}
-        if not srcs:
-            return
-        src = np.concatenate(srcs)
-        dst = np.concatenate(dsts)
-        pts = np.concatenate(pts_out)
-        pair_key = src * np.int64(self.nranks) + dst
-        by_pair = np.lexsort((pts, pair_key))
-        pair_key = pair_key[by_pair]
-        pts = pts[by_pair]
-        run_starts = np.flatnonzero(np.r_[True, pair_key[1:] != pair_key[:-1]])
-        run_ends = np.r_[run_starts[1:], len(pair_key)]
-        for lo, hi in zip(run_starts.tolist(), run_ends.tolist()):
-            a, b = divmod(int(pair_key[lo]), self.nranks)
-            plist = pts[lo:hi]
-            self.shared[(a, b)] = plist
-            self._shared_src_idx[(a, b)] = np.searchsorted(
-                self.rank_points[a], plist
-            )
-            self._shared_dst_idx[(a, b)] = np.searchsorted(
-                self.rank_points[b], plist
-            )
-
-    def _gather_rank(self, rank: int, field_: np.ndarray) -> np.ndarray:
-        """Rank-local partial sums of a per-element point field."""
-        return np.bincount(
-            self._rank_idx[rank],
-            weights=field_[self.rank_elements[rank]].ravel(),
-            minlength=len(self.rank_points[rank]),
-        )
-
-    def _exchange_into(self, partials: list[np.ndarray], count: bool = True) -> None:
-        """Add every rank's shared-point partials into its neighbors."""
-        # Snapshot the outgoing values first (BSP semantics: all sends
-        # read the pre-exchange state).
-        outbox: dict[tuple[int, int], np.ndarray] = {}
-        for (src, dst), pts in self.shared.items():
-            outbox[(src, dst)] = partials[src][self._shared_src_idx[(src, dst)]]
-            if count:
-                self.accounting.messages += 1
-                self.accounting.values += len(pts)
-                self.accounting.per_rank_sent[src] += len(pts)
-        for (src, dst), payload in outbox.items():
-            partials[dst][self._shared_dst_idx[(src, dst)]] += payload
         if count:
-            self.accounting.exchanges += 1
+            acct = self.accounting
+            acct.exchanges += 1
+            acct.messages += self._pairs
+            acct.values += len(self.msg_src)
+            acct.per_rank_sent += self._sent
+        sent = np.concatenate([partials, partials[self.msg_src]])
+        return np.bincount(self._exchange_idx, weights=sent, minlength=self.nslots)
 
     def apply(self, field_: np.ndarray) -> np.ndarray:
         """Partitioned DSS projection of an element-wise field.
@@ -212,20 +179,10 @@ class PartitionedDSS:
         up to floating-point summation order (tested to 1e-12).
         """
         with span("pdss_apply", "seam"):
-            weighted = self.local_mass * field_
-            partials = [
-                self._gather_rank(r, weighted) for r in range(self.nranks)
-            ]
-            self._exchange_into(partials)
-            out = np.empty_like(field_)
-            for r in range(self.nranks):
-                elems = self.rank_elements[r]
-                if not len(elems):
-                    continue
-                averaged = partials[r] / self.rank_mass[r]
-                out[elems] = averaged[self._rank_idx[r]].reshape(
-                    len(elems), *field_.shape[1:]
-                )
+            partials = self._gather((self.local_mass * field_).ravel())
+            partials = self._exchange_into(partials)
+            partials /= self.mass
+            out = partials[self._slot_of].reshape(field_.shape)
         inc("pdss_applies")
         return out
 

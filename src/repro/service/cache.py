@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import json
 import os
+import zipfile
 from collections import OrderedDict
 from pathlib import Path
 
@@ -39,6 +40,17 @@ from ..partition.pipeline import cache_version
 from .requests import PartitionRequest, PartitionResponse
 
 __all__ = ["PartitionCache", "scan_cache_dir"]
+
+#: What reading a truncated or foreign ``.npz`` entry can raise: a cut
+#: zip directory is ``BadZipFile``, a cut compressed member ``EOFError``.
+_UNREADABLE = (
+    OSError,
+    KeyError,
+    ValueError,
+    EOFError,
+    zipfile.BadZipFile,
+    json.JSONDecodeError,
+)
 
 
 def scan_cache_dir(cache_dir: Path | str) -> dict[str, int | str]:
@@ -57,7 +69,7 @@ def scan_cache_dir(cache_dir: Path | str) -> dict[str, int | str]:
         try:
             with np.load(path) as data:
                 meta = json.loads(bytes(data["meta"]).decode())
-        except (OSError, KeyError, ValueError, json.JSONDecodeError):
+        except _UNREADABLE:
             unreadable += 1
             continue
         if meta.get("cache_version") == version:
@@ -210,7 +222,7 @@ class PartitionCache:
             with np.load(path) as data:
                 assignment = data["assignment"]
                 meta = json.loads(bytes(data["meta"]).decode())
-        except (OSError, KeyError, ValueError, json.JSONDecodeError):
+        except _UNREADABLE:
             return None  # truncated/foreign file: treat as a miss
         # A pre-refactor entry (no tag) or one written by a different
         # stage-version combination must be recomputed, not served.

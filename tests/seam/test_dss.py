@@ -51,6 +51,25 @@ class TestPointMap:
         assert (per_elem == 4 * geom.npts - 4).all()
 
 
+class TestPointMapIds:
+    """The lexsort numbering equals np.unique(axis=0) over the rows."""
+
+    @pytest.mark.parametrize("ne,npts", [(1, 2), (2, 3), (3, 5), (4, 4), (6, 8)])
+    def test_ids_match_row_unique(self, ne, npts):
+        from repro.seam.dss import _ROUND_DECIMALS
+
+        geom = build_geometry(ne, npts)
+        pm = build_point_map(geom)
+        flat = np.round(geom.xyz.reshape(-1, 3), _ROUND_DECIMALS)
+        quant = np.round(flat * 10**_ROUND_DECIMALS).astype(np.int64)
+        uniq, inverse = np.unique(quant, axis=0, return_inverse=True)
+        assert pm.npoints == len(uniq)
+        assert np.array_equal(pm.point_ids.ravel(), inverse.ravel())
+        assert np.array_equal(
+            pm.multiplicity, np.bincount(inverse.ravel(), minlength=len(uniq))
+        )
+
+
 class TestDSS:
     def test_projection_is_continuous(self, dss, rng):
         q = rng.standard_normal(dss.local_mass.shape)

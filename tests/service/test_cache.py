@@ -7,7 +7,12 @@ import json
 import numpy as np
 import pytest
 
-from repro.service import PartitionCache, PartitionRequest, compute_response
+from repro.service import (
+    PartitionCache,
+    PartitionEngine,
+    PartitionRequest,
+    compute_response,
+)
 from repro.service.cache import scan_cache_dir
 
 
@@ -100,6 +105,24 @@ class TestDiskTier:
         path.write_bytes(b"not an npz")
         cache.clear_memory()
         assert cache.get(req) is None
+
+    @pytest.mark.parametrize("keep", [0.5, 0.9])
+    def test_truncated_entry_is_recomputed_and_rewritten(self, tmp_path, req, keep):
+        """A cut-off write (zip directory lost) is a miss, not a poisoned key."""
+        engine = PartitionEngine(PartitionCache(cache_dir=tmp_path))
+        (first,) = engine.run([req])
+        path = engine.cache._path(req.cache_key())
+        data = path.read_bytes()
+        path.write_bytes(data[: int(len(data) * keep)])
+        assert scan_cache_dir(tmp_path)["unreadable"] == 1
+
+        fresh = PartitionEngine(PartitionCache(cache_dir=tmp_path))
+        (again,) = fresh.run([req])
+        assert again.source == "computed"
+        assert np.array_equal(again.assignment, first.assignment)
+        assert scan_cache_dir(tmp_path)["current"] == 1
+        reread = PartitionCache(cache_dir=tmp_path).get(req)
+        assert reread is not None and reread.source == "disk"
 
     def test_mismatched_entry_is_a_miss(self, tmp_path, req, resp):
         """An entry whose stored request differs is never served."""
