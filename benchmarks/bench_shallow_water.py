@@ -6,7 +6,7 @@ pass), with per-step throughput measured at SEAM's np=8 — the numbers
 behind the cost model's flops-per-element accounting.
 
 Also measures the batched-engine speedups against the preserved
-pre-batching reference implementations (``repro.seam._reference``):
+pre-batching reference implementations (``tests/seam/reference_serial.py``):
 RK3 step, fused DSS velocity projection, and geometry build, written
 to ``results/shallow_water_tc2.data.json``.
 """
@@ -107,7 +107,10 @@ def test_batched_engine_speedup(save_artifact):
     step must agree to <= 1e-12 — the speedup is free of accuracy
     loss.
     """
-    from repro.seam._reference import ReferenceDSS, ReferenceShallowWaterSolver
+    from tests.seam.reference_serial import (
+        ReferenceDSS,
+        ReferenceShallowWaterSolver,
+    )
     from repro.seam.element import _build_grid_geometry, _element_geometry
 
     ne, npts = 3, 8

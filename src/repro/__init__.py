@@ -35,7 +35,6 @@ from .partition import (
     load_balance,
     sfc_partition,
 )
-from .profiling import Profiler, profiled
 from .telemetry import MetricsRegistry, TelemetrySession, telemetry_session
 from .seam import DEFAULT_COST_MODEL, SEAMCostModel
 from .service import (
@@ -69,7 +68,6 @@ __all__ = [
     "PartitionRequest",
     "PartitionResponse",
     "PerformanceModel",
-    "Profiler",
     "SEAMCostModel",
     "SpaceFillingCurve",
     "TelemetrySession",
@@ -85,7 +83,6 @@ __all__ = [
     "mesh_graph",
     "part_graph",
     "peano_curve",
-    "profiled",
     "sfc_partition",
     "telemetry_session",
 ]

@@ -14,7 +14,7 @@ Subcommands mirror the library's main workflows:
   (``--access-log`` for one JSON line per request, ``--log-json`` for
   every event, ``--log-sample`` for per-trace sampling);
 * ``profile``   — per-stage wall-time profile of a partition request
-  (coarsen/initial/refine/uncoarsen, cache, pool) as a table or JSON;
+  (coarsen/initial/refine/uncoarsen, cache, pool) as a table;
   ``--live URL`` instead profiles a *running* server via its
   ``/debug/profile`` endpoint (collapsed stacks, flamegraph-ready);
 * ``top``       — live terminal view of a running server: polls
@@ -34,13 +34,13 @@ Subcommands mirror the library's main workflows:
 * ``table2``    — the paper's Table 2 for any (Ne, Nproc).
 
 ``partition`` and ``batch`` also accept ``--profile`` (print the same
-stage table after the normal output) and ``--profile-json PATH``.
-
-``partition``, ``batch`` and ``profile`` accept the unified telemetry
-flags: ``--trace-json PATH`` (Chrome/Perfetto trace-event JSON,
-including worker-process spans), ``--metrics`` (print the run's metric
-registry), ``--metrics-json PATH`` and ``--run-log PATH`` (structured
-JSON-lines).
+stage table after the normal output).  ``partition``, ``batch`` and
+``profile`` accept ``--telemetry-dir DIR``, which writes the run's
+``trace.json`` (Chrome/Perfetto trace-event JSON, including
+worker-process spans), ``metrics.json``, ``run.jsonl`` (structured
+JSON-lines) and ``profile.json`` into DIR, and streams live log events
+to ``DIR/log.jsonl`` during the run.  ``repro metrics
+DIR/metrics.json`` prints the metric tables.
 
 ``partition``, ``batch`` and ``sweep`` all accept ``--cache-dir`` (a
 persistent partition cache shared across invocations) and ``--jobs``
@@ -96,57 +96,25 @@ def _add_service_flags(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _add_profile_flags(parser: argparse.ArgumentParser) -> None:
+def _add_telemetry_flags(parser: argparse.ArgumentParser) -> None:
+    """``--profile`` and ``--telemetry-dir``: one telemetry session."""
     parser.add_argument(
         "--profile",
         action="store_true",
         help="print a per-stage timing table after the normal output",
     )
-    parser.add_argument(
-        "--profile-json",
-        type=Path,
-        default=None,
-        metavar="PATH",
-        help="write the per-stage timing profile as JSON",
-    )
+    _add_telemetry_dir_flag(parser)
 
 
-def _add_telemetry_flags(parser: argparse.ArgumentParser) -> None:
-    """Flags activating the unified telemetry session."""
+def _add_telemetry_dir_flag(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
-        "--trace-json",
+        "--telemetry-dir",
         type=Path,
         default=None,
-        metavar="PATH",
-        help="write a Chrome/Perfetto trace-event JSON of the run "
-        "(open in ui.perfetto.dev)",
-    )
-    parser.add_argument(
-        "--metrics",
-        action="store_true",
-        help="print the run's metrics (counters + quality histograms)",
-    )
-    parser.add_argument(
-        "--metrics-json",
-        type=Path,
-        default=None,
-        metavar="PATH",
-        help="write the run's metrics registry snapshot as JSON",
-    )
-    parser.add_argument(
-        "--run-log",
-        type=Path,
-        default=None,
-        metavar="PATH",
-        help="write a structured JSON-lines run log (spans + metrics)",
-    )
-    parser.add_argument(
-        "--log-json",
-        type=Path,
-        default=None,
-        metavar="PATH",
-        help="append live structured log events (engine + worker, with "
-        "trace ids) as JSON lines during the run",
+        metavar="DIR",
+        help="write trace.json (open in ui.perfetto.dev), metrics.json, "
+        "run.jsonl and profile.json into DIR, and stream live log "
+        "events to DIR/log.jsonl during the run",
     )
 
 
@@ -229,7 +197,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--write-graph", type=Path, help="write the element graph (METIS format)"
     )
     _add_service_flags(p_part)
-    _add_profile_flags(p_part)
     _add_telemetry_flags(p_part)
 
     p_batch = sub.add_parser(
@@ -252,7 +219,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="write one gid,part CSV per request into DIR",
     )
     _add_service_flags(p_batch)
-    _add_profile_flags(p_batch)
     _add_telemetry_flags(p_batch)
 
     p_serve = sub.add_parser(
@@ -343,16 +309,14 @@ def build_parser() -> argparse.ArgumentParser:
         default=1,
         help="serve the request this many times (repeats exercise the cache)",
     )
-    p_prof.add_argument(
-        "--json", type=Path, default=None, help="write the profile as JSON"
-    )
     _add_service_flags(p_prof)
-    _add_telemetry_flags(p_prof)
+    _add_telemetry_dir_flag(p_prof)
+    p_prof.set_defaults(profile=True)
 
     p_metrics = sub.add_parser(
         "metrics",
-        help="report a run's metrics (from --metrics-json / --run-log "
-        "output, or by serving a request file)",
+        help="report a run's metrics (from a --telemetry-dir's "
+        "metrics.json or run.jsonl, or by serving a request file)",
     )
     p_metrics.add_argument(
         "source",
@@ -493,97 +457,81 @@ def _write_assignment_csv(path: Path, assignment) -> None:
     print(f"wrote {path}", file=sys.stderr)
 
 
-def _write_profile_json(path: Path, prof, **meta) -> None:
-    try:
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(prof.to_json(**meta))
-    except OSError as exc:
-        raise SystemExit(
-            f"repro: error: cannot write profile to '{path}': {exc.strerror or exc}"
-        ) from exc
-    print(f"wrote {path}", file=sys.stderr)
+def _write_telemetry_dir(outdir: Path, session, profile: dict) -> None:
+    """Write the session's exports into ``outdir``."""
+    import json
 
-
-def _write_telemetry_outputs(args: argparse.Namespace, session) -> None:
-    """Write/print every telemetry export the flags asked for."""
     from .telemetry import write_chrome_trace, write_metrics_json, write_run_log
 
-    def _write(what, writer, path):
+    def write_profile(path: Path, _session) -> None:
+        path.write_text(json.dumps(profile, indent=2, sort_keys=True) + "\n")
+
+    for name, writer in (
+        ("trace.json", write_chrome_trace),
+        ("metrics.json", write_metrics_json),
+        ("run.jsonl", write_run_log),
+        ("profile.json", write_profile),
+    ):
+        path = outdir / name
         try:
             writer(path, session)
         except OSError as exc:
             raise SystemExit(
-                f"repro: error: cannot write {what} to '{path}': "
+                f"repro: error: cannot write telemetry to '{path}': "
                 f"{exc.strerror or exc}"
             ) from exc
         print(f"wrote {path}", file=sys.stderr)
 
-    if args.trace_json:
-        _write("trace", write_chrome_trace, args.trace_json)
-    if args.metrics_json:
-        _write("metrics", write_metrics_json, args.metrics_json)
-    if args.run_log:
-        _write("run log", write_run_log, args.run_log)
-    if args.metrics:
-        print()
-        print(f"Metrics (run {session.run_id})")
-        print(session.metrics.render())
 
+def _run_instrumented(
+    args: argparse.Namespace, body, title: str | None = None, **meta
+) -> int:
+    """Run a handler body under one telemetry session.
 
-def _run_instrumented(args: argparse.Namespace, body, **meta) -> int:
-    """Run a handler body under the requested collectors.
-
-    ``--trace-json/--metrics/--metrics-json/--run-log`` open a
-    telemetry session; ``--profile/--profile-json`` additionally
-    activate the legacy stage profiler (both can collect at once —
-    the profiler is a view over the same spans).
+    ``--profile`` prints the stage table built from the session's spans
+    after the normal output; ``--telemetry-dir DIR`` writes the
+    session's exports into DIR and streams live log events to
+    ``DIR/log.jsonl`` while the body runs.
     """
-    want_profile = args.profile or args.profile_json
-    want_telemetry = bool(
-        args.trace_json
-        or args.metrics
-        or args.metrics_json
-        or args.run_log
-        or args.log_json
-    )
-    if not (want_profile or want_telemetry):
+    outdir = args.telemetry_dir
+    if not (args.profile or outdir is not None):
         return body()
     from contextlib import ExitStack
 
-    from .profiling import profiled
     from .telemetry import (
         RequestContext,
         add_sink,
         remove_sink,
+        render_stage_profile,
         request_context,
+        stage_profile,
         telemetry_session,
     )
 
+    meta = {"command": args.command, **meta}
     with ExitStack() as stack:
-        session = (
-            stack.enter_context(telemetry_session(command=args.command, **meta))
-            if want_telemetry
-            else None
-        )
-        if args.log_json is not None:
-            stack.callback(remove_sink, add_sink(args.log_json))
-        prof = stack.enter_context(profiled()) if want_profile else None
+        session = stack.enter_context(telemetry_session(**meta))
+        if outdir is not None:
+            log_path = outdir / "log.jsonl"
+            try:
+                stack.callback(remove_sink, add_sink(log_path))
+            except OSError as exc:
+                raise SystemExit(
+                    f"repro: error: cannot write telemetry to '{log_path}': "
+                    f"{exc.strerror or exc}"
+                ) from exc
         # A fresh request context names this run: every span and log
         # record it produces — in this process and in pool workers —
         # shares one trace id.
         stack.enter_context(request_context(RequestContext.new()))
         rc = body()
-    if args.log_json is not None:
-        print(f"wrote {args.log_json}", file=sys.stderr)
-    if prof is not None:
+    profile = stage_profile(session, **meta)
+    if args.profile:
         print()
-        print(prof.render(title=f"Stage profile: {args.command}"))
-        if args.profile_json:
-            _write_profile_json(
-                args.profile_json, prof, command=args.command, **meta
-            )
-    if session is not None:
-        _write_telemetry_outputs(args, session)
+        print(render_stage_profile(profile, title or f"Stage profile: {args.command}"))
+    if outdir is not None:
+        print(f"wrote {log_path}", file=sys.stderr)
+        _write_telemetry_dir(outdir, session, profile)
     return rc
 
 
@@ -889,11 +837,7 @@ def _profile_live(args: argparse.Namespace) -> int:
 
 
 def _cmd_profile(args: argparse.Namespace) -> int:
-    from contextlib import ExitStack
-
-    from .profiling import profiled
     from .service import PartitionRequest
-    from .telemetry import telemetry_session
 
     if args.live is not None:
         return _profile_live(args)
@@ -905,61 +849,31 @@ def _cmd_profile(args: argparse.Namespace) -> int:
     request = PartitionRequest(
         ne=args.ne, nparts=args.nparts, method=args.method, seed=args.seed
     )
-    want_telemetry = bool(
-        args.trace_json
-        or args.metrics
-        or args.metrics_json
-        or args.run_log
-        or args.log_json
-    )
-    with ExitStack() as stack:
-        session = (
-            stack.enter_context(
-                telemetry_session(
-                    command="profile",
-                    ne=args.ne,
-                    nparts=args.nparts,
-                    method=args.method,
-                )
-            )
-            if want_telemetry
-            else None
-        )
-        if args.log_json is not None:
-            from .telemetry import RequestContext, add_sink, remove_sink
-            from .telemetry import request_context
 
-            stack.callback(remove_sink, add_sink(args.log_json))
-            stack.enter_context(request_context(RequestContext.new()))
-        prof = stack.enter_context(profiled())
-        engine = stack.enter_context(_make_engine(args))
-        for _ in range(args.repeat):
-            response = engine.serve(request)
-    m = response.metrics
-    print(
-        f"K={request.k} method={args.method} nparts={args.nparts} "
-        f"edgecut={m['edgecut']} tcv={m['total_volume_points']}"
-    )
-    print()
-    title = (
-        f"Stage profile: {args.method} ne={args.ne} "
-        f"nparts={args.nparts} x{args.repeat}"
-    )
-    print(prof.render(title=title))
-    if args.json:
-        _write_profile_json(
-            args.json,
-            prof,
-            command="profile",
-            ne=args.ne,
-            nparts=args.nparts,
-            method=args.method,
-            seed=args.seed,
-            repeat=args.repeat,
+    def body() -> int:
+        with _make_engine(args) as engine:
+            for _ in range(args.repeat):
+                response = engine.serve(request)
+        m = response.metrics
+        print(
+            f"K={request.k} method={args.method} nparts={args.nparts} "
+            f"edgecut={m['edgecut']} tcv={m['total_volume_points']}"
         )
-    if session is not None:
-        _write_telemetry_outputs(args, session)
-    return 0
+        return 0
+
+    return _run_instrumented(
+        args,
+        body,
+        title=(
+            f"Stage profile: {args.method} ne={args.ne} "
+            f"nparts={args.nparts} x{args.repeat}"
+        ),
+        ne=args.ne,
+        nparts=args.nparts,
+        method=args.method,
+        seed=args.seed,
+        repeat=args.repeat,
+    )
 
 
 def _histogram_quantile(text: str, name: str, q: float) -> float | None:

@@ -15,7 +15,6 @@ from .figures import (
     METIS_BASELINES,
     MethodResult,
     best_metis,
-    make_partition,
     run_method,
     speedup_sweep,
 )
@@ -47,7 +46,6 @@ __all__ = [
     "future_scaling_study",
     "format_table",
     "hilbert_peano_gap_study",
-    "make_partition",
     "network_ablation",
     "network_sensitivity",
     "refinement_order_study",

@@ -20,8 +20,8 @@ matmuls over ``(np, nelem*np)``-shaped blocks of the geometry stacks,
 the RK3 stages reuse preallocated workspace buffers, and one fused
 :meth:`DSSOperator.apply` call projects the whole ``(nelem, np, np,
 3)`` velocity.  The historical per-element/einsum implementation is
-preserved in :mod:`repro.seam._reference` and the batched core is
-golden-tested against it.
+preserved in ``tests/seam/reference_serial.py`` and the batched core
+is golden-tested against it.
 
 Validation (tests): Williamson et al. (1992) test case 2 — steady
 geostrophic flow — must remain steady; mass is conserved to roundoff

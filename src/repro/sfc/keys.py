@@ -22,17 +22,14 @@ is exactly the transform composition the generator performs — run
 backwards — so the resulting key is *bit-identical* to the curve
 position (golden-tested at every admissible size).
 
-Three implementations share the packed level tables:
+Two implementations share the packed level tables:
 
 * a C kernel (``sfc_keys`` in ``_kernels.c``, loaded via
   :mod:`repro._native`, disabled by ``REPRO_NO_CKERNELS=1``);
 * a generic vectorized NumPy decode (any Hilbert/m-Peano/Hilbert-Peano
-  schedule, ~10 array passes per level);
-* the classic branch-free Hilbert transpose (pure power-of-two sizes
-  only — every level is radix 2, so the rank table degenerates to
-  ``(3*rx) ^ ry`` and the inverse transforms to a masked swap).
+  schedule, ~10 array passes per level).
 
-All three return identical uint64 keys.
+Both return identical uint64 keys.
 """
 
 from __future__ import annotations
@@ -96,14 +93,11 @@ class KeyTables:
         schedule: The refinement schedule (coarsest level first).
         size: Domain side length ``n = schedule_size(schedule)``.
         tables: ``(nlevels, _STRIDE)`` int64 array in the layout above.
-        pure_hilbert: Every level is radix 2 (enables the branch-free
-            bitwise transpose fast path).
     """
 
     schedule: str
     size: int
     tables: np.ndarray
-    pure_hilbert: bool
 
     def __post_init__(self) -> None:
         self.tables.setflags(write=False)
@@ -144,7 +138,6 @@ def schedule_tables(schedule: str) -> KeyTables:
         schedule=schedule,
         size=n,
         tables=np.ascontiguousarray(tables),
-        pure_hilbert=all(code == "H" for code in schedule),
     )
 
 
@@ -215,34 +208,6 @@ def _keys_numpy(x: np.ndarray, y: np.ndarray, kt: KeyTables) -> np.ndarray:
     return keys
 
 
-def _keys_hilbert(x: np.ndarray, y: np.ndarray, n: int) -> np.ndarray:
-    """Classic branch-free Hilbert transpose (pure power-of-two sizes).
-
-    The per-level tables of a pure-``H`` schedule collapse to bit
-    operations: the child rank is ``(3*rx) ^ ry`` and the inverse
-    transforms are "swap axes, complementing both when ``rx=1, ry=0``"
-    — the vectorized form of Cubism's ``AxestoTranspose``.
-    """
-    u = x.copy()
-    v = y.copy()
-    keys = np.zeros(u.shape, dtype=KEY_DTYPE)
-    s = n >> 1
-    while s > 0:
-        rx = ((u & s) != 0).astype(KEY_DTYPE)
-        ry = ((v & s) != 0).astype(KEY_DTYPE)
-        keys += np.uint64(s * s) * ((np.uint64(3) * rx) ^ ry)
-        m = s - 1
-        u &= m
-        v &= m
-        swap = ry == 0
-        flip = swap & (rx == 1)
-        fu = np.where(flip, m - u, u)
-        fv = np.where(flip, m - v, v)
-        u, v = np.where(swap, fv, fu), np.where(swap, fu, fv)
-        s >>= 1
-    return keys
-
-
 def _as_coord_array(a, n: int, name: str, check: bool) -> np.ndarray:
     arr = np.ascontiguousarray(a, dtype=np.int64).ravel()
     if check and arr.size and not (0 <= arr.min() and arr.max() < n):
@@ -289,10 +254,7 @@ def curve_keys(
     ys = _as_coord_array(y, kt.size, "y", check)
     keys = _keys_c(xs, ys, kt)
     if keys is None:
-        if kt.pure_hilbert:
-            keys = _keys_hilbert(xs, ys, kt.size)
-        else:
-            keys = _keys_numpy(xs, ys, kt)
+        keys = _keys_numpy(xs, ys, kt)
     return keys.reshape(shape)
 
 

@@ -14,7 +14,8 @@ One coherent observability layer for the whole partitioning stack:
   paper's quality metrics (LB(nelemd), LB(spcv), edgecut, TCV);
 * :mod:`~repro.telemetry.exporters` — Chrome/Perfetto trace JSON,
   Prometheus text exposition, JSON-lines run logs (all stamped
-  ``"schema": 1`` + run id).
+  ``"schema": 1`` + run id), and the ``--profile`` stage table built
+  from the session's spans and counters.
 
 Quickstart::
 
@@ -28,8 +29,8 @@ Quickstart::
     write_chrome_trace("trace.json", session)   # open in ui.perfetto.dev
     print(session.metrics.to_prometheus())
 
-The legacy :mod:`repro.profiling` API (``profiled`` / ``stage`` /
-``counter``) is a thin compatibility view over this layer.
+The session is the one collector: every view of a run is an export of
+it, built after the run.
 """
 
 from .context import (
@@ -45,6 +46,8 @@ from .exporters import (
     load_metrics,
     metrics_snapshot,
     read_run_log,
+    render_stage_profile,
+    stage_profile,
     write_chrome_trace,
     write_metrics_json,
     write_prometheus,
@@ -71,7 +74,6 @@ from .metrics import HELP_BY_METRIC
 from .runtime import (
     TelemetrySession,
     activate,
-    active_profiler,
     current_session,
     inc,
     observe,
@@ -104,7 +106,6 @@ __all__ = [
     "StackSampler",
     "TelemetrySession",
     "activate",
-    "active_profiler",
     "add_sink",
     "chrome_trace",
     "close_logging",
@@ -122,11 +123,13 @@ __all__ = [
     "read_log",
     "read_run_log",
     "remove_sink",
+    "render_stage_profile",
     "replay_payload",
     "request_context",
     "sample_stacks",
     "set_gauge",
     "span",
+    "stage_profile",
     "telemetry_active",
     "telemetry_session",
     "worker_session",

@@ -1,6 +1,6 @@
 """Telemetry exporters: Chrome trace JSON, Prometheus text, JSONL logs.
 
-Three machine-readable views of one :class:`TelemetrySession`:
+Four views of one :class:`TelemetrySession`:
 
 * :func:`chrome_trace` / :func:`write_chrome_trace` — the Chrome /
   Perfetto trace-event format (``chrome://tracing``,
@@ -11,7 +11,10 @@ Three machine-readable views of one :class:`TelemetrySession`:
 * :func:`write_run_log` / :func:`read_run_log` — structured JSON-lines:
   a ``run`` header line, one ``span`` line per span, one ``metric``
   line per metric.  Readers tolerate unknown kinds and fields, so the
-  format can grow without breaking old tooling.
+  format can grow without breaking old tooling;
+* :func:`stage_profile` / :func:`render_stage_profile` — the
+  ``--profile`` stage table: span time and calls grouped by name, plus
+  the unlabelled counters.
 
 Every export carries ``"schema": 1`` and the session's run id.
 :func:`load_metrics` reads the registry back from either a metrics
@@ -22,8 +25,9 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
+from time import time
 
-from .metrics import SCHEMA_VERSION, MetricsRegistry
+from .metrics import SCHEMA_VERSION, Counter, MetricsRegistry
 from .runtime import TelemetrySession
 
 __all__ = [
@@ -35,6 +39,8 @@ __all__ = [
     "write_run_log",
     "read_run_log",
     "load_metrics",
+    "stage_profile",
+    "render_stage_profile",
 ]
 
 
@@ -200,3 +206,55 @@ def load_metrics(path: Path | str) -> MetricsRegistry:
         f"{path}: not a metrics snapshot (expected a 'metrics' list) "
         "or JSONL run log"
     )
+
+
+def stage_profile(session: TelemetrySession, **meta) -> dict:
+    """Per-stage wall time of the session's spans, plus its counters.
+
+    Spans are grouped by name (seconds summed, calls counted) and
+    ordered by time, descending; ``counters`` holds every unlabelled
+    counter.  ``elapsed_s`` is the wall time since the session
+    started, so build the profile right after the profiled run.
+    Stages may nest (K-way's ``initial`` stage runs a whole recursive
+    bisection), so stage times can overlap.
+    """
+    stages: dict[str, dict] = {}
+    if session.tracer is not None:
+        for span in session.tracer.spans:
+            entry = stages.setdefault(span.name, {"seconds": 0.0, "calls": 0})
+            entry["seconds"] += span.dur_us / 1e6
+            entry["calls"] += 1
+    counters: dict[str, int] = {}
+    if session.metrics is not None:
+        for name, labels, metric in session.metrics.items():
+            if isinstance(metric, Counter) and not labels:
+                counters[name] = int(metric.value)
+    return {
+        **meta,
+        "schema": SCHEMA_VERSION,
+        "elapsed_s": time() - session.started_unix,
+        "stages": dict(
+            sorted(stages.items(), key=lambda kv: kv[1]["seconds"], reverse=True)
+        ),
+        "counters": counters,
+    }
+
+
+def render_stage_profile(profile: dict, title: str) -> str:
+    """Text table of a :func:`stage_profile` with a ``counters:`` line."""
+    elapsed = profile["elapsed_s"]
+    stages = profile["stages"]
+    lines = [f"{title}  (wall {1e3 * elapsed:.1f} ms)"]
+    width = max([len(n) for n in stages] + [5])
+    lines.append(f"{'stage':<{width}}  {'calls':>7}  {'ms':>9}  {'%wall':>6}")
+    for name, entry in stages.items():
+        sec = entry["seconds"]
+        pct = 100.0 * sec / elapsed if elapsed > 0 else 0.0
+        lines.append(
+            f"{name:<{width}}  {entry['calls']:>7}  {1e3 * sec:>9.1f}  {pct:>5.1f}%"
+        )
+    if profile["counters"]:
+        lines.append("counters: " + "  ".join(
+            f"{k}={v}" for k, v in sorted(profile["counters"].items())
+        ))
+    return "\n".join(lines)

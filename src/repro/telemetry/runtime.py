@@ -6,23 +6,19 @@ collecting, each costs **one module-global read** (``span`` returns a
 shared no-op context manager; the metric helpers return immediately) —
 the library runs unchanged.
 
-Two kinds of collector can be active, separately or together:
-
-* a :class:`TelemetrySession` (run id, span tracer, metrics registry) —
-  activated with :func:`telemetry_session`;
-* a legacy :class:`repro.profiling.Profiler` — activated through
-  :func:`repro.profiling.profiled`, which delegates to
-  :func:`activate` here.  The profiler receives the same span
-  durations and counter bumps, so ``--profile`` output is a *view*
-  over telemetry events.
+The one collector is a :class:`TelemetrySession` (run id, span tracer,
+metrics registry), activated with :func:`telemetry_session` or
+:func:`activate`.  Every view of a run — Chrome trace, metrics
+snapshot, run log, and the ``--profile`` stage table
+(:func:`repro.telemetry.exporters.stage_profile`) — is built from it
+after the fact.
 
 Worker processes of the service pool activate a fresh session with
 :func:`worker_session`, export it as a picklable payload, and the
 parent merges it with :func:`replay_payload` — spans land in the
 parent's tracer (re-parented under the span open at ingest time, e.g.
-the engine's ``pool`` span), counters and histograms fold into the
-parent's registry, and an active legacy profiler finally sees
-worker-side stages (closing the gap documented by the old profiler).
+the engine's ``pool`` span) and counters and histograms fold into the
+parent's registry, so worker-side stages show up in every view.
 """
 
 from __future__ import annotations
@@ -43,7 +39,6 @@ __all__ = [
     "current_session",
     "telemetry_active",
     "activate",
-    "active_profiler",
     "replay_payload",
     "span",
     "inc",
@@ -92,43 +87,24 @@ class TelemetrySession:
         }
 
 
-class _State:
-    """What is currently collecting (at most one active per process)."""
-
-    __slots__ = ("session", "profiler")
-
-    def __init__(self, session, profiler) -> None:
-        self.session = session
-        self.profiler = profiler
-
-
-_STATE: _State | None = None
-_KEEP = object()  # sentinel: inherit the currently-active collector
+#: The active session (at most one per process); ``None`` when disabled.
+_SESSION: TelemetrySession | None = None
 
 
 @contextmanager
-def activate(session=_KEEP, profiler=_KEEP):
-    """Install collectors for the enclosed block (composable).
+def activate(session: TelemetrySession | None):
+    """Install ``session`` as the collector for the block.
 
-    Passing ``session=`` or ``profiler=`` replaces that collector for
-    the block; the one not passed is inherited from the current state,
-    so a profiler opened inside a telemetry session feeds both.
+    ``None`` disables collection for the block; the previously active
+    session is restored on exit either way, so sessions nest.
     """
-    global _STATE
-    prev = _STATE
-    new_session = (prev.session if prev else None) if session is _KEEP else session
-    new_profiler = (
-        (prev.profiler if prev else None) if profiler is _KEEP else profiler
-    )
-    _STATE = (
-        _State(new_session, new_profiler)
-        if (new_session is not None or new_profiler is not None)
-        else None
-    )
+    global _SESSION
+    prev = _SESSION
+    _SESSION = session
     try:
         yield
     finally:
-        _STATE = prev
+        _SESSION = prev
 
 
 @contextmanager
@@ -156,7 +132,7 @@ def worker_session():
     from .logs import capture_records
 
     session = TelemetrySession(trace=True, metrics=True)
-    with activate(session=session, profiler=None):
+    with activate(session):
         with capture_records() as records:
             session.log_records = records
             yield session
@@ -164,43 +140,25 @@ def worker_session():
 
 def current_session() -> TelemetrySession | None:
     """The active session, or ``None``."""
-    state = _STATE
-    return state.session if state is not None else None
-
-
-def active_profiler():
-    """The active legacy profiler, or ``None``."""
-    state = _STATE
-    return state.profiler if state is not None else None
+    return _SESSION
 
 
 def telemetry_active() -> bool:
-    """Whether *any* collector (session or profiler) is active."""
-    return _STATE is not None
+    """Whether a session is collecting."""
+    return _SESSION is not None
 
 
 def replay_payload(payload: dict | None) -> None:
-    """Merge a worker payload into whatever is collecting here."""
-    state = _STATE
-    if state is None or not payload:
+    """Merge a worker payload into the active session."""
+    session = _SESSION
+    if session is None or not payload:
         return
-    spans = payload.get("spans") or []
-    session = state.session
-    if session is not None:
-        if session.tracer is not None and spans:
-            session.tracer.ingest(
-                spans, attach_parent=session.tracer.open_parent()
-            )
-        snapshot = payload.get("metrics")
-        if snapshot and session.metrics is not None:
-            session.metrics.merge(snapshot)
-    profiler = state.profiler
-    if profiler is not None:
-        for data in spans:
-            profiler.add(str(data["name"]), float(data["dur_us"]) / 1e6)
-        for entry in payload.get("metrics") or []:
-            if entry.get("kind") == "counter" and not entry.get("labels"):
-                profiler.count(str(entry["name"]), int(entry.get("value", 0)))
+    spans = payload.get("spans")
+    if spans and session.tracer is not None:
+        session.tracer.ingest(spans, attach_parent=session.tracer.open_parent())
+    snapshot = payload.get("metrics")
+    if snapshot and session.metrics is not None:
+        session.metrics.merge(snapshot)
     logs = payload.get("logs")
     if logs:
         from .logs import emit_records
@@ -227,88 +185,70 @@ _NOOP = _NoopSpan()
 
 
 class _LiveSpan:
-    """Times one region and reports it to the active collectors."""
+    """Times one region and reports it to the session's tracer."""
 
-    __slots__ = ("_state", "_name", "_cat", "_args", "_sid", "_parent", "_ts", "_t0")
+    __slots__ = ("_tracer", "_name", "_cat", "_args", "_sid", "_parent", "_ts", "_t0")
 
-    def __init__(self, state: _State, name: str, cat: str, args: dict) -> None:
-        self._state = state
+    def __init__(self, tracer: SpanCollector, name: str, cat: str, args: dict) -> None:
+        self._tracer = tracer
         self._name = name
         self._cat = cat
         self._args = args
 
     def __enter__(self) -> "_LiveSpan":
-        session = self._state.session
-        tracer = session.tracer if session is not None else None
-        if tracer is not None:
-            self._sid, self._parent = tracer.begin()
-        else:
-            self._sid = 0
+        self._sid, self._parent = self._tracer.begin()
         self._ts = time_ns()
         self._t0 = perf_counter()
         return self
 
     def __exit__(self, *exc) -> bool:
         dt = perf_counter() - self._t0
-        state = self._state
-        if state.profiler is not None:
-            state.profiler.add(self._name, dt)
-        session = state.session
-        if session is not None and session.tracer is not None:
-            # Stamp the active request's identity on the span, so one
-            # trace id links server, engine, and worker-process spans
-            # (the worker re-enters the context it was shipped).
-            ctx = current_context()
-            if ctx is not None:
-                self._args["trace_id"] = ctx.trace_id
-                self._args["request_id"] = ctx.request_id
-            session.tracer.end(
-                self._sid,
-                self._parent,
-                self._name,
-                self._cat,
-                self._ts // 1000,
-                dt * 1e6,
-                self._args,
-            )
+        # Stamp the active request's identity on the span, so one
+        # trace id links server, engine, and worker-process spans
+        # (the worker re-enters the context it was shipped).
+        ctx = current_context()
+        if ctx is not None:
+            self._args["trace_id"] = ctx.trace_id
+            self._args["request_id"] = ctx.request_id
+        self._tracer.end(
+            self._sid,
+            self._parent,
+            self._name,
+            self._cat,
+            self._ts // 1000,
+            dt * 1e6,
+            self._args,
+        )
         return False
 
 
 def span(name: str, cat: str = "", **args):
     """Time the enclosed block (one global read when disabled)."""
-    state = _STATE
-    if state is None:
+    session = _SESSION
+    if session is None or session.tracer is None:
         return _NOOP
-    return _LiveSpan(state, name, cat, args)
+    return _LiveSpan(session.tracer, name, cat, args)
 
 
 def inc(name: str, n: float = 1, **labels: str) -> None:
-    """Bump a counter (and the legacy profiler's counter table)."""
-    state = _STATE
-    if state is None:
+    """Bump a counter."""
+    session = _SESSION
+    if session is None or session.metrics is None:
         return
-    if state.profiler is not None and not labels:
-        state.profiler.count(name, int(n))
-    session = state.session
-    if session is not None and session.metrics is not None:
-        session.metrics.counter(name, **labels).inc(n)
+    session.metrics.counter(name, **labels).inc(n)
 
 
 def observe(name: str, value: float, **labels: str) -> None:
     """Record one histogram observation."""
-    state = _STATE
-    if state is None:
+    session = _SESSION
+    if session is None or session.metrics is None:
         return
-    session = state.session
-    if session is not None and session.metrics is not None:
-        session.metrics.histogram(name, **labels).observe(value)
+    session.metrics.histogram(name, **labels).observe(value)
 
 
 def set_gauge(name: str, value: float, **labels: str) -> None:
     """Set a gauge to an instantaneous value."""
-    state = _STATE
-    if state is None:
+    session = _SESSION
+    if session is None or session.metrics is None:
         return
-    session = state.session
-    if session is not None and session.metrics is not None:
-        session.metrics.gauge(name, **labels).set(value)
+    session.metrics.gauge(name, **labels).set(value)

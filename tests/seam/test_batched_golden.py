@@ -2,7 +2,7 @@
 
 The batched engine (stacked geometry, fused bincount DSS, BLAS
 derivative chains) must reproduce the preserved pre-batching reference
-implementations in ``repro.seam._reference`` — exactly where the op
+implementations in ``tests/seam/reference_serial.py`` — exactly where the op
 order is unchanged, and to <= 1e-12 where reassociation is allowed.
 """
 
@@ -20,9 +20,10 @@ from repro.seam import (
     shared_dss_operator,
     williamson_tc2,
 )
-from repro.seam._reference import ReferenceDSS, ReferenceShallowWaterSolver
 from repro.seam.dss import DSSOperator
 from repro.seam.element import _element_geometry
+
+from .reference_serial import ReferenceDSS, ReferenceShallowWaterSolver
 
 
 @pytest.fixture(scope="module")

@@ -142,6 +142,21 @@ class TestLifecycle:
             engine.run([PartitionRequest(ne=2, nparts=4)])
         assert engine.closed
 
+    def test_context_manager_closes_pool(self):
+        reqs = [
+            PartitionRequest(ne=2, nparts=4),
+            PartitionRequest(ne=2, nparts=6),
+        ]
+        with PartitionEngine(jobs=2) as engine:
+            responses = engine.run(reqs)
+            assert engine._pool is not None
+            # A second run reuses the same pool.
+            pool = engine._pool
+            engine.run(reqs)
+            assert engine._pool is pool
+        assert engine._pool is None
+        assert len(responses) == 2
+
     def test_executor_is_process_backed_even_at_jobs_1(self):
         with PartitionEngine(jobs=1) as engine:
             pool = engine.executor()

@@ -2,9 +2,8 @@
 
 from __future__ import annotations
 
-from repro.profiling import profiled
 from repro.service import PartitionEngine, PartitionRequest
-from repro.telemetry import telemetry_session
+from repro.telemetry import stage_profile, telemetry_session
 
 REQUESTS = [
     PartitionRequest(ne=4, nparts=8, method="sfc"),
@@ -65,12 +64,12 @@ def test_pool_metrics_merge_into_parent_registry():
     assert total >= 1  # rb request always calls part_graph
 
 
-def test_pool_stages_reach_legacy_profiler():
-    """The documented pool gap: ``--profile --jobs N`` sees worker stages."""
-    with profiled() as prof:
+def test_pool_stages_reach_stage_profile():
+    """``--profile --jobs N`` sees worker-side stages."""
+    with telemetry_session() as session:
         with PartitionEngine(jobs=2) as engine:
             engine.run(REQUESTS)
-    stages = prof.as_dict()["stages"]
+    stages = stage_profile(session)["stages"]
     assert stages["compute"]["calls"] == len(REQUESTS)
     assert "coarsen" in stages  # recorded inside a worker process
 

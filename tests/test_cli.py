@@ -326,14 +326,14 @@ class TestProfileCommand:
         assert "cache_misses=1" in out
 
     def test_json_output(self, tmp_path, capsys):
-        path = tmp_path / "prof" / "out.json"
+        outdir = tmp_path / "prof"
         assert main(
             [
                 "profile", "--ne", "2", "--nparts", "6",
-                "--method", "sfc", "--json", str(path),
+                "--method", "sfc", "--telemetry-dir", str(outdir),
             ]
         ) == 0
-        payload = json.loads(path.read_text())
+        payload = json.loads((outdir / "profile.json").read_text())
         assert payload["command"] == "profile"
         assert payload["method"] == "sfc"
         assert payload["repeat"] == 1
@@ -341,6 +341,20 @@ class TestProfileCommand:
         assert "cache" in payload["stages"]
         assert payload["stages"]["cache"]["calls"] == 1
         assert payload["counters"]["cache_misses"] == 1
+
+    def test_trace_events_share_one_trace_id(self, tmp_path, capsys):
+        outdir = tmp_path / "tel"
+        assert main(
+            ["profile", "--ne", "2", "--nparts", "6", "--telemetry-dir", str(outdir)]
+        ) == 0
+        trace = json.loads((outdir / "trace.json").read_text())
+        ids = {
+            e["args"].get("trace_id")
+            for e in trace["traceEvents"]
+            if e["ph"] == "X"
+        }
+        assert len(ids) == 1
+        assert ids.pop()
 
     def test_repeat_rejects_nonpositive(self):
         with pytest.raises(SystemExit):
@@ -359,14 +373,13 @@ class TestProfileFlags:
         assert "Stage profile: partition" in out
 
     def test_partition_profile_json(self, tmp_path, capsys):
-        path = tmp_path / "prof.json"
         assert main(
             [
                 "partition", "--ne", "2", "--nparts", "4",
-                "--method", "kway", "--profile-json", str(path),
+                "--method", "kway", "--telemetry-dir", str(tmp_path),
             ]
         ) == 0
-        payload = json.loads(path.read_text())
+        payload = json.loads((tmp_path / "profile.json").read_text())
         assert payload["command"] == "partition"
         assert payload["method"] == "kway"
         assert "uncoarsen" in payload["stages"]
@@ -374,37 +387,54 @@ class TestProfileFlags:
     def test_batch_profile_json(self, tmp_path, capsys):
         reqs = tmp_path / "reqs.json"
         reqs.write_text(json.dumps([{"ne": 2, "nparts": 4}]))
-        path = tmp_path / "prof.json"
+        outdir = tmp_path / "tel"
         assert main(
-            ["batch", str(reqs), "--profile-json", str(path)]
+            ["batch", str(reqs), "--telemetry-dir", str(outdir)]
         ) == 0
-        payload = json.loads(path.read_text())
+        payload = json.loads((outdir / "profile.json").read_text())
         assert payload["command"] == "batch"
         assert payload["counters"]["cache_misses"] == 1
+        assert "Stage profile" not in capsys.readouterr().out
 
     def test_no_flags_no_table(self, capsys):
         assert main(["partition", "--ne", "2", "--nparts", "4"]) == 0
         assert "Stage profile" not in capsys.readouterr().out
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["partition", "--ne", "2", "--nparts", "4", "--trace-json", "t.json"],
+            ["batch", "reqs.json", "--metrics"],
+            ["profile", "--ne", "2", "--nparts", "6", "--profile-json", "p.json"],
+        ],
+    )
+    def test_removed_flags_are_rejected(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
 
 class TestTelemetryFlags:
     def test_partition_trace_json(self, tmp_path, capsys):
-        path = tmp_path / "trace.json"
         assert main(
-            ["partition", "--ne", "2", "--nparts", "4", "--trace-json", str(path)]
+            ["partition", "--ne", "2", "--nparts", "4",
+             "--telemetry-dir", str(tmp_path)]
         ) == 0
-        trace = json.loads(path.read_text())
+        trace = json.loads((tmp_path / "trace.json").read_text())
         assert trace["schema"] == 1
         assert trace["meta"]["command"] == "partition"
         names = {e["name"] for e in trace["traceEvents"] if e["ph"] == "X"}
         assert {"engine_run", "cache", "compute"} <= names
 
-    def test_partition_metrics_table(self, capsys):
+    def test_partition_metrics_table(self, tmp_path, capsys):
         assert main(
-            ["partition", "--ne", "2", "--nparts", "4", "--metrics"]
+            ["partition", "--ne", "2", "--nparts", "4",
+             "--telemetry-dir", str(tmp_path)]
         ) == 0
+        assert "LB(nelemd)" in capsys.readouterr().out  # normal output
+        assert main(["metrics", str(tmp_path / "metrics.json")]) == 0
         out = capsys.readouterr().out
-        assert "LB(nelemd)" in out  # normal output still printed
         assert "request_lb_nelemd" in out
         assert "cache_misses" in out
 
@@ -419,11 +449,11 @@ class TestTelemetryFlags:
                 ]
             )
         )
-        path = tmp_path / "trace.json"
+        outdir = tmp_path / "tel"
         assert main(
-            ["batch", str(reqs), "--jobs", "2", "--trace-json", str(path)]
+            ["batch", str(reqs), "--jobs", "2", "--telemetry-dir", str(outdir)]
         ) == 0
-        trace = json.loads(path.read_text())
+        trace = json.loads((outdir / "trace.json").read_text())
         events = [e for e in trace["traceEvents"] if e["ph"] == "X"]
         pool = [e for e in events if e["name"] == "pool"]
         assert len(pool) == 1
@@ -437,13 +467,11 @@ class TestTelemetryFlags:
     def test_batch_metrics_json_and_run_log(self, tmp_path):
         reqs = tmp_path / "reqs.json"
         reqs.write_text(json.dumps([{"ne": 2, "nparts": 4}]))
-        mpath = tmp_path / "metrics.json"
-        lpath = tmp_path / "run.jsonl"
+        outdir = tmp_path / "tel"
+        mpath = outdir / "metrics.json"
+        lpath = outdir / "run.jsonl"
         assert main(
-            [
-                "batch", str(reqs),
-                "--metrics-json", str(mpath), "--run-log", str(lpath),
-            ]
+            ["batch", str(reqs), "--telemetry-dir", str(outdir)]
         ) == 0
         snapshot = json.loads(mpath.read_text())
         assert snapshot["schema"] == 1
@@ -455,16 +483,31 @@ class TestTelemetryFlags:
         kinds = {json.loads(line)["kind"] for line in lpath.read_text().splitlines()}
         assert {"run", "span", "metric"} <= kinds
 
+    def test_log_jsonl_shares_the_run_trace_id(self, tmp_path):
+        assert main(
+            ["partition", "--ne", "2", "--nparts", "4",
+             "--telemetry-dir", str(tmp_path)]
+        ) == 0
+        records = [
+            json.loads(line)
+            for line in (tmp_path / "log.jsonl").read_text().splitlines()
+        ]
+        trace = json.loads((tmp_path / "trace.json").read_text())
+        span_ids = {
+            e["args"]["trace_id"] for e in trace["traceEvents"] if e["ph"] == "X"
+        }
+        assert records
+        assert {r["trace_id"] for r in records} == span_ids
+
     def test_profile_with_trace_json(self, tmp_path, capsys):
-        path = tmp_path / "trace.json"
         assert main(
             [
                 "profile", "--ne", "2", "--nparts", "6",
-                "--trace-json", str(path),
+                "--telemetry-dir", str(tmp_path),
             ]
         ) == 0
         assert "Stage profile" in capsys.readouterr().out
-        assert json.loads(path.read_text())["traceEvents"]
+        assert json.loads((tmp_path / "trace.json").read_text())["traceEvents"]
 
 
 class TestMetricsCommand:
@@ -472,7 +515,7 @@ class TestMetricsCommand:
         mpath = tmp_path / "metrics.json"
         assert main(
             ["partition", "--ne", "2", "--nparts", "4",
-             "--metrics-json", str(mpath)]
+             "--telemetry-dir", str(tmp_path)]
         ) == 0
         capsys.readouterr()
         assert main(["metrics", str(mpath)]) == 0
@@ -483,7 +526,7 @@ class TestMetricsCommand:
     def test_prometheus_output(self, tmp_path, capsys):
         mpath = tmp_path / "metrics.json"
         main(["partition", "--ne", "2", "--nparts", "4",
-              "--metrics-json", str(mpath)])
+              "--telemetry-dir", str(tmp_path)])
         capsys.readouterr()
         assert main(["metrics", str(mpath), "--prometheus"]) == 0
         out = capsys.readouterr().out

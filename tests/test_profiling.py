@@ -1,95 +1,38 @@
-"""Unit tests for the stage profiler and engine lifecycle."""
+"""Profiling context of the ``--profile`` stage table and engine lifecycle.
+
+The stage table is built from a telemetry session's spans and counters
+(see ``tests/telemetry/test_stage_profile.py``); these cases pin the
+session activation it relies on and the engine's close semantics.
+"""
 
 from __future__ import annotations
 
-import json
-import time
-
-from repro.profiling import (
-    Profiler,
-    active_profiler,
-    counter,
-    profiled,
-    stage,
-)
 from repro.service import PartitionEngine, PartitionRequest
-
-
-class TestProfiler:
-    def test_add_accumulates_time_and_calls(self):
-        prof = Profiler()
-        prof.add("coarsen", 0.25)
-        prof.add("coarsen", 0.75)
-        prof.add("refine", 0.5)
-        assert prof.seconds["coarsen"] == 1.0
-        assert prof.calls["coarsen"] == 2
-        assert prof.calls["refine"] == 1
-
-    def test_count_accumulates(self):
-        prof = Profiler()
-        prof.count("hits")
-        prof.count("hits", 4)
-        assert prof.counters == {"hits": 5}
-
-    def test_finish_freezes_elapsed(self):
-        prof = Profiler()
-        prof.finish()
-        frozen = prof.elapsed_s
-        time.sleep(0.01)
-        assert prof.elapsed_s == frozen
-
-    def test_to_json_round_trips_with_meta(self):
-        prof = Profiler()
-        prof.add("cache", 0.5)
-        prof.count("cache_hits", 3)
-        prof.finish()
-        payload = json.loads(prof.to_json(command="profile", ne=8))
-        assert payload["command"] == "profile"
-        assert payload["ne"] == 8
-        assert payload["stages"]["cache"] == {"seconds": 0.5, "calls": 1}
-        assert payload["counters"] == {"cache_hits": 3}
-        assert payload["elapsed_s"] == prof.elapsed_s
-
-    def test_render_sorts_by_time_desc(self):
-        prof = Profiler()
-        prof.add("small", 0.1)
-        prof.add("big", 0.9)
-        prof.count("widgets", 2)
-        text = prof.render(title="T")
-        lines = text.splitlines()
-        assert lines[0].startswith("T  (wall")
-        assert lines.index([l for l in lines if l.startswith("big")][0]) < (
-            lines.index([l for l in lines if l.startswith("small")][0])
-        )
-        assert "widgets=2" in lines[-1]
+from repro.telemetry import (
+    current_session,
+    inc,
+    span,
+    stage_profile,
+    telemetry_session,
+)
 
 
 class TestContextManagers:
     def test_stage_and_counter_noop_when_inactive(self):
-        assert active_profiler() is None
-        with stage("anything"):
-            counter("anything")
-        assert active_profiler() is None
-
-    def test_profiled_activates_and_restores(self):
-        with profiled() as prof:
-            assert active_profiler() is prof
-            with stage("work"):
-                pass
-            counter("events", 2)
-        assert active_profiler() is None
-        assert prof.calls["work"] == 1
-        assert prof.counters["events"] == 2
-        assert prof.elapsed_s > 0
+        assert current_session() is None
+        with span("anything"):
+            inc("anything")
+        assert current_session() is None
 
     def test_profiled_nests_and_restores_outer(self):
-        with profiled() as outer:
-            with profiled() as inner:
-                with stage("inner-only"):
+        with telemetry_session() as outer:
+            with telemetry_session() as inner:
+                with span("inner-only"):
                     pass
-            assert active_profiler() is outer
-        assert "inner-only" in inner.seconds
-        assert "inner-only" not in outer.seconds
+            assert current_session() is outer
+        assert current_session() is None
+        assert "inner-only" in stage_profile(inner)["stages"]
+        assert "inner-only" not in stage_profile(outer)["stages"]
 
 
 class TestEngineLifecycle:
@@ -98,18 +41,4 @@ class TestEngineLifecycle:
         engine.run([PartitionRequest(ne=2, nparts=4)])
         engine.close()
         engine.close()
-
-    def test_context_manager_closes_pool(self):
-        reqs = [
-            PartitionRequest(ne=2, nparts=4),
-            PartitionRequest(ne=2, nparts=6),
-        ]
-        with PartitionEngine(jobs=2) as engine:
-            responses = engine.run(reqs)
-            assert engine._pool is not None
-            # A second run reuses the same pool.
-            pool = engine._pool
-            engine.run(reqs)
-            assert engine._pool is pool
-        assert engine._pool is None
-        assert len(responses) == 2
+        assert engine.closed
