@@ -3,14 +3,18 @@
  * Compiled on demand by repro._native with the system C compiler and
  * loaded through ctypes; every routine is an exact int64 re-statement
  * of the pure-Python kernels in repro.metis.refine / repro.metis.initial
- * (which remain the reference implementation and the fallback).
+ * (which remain the reference implementation and the fallback):
+ * fm_refine (FM bisection passes), kway_refine (one greedy K-way
+ * sweep, edge-cut or TotalVol gain), hem_claim, subgraph_extract and
+ * ggg_partition.
  *
  * Bit-identity contract: the Python kernels drain a lazy max-priority
  * queue whose keys (-gain, insertion counter) are unique, so the pop
  * order is exactly "highest gain first, FIFO within a gain value".
  * The linked-list bucket queues below reproduce that order verbatim;
- * all arithmetic is int64, matching Python's exact integers on every
- * value these algorithms can produce.
+ * kway_refine has no queue and visits vertices in the caller's
+ * order.  All arithmetic is int64, matching Python's exact integers
+ * on every value these algorithms can produce.
  */
 
 #include <stdint.h>
@@ -133,6 +137,145 @@ int64_t fm_refine(
 
     free(gain); free(head); free(tail); free(ev); free(enext); free(moves);
     return 0;
+}
+
+/* ------------------------------------------------------------------ */
+/* Greedy K-way refinement                                             */
+/* ------------------------------------------------------------------ */
+
+/* TotalVol census of boundary vertex v: returns the destination-free
+ * part of the gain (before_v - after_v plus the parts of frm that
+ * moving v erases at its neighbors) and writes into pen[k] how many
+ * neighbors the move to cand[k] introduces cand[k] at.  `cnt` must be
+ * all zero on entry and is left so. */
+static int64_t kway_volume_census(
+    const int64_t *indptr,
+    const int64_t *indices,
+    const int64_t *assign,
+    int64_t v,
+    int64_t frm,
+    int64_t has_frm,
+    const int64_t *cand,
+    int64_t ncand,
+    int64_t *pen,
+    int64_t *cnt)
+{
+    /* Every candidate is adjacent to v, so after_v = ncand - 1
+     * whatever the destination. */
+    int64_t base = (ncand - has_frm) - (ncand - 1);
+    for (int64_t k = 0; k < ncand; k++) pen[k] = 0;
+    for (int64_t i = indptr[v]; i < indptr[v + 1]; i++) {
+        int64_t u = indices[i];
+        int64_t pu = assign[u];
+        for (int64_t j = indptr[u]; j < indptr[u + 1]; j++)
+            cnt[assign[indices[j]]]++;
+        if (frm != pu && cnt[frm] == 1) base++;
+        for (int64_t k = 0; k < ncand; k++)
+            if (cand[k] != pu && cnt[cand[k]] == 0) pen[k]++;
+        for (int64_t j = indptr[u]; j < indptr[u + 1]; j++)
+            cnt[assign[indices[j]]] = 0;
+    }
+    return base;
+}
+
+/* One sweep of greedy_kway_refine's pass loop, visiting vertices in
+ * the order `perm` (drawn by the caller, one permutation per pass).
+ * `assign` and `pweights` are updated in place; `npw` is the length
+ * of `pweights`, which covers every part id in `assign` (it may
+ * exceed nparts).  `volume` selects the TotalVol gain instead of the
+ * edge-cut gain.
+ *
+ * Candidates are the distinct parts adjacent to v in order of first
+ * appearance in its adjacency slice (the Python dict's insertion
+ * order), tie-broken by connectivity, and accepted under the same
+ * three rules: strict gain, any gain under hard overflow, zero gain
+ * that drains a part above ideal_cap.  The volume gain is the same
+ * two-hop census as _VolumeGainKernel, evaluated for every candidate
+ * in one sweep over the census.
+ *
+ * Returns the number of accepted moves, or -1 on allocation failure
+ * (before anything is modified; the caller falls back to Python).
+ */
+int64_t kway_refine(
+    int64_t n,
+    const int64_t *indptr,
+    const int64_t *indices,
+    const int64_t *eweights,
+    const int64_t *vweights,
+    const int64_t *perm,
+    int64_t *assign,
+    int64_t *pweights,
+    int64_t npw,
+    int64_t cap,
+    int64_t ideal_cap,
+    int64_t volume)
+{
+    /* conn[p]: connectivity of v to part p; slot[p]: p's index in
+     * cand (-1 if not adjacent); pen[k]: census penalty of cand[k];
+     * cnt: the census scratch of kway_volume_census. */
+    size_t sz = (size_t)(npw > 0 ? npw : 1) * sizeof(int64_t);
+    int64_t *conn = malloc(sz);
+    int64_t *slot = malloc(sz);
+    int64_t *cand = malloc(sz);
+    int64_t *pen = malloc(sz);
+    int64_t *cnt = calloc(1, sz);
+    if (!conn || !slot || !cand || !pen || !cnt) {
+        free(conn); free(slot); free(cand); free(pen); free(cnt);
+        return -1;
+    }
+    memset(slot, 0xff, sz);
+    int64_t nmoves = 0;
+
+    for (int64_t t = 0; t < n; t++) {
+        int64_t v = perm[t];
+        int64_t frm = assign[v];
+        int64_t vw = vweights[v];
+        int64_t ncand = 0;
+        for (int64_t i = indptr[v]; i < indptr[v + 1]; i++) {
+            int64_t p = assign[indices[i]];
+            if (slot[p] < 0) {
+                slot[p] = ncand;
+                cand[ncand++] = p;
+                conn[p] = 0;
+            }
+            conn[p] += eweights[i];
+        }
+        int64_t has_frm = slot[frm] >= 0;
+        int64_t best_to = -1, best_gain = 0, best_conn = -1;
+        /* Interior (or isolated) vertices have no other part. */
+        if (ncand > has_frm) {
+            int64_t internal = has_frm ? conn[frm] : 0;
+            int64_t vbase = volume ? kway_volume_census(
+                indptr, indices, assign, v, frm, has_frm,
+                cand, ncand, pen, cnt) : 0;
+            for (int64_t k = 0; k < ncand; k++) {
+                int64_t p = cand[k];
+                if (p == frm || pweights[p] + vw > cap) continue;
+                int64_t c = conn[p];
+                int64_t gain = volume ? vbase - pen[k] : c - internal;
+                if (best_to < 0 || gain > best_gain ||
+                    (gain == best_gain && c > best_conn)) {
+                    best_to = p;
+                    best_gain = gain;
+                    best_conn = c;
+                }
+            }
+        }
+        for (int64_t k = 0; k < ncand; k++) slot[cand[k]] = -1;
+        if (best_to >= 0 && (
+                best_gain > 0 ||
+                pweights[frm] > cap || /* hard overflow: any gain */
+                (best_gain == 0 && pweights[frm] > ideal_cap &&
+                 ideal_cap >= pweights[best_to] + vw))) {
+            assign[v] = best_to;
+            pweights[frm] -= vw;
+            pweights[best_to] += vw;
+            nmoves++;
+        }
+    }
+
+    free(conn); free(slot); free(cand); free(pen); free(cnt);
+    return nmoves;
 }
 
 /* ------------------------------------------------------------------ */

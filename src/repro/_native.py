@@ -1,7 +1,10 @@
 """Build-and-load shim for the compiled hot-path kernels.
 
-``_kernels.c`` holds exact C restatements of the FM-refinement and
-greedy-graph-growing kernels (see that file for the bit-identity
+``_kernels.c`` holds exact C restatements of the METIS kernels — FM
+bisection refinement (``fm_refine``), one greedy K-way refinement
+sweep (``kway_refine``, edge-cut or TotalVol gain), heavy-edge
+matching, subgraph extraction and greedy graph growing — plus the SEAM
+DSS projection and SFC keying (see that file for the bit-identity
 contract).  This module compiles it once with the system C compiler
 into a content-addressed cache directory and loads it through
 :mod:`ctypes` — no third-party build machinery, no install step.
@@ -27,6 +30,7 @@ __all__ = ["LIB", "load"]
 _SOURCE = Path(__file__).with_name("_kernels.c")
 _I64P = ctypes.POINTER(ctypes.c_int64)
 _F64P = ctypes.POINTER(ctypes.c_double)
+_VP = ctypes.c_void_p
 
 # -ffp-contract=off: the float kernels (dss_apply) promise bit-identity
 # with the numpy fallbacks, which never fuse a multiply-add into an FMA.
@@ -89,47 +93,59 @@ def load() -> ctypes.CDLL | None:
     except OSError:
         return None
     try:
+        # Pointer params are void*: callers pass raw addresses (ints,
+        # ``arr.ctypes.data``), skipping ctypes' per-call POINTER
+        # conversion on the hot path.
         lib.fm_refine.restype = ctypes.c_int64
         lib.fm_refine.argtypes = [
             ctypes.c_int64,  # n
-            _I64P, _I64P, _I64P, _I64P,  # indptr, indices, eweights, vweights
-            _I64P,  # side (inout)
+            _VP, _VP, _VP, _VP,  # indptr, indices, eweights, vweights
+            _VP,  # side (inout)
             ctypes.c_int64, ctypes.c_int64,  # cap0, cap1
             ctypes.c_int64, ctypes.c_int64,  # pcap0, pcap1
             ctypes.c_int64,  # max_passes
             ctypes.c_int64,  # bound
             ctypes.c_int64, ctypes.c_int64,  # w0, w1
         ]
+        lib.kway_refine.restype = ctypes.c_int64
+        lib.kway_refine.argtypes = [
+            ctypes.c_int64,  # n
+            _VP, _VP, _VP, _VP,  # indptr, indices, eweights, vweights
+            _VP,  # perm
+            _VP, _VP,  # assign, pweights (inout)
+            ctypes.c_int64,  # len(pweights)
+            ctypes.c_int64, ctypes.c_int64,  # cap, ideal_cap
+            ctypes.c_int64,  # volume objective
+        ]
         lib.hem_claim.restype = ctypes.c_int64
         lib.hem_claim.argtypes = [
             ctypes.c_int64,  # n
-            _I64P, _I64P, _I64P,  # indptr, indices, eweights
-            _I64P,  # order
-            _I64P,  # match (out)
+            _VP, _VP, _VP,  # indptr, indices, eweights
+            _VP,  # order
+            _VP,  # match (out)
         ]
         lib.subgraph_extract.restype = ctypes.c_int64
         lib.subgraph_extract.argtypes = [
             ctypes.c_int64,  # n_parent
-            _I64P, _I64P, _I64P, _I64P,  # indptr, indices, eweights, vweights
-            _I64P,  # verts
+            _VP, _VP, _VP, _VP,  # indptr, indices, eweights, vweights
+            _VP,  # verts
             ctypes.c_int64,  # k
-            _I64P, _I64P, _I64P, _I64P,  # out csr arrays
-            _I64P,  # out_scalars
+            _VP, _VP, _VP, _VP,  # out csr arrays
+            _VP,  # out_scalars
         ]
         lib.ggg_partition.restype = ctypes.c_int64
         lib.ggg_partition.argtypes = [
             ctypes.c_int64,  # n
-            _I64P, _I64P, _I64P, _I64P,  # indptr, indices, eweights, vweights
-            _I64P,  # starts
+            _VP, _VP, _VP, _VP,  # indptr, indices, eweights, vweights
+            _VP,  # starts
             ctypes.c_int64,  # ntrials
             ctypes.c_int64,  # target_left
             ctypes.c_int64,  # bound
-            _I64P,  # best_side (out)
+            _VP,  # best_side (out)
         ]
-        # Pointer params are void*: callers pass raw addresses (ints),
-        # skipping ctypes' per-call POINTER conversion on the hot path.
-        # The operator constants travel in a 7-slot int64 "plan" array
-        # (see _kernels.c) to keep per-call marshalling at 5 arguments.
+        # The DSS operator constants travel in a 7-slot int64 "plan"
+        # array (see _kernels.c) to keep per-call marshalling at 5
+        # arguments.
         lib.dss_apply.restype = ctypes.c_int64
         lib.dss_apply.argtypes = [
             ctypes.c_void_p,  # plan

@@ -20,7 +20,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .._native import LIB as _NATIVE
-from .._native import as_i64p as _p
 
 __all__ = ["CSRGraph", "graph_from_edges", "mesh_graph"]
 
@@ -132,6 +131,20 @@ class CSRGraph:
             cached = (nbrs, wts)
             object.__setattr__(self, "_nbr_slices", cached)
         return cached
+
+    def addresses(self) -> tuple[int, int, int, int]:
+        """Raw data addresses of ``(indptr, indices, eweights, vweights)``.
+
+        The compiled kernels take their CSR inputs as ``void *``.  Not
+        cached: a pickled or copied graph must not carry the addresses
+        of the original's arrays.
+        """
+        return (
+            self.indptr.ctypes.data,
+            self.indices.ctypes.data,
+            self.eweights.ctypes.data,
+            self.vweights.ctypes.data,
+        )
 
     def edge_sources(self) -> np.ndarray:
         """Source vertex of every directed CSR edge, ``(2m,)`` (cached).
@@ -267,12 +280,10 @@ class CSRGraph:
         out_vweights = np.empty(k, dtype=np.int64)
         scalars = np.empty(3, dtype=np.int64)
         nnz = _NATIVE.subgraph_extract(
-            self.nvertices,
-            _p(self.indptr), _p(self.indices),
-            _p(self.eweights), _p(self.vweights),
-            _p(vertices), k,
-            _p(out_indptr), _p(out_indices), _p(out_weights),
-            _p(out_vweights), _p(scalars),
+            self.nvertices, *self.addresses(), vertices.ctypes.data, k,
+            out_indptr.ctypes.data, out_indices.ctypes.data,
+            out_weights.ctypes.data, out_vweights.ctypes.data,
+            scalars.ctypes.data,
         )
         if nnz < 0:
             return None

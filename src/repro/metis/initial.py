@@ -19,7 +19,6 @@ import numpy as np
 
 from .._native import LIB as _NATIVE
 from .._native import MAX_BOUND as _MAX_BOUND
-from .._native import as_i64p as _p
 from ..graphs.csr import CSRGraph
 from ..graphs.laplacian import spectral_bisection_order
 from ..graphs.traversal import pseudo_peripheral_vertex
@@ -68,10 +67,8 @@ def greedy_graph_growing(
         starts_np[1:] = starts_arr
         out = np.empty(n, dtype=np.int64)
         rc = _NATIVE.ggg_partition(
-            n,
-            _p(graph.indptr), _p(graph.indices),
-            _p(graph.eweights), _p(graph.vweights),
-            _p(starts_np), ntrials, target_left, bound, _p(out),
+            n, *graph.addresses(), starts_np.ctypes.data,
+            ntrials, target_left, bound, out.ctypes.data,
         )
         if rc == 0:
             return out

@@ -12,7 +12,6 @@ from __future__ import annotations
 import numpy as np
 
 from .._native import LIB as _NATIVE
-from .._native import as_i64p as _p
 from ..graphs.csr import CSRGraph
 
 __all__ = ["random_matching", "heavy_edge_matching"]
@@ -75,9 +74,7 @@ def heavy_edge_matching(graph: CSRGraph, seed: int = 0) -> np.ndarray:
         order = np.ascontiguousarray(order, dtype=np.int64)
         match_arr = np.empty(n, dtype=np.int64)
         rc = _NATIVE.hem_claim(
-            n,
-            _p(graph.indptr), _p(graph.indices), _p(graph.eweights),
-            _p(order), _p(match_arr),
+            n, *graph.addresses()[:3], order.ctypes.data, match_arr.ctypes.data
         )
         if rc == 0:
             return match_arr

@@ -23,7 +23,6 @@ import numpy as np
 
 from .._native import LIB as _NATIVE
 from .._native import MAX_BOUND as _MAX_BOUND
-from .._native import as_i64p as _p
 from ..graphs.csr import CSRGraph
 
 __all__ = ["fm_refine_bisection", "greedy_kway_refine", "balance_constraint"]
@@ -169,10 +168,7 @@ def fm_refine_bisection(
     bound = graph.max_incident_weight()
     if _NATIVE is not None and bound <= _MAX_BOUND:
         rc = _NATIVE.fm_refine(
-            n,
-            _p(graph.indptr), _p(graph.indices),
-            _p(graph.eweights), _p(graph.vweights),
-            _p(side_arr),
+            n, *graph.addresses(), side_arr.ctypes.data,
             caps[0], caps[1], pass_caps[0], pass_caps[1],
             max_passes, bound, w0, w1,
         )
@@ -493,20 +489,6 @@ class _VolumeGainKernel:
         return g
 
 
-def _volume_gain(
-    graph: CSRGraph,
-    assignment: np.ndarray,
-    v: int,
-    to: int,
-) -> int:
-    """One-off TotalVol gain (thin wrapper over :class:`_VolumeGainKernel`)."""
-    nbrs, _ = graph.neighbor_slices()
-    kernel = _VolumeGainKernel(nbrs)
-    assign_l = np.asarray(assignment).astype(np.int64).tolist()
-    kernel.prepare(assign_l, int(v), assign_l[int(v)])
-    return kernel.gain(int(to))
-
-
 def greedy_kway_refine(
     graph: CSRGraph,
     assignment: np.ndarray,
@@ -539,16 +521,26 @@ def greedy_kway_refine(
     if objective not in ("cut", "volume"):
         raise ValueError(f"unknown objective {objective!r}")
     n = graph.nvertices
-    rng = np.random.default_rng(seed)
     total = graph.total_vweight()
     cap = balance_constraint(total, nparts, ubfactor)
     ideal_cap = int(np.ceil(total / nparts - 1e-9))
+    # One slot per part id present (bincount grows past nparts if the
+    # input holds a larger id); the C kernel sizes its scratch by it.
+    pweights_arr = np.bincount(
+        assignment, weights=graph.vweights, minlength=nparts
+    ).astype(np.int64)
+    if _NATIVE is not None:
+        refined = _greedy_kway_native(
+            graph, assignment, pweights_arr, cap, ideal_cap,
+            objective == "volume", max_passes, seed,
+        )
+        if refined is not None:
+            return refined
+
+    # Pure-Python kernel (reference implementation and fallback).
+    rng = np.random.default_rng(seed)
     assign: list[int] = assignment.astype(np.int64).tolist()
-    pweights: list[int] = (
-        np.bincount(assignment, weights=graph.vweights, minlength=nparts)
-        .astype(np.int64)
-        .tolist()
-    )
+    pweights: list[int] = pweights_arr.tolist()
     _, _, _, vweights = graph.adjacency_lists()
     nbrs, wts = graph.neighbor_slices()
     volume = objective == "volume"
@@ -607,3 +599,40 @@ def greedy_kway_refine(
         if not improved:
             break
     return np.array(assign, dtype=np.int64)
+
+
+def _greedy_kway_native(
+    graph: CSRGraph,
+    assignment: np.ndarray,
+    pweights: np.ndarray,
+    cap: int,
+    ideal_cap: int,
+    volume: bool,
+    max_passes: int,
+    seed: int,
+) -> np.ndarray | None:
+    """Pass loop of :func:`greedy_kway_refine` over the C sweep kernel.
+
+    Each pass draws its visit order from the same generator as the
+    Python loop, and the kernel reports how many moves it accepted;
+    a pass without moves ends the loop.  Returns ``None`` if the
+    kernel fails to allocate its scratch (the caller then runs the
+    Python loop from the start).
+    """
+    n = graph.nvertices
+    rng = np.random.default_rng(seed)
+    assign = np.array(assignment, dtype=np.int64)
+    pweights = pweights.copy()  # the Python fallback restarts from it
+    csr = graph.addresses()
+    assign_p, pweights_p = assign.ctypes.data, pweights.ctypes.data
+    for _ in range(max_passes):
+        perm = rng.permutation(n).astype(np.int64, copy=False)
+        moved = _NATIVE.kway_refine(
+            n, *csr, perm.ctypes.data, assign_p, pweights_p,
+            len(pweights), cap, ideal_cap, volume,
+        )
+        if moved < 0:
+            return None
+        if moved == 0:
+            break
+    return assign

@@ -7,14 +7,17 @@ topology, weights, seed, or part count.
 
 from __future__ import annotations
 
+from unittest import mock
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import repro.metis.refine as refine_mod
 from repro.graphs.csr import CSRGraph, graph_from_edges
 from repro.metis import part_graph
-from repro.metis.refine import balance_constraint
+from repro.metis.refine import balance_constraint, greedy_kway_refine
 from repro.partition.metrics import evaluate_partition
 
 
@@ -123,3 +126,56 @@ class TestMetricConsistency:
         sizes = q.nelemd.astype(float)
         expect = (sizes.max() - sizes.mean()) / sizes.max()
         assert q.lb_nelemd == pytest.approx(expect)
+
+
+@st.composite
+def kway_inputs(draw) -> tuple[CSRGraph, np.ndarray, int]:
+    """A connected graph, a part count and a start assignment.
+
+    ``skew`` piles that share of the vertices onto part 0, so heavily
+    unbalanced starts reach the hard-overflow (negative gain) branch;
+    a drawn flag moves one vertex to a part id at or past ``nparts``.
+    """
+    graph = draw(connected_graphs())
+    n = graph.nvertices
+    nparts = draw(st.integers(2, 8))
+    rng = np.random.default_rng(draw(st.integers(0, 2**31)))
+    assignment = rng.integers(0, nparts, size=n)
+    skew = draw(st.sampled_from([0.0, 0.6, 0.9]))
+    assignment[rng.random(n) < skew] = 0
+    if draw(st.booleans()):
+        assignment[draw(st.integers(0, n - 1))] = nparts + draw(st.integers(0, 2))
+    return graph, assignment.astype(np.int64), nparts
+
+
+_RING6 = graph_from_edges(
+    6, np.array([[i, (i + 1) % 6] for i in range(6)], dtype=np.int64)
+)
+
+
+@pytest.mark.skipif(refine_mod._NATIVE is None, reason="C kernels unavailable")
+class TestKwayKernelParity:
+    """The C sweep kernel and the Python loop refine to the same array."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        kway_inputs(),
+        st.sampled_from(["cut", "volume"]),
+        st.sampled_from([1.0, 1.03, 1.1]),
+        st.sampled_from([0, 1, 8]),
+        st.integers(0, 99),
+    )
+    @example(
+        (_RING6, np.array([0, 0, 0, 0, 1, 5], dtype=np.int64), 2),
+        "cut", 1.03, 8, 0,
+    )
+    def test_c_kernel_matches_python(
+        self, inputs, objective, ubfactor, max_passes, seed
+    ):
+        graph, assignment, nparts = inputs
+        args = (graph, assignment, nparts, ubfactor, objective, max_passes, seed)
+        native = greedy_kway_refine(*args)
+        with mock.patch.object(refine_mod, "_NATIVE", None):
+            python = greedy_kway_refine(*args)
+        np.testing.assert_array_equal(native, python)
+        assert native.dtype == python.dtype

@@ -75,6 +75,7 @@ class TestFMBisection:
         np.testing.assert_array_equal(side, copy)
 
 
+@pytest.mark.usefixtures("kernel_mode")
 class TestGreedyKway:
     def test_improves_random_partition(self):
         g = grid_graph(8, 8)
@@ -170,6 +171,7 @@ class TestRefinementEdgeCases:
         out = fm_refine_bisection(g, side, 8, 8, max_passes=0)
         np.testing.assert_array_equal(out, side)
 
+    @pytest.mark.usefixtures("kernel_mode")
     def test_single_vertex_graph(self):
         from repro.graphs import graph_from_edges
 

@@ -22,6 +22,10 @@ requests = [
     PartitionRequest(ne=4, nparts=8, method="rb"),
     PartitionRequest(ne=4, nparts=8, method="kway"),
     PartitionRequest(ne=4, nparts=12, method="tv"),
+    # The Ne=4 requests coarsen no level; these two refine during
+    # uncoarsening (two levels), so the K-way refiners are compared.
+    PartitionRequest(ne=16, nparts=96, method="kway"),
+    PartitionRequest(ne=16, nparts=96, method="tv"),
 ]
 with telemetry_session() as session:
     with PartitionEngine() as engine:
