@@ -2,11 +2,38 @@
  *
  * Compiled on demand by repro._native with the system C compiler and
  * loaded through ctypes; every routine is an exact int64 re-statement
- * of the pure-Python kernels in repro.metis.refine / repro.metis.initial
- * (which remain the reference implementation and the fallback):
- * fm_refine (FM bisection passes), kway_refine (one greedy K-way
- * sweep, edge-cut or TotalVol gain), hem_claim, subgraph_extract and
- * ggg_partition.
+ * of the pure-Python kernels in repro.metis (which remain the
+ * reference implementation and the fallback):
+ *
+ *   kway_refine   one greedy K-way refinement sweep (edge-cut or
+ *                 TotalVol gain) of refine.greedy_kway_refine;
+ *   hem_claim     the heavy-edge matching claim loop;
+ *   contract      coarsen.contract (matched pairs -> coarse graph);
+ *   rb_extract    induced subgraphs of disjoint ascending vertex sets
+ *                 (one set = CSRGraph.subgraph);
+ *   rb_coarsen    one coarsening round (degree-sorted HEM + contract)
+ *                 of each of a batch of graphs;
+ *   rb_initial    greedy graph growing (initial.greedy_graph_growing)
+ *                 of each of a batch of graphs;
+ *   rb_refine     optional projection through a coarsening map, then
+ *                 refine._rebalance_bisection + the FM pass loop
+ *                 (refine.fm_refine_bisection) of each of a batch;
+ *   rb_split      the left/right split of bisection.recursive_bisection,
+ *                 order-based fallback included.
+ *
+ * The rb_* kernels let recursive bisection run level-synchronously:
+ * every bisection at one recursion depth is independent of the others
+ * (its seed depends on depth and first part only), so a level's
+ * groups are solved together, one call per pipeline stage.  A batch is
+ * a "graph table": one int64 row per graph, laid out
+ *
+ *   [0] n  [1] indptr  [2] indices  [3] eweights  [4] vweights
+ *
+ * (addresses as int64), then [5] side, [6] fine-to-coarse map, [7]
+ * coarse side, [8] cap0, [9] cap1 — columns a kernel does not use are
+ * ignored.  The batched kernels return -1 on allocation failure and
+ * -3 when a gain bound exceeds the caller's max_bound; either way the
+ * caller reruns the whole computation in Python.
  *
  * Bit-identity contract: the Python kernels drain a lazy max-priority
  * queue whose keys (-gain, insertion counter) are unique, so the pop
@@ -21,42 +48,105 @@
 #include <stdlib.h>
 #include <string.h>
 
+/* malloc that never returns NULL for a zero-length request. */
+static void *xmalloc(int64_t count, size_t size)
+{
+    return malloc((size_t)(count > 0 ? count : 1) * size);
+}
+
+typedef struct {
+    int64_t n;
+    const int64_t *indptr;
+    const int64_t *indices;
+    const int64_t *eweights;
+    const int64_t *vweights;
+} csr_t;
+
+#define ADDR(x) ((int64_t *)(intptr_t)(x))
+#define TAB_COLS 10
+
+/* The graph of one graph-table row. */
+static csr_t row_graph(const int64_t *row)
+{
+    csr_t g = {row[0], ADDR(row[1]), ADDR(row[2]), ADDR(row[3]), ADDR(row[4])};
+    return g;
+}
+
+/* Largest total edge weight incident to one vertex (0 if n == 0). */
+static int64_t max_incident(const csr_t *g)
+{
+    int64_t bound = 0;
+    for (int64_t v = 0; v < g->n; v++) {
+        int64_t s = 0;
+        for (int64_t i = g->indptr[v]; i < g->indptr[v + 1]; i++)
+            s += g->eweights[i];
+        if (s > bound) bound = s;
+    }
+    return bound;
+}
+
 /* ------------------------------------------------------------------ */
 /* FM bisection refinement                                             */
 /* ------------------------------------------------------------------ */
 
-/* Runs the full pass loop of fm_refine_bisection (after the caller has
- * handled rebalancing and the edgeless early exit).  `side` is updated
- * in place.  Returns 0 on success, -1 on allocation failure (caller
- * falls back to Python).
- */
-int64_t fm_refine(
-    int64_t n,
-    const int64_t *indptr,
-    const int64_t *indices,
-    const int64_t *eweights,
-    const int64_t *vweights,
-    int64_t *side,
-    int64_t cap0, int64_t cap1,
-    int64_t pcap0, int64_t pcap1,
-    int64_t max_passes,
-    int64_t bound,
-    int64_t w0, int64_t w1)
+/* refine._rebalance_bisection: while a side is over its cap, move the
+ * vertex of that side with the largest FM gain (first in index order
+ * on ties) among those that fit under the other side's cap.  `gain`
+ * is n-entry scratch; gains are kept current incrementally, which is
+ * exactly the Python loop's per-move recomputation. */
+static void rebalance_bisection(
+    const csr_t *g, int64_t *side, const int64_t caps[2], int64_t w[2],
+    int64_t *gain)
 {
-    int64_t m2 = indptr[n];
-    int64_t nbuckets = 2 * bound + 1;
-    int64_t cap_entries = n + m2 + 1;
-    int64_t locked_mark = bound + 1;
-    int64_t *gain = malloc((size_t)n * sizeof(int64_t));
-    int64_t *head = malloc((size_t)nbuckets * sizeof(int64_t));
-    int64_t *tail = malloc((size_t)nbuckets * sizeof(int64_t));
-    int64_t *ev = malloc((size_t)cap_entries * sizeof(int64_t));
-    int64_t *enext = malloc((size_t)cap_entries * sizeof(int64_t));
-    int64_t *moves = malloc((size_t)n * sizeof(int64_t));
-    if (!gain || !head || !tail || !ev || !enext || !moves) {
-        free(gain); free(head); free(tail); free(ev); free(enext); free(moves);
-        return -1;
+    const int64_t *indptr = g->indptr, *indices = g->indices;
+    const int64_t *eweights = g->eweights, *vweights = g->vweights;
+    for (int64_t v = 0; v < g->n; v++) {
+        int64_t s = 0;
+        for (int64_t i = indptr[v]; i < indptr[v + 1]; i++)
+            s += (side[indices[i]] != side[v]) ? eweights[i] : -eweights[i];
+        gain[v] = s;
     }
+    for (;;) {
+        int64_t over = w[0] > caps[0] ? 0 : (w[1] > caps[1] ? 1 : -1);
+        if (over < 0) return;
+        int64_t other = 1 - over;
+        int64_t room = caps[other] - w[other];
+        int64_t best = -1;
+        for (int64_t v = 0; v < g->n; v++)
+            if (side[v] == over && vweights[v] <= room &&
+                (best < 0 || gain[v] > gain[best]))
+                best = v;
+        if (best < 0) return;
+        side[best] = other;
+        w[over] -= vweights[best];
+        w[other] += vweights[best];
+        int64_t s = 0;
+        for (int64_t i = indptr[best]; i < indptr[best + 1]; i++) {
+            int64_t u = indices[i];
+            int64_t wt = eweights[i];
+            s += (side[u] != other) ? wt : -wt;
+            if (u == best) continue;
+            /* Edge u-best flips between internal and external. */
+            gain[u] += (side[u] == over) ? 2 * wt : -2 * wt;
+        }
+        gain[best] = s;
+    }
+}
+
+/* The FM pass loop of fm_refine_bisection (after rebalancing and the
+ * edgeless early exit); `side` is updated in place. */
+static void fm_passes(
+    const csr_t *g, int64_t *side,
+    int64_t cap0, int64_t cap1, int64_t pcap0, int64_t pcap1,
+    int64_t max_passes, int64_t bound, int64_t w0, int64_t w1,
+    int64_t *gain, int64_t *head, int64_t *tail,
+    int64_t *ev, int64_t *enext, int64_t *moves)
+{
+    const int64_t n = g->n;
+    const int64_t *indptr = g->indptr, *indices = g->indices;
+    const int64_t *eweights = g->eweights, *vweights = g->vweights;
+    int64_t nbuckets = 2 * bound + 1;
+    int64_t locked_mark = bound + 1;
 
     for (int64_t pass = 0; pass < max_passes; pass++) {
         /* Seed gains and the bucket queue (ascending vertex order =
@@ -67,17 +157,17 @@ int64_t fm_refine(
         int64_t maxg = -bound;
         for (int64_t v = 0; v < n; v++) {
             int64_t sv = side[v];
-            int64_t g = 0;
+            int64_t gv = 0;
             for (int64_t i = indptr[v]; i < indptr[v + 1]; i++)
-                g += (side[indices[i]] != sv) ? eweights[i] : -eweights[i];
-            gain[v] = g;
-            int64_t gi = g + bound;
+                gv += (side[indices[i]] != sv) ? eweights[i] : -eweights[i];
+            gain[v] = gv;
+            int64_t gi = gv + bound;
             int64_t e = nentries++;
             ev[e] = v;
             enext[e] = -1;
             if (head[gi] < 0) head[gi] = e; else enext[tail[gi]] = e;
             tail[gi] = e;
-            if (g > maxg) maxg = g;
+            if (gv > maxg) maxg = gv;
             pending++;
         }
 
@@ -108,19 +198,19 @@ int64_t fm_refine(
             }
             for (int64_t i = indptr[v]; i < indptr[v + 1]; i++) {
                 int64_t u = indices[i];
-                int64_t g = gain[u];
-                if (g > bound) continue; /* locked */
+                int64_t gu = gain[u];
+                if (gu > bound) continue; /* locked */
                 int64_t w = eweights[i];
                 /* Edge u-v flips between internal and external. */
-                g += (side[u] == frm) ? 2 * w : -2 * w;
-                gain[u] = g;
-                int64_t gi = g + bound;
+                gu += (side[u] == frm) ? 2 * w : -2 * w;
+                gain[u] = gu;
+                int64_t gi = gu + bound;
                 int64_t e2 = nentries++;
                 ev[e2] = u;
                 enext[e2] = -1;
                 if (head[gi] < 0) head[gi] = e2; else enext[tail[gi]] = e2;
                 tail[gi] = e2;
-                if (g > maxg) maxg = g;
+                if (gu > maxg) maxg = gu;
                 pending++;
             }
         }
@@ -134,9 +224,50 @@ int64_t fm_refine(
         }
         if (best_cum <= 0) break;
     }
+}
 
+/* All of fm_refine_bisection: weights, rebalance, edgeless exit, one
+ * atom of pass slack, FM passes.  The bound check and every
+ * allocation come before `side` is touched, so a failed call leaves
+ * it as it was.  Returns 0, -1 (allocation) or -3 (bound). */
+static int64_t bisect_refine(
+    const csr_t *g, int64_t *side, int64_t cap0, int64_t cap1,
+    int64_t max_passes, int64_t max_bound)
+{
+    const int64_t n = g->n;
+    int64_t m2 = g->indptr[n];
+    int64_t bound = max_incident(g);
+    if (bound > max_bound) return -3;
+    int64_t total = 0, w1 = 0, maxvw = 0;
+    for (int64_t v = 0; v < n; v++) {
+        int64_t vw = g->vweights[v];
+        total += vw;
+        w1 += side[v] * vw;
+        if (vw > maxvw) maxvw = vw;
+    }
+    int64_t nbuckets = 2 * bound + 1;
+    int64_t cap_entries = n + m2 + 1;
+    int64_t *gain = xmalloc(n, sizeof(int64_t));
+    int64_t *head = xmalloc(nbuckets, sizeof(int64_t));
+    int64_t *tail = xmalloc(nbuckets, sizeof(int64_t));
+    int64_t *ev = xmalloc(cap_entries, sizeof(int64_t));
+    int64_t *enext = xmalloc(cap_entries, sizeof(int64_t));
+    int64_t *moves = xmalloc(n, sizeof(int64_t));
+    int64_t rc = -1;
+    if (gain && head && tail && ev && enext && moves) {
+        int64_t caps[2] = {cap0, cap1};
+        int64_t w[2] = {total - w1, w1};
+        if (w[0] > cap0 || w[1] > cap1)
+            rebalance_bisection(g, side, caps, w, gain);
+        /* Edgeless: every gain is 0 and a pass rolls everything back. */
+        if (m2)
+            fm_passes(g, side, cap0, cap1, cap0 + maxvw, cap1 + maxvw,
+                      max_passes, bound, w[0], w[1],
+                      gain, head, tail, ev, enext, moves);
+        rc = 0;
+    }
     free(gain); free(head); free(tail); free(ev); free(enext); free(moves);
-    return 0;
+    return rc;
 }
 
 /* ------------------------------------------------------------------ */
@@ -284,18 +415,17 @@ int64_t kway_refine(
 
 /* Sequential HEM claims in the given visit order: each unmatched
  * vertex claims its heaviest unmatched neighbor (first in adjacency
- * order on ties).  Returns 0 on success, -1 on allocation failure.
- */
-int64_t hem_claim(
+ * order on ties).  `matched` is n bytes of scratch. */
+static void hem_core(
     int64_t n,
     const int64_t *indptr,
     const int64_t *indices,
     const int64_t *eweights,
     const int64_t *order,
-    int64_t *match)
+    int64_t *match,
+    uint8_t *matched)
 {
-    uint8_t *matched = calloc((size_t)n, 1);
-    if (!matched) return -1;
+    memset(matched, 0, (size_t)n);
     for (int64_t v = 0; v < n; v++) match[v] = v;
     for (int64_t t = 0; t < n; t++) {
         int64_t v = order[t];
@@ -315,67 +445,295 @@ int64_t hem_claim(
             matched[best_u] = 1;
         }
     }
+}
+
+/* heavy_edge_matching's claim loop.  Returns 0, or -1 on allocation
+ * failure. */
+int64_t hem_claim(
+    int64_t n,
+    const int64_t *indptr,
+    const int64_t *indices,
+    const int64_t *eweights,
+    const int64_t *order,
+    int64_t *match)
+{
+    uint8_t *matched = xmalloc(n, 1);
+    if (!matched) return -1;
+    hem_core(n, indptr, indices, eweights, order, match, matched);
     free(matched);
     return 0;
+}
+
+/* ------------------------------------------------------------------ */
+/* Contraction                                                         */
+/* ------------------------------------------------------------------ */
+
+static int cmp_i64(const void *a, const void *b)
+{
+    int64_t x = *(const int64_t *)a, y = *(const int64_t *)b;
+    return (x > y) - (x < y);
+}
+
+static void sort_i64(int64_t *a, int64_t len)
+{
+    if (len > 16) {
+        qsort(a, (size_t)len, sizeof(int64_t), cmp_i64);
+        return;
+    }
+    for (int64_t i = 1; i < len; i++) {
+        int64_t x = a[i], j = i - 1;
+        while (j >= 0 && a[j] > x) { a[j + 1] = a[j]; j--; }
+        a[j + 1] = x;
+    }
+}
+
+/* Scratch of contract_core, five n-entry int64 arrays. */
+#define CONTRACT_SCRATCH 5
+
+/* coarsen.contract: coarse vertices are the distinct values of
+ * min(v, match[v]) in ascending order (np.unique's numbering); a
+ * coarse vertex weighs the sum of its members; each coarse row lists
+ * its distinct coarse neighbors in ascending order with summed edge
+ * weights, edges inside a coarse vertex dropped.  `match` must hold
+ * ids in [0, n).  Writes f2c (n) and the coarse CSR (out_indptr gets
+ * nc + 1 entries); returns nc. */
+static int64_t contract_core(
+    const csr_t *g, const int64_t *match, int64_t *f2c,
+    int64_t *out_indptr, int64_t *out_indices, int64_t *out_eweights,
+    int64_t *out_vweights, int64_t *scratch)
+{
+    const int64_t n = g->n;
+    int64_t *rank = scratch, *cstart = scratch + n, *memb = scratch + 2 * n;
+    int64_t *acc = scratch + 3 * n, *stamp = scratch + 4 * n;
+    for (int64_t v = 0; v < n; v++) rank[v] = 0;
+    for (int64_t v = 0; v < n; v++) rank[match[v] < v ? match[v] : v] = 1;
+    int64_t nc = 0;
+    for (int64_t r = 0; r < n; r++) rank[r] = rank[r] ? nc++ : -1;
+    for (int64_t v = 0; v < n; v++) f2c[v] = rank[match[v] < v ? match[v] : v];
+    /* Members of each coarse vertex in ascending fine order (counting
+     * sort; rank is reused as the fill cursor). */
+    for (int64_t c = 0; c < nc; c++) {
+        rank[c] = 0;
+        out_vweights[c] = 0;
+        stamp[c] = -1;
+    }
+    for (int64_t v = 0; v < n; v++) {
+        rank[f2c[v]]++;
+        out_vweights[f2c[v]] += g->vweights[v];
+    }
+    int64_t s = 0;
+    for (int64_t c = 0; c < nc; c++) {
+        cstart[c] = s;
+        s += rank[c];
+        rank[c] = cstart[c];
+    }
+    for (int64_t v = 0; v < n; v++) memb[rank[f2c[v]]++] = v;
+    int64_t nnz = 0;
+    out_indptr[0] = 0;
+    for (int64_t c = 0; c < nc; c++) {
+        int64_t row = nnz;
+        int64_t end = c + 1 < nc ? cstart[c + 1] : n;
+        for (int64_t j = cstart[c]; j < end; j++) {
+            int64_t v = memb[j];
+            for (int64_t i = g->indptr[v]; i < g->indptr[v + 1]; i++) {
+                int64_t d = f2c[g->indices[i]];
+                if (d == c) continue;
+                if (stamp[d] != c) {
+                    stamp[d] = c;
+                    acc[d] = g->eweights[i];
+                    out_indices[nnz++] = d;
+                } else {
+                    acc[d] += g->eweights[i];
+                }
+            }
+        }
+        sort_i64(out_indices + row, nnz - row);
+        for (int64_t j = row; j < nnz; j++) out_eweights[j] = acc[out_indices[j]];
+        out_indptr[c + 1] = nnz;
+    }
+    return nc;
+}
+
+/* coarsen.contract.  Returns nc (the coarse CSR has out_indptr[nc]
+ * edges), or -1 on allocation failure. */
+int64_t contract(
+    int64_t n,
+    const int64_t *indptr,
+    const int64_t *indices,
+    const int64_t *eweights,
+    const int64_t *vweights,
+    const int64_t *match,
+    int64_t *f2c,
+    int64_t *out_indptr,
+    int64_t *out_indices,
+    int64_t *out_eweights,
+    int64_t *out_vweights)
+{
+    csr_t g = {n, indptr, indices, eweights, vweights};
+    int64_t *scratch = xmalloc(CONTRACT_SCRATCH * n, sizeof(int64_t));
+    if (!scratch) return -1;
+    int64_t nc = contract_core(&g, match, f2c, out_indptr, out_indices,
+                               out_eweights, out_vweights, scratch);
+    free(scratch);
+    return nc;
 }
 
 /* ------------------------------------------------------------------ */
 /* Induced subgraph extraction                                         */
 /* ------------------------------------------------------------------ */
 
-/* Induced subgraph on `verts` (must be strictly ascending, so local
- * ids are monotone in global ids and each output adjacency row keeps
- * the parent's sorted order — the exact arrays of the lexsort-based
- * NumPy path).  Writes CSR arrays plus [max_incident, total_vweight,
- * max_vweight] into out_scalars.  Returns the output edge count, -1
- * on allocation failure, -2 if `verts` is not strictly ascending.
+/* Induced subgraphs of k disjoint vertex sets of the parent graph,
+ * ids[gv[g]:gv[g+1]] for set g, each strictly ascending (so local ids
+ * are monotone in parent ids and each output row keeps the parent's
+ * order — the arrays of the lexsort-based CSRGraph.subgraph).
+ *
+ * Output: a disjoint union in flat buffers.  Graph g's vertices sit
+ * at gv[g] (out_vweights), its n_g + 1 indptr entries at gv[g] + g
+ * (starting from 0), its edges at out_ge[g] (local neighbor ids);
+ * out_ge gets k + 1 entries.  out_stats[3g:3g+3] = [max incident
+ * weight, total vertex weight, max vertex weight].  Returns the total
+ * edge count, -1 on allocation failure, -2 if a set is not strictly
+ * ascending, leaves [0, n_parent) or meets another set.
  */
-int64_t subgraph_extract(
+int64_t rb_extract(
     int64_t n_parent,
     const int64_t *indptr,
     const int64_t *indices,
     const int64_t *eweights,
     const int64_t *vweights,
-    const int64_t *verts,
+    const int64_t *ids,
+    const int64_t *gv,
     int64_t k,
     int64_t *out_indptr,
     int64_t *out_indices,
-    int64_t *out_weights,
+    int64_t *out_eweights,
     int64_t *out_vweights,
-    int64_t *out_scalars)
+    int64_t *out_ge,
+    int64_t *out_stats)
 {
-    for (int64_t i = 1; i < k; i++)
-        if (verts[i] <= verts[i - 1]) return -2;
-    int64_t *local = malloc((size_t)n_parent * sizeof(int64_t));
+    for (int64_t g = 0; g < k; g++)
+        for (int64_t i = gv[g]; i < gv[g + 1]; i++)
+            if (ids[i] < 0 || ids[i] >= n_parent ||
+                (i > gv[g] && ids[i] <= ids[i - 1]))
+                return -2;
+    /* local[x]: position of parent vertex x in ids, or -1. */
+    int64_t *local = xmalloc(n_parent, sizeof(int64_t));
     if (!local) return -1;
     memset(local, 0xff, (size_t)n_parent * sizeof(int64_t));
-    for (int64_t i = 0; i < k; i++) local[verts[i]] = i;
-    int64_t nnz = 0, maxinc = 0, total_vw = 0, max_vw = 0;
-    out_indptr[0] = 0;
-    for (int64_t i = 0; i < k; i++) {
-        int64_t g = verts[i];
-        int64_t inc = 0;
-        for (int64_t j = indptr[g]; j < indptr[g + 1]; j++) {
-            int64_t li = local[indices[j]];
-            if (li >= 0) {
-                out_indices[nnz] = li;
-                out_weights[nnz] = eweights[j];
-                inc += eweights[j];
-                nnz++;
-            }
-        }
-        if (inc > maxinc) maxinc = inc;
-        out_indptr[i + 1] = nnz;
-        int64_t vw = vweights[g];
-        out_vweights[i] = vw;
-        total_vw += vw;
-        if (vw > max_vw) max_vw = vw;
+    for (int64_t i = 0; i < gv[k]; i++) {
+        if (local[ids[i]] >= 0) { free(local); return -2; }
+        local[ids[i]] = i;
     }
+    int64_t nnz = 0;
+    for (int64_t g = 0; g < k; g++) {
+        int64_t lo = gv[g], hi = gv[g + 1], e0 = nnz;
+        int64_t *ip = out_indptr + lo + g;
+        int64_t maxinc = 0, total_vw = 0, max_vw = 0;
+        out_ge[g] = nnz;
+        ip[0] = 0;
+        for (int64_t i = lo; i < hi; i++) {
+            int64_t x = ids[i];
+            int64_t inc = 0;
+            for (int64_t j = indptr[x]; j < indptr[x + 1]; j++) {
+                int64_t li = local[indices[j]];
+                if (li >= lo && li < hi) {
+                    out_indices[nnz] = li - lo;
+                    out_eweights[nnz] = eweights[j];
+                    inc += eweights[j];
+                    nnz++;
+                }
+            }
+            if (inc > maxinc) maxinc = inc;
+            ip[i - lo + 1] = nnz - e0;
+            int64_t vw = vweights[x];
+            out_vweights[i] = vw;
+            total_vw += vw;
+            if (vw > max_vw) max_vw = vw;
+        }
+        out_stats[3 * g] = maxinc;
+        out_stats[3 * g + 1] = total_vw;
+        out_stats[3 * g + 2] = max_vw;
+    }
+    out_ge[k] = nnz;
     free(local);
-    out_scalars[0] = maxinc;
-    out_scalars[1] = total_vw;
-    out_scalars[2] = max_vw;
     return nnz;
+}
+
+/* ------------------------------------------------------------------ */
+/* Coarsening rounds                                                   */
+/* ------------------------------------------------------------------ */
+
+/* One round of coarsen.coarsen_to for each of ng graphs (graph-table
+ * rows): the visit order is the caller's permutation of the graph
+ * (perm, concatenated in row order) stably sorted by degree
+ * (heavy_edge_matching's SHEM order), then the HEM claims and the
+ * contraction.  f2c receives each graph's fine-to-coarse map
+ * (concatenated in row order); the coarse graphs form a disjoint
+ * union laid out as in rb_extract, with out_gv / out_ge (ng + 1
+ * entries) their vertex and edge offsets.  Returns the total coarse
+ * edge count, or -1 on allocation failure.
+ */
+int64_t rb_coarsen(
+    int64_t ng,
+    const int64_t *tab,
+    const int64_t *perm,
+    int64_t *f2c,
+    int64_t *out_indptr,
+    int64_t *out_indices,
+    int64_t *out_eweights,
+    int64_t *out_vweights,
+    int64_t *out_gv,
+    int64_t *out_ge)
+{
+    int64_t maxn = 0, maxdeg = 0;
+    for (int64_t r = 0; r < ng; r++) {
+        csr_t g = row_graph(tab + TAB_COLS * r);
+        if (g.n > maxn) maxn = g.n;
+        for (int64_t v = 0; v < g.n; v++)
+            if (g.indptr[v + 1] - g.indptr[v] > maxdeg)
+                maxdeg = g.indptr[v + 1] - g.indptr[v];
+    }
+    int64_t *order = xmalloc(maxn, sizeof(int64_t));
+    int64_t *match = xmalloc(maxn, sizeof(int64_t));
+    int64_t *cnt = xmalloc(maxdeg + 1, sizeof(int64_t));
+    uint8_t *matched = xmalloc(maxn, 1);
+    int64_t *scratch = xmalloc(CONTRACT_SCRATCH * maxn, sizeof(int64_t));
+    int64_t fv = 0, cv = 0, ce = 0;
+    if (!order || !match || !cnt || !matched || !scratch) {
+        ce = -1;
+        goto done;
+    }
+    for (int64_t r = 0; r < ng; r++) {
+        csr_t g = row_graph(tab + TAB_COLS * r);
+        const int64_t *p = perm + fv;
+        /* Stable counting sort of the permutation by degree. */
+        memset(cnt, 0, (size_t)(maxdeg + 1) * sizeof(int64_t));
+        for (int64_t t = 0; t < g.n; t++)
+            cnt[g.indptr[p[t] + 1] - g.indptr[p[t]]]++;
+        int64_t s = 0;
+        for (int64_t d = 0; d <= maxdeg; d++) {
+            int64_t c = cnt[d];
+            cnt[d] = s;
+            s += c;
+        }
+        for (int64_t t = 0; t < g.n; t++)
+            order[cnt[g.indptr[p[t] + 1] - g.indptr[p[t]]]++] = p[t];
+        hem_core(g.n, g.indptr, g.indices, g.eweights, order, match, matched);
+        out_gv[r] = cv;
+        out_ge[r] = ce;
+        int64_t *ip = out_indptr + cv + r;
+        int64_t nc = contract_core(&g, match, f2c + fv, ip,
+                                   out_indices + ce, out_eweights + ce,
+                                   out_vweights + cv, scratch);
+        fv += g.n;
+        cv += nc;
+        ce += ip[nc];
+    }
+    out_gv[ng] = cv;
+    out_ge[ng] = ce;
+done:
+    free(order); free(match); free(cnt); free(matched); free(scratch);
+    return ce;
 }
 
 /* ------------------------------------------------------------------ */
@@ -520,65 +878,175 @@ static int64_t ggg_grow_one(
 }
 
 /* Full GGGP: ntrials growths (starts[t] < 0 means "pseudo-peripheral
- * from vertex 0"), best (lowest, first-wins) cut kept.  Writes the
- * winning side into `best_side`.  Returns 0 on success, -1 on
- * allocation failure.
+ * from vertex 0"), best (lowest, first-wins) cut kept in best_side.
+ * Returns 0, -1 (allocation) or -3 (bound above max_bound), in the
+ * last two cases before writing best_side.
  */
-int64_t ggg_partition(
-    int64_t n,
-    const int64_t *indptr,
-    const int64_t *indices,
-    const int64_t *eweights,
-    const int64_t *vweights,
+static int64_t ggg_one(
+    const csr_t *gr,
     const int64_t *starts,
     int64_t ntrials,
     int64_t target_left,
-    int64_t bound,
+    int64_t max_bound,
     int64_t *best_side)
 {
-    int64_t m2 = indptr[n];
-    int64_t nbuckets = 2 * bound + 1;
-    int64_t cap_entries = m2 + 2;
-    int64_t *total_w = malloc((size_t)n * sizeof(int64_t));
-    int64_t *side = malloc((size_t)n * sizeof(int64_t));
-    int64_t *gain_cache = malloc((size_t)n * sizeof(int64_t));
-    uint8_t *frontier_seen = malloc((size_t)n);
-    int64_t *head = malloc((size_t)nbuckets * sizeof(int64_t));
-    int64_t *tail = malloc((size_t)nbuckets * sizeof(int64_t));
-    int64_t *ev = malloc((size_t)cap_entries * sizeof(int64_t));
-    int64_t *enext = malloc((size_t)cap_entries * sizeof(int64_t));
-    /* level/queue scratch for the pseudo-peripheral BFS reuses
-     * gain_cache/side before the trials start. */
-    if (!total_w || !side || !gain_cache || !frontier_seen ||
-        !head || !tail || !ev || !enext) {
-        free(total_w); free(side); free(gain_cache); free(frontier_seen);
-        free(head); free(tail); free(ev); free(enext);
-        return -1;
-    }
+    const int64_t n = gr->n;
+    const int64_t *indptr = gr->indptr, *indices = gr->indices;
+    if (n == 0) return 0;
+    int64_t *total_w = xmalloc(n, sizeof(int64_t));
+    if (!total_w) return -1;
+    int64_t bound = 0;
     for (int64_t v = 0; v < n; v++) {
         int64_t s = 0;
-        for (int64_t i = indptr[v]; i < indptr[v + 1]; i++) s += eweights[i];
+        for (int64_t i = indptr[v]; i < indptr[v + 1]; i++) s += gr->eweights[i];
         total_w[v] = s;
+        if (s > bound) bound = s;
     }
-    int64_t best_cut = 0;
-    int has_best = 0;
-    for (int64_t t = 0; t < ntrials; t++) {
-        int64_t start = starts[t];
-        if (start < 0)
-            start = pseudo_peripheral(n, indptr, indices, gain_cache, side);
-        int64_t cut = ggg_grow_one(
-            n, indptr, indices, eweights, vweights, total_w,
-            start, target_left, bound,
-            side, gain_cache, frontier_seen, head, tail, ev, enext);
-        if (!has_best || cut < best_cut) {
-            has_best = 1;
-            best_cut = cut;
-            memcpy(best_side, side, (size_t)n * sizeof(int64_t));
+    if (bound > max_bound) {
+        free(total_w);
+        return -3;
+    }
+    int64_t nbuckets = 2 * bound + 1;
+    int64_t cap_entries = indptr[n] + 2;
+    int64_t *side = xmalloc(n, sizeof(int64_t));
+    int64_t *gain_cache = xmalloc(n, sizeof(int64_t));
+    uint8_t *frontier_seen = xmalloc(n, 1);
+    int64_t *head = xmalloc(nbuckets, sizeof(int64_t));
+    int64_t *tail = xmalloc(nbuckets, sizeof(int64_t));
+    int64_t *ev = xmalloc(cap_entries, sizeof(int64_t));
+    int64_t *enext = xmalloc(cap_entries, sizeof(int64_t));
+    int64_t rc = -1;
+    /* level/queue scratch for the pseudo-peripheral BFS reuses
+     * gain_cache/side before the trials start. */
+    if (side && gain_cache && frontier_seen && head && tail && ev && enext) {
+        int64_t best_cut = 0;
+        int has_best = 0;
+        for (int64_t t = 0; t < ntrials; t++) {
+            int64_t start = starts[t];
+            if (start < 0)
+                start = pseudo_peripheral(n, indptr, indices, gain_cache, side);
+            int64_t cut = ggg_grow_one(
+                n, indptr, indices, gr->eweights, gr->vweights, total_w,
+                start, target_left, bound,
+                side, gain_cache, frontier_seen, head, tail, ev, enext);
+            if (!has_best || cut < best_cut) {
+                has_best = 1;
+                best_cut = cut;
+                memcpy(best_side, side, (size_t)n * sizeof(int64_t));
+            }
         }
+        rc = 0;
     }
     free(total_w); free(side); free(gain_cache); free(frontier_seen);
     free(head); free(tail); free(ev); free(enext);
+    return rc;
+}
+
+/* ------------------------------------------------------------------ */
+/* Batched bisection stages                                            */
+/* ------------------------------------------------------------------ */
+
+/* Initial bisections: greedy_graph_growing of each of ng graphs into
+ * their side column, growing side 0 to targets[r]; starts holds
+ * ntrials start vertices per row (-1 = pseudo-peripheral).  Returns
+ * 0, -1 or -3.
+ */
+int64_t rb_initial(
+    int64_t ng,
+    const int64_t *tab,
+    const int64_t *targets,
+    const int64_t *starts,
+    int64_t ntrials,
+    int64_t max_bound)
+{
+    for (int64_t r = 0; r < ng; r++) {
+        const int64_t *row = tab + TAB_COLS * r;
+        csr_t g = row_graph(row);
+        int64_t rc = ggg_one(&g, starts + ntrials * r, ntrials, targets[r],
+                             max_bound, ADDR(row[5]));
+        if (rc) return rc;
+    }
     return 0;
+}
+
+/* Refinement of each of ng bisections, in place in the side column,
+ * under the caps of columns 8-9.  When column 6 is non-zero the side
+ * is first projected, side[v] = coarse_side[f2c[v]] (an uncoarsening
+ * step); then fm_refine_bisection runs.  Returns 0, -1 or -3.
+ */
+int64_t rb_refine(
+    int64_t ng,
+    const int64_t *tab,
+    int64_t max_passes,
+    int64_t max_bound)
+{
+    for (int64_t r = 0; r < ng; r++) {
+        const int64_t *row = tab + TAB_COLS * r;
+        csr_t g = row_graph(row);
+        int64_t *side = ADDR(row[5]);
+        if (row[6]) {
+            const int64_t *f2c = ADDR(row[6]), *cside = ADDR(row[7]);
+            for (int64_t v = 0; v < g.n; v++) side[v] = cside[f2c[v]];
+        }
+        int64_t rc = bisect_refine(&g, side, row[8], row[9], max_passes, max_bound);
+        if (rc) return rc;
+    }
+    return 0;
+}
+
+/* The split step of recursive_bisection for k groups: group g owns
+ * ids[gv[g]:gv[g+1]] with sides side[gv[g]:gv[g+1]] and parts
+ * [first[g], first[g] + parts[g]).  Its left child (side 0) takes
+ * parts // 2 parts, its right child (side 1) the rest; if a child
+ * gets fewer vertices than parts, the split is the order-based
+ * ids[:half[g]] / ids[half[g]:] instead.  A child with one part is
+ * written into assignment; the others (left before right) become the
+ * next level's groups: their ids, vertex offsets (count + 1), first
+ * parts and part counts.  Returns the next level's group count.
+ */
+int64_t rb_split(
+    int64_t k,
+    const int64_t *ids,
+    const int64_t *gv,
+    const int64_t *side,
+    const int64_t *first,
+    const int64_t *parts,
+    const int64_t *half,
+    int64_t *assignment,
+    int64_t *out_ids,
+    int64_t *out_gv,
+    int64_t *out_first,
+    int64_t *out_parts)
+{
+    int64_t nk = 0, pos = 0;
+    out_gv[0] = 0;
+    for (int64_t g = 0; g < k; g++) {
+        int64_t lo = gv[g], hi = gv[g + 1];
+        int64_t lp = parts[g] / 2, rp = parts[g] - lp;
+        int64_t nl = 0, nr = 0;
+        for (int64_t i = lo; i < hi; i++) {
+            nl += side[i] == 0;
+            nr += side[i] == 1;
+        }
+        int64_t by_order = nl < lp || nr < rp;
+        for (int64_t c = 0; c < 2; c++) {
+            int64_t cfirst = c ? first[g] + lp : first[g];
+            int64_t cparts = c ? rp : lp;
+            for (int64_t i = lo; i < hi; i++) {
+                int in_child = by_order ? ((i - lo < half[g]) == !c)
+                                        : side[i] == c;
+                if (!in_child) continue;
+                if (cparts == 1) assignment[ids[i]] = cfirst;
+                else out_ids[pos++] = ids[i];
+            }
+            if (cparts > 1) {
+                out_first[nk] = cfirst;
+                out_parts[nk] = cparts;
+                out_gv[++nk] = pos;
+            }
+        }
+    }
+    return nk;
 }
 
 /* ------------------------------------------------------------------ */

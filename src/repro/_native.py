@@ -1,13 +1,19 @@
 """Build-and-load shim for the compiled hot-path kernels.
 
-``_kernels.c`` holds exact C restatements of the METIS kernels — FM
-bisection refinement (``fm_refine``), one greedy K-way refinement
-sweep (``kway_refine``, edge-cut or TotalVol gain), heavy-edge
-matching, subgraph extraction and greedy graph growing — plus the SEAM
-DSS projection and SFC keying (see that file for the bit-identity
-contract).  This module compiles it once with the system C compiler
-into a content-addressed cache directory and loads it through
-:mod:`ctypes` — no third-party build machinery, no install step.
+``_kernels.c`` holds exact C restatements of the METIS kernels — one
+greedy K-way refinement sweep (``kway_refine``, edge-cut or TotalVol
+gain), the heavy-edge matching claim loop (``hem_claim``), graph
+contraction (``contract``), and the batched recursive-bisection stages
+(``rb_extract``, ``rb_coarsen``, ``rb_initial``, ``rb_refine``,
+``rb_split``: subgraph extraction, a HEM + contract coarsening round,
+greedy graph growing, rebalance + FM refinement with optional
+projection, and the left/right split), which also serve the
+single-graph ``CSRGraph.subgraph``, ``greedy_graph_growing`` and
+``fm_refine_bisection`` — plus the SEAM DSS projection and SFC keying
+(see that file for the bit-identity contract).  This module compiles
+it once with the system C compiler into a content-addressed cache
+directory and loads it through :mod:`ctypes` — no third-party build
+machinery, no install step.
 
 Everything degrades gracefully: if there is no compiler, the build
 fails, or ``REPRO_NO_CKERNELS`` is set in the environment, ``LIB`` is
@@ -25,7 +31,7 @@ import subprocess
 import tempfile
 from pathlib import Path
 
-__all__ = ["LIB", "load"]
+__all__ = ["LIB", "SIGNATURES", "load"]
 
 _SOURCE = Path(__file__).with_name("_kernels.c")
 _I64P = ctypes.POINTER(ctypes.c_int64)
@@ -39,6 +45,104 @@ _CFLAGS = ["-O2", "-ffp-contract=off", "-shared", "-fPIC"]
 # Gain bounds above this make the bucket arrays unreasonably large;
 # such graphs (enormous edge weights) take the Python heap path.
 MAX_BOUND = 1 << 22
+
+#: Width of a graph-table row of the batched rb_* kernels: ``[n,
+#: indptr, indices, eweights, vweights, side, fine_to_coarse,
+#: coarse_side, cap0, cap1]`` (addresses as int64; unused columns 0).
+TABLE_COLUMNS = 10
+
+
+_I64 = ctypes.c_int64
+_U64P = ctypes.POINTER(ctypes.c_uint64)
+
+#: Every kernel the library exports, with its argument types; each
+#: returns int64.  METIS pointer params are void*: callers pass raw
+#: addresses (ints, ``arr.ctypes.data``), skipping ctypes' per-call
+#: POINTER conversion on the hot path.  The batched rb_* kernels take
+#: "graph tables": int64 rows of TABLE_COLUMNS (see _kernels.c).
+SIGNATURES: dict[str, list] = {
+    "kway_refine": [
+        _I64,  # n
+        _VP, _VP, _VP, _VP,  # indptr, indices, eweights, vweights
+        _VP,  # perm
+        _VP, _VP,  # assign, pweights (inout)
+        _I64,  # len(pweights)
+        _I64, _I64,  # cap, ideal_cap
+        _I64,  # volume objective
+    ],
+    "hem_claim": [
+        _I64,  # n
+        _VP, _VP, _VP,  # indptr, indices, eweights
+        _VP,  # order
+        _VP,  # match (out)
+    ],
+    "contract": [
+        _I64,  # n
+        _VP, _VP, _VP, _VP,  # indptr, indices, eweights, vweights
+        _VP,  # match
+        _VP,  # fine_to_coarse (out)
+        _VP, _VP, _VP, _VP,  # coarse csr arrays (out)
+    ],
+    "rb_extract": [
+        _I64,  # n_parent
+        _VP, _VP, _VP, _VP,  # parent indptr, indices, eweights, vweights
+        _VP, _VP,  # ids, group vertex offsets
+        _I64,  # group count
+        _VP, _VP, _VP, _VP,  # union csr arrays (out)
+        _VP, _VP,  # group edge offsets, group stats (out)
+    ],
+    "rb_coarsen": [
+        _I64, _VP,  # rows, graph table
+        _VP,  # visit permutations
+        _VP,  # fine_to_coarse (out)
+        _VP, _VP, _VP, _VP,  # coarse union csr arrays (out)
+        _VP, _VP,  # coarse vertex and edge offsets (out)
+    ],
+    "rb_initial": [
+        _I64, _VP,  # rows, graph table
+        _VP,  # side-0 weight targets
+        _VP,  # start vertices (rows x ntrials)
+        _I64,  # ntrials
+        _I64,  # max_bound
+    ],
+    "rb_refine": [
+        _I64, _VP,  # rows, graph table
+        _I64,  # max_passes
+        _I64,  # max_bound
+    ],
+    "rb_split": [
+        _I64,  # group count
+        _VP, _VP, _VP,  # ids, group vertex offsets, sides
+        _VP, _VP, _VP,  # first part, part count, order-based split
+        _VP,  # assignment (inout)
+        _VP, _VP, _VP, _VP,  # next ids, offsets, first parts, counts (out)
+    ],
+    # The DSS operator constants travel in a 7-slot int64 "plan" array
+    # (see _kernels.c) to keep per-call marshalling at 5 arguments.
+    "dss_apply": [
+        _VP,  # plan
+        _I64,  # ncomp
+        _VP,  # field
+        _VP, _VP,  # num scratch, out
+    ],
+    "sfc_keys": [
+        _I64,  # npts
+        _I64,  # nlevels
+        _I64P,  # packed level tables (nlevels x 66)
+        _I64,  # domain side n
+        _I64P, _I64P,  # x, y coordinates
+        _U64P,  # keys (out)
+    ],
+    "sfc_face_keys": [
+        _I64,  # npts
+        _I64,  # nlevels
+        _I64P,  # packed level tables (nlevels x 66)
+        _I64,  # ne (face side length)
+        _I64P, _I64P,  # chain rank (6), chain coef (6 x 6)
+        _I64P,  # gids
+        _U64P,  # keys (out)
+    ],
+}
 
 
 def _cache_dir() -> Path:
@@ -93,85 +197,10 @@ def load() -> ctypes.CDLL | None:
     except OSError:
         return None
     try:
-        # Pointer params are void*: callers pass raw addresses (ints,
-        # ``arr.ctypes.data``), skipping ctypes' per-call POINTER
-        # conversion on the hot path.
-        lib.fm_refine.restype = ctypes.c_int64
-        lib.fm_refine.argtypes = [
-            ctypes.c_int64,  # n
-            _VP, _VP, _VP, _VP,  # indptr, indices, eweights, vweights
-            _VP,  # side (inout)
-            ctypes.c_int64, ctypes.c_int64,  # cap0, cap1
-            ctypes.c_int64, ctypes.c_int64,  # pcap0, pcap1
-            ctypes.c_int64,  # max_passes
-            ctypes.c_int64,  # bound
-            ctypes.c_int64, ctypes.c_int64,  # w0, w1
-        ]
-        lib.kway_refine.restype = ctypes.c_int64
-        lib.kway_refine.argtypes = [
-            ctypes.c_int64,  # n
-            _VP, _VP, _VP, _VP,  # indptr, indices, eweights, vweights
-            _VP,  # perm
-            _VP, _VP,  # assign, pweights (inout)
-            ctypes.c_int64,  # len(pweights)
-            ctypes.c_int64, ctypes.c_int64,  # cap, ideal_cap
-            ctypes.c_int64,  # volume objective
-        ]
-        lib.hem_claim.restype = ctypes.c_int64
-        lib.hem_claim.argtypes = [
-            ctypes.c_int64,  # n
-            _VP, _VP, _VP,  # indptr, indices, eweights
-            _VP,  # order
-            _VP,  # match (out)
-        ]
-        lib.subgraph_extract.restype = ctypes.c_int64
-        lib.subgraph_extract.argtypes = [
-            ctypes.c_int64,  # n_parent
-            _VP, _VP, _VP, _VP,  # indptr, indices, eweights, vweights
-            _VP,  # verts
-            ctypes.c_int64,  # k
-            _VP, _VP, _VP, _VP,  # out csr arrays
-            _VP,  # out_scalars
-        ]
-        lib.ggg_partition.restype = ctypes.c_int64
-        lib.ggg_partition.argtypes = [
-            ctypes.c_int64,  # n
-            _VP, _VP, _VP, _VP,  # indptr, indices, eweights, vweights
-            _VP,  # starts
-            ctypes.c_int64,  # ntrials
-            ctypes.c_int64,  # target_left
-            ctypes.c_int64,  # bound
-            _VP,  # best_side (out)
-        ]
-        # The DSS operator constants travel in a 7-slot int64 "plan"
-        # array (see _kernels.c) to keep per-call marshalling at 5
-        # arguments.
-        lib.dss_apply.restype = ctypes.c_int64
-        lib.dss_apply.argtypes = [
-            ctypes.c_void_p,  # plan
-            ctypes.c_int64,  # ncomp
-            ctypes.c_void_p,  # field
-            ctypes.c_void_p, ctypes.c_void_p,  # num scratch, out
-        ]
-        lib.sfc_keys.restype = ctypes.c_int64
-        lib.sfc_keys.argtypes = [
-            ctypes.c_int64,  # npts
-            ctypes.c_int64,  # nlevels
-            _I64P,  # packed level tables (nlevels x 66)
-            ctypes.c_int64,  # domain side n
-            _I64P, _I64P,  # x, y coordinates
-            ctypes.POINTER(ctypes.c_uint64),  # keys (out)
-        ]
-        lib.sfc_face_keys.restype = ctypes.c_int64
-        lib.sfc_face_keys.argtypes = [
-            ctypes.c_int64,  # npts
-            ctypes.c_int64,  # nlevels
-            _I64P,  # packed level tables (nlevels x 66)
-            ctypes.c_int64,  # ne (face side length)
-            _I64P, _I64P,  # chain rank (6), chain coef (6 x 6)
-            _I64P,  # gids
-            ctypes.POINTER(ctypes.c_uint64),  # keys (out)
-        ]
+        for name, argtypes in SIGNATURES.items():
+            fn = getattr(lib, name)
+            fn.restype = ctypes.c_int64
+            fn.argtypes = argtypes
     except AttributeError:
         return None
     return lib

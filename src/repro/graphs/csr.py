@@ -266,10 +266,11 @@ class CSRGraph:
     def _subgraph_native(self, vertices: np.ndarray) -> "CSRGraph | None":
         """Compiled-kernel induced subgraph for ascending vertex sets.
 
-        Returns ``None`` (vectorized/list fallback) when the kernel
-        library is unavailable or ``vertices`` is not strictly
-        ascending.  Row filtering in ascending-local-id order produces
-        the exact arrays of the lexsort-based path.
+        One ``rb_extract`` call with a single vertex set.  Returns
+        ``None`` (vectorized/list fallback) when the kernel declines:
+        ``vertices`` not strictly ascending or out of range.  Row
+        filtering in ascending-local-id order produces the exact arrays
+        of the lexsort-based path.
         """
         k = len(vertices)
         vertices = np.ascontiguousarray(vertices, dtype=np.int64)
@@ -278,12 +279,15 @@ class CSRGraph:
         out_indices = np.empty(cap, dtype=np.int64)
         out_weights = np.empty(cap, dtype=np.int64)
         out_vweights = np.empty(k, dtype=np.int64)
+        offsets = np.array([0, k], dtype=np.int64)
+        edge_offsets = np.empty(2, dtype=np.int64)
         scalars = np.empty(3, dtype=np.int64)
-        nnz = _NATIVE.subgraph_extract(
-            self.nvertices, *self.addresses(), vertices.ctypes.data, k,
+        nnz = _NATIVE.rb_extract(
+            self.nvertices, *self.addresses(), vertices.ctypes.data,
+            offsets.ctypes.data, 1,
             out_indptr.ctypes.data, out_indices.ctypes.data,
             out_weights.ctypes.data, out_vweights.ctypes.data,
-            scalars.ctypes.data,
+            edge_offsets.ctypes.data, scalars.ctypes.data,
         )
         if nnz < 0:
             return None
@@ -381,7 +385,8 @@ def graph_from_edges(
     Args:
         nvertices: Vertex count.
         edges: ``(m, 2)`` int array, each undirected edge once (any
-            endpoint order); self-loops and duplicates are rejected.
+            endpoint order); endpoints outside ``[0, nvertices)``,
+            self-loops and duplicates are rejected.
         eweights: ``(m,)`` edge weights (default all 1).
         vweights: ``(n,)`` vertex weights (default all 1).
     """
@@ -399,12 +404,16 @@ def graph_from_edges(
         vweights = np.asarray(vweights, dtype=np.int64)
         if len(vweights) != nvertices:
             raise ValueError("vweights length mismatch")
+    if m and (edges.min() < 0 or edges.max() >= nvertices):
+        raise ValueError("edge endpoint out of range")
     if m and (edges[:, 0] == edges[:, 1]).any():
         raise ValueError("self-loops are not allowed")
+    # One int64 key per undirected edge (endpoints < n, so lo*n + hi
+    # is unique and cannot overflow below n ~ 3e9).
     lo = np.minimum(edges[:, 0], edges[:, 1])
     hi = np.maximum(edges[:, 0], edges[:, 1])
-    canon = np.stack([lo, hi], axis=1)
-    if m and len(np.unique(canon, axis=0)) != m:
+    key = np.sort(lo * nvertices + hi)
+    if (key[1:] == key[:-1]).any():
         raise ValueError("duplicate edges are not allowed")
     src = np.concatenate([edges[:, 0], edges[:, 1]])
     dst = np.concatenate([edges[:, 1], edges[:, 0]])

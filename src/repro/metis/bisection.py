@@ -12,14 +12,19 @@ imbalance cap that defaults to (essentially) exact.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
+from .._native import LIB as _NATIVE
+from .._native import MAX_BOUND as _MAX_BOUND
+from .._native import TABLE_COLUMNS
 from ..graphs.csr import CSRGraph
 from ..partition.base import Partition
 from ..telemetry import span
-from .coarsen import coarsen_to
-from .initial import greedy_graph_growing, spectral_initial_bisection
-from .refine import fm_refine_bisection
+from .coarsen import MAX_LEVELS, coarsen_to
+from .initial import NTRIALS, greedy_graph_growing, spectral_initial_bisection
+from .refine import FM_PASSES, fm_refine_bisection
 
 __all__ = ["multilevel_bisection", "recursive_bisection"]
 
@@ -92,12 +97,21 @@ def recursive_bisection(
     target weight proportionally to the part counts of the two halves
     (``pmetis`` semantics).
 
+    With the C kernels loaded (and ``initial`` not ``"spectral"``) the
+    recursion runs breadth-first, one recursion level at a time (see
+    :func:`_recursive_bisection_native`); the depth-first loop below
+    is the reference and the fallback.  Both give the same partition.
+
     Returns:
         A :class:`Partition` labeled ``"rb"``.
     """
     n = graph.nvertices
     if not 1 <= nparts <= n:
         raise ValueError("need 1 <= nparts <= nvertices")
+    if _NATIVE is not None and initial != "spectral":
+        assignment = _recursive_bisection_native(graph, nparts, ubfactor, seed)
+        if assignment is not None:
+            return Partition(assignment, nparts=nparts, method="rb")
     assignment = np.zeros(n, dtype=np.int64)
     # Queue of (vertex ids, first part, part count, depth).
     stack: list[tuple[np.ndarray, int, int, int]] = [
@@ -139,3 +153,243 @@ def recursive_bisection(
         stack.append((left_ids, first, left_parts, depth + 1))
         stack.append((right_ids, first + left_parts, right_parts, depth + 1))
     return Partition(assignment, nparts=nparts, method="rb")
+
+
+# ---------------------------------------------------------------------
+# Level-synchronous recursive bisection over the C kernels
+# ---------------------------------------------------------------------
+#
+# Every bisection depends only on its vertex set, its part range and
+# its seed ``seed + depth * 7919 + first``, never on the order the
+# depth-first loop visits it.  So all bisections at one recursion
+# depth ("groups") run together: their induced subgraphs are stored
+# back to back in one set of buffers and each multilevel stage is one
+# kernel call for all of them.  Every random stream is still drawn here,
+# from the same generator calls as the depth-first loop makes.
+
+_ITEM = np.dtype(np.int64).itemsize
+
+
+class _Union:
+    """Graphs stored back to back in one set of flat CSR buffers.
+
+    Graph ``i`` has its vertices at ``gv[i]``, its ``n_i + 1`` indptr
+    entries (from 0) at ``gv[i] + i`` and its edges at ``ge[i]``, with
+    graph-local neighbor ids: the layout ``rb_extract`` and
+    ``rb_coarsen`` write.  ``side`` holds a bisection side per vertex;
+    ``groups[i]`` is the recursion group graph ``i`` belongs to.
+    """
+
+    def __init__(self, nverts: int, groups: np.ndarray, nedges: int) -> None:
+        self.groups = groups
+        self.indptr = np.empty(nverts + len(groups), dtype=np.int64)
+        self.indices = np.empty(nedges, dtype=np.int64)
+        self.eweights = np.empty(nedges, dtype=np.int64)
+        self.vweights = np.empty(nverts, dtype=np.int64)
+        self.side = np.empty(nverts, dtype=np.int64)
+        self.gv = np.empty(len(groups) + 1, dtype=np.int64)
+        self.ge = np.empty(len(groups) + 1, dtype=np.int64)
+        # Buffer addresses, read once (``ndarray.ctypes`` is slow).
+        self.base = np.array(
+            [a.ctypes.data for a in (
+                self.indptr, self.indices, self.eweights, self.vweights,
+                self.side, self.gv, self.ge,
+            )],
+            dtype=np.int64,
+        )
+        # Kernel output arguments: the CSR buffers, the gv/ge offsets.
+        self.csr_out = tuple(self.base[:4].tolist())
+        self.offsets_out = tuple(self.base[5:].tolist())
+
+    def table(self, rows: np.ndarray) -> np.ndarray:
+        """Kernel graph table of graphs ``rows``, side column filled."""
+        tab = np.zeros((len(rows), TABLE_COLUMNS), dtype=np.int64)
+        gv = self.gv[rows]
+        tab[:, 0] = self.gv[rows + 1] - gv
+        tab[:, 1] = gv + rows
+        tab[:, 2] = tab[:, 3] = self.ge[rows]
+        tab[:, 4] = tab[:, 5] = gv
+        tab[:, 1:6] *= _ITEM
+        tab[:, 1:6] += self.base[:5]
+        return tab
+
+
+def _caps(target: np.ndarray, totals: np.ndarray, ubfactor: float) -> np.ndarray:
+    """Per-side weight caps of :func:`multilevel_bisection`, vectorized.
+
+    ``min(max(floor(ub * t + 1e-9), t), total)``, computed as
+    ``max(min(floor(...), total), t)`` (equal, since ``t <= total``) so
+    the float is clipped before it becomes an integer.
+    """
+    cap = np.minimum(np.floor(ubfactor * target + 1e-9), totals.astype(np.float64))
+    return np.maximum(cap.astype(np.int64), target)
+
+
+def _recursive_bisection_native(
+    graph: CSRGraph, nparts: int, ubfactor: float, seed: int
+) -> np.ndarray | None:
+    """Level-synchronous :func:`recursive_bisection` (``initial="ggg"``).
+
+    Returns the assignment, or ``None`` when a kernel declines (an
+    allocation fails, a gain bound exceeds ``MAX_BOUND``) or an input
+    needs the depth-first loop's own handling (a zero-weight split
+    target, a non-finite ``ubfactor``, weights past float precision);
+    the caller then runs the depth-first loop from the start.
+    """
+    n = graph.nvertices
+    assignment = np.zeros(n, dtype=np.int64)
+    if nparts == 1:
+        return assignment
+    if not math.isfinite(ubfactor):
+        return None
+    degrees = graph.degrees()
+    ids = np.arange(n, dtype=np.int64)
+    gv = np.array([0, n], dtype=np.int64)
+    first = np.zeros(1, dtype=np.int64)
+    parts = np.array([nparts], dtype=np.int64)
+    depth = 0
+    while len(parts):  # every group here still has >= 2 parts
+        seeds = [seed + depth * 7919 + f for f in first.tolist()]
+        nedges = int(degrees[ids].sum())
+        side = _bisect_level(graph, ids, gv, nedges, parts, seeds, ubfactor)
+        if side is None:
+            return None
+        k = len(parts)
+        sizes = np.diff(gv)
+        left = parts // 2
+        half = np.maximum(
+            left,
+            np.minimum(sizes - (parts - left), np.rint(sizes * left / parts).astype(np.int64)),
+        )
+        next_ids = np.empty(len(ids), dtype=np.int64)
+        next_gv = np.empty(2 * k + 1, dtype=np.int64)
+        next_first = np.empty(2 * k, dtype=np.int64)
+        next_parts = np.empty(2 * k, dtype=np.int64)
+        nk = _NATIVE.rb_split(
+            k, ids.ctypes.data, gv.ctypes.data, side.ctypes.data,
+            first.ctypes.data, parts.ctypes.data, half.ctypes.data,
+            assignment.ctypes.data, next_ids.ctypes.data, next_gv.ctypes.data,
+            next_first.ctypes.data, next_parts.ctypes.data,
+        )
+        ids = next_ids[: next_gv[nk]]
+        gv, first, parts = next_gv[: nk + 1], next_first[:nk], next_parts[:nk]
+        depth += 1
+    return assignment
+
+
+def _bisect_level(
+    graph: CSRGraph,
+    ids: np.ndarray,
+    gv: np.ndarray,
+    nedges: int,
+    parts: np.ndarray,
+    seeds: list[int],
+    ubfactor: float,
+) -> np.ndarray | None:
+    """:func:`multilevel_bisection` of every group of one level.
+
+    Group ``g`` is the vertex set ``ids[gv[g]:gv[g+1]]`` (ascending), to
+    be split into ``parts[g] // 2`` and the remaining parts with seed
+    ``seeds[g]``.  ``nedges`` bounds the groups' total edge count.
+    Returns the sides, aligned with ``ids``, or ``None`` (see
+    :func:`_recursive_bisection_native`).
+    """
+    k = len(parts)
+    with span("subgraph", "metis", groups=k):
+        base = _Union(len(ids), np.arange(k), nedges)
+        stats = np.empty((k, 3), dtype=np.int64)
+        rc = _NATIVE.rb_extract(
+            graph.nvertices, *graph.addresses(), ids.ctypes.data,
+            gv.ctypes.data, k, *base.csr_out, base.offsets_out[1],
+            stats.ctypes.data,
+        )
+        if rc < 0:
+            return None
+        base.gv[:] = gv
+    totals = stats[:, 1]
+    left = parts // 2
+    if (totals * left).max() >= 2**53:  # the float targets are exact below
+        return None
+    target = np.rint(totals * left / parts).astype(np.int64)
+    if not ((target > 0) & (target < totals)).all():
+        return None
+    cap_left = _caps(target, totals, ubfactor)
+    cap_right = _caps(totals - target, totals, ubfactor)
+
+    # Coarsening rounds: round r turns each still-coarsening group's
+    # level-r graph into its level-(r+1) graph.  A group stops once its
+    # graph has at most COARSEST_NVERTICES vertices, or when a round
+    # shrinks it by less than 10% (that round's level is dropped).
+    rounds = []
+    nlevels = np.zeros(k, dtype=np.int64)
+    with span("coarsen", "metis", groups=k):
+        fine = base
+        rows = np.flatnonzero(np.diff(gv) > COARSEST_NVERTICES)
+        for lvl in range(MAX_LEVELS):
+            if not len(rows):
+                break
+            groups = fine.groups[rows]
+            fine_n = fine.gv[rows + 1] - fine.gv[rows]
+            perm = np.concatenate([
+                np.random.default_rng(seeds[g] + lvl).permutation(m)
+                for g, m in zip(groups.tolist(), fine_n.tolist())
+            ])
+            coarse = _Union(
+                len(perm), groups, int((fine.ge[rows + 1] - fine.ge[rows]).sum())
+            )
+            f2c = np.empty(len(perm), dtype=np.int64)
+            tab = fine.table(rows)
+            rc = _NATIVE.rb_coarsen(
+                len(rows), tab.ctypes.data, perm.ctypes.data, f2c.ctypes.data,
+                *coarse.csr_out, *coarse.offsets_out,
+            )
+            if rc < 0:
+                return None
+            nc = np.diff(coarse.gv)
+            kept = ~(nc > 0.9 * fine_n)
+            f2c_at = np.concatenate(([0], np.cumsum(fine_n)[:-1]))
+            rounds.append((fine, rows, f2c, f2c_at, coarse, kept))
+            nlevels[groups[kept]] += 1
+            fine, rows = coarse, np.flatnonzero(kept & (nc > COARSEST_NVERTICES))
+
+    with span("initial", "metis", groups=k):
+        # Each group's coarsest graph: its base graph if it kept no
+        # level, else the coarse graph of the last round it kept.
+        coarsest = [(base, np.flatnonzero(nlevels == 0))]
+        for r, (_, _, _, _, coarse, kept) in enumerate(rounds):
+            coarsest.append(
+                (coarse, np.flatnonzero(kept & (nlevels[coarse.groups] == r + 1)))
+            )
+        tab = np.concatenate([u.table(rows) for u, rows in coarsest])
+        groups = np.concatenate([u.groups[rows] for u, rows in coarsest])
+        starts = np.full((len(tab), NTRIALS), -1, dtype=np.int64)
+        for i, (g, m) in enumerate(zip(groups.tolist(), tab[:, 0].tolist())):
+            starts[i, 1:] = np.random.default_rng(seeds[g]).integers(
+                m, size=NTRIALS - 1
+            )
+        targets = target[groups]
+        if _NATIVE.rb_initial(
+            len(tab), tab.ctypes.data, targets.ctypes.data,
+            starts.ctypes.data, NTRIALS, _MAX_BOUND,
+        ):
+            return None
+    with span("refine", "metis", groups=k):
+        tab[:, 8] = cap_left[groups]
+        tab[:, 9] = cap_right[groups]
+        if _NATIVE.rb_refine(len(tab), tab.ctypes.data, FM_PASSES, _MAX_BOUND):
+            return None
+    # Uncoarsening, deepest level first: project every group that kept
+    # round r's level from it to its level-r graph, then refine.
+    with span("uncoarsen", "metis", groups=k):
+        for fine, rows, f2c, f2c_at, coarse, kept in reversed(rounds):
+            at = np.flatnonzero(kept)
+            if not len(at):
+                continue
+            tab = fine.table(rows[at])
+            tab[:, 6] = f2c.ctypes.data + _ITEM * f2c_at[at]
+            tab[:, 7] = coarse.base[4] + _ITEM * coarse.gv[at]
+            tab[:, 8] = cap_left[coarse.groups[at]]
+            tab[:, 9] = cap_right[coarse.groups[at]]
+            if _NATIVE.rb_refine(len(tab), tab.ctypes.data, FM_PASSES, _MAX_BOUND):
+                return None
+    return base.side

@@ -6,6 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .._native import LIB as _NATIVE
 from ..graphs.csr import CSRGraph
 from .matching import heavy_edge_matching
 
@@ -32,9 +33,19 @@ def contract(graph: CSRGraph, match: np.ndarray) -> CoarseLevel:
     Matched pairs become one coarse vertex whose weight is the pair
     sum; parallel coarse edges are merged with summed weights and
     intra-pair edges vanish (their weight is "hidden" inside the
-    coarse vertex — the point of heavy-edge matching).
+    coarse vertex — the point of heavy-edge matching).  A matching of
+    in-range ids runs in the C ``contract`` kernel (same arrays).
     """
     n = graph.nvertices
+    match = np.asarray(match)
+    if (
+        _NATIVE is not None
+        and match.shape == (n,)
+        and (n == 0 or (match.min() >= 0 and match.max() < n))
+    ):
+        level = _contract_native(graph, np.ascontiguousarray(match, dtype=np.int64))
+        if level is not None:
+            return level
     # Coarse ids: number pairs by their smaller endpoint.
     rep = np.minimum(np.arange(n), match)
     uniq, coarse_of = np.unique(rep, return_inverse=True)
@@ -62,11 +73,40 @@ def contract(graph: CSRGraph, match: np.ndarray) -> CoarseLevel:
     return CoarseLevel(graph=coarse, fine_to_coarse=coarse_of)
 
 
+def _contract_native(graph: CSRGraph, match: np.ndarray) -> CoarseLevel | None:
+    """:func:`contract` through the C kernel; ``None`` if it cannot allocate."""
+    n = graph.nvertices
+    fine_to_coarse = np.empty(n, dtype=np.int64)
+    indptr = np.empty(n + 1, dtype=np.int64)
+    indices = np.empty(len(graph.indices), dtype=np.int64)
+    eweights = np.empty(len(graph.indices), dtype=np.int64)
+    vweights = np.empty(n, dtype=np.int64)
+    nc = _NATIVE.contract(
+        n, *graph.addresses(), match.ctypes.data, fine_to_coarse.ctypes.data,
+        indptr.ctypes.data, indices.ctypes.data, eweights.ctypes.data,
+        vweights.ctypes.data,
+    )
+    if nc < 0:
+        return None
+    nnz = int(indptr[nc])
+    coarse = CSRGraph(
+        indptr=indptr[: nc + 1].copy(),
+        indices=indices[:nnz].copy(),
+        eweights=eweights[:nnz].copy(),
+        vweights=vweights[:nc].copy(),
+    )
+    return CoarseLevel(graph=coarse, fine_to_coarse=fine_to_coarse)
+
+
+#: Default cap on the number of coarsening levels.
+MAX_LEVELS = 64
+
+
 def coarsen_to(
     graph: CSRGraph,
     target_nvertices: int,
     seed: int = 0,
-    max_levels: int = 64,
+    max_levels: int = MAX_LEVELS,
 ) -> list[CoarseLevel]:
     """Coarsen with HEM until the target size or until progress stalls.
 

@@ -38,8 +38,12 @@ def _split_from_order(
     return side
 
 
+#: Default number of GGGP growth trials.
+NTRIALS = 4
+
+
 def greedy_graph_growing(
-    graph: CSRGraph, target_left: int, seed: int = 0, ntrials: int = 4
+    graph: CSRGraph, target_left: int, seed: int = 0, ntrials: int = NTRIALS
 ) -> np.ndarray:
     """GGGP bisection.
 
@@ -60,20 +64,26 @@ def greedy_graph_growing(
     # draw yields the same values as the historical per-trial scalar
     # draws (verified bit-identical under fixed seeds).
     starts_arr = np.random.default_rng(seed).integers(n, size=ntrials - 1)
-    bound = graph.max_incident_weight()
-    if _NATIVE is not None and bound <= _MAX_BOUND:
+    if _NATIVE is not None:
+        # One row of the batched kernel (gain bound checked in C).
         starts_np = np.empty(ntrials, dtype=np.int64)
         starts_np[0] = -1  # trial 0: pseudo-peripheral seed
         starts_np[1:] = starts_arr
         out = np.empty(n, dtype=np.int64)
-        rc = _NATIVE.ggg_partition(
-            n, *graph.addresses(), starts_np.ctypes.data,
-            ntrials, target_left, bound, out.ctypes.data,
+        row = np.array(
+            [[n, *graph.addresses(), out.ctypes.data, 0, 0, 0, 0]],
+            dtype=np.int64,
+        )
+        target = np.array([target_left], dtype=np.int64)
+        rc = _NATIVE.rb_initial(
+            1, row.ctypes.data, target.ctypes.data, starts_np.ctypes.data,
+            ntrials, _MAX_BOUND,
         )
         if rc == 0:
             return out
 
     # Pure-Python kernels (reference implementation and fallback).
+    bound = graph.max_incident_weight()
     starts = starts_arr.tolist()
     _, _, _, vweights = graph.adjacency_lists()
     nbrs, wts = graph.neighbor_slices()

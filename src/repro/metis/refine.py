@@ -119,12 +119,16 @@ def _rebalance_bisection(
         weights[other] += vw
 
 
+#: Default pass limit of :func:`fm_refine_bisection`.
+FM_PASSES = 8
+
+
 def fm_refine_bisection(
     graph: CSRGraph,
     side: np.ndarray,
     max_left_weight: int,
     max_right_weight: int,
-    max_passes: int = 8,
+    max_passes: int = FM_PASSES,
 ) -> np.ndarray:
     """Fiduccia-Mattheyses refinement of a bisection.
 
@@ -147,6 +151,17 @@ def fm_refine_bisection(
     n = graph.nvertices
     caps = (max_left_weight, max_right_weight)
     side_arr = np.array(side, dtype=np.int64)
+    if _NATIVE is not None:
+        # One row of the batched kernel: rebalance + passes in C; a
+        # declined call (allocation, gain bound) leaves side_arr as is.
+        row = np.array(
+            [[n, *graph.addresses(), side_arr.ctypes.data, 0, 0, *caps]],
+            dtype=np.int64,
+        )
+        if _NATIVE.rb_refine(1, row.ctypes.data, max_passes, _MAX_BOUND) == 0:
+            return side_arr
+
+    # Pure-Python kernels (reference implementation and fallback).
     w1 = int(side_arr @ graph.vweights) if n else 0
     w0 = graph.total_vweight() - w1
     if w0 > caps[0] or w1 > caps[1]:
@@ -166,16 +181,6 @@ def fm_refine_bisection(
     slack = graph.max_vweight()
     pass_caps = (caps[0] + slack, caps[1] + slack)
     bound = graph.max_incident_weight()
-    if _NATIVE is not None and bound <= _MAX_BOUND:
-        rc = _NATIVE.fm_refine(
-            n, *graph.addresses(), side_arr.ctypes.data,
-            caps[0], caps[1], pass_caps[0], pass_caps[1],
-            max_passes, bound, w0, w1,
-        )
-        if rc == 0:
-            return side_arr
-
-    # Pure-Python kernels (reference implementation and fallback).
     # The pass loop works over the cached adjacency lists; gains are
     # (re)initialized at each pass start.  Two exactly-equivalent
     # priority structures back the best-gain-first order: a

@@ -75,7 +75,16 @@ class StackSampler:
             for tid, frame in sys._current_frames().items():
                 if tid == own:
                     continue
-                self.counts[_frame_stack(frame)] += 1
+                try:
+                    stack = _frame_stack(frame)
+                except AttributeError:
+                    # The walk is Python code, so the other thread can
+                    # run mid-walk and pop or suspend the frames being
+                    # walked; CPython 3.11 then has been seen to hand
+                    # back a non-frame (a ``dict``) from ``f_back``.
+                    # Drop that thread's sample for this tick.
+                    continue
+                self.counts[stack] += 1
             self.samples += 1
             self._stop.wait(self.interval)
         self.wall_s = perf_counter() - t0

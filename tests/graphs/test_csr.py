@@ -45,6 +45,25 @@ class TestConstruction:
         with pytest.raises(ValueError, match="duplicate"):
             graph_from_edges(3, np.array([(0, 1), (1, 0)]))
 
+    def test_reversed_duplicate_among_other_edges_rejected(self):
+        # Not adjacent in the input, given as (hi, lo) the second time.
+        edges = np.array([(2, 4), (0, 1), (1, 3), (3, 4), (4, 2), (0, 3)])
+        with pytest.raises(ValueError, match="duplicate"):
+            graph_from_edges(5, edges)
+
+    def test_distinct_edges_in_any_endpoint_order_accepted(self):
+        # Keys lo*n + hi: (0, 4) -> 4, (0, 1) -> 1, (1, 4) -> 9, (2, 3) -> 13.
+        g = graph_from_edges(5, np.array([(0, 4), (1, 0), (4, 1), (3, 2)]))
+        g.validate()
+        assert g.nedges == 4
+
+    @pytest.mark.parametrize(
+        "edges", [[(0, 1), (1, 5)], [(0, 1), (1, 3)], [(-1, 1)], [(2, -3)]]
+    )
+    def test_out_of_range_endpoint_rejected(self, edges):
+        with pytest.raises(ValueError, match="out of range"):
+            graph_from_edges(3, np.array(edges))
+
     def test_weight_length_mismatch(self):
         with pytest.raises(ValueError, match="eweights"):
             graph_from_edges(3, TRIANGLE, eweights=[1])

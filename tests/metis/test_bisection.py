@@ -2,10 +2,16 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 
+import repro.metis.bisection as bisection_mod
+from repro.cubesphere import cubed_sphere_mesh
+from repro.graphs import mesh_graph
 from repro.metis.bisection import multilevel_bisection, recursive_bisection
+from repro.telemetry import telemetry_session
 from repro.partition.metrics import evaluate_partition, load_balance
 from tests.conftest import grid_graph, two_cliques
 
@@ -91,3 +97,32 @@ class TestRecursiveBisection:
         p = recursive_bisection(graph8, 192, ubfactor=1.01, seed=0)
         lb = load_balance(p.part_sizes())
         assert 0.0 <= lb <= 0.34
+
+
+@pytest.mark.skipif(bisection_mod._NATIVE is None, reason="C kernels unavailable")
+class TestNativeSpans:
+    """The level-synchronous path records each stage once per level."""
+
+    STAGES = ("subgraph", "coarsen", "initial", "refine", "uncoarsen")
+
+    def _spans(self, graph, nparts):
+        with telemetry_session() as session:
+            recursive_bisection(graph, nparts, ubfactor=1.01)
+        return session.tracer.spans
+
+    def test_k1536_into_384_parts(self):
+        graph = mesh_graph(cubed_sphere_mesh(16))
+        spans = self._spans(graph, 384)
+        levels = math.ceil(math.log2(384))  # depths holding >= 2 parts
+        for name in self.STAGES:
+            recorded = [s for s in spans if s.name == name]
+            assert 1 <= len(recorded) <= levels, name
+            assert all(s.args["groups"] >= 1 for s in recorded)
+        # The last level splits 128 groups of 3 parts, every one at once.
+        assert max(s.args["groups"] for s in spans if s.name == "refine") == 128
+
+    def test_stages_recorded_without_coarsening(self):
+        # K=24 groups never exceed the coarsest size, yet every stage
+        # still reports (the profile tables list coarsen and refine).
+        spans = self._spans(mesh_graph(cubed_sphere_mesh(2)), 6)
+        assert {s.name for s in spans} >= set(self.STAGES)

@@ -14,11 +14,17 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import repro.metis.bisection as bisection_mod
+import repro.metis.coarsen as coarsen_mod
 import repro.metis.refine as refine_mod
 from repro.graphs.csr import CSRGraph, graph_from_edges
 from repro.metis import part_graph
+from repro.metis.bisection import recursive_bisection
+from repro.metis.coarsen import contract
 from repro.metis.refine import balance_constraint, greedy_kway_refine
 from repro.partition.metrics import evaluate_partition
+
+from .conftest import KERNEL_MODULES
 
 
 @st.composite
@@ -179,3 +185,102 @@ class TestKwayKernelParity:
             python = greedy_kway_refine(*args)
         np.testing.assert_array_equal(native, python)
         assert native.dtype == python.dtype
+
+
+@st.composite
+def rb_graphs(draw) -> CSRGraph:
+    """Random weighted graph for the recursive-bisection parity property.
+
+    Up to 160 vertices, so the first levels coarsen (above 64).  Either
+    connected (a spanning path plus chords) or split into up to four
+    components with no edges between them (isolated vertices and
+    edgeless graphs included).  ``heavy`` vertices weigh a sizable share
+    of the total: such atoms overshoot the per-side caps, which forces
+    the rebalance pass, and leave a side with fewer vertices than parts,
+    which forces the order-based fallback split.
+    """
+    n = draw(st.integers(min_value=2, max_value=160))
+    rng = np.random.default_rng(draw(st.integers(0, 2**31)))
+    pairs = []
+    if draw(st.booleans()):
+        perm = rng.permutation(n)
+        pairs += list(zip(perm[:-1].tolist(), perm[1:].tolist()))
+        label = np.zeros(n, dtype=np.int64)
+    else:
+        label = rng.integers(0, draw(st.integers(1, 4)), size=n)
+    for _ in range(draw(st.integers(min_value=0, max_value=3 * n))):
+        a, b = rng.integers(n, size=2).tolist()
+        if a != b and label[a] == label[b]:
+            pairs.append((a, b))
+    edges = np.array(sorted({(min(a, b), max(a, b)) for a, b in pairs}), dtype=np.int64)
+    ew = rng.integers(1, 10, size=len(edges)).astype(np.int64)
+    vw = rng.integers(1, 5, size=n).astype(np.int64)
+    heavy = draw(st.sampled_from([0, 1, 3]))
+    if heavy:
+        atoms = rng.choice(n, size=min(heavy, n), replace=False)
+        vw[atoms] = rng.integers(n, 4 * n + 1, size=len(atoms))
+    return graph_from_edges(n, edges.reshape(-1, 2), ew, vw)
+
+
+@pytest.mark.skipif(bisection_mod._NATIVE is None, reason="C kernels unavailable")
+class TestRecursiveBisectionKernelParity:
+    """Level-synchronous native RB and the depth-first Python loop agree."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(
+        rb_graphs(),
+        st.data(),
+        st.sampled_from([1.0, 1.001, 1.01, 1.1]),
+        st.integers(0, 99),
+    )
+    def test_native_matches_python_driver(self, graph, data, ubfactor, seed):
+        n = graph.nvertices
+        nparts = data.draw(
+            st.one_of(st.integers(1, n), st.sampled_from([n, max(1, n - 1)])),
+            label="nparts",
+        )
+        native = bisection_mod._recursive_bisection_native(
+            graph, nparts, ubfactor, seed
+        )
+        assert native is not None  # no silent fallback on these inputs
+        with pytest.MonkeyPatch.context() as mp:
+            for mod in KERNEL_MODULES:  # the depth-first loop, pure Python
+                mp.setattr(mod, "_NATIVE", None)
+            python = recursive_bisection(graph, nparts, ubfactor, seed).assignment
+        np.testing.assert_array_equal(native, python)
+        np.testing.assert_array_equal(
+            recursive_bisection(graph, nparts, ubfactor, seed).assignment, python
+        )
+
+
+@st.composite
+def matchings(draw) -> tuple[CSRGraph, np.ndarray]:
+    """A graph and a random matching: any vertex pairs, edges or not."""
+    graph = draw(rb_graphs())
+    n = graph.nvertices
+    rng = np.random.default_rng(draw(st.integers(0, 2**31)))
+    match = np.arange(n, dtype=np.int64)
+    order = rng.permutation(n)
+    npairs = draw(st.integers(0, n // 2))
+    a, b = order[:npairs], order[npairs : 2 * npairs]
+    match[a], match[b] = b, a
+    return graph, match
+
+
+@pytest.mark.skipif(coarsen_mod._NATIVE is None, reason="C kernels unavailable")
+class TestContractKernelParity:
+    """The C ``contract`` kernel and the NumPy pipeline build the same level."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(matchings())
+    def test_c_contract_matches_numpy(self, inputs):
+        graph, match = inputs
+        native = contract(graph, match)
+        with mock.patch.object(coarsen_mod, "_NATIVE", None):
+            python = contract(graph, match)
+        for name in ("indptr", "indices", "eweights", "vweights"):
+            got, want = getattr(native.graph, name), getattr(python.graph, name)
+            np.testing.assert_array_equal(got, want)
+            assert got.dtype == want.dtype
+        np.testing.assert_array_equal(native.fine_to_coarse, python.fine_to_coarse)
+        assert native.fine_to_coarse.dtype == python.fine_to_coarse.dtype

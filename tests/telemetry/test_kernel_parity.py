@@ -26,6 +26,11 @@ requests = [
     # uncoarsening (two levels), so the K-way refiners are compared.
     PartitionRequest(ne=16, nparts=96, method="kway"),
     PartitionRequest(ne=16, nparts=96, method="tv"),
+    # The benchmark's size: the level-synchronous rb path (C kernels)
+    # against the depth-first loop (pure Python), with multilevel
+    # groups at 24 parts and 8-vertex groups at 384.
+    PartitionRequest(ne=16, nparts=24, method="rb"),
+    PartitionRequest(ne=16, nparts=384, method="rb"),
 ]
 with telemetry_session() as session:
     with PartitionEngine() as engine:

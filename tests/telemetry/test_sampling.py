@@ -7,6 +7,7 @@ import time
 import pytest
 
 from repro.telemetry import StackSampler, collapse_stacks, sample_stacks
+from repro.telemetry import sampling
 from repro.telemetry.sampling import MAX_SECONDS
 
 
@@ -30,6 +31,26 @@ class TestStackSampler:
             assert int(count) > 0
         # The busy loop itself must show up in some stack.
         assert "_spin" in text
+
+    def test_survives_a_torn_frame_walk(self, monkeypatch):
+        # A frame walk that reads garbage (another thread ran mid-walk)
+        # costs that sample, not the sampler thread.
+        real = sampling._frame_stack
+        calls = []
+
+        def flaky(frame):
+            calls.append(1)
+            if len(calls) == 1:
+                raise AttributeError("'dict' object has no attribute 'f_code'")
+            return real(frame)
+
+        monkeypatch.setattr(sampling, "_frame_stack", flaky)
+        sampler = StackSampler(interval=0.002)
+        with sampler:
+            _spin(time.perf_counter() + 0.05)
+        assert len(calls) > 1
+        assert sampler.samples > 1
+        assert sampler.counts
 
     def test_sample_stacks_blocks_and_returns(self):
         sampler = sample_stacks(0.03, interval=0.002)
