@@ -19,7 +19,9 @@
  *                 refine._rebalance_bisection + the FM pass loop
  *                 (refine.fm_refine_bisection) of each of a batch;
  *   rb_split      the left/right split of bisection.recursive_bisection,
- *                 order-based fallback included.
+ *                 order-based fallback included;
+ *   json_int_array  the JSON text of an int64 array (the response
+ *                 bodies' assignment and gid lists).
  *
  * The rb_* kernels let recursive bisection run level-synchronously:
  * every bisection at one recursion depth is independent of the others
@@ -1265,4 +1267,38 @@ int64_t sfc_face_keys(
         keys[p] = key + (uint64_t)rank[face] * (uint64_t)n2;
     }
     return 0;
+}
+
+/* JSON text of an int64 array, byte-for-byte what Python's
+ * json.dumps(arr.tolist()) writes: "[a, b, c]" with ", " separators,
+ * "[]" when empty, a leading '-' on negatives and the full int64 range
+ * (INT64_MIN is negated in uint64).  out must hold
+ * 2 + 22 n bytes: 20 characters for "-9223372036854775808" plus the
+ * separator.  Returns the number of bytes written. */
+int64_t json_int_array(int64_t n, const int64_t *a, char *out)
+{
+    char *p = out;
+    *p++ = '[';
+    for (int64_t i = 0; i < n; i++) {
+        if (i) {
+            *p++ = ',';
+            *p++ = ' ';
+        }
+        const int64_t v = a[i];
+        uint64_t u = (uint64_t)v;
+        if (v < 0) {
+            *p++ = '-';
+            u = (uint64_t)0 - u;
+        }
+        char digits[20];
+        int k = 0;
+        do {
+            digits[k++] = (char)('0' + u % 10);
+            u /= 10;
+        } while (u);
+        while (k)
+            *p++ = digits[--k];
+    }
+    *p++ = ']';
+    return (int64_t)(p - out);
 }

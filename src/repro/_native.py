@@ -9,8 +9,9 @@ contraction (``contract``), and the batched recursive-bisection stages
 greedy graph growing, rebalance + FM refinement with optional
 projection, and the left/right split), which also serve the
 single-graph ``CSRGraph.subgraph``, ``greedy_graph_growing`` and
-``fm_refine_bisection`` — plus the SEAM DSS projection and SFC keying
-(see that file for the bit-identity contract).  This module compiles
+``fm_refine_bisection`` — plus the SEAM DSS projection, SFC keying and
+the JSON text of int64 arrays (``json_int_array``, for the server's
+response bodies; see that file for the bit-identity contract).  This module compiles
 it once with the system C compiler into a content-addressed cache
 directory and loads it through :mod:`ctypes` — no third-party build
 machinery, no install step.
@@ -141,6 +142,11 @@ SIGNATURES: dict[str, list] = {
         _I64P, _I64P,  # chain rank (6), chain coef (6 x 6)
         _I64P,  # gids
         _U64P,  # keys (out)
+    ],
+    "json_int_array": [
+        _I64,  # n
+        _VP,  # int64 values
+        _VP,  # text (out, 2 + 22 n bytes)
     ],
 }
 

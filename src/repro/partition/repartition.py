@@ -177,13 +177,16 @@ class RepartitionPlan:
 
     def to_dict(self, include_assignment: bool = False) -> dict:
         """JSON-able form (gid lists per destination rank)."""
+        return self._fields(
+            lambda arr: np.asarray(arr).tolist(), include_assignment
+        )
+
+    def _fields(self, array, include_assignment: bool) -> dict:
+        """:meth:`to_dict`'s fields, each array passed through ``array``."""
         out = {
             "nparts": int(self.nparts),
             "method": self.method,
-            "moves": {
-                str(rank): np.asarray(gids).tolist()
-                for rank, gids in self.moves.items()
-            },
+            "moves": {str(rank): array(gids) for rank, gids in self.moves.items()},
             "elements_moved": int(self.elements_moved),
             "weight_moved": float(self.weight_moved),
             "fraction_moved": float(self.fraction_moved),
@@ -191,7 +194,7 @@ class RepartitionPlan:
             "lb_after": float(self.lb_after),
         }
         if include_assignment:
-            out["assignment"] = np.asarray(self.new_assignment).tolist()
+            out["assignment"] = array(self.new_assignment)
         return out
 
 

@@ -244,8 +244,8 @@ def keyed_cut(
         ncells: Total element count.
         nparts: Number of segments.
         weights: Optional per-element (id-indexed) weights; cuts then
-            balance weight instead of element count (one extra chunked
-            pass scatters the weights into key order first).
+            balance weight instead of element count (the keying pass
+            also scatters the weights into key order).
         chunk: Elements keyed per pass (default :data:`DEFAULT_CHUNK`).
         method: Label stamped on the produced partition.
 
@@ -257,24 +257,28 @@ def keyed_cut(
     if chunk < 1:
         raise ValueError(f"chunk must be >= 1, got {chunk}")
     with span("keyed_cut", "sfc", ncells=ncells, nparts=nparts, method=method):
-        if weights is None:
-            bounds = cut_positions_uniform(ncells, nparts)
-        else:
+        if weights is not None:
             weights = np.asarray(weights, dtype=np.float64)
             if len(weights) != ncells:
                 raise ValueError("weights must have one entry per element")
             along_curve = np.empty(ncells, dtype=np.float64)
-            for lo in range(0, ncells, chunk):
-                ids = np.arange(lo, min(lo + chunk, ncells), dtype=np.int64)
-                along_curve[key_fn(ids)] = weights[ids]
-            bounds = cut_positions_weighted(along_curve, nparts)
+        # One keying pass: the keys wait in the assignment buffer (while
+        # any weights are scattered into curve order) until the cut
+        # bounds are known, then are bucketed in place.
         assignment = np.empty(ncells, dtype=np.int64)
         for lo in range(0, ncells, chunk):
             ids = np.arange(lo, min(lo + chunk, ncells), dtype=np.int64)
-            keys = key_fn(ids).astype(np.int64, copy=False)
-            assignment[lo : lo + len(ids)] = (
-                np.searchsorted(bounds, keys, side="right") - 1
-            )
+            keys = assignment[lo : lo + len(ids)]
+            keys[:] = key_fn(ids)
+            if weights is not None:
+                along_curve[keys] = weights[ids]
+        if weights is None:
+            bounds = cut_positions_uniform(ncells, nparts)
+        else:
+            bounds = cut_positions_weighted(along_curve, nparts)
+        for lo in range(0, ncells, chunk):
+            keys = assignment[lo : lo + chunk]
+            keys[:] = np.searchsorted(bounds, keys, side="right") - 1
         return Partition(assignment, nparts=nparts, method=method)
 
 

@@ -517,7 +517,7 @@ class PartitionServer:
         response = await self._resolve(preq)
         return _Result(
             200,
-            json_body(self._stamp_identity(response.to_dict())),
+            json_body(self._stamp_identity(response.to_payload())),
             partitioner=preq.method,
             source=response.source,
         )
@@ -527,7 +527,7 @@ class PartitionServer:
         response = await self._resolve_repartition(rreq)
         return _Result(
             200,
-            json_body(self._stamp_identity(response.to_dict())),
+            json_body(self._stamp_identity(response.to_payload())),
             partitioner=rreq.method,
             source=response.source,
         )
@@ -551,7 +551,7 @@ class PartitionServer:
         async def one(item: object) -> dict:
             try:
                 response = await self._resolve(self._parse_partition_request(item))
-                return response.to_dict()
+                return response.to_payload()
             except HTTPError as exc:
                 return json.loads(error_body(exc))
 
@@ -796,6 +796,7 @@ class PartitionServer:
         if payload is not None:
             replay_payload(payload)
             inc("worker_payloads_merged")
+        response = response.with_request(request)
         if isinstance(request, RepartitionRequest):
             self._repart_cache[request.cache_key()] = response
             while len(self._repart_cache) > REPARTITION_CACHE_SIZE:

@@ -20,6 +20,10 @@ import json
 from dataclasses import dataclass, field
 from urllib.parse import parse_qsl
 
+import numpy as np
+
+from .._native import LIB as _NATIVE
+
 __all__ = [
     "HTTPError",
     "HTTPRequest",
@@ -212,9 +216,68 @@ def render_response(
     return head + b"\r\n\r\n" + body
 
 
+#: What the skeleton encoder writes in place of each int64 array: the
+#: JSON string ``"\x00"``.  A payload string whose JSON text contains
+#: the mark's text shows up as a surplus mark, and that body is encoded
+#: again the plain way.
+_MARK = "\x00"
+_MARK_TEXT = json.dumps(_MARK).encode("ascii")
+
+
+def _int_array_text(arr: np.ndarray) -> bytes:
+    """``json.dumps(arr.tolist())`` of an int64 array, in one C pass."""
+    n = len(arr)
+    out = np.empty(2 + 22 * n, dtype=np.uint8)
+    size = _NATIVE.json_int_array(n, arr.ctypes.data, out.ctypes.data)
+    return out[:size].tobytes()
+
+
+def _as_list(obj: object) -> object:
+    if isinstance(obj, np.ndarray):
+        return obj.tolist()
+    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+
+
+def _plain_body(payload: dict | list) -> bytes:
+    return json.dumps(payload, sort_keys=True, default=_as_list).encode("utf-8")
+
+
 def json_body(payload: dict | list) -> bytes:
-    """Encode a JSON response body (sorted keys: stable for tests)."""
-    return json.dumps(payload, sort_keys=True).encode("utf-8")
+    """Encode a JSON response body (sorted keys: stable for tests).
+
+    NumPy arrays may stand anywhere a list would; the body is
+    byte-for-byte ``json.dumps(payload_with_lists, sort_keys=True)``.
+    The ``json`` module's C encoder writes the skeleton with a mark
+    where each 1-D int64 array goes, and the ``json_int_array`` kernel
+    writes each array's text, spliced in at its mark; other arrays, and
+    every array without the kernels, go through ``.tolist()``.
+    """
+    if _NATIVE is None:
+        return _plain_body(payload)
+    arrays: list[np.ndarray] = []
+
+    def mark(obj: object) -> object:
+        if (
+            isinstance(obj, np.ndarray)
+            and obj.dtype == np.int64
+            and obj.ndim == 1
+            and obj.flags.c_contiguous
+        ):
+            arrays.append(obj)
+            return _MARK
+        return _as_list(obj)
+
+    text = json.dumps(payload, sort_keys=True, default=mark).encode("utf-8")
+    if not arrays:
+        return text
+    pieces = text.split(_MARK_TEXT)
+    if len(pieces) != len(arrays) + 1:  # a payload string equal to _MARK
+        return _plain_body(payload)
+    parts = [pieces[0]]
+    for arr, piece in zip(arrays, pieces[1:]):
+        parts.append(_int_array_text(arr))
+        parts.append(piece)
+    return b"".join(parts)
 
 
 def error_body(exc: HTTPError) -> bytes:

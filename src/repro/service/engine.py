@@ -161,6 +161,9 @@ def _pool_compute(item: tuple[PartitionRequest, bool, dict | None]):
 
     Dispatches on the request type, so partition and repartition
     requests share one pool path (and one tuple shape on the wire).
+    The response travels back without its request (the caller holds
+    it and re-attaches it with ``with_request``): a repartition's old
+    assignment would otherwise double the pickled result.
     """
     request, collect, ctx_dict = item
     compute = (
@@ -169,7 +172,7 @@ def _pool_compute(item: tuple[PartitionRequest, bool, dict | None]):
         else compute_response
     )
     if not collect:
-        return compute(request), None
+        return compute(request).with_request(None), None
     with request_context(RequestContext.from_dict(ctx_dict)):
         with worker_session() as session:
             response = compute(request)
@@ -181,7 +184,7 @@ def _pool_compute(item: tuple[PartitionRequest, bool, dict | None]):
                 nparts=request.nparts,
                 elapsed_ms=round(1e3 * response.elapsed_s, 3),
             )
-    return response, session.to_payload()
+    return response.with_request(None), session.to_payload()
 
 
 def _record_response_metrics(response: PartitionResponse) -> None:
@@ -388,12 +391,13 @@ class PartitionEngine:
         with span("pool", "service", misses=len(misses), jobs=self.jobs):
             # Replay inside the pool span so worker spans re-parent
             # under it in the trace.
-            for response, payload in pool.map(
+            results = pool.map(
                 _pool_compute, [(req, collect, ctx_dict) for req in misses]
-            ):
+            )
+            for req, (response, payload) in zip(misses, results):
                 if payload is not None:
                     replay_payload(payload)
                     inc("worker_payloads_merged")
-                responses.append(response)
+                responses.append(response.with_request(req))
         set_gauge("pool_queue_depth", 0)
         return responses

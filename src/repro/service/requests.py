@@ -20,7 +20,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -51,6 +51,40 @@ METRIC_FIELDS = (
 def quality_metrics(quality) -> dict[str, float | int]:
     """Extract the scalar Table-2 metrics of a ``PartitionQuality``."""
     return {name: getattr(quality, name) for name in METRIC_FIELDS}
+
+
+def _listed(arr) -> list:
+    """An array field as the plain list :meth:`to_dict` forms carry."""
+    return np.asarray(arr).tolist()
+
+
+class _Relabel:
+    """Copies of a validated frozen response that change one field.
+
+    Skips ``dataclasses.replace``, which would rerun ``__post_init__``'s
+    validation on every cache hit and coalesced joiner; a copy shares
+    every other field, the read-only assignment included.
+    """
+
+    def _copy(self, name: str, value):
+        clone = object.__new__(type(self))
+        clone.__dict__.update(self.__dict__)
+        object.__setattr__(clone, name, value)
+        return clone
+
+    def with_source(self, source: str):
+        """This response, labelled as served from ``source``."""
+        return self._copy("source", source)
+
+    def with_request(self, request):
+        """This response answering ``request``.
+
+        A pool worker sends its response back with ``None`` here, so
+        the request (the whole old assignment, for a repartition) does
+        not cross the process boundary twice; the caller, which holds
+        the request, attaches it again.
+        """
+        return self._copy("request", request)
 
 
 def _sha256_json(payload: dict) -> str:
@@ -344,7 +378,7 @@ class PartitionRequest:
 
 
 @dataclass(frozen=True)
-class PartitionResponse:
+class PartitionResponse(_Relabel):
     """The service's answer to one :class:`PartitionRequest`.
 
     Attributes:
@@ -388,19 +422,27 @@ class PartitionResponse:
             self.assignment, nparts=self.request.nparts, method=self.request.method
         )
 
-    def with_source(self, source: str) -> "PartitionResponse":
-        return replace(self, source=source)
-
-    def to_dict(self) -> dict:
-        """JSON-ready plain-dict form (shared by files and the server)."""
+    def _fields(self, array) -> dict:
         return {
             "schema": 1,
             "request": self.request.to_wire(),
-            "assignment": self.assignment.tolist(),
+            "assignment": array(self.assignment),
             "metrics": self.metrics,
             "elapsed_s": self.elapsed_s,
             "source": self.source,
         }
+
+    def to_dict(self) -> dict:
+        """JSON-ready plain-dict form (shared by files and the server)."""
+        return self._fields(_listed)
+
+    def to_payload(self) -> dict:
+        """:meth:`to_dict` with the assignment left as an int64 array.
+
+        What the server hands :func:`~repro.server.http.json_body`,
+        which writes the array's text natively (same bytes).
+        """
+        return self._fields(np.asarray)
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), sort_keys=True)
@@ -511,17 +553,20 @@ class RepartitionRequest:
         """Content address: SHA-256 of the canonical JSON form."""
         return _sha256_json(self.canonical())
 
-    def to_wire(self) -> dict:
-        """Round-trippable plain-dict form (full old assignment)."""
+    def _wire(self, array) -> dict:
         return {
             "ne": self.ne,
             "nparts": self.nparts,
             "method": self.method,
             "seed": self.seed,
             "schedule": self.schedule,
-            "old_assignment": self.old_assignment.tolist(),
+            "old_assignment": array(self.old_assignment),
             "weights": self.weights.to_wire(),
         }
+
+    def to_wire(self) -> dict:
+        """Round-trippable plain-dict form (full old assignment)."""
+        return self._wire(_listed)
 
     def resolve_weights(self) -> np.ndarray:
         """The concrete new-weight array."""
@@ -570,7 +615,7 @@ class RepartitionRequest:
 
 
 @dataclass(frozen=True)
-class RepartitionResponse:
+class RepartitionResponse(_Relabel):
     """The service's answer to one :class:`RepartitionRequest`.
 
     Attributes:
@@ -587,18 +632,24 @@ class RepartitionResponse:
     elapsed_s: float = 0.0
     source: str = "computed"
 
-    def with_source(self, source: str) -> "RepartitionResponse":
-        return replace(self, source=source)
-
-    def to_dict(self) -> dict:
-        """JSON-ready plain-dict form (shared by files and the server)."""
+    def _fields(self, array) -> dict:
         return {
             "schema": 1,
-            "request": self.request.to_wire(),
-            "plan": self.plan.to_dict(include_assignment=True),
+            "request": self.request._wire(array),
+            "plan": self.plan._fields(array, include_assignment=True),
             "elapsed_s": self.elapsed_s,
             "source": self.source,
         }
+
+    def to_dict(self) -> dict:
+        """JSON-ready plain-dict form (shared by files and the server)."""
+        return self._fields(_listed)
+
+    def to_payload(self) -> dict:
+        """:meth:`to_dict` with the echoed old assignment, the new
+        assignment and the moves left as int64 arrays (for
+        :func:`~repro.server.http.json_body`; same bytes)."""
+        return self._fields(np.asarray)
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), sort_keys=True)

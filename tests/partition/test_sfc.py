@@ -168,6 +168,25 @@ class TestKeyedCut:
         with pytest.raises(ValueError, match="chunk"):
             keyed_cut(lambda ids: ids.astype(np.uint64), 24, 4, chunk=0)
 
+    @pytest.mark.parametrize("weighted", [False, True])
+    @pytest.mark.parametrize("chunk", [1, 7, 96, 1000])
+    def test_one_key_pass(self, weighted, chunk):
+        """Each element is keyed once, with or without weights."""
+        from repro.cubesphere.curve import element_keys
+
+        calls = []
+
+        def key_fn(ids):
+            calls.append(len(ids))
+            return element_keys(4, gids=ids)
+
+        w = np.random.default_rng(3).uniform(0.5, 2.0, 96) if weighted else None
+        part = keyed_cut(key_fn, 96, 8, weights=w, chunk=chunk)
+        assert len(calls) == -(-96 // chunk) and sum(calls) == 96
+        np.testing.assert_array_equal(
+            part.assignment, sfc_partition(4, 8, weights=w).assignment
+        )
+
 
 class TestMortonPartition:
     def test_balanced_and_valid(self):

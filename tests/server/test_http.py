@@ -5,11 +5,15 @@ from __future__ import annotations
 import asyncio
 import json
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.server.http import (
     HTTPError,
     error_body,
+    json_body,
     read_request,
     render_response,
 )
@@ -118,3 +122,135 @@ class TestRenderResponse:
             "code": "overloaded",
             "message": "busy",
         }
+
+
+# -- json_body: arrays encoded natively, bytes as json.dumps of lists ------
+
+_INT64 = st.integers(-(2**63), 2**63 - 1)
+_EDGES = st.sampled_from([-(2**63), -(2**63) + 1, -1, 0, 1, 9, 10, 2**63 - 1])
+_ARRAYS = st.lists(st.one_of(_INT64, _EDGES), max_size=40).map(
+    lambda values: np.array(values, dtype=np.int64)
+)
+#: Keys that sort next to each other and to the array fields, and the
+#: skeleton's own mark (a string "\x00"), which must not be mistaken
+#: for an array.
+_KEYS = st.sampled_from(
+    ["a", "assignment", "assignment_", "b", "moves", "old_assignment",
+     "z", "\x00", '"', ""]
+)
+_LEAVES = st.one_of(
+    _ARRAYS,
+    st.none(),
+    st.booleans(),
+    _INT64,
+    st.floats(allow_nan=False),
+    st.text(max_size=5),
+    st.sampled_from(["\x00", '"\x00"', 'a"\x00', "\x00\x00"]),
+)
+_PAYLOADS = st.recursive(
+    _LEAVES,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4), st.dictionaries(_KEYS, inner, max_size=5)
+    ),
+    max_leaves=12,
+)
+
+
+def _lists(obj):
+    """The payload with every array as the list ``.tolist()`` gives."""
+    if isinstance(obj, np.ndarray):
+        return obj.tolist()
+    if isinstance(obj, dict):
+        return {k: _lists(v) for k, v in obj.items()}
+    if isinstance(obj, list):
+        return [_lists(v) for v in obj]
+    return obj
+
+
+def _expected(payload) -> bytes:
+    return json.dumps(_lists(payload), sort_keys=True).encode("utf-8")
+
+
+class TestJsonBody:
+    @settings(max_examples=300, deadline=None)
+    @given(_ARRAYS)
+    def test_array_text_matches_json_dumps(self, arr):
+        assert json_body({"assignment": arr}) == _expected({"assignment": arr})
+        assert json_body([arr]) == _expected([arr])
+
+    @settings(max_examples=300, deadline=None)
+    @given(_PAYLOADS)
+    def test_nested_payloads_match_json_dumps(self, payload):
+        assert json_body(payload) == _expected(payload)
+
+    def test_int64_range_edges(self):
+        arr = np.array([-(2**63), 2**63 - 1, 0, -1], dtype=np.int64)
+        body = json_body({"a": arr})
+        assert body == b'{"a": [-9223372036854775808, 9223372036854775807, 0, -1]}'
+
+    @pytest.mark.parametrize(
+        "arr",
+        [
+            np.arange(5, dtype=np.int32),
+            np.arange(5, dtype=np.uint8),
+            np.linspace(0.0, 1.0, 4),
+            np.array([True, False]),
+            np.arange(6, dtype=np.int64).reshape(2, 3),
+            np.arange(10, dtype=np.int64)[::3],
+            np.arange(3, dtype=">i8"),
+            np.array(7, dtype=np.int64),
+        ],
+    )
+    def test_other_arrays_go_through_tolist(self, arr):
+        payload = {"x": arr, "y": np.arange(3, dtype=np.int64)}
+        assert json_body(payload) == _expected(payload)
+
+    def test_mark_string_in_payload(self):
+        payload = {"\x00": "\x00", "a": np.arange(3, dtype=np.int64)}
+        assert json_body(payload) == _expected(payload)
+
+    def test_unencodable_object_still_raises(self):
+        with pytest.raises(TypeError, match="not JSON serializable"):
+            json_body({"a": np.arange(2, dtype=np.int64), "b": object()})
+
+    def test_partition_response_payload(self):
+        from repro.service import PartitionRequest, compute_response
+
+        resp = compute_response(PartitionRequest(ne=4, nparts=12, method="rb"))
+        data = resp.to_payload()
+        data["request_id"] = "r1"
+        want = resp.to_dict()
+        want["request_id"] = "r1"
+        assert json_body(data) == json.dumps(want, sort_keys=True).encode()
+
+    def test_repartition_response_payload(self):
+        from repro.partition.sfc import sfc_partition
+        from repro.service import RepartitionRequest
+        from repro.service.engine import compute_repartition_response
+
+        old = sfc_partition(4, 8).assignment
+        resp = compute_repartition_response(
+            RepartitionRequest(
+                ne=4,
+                old_assignment=old,
+                weights={"scenario": "storm", "step": 3},
+            )
+        )
+        assert resp.plan.elements_moved > 0
+        assert json_body(resp.to_payload()) == json.dumps(
+            resp.to_dict(), sort_keys=True
+        ).encode()
+
+    def test_batch_payload(self):
+        from repro.service import PartitionRequest, compute_response
+
+        responses = [
+            compute_response(PartitionRequest(ne=2, nparts=n, method=m))
+            for n, m in ((4, "sfc"), (6, "kway"), (3, "block"))
+        ]
+        error = json.loads(error_body(HTTPError(422, "invalid_request", "no")))
+        data = {"schema": 1, "responses": [r.to_payload() for r in responses]}
+        data["responses"].append(error)
+        want = {"schema": 1, "responses": [r.to_dict() for r in responses]}
+        want["responses"].append(error)
+        assert json_body(data) == json.dumps(want, sort_keys=True).encode()

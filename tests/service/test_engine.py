@@ -104,6 +104,17 @@ class TestParallelExecution:
             assert np.array_equal(a.assignment, b.assignment)
             assert a.metrics == b.metrics
 
+    def test_pool_result_leaves_the_request_behind(self):
+        from repro.service.engine import _pool_compute
+
+        req = PartitionRequest(ne=2, nparts=4)
+        response, payload = _pool_compute((req, False, None))
+        assert response.request is None and payload is None
+        with PartitionEngine(jobs=2) as engine:
+            reqs = [PartitionRequest(ne=2, nparts=n) for n in (2, 3)]
+            for r, resp in zip(reqs, engine.run(reqs)):
+                assert resp.request is r
+
     def test_stats_track_workers(self):
         engine = PartitionEngine(jobs=2)
         engine.run([PartitionRequest(ne=2, nparts=n) for n in (2, 3, 4, 6)])

@@ -117,6 +117,39 @@ class TestPartitionResponse:
         assert np.array_equal(back.assignment, resp.assignment)
         assert back.metrics == resp.metrics
 
+    def test_with_source_copies_without_revalidating(self, monkeypatch):
+        resp = compute_response(PartitionRequest(ne=2, nparts=6, seed=2))
+
+        def fail(self):
+            raise AssertionError("__post_init__ reran")
+
+        monkeypatch.setattr(PartitionResponse, "__post_init__", fail)
+        hit = resp.with_source("memory")
+        assert hit is not resp and type(hit) is PartitionResponse
+        assert hit.source == "memory" and resp.source == "computed"
+        assert hit.assignment is resp.assignment
+        assert not hit.assignment.flags.writeable
+        assert hit.request is resp.request and hit.metrics is resp.metrics
+        assert hit.elapsed_s == resp.elapsed_s
+        with pytest.raises(AttributeError):
+            hit.source = "disk"
+
+    def test_with_request_reattaches(self):
+        resp = compute_response(PartitionRequest(ne=2, nparts=4))
+        detached = resp.with_request(None)
+        assert detached.request is None and detached.assignment is resp.assignment
+        back = detached.with_request(resp.request)
+        assert back.request is resp.request
+        assert back.to_dict() == resp.to_dict()
+
+    def test_payload_keeps_the_array(self):
+        resp = compute_response(PartitionRequest(ne=2, nparts=4))
+        payload = resp.to_payload()
+        assert payload["assignment"] is resp.assignment
+        data = resp.to_dict()
+        assert data["assignment"] == resp.assignment.tolist()
+        assert {**payload, "assignment": data["assignment"]} == data
+
     def test_to_partition(self):
         resp = compute_response(PartitionRequest(ne=2, nparts=4, method="block"))
         part = resp.to_partition()
@@ -156,3 +189,34 @@ class TestLoadRequestFile:
         path.write_text('{"nope": 1}')
         with pytest.raises(ValueError, match="expected a JSON list"):
             load_request_file(path)
+
+
+class TestRepartitionResponse:
+    def _response(self):
+        from repro.partition.sfc import sfc_partition
+        from repro.service import RepartitionRequest, compute_repartition_response
+
+        return compute_repartition_response(
+            RepartitionRequest(
+                ne=4,
+                old_assignment=sfc_partition(4, 8).assignment,
+                weights={"scenario": "storm", "step": 5},
+            )
+        )
+
+    def test_with_source_shares_the_plan(self):
+        resp = self._response()
+        hit = resp.with_source("coalesced")
+        assert hit.source == "coalesced" and resp.source == "computed"
+        assert hit.plan is resp.plan and hit.request is resp.request
+
+    def test_payload_matches_to_dict(self):
+        resp = self._response()
+        payload = resp.to_payload()
+        assert payload["plan"]["assignment"] is resp.plan.new_assignment
+        assert payload["request"]["old_assignment"] is resp.request.old_assignment
+        data = resp.to_dict()
+        assert json.loads(json.dumps(data)) == data
+        assert data["plan"]["moves"] == {
+            str(r): g.tolist() for r, g in resp.plan.moves.items()
+        }

@@ -43,19 +43,23 @@ print(json.dumps(session.metrics.snapshot()))
 _EXCLUDE = {"request_compute_seconds", "part_graph_total"}
 
 
-def _run(no_ckernels: bool) -> dict:
+def _subprocess_stdout(script: str, no_ckernels: bool) -> str:
     env = dict(os.environ)
     env.pop("REPRO_NO_CKERNELS", None)
     if no_ckernels:
         env["REPRO_NO_CKERNELS"] = "1"
     proc = subprocess.run(
-        [sys.executable, "-c", _SCRIPT],
+        [sys.executable, "-c", script],
         capture_output=True,
         text=True,
         env=env,
         check=True,
     )
-    snapshot = json.loads(proc.stdout)
+    return proc.stdout
+
+
+def _run(no_ckernels: bool) -> dict:
+    snapshot = json.loads(_subprocess_stdout(_SCRIPT, no_ckernels))
     return {
         (e["name"], tuple(sorted(e.get("labels", {}).items()))): {
             k: v for k, v in e.items() if k not in ("name", "labels")
@@ -92,3 +96,39 @@ def test_kernel_selection_label_reflects_fallback():
         if e["name"] == "part_graph_total"
     ]
     assert labels and all(lab["kernels"] == "python" for lab in labels)
+
+
+_BODIES = """
+import dataclasses, json
+from repro.partition.sfc import sfc_partition
+from repro.server.http import _NATIVE, json_body
+from repro.service import (
+    PartitionRequest, RepartitionRequest,
+    compute_repartition_response, compute_response,
+)
+
+responses = [
+    compute_response(PartitionRequest(ne=16, nparts=24, method="rb")),
+    compute_repartition_response(RepartitionRequest(
+        ne=16, nparts=16, old_assignment=sfc_partition(16, 16).assignment,
+        weights={"scenario": "storm", "step": 4},
+    )),
+]
+bodies = [
+    json_body(dataclasses.replace(r, elapsed_s=0.0).to_payload()).decode()
+    for r in responses
+]
+print(json.dumps({"native": _NATIVE is not None, "bodies": bodies}))
+"""
+
+
+def test_response_bodies_identical_with_and_without_ckernels():
+    """The /partition and /repartition bodies do not depend on the kernels."""
+    with_kernels = json.loads(_subprocess_stdout(_BODIES, no_ckernels=False))
+    fallback = json.loads(_subprocess_stdout(_BODIES, no_ckernels=True))
+    assert not fallback["native"]
+    assert with_kernels["bodies"] == fallback["bodies"]
+    partition, repartition = (json.loads(b) for b in fallback["bodies"])
+    assert len(partition["assignment"]) == 1536
+    assert len(repartition["plan"]["assignment"]) == 1536
+    assert repartition["plan"]["moves"]

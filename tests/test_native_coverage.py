@@ -23,6 +23,7 @@ from repro.cubesphere import cubed_sphere_mesh
 from repro.graphs import mesh_graph
 from repro.metis import part_graph
 from repro.seam import build_geometry
+from repro.server.http import json_body
 from repro.sfc.keys import curve_keys
 
 pytestmark = pytest.mark.skipif(_native.LIB is None, reason="C kernels unavailable")
@@ -62,7 +63,7 @@ def test_every_declared_kernel_is_called(monkeypatch):
     assert {mod.__name__ for mod, _ in gated} >= {
         "repro.graphs.csr", "repro.metis.bisection", "repro.metis.coarsen",
         "repro.metis.initial", "repro.metis.matching", "repro.metis.refine",
-        "repro.seam.dss", "repro.sfc.keys",
+        "repro.seam.dss", "repro.server.http", "repro.sfc.keys",
     }
     for mod, attr in gated:
         monkeypatch.setattr(mod, attr, proxy)
@@ -78,6 +79,7 @@ def test_every_declared_kernel_is_called(monkeypatch):
     dss_mod.DSSOperator(geom).apply(field)
     curve_mod.element_keys(4)
     curve_keys(np.arange(4), np.arange(4), schedule="HH")
+    json_body({"assignment": np.arange(4, dtype=np.int64)})
 
     missing = sorted(set(_native.SIGNATURES) - set(proxy.calls))
     assert not missing, f"declared kernels never called: {missing}"
