@@ -21,7 +21,9 @@
  *   rb_split      the left/right split of bisection.recursive_bisection,
  *                 order-based fallback included;
  *   json_int_array  the JSON text of an int64 array (the response
- *                 bodies' assignment and gid lists).
+ *                 bodies' assignment and gid lists);
+ *   json_int_arrays  the int arrays of a JSON text (the request
+ *                 bodies' old assignments), parsed in one pass.
  *
  * The rb_* kernels let recursive bisection run level-synchronously:
  * every bisection at one recursion depth is independent of the others
@@ -1301,4 +1303,114 @@ int64_t json_int_array(int64_t n, const int64_t *a, char *out)
     }
     *p++ = ']';
     return (int64_t)(p - out);
+}
+
+static int json_ws(char c)
+{
+    return c == ' ' || c == '\t' || c == '\n' || c == '\r';
+}
+
+/* One strict JSON integer, -?(0|[1-9][0-9]*), within int64, at
+ * t[*p]; advances *p past it.  Returns 0, or -1 (*p unspecified) when
+ * there is none or it overflows.  A digit after a leading 0 is left
+ * for the caller to reject. */
+static int json_int(const char *t, int64_t n, int64_t *p, int64_t *out)
+{
+    int64_t i = *p;
+    const int neg = i < n && t[i] == '-';
+    i += neg;
+    if (i >= n || t[i] < '0' || t[i] > '9')
+        return -1;
+    /* |value| <= 2^63 - 1 + neg = 10 cap + last */
+    const uint64_t cap = 922337203685477580u, last = 7u + (uint64_t)neg;
+    uint64_t u = 0;
+    if (t[i] == '0')
+        i++;
+    else
+        for (; i < n && t[i] >= '0' && t[i] <= '9'; i++) {
+            const uint64_t d = (uint64_t)(t[i] - '0');
+            if (u > cap || (u == cap && d > last))
+                return -1;
+            u = u * 10 + d;
+        }
+    *out = neg ? (int64_t)((uint64_t)0 - u) : (int64_t)u;
+    *p = i;
+    return 0;
+}
+
+/* The array opening at t[i] == '[' if it holds only strict integers
+ * separated by commas and JSON whitespace: its values go to out, its
+ * length to *count, and the result is one past its ']'.  Otherwise
+ * -1. */
+static int64_t json_int_list(
+    const char *t, int64_t n, int64_t i, int64_t *out, int64_t *count)
+{
+    int64_t p = i + 1, m = 0;
+    while (p < n && json_ws(t[p]))
+        p++;
+    if (p < n && t[p] == ']') {
+        *count = 0;
+        return p + 1;
+    }
+    for (;;) {
+        if (json_int(t, n, &p, out + m))
+            return -1;
+        m++;
+        while (p < n && json_ws(t[p]))
+            p++;
+        if (p >= n)
+            return -1;
+        if (t[p] == ']') {
+            *count = m;
+            return p + 1;
+        }
+        if (t[p] != ',')
+            return -1;
+        for (p++; p < n && json_ws(t[p]); p++)
+            ;
+    }
+}
+
+/* The int arrays of the JSON text t[0:n], for the server's request
+ * decoder.  One pass that skips strings (and their backslash escapes)
+ * and tries every '[' whose previous significant byte is ':' -- an
+ * object member's value.  An array of strict JSON integers within
+ * int64 (json_int_list) is recorded as one row of spans, [start,
+ * stop, count]: its text is t[start:stop], and its count values follow
+ * the previous arrays' in values.  Anything else (floats, exponents,
+ * leading zeros, trailing commas, out-of-range ints, nested values)
+ * stays text, and the scan goes on inside it.  The text need not be
+ * valid JSON; the caller decodes it.  Every recorded array costs at
+ * least ":[]", and every value a digit and a separator, so spans
+ * needs 3 (n / 3 + 1) entries and values n / 2 + 1.  Returns the
+ * number of arrays. */
+int64_t json_int_arrays(int64_t n, const char *t, int64_t *spans, int64_t *values)
+{
+    int64_t narrays = 0, nvalues = 0;
+    char prev = 0;
+    for (int64_t i = 0; i < n; i++) {
+        const char c = t[i];
+        if (c == '"') {
+            for (i++; i < n && t[i] != '"'; i++)
+                if (t[i] == '\\')
+                    i++;
+            prev = '"';
+        } else if (c == '[' && prev == ':') {
+            int64_t count;
+            const int64_t stop = json_int_list(t, n, i, values + nvalues, &count);
+            prev = '[';
+            if (stop < 0)
+                continue;
+            spans[3 * narrays] = i;
+            spans[3 * narrays + 1] = stop;
+            spans[3 * narrays + 2] = count;
+            narrays++;
+            nvalues += count;
+            i = stop - 1;
+            prev = ']';
+        } else if (!json_ws(c)) {
+            prev = c;
+        }
+    }
+    return narrays;
 }

@@ -11,7 +11,8 @@ projection, and the left/right split), which also serve the
 single-graph ``CSRGraph.subgraph``, ``greedy_graph_growing`` and
 ``fm_refine_bisection`` — plus the SEAM DSS projection, SFC keying and
 the JSON text of int64 arrays (``json_int_array``, for the server's
-response bodies; see that file for the bit-identity contract).  This module compiles
+response bodies; see that file for the bit-identity contract) and its
+inverse (``json_int_arrays``, for request bodies).  This module compiles
 it once with the system C compiler into a content-addressed cache
 directory and loads it through :mod:`ctypes` — no third-party build
 machinery, no install step.
@@ -147,6 +148,12 @@ SIGNATURES: dict[str, list] = {
         _I64,  # n
         _VP,  # int64 values
         _VP,  # text (out, 2 + 22 n bytes)
+    ],
+    "json_int_arrays": [
+        _I64,  # len(text)
+        _VP,  # text (bytes)
+        _VP,  # spans (out, rows of [start, stop, count])
+        _VP,  # int64 values (out)
     ],
 }
 

@@ -160,8 +160,9 @@ def refine_cut_positions(
     nparts = len(bounds) - 1
     prefix = np.concatenate([[0.0], np.cumsum(weights)])
 
-    def load(p: int) -> float:
-        return prefix[bounds[p + 1]] - prefix[bounds[p]]
+    def pair_max(p: int, b: int) -> float:
+        """Larger load of segments p-1 and p, were bound p at ``b``."""
+        return max(prefix[b] - prefix[bounds[p - 1]], prefix[bounds[p + 1]] - prefix[b])
 
     sweeps = 0
     moved = True
@@ -170,24 +171,19 @@ def refine_cut_positions(
         sweeps += 1
         for p in range(1, nparts):
             while True:
-                left, right = load(p - 1), load(p)
-                worse = max(left, right)
                 b = bounds[p]
-                # Shift the left segment's last element rightward.
-                if b - bounds[p - 1] >= 2:
-                    w = weights[b - 1]
-                    if max(left - w, right + w) < worse:
-                        bounds[p] = b - 1
-                        moved = True
-                        continue
-                # Shift the right segment's first element leftward.
-                if bounds[p + 1] - b >= 2:
-                    w = weights[b]
-                    if max(left + w, right - w) < worse:
-                        bounds[p] = b + 1
-                        moved = True
-                        continue
-                break
+                worse = pair_max(p, b)
+                # Shift the left segment's last element rightward, else
+                # the right segment's first element leftward.  Judged by
+                # the loads after the shift, not ``left - w``: rounding
+                # can make two opposite shifts each look like a gain.
+                if b - bounds[p - 1] >= 2 and pair_max(p, b - 1) < worse:
+                    bounds[p] = b - 1
+                elif bounds[p + 1] - b >= 2 and pair_max(p, b + 1) < worse:
+                    bounds[p] = b + 1
+                else:
+                    break
+                moved = True
     return bounds
 
 

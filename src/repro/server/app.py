@@ -102,6 +102,7 @@ from ..telemetry.sampling import MAX_SECONDS, sample_stacks
 from .http import (
     HTTPError,
     HTTPRequest,
+    decode_json_body,
     error_body,
     json_body,
     read_request,
@@ -500,9 +501,11 @@ class PartitionServer:
 
     def _decode_json(self, body: bytes) -> object:
         try:
-            return json.loads(body.decode("utf-8"))
+            return decode_json_body(body)
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise HTTPError(400, "bad_json", f"request body is not valid JSON: {exc}")
+        except RecursionError:
+            raise HTTPError(400, "bad_json", "request body nests too deeply")
 
     def _stamp_identity(self, data: dict) -> dict:
         """Add the request/trace ids to an outgoing JSON body."""

@@ -30,6 +30,7 @@ __all__ = [
     "MAX_BODY_BYTES",
     "MAX_HEADER_BYTES",
     "STATUS_PHRASES",
+    "decode_json_body",
     "error_body",
     "json_body",
     "read_request",
@@ -219,7 +220,8 @@ def render_response(
 #: What the skeleton encoder writes in place of each int64 array: the
 #: JSON string ``"\x00"``.  A payload string whose JSON text contains
 #: the mark's text shows up as a surplus mark, and that body is encoded
-#: again the plain way.
+#: again the plain way.  The request decoder's marks are this string
+#: followed by the array's index.
 _MARK = "\x00"
 _MARK_TEXT = json.dumps(_MARK).encode("ascii")
 
@@ -278,6 +280,76 @@ def json_body(payload: dict | list) -> bytes:
         parts.append(_int_array_text(arr))
         parts.append(piece)
     return b"".join(parts)
+
+
+def _place(obj: object, key: str, arrays: list[np.ndarray]) -> int:
+    """Put the array whose mark is ``obj[key]`` there; 1 if it was one."""
+    value = obj.get(key) if isinstance(obj, dict) else None
+    if type(value) is str and value[:1] == _MARK:
+        obj[key] = arrays[int(value[1:])]
+        return 1
+    return 0
+
+
+def _place_request(item: object, arrays: list[np.ndarray]) -> int:
+    """Fill a request object's array fields; the number of marks used."""
+    placed = _place(item, "old_assignment", arrays) + _place(item, "weights", arrays)
+    if isinstance(item, dict):
+        placed += _place(item.get("weights"), "inline", arrays)
+    return placed
+
+
+def decode_json_body(body: bytes) -> object:
+    """Decode a JSON request body: ``json.loads(body.decode("utf-8"))``.
+
+    The ``json_int_arrays`` kernel parses, in one C pass, every array
+    of strict int64 JSON integers that is an object member's value;
+    the ``json`` module decodes the rest, a mark string
+    ``"\\u0000<i>"`` standing in for array ``i``.  The arrays go back
+    in, as int64 NumPy arrays, at a request object's array fields only
+    (``old_assignment``, list-form ``weights``, ``weights.inline``) of
+    the body itself and of each item of a list or ``{"requests":
+    [...]}`` body.  A mark left anywhere else, a skeleton that does not
+    decode, a body holding the escape ``\\u0000`` (a string could then
+    equal a mark), and every body without the kernels go through
+    ``json.loads`` whole, so every other value, and every error, is
+    exactly ``json.loads``'s.
+
+    Raises:
+        UnicodeDecodeError: The body is not UTF-8.
+        json.JSONDecodeError: The body is not JSON.
+        RecursionError: The body nests too deeply.
+    """
+    text = body.decode("utf-8")
+    if _NATIVE is None or b"[" not in body or b"\\u0000" in body:
+        return json.loads(text)
+    n = len(body)
+    spans = np.empty(3 * (n // 3 + 1), dtype=np.int64)
+    values = np.empty(n // 2 + 1, dtype=np.int64)
+    count = _NATIVE.json_int_arrays(n, body, spans.ctypes.data, values.ctypes.data)
+    if not count:
+        return json.loads(text)
+    pieces: list[bytes] = []
+    arrays: list[np.ndarray] = []
+    pos = first = 0
+    for i, (start, stop, size) in enumerate(
+        spans[: 3 * count].reshape(count, 3).tolist()
+    ):
+        pieces += (body[pos:start], _MARK_TEXT[:-1] + b'%d"' % i)
+        # A copy, so a kept request does not pin the whole buffer.
+        arrays.append(values[first : first + size].copy())
+        pos, first = stop, first + size
+    pieces.append(body[pos:])
+    try:
+        data = json.loads(b"".join(pieces).decode("utf-8"))
+    except json.JSONDecodeError:
+        return json.loads(text)
+    items = data if isinstance(data, list) else [data]
+    if isinstance(data, dict) and isinstance(data.get("requests"), list):
+        items = [data, *data["requests"]]
+    if sum(_place_request(item, arrays) for item in items) != count:
+        return json.loads(text)
+    return data
 
 
 def error_body(exc: HTTPError) -> bytes:

@@ -20,6 +20,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+import reprlib
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -92,6 +93,43 @@ def _sha256_json(payload: dict) -> str:
     return hashlib.sha256(text.encode("ascii")).hexdigest()
 
 
+class _ContentAddressed:
+    """A request whose content address is computed once.
+
+    The key is kept on the instance outside the dataclass fields, so
+    ``__eq__``, ``__hash__``, ``repr`` and ``dataclasses.replace`` (a
+    new instance, which computes its own key) ignore it; it pickles
+    with the request into a pool worker.
+    """
+
+    def cache_key(self) -> str:
+        """Content address: SHA-256 of the canonical JSON form."""
+        key = self.__dict__.get("_cache_key")
+        if key is None:
+            key = _sha256_json(self.canonical())
+            object.__setattr__(self, "_cache_key", key)
+        return key
+
+
+def _int_field(data: dict, name: str, default: int | None = None) -> int:
+    """``int()`` of a wire request's field; ``ValueError`` if it fails."""
+    value = data.get(name, default)
+    try:
+        return int(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ValueError(
+            f"{name} must be an integer, got {reprlib.repr(value)}"
+        ) from None
+
+
+def _float_array(values) -> np.ndarray:
+    """Inline weights as float64; ``ValueError`` if they are not numbers."""
+    try:
+        return np.asarray(values, dtype=np.float64)
+    except (TypeError, OverflowError) as exc:
+        raise ValueError(f"inline weights must be numbers: {exc}") from None
+
+
 @dataclass(frozen=True, eq=False)
 class WeightSpec:
     """Per-element weights of a request: inline values OR a named scenario.
@@ -135,7 +173,7 @@ class WeightSpec:
                 params = params.items()
             try:
                 params = tuple(sorted((str(k), float(v)) for k, v in params))
-            except (TypeError, ValueError) as exc:
+            except (TypeError, ValueError, OverflowError) as exc:
                 raise ValueError(
                     f"scenario params must map names to numbers: {exc}"
                 ) from None
@@ -187,13 +225,13 @@ class WeightSpec:
                 extra = sorted(set(obj) - {"inline"})
                 if extra:
                     raise ValueError(f"unknown inline weight fields: {extra}")
-                spec = cls(values=np.asarray(obj["inline"], dtype=np.float64))
+                spec = cls(values=_float_array(obj["inline"]))
             else:
                 raise ValueError(
                     "weights object needs a 'scenario' name or 'inline' values"
                 )
         elif isinstance(obj, (list, tuple, np.ndarray)):
-            spec = cls(values=np.asarray(obj, dtype=np.float64))
+            spec = cls(values=_float_array(obj))
         else:
             raise ValueError(
                 "weights must be a numeric list, an array, or a scenario "
@@ -258,7 +296,7 @@ class WeightSpec:
 
 
 @dataclass(frozen=True)
-class PartitionRequest:
+class PartitionRequest(_ContentAddressed):
     """One partitioning problem, in canonical form.
 
     Attributes:
@@ -337,10 +375,6 @@ class PartitionRequest:
             out["weights"] = self.weights.canonical()
         return out
 
-    def cache_key(self) -> str:
-        """Content address: SHA-256 of the canonical JSON form."""
-        return _sha256_json(self.canonical())
-
     def to_wire(self) -> dict:
         """Round-trippable plain-dict form (full inline weights)."""
         out = self.canonical()
@@ -364,10 +398,10 @@ class PartitionRequest:
         if "ne" not in data or "nparts" not in data:
             raise ValueError("request needs at least 'ne' and 'nparts'")
         return cls(
-            ne=int(data["ne"]),
-            nparts=int(data["nparts"]),
+            ne=_int_field(data, "ne"),
+            nparts=_int_field(data, "nparts"),
             method=str(data.get("method", "sfc")),
-            seed=int(data.get("seed", 0)),
+            seed=_int_field(data, "seed", 0),
             schedule=data.get("schedule") or None,
             weights=data.get("weights"),
         )
@@ -460,7 +494,7 @@ class PartitionResponse(_Relabel):
 
 
 @dataclass(frozen=True, eq=False)
-class RepartitionRequest:
+class RepartitionRequest(_ContentAddressed):
     """One rebalancing problem: re-cut under new weights, diff vs old.
 
     Attributes:
@@ -499,7 +533,7 @@ class RepartitionRequest:
             raise ValueError(f"ne must be >= 1, got {self.ne}")
         try:
             old = np.asarray(self.old_assignment, dtype=np.int64)
-        except (TypeError, ValueError):
+        except (TypeError, ValueError, OverflowError):
             raise ValueError("old_assignment must be an integer array") from None
         if old.ndim != 1 or len(old) != self.k:
             raise ValueError(
@@ -549,10 +583,6 @@ class RepartitionRequest:
             "weights": self.weights.canonical(),
         }
 
-    def cache_key(self) -> str:
-        """Content address: SHA-256 of the canonical JSON form."""
-        return _sha256_json(self.canonical())
-
     def _wire(self, array) -> dict:
         return {
             "ne": self.ne,
@@ -592,12 +622,12 @@ class RepartitionRequest:
             )
         nparts = data.get("nparts")
         return cls(
-            ne=int(data["ne"]),
+            ne=_int_field(data, "ne"),
             old_assignment=data["old_assignment"],
             weights=data["weights"],
-            nparts=None if nparts is None else int(nparts),
+            nparts=None if nparts is None else _int_field(data, "nparts"),
             method=str(data.get("method", "sfc")),
-            seed=int(data.get("seed", 0)),
+            seed=_int_field(data, "seed", 0),
             schedule=data.get("schedule") or None,
         )
 

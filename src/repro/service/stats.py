@@ -10,11 +10,17 @@ so service telemetry looks like every other table in the repo.
 
 from __future__ import annotations
 
+from collections import Counter, deque
 from dataclasses import dataclass, field
 
 __all__ = ["RequestRecord", "ServiceStats"]
 
 SOURCES = ("computed", "memory", "disk", "dedup", "coalesced")
+
+#: Per-request rows a :class:`ServiceStats` keeps (the newest); its
+#: counts and sums cover every request, so a long-running server's
+#: stats stay O(1) in memory and in ``summary()`` time.
+RECORDS_KEPT = 1024
 
 
 @dataclass(frozen=True)
@@ -46,17 +52,25 @@ class ServiceStats:
 
     Attributes:
         jobs: Worker count of the owning engine.
-        records: Per-request records, in service order.
+        records: The last :data:`RECORDS_KEPT` per-request records, in
+            service order.
         batch_walls: Wall-clock seconds of each ``run()`` call.
     """
 
     jobs: int = 1
-    records: list[RequestRecord] = field(default_factory=list)
+    records: deque[RequestRecord] = field(
+        default_factory=lambda: deque(maxlen=RECORDS_KEPT)
+    )
     batch_walls: list[float] = field(default_factory=list)
+    _counts: Counter = field(init=False, default_factory=Counter, repr=False)
+    _compute_s: float = field(init=False, default=0.0, repr=False)
 
     def record(self, response) -> None:
-        """Append one served response."""
+        """Count one served response and keep its row."""
         req = response.request
+        self._counts[response.source] += 1
+        if response.source == "computed":
+            self._compute_s += response.elapsed_s
         self.records.append(
             RequestRecord(
                 key=req.cache_key()[:12],
@@ -76,10 +90,10 @@ class ServiceStats:
 
     @property
     def total_requests(self) -> int:
-        return len(self.records)
+        return sum(self._counts.values())
 
     def count(self, source: str) -> int:
-        return sum(1 for r in self.records if r.source == source)
+        return self._counts[source]
 
     @property
     def hits(self) -> int:
@@ -88,7 +102,8 @@ class ServiceStats:
 
     @property
     def hit_rate(self) -> float:
-        return self.hits / self.total_requests if self.records else 0.0
+        total = self.total_requests
+        return self.hits / total if total else 0.0
 
     @property
     def wall_s(self) -> float:
@@ -97,7 +112,7 @@ class ServiceStats:
     @property
     def compute_s(self) -> float:
         """Total worker compute time (sums across parallel workers)."""
-        return sum(r.elapsed_s for r in self.records if r.source == "computed")
+        return self._compute_s
 
     @property
     def throughput(self) -> float:

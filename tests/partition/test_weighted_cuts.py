@@ -60,6 +60,14 @@ class TestRefineCutPositions:
         lb_r = load_balance(segment_loads(w, refined))
         assert lb_r < lb_g
 
+    def test_rounding_cannot_make_two_shifts_undo_each_other(self):
+        """Loads 0.1 | 0.2 over [..., 0.1, 0.1, 0.1]: judged by ``left -
+        w``, moving the last bound right and then back left each looked
+        like a gain in floating point, and the pass never ended."""
+        w = np.array([1.0, 1.0, 0.1, 0.1, 0.1])
+        out = refine_cut_positions(w, np.array([0, 1, 2, 3, 5]))
+        assert out.tolist() == [0, 1, 2, 3, 5]
+
     def test_input_bounds_not_mutated(self):
         w = np.array([5.0, 1.0, 1.0, 1.0])
         bounds = np.array([0, 2, 4], dtype=np.int64)

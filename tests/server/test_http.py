@@ -11,7 +11,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.server.http import (
+    _NATIVE,
     HTTPError,
+    decode_json_body,
     error_body,
     json_body,
     read_request,
@@ -254,3 +256,186 @@ class TestJsonBody:
         want = {"schema": 1, "responses": [r.to_dict() for r in responses]}
         want["responses"].append(error)
         assert json_body(data) == json.dumps(want, sort_keys=True).encode()
+
+
+# -- decode_json_body: int arrays parsed natively, values as json.loads ----
+
+
+class _Obj:
+    """A JSON object as (key, value) pairs, so keys may repeat."""
+
+    def __init__(self, pairs) -> None:
+        self.pairs = list(pairs)
+
+
+def _text(doc, ws: str, ascii_only: bool) -> str:
+    """JSON text of a document, with ``ws`` around every token."""
+    if isinstance(doc, _Obj):
+        return (
+            "{" + ws
+            + f"{ws},{ws}".join(
+                json.dumps(k, ensure_ascii=ascii_only) + f"{ws}:{ws}"
+                + _text(v, ws, ascii_only)
+                for k, v in doc.pairs
+            )
+            + ws + "}"
+        )
+    if isinstance(doc, list):
+        return (
+            "[" + ws
+            + f"{ws},{ws}".join(_text(v, ws, ascii_only) for v in doc)
+            + ws + "]"
+        )
+    return json.dumps(doc, ensure_ascii=ascii_only)
+
+
+#: Ints at and beyond the int64 edges, and a big one.
+_ANY_INT = st.one_of(
+    st.integers(-(2**63), 2**63 - 1),
+    st.sampled_from([-(2**63), 2**63 - 1, -(2**63) - 1, 2**63, 10**30, 0, -1]),
+)
+_INT_LISTS = st.lists(_ANY_INT, max_size=6)
+#: Strings holding every byte the kernel's scan looks at.
+_TRICKY = st.text(alphabet='ab[]:,"\\\x00 u0{}é', max_size=8)
+_SCALARS = st.one_of(
+    st.none(), st.booleans(), _ANY_INT, _TRICKY,
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+_FIELDS = st.sampled_from(
+    ["old_assignment", "weights", "inline", "requests", "ne", "params", "a"]
+)
+_VALUES = st.recursive(
+    st.one_of(_SCALARS, _INT_LISTS),
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.lists(st.tuples(st.one_of(_FIELDS, _TRICKY), inner), max_size=4).map(
+            _Obj
+        ),
+    ),
+    max_leaves=10,
+)
+_WEIGHTS = st.one_of(
+    _INT_LISTS,
+    st.lists(st.floats(allow_nan=False, allow_infinity=False), max_size=4),
+    _INT_LISTS.map(lambda v: _Obj([("inline", v)])),
+    _VALUES,
+)
+_REQUESTS = st.lists(
+    st.one_of(
+        st.tuples(st.just("old_assignment"), st.one_of(_INT_LISTS, _VALUES)),
+        st.tuples(st.just("weights"), _WEIGHTS),
+        st.tuples(_FIELDS, _VALUES),
+    ),
+    max_size=5,
+).map(_Obj)
+_BODIES = st.one_of(
+    _REQUESTS,
+    st.lists(_REQUESTS, max_size=3),
+    st.tuples(st.lists(_REQUESTS, max_size=3), _REQUESTS).map(
+        lambda t: _Obj([("requests", t[0]), *t[1].pairs])
+    ),
+    _VALUES,
+)
+
+
+def _outcome(decode, body: bytes):
+    try:
+        return decode(body)
+    except (UnicodeDecodeError, ValueError, RecursionError) as exc:
+        return (type(exc), str(exc))
+
+
+def _plain(body: bytes):
+    return json.loads(body.decode("utf-8"))
+
+
+def _assert_same(got, want, key=None) -> None:
+    """``got`` is ``want``, types included, but for int64 arrays at a
+    request's array fields, which must hold ``want``'s values."""
+    if isinstance(got, np.ndarray):
+        assert key in ("old_assignment", "weights", "inline")
+        assert got.dtype == np.int64 and got.ndim == 1
+        assert type(want) is list and all(type(v) is int for v in want)
+        assert got.tolist() == want
+        return
+    assert type(got) is type(want)
+    if isinstance(got, dict):
+        assert list(got) == list(want)
+        for k in got:
+            _assert_same(got[k], want[k], k)
+    elif isinstance(got, list):
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            _assert_same(g, w)
+    else:
+        assert got == want
+
+
+class TestDecodeJsonBody:
+    @settings(max_examples=400, deadline=None)
+    @given(_BODIES, st.sampled_from(["", " ", "\n", "\t", " \r\n "]), st.booleans())
+    def test_request_bodies_decode_as_json_loads(self, doc, ws, ascii_only):
+        body = _text(doc, ws, ascii_only).encode("utf-8")
+        _assert_same(decode_json_body(body), _plain(body))
+
+    @settings(max_examples=300, deadline=None)
+    @given(_BODIES, st.data())
+    def test_malformed_bodies_raise_as_json_loads(self, doc, data):
+        body = _text(doc, " ", False).encode("utf-8")
+        at = data.draw(st.integers(0, len(body)))
+        edit = data.draw(
+            st.sampled_from([b"", b",", b"]", b"[", b":", b'"', b"\xff", b"01"])
+        )
+        cut = data.draw(st.integers(0, 2))
+        body = body[:at] + edit + body[at + cut :]
+        got, want = _outcome(decode_json_body, body), _outcome(_plain, body)
+        if isinstance(want, tuple):
+            assert got == want
+        else:
+            _assert_same(got, want)
+
+    def test_rebalance_body_takes_the_native_path(self):
+        """The kernel finds the old assignment past a string whose
+        escaped quote and backslash a naive scan would misread."""
+        old = np.arange(1536, dtype=np.int64) % 16
+        body = json.dumps(
+            {"ne": 16, "method": 'a"[:1]\\', "old_assignment": old.tolist(),
+             "weights": {"scenario": "storm", "step": 3}}
+        ).encode()
+        data = decode_json_body(body)
+        if _NATIVE is not None:
+            assert isinstance(data["old_assignment"], np.ndarray)
+        _assert_same(data, _plain(body))
+
+    @pytest.mark.parametrize(
+        "body",
+        [
+            b'{"old_assignment": [9223372036854775807, -9223372036854775808]}',
+            b'{"old_assignment": [9223372036854775808]}',
+            b'{"old_assignment": [-9223372036854775809]}',
+            b'{"old_assignment": [-0, 0]}',
+            b'{"old_assignment": [1.0]}',
+            b'{"old_assignment": [1e3]}',
+            b'{"old_assignment": [01]}',
+            b'{"old_assignment": [1,]}',
+            b'{"old_assignment": [-]}',
+            b'{"old_assignment": []}',
+            b'{"old_assignment": [[1]]}',
+            b'{"old_assignment": [1], "old_assignment": [2]}',
+            b'{"old_assignment": [1], "x": "\\u0000"}',
+            b'{"old_assignment": [1], "x": "\\\\u0000"}',
+            b'{"old_assignment": [1], "x": "\\"[1]:"}',
+            b'{"weights": {"inline": [1, 2]}, "params": {"a": [3]}}',
+            b'[{"weights": [1, 2]}, {"old_assignment": [3]}, 4]',
+            b'{"requests": [{"old_assignment": [1]}], "weights": [2]}',
+            b'{"old_assignment": [1]',
+            b'{"old_assignment" [1]}',
+            b"[" * 100_000,
+        ],
+    )
+    def test_edge_cases_decode_as_json_loads(self, body):
+        got, want = _outcome(decode_json_body, body), _outcome(_plain, body)
+        if isinstance(want, tuple):
+            assert got == want
+        else:
+            _assert_same(got, want)

@@ -139,6 +139,37 @@ class TestCachingAndCoalescing:
         run(inner())
 
 
+class TestHashedOnce:
+    def test_each_request_object_is_hashed_once(self, monkeypatch):
+        """A served /repartition, a computed /partition and its warm
+        repeat hash each request object once, where the server used to
+        re-hash the old assignment at every cache_key() call."""
+        import repro.service.requests as requests_mod
+
+        hashed: list[dict] = []
+        sha256_json = requests_mod._sha256_json
+
+        def counting(payload: dict) -> str:
+            hashed.append(payload)
+            return sha256_json(payload)
+
+        repartition = storm_request().to_wire()
+        partition = {"ne": NE, "nparts": 8}
+        monkeypatch.setattr(requests_mod, "_sha256_json", counting)
+
+        async def inner():
+            async with PartitionServer(PartitionEngine()) as server:
+                async with await Connection.open(*server.address) as conn:
+                    plan = (await conn.repartition(repartition)).json()
+                    cold = (await conn.partition(partition)).json()
+                    warm = (await conn.partition(partition)).json()
+            return plan["source"], cold["source"], warm["source"]
+
+        assert run(inner()) == ("computed", "computed", "memory")
+        kinds = [p.get("kind", "partition") for p in hashed]
+        assert kinds == ["repartition", "partition", "partition"]
+
+
 class TestValidation:
     async def _post(self, body: dict) -> tuple[int, dict]:
         async with PartitionServer(PartitionEngine()) as server:

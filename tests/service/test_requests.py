@@ -59,6 +59,45 @@ class TestPartitionRequest:
         keys = {base.cache_key()} | {v.cache_key() for v in variants}
         assert len(keys) == 6
 
+    def test_cache_key_memo_is_not_a_field(self, monkeypatch):
+        """The key is computed once per object, pickles with it, and
+        stays out of equality, hashing, repr and ``replace``."""
+        import dataclasses
+        import pickle
+
+        import repro.service.requests as requests_mod
+        from repro.partition.sfc import sfc_partition
+        from repro.service import RepartitionRequest
+
+        calls = []
+        sha256_json = requests_mod._sha256_json
+        monkeypatch.setattr(
+            requests_mod, "_sha256_json",
+            lambda payload: calls.append(payload) or sha256_json(payload),
+        )
+        for req, other in [
+            (PartitionRequest(ne=4, nparts=8), PartitionRequest(ne=4, nparts=8)),
+            (
+                RepartitionRequest(
+                    ne=4, old_assignment=sfc_partition(4, 8).assignment,
+                    weights={"scenario": "storm", "step": 3},
+                ),
+                None,
+            ),
+        ]:
+            calls.clear()
+            key = req.cache_key()
+            assert req.cache_key() == key and len(calls) == 1
+            assert pickle.loads(pickle.dumps(req)).cache_key() == key
+            assert len(calls) == 1
+            if other is not None:
+                assert other == req and hash(other) == hash(req)
+                assert repr(other) == repr(req)
+            copy = dataclasses.replace(req, seed=1)
+            assert copy.cache_key() != key and len(calls) == 2
+            assert dataclasses.replace(copy, seed=0).cache_key() == key
+            assert len(calls) == 3
+
     def test_json_round_trip(self):
         req = PartitionRequest(ne=4, nparts=8, method="kway", seed=3)
         assert PartitionRequest.from_json(req.to_json()) == req

@@ -100,3 +100,23 @@ def test_summary_keys_match_render():
     assert "Partition service stats" in text
     assert "Requests" in text  # per-request table title
     assert "computed" in text
+
+
+def test_counts_stay_exact_past_the_kept_rows():
+    """Counts and sums cover every request; only the newest rows stay."""
+    from repro.service.stats import RECORDS_KEPT
+
+    computed, hit = response(2, "computed", 0.5), response(3, "memory", 0.0)
+    stats = ServiceStats()
+    for i in range(RECORDS_KEPT + 10):
+        stats.record(computed if i < 10 else hit)
+    assert stats.total_requests == RECORDS_KEPT + 10
+    assert stats.count("computed") == 10
+    assert stats.count("memory") == RECORDS_KEPT
+    assert stats.compute_s == 5.0
+    assert stats.summary()["hit_rate"] == RECORDS_KEPT / (RECORDS_KEPT + 10)
+    assert len(stats.records) == RECORDS_KEPT
+    assert all(r.source == "memory" for r in stats.records)
+    rows = stats.render(per_request=True).split("Requests", 1)[1]
+    assert rows.count("memory") == RECORDS_KEPT
+    assert "computed" not in rows

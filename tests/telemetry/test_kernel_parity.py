@@ -132,3 +132,56 @@ def test_response_bodies_identical_with_and_without_ckernels():
     assert len(partition["assignment"]) == 1536
     assert len(repartition["plan"]["assignment"]) == 1536
     assert repartition["plan"]["moves"]
+
+
+_SERVED = r"""
+import asyncio, json, re
+from repro.partition.sfc import sfc_partition
+from repro.server import Connection, PartitionServer
+from repro.server.http import _NATIVE
+from repro.service import PartitionEngine
+
+old = sfc_partition(16, 16).assignment.tolist()
+bodies = {
+    "/repartition": {"ne": 16, "nparts": 16, "old_assignment": old,
+                     "weights": {"scenario": "storm", "step": 4}},
+    "/batch": {"requests": [
+        {"ne": 4, "nparts": 8, "method": "rb"},
+        {"ne": 4, "nparts": 6, "weights": list(range(1, 97))},
+        {"ne": 4, "nparts": 6, "weights": {"inline": [2] * 96}},
+        {"ne": [1], "nparts": 2},
+    ]},
+}
+# Timings and per-request ids differ from run to run.
+volatile = re.compile(r'"(elapsed_s|request_id|trace_id)": [^,}]+')
+
+
+async def main():
+    out = {}
+    async with PartitionServer(PartitionEngine()) as server:
+        async with await Connection.open(*server.address) as conn:
+            for path, payload in bodies.items():
+                resp = await conn.request("POST", path, json.dumps(payload).encode())
+                out[path] = [resp.status, volatile.sub(r'"\1": 0', resp.body.decode())]
+    return out
+
+
+print(json.dumps({"native": _NATIVE is not None, "bodies": asyncio.run(main())}))
+"""
+
+
+def test_served_bodies_identical_with_and_without_ckernels():
+    """/repartition and /batch answers, from request bytes to response
+    bytes, do not depend on the kernels."""
+    with_kernels = json.loads(_subprocess_stdout(_SERVED, no_ckernels=False))
+    fallback = json.loads(_subprocess_stdout(_SERVED, no_ckernels=True))
+    assert not fallback["native"]
+    assert with_kernels["bodies"] == fallback["bodies"]
+    status, body = fallback["bodies"]["/repartition"]
+    assert status == 200 and json.loads(body)["plan"]["moves"]
+    status, body = fallback["bodies"]["/batch"]
+    items = json.loads(body)["responses"]
+    assert status == 200 and [len(r.get("assignment", ())) for r in items] == [
+        96, 96, 96, 0,
+    ]
+    assert items[-1]["error"]["status"] == 422

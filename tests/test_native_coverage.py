@@ -23,7 +23,7 @@ from repro.cubesphere import cubed_sphere_mesh
 from repro.graphs import mesh_graph
 from repro.metis import part_graph
 from repro.seam import build_geometry
-from repro.server.http import json_body
+from repro.server.http import decode_json_body, json_body
 from repro.sfc.keys import curve_keys
 
 pytestmark = pytest.mark.skipif(_native.LIB is None, reason="C kernels unavailable")
@@ -80,6 +80,7 @@ def test_every_declared_kernel_is_called(monkeypatch):
     curve_mod.element_keys(4)
     curve_keys(np.arange(4), np.arange(4), schedule="HH")
     json_body({"assignment": np.arange(4, dtype=np.int64)})
+    decode_json_body(b'{"old_assignment": [0, 1, 2, 3]}')
 
     missing = sorted(set(_native.SIGNATURES) - set(proxy.calls))
     assert not missing, f"declared kernels never called: {missing}"
