@@ -64,6 +64,8 @@ class CubedSphereMesh:
         self._build_nodes()
         self._build_adjacency()
         self._centers_xyz: np.ndarray | None = None
+        self._centers_lonlat: tuple[np.ndarray, np.ndarray] | None = None
+        self._center_lat_trig: tuple[np.ndarray, np.ndarray] | None = None
 
     # ------------------------------------------------------------------
     # Indexing
@@ -207,8 +209,24 @@ class CubedSphereMesh:
 
     @property
     def centers_lonlat(self) -> tuple[np.ndarray, np.ndarray]:
-        """Longitude/latitude (radians) of element centers."""
-        return sphere_to_lonlat(self.centers_xyz)
+        """Longitude/latitude (radians) of element centers (read-only)."""
+        if self._centers_lonlat is None:
+            lon, lat = sphere_to_lonlat(self.centers_xyz)
+            lon.setflags(write=False)
+            lat.setflags(write=False)
+            self._centers_lonlat = (lon, lat)
+        return self._centers_lonlat
+
+    @property
+    def center_lat_trig(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(sin(lat), cos(lat))`` of element-center latitudes (read-only)."""
+        if self._center_lat_trig is None:
+            _, lat = self.centers_lonlat
+            sin_lat, cos_lat = np.sin(lat), np.cos(lat)
+            sin_lat.setflags(write=False)
+            cos_lat.setflags(write=False)
+            self._center_lat_trig = (sin_lat, cos_lat)
+        return self._center_lat_trig
 
     def element_areas(self) -> np.ndarray:
         """Spherical area (steradians) of each element.

@@ -27,15 +27,16 @@ served.
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
 
-from ..telemetry import inc, span
-from . import registry
+from ..cubesphere.mesh import cubed_sphere_mesh
+from ..telemetry import span
+from . import registry, sfc
 from .base import Partition
 from .metrics import PartitionQuality, evaluate_partition
+from .stagecache import StageCache
 
 __all__ = [
     "STAGE_VERSIONS",
@@ -72,52 +73,12 @@ def cache_version() -> str:
     return ".".join(f"{s}{STAGE_VERSIONS[s]}" for s in STAGE_VERSIONS)
 
 
-class _StageCache:
-    """Small LRU memoizer for one pipeline stage, with hit/miss stats."""
-
-    def __init__(self, stage: str, maxsize: int) -> None:
-        self.stage = stage
-        self.maxsize = maxsize
-        self._entries: OrderedDict[tuple, object] = OrderedDict()
-        self.hits = 0
-        self.misses = 0
-
-    def get_or_compute(self, key: tuple, compute):
-        full_key = (STAGE_VERSIONS[self.stage], *key)
-        if full_key in self._entries:
-            self._entries.move_to_end(full_key)
-            self.hits += 1
-            inc("stage_cache_total", stage=self.stage, outcome="hit")
-            return self._entries[full_key]
-        self.misses += 1
-        inc("stage_cache_total", stage=self.stage, outcome="miss")
-        with span(
-            f"stage:{self.stage}",
-            "pipeline",
-            version=STAGE_VERSIONS[self.stage],
-            key=str(key),
-        ):
-            value = compute()
-        self._entries[full_key] = value
-        while len(self._entries) > self.maxsize:
-            self._entries.popitem(last=False)
-        return value
-
-    def stats(self) -> dict[str, int]:
-        return {
-            "hits": self.hits,
-            "misses": self.misses,
-            "entries": len(self._entries),
-        }
-
-    def clear(self) -> None:
-        self._entries.clear()
-        self.hits = 0
-        self.misses = 0
-
-
-_MESH_CACHE = _StageCache("mesh", maxsize=32)
-_GRAPH_CACHE = _StageCache("graph", maxsize=16)
+_MESH_CACHE = StageCache(
+    "mesh", maxsize=32, version=lambda: STAGE_VERSIONS["mesh"]
+)
+_GRAPH_CACHE = StageCache(
+    "graph", maxsize=16, version=lambda: STAGE_VERSIONS["graph"]
+)
 
 
 def stage_cache_stats() -> dict[str, dict[str, int]]:
@@ -126,9 +87,17 @@ def stage_cache_stats() -> dict[str, dict[str, int]]:
 
 
 def clear_stage_caches() -> None:
-    """Drop the mesh/graph stage caches and reset their counters."""
+    """Drop every per-process stage cache and reset its counters.
+
+    Besides the mesh/graph stage caches this drops the memoized
+    :func:`~repro.cubesphere.mesh.cubed_sphere_mesh` meshes (so the
+    next :func:`mesh_stage` really builds one, with the center
+    geometry cached on it) and the SFC curve-position arrays.
+    """
     _MESH_CACHE.clear()
     _GRAPH_CACHE.clear()
+    cubed_sphere_mesh.cache_clear()
+    sfc.POSITIONS_CACHE.clear()
 
 
 def _default_npts() -> int:
@@ -141,13 +110,7 @@ def _default_npts() -> int:
 
 def mesh_stage(ne: int):
     """The cubed-sphere mesh at ``ne`` (stage-cached per process)."""
-
-    def compute():
-        from ..cubesphere.mesh import cubed_sphere_mesh
-
-        return cubed_sphere_mesh(ne)
-
-    return _MESH_CACHE.get_or_compute((int(ne),), compute)
+    return _MESH_CACHE.get_or_compute((int(ne),), lambda: cubed_sphere_mesh(ne))
 
 
 def graph_stage(ne: int, npts: int | None = None):

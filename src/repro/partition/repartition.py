@@ -29,11 +29,11 @@ from typing import Callable
 
 import numpy as np
 
-from ..cubesphere.curve import CubedSphereCurve, element_keys
+from ..cubesphere.curve import CubedSphereCurve
 from .base import Partition
 from .metrics import load_balance
 from .registry import PartitionProblem, get as get_partitioner, validate_weights
-from .sfc import keyed_cut
+from .sfc import curve_key_fn, keyed_cut
 
 __all__ = [
     "LoadTracker",
@@ -97,13 +97,14 @@ def _curve_keys(
 ) -> tuple[Callable[[np.ndarray], np.ndarray], int]:
     """Key function + cell count for a curve given by ``ne`` or object.
 
-    Passing ``ne`` (the fast path) streams keys through
-    :func:`repro.cubesphere.curve.element_keys`, so trajectories at
-    Ne >= 256 never materialize — or rebuild — the curve per step.
+    Passing ``ne`` (the fast path) keys through
+    :func:`repro.partition.sfc.curve_key_fn`, so trajectories never
+    materialize — or rebuild — the curve per step: a mesh within one
+    keying chunk reuses its cached positions, a larger one streams.
     """
     if isinstance(curve, (int, np.integer)):
         ne = int(curve)
-        return (lambda ids: element_keys(ne, schedule, gids=ids)), 6 * ne * ne
+        return curve_key_fn(ne, schedule), 6 * ne * ne
     if schedule is not None and schedule != curve.schedule:
         raise ValueError(
             f"schedule {schedule!r} conflicts with the curve's "
@@ -254,10 +255,18 @@ def plan_repartition(
     if method == "sfc":
         new = new.with_method("sfc-rebal")
     moved = np.flatnonzero(new.assignment != old)
+    # Group the moved gids by destination: a stable sort keeps each
+    # rank's gids ascending, and the counts give each rank's run.
     dests = new.assignment[moved]
+    grouped = moved[np.argsort(dests, kind="stable")]
+    counts = np.bincount(dests)
+    ranks = np.flatnonzero(counts)
+    stops = np.cumsum(counts[ranks])
     moves = {
-        int(rank): moved[dests == rank]
-        for rank in np.unique(dests)
+        rank: grouped[stop - count : stop]
+        for rank, count, stop in zip(
+            ranks.tolist(), counts[ranks].tolist(), stops.tolist()
+        )
     }
     # LB-before bins every *old* owner even when shrinking nparts.
     old_nparts = (int(old.max()) + 1) if len(old) else 1

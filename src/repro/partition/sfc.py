@@ -30,6 +30,12 @@ Two cutting *paths* apply the rules:
   and bucket the keys against the prefix-sum cut bounds.  Peak memory
   is O(chunk) beyond the assignment itself, and the result is
   bit-identical to cutting the materialized curve (golden-tested).
+
+The curve never changes between cuts, only the cut points do, so
+:func:`curve_key_fn` keys each ``(ne, schedule)`` once per process:
+a mesh that fits in one chunk (``6 ne^2 <= DEFAULT_CHUNK``) keeps its
+whole read-only position array in a small LRU, and every later cut
+indexes it.  Larger meshes are keyed afresh per chunk, as before.
 """
 
 from __future__ import annotations
@@ -43,9 +49,12 @@ from ..sfc.factorization import factorize_2_3
 from ..sfc.keys import morton_keys
 from ..telemetry import span
 from .base import Partition
+from .stagecache import StageCache
 
 __all__ = [
     "DEFAULT_CHUNK",
+    "POSITIONS_CACHE",
+    "curve_key_fn",
     "cut_positions_uniform",
     "cut_positions_weighted",
     "keyed_cut",
@@ -58,6 +67,37 @@ __all__ = [
 #: Elements keyed per chunk on the streaming cut path (~24 MB of
 #: transient arrays per chunk at int64/uint64 widths).
 DEFAULT_CHUNK = 1 << 20
+
+#: Curve-position arrays of this process, one per ``(ne, schedule)``,
+#: each at most ``DEFAULT_CHUNK`` uint64s (8 MiB).
+POSITIONS_CACHE = StageCache("positions", maxsize=4)
+
+
+def _all_positions(ne: int, schedule: str | None) -> np.ndarray:
+    positions = element_keys(ne, schedule)
+    positions.setflags(write=False)
+    return positions
+
+
+def curve_key_fn(
+    ne: int, schedule: str | None = None
+) -> Callable[[np.ndarray], np.ndarray]:
+    """Key function of the cubed-sphere curve at ``ne`` for :func:`keyed_cut`.
+
+    Maps element ids to their uint64 curve positions, exactly as
+    :func:`repro.cubesphere.curve.element_keys` does.  When the whole
+    mesh fits in one keying chunk (``6 ne^2 <= DEFAULT_CHUNK``) the
+    positions of every element are computed once per process and kept
+    read-only in a small LRU (:data:`POSITIONS_CACHE`); past that, ids
+    are keyed afresh per chunk, so the streaming path keeps its O(chunk)
+    peak memory.
+    """
+    if 6 * ne * ne > DEFAULT_CHUNK:
+        return lambda ids: element_keys(ne, schedule, gids=ids)
+    positions = POSITIONS_CACHE.get_or_compute(
+        (ne, schedule), lambda: _all_positions(ne, schedule)
+    )
+    return positions.__getitem__
 
 
 def cut_positions_uniform(ncells: int, nparts: int) -> np.ndarray:
@@ -231,9 +271,10 @@ def keyed_cut(
 
     The keys of ``[0, ncells)`` must be a bijection onto ``[0, ncells)``
     (each element's position along the traversal).  Elements are keyed
-    in chunks and bucketed against the cut bounds with a binary search,
-    so peak memory is O(chunk) beyond the assignment array itself —
-    the chunked keying + prefix-sum cutting pass of Borrell et al.
+    in chunks and bucketed against the cut bounds with a binary search
+    (a single chunk looks each key's owner up directly), so peak memory
+    is O(chunk) beyond the assignment array itself — the chunked keying
+    + prefix-sum cutting pass of Borrell et al.
 
     Args:
         key_fn: Maps an array of element ids to their uint64 keys.
@@ -267,14 +308,21 @@ def keyed_cut(
             keys = assignment[lo : lo + len(ids)]
             keys[:] = key_fn(ids)
             if weights is not None:
-                along_curve[keys] = weights[ids]
+                along_curve[keys] = weights[lo : lo + len(ids)]
         if weights is None:
             bounds = cut_positions_uniform(ncells, nparts)
         else:
             bounds = cut_positions_weighted(along_curve, nparts)
-        for lo in range(0, ncells, chunk):
-            keys = assignment[lo : lo + chunk]
-            keys[:] = np.searchsorted(bounds, keys, side="right") - 1
+        if ncells <= chunk:
+            # One chunk holds every key anyway, so an owner per curve
+            # position adds no peak memory, and a gather is about four
+            # times faster than the binary search.
+            owner = np.repeat(np.arange(nparts, dtype=np.int64), np.diff(bounds))
+            assignment[:] = owner[assignment]
+        else:
+            for lo in range(0, ncells, chunk):
+                keys = assignment[lo : lo + chunk]
+                keys[:] = np.searchsorted(bounds, keys, side="right") - 1
         return Partition(assignment, nparts=nparts, method=method)
 
 
@@ -289,8 +337,10 @@ def sfc_partition(
 
     Uses the streaming key path (:func:`keyed_cut`): the global curve
     is never materialized, so resolutions far beyond the paper's
-    (Ne >= 1024, K in the millions) partition in O(chunk) peak memory.
-    Bit-identical to ``partition_curve(cubed_sphere_curve(ne), ...)``.
+    (Ne >= 1024, K in the millions) partition in O(chunk) peak memory;
+    meshes within one chunk reuse their cached positions
+    (:func:`curve_key_fn`).  Bit-identical to
+    ``partition_curve(cubed_sphere_curve(ne), ...)``.
 
     Args:
         ne: Elements per cube-face edge (must be ``2^n * 3^m``).
@@ -302,7 +352,7 @@ def sfc_partition(
     """
     factorize_2_3(ne)  # surface inadmissible sizes before any work
     return keyed_cut(
-        lambda ids: element_keys(ne, schedule, gids=ids),
+        curve_key_fn(ne, schedule),
         6 * ne * ne,
         nparts,
         weights=weights,

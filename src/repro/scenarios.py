@@ -131,21 +131,32 @@ def scenario_weights(
     return np.ascontiguousarray(weights, dtype=np.float64)
 
 
-def _centers_lonlat(ne: int) -> tuple[np.ndarray, np.ndarray]:
-    """Element-center (lon, lat) of the cubed-sphere at ``ne`` (cached mesh)."""
+def _center_geometry(ne: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Element-center ``(lon, sin(lat), cos(lat))`` at ``ne``.
+
+    All three are cached on the memoized mesh, so a trajectory computes
+    them once per resolution, not once per step.
+    """
     from .cubesphere.mesh import cubed_sphere_mesh
 
-    return cubed_sphere_mesh(ne).centers_lonlat
+    mesh = cubed_sphere_mesh(ne)
+    lon, _ = mesh.centers_lonlat
+    sin_lat, cos_lat = mesh.center_lat_trig
+    return lon, sin_lat, cos_lat
 
 
 def _angular_distance(
-    lon: np.ndarray, lat: np.ndarray, lon0: float, lat0: float
+    lon: np.ndarray,
+    sin_lat: np.ndarray,
+    cos_lat: np.ndarray,
+    lon0: float,
+    lat0: float,
 ) -> np.ndarray:
     """Great-circle distance (radians) from every center to one point."""
     return np.arccos(
         np.clip(
-            np.sin(lat) * np.sin(lat0)
-            + np.cos(lat) * np.cos(lat0) * np.cos(lon - lon0),
+            sin_lat * np.sin(lat0)
+            + cos_lat * np.cos(lat0) * np.cos(lon - lon0),
             -1.0,
             1.0,
         )
@@ -161,9 +172,9 @@ def _storm(
     lat0: float = 0.0,
 ) -> np.ndarray:
     """Gaussian weight bump circling the sphere at latitude ``lat0``."""
-    lon, lat = _centers_lonlat(ne)
+    lon, sin_lat, cos_lat = _center_geometry(ne)
     lon0 = 2.0 * np.pi * (step % nsteps) / nsteps
-    d = _angular_distance(lon, lat, lon0, float(lat0))
+    d = _angular_distance(lon, sin_lat, cos_lat, lon0, float(lat0))
     return 1.0 + float(amplitude) * np.exp(-0.5 * (d / float(sigma)) ** 2)
 
 
@@ -181,9 +192,9 @@ def _daynight(
             "daynight needs 0 < night_weight <= day_weight, got "
             f"night_weight={night_weight}, day_weight={day_weight}"
         )
-    lon, lat = _centers_lonlat(ne)
+    lon, _, cos_lat = _center_geometry(ne)
     lon_sun = 2.0 * np.pi * (step % nsteps) / nsteps
-    cosz = np.maximum(np.cos(lat) * np.cos(lon - lon_sun), 0.0)
+    cosz = np.maximum(cos_lat * np.cos(lon - lon_sun), 0.0)
     return float(night_weight) + (float(day_weight) - float(night_weight)) * cosz
 
 
@@ -202,8 +213,7 @@ def _amr(
     max_level = int(max_level)
     if max_level < 1:
         raise ValueError(f"amr needs max_level >= 1, got {max_level}")
-    lon, lat = _centers_lonlat(ne)
-    d = _angular_distance(lon, lat, float(lon0), float(lat0))
+    d = _angular_distance(*_center_geometry(ne), float(lon0), float(lat0))
     # Triangle wave over the cycle: 0, 1, ..., max, ..., 1 (period
     # 2 * max_level phases spread over nsteps).
     phase = (step % nsteps) / nsteps * (2 * max_level)

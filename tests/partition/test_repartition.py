@@ -239,6 +239,17 @@ class TestPlanRepartition:
             float(w[old != plan.new_assignment].sum())
         )
 
+    def test_moves_ordered_by_rank_then_gid(self, curve):
+        from repro.partition import plan_repartition
+
+        w = moving_weights(curve, center_gid=30)
+        old = np.arange(len(curve)) % 12
+        plan = plan_repartition(old, w, ne=4)
+        assert list(plan.moves) == sorted(plan.moves)
+        for rank, gids in plan.moves.items():
+            assert (np.diff(gids) > 0).all()
+            assert gids.dtype == np.int64
+
     def test_identity_plan_is_empty(self, curve):
         from repro.partition import plan_repartition
 

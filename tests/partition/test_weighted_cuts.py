@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.partition.metrics import load_balance
 from repro.partition.sfc import (
@@ -92,6 +94,44 @@ class TestRefineCutPositions:
         once = cut_positions_weighted(w, 12)
         twice = refine_cut_positions(w, once)
         np.testing.assert_array_equal(once, twice)
+
+
+positive_weights = st.lists(
+    st.floats(min_value=1e-3, max_value=1e3, allow_nan=False, allow_infinity=False),
+    min_size=1,
+    max_size=200,
+)
+
+
+class TestWeightedCutProperties:
+    """Property versions of the goldens above, over arbitrary inputs."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(positive_weights, st.data())
+    def test_never_worse_than_greedy(self, weights, data):
+        w = np.array(weights)
+        nparts = data.draw(st.integers(1, len(w)))
+        greedy = cut_positions_weighted(w, nparts, refine=False)
+        refined = cut_positions_weighted(w, nparts)
+        assert refined[0] == 0 and refined[-1] == len(w)
+        assert (np.diff(refined) >= 1).all()
+        # Each accepted shift lowers the larger of two loads computed
+        # from one prefix-sum array, so the heaviest segment can only
+        # get lighter: exact, no tolerance.
+        assert segment_loads(w, refined).max() <= segment_loads(w, greedy).max()
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.floats(min_value=1e-6, max_value=1e6, allow_nan=False),
+        st.integers(1, 500),
+        st.data(),
+    )
+    def test_uniform_weights_give_uniform_cuts(self, value, n, data):
+        nparts = data.draw(st.integers(1, n))
+        np.testing.assert_array_equal(
+            cut_positions_weighted(np.full(n, value), nparts),
+            cut_positions_uniform(n, nparts),
+        )
 
 
 class TestUniformReduction:

@@ -16,6 +16,8 @@ from repro.scenarios import (
     specs,
 )
 
+from .reference_scenarios import REFERENCE
+
 NE = 6
 K = 6 * NE * NE
 
@@ -79,6 +81,25 @@ class TestGeneratorContract:
         a = scenario_weights(name, NE, step=0)
         b = scenario_weights(name, NE, step=25)
         assert not np.array_equal(a, b)
+
+    @pytest.mark.parametrize("ne", [1, 6, 16, 64])
+    @pytest.mark.parametrize("variant", ["default", "nsteps", "params"])
+    def test_bit_identical_to_reference(self, name, ne, variant):
+        """Cached center trig must not change a single bit of the weights
+        the per-call expressions in ``reference_scenarios`` give."""
+        params = {
+            "default": {},
+            "nsteps": {"nsteps": 7.5},
+            "params": {
+                "storm": {"lat0": 0.4, "sigma": 0.3, "amplitude": 3.0},
+                "daynight": {"day_weight": 2.5, "night_weight": 0.5},
+                "amr": {"max_level": 3, "radius": 1.1, "lon0": 1.0, "lat0": -0.5},
+            }[name],
+        }[variant]
+        for step in (0, 1, 13, 25, 50, 99, 250):
+            want = REFERENCE[name](ne, step, **params)
+            got = scenario_weights(name, ne, step, **params)
+            assert got.tobytes() == want.tobytes()
 
 
 class TestStorm:
