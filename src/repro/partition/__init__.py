@@ -45,7 +45,6 @@ from .sfc import (
     cut_positions_weighted,
     keyed_cut,
     morton_partition,
-    partition_curve,
     refine_cut_positions,
     sfc_partition,
 )
@@ -88,7 +87,6 @@ __all__ = [
     "refine_cut_positions",
     "RepartitionPlan",
     "repartition_curve",
-    "partition_curve",
     "random_partition",
     "rcb_partition",
     "sfc_partition",

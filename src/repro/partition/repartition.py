@@ -17,6 +17,8 @@ the cubed-sphere:
   assignment and new weights, produce a :class:`RepartitionPlan`
   (moved gids per destination rank, elements/weight moved, LB before
   and after) without touching elements that stay put;
+* :func:`group_moves` — a plan's moved gids grouped by destination
+  rank, rebuilt from the old and new assignments alone;
 * :class:`LoadTracker` — convenience driver for a time series of
   weights (e.g. a storm moving around the sphere), recording balance
   and migration per rebalancing step.
@@ -39,6 +41,7 @@ __all__ = [
     "LoadTracker",
     "MigrationCost",
     "RepartitionPlan",
+    "group_moves",
     "migration_cost",
     "plan_repartition",
     "repartition_curve",
@@ -182,21 +185,54 @@ class RepartitionPlan:
             lambda arr: np.asarray(arr).tolist(), include_assignment
         )
 
-    def _fields(self, array, include_assignment: bool) -> dict:
-        """:meth:`to_dict`'s fields, each array passed through ``array``."""
-        out = {
+    def scalars(self) -> dict:
+        """Every field but the two arrays, as JSON-able plain values.
+
+        With the new assignment and the old one they fix the whole
+        plan: :func:`group_moves` rebuilds :attr:`moves`.
+        """
+        return {
             "nparts": int(self.nparts),
             "method": self.method,
-            "moves": {str(rank): array(gids) for rank, gids in self.moves.items()},
             "elements_moved": int(self.elements_moved),
             "weight_moved": float(self.weight_moved),
             "fraction_moved": float(self.fraction_moved),
             "lb_before": float(self.lb_before),
             "lb_after": float(self.lb_after),
         }
+
+    def _fields(self, array, include_assignment: bool) -> dict:
+        """:meth:`to_dict`'s fields, each array passed through ``array``."""
+        out = self.scalars()
+        out["moves"] = {str(rank): array(gids) for rank, gids in self.moves.items()}
         if include_assignment:
             out["assignment"] = array(self.new_assignment)
         return out
+
+
+def group_moves(
+    old: np.ndarray, new: np.ndarray
+) -> tuple[np.ndarray, dict[int, np.ndarray]]:
+    """The gids whose owner changes from ``old`` to ``new``, and by rank.
+
+    Returns the moved gids (ascending) and a destination rank -> gids
+    dict in ascending rank order, each rank's gids ascending: a stable
+    sort groups the gids by destination and the counts give each
+    rank's run.  :attr:`RepartitionPlan.moves` is this dict.
+    """
+    moved = np.flatnonzero(new != old)
+    dests = new[moved]
+    grouped = moved[np.argsort(dests, kind="stable")]
+    counts = np.bincount(dests)
+    ranks = np.flatnonzero(counts)
+    stops = np.cumsum(counts[ranks])
+    moves = {
+        rank: grouped[stop - count : stop]
+        for rank, count, stop in zip(
+            ranks.tolist(), counts[ranks].tolist(), stops.tolist()
+        )
+    }
+    return moved, moves
 
 
 def plan_repartition(
@@ -254,20 +290,7 @@ def plan_repartition(
     ))
     if method == "sfc":
         new = new.with_method("sfc-rebal")
-    moved = np.flatnonzero(new.assignment != old)
-    # Group the moved gids by destination: a stable sort keeps each
-    # rank's gids ascending, and the counts give each rank's run.
-    dests = new.assignment[moved]
-    grouped = moved[np.argsort(dests, kind="stable")]
-    counts = np.bincount(dests)
-    ranks = np.flatnonzero(counts)
-    stops = np.cumsum(counts[ranks])
-    moves = {
-        rank: grouped[stop - count : stop]
-        for rank, count, stop in zip(
-            ranks.tolist(), counts[ranks].tolist(), stops.tolist()
-        )
-    }
+    moved, moves = group_moves(old, new.assignment)
     # LB-before bins every *old* owner even when shrinking nparts.
     old_nparts = (int(old.max()) + 1) if len(old) else 1
     before = np.bincount(old, weights=weights, minlength=old_nparts)

@@ -19,17 +19,15 @@ Two cutting rules are provided:
   never worse than the greedy ones.  Under uniform weights the rule
   short-circuits to :func:`cut_positions_uniform` exactly.
 
-Two cutting *paths* apply the rules:
-
-* :func:`partition_curve` — cut a materialized
-  :class:`~repro.cubesphere.curve.CubedSphereCurve` (the paper's
-  construction, O(K) curve arrays);
-* :func:`keyed_cut` / :func:`sfc_partition` — the scalable path per
-  Borrell et al.: stream element ids in chunks, map each chunk straight
-  to uint64 curve keys (:func:`repro.cubesphere.curve.element_keys`),
-  and bucket the keys against the prefix-sum cut bounds.  Peak memory
-  is O(chunk) beyond the assignment itself, and the result is
-  bit-identical to cutting the materialized curve (golden-tested).
+One cutting *path* applies the rules: :func:`keyed_cut` /
+:func:`sfc_partition`, the scalable path per Borrell et al.: stream
+element ids in chunks, map each chunk straight to uint64 curve keys
+(:func:`repro.cubesphere.curve.element_keys`), and bucket the keys
+against the prefix-sum cut bounds.  Peak memory is O(chunk) beyond the
+assignment itself, and the result is bit-identical to cutting the
+materialized :class:`~repro.cubesphere.curve.CubedSphereCurve` (the
+paper's construction, O(K) curve arrays), whose cut lives on only as
+the golden oracle ``partition_curve`` in ``tests/partition/reference_sfc.py``.
 
 The curve never changes between cuts, only the cut points do, so
 :func:`curve_key_fn` keys each ``(ne, schedule)`` once per process:
@@ -44,7 +42,7 @@ from typing import Callable
 
 import numpy as np
 
-from ..cubesphere.curve import CubedSphereCurve, cubed_sphere_curve, element_keys
+from ..cubesphere.curve import element_keys
 from ..sfc.factorization import factorize_2_3
 from ..sfc.keys import morton_keys
 from ..telemetry import span
@@ -59,7 +57,6 @@ __all__ = [
     "cut_positions_weighted",
     "keyed_cut",
     "morton_partition",
-    "partition_curve",
     "refine_cut_positions",
     "sfc_partition",
 ]
@@ -227,38 +224,6 @@ def refine_cut_positions(
     return bounds
 
 
-def partition_curve(
-    curve: CubedSphereCurve,
-    nparts: int,
-    weights: np.ndarray | None = None,
-) -> Partition:
-    """Partition a cubed-sphere mesh by cutting its global curve.
-
-    Args:
-        curve: Global SFC over the mesh (:func:`cubed_sphere_curve`).
-        nparts: Number of processors.
-        weights: Optional per-*element* (gid-indexed) weights; when
-            given, cuts balance weight rather than element count.
-
-    Returns:
-        A :class:`Partition` labeled ``"sfc"``.
-    """
-    ncells = len(curve)
-    if weights is None:
-        bounds = cut_positions_uniform(ncells, nparts)
-    else:
-        weights = np.asarray(weights, dtype=np.float64)
-        if len(weights) != ncells:
-            raise ValueError("weights must have one entry per element")
-        bounds = cut_positions_weighted(weights[curve.order], nparts)
-    owner_along_curve = np.empty(ncells, dtype=np.int64)
-    for p in range(nparts):
-        owner_along_curve[bounds[p] : bounds[p + 1]] = p
-    assignment = np.empty(ncells, dtype=np.int64)
-    assignment[curve.order] = owner_along_curve
-    return Partition(assignment, nparts=nparts, method="sfc")
-
-
 def keyed_cut(
     key_fn: Callable[[np.ndarray], np.ndarray],
     ncells: int,
@@ -339,8 +304,8 @@ def sfc_partition(
     is never materialized, so resolutions far beyond the paper's
     (Ne >= 1024, K in the millions) partition in O(chunk) peak memory;
     meshes within one chunk reuse their cached positions
-    (:func:`curve_key_fn`).  Bit-identical to
-    ``partition_curve(cubed_sphere_curve(ne), ...)``.
+    (:func:`curve_key_fn`).  Bit-identical to cutting the materialized
+    curve (``tests/partition/reference_sfc.py``).
 
     Args:
         ne: Elements per cube-face edge (must be ``2^n * 3^m``).

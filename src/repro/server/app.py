@@ -11,11 +11,10 @@
 * ``POST /repartition`` — one
   :class:`~repro.service.requests.RepartitionRequest` (old assignment
   + new weights); answers with the migration-minimizing plan (moved
-  gids per rank, weight moved, LB before/after).  Served through the
-  same coalescing, admission control, metrics, and trace propagation
-  as ``/partition``, with a server-local plan LRU in place of the
-  engine's response cache (plans are diffs against a caller-supplied
-  assignment, not pure partition functions).
+  gids per rank, weight moved, LB before/after).  A plan is a pure
+  function of its request, so it is served exactly like ``/partition``:
+  one path through the engine's cache, coalescing, admission control,
+  metrics and trace propagation.
 * ``GET /healthz`` — liveness, the in-flight/pending picture, and the
   rolling multi-window SLO verdict (``ok`` / ``degraded``).
 * ``GET /methods`` — the partitioner registry as JSON.
@@ -49,8 +48,8 @@ Serving mechanics, in request order:
 3. **Admission control**: at most ``max_pending`` computes may be in
    flight; requests beyond that are rejected with ``503`` and a
    ``Retry-After`` hint instead of queueing unboundedly.
-4. **Compute in worker processes**: misses run
-   :func:`~repro.service.engine.compute_response` in the engine's
+4. **Compute in worker processes**: misses run the request's
+   ``compute()`` in the engine's
    ``ProcessPoolExecutor`` via ``run_in_executor`` — the event loop
    never blocks on partitioning, and worker telemetry payloads are
    replayed into the server's session.
@@ -70,7 +69,7 @@ import json
 import os
 import sys
 import time
-from collections import OrderedDict, deque
+from collections import deque
 from contextlib import ExitStack, suppress
 from time import perf_counter
 
@@ -78,9 +77,9 @@ from .. import __version__
 from ..partition import registry
 from ..seam.dss import dss_memo_stats
 from ..seam.element import geometry_cache_stats
-from ..service import PartitionEngine, PartitionRequest
-from ..service.engine import _pool_compute, _record_response_metrics
-from ..service.requests import RepartitionRequest
+from ..service import PartitionEngine, PartitionRequest, RepartitionRequest
+from ..service.engine import _pool_compute
+from ..service.requests import Request, Response
 from ..telemetry import (
     RequestContext,
     SLOTracker,
@@ -116,9 +115,6 @@ MAX_BATCH_ITEMS = 4096
 
 #: Capacity of the /debug/requests ring buffer.
 DEBUG_RING_SIZE = 128
-
-#: Capacity of the server-local repartition plan LRU.
-REPARTITION_CACHE_SIZE = 64
 
 #: Every route the server answers (404 bodies list these as a hint).
 KNOWN_ROUTES = (
@@ -210,7 +206,6 @@ class PartitionServer:
         self.session: TelemetrySession | None = None
         self.slo = slo if slo is not None else SLOTracker()
         self._recent: deque[dict] = deque(maxlen=DEBUG_RING_SIZE)
-        self._repart_cache: "OrderedDict[str, object]" = OrderedDict()
         self._started_at = time.time()
 
     # -- lifecycle ------------------------------------------------------
@@ -445,11 +440,11 @@ class PartitionServer:
     async def _dispatch(self, request: HTTPRequest) -> _Result:
         route = (request.method, request.path)
         if route == ("POST", "/partition"):
-            return await self._serve_partition(request)
+            return await self._serve_request(request, PartitionRequest)
         if route == ("POST", "/batch"):
             return await self._serve_batch(request)
         if route == ("POST", "/repartition"):
-            return await self._serve_repartition(request)
+            return await self._serve_request(request, RepartitionRequest)
         if route == ("GET", "/healthz"):
             return self._serve_healthz()
         if route == ("GET", "/methods"):
@@ -473,30 +468,19 @@ class PartitionServer:
             + ", ".join(KNOWN_ROUTES),
         )
 
-    def _parse_partition_request(self, data: object) -> PartitionRequest:
+    def _parse_request(self, data: object, kind: type) -> Request:
+        """One request of ``kind`` (a request class) from a JSON object."""
         if not isinstance(data, dict):
             raise HTTPError(
                 400, "bad_json", "request body must be a JSON object"
             )
         try:
-            return PartitionRequest.from_dict(data)
+            return kind.from_dict(data)
         except ValueError as exc:
             # UnknownPartitionerError (did-you-mean), CapabilityError
-            # (inadmissible ne / schedule contract), and schema errors
-            # are all *validation* failures: 422, never a 500.
-            raise HTTPError(422, "invalid_request", str(exc))
-
-    def _parse_repartition_request(self, data: object) -> RepartitionRequest:
-        if not isinstance(data, dict):
-            raise HTTPError(
-                400, "bad_json", "request body must be a JSON object"
-            )
-        try:
-            return RepartitionRequest.from_dict(data)
-        except ValueError as exc:
-            # Bad weights (negative/NaN/wrong length), malformed old
-            # assignments, unknown scenarios, and capability violations
-            # are all *validation* failures: 422, never a 500.
+            # (inadmissible ne / schedule contract), bad weights or old
+            # assignments, and schema errors are all *validation*
+            # failures: 422, never a 500.
             raise HTTPError(422, "invalid_request", str(exc))
 
     def _decode_json(self, body: bytes) -> object:
@@ -515,23 +499,13 @@ class PartitionServer:
             data["trace_id"] = ctx.trace_id
         return data
 
-    async def _serve_partition(self, request: HTTPRequest) -> _Result:
-        preq = self._parse_partition_request(self._decode_json(request.body))
-        response = await self._resolve(preq)
+    async def _serve_request(self, request: HTTPRequest, kind: type) -> _Result:
+        req = self._parse_request(self._decode_json(request.body), kind)
+        response = await self._resolve(req)
         return _Result(
             200,
             json_body(self._stamp_identity(response.to_payload())),
-            partitioner=preq.method,
-            source=response.source,
-        )
-
-    async def _serve_repartition(self, request: HTTPRequest) -> _Result:
-        rreq = self._parse_repartition_request(self._decode_json(request.body))
-        response = await self._resolve_repartition(rreq)
-        return _Result(
-            200,
-            json_body(self._stamp_identity(response.to_payload())),
-            partitioner=rreq.method,
+            partitioner=req.method,
             source=response.source,
         )
 
@@ -553,7 +527,9 @@ class PartitionServer:
 
         async def one(item: object) -> dict:
             try:
-                response = await self._resolve(self._parse_partition_request(item))
+                response = await self._resolve(
+                    self._parse_request(item, PartitionRequest)
+                )
                 return response.to_payload()
             except HTTPError as exc:
                 return json.loads(error_body(exc))
@@ -716,42 +692,19 @@ class PartitionServer:
 
     # -- the serving core: cache -> coalesce -> admit -> compute --------
 
-    async def _resolve(self, request: PartitionRequest):
-        """Answer one partition request on the event loop."""
+    async def _resolve(self, request: Request) -> Response:
+        """Answer one request, of either kind, on the event loop."""
         hit = self.engine.cache.get(request)
         if hit is not None:
             self._record(hit)
             return hit
-        return await self._admit_and_compute(request, self._record)
-
-    async def _resolve_repartition(self, request: RepartitionRequest):
-        """Answer one repartition request on the event loop.
-
-        Same coalescing and admission control as :meth:`_resolve`
-        (the shared ``_inflight`` map cannot mix the two request kinds:
-        repartition cache keys carry a ``"kind"`` marker); the cache
-        tier is the server-local plan LRU instead of the engine's
-        content-addressed response cache.
-        """
-        key = request.cache_key()
-        hit = self._repart_cache.get(key)
-        if hit is not None:
-            self._repart_cache.move_to_end(key)
-            inc("server_repartition_cache_hits")
-            response = hit.with_source("memory")
-            self._record_repartition(response)
-            return response
-        return await self._admit_and_compute(request, self._record_repartition)
-
-    async def _admit_and_compute(self, request, record):
-        """Coalesce -> admit -> compute for one uncached request."""
         key = request.cache_key()
         inflight = self._inflight.get(key)
         if inflight is not None:
             inc("server_coalesced_total")
             response = await asyncio.shield(inflight)
             response = response.with_source("coalesced")
-            record(response)
+            self._record(response)
             return response
         if self._closing:
             raise HTTPError(
@@ -771,7 +724,7 @@ class PartitionServer:
         task.add_done_callback(lambda t, key=key: self._forget_inflight(key, t))
         set_gauge("server_queue_depth", len(self._inflight))
         response = await asyncio.shield(task)
-        record(response)
+        self._record(response)
         return response
 
     def _forget_inflight(self, key: str, task: asyncio.Task) -> None:
@@ -780,7 +733,7 @@ class PartitionServer:
         if not task.cancelled():
             task.exception()  # consume: every waiter may have disconnected
 
-    async def _compute(self, request: PartitionRequest):
+    async def _compute(self, request: Request) -> Response:
         """Run one cache miss in the engine's worker pool.
 
         The compute task inherits the *first* requester's trace context
@@ -800,39 +753,10 @@ class PartitionServer:
             replay_payload(payload)
             inc("worker_payloads_merged")
         response = response.with_request(request)
-        if isinstance(request, RepartitionRequest):
-            self._repart_cache[request.cache_key()] = response
-            while len(self._repart_cache) > REPARTITION_CACHE_SIZE:
-                self._repart_cache.popitem(last=False)
-        else:
-            self.engine.cache.put(request, response)
+        self.engine.cache.put(request, response)
         return response
 
-    def _record(self, response) -> None:
+    def _record(self, response: Response) -> None:
         """Per-response bookkeeping shared by every serve path."""
         self.engine.stats.record(response)
-        _record_response_metrics(response)
-
-    def _record_repartition(self, response) -> None:
-        """Repartition bookkeeping: plan-shaped metrics, shared stats.
-
-        Deliberately not :func:`_record_response_metrics` — a plan has
-        migration quantities, not Table-2 partition metrics.
-        """
-        self.engine.stats.record(response)
-        partitioner = registry.get(response.request.method).name
-        inc(
-            "server_repartition_total",
-            source=response.source, partitioner=partitioner,
-        )
-        plan = response.plan
-        observe("repartition_lb_after", plan.lb_after, partitioner=partitioner)
-        observe(
-            "repartition_fraction_moved",
-            plan.fraction_moved, partitioner=partitioner,
-        )
-        if response.source == "computed":
-            observe(
-                "request_compute_seconds",
-                response.elapsed_s, partitioner=partitioner,
-            )
+        response.record()

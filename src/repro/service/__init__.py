@@ -7,7 +7,7 @@ package turns that into a request/response engine:
 * :mod:`~repro.service.requests` — validated, JSON-round-tripping
   request/response schema with a canonical hashed form;
 * :mod:`~repro.service.cache` — content-addressed two-tier cache
-  (in-memory LRU + on-disk NPZ store);
+  (in-memory LRU + on-disk NPZ store) shared by both request kinds;
 * :mod:`~repro.service.engine` — batch engine: dedupe, cache lookup,
   process-pool fan-out for misses;
 * :mod:`~repro.service.stats` — hit/miss counters, timings, worker
@@ -26,7 +26,7 @@ Quickstart::
 """
 
 from .cache import PartitionCache
-from .engine import PartitionEngine, compute_repartition_response, compute_response
+from .engine import PartitionEngine, compute_response
 from .requests import (
     METRIC_FIELDS,
     PartitionRequest,
@@ -50,7 +50,6 @@ __all__ = [
     "RequestRecord",
     "ServiceStats",
     "WeightSpec",
-    "compute_repartition_response",
     "compute_response",
     "load_request_file",
     "quality_metrics",

@@ -1,18 +1,21 @@
-"""Content-addressed partition cache: in-memory LRU + on-disk store.
+"""Content-addressed response cache: in-memory LRU + on-disk store.
 
-Partitions are pure functions of their request's canonical form, so
-the cache is content-addressed: the key is the SHA-256 of the request's
-canonical JSON (:meth:`PartitionRequest.cache_key`).  Per-element
+Partitions and repartition plans are pure functions of their request's
+canonical form, so the cache is content-addressed: the key is the
+SHA-256 of the request's canonical JSON (``cache_key()``).  Per-element
 weights are part of that form — inline weights as an O(1) content
-digest, scenario weights as their ``(name, step, params)`` spec — so
-weighted, unweighted, and differently-weighted requests can never
-collide, with no cache-layer special-casing.  Two tiers:
+digest, scenario weights as their ``(name, step, params)`` spec — and a
+plan's form also carries a ``"kind"`` marker and a digest of its old
+assignment, so no two distinct requests can collide, with no
+cache-layer special-casing.  Both kinds share two tiers:
 
-* an in-memory LRU (bounded by ``capacity`` responses) that makes
-  repeated requests inside one process near-free;
+* an in-memory LRU (bounded by ``capacity`` responses of either kind)
+  that makes repeated requests inside one process near-free;
 * an optional on-disk store (one ``<key>.npz`` per entry holding the
-  assignment array plus the response JSON metadata) so repeated CLI or
-  benchmark invocations skip partitioning entirely.
+  response's ``stored()`` form: one int64 assignment array — a plan's
+  new assignment — plus JSON metadata) so repeated CLI or benchmark
+  invocations skip the compute entirely.  A plan's moves are not
+  stored: they are regrouped from the request's old assignment.
 
 Disk writes are atomic (temp file + ``os.replace``) so concurrent
 engines sharing a cache directory can only ever observe complete
@@ -37,7 +40,7 @@ from pathlib import Path
 import numpy as np
 
 from ..partition.pipeline import cache_version
-from .requests import PartitionRequest, PartitionResponse
+from .requests import Request, Response
 
 __all__ = ["PartitionCache", "scan_cache_dir"]
 
@@ -102,7 +105,7 @@ class PartitionCache:
             raise ValueError("capacity must be >= 1")
         self.capacity = capacity
         self.cache_dir = Path(cache_dir) if cache_dir is not None else None
-        self._memory: OrderedDict[str, PartitionResponse] = OrderedDict()
+        self._memory: OrderedDict[str, Response] = OrderedDict()
         self.memory_hits = 0
         self.disk_hits = 0
         self.misses = 0
@@ -111,7 +114,7 @@ class PartitionCache:
 
     # -- lookup ---------------------------------------------------------
 
-    def get(self, request: PartitionRequest) -> PartitionResponse | None:
+    def get(self, request: Request) -> Response | None:
         """Return the cached response for ``request``, or ``None``.
 
         The returned response's ``source`` reflects the tier that
@@ -131,7 +134,7 @@ class PartitionCache:
         self.misses += 1
         return None
 
-    def put(self, request: PartitionRequest, response: PartitionResponse) -> None:
+    def put(self, request: Request, response: Response) -> None:
         """Insert a computed response into both tiers."""
         key = request.cache_key()
         self._remember(key, response)
@@ -139,7 +142,7 @@ class PartitionCache:
             self._store_disk(key, response)
         self.stores += 1
 
-    def __contains__(self, request: PartitionRequest) -> bool:
+    def __contains__(self, request: Request) -> bool:
         key = request.cache_key()
         return key in self._memory or (
             self.cache_dir is not None and self._path(key).exists()
@@ -176,7 +179,7 @@ class PartitionCache:
 
     # -- internals ------------------------------------------------------
 
-    def _remember(self, key: str, response: PartitionResponse) -> None:
+    def _remember(self, key: str, response: Response) -> None:
         self._memory[key] = response
         self._memory.move_to_end(key)
         while len(self._memory) > self.capacity:
@@ -186,22 +189,22 @@ class PartitionCache:
         assert self.cache_dir is not None
         return self.cache_dir / f"{key}.npz"
 
-    def _store_disk(self, key: str, response: PartitionResponse) -> None:
+    def _store_disk(self, key: str, response: Response) -> None:
         assert self.cache_dir is not None
         self.cache_dir.mkdir(parents=True, exist_ok=True)
         path = self._path(key)
         tmp = path.with_name(f".{path.name}.tmp-{os.getpid()}")
+        assignment, meta = response.stored()
         meta = {
             "cache_version": cache_version(),
             "request": response.request.canonical(),
-            "metrics": response.metrics,
-            "elapsed_s": response.elapsed_s,
+            **meta,
         }
         try:
             with open(tmp, "wb") as fh:
                 np.savez_compressed(
                     fh,
-                    assignment=response.assignment,
+                    assignment=assignment,
                     meta=np.frombuffer(
                         json.dumps(meta, sort_keys=True).encode(), dtype=np.uint8
                     ),
@@ -210,9 +213,7 @@ class PartitionCache:
         finally:
             tmp.unlink(missing_ok=True)
 
-    def _load_disk(
-        self, key: str, request: PartitionRequest
-    ) -> PartitionResponse | None:
+    def _load_disk(self, key: str, request: Request) -> Response | None:
         if self.cache_dir is None:
             return None
         path = self._path(key)
@@ -233,10 +234,7 @@ class PartitionCache:
         # request must match the one asked for.
         if meta.get("request") != request.canonical():
             return None
-        return PartitionResponse(
-            request=request,
-            assignment=assignment,
-            metrics=meta["metrics"],
-            elapsed_s=float(meta.get("elapsed_s", 0.0)),
-            source="disk",
-        )
+        try:
+            return request.restored(assignment, meta)
+        except (KeyError, TypeError, ValueError):
+            return None  # metadata of another response form: a miss

@@ -1,9 +1,10 @@
 """Batch partition execution engine.
 
-The engine is the serving core: submit any number of
-:class:`PartitionRequest`\\ s and get back one response per request, in
-request order, with bit-identical assignments to serial in-process
-computation.  Per batch it
+The engine is the serving core: submit any number of requests — a
+:class:`~repro.service.requests.PartitionRequest` or a
+:class:`~repro.service.requests.RepartitionRequest`, mixed freely —
+and get back one response per request, in request order, with
+bit-identical answers to serial in-process computation.  Per batch it
 
 1. **deduplicates** requests by content hash (a sweep that asks the
    same point twice computes it once);
@@ -29,16 +30,11 @@ from collections.abc import Sequence
 from concurrent.futures import Executor, ProcessPoolExecutor, wait
 from time import perf_counter
 
-import numpy as np
-
-from ..partition import registry
-from ..partition.pipeline import run_pipeline
 from ..telemetry import (
     RequestContext,
     current_context,
     inc,
     log_event,
-    observe,
     replay_payload,
     request_context,
     set_gauge,
@@ -47,107 +43,23 @@ from ..telemetry import (
     worker_session,
 )
 from .cache import PartitionCache
-from .requests import (
-    PartitionRequest,
-    PartitionResponse,
-    RepartitionRequest,
-    RepartitionResponse,
-    quality_metrics,
-)
+from .requests import Request, Response
 from .stats import ServiceStats
 
-__all__ = ["PartitionEngine", "compute_repartition_response", "compute_response"]
+__all__ = ["PartitionEngine", "compute_response"]
 
 
-def compute_response(request: PartitionRequest) -> PartitionResponse:
-    """Compute one partition + its metrics (runs in worker processes).
+def compute_response(request: Request) -> Response:
+    """Compute one request's response from scratch, of either kind.
 
-    Module-level (picklable) on purpose.  Deterministic for a given
-    request, so parallel and serial execution agree bit-for-bit.
-
-    Runs the staged pipeline (mesh → graph → partition → evaluate,
-    :func:`repro.partition.pipeline.run_pipeline`): each stage is
-    traced individually, and the mesh/graph stages are memoized per
-    process, so a batch sweeping several methods at the same ``ne``
-    builds the mesh and graph once.
-
-    For weighted requests the ``lb_weight`` metric reports the load
-    imbalance under the *request's* weights (the quantity a weighted
-    cut balances), not the graph's uniform vertex weights.
+    Module-level (picklable) on purpose: what a pool worker runs.
+    Deterministic for a given request, so parallel and serial execution
+    agree bit-for-bit.
     """
-    start = perf_counter()
-    with span(
-        "compute",
-        "service",
-        key=request.cache_key()[:12],
-        method=request.method,
-        ne=request.ne,
-        nparts=request.nparts,
-    ):
-        weights = request.resolve_weights()
-        result = run_pipeline(
-            request.method,
-            request.ne,
-            request.nparts,
-            seed=request.seed,
-            schedule=request.schedule,
-            weights=weights,
-        )
-    metrics = quality_metrics(result.quality)
-    if weights is not None:
-        from ..partition.metrics import load_balance
-
-        loads = np.bincount(
-            result.partition.assignment, weights=weights,
-            minlength=request.nparts,
-        )
-        metrics["lb_weight"] = load_balance(loads)
-    return PartitionResponse(
-        request=request,
-        assignment=result.partition.assignment,
-        metrics=metrics,
-        elapsed_s=perf_counter() - start,
-        source="computed",
-    )
+    return request.compute()
 
 
-def compute_repartition_response(request: RepartitionRequest) -> RepartitionResponse:
-    """Plan one rebalancing migration (runs in worker processes).
-
-    Module-level (picklable) and deterministic, like
-    :func:`compute_response`; the heavy lifting is
-    :func:`repro.partition.repartition.plan_repartition` on the
-    streaming key path.
-    """
-    from ..partition.repartition import plan_repartition
-
-    start = perf_counter()
-    with span(
-        "repartition",
-        "service",
-        key=request.cache_key()[:12],
-        method=request.method,
-        ne=request.ne,
-        nparts=request.nparts,
-    ):
-        plan = plan_repartition(
-            request.old_assignment,
-            request.resolve_weights(),
-            ne=request.ne,
-            nparts=request.nparts,
-            method=request.method,
-            seed=request.seed,
-            schedule=request.schedule,
-        )
-    return RepartitionResponse(
-        request=request,
-        plan=plan,
-        elapsed_s=perf_counter() - start,
-        source="computed",
-    )
-
-
-def _pool_compute(item: tuple[PartitionRequest, bool, dict | None]):
+def _pool_compute(item: tuple[Request, bool, dict | None]):
     """Pool task: compute one response, optionally with telemetry.
 
     When the parent had a collector active, a fresh worker-local
@@ -159,23 +71,16 @@ def _pool_compute(item: tuple[PartitionRequest, bool, dict | None]):
     boundary: the worker re-enters it, so worker-side spans and log
     records carry the same trace id as the server-side request.
 
-    Dispatches on the request type, so partition and repartition
-    requests share one pool path (and one tuple shape on the wire).
     The response travels back without its request (the caller holds
     it and re-attaches it with ``with_request``): a repartition's old
     assignment would otherwise double the pickled result.
     """
     request, collect, ctx_dict = item
-    compute = (
-        compute_repartition_response
-        if isinstance(request, RepartitionRequest)
-        else compute_response
-    )
     if not collect:
-        return compute(request).with_request(None), None
+        return request.compute().with_request(None), None
     with request_context(RequestContext.from_dict(ctx_dict)):
         with worker_session() as session:
-            response = compute(request)
+            response = request.compute()
             log_event(
                 "worker.compute",
                 key=request.cache_key()[:12],
@@ -185,26 +90,6 @@ def _pool_compute(item: tuple[PartitionRequest, bool, dict | None]):
                 elapsed_ms=round(1e3 * response.elapsed_s, 3),
             )
     return response.with_request(None), session.to_payload()
-
-
-def _record_response_metrics(response: PartitionResponse) -> None:
-    """Per-request quality metrics and source counters (no-op when idle).
-
-    The ``partitioner`` label is the registry name (the single source
-    of truth for method identity), not the free-form ``method`` string
-    a ``Partition`` happens to carry.
-    """
-    partitioner = registry.get(response.request.method).name
-    inc("service_requests_total", source=response.source, partitioner=partitioner)
-    m = response.metrics
-    observe("request_lb_nelemd", m["lb_nelemd"], partitioner=partitioner)
-    observe("request_lb_spcv", m["lb_spcv"], partitioner=partitioner)
-    observe("request_edgecut", m["edgecut"], partitioner=partitioner)
-    observe("request_tcv_points", m["total_volume_points"], partitioner=partitioner)
-    if response.source == "computed":
-        observe(
-            "request_compute_seconds", response.elapsed_s, partitioner=partitioner
-        )
 
 
 class PartitionEngine:
@@ -304,13 +189,11 @@ class PartitionEngine:
     def __exit__(self, *exc) -> None:
         self.close()
 
-    def serve(self, request: PartitionRequest) -> PartitionResponse:
+    def serve(self, request: Request) -> Response:
         """Serve a single request (batch of one)."""
         return self.run([request])[0]
 
-    def run(
-        self, requests: Sequence[PartitionRequest]
-    ) -> list[PartitionResponse]:
+    def run(self, requests: Sequence[Request]) -> list[Response]:
         """Serve a batch; responses align with ``requests`` by index."""
         self._check_open()
         start = perf_counter()
@@ -319,20 +202,18 @@ class PartitionEngine:
         self.stats.record_batch_wall(perf_counter() - start)
         return responses
 
-    def _run_batch(
-        self, requests: Sequence[PartitionRequest]
-    ) -> list[PartitionResponse]:
+    def _run_batch(self, requests: Sequence[Request]) -> list[Response]:
         # Dedupe by content hash, preserving first-seen order.
         order: list[str] = []
-        unique: dict[str, PartitionRequest] = {}
+        unique: dict[str, Request] = {}
         with span("dedup", "service"):
             for req in requests:
                 key = req.cache_key()
                 order.append(key)
                 unique.setdefault(key, req)
 
-        resolved: dict[str, PartitionResponse] = {}
-        misses: list[PartitionRequest] = []
+        resolved: dict[str, Response] = {}
+        misses: list[Request] = []
         with span("cache", "service"):
             for key, req in unique.items():
                 hit = self.cache.get(req)
@@ -359,7 +240,7 @@ class PartitionEngine:
         # Duplicate requests within the batch share the first
         # occurrence's answer; label repeats ``dedup`` so telemetry
         # doesn't double-count the compute time.
-        responses: list[PartitionResponse] = []
+        responses: list[Response] = []
         served: set[str] = set()
         for key in order:
             response = resolved[key]
@@ -369,17 +250,15 @@ class PartitionEngine:
             responses.append(response)
         for response in responses:
             self.stats.record(response)
-            _record_response_metrics(response)
+            response.record()
         return responses
 
-    def _compute_all(
-        self, misses: list[PartitionRequest]
-    ) -> list[PartitionResponse]:
+    def _compute_all(self, misses: list[Request]) -> list[Response]:
         if not misses:
             return []
         if self.jobs == 1 or len(misses) == 1:
             with span("compute_inline", "service"):
-                return [compute_response(req) for req in misses]
+                return [req.compute() for req in misses]
         # The pool persists across run() calls: repeated sweeps pay the
         # worker fork/import cost once per engine, not once per batch.
         pool = self._ensure_pool()
@@ -387,7 +266,7 @@ class PartitionEngine:
         ctx = current_context()
         ctx_dict = ctx.to_dict() if ctx is not None else None
         set_gauge("pool_queue_depth", len(misses))
-        responses: list[PartitionResponse] = []
+        responses: list[Response] = []
         with span("pool", "service", misses=len(misses), jobs=self.jobs):
             # Replay inside the pool span so worker spans re-parent
             # under it in the trace.

@@ -11,8 +11,24 @@ A :class:`PartitionResponse` carries everything a client needs: the
 dense assignment vector, the full Table-2 metric set (scalars of
 :class:`~repro.partition.metrics.PartitionQuality`), the compute time,
 and where the answer came from (``computed`` / ``memory`` / ``disk``).
-Both types round-trip through JSON so batch files and on-disk cache
-entries share one serialization.
+A :class:`RepartitionRequest` names one rebalancing problem (an old
+assignment plus new weights) and is answered by a
+:class:`RepartitionResponse` carrying the migration plan.
+
+Both request kinds speak one small protocol, so the engine, its cache
+and the server serve them through one path with no kind branches:
+
+* ``from_dict`` / ``cache_key`` — parse a wire object; the content
+  address of the canonical form;
+* ``compute()`` — the answer, computed from scratch (what a pool
+  worker runs);
+* ``restored(assignment, meta)`` — the answer rebuilt from its stored
+  form, the pair a response's ``stored()`` gives: one int64 array plus
+  JSON metadata;
+* the response's ``record()`` — its per-request metrics.
+
+Every type round-trips through JSON, so batch files and wire bodies
+share one serialization.
 """
 
 from __future__ import annotations
@@ -23,8 +39,12 @@ import json
 import reprlib
 from dataclasses import dataclass, field
 from pathlib import Path
+from time import perf_counter
 
 import numpy as np
+
+from ..partition import registry
+from ..telemetry import inc, observe, span
 
 __all__ = [
     "METRIC_FIELDS",
@@ -59,12 +79,13 @@ def _listed(arr) -> list:
     return np.asarray(arr).tolist()
 
 
-class _Relabel:
-    """Copies of a validated frozen response that change one field.
+class _Response:
+    """What both response kinds share: relabelled copies and ``record()``.
 
-    Skips ``dataclasses.replace``, which would rerun ``__post_init__``'s
-    validation on every cache hit and coalesced joiner; a copy shares
-    every other field, the read-only assignment included.
+    Copies that change one field skip ``dataclasses.replace``, which
+    would rerun ``__post_init__``'s validation on every cache hit and
+    coalesced joiner; a copy shares every other field, the read-only
+    assignment included.
     """
 
     def _copy(self, name: str, value):
@@ -86,6 +107,18 @@ class _Relabel:
         the request, attaches it again.
         """
         return self._copy("request", request)
+
+    def record(self) -> None:
+        """Per-request metrics and source counters (no-op when idle).
+
+        The ``partitioner`` label is the registry name (the single
+        source of truth for method identity), not the free-form
+        ``method`` string a ``Partition`` happens to carry.
+        """
+        partitioner = registry.get(self.request.method).name
+        self._observe(partitioner)
+        if self.source == "computed":
+            observe("request_compute_seconds", self.elapsed_s, partitioner=partitioner)
 
 
 def _sha256_json(payload: dict) -> str:
@@ -186,9 +219,7 @@ class WeightSpec:
                 )
             object.__setattr__(self, "params", params)
         else:
-            from ..partition.registry import validate_weights
-
-            arr = validate_weights(self.values)
+            arr = registry.validate_weights(self.values)
             arr.setflags(write=False)
             object.__setattr__(self, "values", arr)
 
@@ -326,8 +357,6 @@ class PartitionRequest(_ContentAddressed):
     weights: WeightSpec | None = None
 
     def __post_init__(self) -> None:
-        from ..partition import registry
-
         for name in ("ne", "nparts", "seed"):
             value = getattr(self, name)
             if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
@@ -386,6 +415,56 @@ class PartitionRequest(_ContentAddressed):
         """The concrete weight array (generating scenario weights)."""
         return None if self.weights is None else self.weights.resolve(self.ne)
 
+    def compute(self) -> "PartitionResponse":
+        """Compute the partition and its metrics.
+
+        Deterministic, so parallel and serial execution agree
+        bit-for-bit.  Runs the staged pipeline (mesh → graph →
+        partition → evaluate,
+        :func:`repro.partition.pipeline.run_pipeline`): each stage is
+        traced, and the mesh/graph stages are memoized per process, so
+        a batch sweeping several methods at one ``ne`` builds them once.
+
+        For weighted requests the ``lb_weight`` metric reports the load
+        imbalance under the *request's* weights (the quantity a weighted
+        cut balances), not the graph's uniform vertex weights.
+        """
+        from ..partition.metrics import load_balance
+        from ..partition.pipeline import run_pipeline
+
+        start = perf_counter()
+        with span(
+            "compute", "service", key=self.cache_key()[:12],
+            method=self.method, ne=self.ne, nparts=self.nparts,
+        ):
+            weights = self.resolve_weights()
+            result = run_pipeline(
+                self.method, self.ne, self.nparts,
+                seed=self.seed, schedule=self.schedule, weights=weights,
+            )
+        metrics = quality_metrics(result.quality)
+        if weights is not None:
+            loads = np.bincount(
+                result.partition.assignment, weights=weights, minlength=self.nparts
+            )
+            metrics["lb_weight"] = load_balance(loads)
+        return PartitionResponse(
+            self, result.partition.assignment, metrics, perf_counter() - start
+        )
+
+    def restored(
+        self, assignment: np.ndarray, meta: dict, source: str = "disk"
+    ) -> "PartitionResponse":
+        """The response stored as ``assignment`` + ``meta``.
+
+        ``meta`` holds ``metrics`` and ``elapsed_s``
+        (:meth:`PartitionResponse.stored`, or a whole wire body).
+        """
+        return PartitionResponse(
+            self, assignment, meta["metrics"],
+            float(meta.get("elapsed_s", 0.0)), source,
+        )
+
     def to_json(self) -> str:
         return json.dumps(self.to_wire(), sort_keys=True)
 
@@ -412,7 +491,7 @@ class PartitionRequest(_ContentAddressed):
 
 
 @dataclass(frozen=True)
-class PartitionResponse(_Relabel):
+class PartitionResponse(_Response):
     """The service's answer to one :class:`PartitionRequest`.
 
     Attributes:
@@ -484,13 +563,24 @@ class PartitionResponse(_Relabel):
     @classmethod
     def from_json(cls, text: str) -> "PartitionResponse":
         data = json.loads(text)
-        return cls(
-            request=PartitionRequest.from_dict(data["request"]),
-            assignment=np.asarray(data["assignment"], dtype=np.int64),
-            metrics=data["metrics"],
-            elapsed_s=float(data.get("elapsed_s", 0.0)),
-            source=str(data.get("source", "computed")),
+        return PartitionRequest.from_dict(data["request"]).restored(
+            np.asarray(data["assignment"], dtype=np.int64),
+            data,
+            str(data.get("source", "computed")),
         )
+
+    def stored(self) -> tuple[np.ndarray, dict]:
+        """The cache's form: the assignment plus JSON metadata."""
+        return self.assignment, {"metrics": self.metrics, "elapsed_s": self.elapsed_s}
+
+    def _observe(self, partitioner: str) -> None:
+        """The Table-2 quality metrics of the served partition."""
+        inc("service_requests_total", source=self.source, partitioner=partitioner)
+        m = self.metrics
+        observe("request_lb_nelemd", m["lb_nelemd"], partitioner=partitioner)
+        observe("request_lb_spcv", m["lb_spcv"], partitioner=partitioner)
+        observe("request_edgecut", m["edgecut"], partitioner=partitioner)
+        observe("request_tcv_points", m["total_volume_points"], partitioner=partitioner)
 
 
 @dataclass(frozen=True, eq=False)
@@ -522,8 +612,6 @@ class RepartitionRequest(_ContentAddressed):
     schedule: str | None = None
 
     def __post_init__(self) -> None:
-        from ..partition import registry
-
         for name in ("ne", "seed"):
             value = getattr(self, name)
             if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
@@ -602,6 +690,50 @@ class RepartitionRequest(_ContentAddressed):
         """The concrete new-weight array."""
         return self.weights.resolve(self.ne)
 
+    def compute(self) -> "RepartitionResponse":
+        """Plan the migration on the streaming key path.
+
+        Runs :func:`~repro.partition.repartition.plan_repartition`;
+        deterministic, like :meth:`PartitionRequest.compute`.
+        """
+        from ..partition.repartition import plan_repartition
+
+        start = perf_counter()
+        with span(
+            "repartition", "service", key=self.cache_key()[:12],
+            method=self.method, ne=self.ne, nparts=self.nparts,
+        ):
+            plan = plan_repartition(
+                self.old_assignment, self.resolve_weights(),
+                ne=self.ne, nparts=self.nparts, method=self.method,
+                seed=self.seed, schedule=self.schedule,
+            )
+        return RepartitionResponse(self, plan, perf_counter() - start)
+
+    def restored(
+        self, assignment: np.ndarray, meta: dict, source: str = "disk"
+    ) -> "RepartitionResponse":
+        """The response stored as its new ``assignment`` + ``meta``.
+
+        ``meta`` holds the plan's scalars under ``plan`` and
+        ``elapsed_s`` (:meth:`RepartitionResponse.stored`, or a whole
+        wire body); the moves are regrouped from this request's old
+        assignment.
+        """
+        from ..partition.repartition import RepartitionPlan, group_moves
+
+        scalars = {
+            k: v for k, v in meta["plan"].items() if k not in ("assignment", "moves")
+        }
+        plan = RepartitionPlan(
+            new_assignment=assignment,
+            moves=group_moves(self.old_assignment, assignment)[1],
+            **scalars,
+        )
+        return RepartitionResponse(
+            self, plan, float(meta.get("elapsed_s", 0.0)), source
+        )
+
     def to_json(self) -> str:
         return json.dumps(self.to_wire(), sort_keys=True)
 
@@ -645,16 +777,20 @@ class RepartitionRequest(_ContentAddressed):
 
 
 @dataclass(frozen=True)
-class RepartitionResponse(_Relabel):
+class RepartitionResponse(_Response):
     """The service's answer to one :class:`RepartitionRequest`.
+
+    A plan is a pure function of its request (whose canonical form
+    hashes the old assignment and the weights spec), so plans share
+    the engine's content-addressed cache with partitions.
 
     Attributes:
         request: The request answered.
         plan: The migration plan
             (:class:`~repro.partition.repartition.RepartitionPlan`).
         elapsed_s: Compute time of the underlying planning run.
-        source: ``"computed"``, ``"memory"`` (served from the plan
-            LRU), or ``"coalesced"``.
+        source: ``"computed"``, ``"memory"``, ``"disk"``, ``"dedup"``
+            or ``"coalesced"``, as for :class:`PartitionResponse`.
     """
 
     request: RepartitionRequest
@@ -686,30 +822,36 @@ class RepartitionResponse(_Relabel):
 
     @classmethod
     def from_json(cls, text: str) -> "RepartitionResponse":
-        from ..partition.repartition import RepartitionPlan
-
         data = json.loads(text)
-        p = data["plan"]
-        plan = RepartitionPlan(
-            nparts=int(p["nparts"]),
-            method=str(p["method"]),
-            new_assignment=np.asarray(p["assignment"], dtype=np.int64),
-            moves={
-                int(rank): np.asarray(gids, dtype=np.int64)
-                for rank, gids in p["moves"].items()
-            },
-            elements_moved=int(p["elements_moved"]),
-            weight_moved=float(p["weight_moved"]),
-            fraction_moved=float(p["fraction_moved"]),
-            lb_before=float(p["lb_before"]),
-            lb_after=float(p["lb_after"]),
+        return RepartitionRequest.from_dict(data["request"]).restored(
+            np.asarray(data["plan"]["assignment"], dtype=np.int64),
+            data,
+            str(data.get("source", "computed")),
         )
-        return cls(
-            request=RepartitionRequest.from_dict(data["request"]),
-            plan=plan,
-            elapsed_s=float(data.get("elapsed_s", 0.0)),
-            source=str(data.get("source", "computed")),
+
+    def stored(self) -> tuple[np.ndarray, dict]:
+        """The cache's form: the new assignment plus the plan's scalars."""
+        return self.plan.new_assignment, {
+            "plan": self.plan.scalars(),
+            "elapsed_s": self.elapsed_s,
+        }
+
+    def _observe(self, partitioner: str) -> None:
+        """Plan-shaped metrics: migration quantities, not Table-2 ones."""
+        if self.source in ("memory", "disk"):
+            inc("server_repartition_cache_hits")
+        inc("server_repartition_total", source=self.source, partitioner=partitioner)
+        observe("repartition_lb_after", self.plan.lb_after, partitioner=partitioner)
+        observe(
+            "repartition_fraction_moved",
+            self.plan.fraction_moved, partitioner=partitioner,
         )
+
+
+#: Either request kind and either response kind: what the engine, its
+#: cache and the server take and give.
+Request = PartitionRequest | RepartitionRequest
+Response = PartitionResponse | RepartitionResponse
 
 
 def load_request_file(path: Path | str) -> list[PartitionRequest]:

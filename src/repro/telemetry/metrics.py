@@ -74,7 +74,7 @@ HELP_BY_METRIC: dict[str, str] = {
     ),
     "repartition_lb_after": "Load imbalance after the repartition plan.",
     "server_repartition_cache_hits": (
-        "Repartition requests answered from the server plan LRU."
+        "Repartition requests answered from the engine cache."
     ),
     "server_repartition_total": (
         "Repartition plans served, by source and partitioner."

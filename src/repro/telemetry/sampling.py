@@ -19,6 +19,7 @@ at all when no sampler is running.
 
 from __future__ import annotations
 
+import gc
 import sys
 import threading
 from collections import Counter
@@ -42,6 +43,27 @@ def _frame_stack(frame, limit: int = 128) -> tuple[str, ...]:
         frame = frame.f_back
     frames.reverse()
     return tuple(frames)
+
+
+def _current_frames() -> dict:
+    """``sys._current_frames()`` with the garbage collector paused.
+
+    CPython 3.11 builds that dict while holding the runtime's thread
+    list lock, and a collection set off by one of its allocations runs
+    finalizers under that lock.  A finalizer that releases the GIL (a
+    collected ``ProcessPoolExecutor``'s weakref callback writes to its
+    wake-up pipe) lets a thread that is exiting take the GIL and then
+    wait on that lock, while the finalizer waits for the GIL: the whole
+    process hangs.  With the collector paused no finalizer runs there;
+    the next collection happens outside the lock.
+    """
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return sys._current_frames()
+    finally:
+        if enabled:
+            gc.enable()
 
 
 class StackSampler:
@@ -72,7 +94,7 @@ class StackSampler:
         own = threading.get_ident()
         t0 = perf_counter()
         while not self._stop.is_set():
-            for tid, frame in sys._current_frames().items():
+            for tid, frame in _current_frames().items():
                 if tid == own:
                     continue
                 try:

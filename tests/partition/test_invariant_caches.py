@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 from repro.partition import sfc
 from repro.partition.pipeline import clear_stage_caches, mesh_stage
 from repro.partition.repartition import plan_repartition, repartition_curve
-from repro.service.engine import compute_repartition_response
+from repro.service.engine import compute_response
 from repro.service.requests import RepartitionRequest
 from repro.sfc.factorization import admissible_sizes, all_schedules
 
@@ -105,7 +105,7 @@ class TestPositionCache:
                     "ne": ne, "nparts": nparts, "old_assignment": old,
                     "weights": {"scenario": "storm", "step": step},
                 })
-                old = compute_repartition_response(request).plan.new_assignment
+                old = compute_response(request).plan.new_assignment
         assert keys.call_count == 1
         assert sfc.POSITIONS_CACHE.stats() == {
             "hits": 10, "misses": 1, "entries": 1,

@@ -16,9 +16,10 @@ from repro.partition.sfc import (
     cut_positions_weighted,
     keyed_cut,
     morton_partition,
-    partition_curve,
     sfc_partition,
 )
+
+from .reference_sfc import partition_curve
 
 
 class TestUniformCuts:

@@ -228,10 +228,10 @@ class TestJsonBody:
     def test_repartition_response_payload(self):
         from repro.partition.sfc import sfc_partition
         from repro.service import RepartitionRequest
-        from repro.service.engine import compute_repartition_response
+        from repro.service.engine import compute_response
 
         old = sfc_partition(4, 8).assignment
-        resp = compute_repartition_response(
+        resp = compute_response(
             RepartitionRequest(
                 ne=4,
                 old_assignment=old,

@@ -2,8 +2,9 @@
 
 Every test runs a real server on an ephemeral port and checks that the
 repartition path carries the full serving contract — plan parity with
-the in-process planner, coalescing, the plan LRU, validation-as-422,
-metrics families, and trace propagation — exactly like ``/partition``.
+the in-process planner, coalescing, the engine's cache (memory and
+disk), validation-as-422, metrics families, and trace propagation —
+exactly like ``/partition``.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import numpy as np
 from repro.partition import plan_repartition, sfc_partition
 from repro.scenarios import scenario_weights
 from repro.server import Connection, PartitionServer, fetch
-from repro.service import PartitionEngine, RepartitionRequest
+from repro.service import PartitionCache, PartitionEngine, RepartitionRequest
 from repro.telemetry import telemetry_session
 
 NE = 4
@@ -104,6 +105,32 @@ class TestCachingAndCoalescing:
             assert second["plan"] == first["plan"]
 
         run(inner())
+
+    def test_plan_lands_in_the_engine_cache(self):
+        async def inner():
+            async with PartitionServer(PartitionEngine()) as server:
+                async with await Connection.open(*server.address) as conn:
+                    await conn.repartition(storm_request())
+                    return (await conn.request("GET", "/debug/vars")).json()
+
+        cache = run(inner())["cache"]
+        assert cache["memory_entries"] == 1
+        assert cache["stores"] == 1
+
+    def test_plan_survives_a_restart_on_disk(self, tmp_path):
+        async def serve_once() -> dict:
+            engine = PartitionEngine(PartitionCache(cache_dir=tmp_path))
+            async with PartitionServer(engine) as server:
+                async with await Connection.open(*server.address) as conn:
+                    return (await conn.repartition(storm_request())).json()
+
+        first = run(serve_once())
+        second = run(serve_once())
+        assert (first["source"], second["source"]) == ("computed", "disk")
+        assert json.dumps(second["plan"], sort_keys=True) == json.dumps(
+            first["plan"], sort_keys=True
+        )
+        assert second["elapsed_s"] == first["elapsed_s"]
 
     def test_different_steps_not_conflated(self):
         async def inner():

@@ -11,9 +11,25 @@ from repro.service import (
     PartitionCache,
     PartitionEngine,
     PartitionRequest,
+    RepartitionRequest,
     compute_response,
 )
 from repro.service.cache import scan_cache_dir
+
+
+def plan_request(step: int = 3) -> RepartitionRequest:
+    return RepartitionRequest(
+        ne=2,
+        old_assignment=np.arange(24) % 4,
+        weights={"scenario": "storm", "step": step},
+    )
+
+
+#: One request of each kind the cache stores.
+KINDS = {
+    "partition": lambda: PartitionRequest(ne=2, nparts=4),
+    "plan": plan_request,
+}
 
 
 @pytest.fixture()
@@ -70,6 +86,18 @@ class TestMemoryTier:
         assert cache.get(a) is not None
         assert cache.get(b) is None
 
+    def test_one_capacity_bound_evicts_across_kinds(self):
+        cache = PartitionCache(capacity=2)
+        part, plan, later = KINDS["partition"](), plan_request(), plan_request(7)
+        for r in (part, plan, later):
+            cache.put(r, compute_response(r))
+        assert len(cache) == 2
+        assert cache.get(part) is None  # the oldest entry, a partition
+        assert cache.get(plan).source == "memory"
+        cache.put(part, compute_response(part))  # now ``later`` is oldest
+        assert cache.get(later) is None
+        assert cache.stats()["memory_entries"] == 2
+
     def test_capacity_validated(self):
         with pytest.raises(ValueError, match="capacity"):
             PartitionCache(capacity=0)
@@ -106,9 +134,18 @@ class TestDiskTier:
         cache.clear_memory()
         assert cache.get(req) is None
 
-    @pytest.mark.parametrize("keep", [0.5, 0.9])
-    def test_truncated_entry_is_recomputed_and_rewritten(self, tmp_path, req, keep):
+    @pytest.mark.parametrize(
+        "kind,keep",
+        [
+            pytest.param("partition", 0.5, id="0.5"),
+            pytest.param("partition", 0.9, id="0.9"),
+            pytest.param("plan", 0.5, id="plan-0.5"),
+            pytest.param("plan", 0.9, id="plan-0.9"),
+        ],
+    )
+    def test_truncated_entry_is_recomputed_and_rewritten(self, tmp_path, kind, keep):
         """A cut-off write (zip directory lost) is a miss, not a poisoned key."""
+        req = KINDS[kind]()
         engine = PartitionEngine(PartitionCache(cache_dir=tmp_path))
         (first,) = engine.run([req])
         path = engine.cache._path(req.cache_key())
@@ -119,10 +156,48 @@ class TestDiskTier:
         fresh = PartitionEngine(PartitionCache(cache_dir=tmp_path))
         (again,) = fresh.run([req])
         assert again.source == "computed"
-        assert np.array_equal(again.assignment, first.assignment)
+        assert np.array_equal(again.stored()[0], first.stored()[0])
         assert scan_cache_dir(tmp_path)["current"] == 1
         reread = PartitionCache(cache_dir=tmp_path).get(req)
         assert reread is not None and reread.source == "disk"
+
+    def test_plan_stored_without_its_moves(self, tmp_path):
+        """A plan entry is the partition layout: its new assignment plus
+        JSON metadata; the moves are regrouped from the request."""
+        plan = plan_request()
+        computed = compute_response(plan)
+        PartitionCache(cache_dir=tmp_path).put(plan, computed)
+        path = PartitionCache(cache_dir=tmp_path)._path(plan.cache_key())
+        with np.load(path) as data:
+            assert sorted(data.files) == ["assignment", "meta"]
+            meta = json.loads(bytes(data["meta"]).decode())
+        assert sorted(meta) == ["cache_version", "elapsed_s", "plan", "request"]
+        hit = PartitionCache(cache_dir=tmp_path).get(plan)
+        assert hit.source == "disk"
+        assert json.dumps(hit.to_dict()["plan"]) == json.dumps(
+            computed.to_dict()["plan"]
+        )
+
+    def test_partition_form_under_a_plan_key_is_a_miss(self, tmp_path):
+        """A plan key holding a partition response's metadata (what an
+        engine that computed plans as partitions wrote) is recomputed."""
+        plan = plan_request()
+        engine = PartitionEngine(PartitionCache(cache_dir=tmp_path))
+        engine.run([plan])
+        metrics = compute_response(PartitionRequest(ne=2, nparts=4)).metrics
+        _rewrite_meta(
+            engine.cache._path(plan.cache_key()),
+            lambda m: {
+                "cache_version": m["cache_version"],
+                "request": m["request"],
+                "metrics": metrics,
+                "elapsed_s": 0.0,
+            },
+        )
+        fresh = PartitionEngine(PartitionCache(cache_dir=tmp_path))
+        assert fresh.serve(plan).source == "computed"
+        again = PartitionEngine(PartitionCache(cache_dir=tmp_path)).serve(plan)
+        assert again.source == "disk"
 
     def test_mismatched_entry_is_a_miss(self, tmp_path, req, resp):
         """An entry whose stored request differs is never served."""
@@ -225,18 +300,21 @@ class TestScanCacheDir:
         assert "mesh" in info["cache_version"]
 
     def test_counts_by_freshness(self, tmp_path, req, resp):
+        """One current and one stale entry of each kind, plus junk."""
         cache = PartitionCache(cache_dir=tmp_path)
         cache.put(req, resp)
-        other = PartitionRequest(ne=2, nparts=6)
-        cache.put(other, compute_response(other))
-        _rewrite_meta(
-            cache._path(other.cache_key()),
-            lambda m: {**m, "cache_version": "old"},
-        )
+        plan = plan_request()
+        cache.put(plan, compute_response(plan))
+        for other in (PartitionRequest(ne=2, nparts=6), plan_request(9)):
+            cache.put(other, compute_response(other))
+            _rewrite_meta(
+                cache._path(other.cache_key()),
+                lambda m: {**m, "cache_version": "old"},
+            )
         (tmp_path / "junk.npz").write_bytes(b"not an npz")
         info = scan_cache_dir(tmp_path)
-        assert info["entries"] == 3
-        assert info["current"] == 1
-        assert info["stale"] == 1
+        assert info["entries"] == 5
+        assert info["current"] == 2
+        assert info["stale"] == 2
         assert info["unreadable"] == 1
         assert info["bytes"] > 0

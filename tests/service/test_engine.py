@@ -11,7 +11,17 @@ import numpy as np
 import pytest
 
 from repro.partition.pipeline import partition_stage
-from repro.service import PartitionCache, PartitionEngine, PartitionRequest
+from repro.partition.repartition import plan_repartition
+from repro.partition.sfc import sfc_partition
+from repro.scenarios import scenario_weights
+from repro.service import (
+    PartitionCache,
+    PartitionEngine,
+    PartitionRequest,
+    PartitionResponse,
+    RepartitionRequest,
+    RepartitionResponse,
+)
 
 
 def sweep_requests(ne: int = 4) -> list[PartitionRequest]:
@@ -61,6 +71,56 @@ class TestEngineBasics:
         (resp,) = engine.run([req])
         assert resp.source == "memory"
         assert engine.stats.hit_rate == 0.5  # 1 of 2 served from cache
+
+
+def storm_request(step: int = 3) -> RepartitionRequest:
+    return RepartitionRequest(
+        ne=4,
+        old_assignment=sfc_partition(4, 12).assignment,
+        weights={"scenario": "storm", "step": step},
+        nparts=12,
+    )
+
+
+class TestRepartitionRequests:
+    """Plans are served by the same engine, cache and pool as partitions."""
+
+    def test_serve_returns_the_plan_and_persists_it(self, tmp_path):
+        req = storm_request()
+        direct = plan_repartition(
+            req.old_assignment, scenario_weights("storm", 4, 3), ne=4, nparts=12
+        )
+        with PartitionEngine(PartitionCache(cache_dir=tmp_path)) as engine:
+            served = engine.serve(req)
+        assert isinstance(served, RepartitionResponse)
+        assert served.source == "computed"
+        assert served.plan.to_dict(include_assignment=True) == direct.to_dict(
+            include_assignment=True
+        )
+        # A second engine on the same directory: the plan comes back
+        # from disk, its moves regrouped from the old assignment.
+        with PartitionEngine(PartitionCache(cache_dir=tmp_path)) as engine:
+            again = engine.serve(req)
+        assert isinstance(again, RepartitionResponse)
+        assert again.source == "disk"
+        np.testing.assert_array_equal(again.plan.new_assignment, direct.new_assignment)
+        assert list(again.plan.moves) == list(direct.moves)
+        for rank, gids in direct.moves.items():
+            assert again.plan.moves[rank].dtype == gids.dtype
+            np.testing.assert_array_equal(again.plan.moves[rank], gids)
+        assert again.plan.scalars() == direct.scalars()
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_mixed_batch(self, jobs):
+        part, plan = PartitionRequest(ne=4, nparts=12), storm_request()
+        with PartitionEngine(jobs=jobs) as engine:
+            responses = engine.run([part, plan, plan])
+        assert [type(r) for r in responses] == [
+            PartitionResponse, RepartitionResponse, RepartitionResponse,
+        ]
+        assert [r.source for r in responses] == ["computed", "computed", "dedup"]
+        assert responses[1].request is plan
+        assert engine.cache.stores == 2
 
 
 class TestAcceptance:

@@ -233,9 +233,9 @@ class TestLoadRequestFile:
 class TestRepartitionResponse:
     def _response(self):
         from repro.partition.sfc import sfc_partition
-        from repro.service import RepartitionRequest, compute_repartition_response
+        from repro.service import RepartitionRequest, compute_response
 
-        return compute_repartition_response(
+        return compute_response(
             RepartitionRequest(
                 ne=4,
                 old_assignment=sfc_partition(4, 8).assignment,

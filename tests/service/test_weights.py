@@ -13,7 +13,7 @@ from repro.service import (
     RepartitionRequest,
     WeightSpec,
 )
-from repro.service.engine import compute_repartition_response, compute_response
+from repro.service.engine import compute_response
 
 NE = 2
 K = 6 * NE * NE
@@ -221,7 +221,7 @@ class TestRoundTrips:
         req = RepartitionRequest(
             ne=NE, old_assignment=np.arange(K) % 4, weights=np.ones(K) * 2.0
         )
-        resp = compute_repartition_response(req)
+        resp = compute_response(req)
         back = type(resp).from_json(resp.to_json())
         assert back.request == req
         np.testing.assert_array_equal(

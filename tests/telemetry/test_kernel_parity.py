@@ -104,12 +104,12 @@ from repro.partition.sfc import sfc_partition
 from repro.server.http import _NATIVE, json_body
 from repro.service import (
     PartitionRequest, RepartitionRequest,
-    compute_repartition_response, compute_response,
+    compute_response,
 )
 
 responses = [
     compute_response(PartitionRequest(ne=16, nparts=24, method="rb")),
-    compute_repartition_response(RepartitionRequest(
+    compute_response(RepartitionRequest(
         ne=16, nparts=16, old_assignment=sfc_partition(16, 16).assignment,
         weights={"scenario": "storm", "step": 4},
     )),

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import gc
 import time
 
 import pytest
@@ -51,6 +52,33 @@ class TestStackSampler:
         assert len(calls) > 1
         assert sampler.samples > 1
         assert sampler.counts
+
+    def test_frames_are_read_with_the_collector_paused(self, monkeypatch):
+        # A collection inside sys._current_frames() can deadlock
+        # CPython 3.11 (finalizers run under the thread-list lock).
+        real = sampling.sys._current_frames
+        enabled_during = []
+
+        def spy():
+            enabled_during.append(gc.isenabled())
+            return real()
+
+        monkeypatch.setattr(sampling.sys, "_current_frames", spy)
+        assert gc.isenabled()
+        sampler = StackSampler(interval=0.002)
+        with sampler:
+            _spin(time.perf_counter() + 0.03)
+        assert enabled_during and not any(enabled_during)
+        assert gc.isenabled()
+        assert "_spin" in sampler.collapsed()
+
+    def test_collector_stays_off_if_it_was_off(self):
+        gc.disable()
+        try:
+            assert sampling._current_frames()
+            assert not gc.isenabled()
+        finally:
+            gc.enable()
 
     def test_sample_stacks_blocks_and_returns(self):
         sampler = sample_stacks(0.03, interval=0.002)
