@@ -3,22 +3,29 @@
 METIS's ancestry is spectral partitioning; our multilevel partitioner
 offers a spectral initial bisection (Fiedler-vector split) alongside
 greedy graph growing.  The Fiedler vector is computed with SciPy's
-sparse eigensolvers on the (weighted) Laplacian.
+sparse eigensolvers on the (weighted) Laplacian.  SciPy is imported
+only when one is computed, so serving (which never bisects spectrally
+by default) does not load it.
 """
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 import numpy as np
-from scipy.sparse import csr_matrix, diags
-from scipy.sparse.linalg import eigsh
 
 from .csr import CSRGraph
+
+if TYPE_CHECKING:
+    from scipy.sparse import csr_matrix
 
 __all__ = ["laplacian_matrix", "fiedler_vector", "spectral_bisection_order"]
 
 
 def laplacian_matrix(graph: CSRGraph) -> csr_matrix:
     """Weighted combinatorial Laplacian ``L = D - A``."""
+    from scipy.sparse import diags
+
     a = graph.adjacency_matrix()
     d = np.asarray(a.sum(axis=1)).ravel()
     return (diags(d) - a).tocsr()
@@ -46,6 +53,8 @@ def fiedler_vector(graph: CSRGraph, seed: int = 0) -> np.ndarray:
         vals, vecs = np.linalg.eigh(lap.toarray())
         fiedler = vecs[:, np.argsort(vals)[1]]
     else:
+        from scipy.sparse.linalg import eigsh
+
         # Shift-invert around 0 converges quickly for small eigenvalues.
         vals, vecs = eigsh(lap, k=2, sigma=-1e-8, which="LM", v0=v0)
         fiedler = vecs[:, np.argsort(vals)[1]]

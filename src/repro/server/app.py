@@ -53,11 +53,22 @@ Serving mechanics, in request order:
    ``ProcessPoolExecutor`` via ``run_in_executor`` — the event loop
    never blocks on partitioning, and worker telemetry payloads are
    replayed into the server's session.
-5. **Timeouts and disconnects**: every connection read and every
+5. **Encode once per cached answer**: a computed answer is encoded
+   whole.  A reused one — a memory or disk hit, or a coalesced joiner —
+   is its cache entry's :class:`~repro.server.http.BodyTemplate` with
+   this request's ``request_id``, ``source`` and ``trace_id`` spliced
+   in (byte-identical to encoding it whole).  The template is built on
+   the entry's first reuse and shared by every copy of its response,
+   so a warm hit does no JSON encoding.  The memory trade: an entry
+   that is asked for again holds its encoded body beside its arrays
+   (``/debug/vars`` ``cache.encoded_bytes``) until it is evicted; a
+   plan or partition that is never re-asked, such as each step of a
+   rebalance trajectory, holds none.  ``/batch`` encodes whole.
+6. **Timeouts and disconnects**: every connection read and every
    request dispatch is bounded by ``request_timeout``; a dead client's
    compute still runs to completion and lands in the cache, so no
    worker is ever leaked.
-6. **Graceful shutdown**: :meth:`shutdown` stops accepting, lets
+7. **Graceful shutdown**: :meth:`shutdown` stops accepting, lets
    handlers finish writing, drains orphaned computes, then closes
    idle connections and flushes gauges.
 """
@@ -78,6 +89,7 @@ from ..partition import registry
 from ..seam.dss import dss_memo_stats
 from ..seam.element import geometry_cache_stats
 from ..service import PartitionEngine, PartitionRequest, RepartitionRequest
+from ..service.cache import encoded_body
 from ..service.engine import _pool_compute
 from ..service.requests import Request, Response
 from ..telemetry import (
@@ -99,6 +111,7 @@ from ..telemetry import (
 )
 from ..telemetry.sampling import MAX_SECONDS, sample_stacks
 from .http import (
+    BodyTemplate,
     HTTPError,
     HTTPRequest,
     decode_json_body,
@@ -115,6 +128,10 @@ MAX_BATCH_ITEMS = 4096
 
 #: Capacity of the /debug/requests ring buffer.
 DEBUG_RING_SIZE = 128
+
+#: The per-request fields of a ``/partition`` or ``/repartition`` body:
+#: the holes of a cached answer's body template.
+IDENTITY_FIELDS = ("request_id", "source", "trace_id")
 
 #: Every route the server answers (404 bodies list these as a hint).
 KNOWN_ROUTES = (
@@ -503,10 +520,31 @@ class PartitionServer:
         req = self._parse_request(self._decode_json(request.body), kind)
         response = await self._resolve(req)
         return _Result(
-            200,
-            json_body(self._stamp_identity(response.to_payload())),
-            partitioner=req.method,
+            200, self._encode(response), partitioner=req.method,
             source=response.source,
+        )
+
+    def _encode(self, response: Response) -> bytes:
+        """``response``'s JSON body, stamped with this request's ids.
+
+        A computed answer is encoded whole.  A reused answer fills its
+        entry's body template on first use and then only splices its ids
+        in.
+        """
+        if response.source == "computed":
+            return json_body(self._stamp_identity(response.to_payload()))
+        slot = encoded_body(response)
+        if slot.template is None:
+            slot.template = BodyTemplate.build(response.to_payload(), IDENTITY_FIELDS)
+            if slot.template is None:
+                return json_body(self._stamp_identity(response.to_payload()))
+        ctx = current_context()
+        return slot.template.render(
+            {
+                "request_id": ctx.request_id,
+                "source": response.source,
+                "trace_id": ctx.trace_id,
+            }
         )
 
     async def _serve_batch(self, request: HTTPRequest) -> _Result:

@@ -18,6 +18,7 @@ from __future__ import annotations
 import asyncio
 import json
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii
 from urllib.parse import parse_qsl
 
 import numpy as np
@@ -25,6 +26,7 @@ import numpy as np
 from .._native import LIB as _NATIVE
 
 __all__ = [
+    "BodyTemplate",
     "HTTPError",
     "HTTPRequest",
     "MAX_BODY_BYTES",
@@ -280,6 +282,54 @@ def json_body(payload: dict | list) -> bytes:
         parts.append(_int_array_text(arr))
         parts.append(piece)
     return b"".join(parts)
+
+
+#: What a body template encodes in place of each per-request string:
+#: the JSON string ``"\x01"``, split out of the encoded body.
+_HOLE = "\x01"
+_HOLE_TEXT = json.dumps(_HOLE).encode("ascii")
+
+
+class BodyTemplate:
+    """:func:`json_body` of a payload, cut around top-level string fields.
+
+    :meth:`build` encodes the payload with :func:`json_body` itself, the
+    named fields set to one placeholder string, and splits the body at
+    the placeholder's text; :meth:`render` writes each field's own JSON
+    string text there.  Sorted keys put the fields in name order, so
+    ``build(p, names).render(values)`` is ``json_body({**p, **values})``
+    byte for byte, native or not, for any string values.
+
+    Attributes:
+        names: The fields, sorted.
+        pieces: The body's bytes around them (``len(names) + 1``).
+        nbytes: Bytes held.
+    """
+
+    __slots__ = ("names", "pieces", "nbytes")
+
+    def __init__(self, names: tuple[str, ...], pieces: tuple[bytes, ...]) -> None:
+        self.names = names
+        self.pieces = pieces
+        self.nbytes = sum(map(len, pieces))
+
+    @classmethod
+    def build(cls, payload: dict, names) -> "BodyTemplate | None":
+        """The template of ``payload``; ``None`` if some other string in
+        it encodes to the placeholder's text."""
+        names = tuple(sorted(names))
+        body = json_body({**payload, **dict.fromkeys(names, _HOLE)})
+        pieces = body.split(_HOLE_TEXT)
+        if len(pieces) != len(names) + 1:
+            return None
+        return cls(names, tuple(pieces))
+
+    def render(self, values: dict[str, str]) -> bytes:
+        """The body with ``values`` (one string per name) in its holes."""
+        out = [self.pieces[0]]
+        for name, piece in zip(self.names, self.pieces[1:]):
+            out += (encode_basestring_ascii(values[name]).encode("ascii"), piece)
+        return b"".join(out)
 
 
 def _place(obj: object, key: str, arrays: list[np.ndarray]) -> int:

@@ -21,6 +21,12 @@ Disk writes are atomic (temp file + ``os.replace``) so concurrent
 engines sharing a cache directory can only ever observe complete
 entries.  Disk hits are promoted into the memory tier.
 
+Each memory entry also carries one :class:`EncodedBody` slot, shared by
+every copy of its response (``with_source`` keeps it).  The server
+fills it with the entry's encoded JSON body the first time the entry is
+*reused* and splices per-request ids into it from then on; eviction
+drops it, so only entries that are asked for again hold bytes.
+
 Every disk entry is stamped with the partition pipeline's composite
 stage-version tag (:func:`repro.partition.pipeline.cache_version`).
 An entry whose tag differs from the running code's — including
@@ -42,7 +48,7 @@ import numpy as np
 from ..partition.pipeline import cache_version
 from .requests import Request, Response
 
-__all__ = ["PartitionCache", "scan_cache_dir"]
+__all__ = ["PartitionCache", "encoded_body", "scan_cache_dir"]
 
 #: What reading a truncated or foreign ``.npz`` entry can raise: a cut
 #: zip directory is ``BadZipFile``, a cut compressed member ``EOFError``.
@@ -87,6 +93,28 @@ def scan_cache_dir(cache_dir: Path | str) -> dict[str, int | str]:
         "unreadable": unreadable,
         "bytes": total_bytes,
     }
+
+
+class EncodedBody:
+    """One memory entry's encoded response body, filled on first reuse.
+
+    ``template`` is whatever the encoder keeps there (anything with an
+    ``nbytes``), ``None`` until then and again once the entry is evicted.
+    """
+
+    __slots__ = ("template",)
+
+    def __init__(self) -> None:
+        self.template = None
+
+    @property
+    def nbytes(self) -> int:
+        return 0 if self.template is None else self.template.nbytes
+
+
+def encoded_body(response: Response) -> EncodedBody | None:
+    """The body slot ``response`` shares with its memory entry, if any."""
+    return response.__dict__.get("_encoded")
 
 
 class PartitionCache:
@@ -175,15 +203,21 @@ class PartitionCache:
             "stores": self.stores,
             "hit_rate": self.hit_rate,
             "memory_entries": len(self._memory),
+            "encoded_bytes": sum(
+                encoded_body(response).nbytes for response in self._memory.values()
+            ),
         }
 
     # -- internals ------------------------------------------------------
 
     def _remember(self, key: str, response: Response) -> None:
+        object.__setattr__(response, "_encoded", EncodedBody())
         self._memory[key] = response
         self._memory.move_to_end(key)
         while len(self._memory) > self.capacity:
-            self._memory.popitem(last=False)
+            # A copy still being answered may hold the slot; the bytes go now.
+            _, evicted = self._memory.popitem(last=False)
+            encoded_body(evicted).template = None
 
     def _path(self, key: str) -> Path:
         assert self.cache_dir is not None

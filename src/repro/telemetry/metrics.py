@@ -202,16 +202,28 @@ class MetricsRegistry:
 
     def __init__(self) -> None:
         self._metrics: dict[tuple[str, tuple], Counter | Gauge | Histogram] = {}
+        # The same series keyed by ``(name, *labels.items())`` as a
+        # call site passes them, so a hot ``inc``/``observe`` skips
+        # sorting and ``str()``-ing its labels.
+        self._series: dict[tuple, Counter | Gauge | Histogram] = {}
 
     def __len__(self) -> int:
         return len(self._metrics)
 
     def _get(self, name: str, labels: dict, factory) -> object:
+        series = (name, *labels.items())
+        metric = self._series.get(series)
+        if metric is not None:
+            return metric
         key = (name, _label_key(labels))
         metric = self._metrics.get(key)
         if metric is None:
             metric = factory()
             self._metrics[key] = metric
+        # Only all-str labels take the shortcut: ``1 == True`` would
+        # otherwise map labels that ``str()`` apart onto one series.
+        if all(type(value) is str for value in labels.values()):
+            self._series[series] = metric
         return metric
 
     def counter(self, name: str, **labels: str) -> Counter:

@@ -82,8 +82,9 @@ class TestStormTrajectory:
     def test_http_serves_the_same_plan(self, trajectory):
         """One trajectory step through ``POST /repartition``: the wire
         plan matches the in-process planner bit for bit at Ne=64."""
-        from repro.server import Connection, PartitionServer
-        from repro.service import PartitionEngine, RepartitionRequest
+        from repro.server import Connection
+        from repro.service import RepartitionRequest
+        from tests.server.serving import serving
 
         step = 10
         old = LoadTracker(NE, nparts=NPARTS)
@@ -97,7 +98,7 @@ class TestStormTrajectory:
         )
 
         async def inner():
-            async with PartitionServer(PartitionEngine()) as server:
+            async with serving() as server:
                 host, port = server.address
                 async with await Connection.open(host, port) as conn:
                     resp = await conn.repartition(RepartitionRequest(

@@ -14,8 +14,8 @@ import json
 
 import pytest
 
-from repro.server import Connection, PartitionServer
-from repro.service import PartitionEngine
+from repro.server import Connection
+from tests.server.serving import serving
 
 K = 24  # ne=2
 STORM = {"scenario": "storm", "step": 1}
@@ -52,7 +52,7 @@ def post_all(path: str, bodies: list[bytes]) -> list[tuple[int, object]]:
     """POST each body to ``path`` on one server: (status, JSON answer)."""
 
     async def inner():
-        async with PartitionServer(PartitionEngine()) as server:
+        async with serving() as server:
             async with await Connection.open(*server.address) as conn:
                 out = []
                 for body in bodies:

@@ -14,8 +14,7 @@ import os
 import subprocess
 import sys
 
-from repro.server import Connection, PartitionServer, fetch
-from repro.service import PartitionEngine, PartitionRequest
+from repro.server import Connection, fetch
 from repro.telemetry import (
     RequestContext,
     add_sink,
@@ -23,6 +22,7 @@ from repro.telemetry import (
     remove_sink,
     telemetry_session,
 )
+from tests.server.serving import serving
 
 TRACE = "ab" * 16
 PARENT = "cd" * 8
@@ -35,7 +35,7 @@ def run(coro, timeout: float = 60.0):
 class TestRequestIdentity:
     def test_every_response_carries_identity_headers(self):
         async def inner():
-            async with PartitionServer(PartitionEngine()) as server:
+            async with serving() as server:
                 host, port = server.address
                 resp = await fetch(host, port, "GET", "/healthz")
                 rid = resp.headers["x-request-id"]
@@ -50,7 +50,7 @@ class TestRequestIdentity:
 
     def test_traceparent_header_continues_callers_trace(self):
         async def inner():
-            async with PartitionServer(PartitionEngine()) as server:
+            async with serving() as server:
                 host, port = server.address
                 async with await Connection.open(host, port) as conn:
                     resp = await conn.request(
@@ -71,7 +71,7 @@ class TestRequestIdentity:
 
     def test_malformed_traceparent_starts_a_fresh_trace(self):
         async def inner():
-            async with PartitionServer(PartitionEngine()) as server:
+            async with serving() as server:
                 host, port = server.address
                 async with await Connection.open(host, port) as conn:
                     resp = await conn.request(
@@ -89,7 +89,7 @@ class TestRequestIdentity:
 
     def test_error_responses_carry_identity_too(self):
         async def inner():
-            async with PartitionServer(PartitionEngine()) as server:
+            async with serving() as server:
                 host, port = server.address
                 resp = await fetch(host, port, "GET", "/nope")
                 assert resp.status == 404
@@ -104,7 +104,7 @@ class TestRequestIdentity:
 class TestDebugEndpoints:
     def test_debug_vars_reports_live_internals(self):
         async def inner():
-            async with PartitionServer(PartitionEngine()) as server:
+            async with serving() as server:
                 host, port = server.address
                 await fetch(
                     host, port, "POST", "/partition",
@@ -127,7 +127,7 @@ class TestDebugEndpoints:
 
     def test_debug_requests_ring_buffer(self):
         async def inner():
-            async with PartitionServer(PartitionEngine()) as server:
+            async with serving() as server:
                 host, port = server.address
                 async with await Connection.open(host, port) as conn:
                     resp = await conn.post_json(
@@ -159,7 +159,7 @@ class TestDebugEndpoints:
 
     def test_debug_profile_returns_collapsed_stacks(self):
         async def inner():
-            async with PartitionServer(PartitionEngine()) as server:
+            async with serving() as server:
                 host, port = server.address
                 resp = await fetch(
                     host, port, "GET", "/debug/profile?seconds=0.05"
@@ -175,7 +175,7 @@ class TestDebugEndpoints:
 
     def test_debug_profile_validates_seconds(self):
         async def inner():
-            async with PartitionServer(PartitionEngine()) as server:
+            async with serving() as server:
                 host, port = server.address
                 for query in ("seconds=0", "seconds=-1", "seconds=1e9",
                               "seconds=junk"):
@@ -188,7 +188,7 @@ class TestDebugEndpoints:
 
     def test_debug_routes_reject_post(self):
         async def inner():
-            async with PartitionServer(PartitionEngine()) as server:
+            async with serving() as server:
                 host, port = server.address
                 resp = await fetch(
                     host, port, "POST", "/debug/vars", b"{}"
@@ -201,7 +201,7 @@ class TestDebugEndpoints:
 class TestHealthzSLO:
     def test_healthz_carries_the_slo_verdict(self):
         async def inner():
-            async with PartitionServer(PartitionEngine()) as server:
+            async with serving() as server:
                 host, port = server.address
                 await fetch(host, port, "GET", "/healthz")
                 health = (await fetch(host, port, "GET", "/healthz")).json()
@@ -220,7 +220,7 @@ class TestAccessLog:
         log_path = tmp_path / "access.jsonl"
 
         async def inner():
-            async with PartitionServer(PartitionEngine()) as server:
+            async with serving() as server:
                 host, port = server.address
                 async with await Connection.open(host, port) as conn:
                     first = await conn.post_json(
@@ -258,7 +258,7 @@ class TestTraceContinuity:
         """Computed path: worker-process spans share the request trace."""
         with telemetry_session(command="test") as session:
             async def inner():
-                async with PartitionServer(PartitionEngine()) as server:
+                async with serving() as server:
                     host, port = server.address
                     async with await Connection.open(host, port) as conn:
                         resp = await conn.request(

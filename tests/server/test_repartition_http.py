@@ -16,9 +16,10 @@ import numpy as np
 
 from repro.partition import plan_repartition, sfc_partition
 from repro.scenarios import scenario_weights
-from repro.server import Connection, PartitionServer, fetch
+from repro.server import Connection, fetch
 from repro.service import PartitionCache, PartitionEngine, RepartitionRequest
 from repro.telemetry import telemetry_session
+from tests.server.serving import serving
 
 NE = 4
 K = 6 * NE * NE
@@ -51,7 +52,7 @@ class TestPlanParity:
         )
 
         async def inner():
-            async with PartitionServer(PartitionEngine()) as server:
+            async with serving() as server:
                 host, port = server.address
                 async with await Connection.open(host, port) as conn:
                     resp = await conn.repartition(rreq)
@@ -81,7 +82,7 @@ class TestPlanParity:
         }
 
         async def inner():
-            async with PartitionServer(PartitionEngine()) as server:
+            async with serving() as server:
                 host, port = server.address
                 async with await Connection.open(host, port) as conn:
                     resp = await conn.post_json("/repartition", body)
@@ -95,7 +96,7 @@ class TestPlanParity:
 class TestCachingAndCoalescing:
     def test_repeat_served_from_plan_lru(self):
         async def inner():
-            async with PartitionServer(PartitionEngine()) as server:
+            async with serving() as server:
                 host, port = server.address
                 async with await Connection.open(host, port) as conn:
                     first = (await conn.repartition(storm_request())).json()
@@ -108,7 +109,7 @@ class TestCachingAndCoalescing:
 
     def test_plan_lands_in_the_engine_cache(self):
         async def inner():
-            async with PartitionServer(PartitionEngine()) as server:
+            async with serving() as server:
                 async with await Connection.open(*server.address) as conn:
                     await conn.repartition(storm_request())
                     return (await conn.request("GET", "/debug/vars")).json()
@@ -120,7 +121,7 @@ class TestCachingAndCoalescing:
     def test_plan_survives_a_restart_on_disk(self, tmp_path):
         async def serve_once() -> dict:
             engine = PartitionEngine(PartitionCache(cache_dir=tmp_path))
-            async with PartitionServer(engine) as server:
+            async with serving(engine) as server:
                 async with await Connection.open(*server.address) as conn:
                     return (await conn.repartition(storm_request())).json()
 
@@ -134,7 +135,7 @@ class TestCachingAndCoalescing:
 
     def test_different_steps_not_conflated(self):
         async def inner():
-            async with PartitionServer(PartitionEngine()) as server:
+            async with serving() as server:
                 host, port = server.address
                 async with await Connection.open(host, port) as conn:
                     a = (await conn.repartition(storm_request(step=1))).json()
@@ -149,7 +150,7 @@ class TestCachingAndCoalescing:
         ``computed`` answer, the rest ``coalesced``/``memory``."""
 
         async def inner():
-            async with PartitionServer(PartitionEngine()) as server:
+            async with serving() as server:
                 host, port = server.address
 
                 async def one():
@@ -185,7 +186,7 @@ class TestHashedOnce:
         monkeypatch.setattr(requests_mod, "_sha256_json", counting)
 
         async def inner():
-            async with PartitionServer(PartitionEngine()) as server:
+            async with serving() as server:
                 async with await Connection.open(*server.address) as conn:
                     plan = (await conn.repartition(repartition)).json()
                     cold = (await conn.partition(partition)).json()
@@ -199,7 +200,7 @@ class TestHashedOnce:
 
 class TestValidation:
     async def _post(self, body: dict) -> tuple[int, dict]:
-        async with PartitionServer(PartitionEngine()) as server:
+        async with serving() as server:
             host, port = server.address
             async with await Connection.open(host, port) as conn:
                 resp = await conn.post_json("/repartition", body)
@@ -267,7 +268,7 @@ class TestValidation:
 
     def test_404_hint_lists_repartition(self):
         async def inner():
-            async with PartitionServer(PartitionEngine()) as server:
+            async with serving() as server:
                 host, port = server.address
                 resp = await fetch(host, port, "GET", "/nope")
                 assert resp.status == 404
@@ -279,7 +280,7 @@ class TestValidation:
 class TestObservability:
     def test_identity_headers_and_trace_continuation(self):
         async def inner():
-            async with PartitionServer(PartitionEngine()) as server:
+            async with serving() as server:
                 host, port = server.address
                 async with await Connection.open(host, port) as conn:
                     resp = await conn.request(
@@ -302,7 +303,7 @@ class TestObservability:
 
     def test_metrics_families_recorded(self):
         async def inner():
-            async with PartitionServer(PartitionEngine()) as server:
+            async with serving() as server:
                 host, port = server.address
                 async with await Connection.open(host, port) as conn:
                     await conn.repartition(storm_request())
@@ -322,7 +323,7 @@ class TestObservability:
         with telemetry_session():
             async def inner():
                 engine = PartitionEngine()
-                async with PartitionServer(engine) as server:
+                async with serving(engine) as server:
                     host, port = server.address
                     async with await Connection.open(host, port) as conn:
                         await conn.repartition(storm_request())
@@ -332,7 +333,7 @@ class TestObservability:
 
     def test_debug_requests_ring_sees_repartition(self):
         async def inner():
-            async with PartitionServer(PartitionEngine()) as server:
+            async with serving() as server:
                 host, port = server.address
                 async with await Connection.open(host, port) as conn:
                     await conn.repartition(storm_request())
@@ -347,7 +348,7 @@ class TestObservability:
 
     def test_methods_lists_scenarios(self):
         async def inner():
-            async with PartitionServer(PartitionEngine()) as server:
+            async with serving() as server:
                 host, port = server.address
                 resp = await fetch(host, port, "GET", "/methods")
                 return resp.json()

@@ -2,7 +2,7 @@
 
 Every test spawns a real server on an ephemeral port and drives it
 through the async client.  A deliberately slow stub partitioner
-(registered for the test, inherited by forked pool workers) makes the
+(the ``slowstub`` fixture of ``conftest.py``) makes the
 concurrency behavior — coalescing, admission control, draining,
 disconnect handling — deterministic without large meshes.
 """
@@ -11,43 +11,17 @@ from __future__ import annotations
 
 import asyncio
 import json
-import time
 
-import numpy as np
 import pytest
 
-from repro.partition.base import Partition
-from repro.partition.registry import Partitioner, register, unregister
 from repro.server import Connection, PartitionServer, fetch
-from repro.service import PartitionEngine, PartitionRequest
-
-SLOW_S = 0.6  # stub compute time: long enough to overlap requests under
+from repro.service import PartitionEngine
+from tests.server.serving import serving
 
 
 def run(coro, timeout: float = 60.0):
     """Run one test coroutine with a safety timeout."""
     return asyncio.run(asyncio.wait_for(coro, timeout))
-
-
-def _slow_build(problem) -> Partition:
-    time.sleep(SLOW_S)
-    assignment = np.arange(problem.k, dtype=np.int64) % problem.nparts
-    return Partition(assignment, nparts=problem.nparts, method="slowstub")
-
-
-@pytest.fixture()
-def slowstub():
-    """A partitioner that takes SLOW_S seconds, visible to forked workers."""
-    register(
-        Partitioner(
-            name="slowstub",
-            build=_slow_build,
-            description="deliberately slow test stub",
-            family="test",
-        )
-    )
-    yield "slowstub"
-    unregister("slowstub")
 
 
 async def wait_for_inflight(host: str, port: int, value: int, timeout: float = 10.0):
@@ -65,7 +39,7 @@ async def wait_for_inflight(host: str, port: int, value: int, timeout: float = 1
 class TestRoutes:
     def test_partition_healthz_methods_metrics(self):
         async def inner():
-            async with PartitionServer(PartitionEngine()) as server:
+            async with serving() as server:
                 host, port = server.address
                 async with await Connection.open(host, port) as conn:
                     resp = await conn.post_json(
@@ -103,7 +77,7 @@ class TestRoutes:
 
     def test_batch_mixed_valid_and_invalid(self):
         async def inner():
-            async with PartitionServer(PartitionEngine()) as server:
+            async with serving() as server:
                 resp = await (
                     await Connection.open(*server.address)
                 ).post_json(
@@ -128,7 +102,7 @@ class TestRoutes:
 
     def test_unknown_route_and_method(self):
         async def inner():
-            async with PartitionServer(PartitionEngine()) as server:
+            async with serving() as server:
                 host, port = server.address
                 assert (await fetch(host, port, "GET", "/nope")).status == 404
                 assert (await fetch(host, port, "GET", "/partition")).status == 405
@@ -139,7 +113,7 @@ class TestRoutes:
 class TestValidationErrors:
     def test_malformed_json_is_400_with_structured_body(self):
         async def inner():
-            async with PartitionServer(PartitionEngine()) as server:
+            async with serving() as server:
                 conn = await Connection.open(*server.address)
                 resp = await conn.request(
                     "POST", "/partition", b"this is not json"
@@ -154,7 +128,7 @@ class TestValidationErrors:
 
     def test_unknown_method_is_422_with_did_you_mean(self):
         async def inner():
-            async with PartitionServer(PartitionEngine()) as server:
+            async with serving() as server:
                 conn = await Connection.open(*server.address)
                 resp = await conn.post_json(
                     "/partition", {"ne": 4, "nparts": 8, "method": "sffc"}
@@ -168,7 +142,7 @@ class TestValidationErrors:
 
     def test_inadmissible_ne_and_capability_violation_are_422(self):
         async def inner():
-            async with PartitionServer(PartitionEngine()) as server:
+            async with serving() as server:
                 conn = await Connection.open(*server.address)
                 # sfc requires ne = 2^a 3^b: ne=5 is inadmissible.
                 bad_ne = await conn.post_json(
@@ -189,7 +163,7 @@ class TestValidationErrors:
 
     def test_morton_is_servable_but_discontinuity_is_422(self):
         async def inner():
-            async with PartitionServer(PartitionEngine()) as server:
+            async with serving() as server:
                 conn = await Connection.open(*server.address)
                 ok = await conn.post_json(
                     "/partition", {"ne": 4, "nparts": 8, "method": "morton"}
@@ -223,7 +197,7 @@ class TestCoalescing:
     def test_concurrent_identical_requests_share_one_compute(self, slowstub):
         async def inner():
             engine = PartitionEngine()
-            async with PartitionServer(engine) as server:
+            async with serving(engine) as server:
                 host, port = server.address
                 payload = {"ne": 2, "nparts": 4, "method": slowstub}
 
@@ -249,9 +223,7 @@ class TestCoalescing:
 class TestAdmissionControl:
     def test_over_limit_distinct_requests_get_503_retry_after(self, slowstub):
         async def inner():
-            async with PartitionServer(
-                PartitionEngine(), max_pending=1
-            ) as server:
+            async with serving(max_pending=1) as server:
                 host, port = server.address
                 conn_a = await Connection.open(host, port)
                 task_a = asyncio.ensure_future(
@@ -289,7 +261,7 @@ class TestAdmissionControl:
 class TestRobustness:
     def test_client_disconnect_never_leaks_a_worker(self, slowstub):
         async def inner():
-            async with PartitionServer(PartitionEngine()) as server:
+            async with serving() as server:
                 host, port = server.address
                 conn = await Connection.open(host, port)
                 body = json.dumps(
@@ -316,9 +288,7 @@ class TestRobustness:
 
     def test_request_timeout_returns_504_and_caches_compute(self, slowstub):
         async def inner():
-            async with PartitionServer(
-                PartitionEngine(), request_timeout=0.2
-            ) as server:
+            async with serving(request_timeout=0.2) as server:
                 host, port = server.address
                 body = json.dumps(
                     {"ne": 2, "nparts": 4, "method": slowstub}
@@ -335,7 +305,7 @@ class TestRobustness:
 
     def test_oversized_header_closes_with_431(self):
         async def inner():
-            async with PartitionServer(PartitionEngine()) as server:
+            async with serving() as server:
                 conn = await Connection.open(*server.address)
                 conn._writer.write(
                     b"GET / HTTP/1.1\r\nX-Big: " + b"a" * 70000 + b"\r\n\r\n"
@@ -351,7 +321,7 @@ class TestRobustness:
 class TestGracefulShutdown:
     def test_shutdown_drains_inflight_requests(self, slowstub):
         async def inner():
-            server = PartitionServer(PartitionEngine())
+            server = PartitionServer()  # owns, and closes, its engine
             await server.start()
             host, port = server.address
             conn = await Connection.open(host, port)
@@ -374,7 +344,7 @@ class TestGracefulShutdown:
 
     def test_shutdown_is_idempotent(self):
         async def inner():
-            server = PartitionServer(PartitionEngine())
+            server = PartitionServer()  # owns, and closes, its engine
             await server.start()
             await server.shutdown()
             await server.shutdown()

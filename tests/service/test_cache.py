@@ -59,6 +59,7 @@ class TestMemoryTier:
             "stores": 1,
             "hit_rate": 0.5,
             "memory_entries": 1,
+            "encoded_bytes": 0,
         }
 
     def test_contains(self, req, resp):

@@ -40,6 +40,51 @@ class TestCounter:
             reg.histogram("x")
 
 
+class TestSeriesLookup:
+    """Hot calls resolve a series by its labels as passed; identity (and
+    so every output) stays the sorted, ``str()``-ed labels."""
+
+    def test_permuted_labels_hit_one_series(self):
+        reg = MetricsRegistry()
+        a = reg.counter("req", status="200", partitioner="sfc")
+        b = reg.counter("req", partitioner="sfc", status="200")
+        a.inc()
+        b.inc(2)
+        assert a is b and len(reg) == 1 and a.value == 3
+        h = reg.histogram("lat", partitioner="rb", source="memory")
+        assert reg.histogram("lat", source="memory", partitioner="rb") is h
+
+    def test_items_and_exposition_unchanged(self):
+        reg = MetricsRegistry()
+        for labels in ({"b": "2", "a": "1"}, {"a": "1", "b": "2"}):
+            reg.counter("req", **labels).inc()
+            reg.histogram("lat", buckets=(1.0,), **labels).observe(0.5)
+        assert [(name, labels, m.kind) for name, labels, m in reg.items()] == [
+            ("lat", {"a": "1", "b": "2"}, "histogram"),
+            ("req", {"a": "1", "b": "2"}, "counter"),
+        ]
+        assert reg.to_prometheus() == (
+            "# HELP lat repro histogram.\n"
+            "# TYPE lat histogram\n"
+            'lat_bucket{a="1",b="2",le="1"} 2\n'
+            'lat_bucket{a="1",b="2",le="+Inf"} 2\n'
+            'lat_sum{a="1",b="2"} 1\n'
+            'lat_count{a="1",b="2"} 2\n'
+            "# HELP req repro counter.\n"
+            "# TYPE req counter\n"
+            'req{a="1",b="2"} 2\n'
+        )
+
+    def test_non_string_labels_keep_their_str_identity(self):
+        """``1 == True`` must not merge series whose labels ``str()`` apart."""
+        reg = MetricsRegistry()
+        one = reg.counter("n", v=1)
+        assert reg.counter("n", v=True) is not one
+        assert reg.counter("n", v="1") is one
+        assert reg.counter("n", v=1) is one
+        assert len(reg) == 2
+
+
 class TestGauge:
     def test_last_write_wins(self):
         reg = MetricsRegistry()

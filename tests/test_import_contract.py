@@ -1,5 +1,9 @@
 """Layering contract: service and partition never import experiments.
 
+A second contract: importing the server and the service loads no SciPy
+(only the spectral initial bisection needs it, and serving never runs
+it by default), so a server starts without paying for that import.
+
 The registry + pipeline refactor inverted the old experiments→service
 dependency; the experiments package is the *top* layer (figure/table
 drivers) and nothing below it may reach back up.  This test walks the
@@ -10,6 +14,9 @@ silently (CI additionally greps for the same thing).
 from __future__ import annotations
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -105,3 +112,23 @@ def test_detector_catches_violations(source):
 )
 def test_detector_allows_clean_imports(source):
     assert not _violations(source, depth=1)
+
+
+def test_serving_imports_no_scipy():
+    """``import repro.server, repro.service`` loads no ``scipy*`` module.
+
+    Run in a fresh interpreter: this test session has long imported
+    SciPy through other suites.
+    """
+    code = (
+        "import sys, repro.server, repro.service\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(SRC.parent), os.environ.get("PYTHONPATH", "")]
+    )}
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True,
+        text=True, check=True, timeout=120,
+    )
+    assert out.stdout.strip() == "[]", out.stdout
