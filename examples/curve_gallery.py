@@ -12,8 +12,6 @@ Run:  python examples/curve_gallery.py
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro import cubed_sphere_curve, generate_curve, hilbert_curve, peano_curve
 from repro.experiments import format_table
 from repro.sfc import all_schedules, analyze_curve

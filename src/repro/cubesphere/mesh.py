@@ -7,11 +7,14 @@ processors is determined by neighboring elements that share a boundary
 (*edge neighbors*, ``np`` shared GLL points) or a single corner point
 (*corner neighbors*, one shared point).
 
-Adjacency is derived from exact integer corner-node identification
-(:func:`repro.cubesphere.topology.corner_nodes_scaled`), so cross-face
-neighbors and the eight special cube corners — where only three
-elements meet and an element has seven, not eight, neighbors — come out
-of the same code path as face-interior neighbors.
+Corner nodes are the integer lattice ids of
+:func:`repro.cubesphere.topology.lattice_ids` at one interval per
+element edge, the same function that numbers the DSS points of the
+spectral element grid.  Adjacency is counted from shared node ids in
+one sorted int64 pair key, so cross-face neighbors and the eight
+special cube corners — where only three elements meet and an element
+has seven, not eight, neighbors — come out of the same code path as
+face-interior neighbors.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from functools import lru_cache
 import numpy as np
 
 from .projection import element_center_local, local_to_sphere, sphere_to_lonlat
-from .topology import NUM_FACES, corner_nodes_scaled
+from .topology import NUM_FACES, lattice_coords, lattice_ids
 
 __all__ = ["CubedSphereMesh", "cubed_sphere_mesh"]
 
@@ -61,8 +64,7 @@ class CubedSphereMesh:
         self.ne = int(ne)
         self.projection = projection
         self.nelem = 6 * self.ne * self.ne
-        self._build_nodes()
-        self._build_adjacency()
+        self._build_topology()
         self._centers_xyz: np.ndarray | None = None
         self._centers_lonlat: tuple[np.ndarray, np.ndarray] | None = None
         self._center_lat_trig: tuple[np.ndarray, np.ndarray] | None = None
@@ -94,67 +96,38 @@ class CubedSphereMesh:
     # ------------------------------------------------------------------
     # Construction
     # ------------------------------------------------------------------
-    def _build_nodes(self) -> None:
-        ne = self.ne
-        # Corner nodes of every element, as ids into the global unique
-        # node set.  corner order: (ix,iy) -> nodes (i,j),(i+1,j),(i+1,j+1),(i,j+1)
-        all_corners = np.empty((self.nelem, 4, 3), dtype=np.int64)
-        for face in range(NUM_FACES):
-            nodes = corner_nodes_scaled(face, ne)  # (ne+1, ne+1, 3)
-            ix, iy = np.meshgrid(np.arange(ne), np.arange(ne), indexing="ij")
-            g = self.gids(face, ix.ravel(), iy.ravel())
-            i = ix.ravel()
-            j = iy.ravel()
-            all_corners[g, 0] = nodes[i, j]
-            all_corners[g, 1] = nodes[i + 1, j]
-            all_corners[g, 2] = nodes[i + 1, j + 1]
-            all_corners[g, 3] = nodes[i, j + 1]
-        flat = all_corners.reshape(-1, 3)
-        uniq, inverse = np.unique(flat, axis=0, return_inverse=True)
-        self.nnodes = int(uniq.shape[0])
-        #: (nelem, 4) node ids of each element's corners (CCW in face frame).
-        self.element_nodes = inverse.reshape(self.nelem, 4)
-        self._node_coords_scaled = uniq
+    def _build_topology(self) -> None:
+        ids, keys = lattice_ids(self.ne, 1)
+        self.nnodes = int(keys.shape[0])
+        #: (nelem, 4) node ids of each element's corners (CCW in face
+        #: frame): (ix,iy) -> nodes (i,j),(i+1,j),(i+1,j+1),(i,j+1).
+        self.element_nodes = ids[:, [0, 1, 1, 0], [0, 0, 1, 1]]
+        self._node_keys = keys
+        # The 3 or 4 elements meeting at each node, as runs of one sort;
+        # every pair within a run shares that node.  A pair sharing two
+        # nodes shares an edge, one sharing a single node a corner.
+        flat = self.element_nodes.ravel()
+        order = np.argsort(flat, kind="stable")
+        elems = order // 4
+        starts = np.flatnonzero(np.r_[True, np.diff(flat[order]) != 0])
+        counts = np.diff(np.r_[starts, len(order)])
+        pair_keys = []
+        for size in np.unique(counts).tolist():
+            members = elems[starts[counts == size][:, None] + np.arange(size)]
+            # The stable sort keeps each run in ascending element order.
+            a, b = np.triu_indices(size, 1)
+            pair_keys.append((members[:, a] * self.nelem + members[:, b]).ravel())
+        pairs, shared = np.unique(np.concatenate(pair_keys), return_counts=True)
+        self.edge_adjacency = self._to_csr(pairs[shared >= 2])
+        self.corner_adjacency = self._to_csr(pairs[shared == 1])
 
-    def _build_adjacency(self) -> None:
-        # Elements incident to each node.
-        order = np.argsort(self.element_nodes.ravel(), kind="stable")
-        elems_sorted = order // 4
-        node_ids = self.element_nodes.ravel()[order]
-        starts = np.searchsorted(node_ids, np.arange(self.nnodes))
-        ends = np.searchsorted(node_ids, np.arange(self.nnodes), side="right")
-        shared: dict[tuple[int, int], int] = {}
-        for nid in range(self.nnodes):
-            members = elems_sorted[starts[nid] : ends[nid]]
-            m = len(members)
-            for a in range(m):
-                ea = members[a]
-                for b in range(a + 1, m):
-                    eb = members[b]
-                    key = (ea, eb) if ea < eb else (eb, ea)
-                    shared[key] = shared.get(key, 0) + 1
-        edge_pairs = []
-        corner_pairs = []
-        for (ea, eb), cnt in shared.items():
-            if cnt >= 2:
-                edge_pairs.append((ea, eb))
-            else:
-                corner_pairs.append((ea, eb))
-        self.edge_adjacency = self._to_csr(edge_pairs)
-        self.corner_adjacency = self._to_csr(corner_pairs)
-
-    def _to_csr(self, pairs: list[tuple[int, int]]) -> _Adjacency:
-        if pairs:
-            arr = np.array(pairs, dtype=np.int64)
-            both = np.concatenate([arr, arr[:, ::-1]], axis=0)
-        else:
-            both = np.empty((0, 2), dtype=np.int64)
-        order = np.lexsort((both[:, 1], both[:, 0]))
-        both = both[order]
-        indptr = np.searchsorted(
-            both[:, 0], np.arange(self.nelem + 1), side="left"
-        ).astype(np.int64)
-        return _Adjacency(indptr=indptr, indices=both[:, 1].copy())
+    def _to_csr(self, pairs: np.ndarray) -> _Adjacency:
+        """CSR of undirected ``lo * nelem + hi`` pair keys, both ways."""
+        lo, hi = np.divmod(pairs, self.nelem)
+        both = np.sort(np.concatenate([pairs, hi * self.nelem + lo]))
+        src, dst = np.divmod(both, self.nelem)
+        indptr = np.searchsorted(src, np.arange(self.nelem + 1))
+        return _Adjacency(indptr=indptr, indices=dst)
 
     # ------------------------------------------------------------------
     # Queries
@@ -237,7 +210,7 @@ class CubedSphereMesh:
         quad.  Sums to ``4 * pi`` over the mesh (tested).
         """
         ne = self.ne
-        scaled = self._node_coords_scaled.astype(np.float64) / ne
+        scaled = lattice_coords(self._node_keys, ne).astype(np.float64) / ne
         if self.projection == "equiangular":
             # Node coordinates are linear on the cube; re-warp the two
             # in-face components so areas match the equiangular grid.
@@ -273,8 +246,8 @@ class CubedSphereMesh:
 def cubed_sphere_mesh(ne: int, projection: str = "equiangular") -> CubedSphereMesh:
     """Cached constructor for :class:`CubedSphereMesh`.
 
-    Mesh construction is the most expensive pure-topology step, and
-    experiments re-use the same handful of resolutions, so meshes are
-    memoized (they are immutable after construction).
+    Experiments and the partition service re-use the same handful of
+    resolutions, so meshes — topology plus the lazily built geometry
+    caches — are memoized (they are immutable after construction).
     """
     return CubedSphereMesh(ne, projection)

@@ -1,4 +1,4 @@
-"""Cube topology: face frames and exact corner-node identification.
+"""Cube topology: face frames and exact lattice-point identification.
 
 The cubed-sphere (paper Fig. 1) tiles the sphere with the gnomonic
 image of the six faces of the circumscribing cube, each subdivided into
@@ -19,12 +19,12 @@ Each face has an outward normal ``n`` and right-handed in-face axes
 ``(ex, ey)`` with ``ex x ey = n``; local coordinates ``(a, b)`` in
 ``[-1, 1]^2`` map to the cube point ``n + a*ex + b*ey``.
 
-Cross-face adjacency is *derived*, not hand-coded: element corner nodes
-are computed in integer arithmetic (scaled by ``Ne``) so nodes on cube
-edges coincide exactly between faces, and two elements are neighbors
-precisely when they share two (edge neighbor) or one (corner neighbor)
-nodes.  This automatically gets the eight cube corners right, where
-only three elements meet.
+Cross-face adjacency is *derived*, not hand-coded: face lattice points
+are integer (scaled) so points on cube edges coincide exactly between
+faces, and :func:`lattice_ids` numbers them with one int64 key sort —
+mesh corner nodes at ``m = 1``, DSS points at ``m = np - 1``.  Two
+elements are neighbors precisely when they share two (edge neighbor) or
+one (corner neighbor) nodes, which gets the eight cube corners right.
 """
 
 from __future__ import annotations
@@ -33,7 +33,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["Face", "FACES", "NUM_FACES", "face_point", "corner_nodes_scaled"]
+__all__ = ["Face", "FACES", "NUM_FACES", "face_point", "corner_nodes_scaled",
+           "lattice_ids", "lattice_coords"]
 
 NUM_FACES = 6
 
@@ -105,7 +106,7 @@ def corner_nodes_scaled(face: int, ne: int) -> np.ndarray:
     expressed as integer 3-vectors scaled by ``ne`` (so the cube is
     ``[-ne, ne]^3``).  Because the scaling is exact, nodes shared
     between faces along cube edges have bitwise-identical coordinates,
-    which is what the mesh builder hashes on.
+    which is what :func:`lattice_ids` keys on.
 
     Args:
         face: Face index 0-5.
@@ -131,3 +132,43 @@ def corner_nodes_scaled(face: int, ne: int) -> np.ndarray:
         + sb[..., None] * ey[None, None, :]
     )
     return nodes
+
+
+def lattice_ids(ne: int, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """Global ids of the ``(m+1) x (m+1)`` lattice points of every element.
+
+    Point ``(i, j)`` of element ``(face, ix, iy)`` is node
+    ``(ix*m + i, iy*m + j)`` of the face lattice
+    ``corner_nodes_scaled(face, ne*m)``.  Each node's integer xyz is one
+    mixed-radix int64 key (x most significant), and ids number the
+    distinct keys in ascending, i.e. row-lexicographic xyz, order.
+    ``m = 1`` gives mesh corner nodes; ``m = np - 1`` the GLL points of
+    the spectral element grid, which are symmetric in each element and
+    so are identified across face edges exactly as lattice points are.
+
+    Returns:
+        ``(ids, keys)``: the ``(6*ne*ne, m+1, m+1)`` int64 ids, elements
+        in gid order, and the sorted key of each id (``npoints`` long,
+        decoded by :func:`lattice_coords`).
+    """
+    n = ne * m
+    base = 2 * n + 1
+    keys = np.empty((NUM_FACES, n + 1, n + 1), dtype=np.int64)
+    for face in range(NUM_FACES):
+        c = corner_nodes_scaled(face, n) + n
+        keys[face] = (c[..., 0] * base + c[..., 1]) * base + c[..., 2]
+    uniq, inverse = np.unique(keys.ravel(), return_inverse=True)
+    inverse = inverse.reshape(keys.shape)
+    node = np.arange(ne)[:, None] * m + np.arange(m + 1)  # (ix, i) -> lattice row
+    face = np.arange(NUM_FACES)[:, None, None, None, None]
+    # (face, iy, ix, i, j), i.e. gid-major.
+    ids = inverse[face, node[None, None, :, :, None], node[None, :, None, None, :]]
+    return ids.reshape(NUM_FACES * ne * ne, m + 1, m + 1), uniq
+
+
+def lattice_coords(keys: np.ndarray, n: int) -> np.ndarray:
+    """``(len(keys), 3)`` node xyz on ``[-n, n]^3`` of keys at ``n = ne*m``."""
+    base = 2 * n + 1
+    xy, z = np.divmod(keys, base)
+    x, y = np.divmod(xy, base)
+    return np.stack([x, y, z], axis=1) - n

@@ -19,8 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..cubesphere.curve import cubed_sphere_curve
-from ..machine.spec import FLAT_NETWORK_MACHINE, MachineSpec, P690_CLUSTER
+from ..machine.spec import FLAT_NETWORK_MACHINE, P690_CLUSTER
 from ..sfc.analysis import CurveLocality, analyze_curve
 from ..sfc.factorization import all_schedules
 from ..sfc.generator import generate_curve

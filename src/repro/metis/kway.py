@@ -15,8 +15,6 @@ switched to total communication volume.
 
 from __future__ import annotations
 
-import numpy as np
-
 from ..graphs.csr import CSRGraph
 from ..partition.base import Partition
 from ..telemetry import span

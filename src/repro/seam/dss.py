@@ -8,12 +8,13 @@ communication: every boundary point shared by elements on different
 processors costs one exchanged value per neighbor, which is exactly the
 communication volume the partitioners fight over.
 
-The global point identity map is built from rounded unit-sphere
-positions: element-local GLL coordinates are computed from one shared
-expression so that shared points agree to machine precision, and a
-1e-9 rounding collapses them to a single id (multiplicities are
-validated: 1 interior, 2 edge, 3 at cube corners / 4 at regular
-corners — tested).
+The global point identity map is topological, not geometric: GLL point
+``(i, j)`` of element ``(face, ix, iy)`` is lattice point
+``(ix*m + i, iy*m + j)`` of its face with ``m = np - 1``, and
+:func:`repro.cubesphere.topology.lattice_ids` numbers the distinct
+lattice points exactly in integers — the same ids the mesh uses for its
+corner nodes at ``m = 1`` (multiplicities are validated: 1 interior,
+2 edge, 3 at cube corners / 4 at regular corners — tested).
 
 Batched layout: :class:`DSSOperator` works on the stacked
 ``(nelem, np, np[, comps...])`` representation end to end.  The scatter
@@ -31,7 +32,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .._native import LIB, as_f64p, as_i64p
+from .._native import LIB
+from ..cubesphere.topology import lattice_ids
 from ..partition.base import Partition
 from ..telemetry import inc, span
 from .element import GridGeometry
@@ -46,8 +48,6 @@ __all__ = [
     "build_halo_schedule",
     "exchange_schedule",
 ]
-
-_ROUND_DECIMALS = 9
 
 
 @dataclass(frozen=True)
@@ -69,26 +69,22 @@ class PointMap:
         """``(nelem, np, np)`` bool mask of shared (multiplicity>1) points."""
         return self.multiplicity[self.point_ids] > 1
 
+    def is_continuous(self, field: np.ndarray, atol: float = 1e-12) -> bool:
+        """Whether all copies of every shared point agree within ``atol``."""
+        ids = self.point_ids.ravel()
+        vals = field.ravel()
+        mx = np.full(self.npoints, -np.inf)
+        mn = np.full(self.npoints, np.inf)
+        np.maximum.at(mx, ids, vals)
+        np.minimum.at(mn, ids, vals)
+        return bool(np.all(mx - mn <= atol))
+
 
 def build_point_map(geom: GridGeometry) -> PointMap:
     """Identify shared GLL points across the whole cubed-sphere grid."""
-    flat = np.round(geom.xyz.reshape(-1, 3), _ROUND_DECIMALS)
-    # Quantize to integers for exact hashing.
-    quant = np.round(flat * 10**_ROUND_DECIMALS).astype(np.int64)
-    # Ids number the distinct rows in lexicographic (x, y, z) order, as
-    # np.unique(quant, axis=0) would, but from a lexsort over the three
-    # int64 columns plus a run mask (no row-as-record sort).
-    order = np.lexsort((quant[:, 2], quant[:, 1], quant[:, 0]))
-    rows = quant[order]
-    new_run = np.empty(len(rows), dtype=bool)
-    new_run[:1] = True
-    np.any(rows[1:] != rows[:-1], axis=1, out=new_run[1:])
-    inverse = np.empty(len(rows), dtype=np.int64)
-    inverse[order] = np.cumsum(new_run) - 1
-    npoints = int(np.count_nonzero(new_run))
-    npts = geom.npts
-    point_ids = inverse.reshape(geom.nelem, npts, npts)
-    multiplicity = np.bincount(inverse, minlength=npoints).astype(np.int64)
+    point_ids, keys = lattice_ids(geom.mesh.ne, geom.npts - 1)
+    npoints = int(keys.shape[0])
+    multiplicity = np.bincount(point_ids.ravel(), minlength=npoints)
     return PointMap(point_ids=point_ids, npoints=npoints, multiplicity=multiplicity)
 
 
@@ -122,7 +118,6 @@ class DSSOperator:
             #: (nelem, np, np) J-weighted quadrature mass at each local point.
             self.local_mass = geom.local_mass
             ids = np.ascontiguousarray(self.point_map.point_ids.ravel())
-            self._ids = ids
             self._mass_flat = np.ascontiguousarray(self.local_mass.ravel())
             self.global_mass = np.bincount(
                 ids, weights=self._mass_flat, minlength=self.point_map.npoints
@@ -277,13 +272,7 @@ class DSSOperator:
 
     def is_continuous(self, field: np.ndarray, atol: float = 1e-12) -> bool:
         """Whether all copies of every shared point agree within ``atol``."""
-        ids = self._ids
-        vals = field.ravel()
-        mx = np.full(self.point_map.npoints, -np.inf)
-        mn = np.full(self.point_map.npoints, np.inf)
-        np.maximum.at(mx, ids, vals)
-        np.minimum.at(mn, ids, vals)
-        return bool(np.all(mx - mn <= atol))
+        return self.point_map.is_continuous(field, atol)
 
     def integrate(self, field: np.ndarray) -> float:
         """Global quadrature integral of an element-wise field."""

@@ -188,13 +188,7 @@ class PartitionedDSS:
 
     def is_continuous(self, field_: np.ndarray, atol: float = 1e-12) -> bool:
         """Continuity check (delegates to the global point map)."""
-        ids = self.point_map.point_ids.ravel()
-        vals = field_.ravel()
-        mx = np.full(self.point_map.npoints, -np.inf)
-        mn = np.full(self.point_map.npoints, np.inf)
-        np.maximum.at(mx, ids, vals)
-        np.minimum.at(mn, ids, vals)
-        return bool(np.all(mx - mn <= atol))
+        return self.point_map.is_continuous(field_, atol)
 
 
 class PartitionedTransportRun:

@@ -6,6 +6,9 @@ import numpy as np
 import pytest
 
 from repro.cubesphere.mesh import CubedSphereMesh, cubed_sphere_mesh
+from repro.cubesphere.topology import lattice_coords
+
+from .reference_mesh import reference_adjacency, reference_nodes
 
 
 class TestIndexing:
@@ -92,6 +95,31 @@ class TestAdjacency:
         # No pure corner neighbors: all face pairs meeting at a corner
         # already share an edge at this degenerate resolution.
         assert (m.corner_adjacency.degrees() == 0).all()
+
+
+class TestLatticeOracle:
+    """The lattice-id topology equals the row-unique + dict-loop builders."""
+
+    @staticmethod
+    def _assert_identical(got: np.ndarray, want: np.ndarray) -> None:
+        assert got.dtype == want.dtype
+        assert got.shape == want.shape
+        assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("ne", range(1, 25))
+    def test_bit_identical_to_reference(self, ne):
+        mesh = CubedSphereMesh(ne)
+        element_nodes, nnodes, coords = reference_nodes(ne)
+        (edge_ptr, edge_idx), (corner_ptr, corner_idx) = reference_adjacency(
+            element_nodes, nnodes
+        )
+        assert mesh.nnodes == nnodes
+        self._assert_identical(mesh.element_nodes, element_nodes)
+        self._assert_identical(lattice_coords(mesh._node_keys, ne), coords)
+        self._assert_identical(mesh.edge_adjacency.indptr, edge_ptr)
+        self._assert_identical(mesh.edge_adjacency.indices, edge_idx)
+        self._assert_identical(mesh.corner_adjacency.indptr, corner_ptr)
+        self._assert_identical(mesh.corner_adjacency.indices, corner_idx)
 
 
 class TestGeometry:

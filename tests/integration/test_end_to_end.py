@@ -11,11 +11,10 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.cubesphere import cubed_sphere_curve, cubed_sphere_mesh
+from repro.cubesphere import cubed_sphere_mesh
 from repro.graphs import is_connected, mesh_graph
-from repro.machine import PerformanceModel
 from repro.metis import part_graph
-from repro.partition import evaluate_partition, sfc_partition
+from repro.partition import sfc_partition
 from repro.seam import DSSOperator, build_geometry, build_point_map, exchange_schedule
 
 

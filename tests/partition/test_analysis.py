@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.graphs import grid_2d, mesh_graph
+from repro.graphs import grid_2d
 from repro.partition import (
     Partition,
     analyze_structure,

@@ -9,6 +9,8 @@ from repro.partition.sfc import sfc_partition
 from repro.seam.dss import DSSOperator, build_point_map, exchange_schedule
 from repro.seam.element import build_geometry
 
+from .reference_point_map import reference_point_map
+
 
 @pytest.fixture(scope="module")
 def geom():
@@ -51,23 +53,34 @@ class TestPointMap:
         assert (per_elem == 4 * geom.npts - 4).all()
 
 
+def _first_occurrence_labels(ids: np.ndarray) -> np.ndarray:
+    """Relabel ids ``0, 1, ...`` in order of first appearance."""
+    flat = ids.ravel()
+    _, first, inverse = np.unique(flat, return_index=True, return_inverse=True)
+    rank = np.empty(len(first), dtype=np.int64)
+    rank[np.argsort(first)] = np.arange(len(first))
+    return rank[inverse]
+
+
 class TestPointMapIds:
-    """The lexsort numbering equals np.unique(axis=0) over the rows."""
+    """The lattice point map partitions element-local points exactly as
+    the float-rounding reference does; only the id labels differ."""
 
-    @pytest.mark.parametrize("ne,npts", [(1, 2), (2, 3), (3, 5), (4, 4), (6, 8)])
-    def test_ids_match_row_unique(self, ne, npts):
-        from repro.seam.dss import _ROUND_DECIMALS
-
+    @pytest.mark.parametrize("npts", [2, 3, 4, 5, 8])
+    @pytest.mark.parametrize("ne", [1, 2, 3, 4, 5, 6, 7, 8, 12, 16, 24])
+    def test_partition_matches_float_oracle(self, ne, npts):
         geom = build_geometry(ne, npts)
-        pm = build_point_map(geom)
-        flat = np.round(geom.xyz.reshape(-1, 3), _ROUND_DECIMALS)
-        quant = np.round(flat * 10**_ROUND_DECIMALS).astype(np.int64)
-        uniq, inverse = np.unique(quant, axis=0, return_inverse=True)
-        assert pm.npoints == len(uniq)
-        assert np.array_equal(pm.point_ids.ravel(), inverse.ravel())
-        assert np.array_equal(
-            pm.multiplicity, np.bincount(inverse.ravel(), minlength=len(uniq))
-        )
+        got = build_point_map(geom)
+        want = reference_point_map(geom)
+        assert got.npoints == want.npoints
+        canon = _first_occurrence_labels(got.point_ids)
+        assert np.array_equal(canon, _first_occurrence_labels(want.point_ids))
+        # Multiplicity, re-indexed by the canonical labels.
+        mult_got = np.empty(got.npoints, dtype=np.int64)
+        mult_got[canon] = got.multiplicity[got.point_ids.ravel()]
+        mult_want = np.empty(want.npoints, dtype=np.int64)
+        mult_want[canon] = want.multiplicity[want.point_ids.ravel()]
+        assert np.array_equal(mult_got, mult_want)
 
 
 class TestDSS:

@@ -5,7 +5,6 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro import scenarios
 from repro.scenarios import (
     Scenario,
     UnknownScenarioError,
