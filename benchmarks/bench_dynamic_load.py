@@ -16,13 +16,17 @@ choose between:
   CSR arrays are built once and only the vertex weights are swapped
   per sample.
 
-Reports per-step load balance (``max/ideal``) and migration fraction
+Reports per-step load balance (``max/ideal``), the SFC cut's maximum
+load over the optimal one (``max/optimum``) and migration fraction
 for SFC, the sampled METIS migration fractions, and writes everything
 to ``benchmarks/results/bench_dynamic_load.json``.  Exits non-zero if
 an acceptance gate fails:
 
 * SFC keeps ``max_load <= (1 + --lb-slack) * ideal`` at every step
   (default slack 5%, the paper-style LB bar under weighted cuts);
+* every step's SFC cut is optimal: the greedy feasibility probe just
+  below its maximum load (``tests/partition/reference_cuts.py``,
+  independent of the library's bisection) cannot cover the curve;
 * at every sampled step the SFC migration fraction is strictly below
   fresh METIS's.
 
@@ -40,6 +44,7 @@ from time import perf_counter
 
 HERE = Path(__file__).resolve().parent
 sys.path.insert(0, str(HERE.parent / "src"))
+sys.path.insert(0, str(HERE.parent))  # tests.partition.reference_cuts
 
 RESULTS_PATH = HERE / "results" / "bench_dynamic_load.json"
 
@@ -58,7 +63,13 @@ def run_trajectory(
     from repro.graphs import CSRGraph, mesh_graph
     from repro.metis import part_graph
     from repro.partition import LoadTracker, migration_cost
+    from repro.partition.sfc import curve_key_fn
     from repro.scenarios import scenario_weights
+    from tests.partition.reference_cuts import (
+        is_optimal,
+        optimal_max_load,
+        segment_loads,
+    )
 
     nsteps_period = max(steps, 100)  # keep the storm moving per step
 
@@ -68,18 +79,36 @@ def run_trajectory(
     # -- SFC: the streaming key path, nothing rebuilt per step --------
     tracker = LoadTracker(ne, nparts=nparts)
     t0 = perf_counter()
-    for step in range(steps):
-        tracker.update(weights_at(step))
+    partitions = [tracker.update(weights_at(step)) for step in range(steps)]
     sfc_seconds = perf_counter() - t0
-    sfc_steps = [
-        {
-            "step": step,
-            "lb": entry["lb"],
-            "max_over_ideal": entry["max_load"] / entry["mean_load"],
-            "fraction_moved": entry["fraction_moved"],
-        }
-        for step, entry in enumerate(tracker.history)
-    ]
+
+    # Loads along the curve, as the cut measures them: certify each cut.
+    position = curve_key_fn(ne)(np.arange(6 * ne * ne)).astype(np.int64)
+
+    def max_over_optimum(step: int, assignment: np.ndarray) -> tuple[float, bool]:
+        along = np.empty(len(position))
+        along[position] = weights_at(step)
+        owner = np.empty(len(position), dtype=np.int64)
+        owner[position] = assignment
+        bounds = np.searchsorted(owner, np.arange(nparts + 1))
+        optimal = is_optimal(along, bounds)
+        top = segment_loads(along, bounds).max()
+        best = top if optimal else optimal_max_load(along, nparts)
+        return float(top / best), optimal
+
+    sfc_steps = []
+    for step, (entry, part) in enumerate(zip(tracker.history, partitions)):
+        ratio, optimal = max_over_optimum(step, part.assignment)
+        sfc_steps.append(
+            {
+                "step": step,
+                "lb": entry["lb"],
+                "max_over_ideal": entry["max_load"] / entry["mean_load"],
+                "max_over_optimum": ratio,
+                "optimal": optimal,
+                "fraction_moved": entry["fraction_moved"],
+            }
+        )
 
     # -- fresh METIS at sampled steps: one CSR build, swapped weights -
     base = mesh_graph(cubed_sphere_mesh(ne))
@@ -119,6 +148,9 @@ def run_trajectory(
         "sfc": {
             "seconds_total": sfc_seconds,
             "worst_max_over_ideal": max(s["max_over_ideal"] for s in sfc_steps),
+            "worst_max_over_optimum": max(
+                s["max_over_optimum"] for s in sfc_steps
+            ),
             "mean_fraction_moved": float(np.mean(fractions)) if fractions else 0.0,
             "max_fraction_moved": float(np.max(fractions)) if fractions else 0.0,
             "steps": sfc_steps,
@@ -139,6 +171,12 @@ def check_gates(report: dict, lb_slack: float) -> list[str]:
             f"SFC max/ideal {worst:.4f} exceeds {1.0 + lb_slack:.2f} "
             "(load balance outside the weighted-optimum slack)"
         )
+    for step in report["sfc"]["steps"]:
+        if not step["optimal"]:
+            failures.append(
+                f"step {step['step']}: SFC cut is not optimal "
+                f"(max/optimum {step['max_over_optimum']:.6f})"
+            )
     for sample in report["metis"]["samples"]:
         if sample["sfc_fraction_moved"] >= sample["fraction_moved"]:
             failures.append(
@@ -187,7 +225,8 @@ def main(argv: list[str] | None = None) -> int:
         f"steps={cfg['steps']}"
     )
     print(
-        f"  SFC   worst max/ideal {report['sfc']['worst_max_over_ideal']:.4f}  "
+        f"  SFC   worst max/ideal {report['sfc']['worst_max_over_ideal']:.5f}  "
+        f"max/optimum {report['sfc']['worst_max_over_optimum']:.4f}  "
         f"mean moved {report['sfc']['mean_fraction_moved']:.3f}  "
         f"max moved {report['sfc']['max_fraction_moved']:.3f}  "
         f"({report['sfc']['seconds_total']:.2f}s total)"

@@ -66,7 +66,7 @@ def measure() -> dict[str, float]:
         )
     timings["sfc"] = _best_of(lambda: sfc_partition(NE, NPARTS))
 
-    # Weighted cut: greedy prefix sums + the iterative correction pass.
+    # Weighted cut: the exact probe-bisection cut over the prefix sums.
     storm = np.exp(np.random.default_rng(0).normal(0.0, 1.0, 6 * NE * NE)) + 0.1
     sfc_partition(NE, NPARTS, weights=storm)  # warm
     timings["weighted_cut"] = _best_of(

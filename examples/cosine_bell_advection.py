@@ -22,9 +22,9 @@ from repro.experiments import format_table
 from repro.seam import (
     TransportSolver,
     build_geometry,
+    build_halo_schedule,
     build_point_map,
     cosine_bell,
-    exchange_schedule,
     rotate_about_axis,
     solid_body_wind,
 )
@@ -78,7 +78,7 @@ def main() -> None:
     while geom.mesh.nelem % nproc:
         nproc -= 1
     part = sfc_partition(ne, nproc)
-    sched = exchange_schedule(build_point_map(geom), part)
+    sched = build_halo_schedule(build_point_map(geom), part)
     send = np.zeros(nproc)
     for (src, _dst), pts in sched.items():
         send[src] += pts

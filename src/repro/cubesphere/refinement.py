@@ -30,7 +30,7 @@ import numpy as np
 
 from ..cubesphere.curve import CubedSphereCurve
 from ..partition.base import Partition
-from ..partition.sfc import cut_positions_weighted
+from ..partition.sfc import keyed_cut
 
 __all__ = ["RefinedMesh", "refine_uniform", "refine_where"]
 
@@ -123,14 +123,14 @@ class RefinedMesh:
         weights = np.asarray(weights, dtype=np.float64)
         if weights.shape != (self.curve.mesh.nelem,):
             raise ValueError("weights must have one entry per base element")
-        along = weights[self.curve.order]
-        bounds = cut_positions_weighted(along, nparts)
-        owner_along = np.empty(len(along), dtype=np.int64)
-        for p in range(nparts):
-            owner_along[bounds[p] : bounds[p + 1]] = p
-        assignment = np.empty(len(along), dtype=np.int64)
-        assignment[self.curve.order] = owner_along
-        return Partition(assignment, nparts=nparts, method="sfc-amr")
+        position = self.curve.position
+        return keyed_cut(
+            lambda ids: position[ids],
+            len(weights),
+            nparts,
+            weights=weights,
+            method="sfc-amr",
+        )
 
     def imbalance(self, partition: Partition) -> float:
         """Leaf-work load balance (paper Eq. 1) of a partition."""

@@ -18,7 +18,7 @@ from .figures import (
     run_method,
     speedup_sweep,
 )
-from .report import format_series, format_table
+from ..report import format_series, format_table
 from .resolutions import (
     PAPER_RESOLUTIONS,
     Resolution,

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..graphs.csr import CSRGraph
 from ..machine.perf import PerformanceModel, StepTiming
 from ..machine.spec import MachineSpec, P690_CLUSTER
 from ..partition import registry
@@ -39,11 +38,6 @@ METIS_BASELINES = tuple(
     s.name for s in registry.specs() if s.family == "metis"
 )
 ALL_METHODS = registry.available()
-
-
-def _graph_for(ne: int, npts: int) -> CSRGraph:
-    """Deprecated alias for :func:`repro.partition.pipeline.graph_stage`."""
-    return graph_stage(ne, npts)
 
 
 @dataclass(frozen=True)

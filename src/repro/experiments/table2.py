@@ -14,7 +14,7 @@ from ..machine.spec import MachineSpec, P690_CLUSTER
 from ..partition import registry
 from ..seam.cost import DEFAULT_COST_MODEL, SEAMCostModel
 from .figures import run_method
-from .report import format_table
+from ..report import format_table
 
 __all__ = ["Table2Row", "table2", "render_table2", "TABLE2_METHODS"]
 

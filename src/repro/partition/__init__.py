@@ -45,7 +45,6 @@ from .sfc import (
     cut_positions_weighted,
     keyed_cut,
     morton_partition,
-    refine_cut_positions,
     sfc_partition,
 )
 
@@ -84,7 +83,6 @@ __all__ = [
     "migration_cost",
     "morton_partition",
     "plan_repartition",
-    "refine_cut_positions",
     "RepartitionPlan",
     "repartition_curve",
     "random_partition",

@@ -59,7 +59,8 @@ STAGE_VERSIONS: dict[str, int] = {
     "graph": 1,
     # v2: weighted cuts gained the iterative correction pass and the
     # exact uniform-weights reduction (weighted outputs changed).
-    "partition": 2,
+    # v3: weighted cuts are the exact minimum-bottleneck cut.
+    "partition": 3,
     "evaluate": 1,
 }
 

@@ -77,9 +77,10 @@ def validate_weights(weights, k: int | None = None) -> np.ndarray:
         A contiguous 1-D float64 copy-if-needed view of ``weights``.
 
     Raises:
-        ValueError: Non-1-D, wrong length, non-finite (NaN/inf), or
-            non-positive entries — each with a message naming the
-            offending property.
+        ValueError: Non-1-D, wrong length, non-finite (NaN/inf) or
+            non-positive entries, or a total that overflows to inf (the
+            weighted cut's prefix sums would) — each with a message
+            naming the offending property.
     """
     arr = np.asarray(weights, dtype=np.float64)
     if arr.ndim != 1:
@@ -99,6 +100,10 @@ def validate_weights(weights, k: int | None = None) -> np.ndarray:
         raise ValueError(
             f"weights must be positive; entry {bad} is {arr[bad]}"
         )
+    with np.errstate(over="ignore"):
+        total = arr.sum()
+    if not np.isfinite(total):
+        raise ValueError(f"weights must have a finite total, got {total}")
     return np.ascontiguousarray(arr)
 
 

@@ -10,14 +10,13 @@ Two cutting rules are provided:
 
 * :func:`cut_positions_uniform` — equal-count segments (ties broken by
   giving earlier segments the extra element), the paper's rule;
-* :func:`cut_positions_weighted` — greedy prefix-sum cuts for weighted
-  elements, the standard SFC generalization used by adaptive codes
-  (Pilkington & Baden), followed by the iterative correction pass of
-  Borrell et al. (:func:`refine_cut_positions`): single-element
-  boundary shifts accepted only when they strictly reduce the larger
-  of the two adjacent segment loads, so the refined cuts are provably
-  never worse than the greedy ones.  Under uniform weights the rule
-  short-circuits to :func:`cut_positions_uniform` exactly.
+* :func:`cut_positions_weighted` — weighted elements, the SFC
+  generalization used by adaptive codes (Pilkington & Baden): the
+  exact 1-D chains-on-chains cut, whose maximum segment load is the
+  smallest any cut of the curve can reach, found by probe bisection
+  over the weight prefix sums (Nicol; Pinar & Aykanat).  Under uniform
+  weights the rule short-circuits to :func:`cut_positions_uniform`
+  exactly.
 
 One cutting *path* applies the rules: :func:`keyed_cut` /
 :func:`sfc_partition`, the scalable path per Borrell et al.: stream
@@ -38,6 +37,7 @@ indexes it.  Larger meshes are keyed afresh per chunk, as before.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from typing import Callable
 
 import numpy as np
@@ -47,6 +47,7 @@ from ..sfc.factorization import factorize_2_3
 from ..sfc.keys import morton_keys
 from ..telemetry import span
 from .base import Partition
+from .registry import validate_weights
 from .stagecache import StageCache
 
 __all__ = [
@@ -57,7 +58,6 @@ __all__ = [
     "cut_positions_weighted",
     "keyed_cut",
     "morton_partition",
-    "refine_cut_positions",
     "sfc_partition",
 ]
 
@@ -117,111 +117,120 @@ def cut_positions_uniform(ncells: int, nparts: int) -> np.ndarray:
     return bounds
 
 
-def cut_positions_weighted(
-    weights: np.ndarray, nparts: int, refine: bool = True
-) -> np.ndarray:
-    """Segment boundaries balancing the weight prefix sums.
+def cut_positions_weighted(weights: np.ndarray, nparts: int) -> np.ndarray:
+    """Segment boundaries with the smallest possible maximum segment load.
 
-    Cuts the curve where the running weight crosses multiples of
-    ``total / nparts`` — the classical 1-D chains-on-chains heuristic —
-    then (by default) applies the iterative correction pass of Borrell
-    et al. (:func:`refine_cut_positions`), which can only improve the
-    load balance.  Every segment is non-empty provided
-    ``nparts <= len(weights)``.  Uniform weights reduce *exactly* to
-    :func:`cut_positions_uniform` (equal counts, larger segments
-    first), so weighted and unweighted requests with trivial weights
-    produce identical partitions.
+    Solves the 1-D chains-on-chains problem exactly by probe bisection
+    (Nicol 1994; Pinar & Aykanat, JPDC 2004).  A probe at bound ``B``
+    cuts greedily, each segment as long as ``B`` allows; it passes when
+    ``nparts`` segments reach the end.  A passing probe lowers the upper
+    end of the search to its realized maximum load; a failing one raises
+    the lower end to the smallest load that would have let one of its
+    segments take one more element, because every bound below that
+    fails the same way.  Both ends are therefore prefix-sum differences,
+    and the search stops on the optimum ``B*`` itself, with no float
+    tolerance.  A segment's load is always ``pre[j] - pre[s]`` on one
+    prefix-sum array, the same subtraction the probes compare.
+
+    Many cuts reach ``B*``; the one returned keeps each boundary as
+    close as ``B*`` allows to its proportional target, the element
+    where the running weight crosses ``p * total / nparts``.  Left to
+    right, cut ``p`` is clamped into the window of positions that keep
+    a cut at ``B*`` possible: after ``p - 1`` and within one ``B*``
+    segment of it (the greedy probe), and no earlier than the greedy
+    probe run backwards from the end allows, with every segment
+    non-empty.  So a small change in the weights moves few boundaries,
+    and the boundaries never pack up at the front of the curve.
+    Uniform weights reduce *exactly* to
+    :func:`cut_positions_uniform` (equal counts, larger segments first),
+    so weighted and unweighted requests with trivial weights produce
+    identical partitions.
 
     Args:
-        weights: Positive weight of each cell *in curve order*.
-        nparts: Number of segments.
-        refine: Apply the correction pass after the greedy cuts.
+        weights: Positive, finite weight of each cell *in curve order*.
+        nparts: Number of segments (``1 <= nparts <= len(weights)``).
     """
-    weights = np.asarray(weights, dtype=np.float64)
+    weights = validate_weights(weights)
     ncells = len(weights)
     if nparts < 1:
         raise ValueError("nparts must be >= 1")
     if nparts > ncells:
         raise ValueError(f"more parts ({nparts}) than cells ({ncells})")
-    if (weights <= 0).any():
-        raise ValueError("weights must be positive")
-    if ncells and (weights == weights[0]).all():
+    if (weights == weights[0]).all():
         return cut_positions_uniform(ncells, nparts)
-    prefix = np.cumsum(weights)
-    total = prefix[-1]
-    targets = total * np.arange(1, nparts) / nparts
-    cuts = np.searchsorted(prefix - 0.5 * weights, targets, side="left")
-    bounds = np.concatenate([[0], cuts, [ncells]]).astype(np.int64)
-    # Enforce non-empty segments (strictly increasing interior bounds;
-    # the endpoints 0 and ncells are fixed).
-    for p in range(1, nparts):
-        if bounds[p] <= bounds[p - 1]:
-            bounds[p] = bounds[p - 1] + 1
+    prefix = np.zeros(ncells + 1)
+    np.cumsum(weights, out=prefix[1:])
+    pre = memoryview(prefix)  # Python floats, without an O(K) list
+
+    def segment_end(start: int, bound: float) -> int:
+        """Last ``j`` with ``pre[j] - pre[start] <= bound``."""
+        base = pre[start]
+        end = bisect_right(pre, base + bound, start + 1) - 1
+        while end < ncells and pre[end + 1] - base <= bound:
+            end += 1
+        while pre[end] - base > bound:
+            end -= 1
+        return end
+
+    def segment_start(end: int, bound: float) -> int:
+        """First ``s`` with ``pre[end] - pre[s] <= bound``."""
+        top = pre[end]
+        start = bisect_left(pre, top - bound, 0, end)
+        while start > 0 and top - pre[start - 1] <= bound:
+            start -= 1
+        while top - pre[start] > bound:
+            start += 1
+        return start
+
+    def probe(bound: float) -> tuple[bool, float]:
+        """Greedy cut at ``bound``: (fits, realized max or next load)."""
+        start, top, grow = 0, 0.0, np.inf
+        for _ in range(nparts):
+            end = segment_end(start, bound)
+            load = pre[end] - pre[start]
+            if load > top:
+                top = load
+            if end == ncells:
+                return True, top
+            load = pre[end + 1] - pre[start]
+            if load < grow:
+                grow = load
+            start = end
+        return False, grow
+
+    # B* lies in [lo, hi].  Where to probe only sets the probe count:
+    # start at the ideal load, and since B* is at most about ideal +
+    # heaviest, never probe more than one element above it.  (Below
+    # the heaviest element a probe segment may stay empty; it fails.)
+    lo, hi = 0.0, pre[ncells]
+    ideal, heaviest = hi / nparts, float(weights.max())
+    bound = max(ideal, heaviest)
+    while lo < hi:
+        fits, load = probe(bound)
+        if fits:
+            hi = load
+        else:
+            lo = load
+        bound = min(lo + 0.5 * (hi - lo), max(lo, ideal) + heaviest)
+        if bound >= hi:  # lo and hi are adjacent floats
+            bound = lo
+    # B* is at least every single element's load, so each segment at
+    # B* takes at least one element, from either end.
+    targets = [0] + np.searchsorted(
+        prefix, pre[ncells] * np.arange(1, nparts) / nparts
+    ).tolist()
+    earliest = [0] * (nparts + 1)
+    earliest[nparts] = ncells
     for p in range(nparts - 1, 0, -1):
-        if bounds[p] >= bounds[p + 1]:
-            bounds[p] = bounds[p + 1] - 1
-    if bounds[0] != 0 or bounds[-1] != ncells or (np.diff(bounds) < 1).any():
-        raise ValueError("cannot produce non-empty segments")
-    if refine:
-        bounds = refine_cut_positions(weights, bounds)
-    return bounds
-
-
-def refine_cut_positions(
-    weights: np.ndarray,
-    bounds: np.ndarray,
-    max_sweeps: int | None = None,
-) -> np.ndarray:
-    """Iterative correction pass over segment boundaries (Borrell et al.).
-
-    Sweeps the interior cut positions, shifting one element at a time
-    across a boundary whenever that *strictly reduces the larger* of
-    the two adjacent segment loads (and keeps both segments non-empty).
-    Segment loads are always recomputed from one fixed prefix-sum
-    array, so they are a pure function of the bounds: each accepted
-    shift strictly decreases the sorted load vector lexicographically,
-    which guarantees termination and that the final maximum load —
-    hence LB — is never worse than the input cuts'.
-
-    Args:
-        weights: Positive weight of each cell in curve order.
-        bounds: ``(nparts + 1,)`` cut positions (not modified).
-        max_sweeps: Optional safety cap on full sweeps; by default the
-            pass runs to its (guaranteed) fixpoint.
-
-    Returns:
-        A new bounds array of the same shape.
-    """
-    weights = np.asarray(weights, dtype=np.float64)
-    bounds = np.array(bounds, dtype=np.int64)
-    nparts = len(bounds) - 1
-    prefix = np.concatenate([[0.0], np.cumsum(weights)])
-
-    def pair_max(p: int, b: int) -> float:
-        """Larger load of segments p-1 and p, were bound p at ``b``."""
-        return max(prefix[b] - prefix[bounds[p - 1]], prefix[bounds[p + 1]] - prefix[b])
-
-    sweeps = 0
-    moved = True
-    while moved and (max_sweeps is None or sweeps < max_sweeps):
-        moved = False
-        sweeps += 1
-        for p in range(1, nparts):
-            while True:
-                b = bounds[p]
-                worse = pair_max(p, b)
-                # Shift the left segment's last element rightward, else
-                # the right segment's first element leftward.  Judged by
-                # the loads after the shift, not ``left - w``: rounding
-                # can make two opposite shifts each look like a gain.
-                if b - bounds[p - 1] >= 2 and pair_max(p, b - 1) < worse:
-                    bounds[p] = b - 1
-                elif bounds[p + 1] - b >= 2 and pair_max(p, b + 1) < worse:
-                    bounds[p] = b + 1
-                else:
-                    break
-                moved = True
-    return bounds
+        earliest[p] = segment_start(earliest[p + 1], hi)
+    bounds = [0] * (nparts + 1)
+    bounds[nparts] = ncells
+    for p in range(1, nparts):
+        prev = bounds[p - 1]
+        first = max(earliest[p], prev + 1)
+        last = min(segment_end(prev, hi), ncells - (nparts - p))
+        bounds[p] = min(max(targets[p], first), last)
+    return np.array(bounds, dtype=np.int64)
 
 
 def keyed_cut(

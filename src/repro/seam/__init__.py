@@ -21,7 +21,6 @@ from .dss import (
     build_point_map,
     clear_dss_memo,
     dss_memo_stats,
-    exchange_schedule,
     shared_dss_operator,
 )
 from .element import (
@@ -65,7 +64,6 @@ __all__ = [
     "cosine_bell",
     "dss_memo_stats",
     "error_norms",
-    "exchange_schedule",
     "geometry_cache_stats",
     "gll_basis",
     "legendre_and_derivative",

@@ -46,7 +46,6 @@ __all__ = [
     "clear_dss_memo",
     "dss_memo_stats",
     "build_halo_schedule",
-    "exchange_schedule",
 ]
 
 
@@ -445,7 +444,3 @@ def _halo_schedule(
             tallies.tolist(),
         )
     )
-
-
-#: Historical name, kept for callers of the pre-kernelized API.
-exchange_schedule = build_halo_schedule

@@ -28,7 +28,7 @@ from repro.metis.refine import fm_refine_bisection, greedy_kway_refine
 from repro.partition import sfc_partition
 from repro.partition.metrics import evaluate_partition
 from repro.seam import build_geometry, build_point_map
-from repro.seam.dss import exchange_schedule
+from repro.seam.dss import build_halo_schedule
 
 HERE = Path(__file__).parent
 
@@ -112,7 +112,7 @@ def main() -> None:
         "rb5": part_graph(mesh4, 5, "rb", seed=1),
     }
     for label, p in parts.items():
-        sched = exchange_schedule(pmap, p)
+        sched = build_halo_schedule(pmap, p)
         schedules[label] = {f"{a},{b}": int(c) for (a, b), c in sorted(sched.items())}
     (HERE / "halo_golden.json").write_text(
         json.dumps(schedules, indent=0, sort_keys=True) + "\n"

@@ -15,7 +15,7 @@ from repro.cubesphere import cubed_sphere_mesh
 from repro.graphs import is_connected, mesh_graph
 from repro.metis import part_graph
 from repro.partition import sfc_partition
-from repro.seam import DSSOperator, build_geometry, build_point_map, exchange_schedule
+from repro.seam import DSSOperator, build_geometry, build_halo_schedule, build_point_map
 
 
 class TestPartitionedDSS:
@@ -42,7 +42,7 @@ class TestPartitionedDSS:
             np.add.at(den_partial[r], ids[e].ravel(), dss.local_mass[e].ravel())
         # "Exchange": every rank receives every other rank's partials
         # for the points it owns (the schedule says which ranks talk).
-        sched = exchange_schedule(pmap, part)
+        sched = build_halo_schedule(pmap, part)
         result = np.empty_like(q)
         for e in range(geom.mesh.nelem):
             r = int(part.assignment[e])
@@ -68,7 +68,7 @@ class TestPartitionedDSS:
         g = mesh_graph(cubed_sphere_mesh(4))
         for method in ("rb", "kway"):
             p = part_graph(g, 16, method, seed=0)
-            sched = exchange_schedule(pmap, p)
+            sched = build_halo_schedule(pmap, p)
             comm = communication_pattern(g, p)
             assert set(sched) == set(comm.pair_points)
 

@@ -33,7 +33,7 @@ class TestVersioning:
         tag = cache_version()
         for stage, version in STAGE_VERSIONS.items():
             assert f"{stage}{version}" in tag
-        assert tag == "mesh1.graph1.partition2.evaluate1"
+        assert tag == "mesh1.graph1.partition3.evaluate1"
 
     def test_version_bump_changes_key(self):
         before = cache_version()

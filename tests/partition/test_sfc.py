@@ -68,6 +68,17 @@ class TestWeightedCuts:
         with pytest.raises(ValueError, match="positive"):
             cut_positions_weighted(np.array([1.0, 0.0]), 2)
 
+    def test_non_finite_weights_rejected(self):
+        """A NaN weight, or finite weights whose total overflows, used
+        to yield a lopsided 1/1/1/21 cut; the one weight gate refuses
+        both."""
+        with pytest.raises(ValueError, match="finite; entry 0"):
+            sfc_partition(2, 4, weights=[np.nan] + [1.0] * 23)
+        with pytest.raises(ValueError, match="finite total"):
+            sfc_partition(2, 4, weights=[1e308] * 23 + [1.0])
+        with pytest.raises(ValueError, match="finite total"):
+            cut_positions_weighted(np.array([1e308, 1e308, 1.0]), 2)
+
     @settings(max_examples=50, deadline=None)
     @given(
         st.lists(st.floats(min_value=0.1, max_value=10), min_size=2, max_size=60),

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.partition.sfc import sfc_partition
-from repro.seam.dss import DSSOperator, build_point_map, exchange_schedule
+from repro.seam.dss import DSSOperator, build_halo_schedule, build_point_map
 from repro.seam.element import build_geometry
 
 from .reference_point_map import reference_point_map
@@ -123,28 +123,28 @@ class TestDSS:
 class TestExchangeSchedule:
     def test_symmetric_pairs(self, pmap):
         p = sfc_partition(4, 8)
-        sched = exchange_schedule(pmap, p)
+        sched = build_halo_schedule(pmap, p)
         for (a, b), n in sched.items():
             assert sched[(b, a)] == n  # DSS exchanges are symmetric
 
     def test_no_self_messages(self, pmap):
-        sched = exchange_schedule(pmap, sfc_partition(4, 8))
+        sched = build_halo_schedule(pmap, sfc_partition(4, 8))
         assert all(a != b for a, b in sched)
 
     def test_single_part_empty_schedule(self, pmap):
-        sched = exchange_schedule(pmap, sfc_partition(4, 1))
+        sched = build_halo_schedule(pmap, sfc_partition(4, 1))
         assert sched == {}
 
     def test_counts_scale_with_npts(self):
         """More GLL points per edge -> more exchanged values."""
         p = sfc_partition(4, 8)
-        small = exchange_schedule(build_point_map(build_geometry(4, 4)), p)
-        large = exchange_schedule(build_point_map(build_geometry(4, 8)), p)
+        small = build_halo_schedule(build_point_map(build_geometry(4, 4)), p)
+        large = build_halo_schedule(build_point_map(build_geometry(4, 8)), p)
         assert sum(large.values()) > sum(small.values())
 
     def test_size_mismatch_rejected(self, pmap):
         with pytest.raises(ValueError, match="does not match"):
-            exchange_schedule(pmap, sfc_partition(2, 4))
+            build_halo_schedule(pmap, sfc_partition(2, 4))
 
     def test_matches_graph_comm_pattern_shape(self, pmap, graph4):
         """The graph-model communication pairs must be exactly the
@@ -152,6 +152,6 @@ class TestExchangeSchedule:
         from repro.partition.metrics import communication_pattern
 
         p = sfc_partition(4, 12)
-        sched = exchange_schedule(pmap, p)
+        sched = build_halo_schedule(pmap, p)
         comm = communication_pattern(graph4, p)
         assert set(sched) == set(comm.pair_points)

@@ -18,7 +18,7 @@ from repro.graphs import mesh_graph
 from repro.metis import part_graph
 from repro.partition import sfc_partition
 from repro.seam import build_geometry, build_point_map
-from repro.seam.dss import build_halo_schedule, exchange_schedule
+from repro.seam.dss import build_halo_schedule
 
 GOLDEN = json.loads(
     (Path(__file__).parent.parent / "golden" / "halo_golden.json").read_text()
@@ -44,7 +44,3 @@ def test_halo_schedule_matches_golden(point_map, label):
     sched = build_halo_schedule(point_map, _partition(label))
     got = {f"{a},{b}": int(c) for (a, b), c in sched.items()}
     assert got == GOLDEN[label]
-
-
-def test_exchange_schedule_alias(point_map):
-    assert exchange_schedule is build_halo_schedule

@@ -76,12 +76,12 @@ class TestPartitionedDSS:
         assert parallel.accounting.exchanges == 2
 
     def test_accounting_matches_exchange_schedule(self, geom, partition, rng):
-        from repro.seam import build_point_map, exchange_schedule
+        from repro.seam import build_halo_schedule, build_point_map
 
         parallel = PartitionedDSS(geom, partition)
         q = rng.standard_normal(parallel.local_mass.shape)
         parallel.apply(q)
-        sched = exchange_schedule(build_point_map(geom), partition)
+        sched = build_halo_schedule(build_point_map(geom), partition)
         assert parallel.accounting.values == sum(sched.values())
         assert parallel.accounting.messages == len(sched)
 

@@ -28,6 +28,7 @@ PARTITION_422 = [
     {"ne": 2, "nparts": 4, "weights": [10**400] * K},
     {"ne": 2, "nparts": 4, "weights": {"inline": {}}},
     {"ne": 2, "nparts": 4, "weights": {**STORM, "params": {"lat0": 10**400}}},
+    {"ne": 2, "nparts": 4, "weights": [1e308] * (K - 1) + [1.0]},
 ]
 
 #: Repartition request objects that are JSON but not valid requests.
@@ -39,6 +40,7 @@ REPARTITION_422 = [
     {"ne": 2, "old_assignment": [2**63] + [0] * (K - 1), "weights": STORM},
     {"ne": 2, "old_assignment": [-(2**64)] + [0] * (K - 1), "weights": STORM},
     {"ne": 2, "old_assignment": [0] * K, "weights": [10**400] * K},
+    {"ne": 2, "old_assignment": [0] * K, "weights": [1e308] * (K - 1) + [1.0]},
 ]
 
 DEEP = b"[" * 100_000
@@ -97,3 +99,4 @@ def test_batch_items_are_422_each_and_deep_nesting_400():
         assert item["error"]["status"] == 422
         assert item["error"]["code"] == "invalid_request"
     assert_error(*deep, 400, "bad_json")
+

@@ -104,6 +104,10 @@ class TestBoundaryValidation:
         with pytest.raises(ValueError, match="must be finite"):
             inline_request(bad)
 
+    def test_total_overflows(self):
+        with pytest.raises(ValueError, match="finite total"):
+            inline_request(np.full(K, 1e308))
+
     def test_wrong_length(self):
         with pytest.raises(ValueError, match=f"expected {K}, got 7"):
             inline_request(np.ones(7))
