@@ -1166,6 +1166,72 @@ int64_t dss_apply(
 }
 
 /* ------------------------------------------------------------------ */
+/* Partitioned DSS                                                     */
+/* ------------------------------------------------------------------ */
+
+/* The three passes of repro.seam.parallel.PartitionedDSS.apply over
+ * its rank-segmented slot buffer (one slot per (rank, global point)
+ * pair a rank's elements touch).  The constant layout arrives as an
+ * 8-slot plan built once per operator:
+ *
+ *   plan[0] n           element-local points
+ *   plan[1] nslots      slots
+ *   plan[2] slot_of     (const int64_t *) slot of each element-local point
+ *   plan[3] local_mass  (const double *) J-weighted mass of each point
+ *   plan[4] nmsg        messages (shared-point values sent)
+ *   plan[5] recv_dst    (const int64_t *) destination slot of every
+ *                       message
+ *   plan[6] recv_src    (const int64_t *) source slot of every message;
+ *                       source ranks ascend among one slot's messages
+ *   plan[7] mass        (const double *) assembled mass of each slot
+ *
+ * Bit-identity contract with the numpy fallback (weighted np.bincount
+ * gather and exchange, a true division, a fancy-index scatter): every
+ * sum starts from 0.0 and adds in the fallback's order — a slot's
+ * points in ascending element-local index; a slot's own partial, then
+ * its co-owners' in ascending source rank — and the average divides
+ * by the mass instead of multiplying by its reciprocal.  Starting from
+ * 0.0 rather than from the first term keeps 0.0 + -0.0 = +0.0, as
+ * bincount has it.  The library is compiled with -ffp-contract=off, so
+ * no multiply-add is fused.
+ */
+int64_t pdss_gather(const int64_t *plan, const double *field, double *partial)
+{
+    const int64_t n = plan[0], nslots = plan[1];
+    const int64_t *slot_of = (const int64_t *)plan[2];
+    const double *local_mass = (const double *)plan[3];
+    for (int64_t s = 0; s < nslots; s++) partial[s] = 0.0;
+    for (int64_t i = 0; i < n; i++)
+        partial[slot_of[i]] += local_mass[i] * field[i];
+    return 0;
+}
+
+/* BSP exchange: total must not alias partial, so every message reads
+ * the pre-exchange partial of its source slot. */
+int64_t pdss_exchange(const int64_t *plan, const double *partial, double *total)
+{
+    const int64_t nslots = plan[1], nmsg = plan[4];
+    const int64_t *recv_dst = (const int64_t *)plan[5];
+    const int64_t *recv_src = (const int64_t *)plan[6];
+    for (int64_t s = 0; s < nslots; s++) total[s] = 0.0 + partial[s];
+    for (int64_t m = 0; m < nmsg; m++)
+        total[recv_dst[m]] += partial[recv_src[m]];
+    return 0;
+}
+
+/* Divides total by the mass in place, then copies each slot's average
+ * to every element-local point of the slot. */
+int64_t pdss_scatter(const int64_t *plan, double *total, double *out)
+{
+    const int64_t n = plan[0], nslots = plan[1];
+    const int64_t *slot_of = (const int64_t *)plan[2];
+    const double *mass = (const double *)plan[7];
+    for (int64_t s = 0; s < nslots; s++) total[s] = total[s] / mass[s];
+    for (int64_t i = 0; i < n; i++) out[i] = total[slot_of[i]];
+    return 0;
+}
+
+/* ------------------------------------------------------------------ */
 /* Space-filling-curve keying                                          */
 /* ------------------------------------------------------------------ */
 

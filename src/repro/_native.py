@@ -9,7 +9,8 @@ contraction (``contract``), and the batched recursive-bisection stages
 greedy graph growing, rebalance + FM refinement with optional
 projection, and the left/right split), which also serve the
 single-graph ``CSRGraph.subgraph``, ``greedy_graph_growing`` and
-``fm_refine_bisection`` — plus the SEAM DSS projection, SFC keying and
+``fm_refine_bisection`` — plus the SEAM DSS projection, the gather,
+halo exchange and scatter passes of the partitioned DSS, SFC keying and
 the JSON text of int64 arrays (``json_int_array``, for the server's
 response bodies; see that file for the bit-identity contract) and its
 inverse (``json_int_arrays``, for request bodies).  This module compiles
@@ -40,8 +41,9 @@ _I64P = ctypes.POINTER(ctypes.c_int64)
 _F64P = ctypes.POINTER(ctypes.c_double)
 _VP = ctypes.c_void_p
 
-# -ffp-contract=off: the float kernels (dss_apply) promise bit-identity
-# with the numpy fallbacks, which never fuse a multiply-add into an FMA.
+# -ffp-contract=off: the float kernels (dss_apply, pdss_*) promise
+# bit-identity with the numpy fallbacks, which never fuse a multiply-add
+# into an FMA.
 _CFLAGS = ["-O2", "-ffp-contract=off", "-shared", "-fPIC"]
 
 # Gain bounds above this make the bucket arrays unreasonably large;
@@ -127,6 +129,11 @@ SIGNATURES: dict[str, list] = {
         _VP,  # field
         _VP, _VP,  # num scratch, out
     ],
+    # The partitioned DSS passes share one 8-slot int64 plan (see
+    # _kernels.c); each takes the plan, one input and one output.
+    "pdss_gather": [_VP, _VP, _VP],  # plan, field, partials (out)
+    "pdss_exchange": [_VP, _VP, _VP],  # plan, partials, totals (out)
+    "pdss_scatter": [_VP, _VP, _VP],  # plan, totals (inout), out
     "sfc_keys": [
         _I64,  # npts
         _I64,  # nlevels

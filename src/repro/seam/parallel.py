@@ -15,12 +15,14 @@ a partitioned run can be
 Layout: every rank's partial sums are one segment of a single float64
 buffer ordered by (rank, global point), and every message is one entry
 of a single outbox ordered by (src rank, dst rank, point).  A DSS is
-then three whole-buffer NumPy passes (gather, exchange, scatter) with
-no loop over ranks or rank pairs.  Each pass adds in the order a
-rank-by-rank execution would (each rank sums its elements in ascending
-order; a shared point takes its own partial, then its co-owners' in
-ascending source rank), so the result is bit-identical to it; the
-rank-by-rank version is kept as a test oracle
+then three whole-buffer passes (gather, exchange, scatter) with no loop
+over ranks or rank pairs: compiled kernels
+(``repro._kernels.c::pdss_gather``, ``pdss_exchange``,
+``pdss_scatter``) when they are loaded, else NumPy passes.  Each pass
+adds in the order a rank-by-rank execution would (each rank sums its
+elements in ascending order; a shared point takes its own partial, then
+its co-owners' in ascending source rank), so both are bit-identical to
+it; the rank-by-rank version is kept as a test oracle
 (``tests/seam/reference_parallel.py``).
 """
 
@@ -30,6 +32,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .._native import LIB
 from ..partition.base import Partition
 from ..telemetry import inc, span
 from .dss import PointMap, build_point_map
@@ -76,19 +79,22 @@ class PartitionedDSS:
     Messages are one outbox sorted by (src rank, dst rank, point); each
     entry carries the partial of a source slot into a destination slot.
 
-    :meth:`apply` is three NumPy passes, each in a fixed order that
-    matches a rank-by-rank execution bit for bit:
+    :meth:`apply` is three passes, each in a fixed order that matches a
+    rank-by-rank execution bit for bit.  Each is a C kernel sharing one
+    int64 plan of the constant layout when the kernels are loaded, else
+    the NumPy pass named below:
 
-    * gather — weighted ``np.bincount`` of the element-local values
-      into their slots, in element order (so each slot sums its rank's
-      elements in ascending order);
-    * exchange — one ``np.bincount`` over every slot followed by every
-      message: a slot starts from its own partial, then adds the
+    * gather — each slot starts at 0.0 and adds the weighted
+      element-local values of its points in element order (so each
+      slot sums its rank's elements in ascending order); weighted
+      ``np.bincount``;
+    * exchange — a slot starts at 0.0, adds its own partial, then the
       pre-exchange partials of its co-owners in ascending source rank
-      (BSP semantics: all sends read the pre-exchange state);
+      (BSP semantics: all sends read the pre-exchange state); one
+      ``np.bincount`` over every slot followed by every message;
     * scatter — each element-local point reads ``partial / mass`` of
-      its slot, where ``mass`` is the assembled mass, completed once by
-      the same exchange.
+      its slot (a true division), where ``mass`` is the assembled mass,
+      completed once by the same exchange.
 
     Args:
         geom: Grid geometry.
@@ -116,6 +122,7 @@ class PartitionedDSS:
         self.mass = self._exchange_into(
             self._gather(self.local_mass.ravel()), count=False
         )
+        self._plan[7] = self.mass.ctypes.data
 
     def _build_layout(self) -> None:
         ids = self.point_map.point_ids.reshape(self.geom.nelem, -1)
@@ -142,12 +149,37 @@ class PartitionedDSS:
         src, dst = by_point[src], by_point[dst]
         keep = src != dst
         src, dst = src[keep], dst[keep]
+        # The kernel's inbox is this list with the roles swapped.  Each
+        # pair is in it both ways, and for each ``src`` slot its ``dst``
+        # slots (so their ranks) ascend, so read as (receiver, sender)
+        # it gives every slot its incoming messages in ascending source
+        # rank, the order the exchange adds them.  No sort is needed.
+        self._recv_dst, self._recv_src = src, dst
         src_rank, dst_rank = self.slot_rank[src], self.slot_rank[dst]
         order = np.lexsort((self.slot_point[src], dst_rank, src_rank))
         self.msg_src, self.msg_dst = src[order], dst[order]
 
         # Exchange index: every slot once, then every message's target.
         self._exchange_idx = np.concatenate([np.arange(self.nslots), self.msg_dst])
+        self._local_flat = np.ascontiguousarray(self.local_mass.ravel())
+        # 8-slot kernel plan (see _kernels.c); the mass address is
+        # filled in once the mass is assembled.  The referenced arrays
+        # are pinned by the attributes above, so the addresses stay
+        # valid.
+        self._plan = np.array(
+            [
+                len(self._slot_of),
+                self.nslots,
+                self._slot_of.ctypes.data,
+                self._local_flat.ctypes.data,
+                len(self._recv_dst),
+                self._recv_dst.ctypes.data,
+                self._recv_src.ctypes.data,
+                0,
+            ],
+            dtype=np.int64,
+        )
+        self._plan_a = int(self._plan.ctypes.data)
         # Accounting of one exchange, counted once here.
         pair = src_rank[order] * np.int64(self.nranks) + dst_rank[order]
         self._pairs = int(np.count_nonzero(np.diff(pair))) + 1 if len(pair) else 0
@@ -169,6 +201,10 @@ class PartitionedDSS:
             acct.messages += self._pairs
             acct.values += len(self.msg_src)
             acct.per_rank_sent += self._sent
+        if LIB is not None:
+            totals = np.empty(self.nslots)
+            LIB.pdss_exchange(self._plan_a, partials.ctypes.data, totals.ctypes.data)
+            return totals
         sent = np.concatenate([partials, partials[self.msg_src]])
         return np.bincount(self._exchange_idx, weights=sent, minlength=self.nslots)
 
@@ -177,12 +213,38 @@ class PartitionedDSS:
 
         Numerically equal to :meth:`repro.seam.dss.DSSOperator.apply`
         up to floating-point summation order (tested to 1e-12).
+
+        Args:
+            field_: ``(nelem, np, np)`` point values of any dtype that
+                casts safely to float64.
+
+        Returns:
+            A new float64 array of ``field_``'s shape.
+
+        Raises:
+            ValueError: ``field_`` is not of shape ``(nelem, np, np)``.
+            TypeError: ``field_``'s dtype does not cast safely to
+                float64 (complex values are never truncated).
         """
+        if field_.shape != self.local_mass.shape:
+            raise ValueError(
+                f"field shape {field_.shape} is not {self.local_mass.shape}"
+            )
+        if not np.can_cast(field_.dtype, np.float64):
+            raise TypeError(f"field dtype {field_.dtype} does not cast to float64")
         with span("pdss_apply", "seam"):
-            partials = self._gather((self.local_mass * field_).ravel())
-            partials = self._exchange_into(partials)
-            partials /= self.mass
-            out = partials[self._slot_of].reshape(field_.shape)
+            if LIB is None:
+                partials = self._gather((self.local_mass * field_).ravel())
+                partials = self._exchange_into(partials)
+                partials /= self.mass
+                out = partials[self._slot_of].reshape(field_.shape)
+            else:
+                flat = np.ascontiguousarray(field_, dtype=np.float64)
+                partials = np.empty(self.nslots)
+                LIB.pdss_gather(self._plan_a, flat.ctypes.data, partials.ctypes.data)
+                totals = self._exchange_into(partials)
+                out = np.empty(field_.shape)
+                LIB.pdss_scatter(self._plan_a, totals.ctypes.data, out.ctypes.data)
         inc("pdss_applies")
         return out
 

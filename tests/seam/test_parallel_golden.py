@@ -3,7 +3,9 @@ rank-by-rank reference (``tests/seam/reference_parallel.py``) bit for bit.
 
 Same projected field, same assembled mass, same slot layout and the
 same message accounting, across partitioners and degenerate rank
-counts, including the benchmark's Ne=16 / np=8 / 96-rank configuration.
+counts, including the benchmark's Ne=16 / np=8 / 96-rank configuration,
+on both the compiled-kernel path and the NumPy fallback.  Floats are
+compared as their int64 bit patterns, so signed zeros count.
 """
 
 from __future__ import annotations
@@ -11,11 +13,13 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro import _native
 from repro.cubesphere import cubed_sphere_mesh
 from repro.graphs import mesh_graph
 from repro.metis import part_graph
 from repro.partition import Partition, sfc_partition
 from repro.seam import PartitionedDSS, build_geometry, build_point_map
+from repro.seam import parallel as parallel_mod
 
 from .reference_parallel import RankByRankDSS
 
@@ -58,24 +62,55 @@ def _shuffled(ne, nranks):
 
 
 CASES = [
-    pytest.param((3, 5, _sfc, 6), id="sfc-ne3-np5-6"),
-    pytest.param((3, 5, _kway, 9), id="kway-ne3-np5-9"),
-    pytest.param((3, 4, _empty_last, 4), id="empty-last-rank"),
-    pytest.param((3, 4, _empty_middle, 5), id="empty-middle-rank"),
-    pytest.param((3, 4, _single, 1), id="single-rank"),
-    pytest.param((2, 4, _one_per_rank, 24), id="nranks-eq-nelem"),
-    pytest.param((4, 3, _shuffled, 7), id="shuffled-ne4-np3-7"),
-    pytest.param((16, 8, _sfc, 96), id="benchmark-ne16-np8-96"),
+    ((3, 5, _sfc, 6), "sfc-ne3-np5-6"),
+    ((3, 5, _kway, 9), "kway-ne3-np5-9"),
+    ((3, 4, _empty_last, 4), "empty-last-rank"),
+    ((3, 4, _empty_middle, 5), "empty-middle-rank"),
+    ((3, 4, _single, 1), "single-rank"),
+    ((2, 4, _one_per_rank, 24), "nranks-eq-nelem"),
+    ((4, 3, _shuffled, 7), "shuffled-ne4-np3-7"),
+    ((16, 8, _sfc, 96), "benchmark-ne16-np8-96"),
 ]
 
+_NEEDS_KERNELS = pytest.mark.skipif(
+    _native.LIB is None, reason="C kernels unavailable"
+)
 
-@pytest.fixture(scope="module", params=CASES)
+#: Every case on the compiled-kernel path, then on the NumPy fallback
+#: (``-numpy``: the module's ``LIB`` patched to ``None``).
+PATH_CASES = [
+    pytest.param((*case, _native.LIB), id=name, marks=_NEEDS_KERNELS)
+    for case, name in CASES
+] + [pytest.param((*case, None), id=f"{name}-numpy") for case, name in CASES]
+
+
+@pytest.fixture(scope="module", params=PATH_CASES)
 def pair(request):
-    ne, npts, make, nranks = request.param
-    geom = build_geometry(ne, npts)
-    partition = make(ne, nranks)
-    pmap = build_point_map(geom)
-    return RankByRankDSS(geom, partition, pmap), PartitionedDSS(geom, partition, pmap)
+    ne, npts, make, nranks, lib = request.param
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(parallel_mod, "LIB", lib)
+        geom = build_geometry(ne, npts)
+        partition = make(ne, nranks)
+        pmap = build_point_map(geom)
+        yield (
+            RankByRankDSS(geom, partition, pmap),
+            PartitionedDSS(geom, partition, pmap),
+        )
+
+
+def _bits(a: np.ndarray) -> np.ndarray:
+    assert a.dtype == np.float64
+    return a.view(np.int64)
+
+
+def _fields(shape):
+    """Random normals, then the fields whose bits are easy to get wrong."""
+    rng = np.random.default_rng(11)
+    yield from (rng.standard_normal(shape) for _ in range(APPLIES))
+    yield np.where(rng.random(shape) < 0.5, -0.0, 0.0)  # ±0.0
+    yield -np.zeros(shape)
+    yield rng.standard_normal(shape).astype(np.float32)
+    yield rng.integers(-5, 6, shape)
 
 
 class TestFlatEqualsRankByRank:
@@ -87,22 +122,44 @@ class TestFlatEqualsRankByRank:
 
     def test_assembled_mass_bitwise(self, pair):
         ref, flat = pair
-        assert np.array_equal(np.concatenate(ref.rank_mass), flat.mass)
+        assert np.array_equal(_bits(np.concatenate(ref.rank_mass)), _bits(flat.mass))
 
     def test_apply_bitwise_and_accounting(self, pair):
         ref, flat = pair
-        rng = np.random.default_rng(11)
-        for _ in range(APPLIES):
-            q = rng.standard_normal(ref.local_mass.shape)
-            assert np.array_equal(flat.apply(q), ref.apply(q))
         a, b = ref.accounting, flat.accounting
+        before = (b.exchanges, b.messages, b.values, b.per_rank_sent.copy())
+        napplies = 0
+        for q in _fields(ref.local_mass.shape):
+            got = flat.apply(q)
+            assert got.shape == q.shape
+            # The oracle keeps the input dtype; the operator works in
+            # float64, into which float32 and small ints cast exactly.
+            want = ref.apply(q.astype(np.float64))
+            assert np.array_equal(_bits(got), _bits(want)), q.dtype
+            napplies += 1
         assert (a.exchanges, a.messages, a.values) == (
-            b.exchanges,
-            b.messages,
-            b.values,
+            b.exchanges - before[0],
+            b.messages - before[1],
+            b.values - before[2],
         )
-        assert a.exchanges == APPLIES
-        assert np.array_equal(a.per_rank_sent, b.per_rank_sent)
+        assert a.exchanges == napplies
+        assert np.array_equal(a.per_rank_sent, b.per_rank_sent - before[3])
+
+    def test_wrong_shape_raises(self, pair):
+        _, flat = pair
+        shape = flat.local_mass.shape
+        exchanges = flat.accounting.exchanges
+        for bad in (shape[1:], (shape[0] - 1, *shape[1:]), (1, *shape)):
+            with pytest.raises(ValueError, match="field shape"):
+                flat.apply(np.zeros(bad))
+        with pytest.raises(ValueError, match="field shape"):
+            flat.apply(np.zeros(shape).ravel())
+        assert flat.accounting.exchanges == exchanges
+
+    def test_complex_field_raises(self, pair):
+        _, flat = pair
+        with pytest.raises(TypeError, match="complex128"):
+            flat.apply(np.ones(flat.local_mass.shape, dtype=complex))
 
     def test_messages_are_the_shared_lists(self, pair):
         """The outbox is the (src, dst, point)-ordered shared lists."""
@@ -121,20 +178,22 @@ class TestFlatEqualsRankByRank:
 class TestExchangeHook:
     """The halo exchange goes through the instance's ``_exchange_into``."""
 
-    def test_one_exchange_call_per_apply(self):
+    def test_one_exchange_call_per_apply(self, monkeypatch):
         geom = build_geometry(3, 4)
-        pdss = PartitionedDSS(geom, sfc_partition(3, 6))
-        assert pdss.accounting.exchanges == 0  # mass completion is uncounted
-        calls = []
-        inner = pdss._exchange_into
+        for lib in {_native.LIB, None}:
+            monkeypatch.setattr(parallel_mod, "LIB", lib)
+            pdss = PartitionedDSS(geom, sfc_partition(3, 6))
+            assert pdss.accounting.exchanges == 0  # mass completion is uncounted
+            calls = []
+            inner = pdss._exchange_into
 
-        def wrapped(*args, **kwargs):
-            calls.append(1)
-            return inner(*args, **kwargs)
+            def wrapped(*args, inner=inner, calls=calls, **kwargs):
+                calls.append(1)
+                return inner(*args, **kwargs)
 
-        pdss._exchange_into = wrapped
-        q = np.random.default_rng(0).standard_normal(pdss.local_mass.shape)
-        pdss.apply(q)
-        pdss.apply(q)
-        assert len(calls) == 2
-        assert pdss.accounting.exchanges == 2
+            pdss._exchange_into = wrapped
+            q = np.random.default_rng(0).standard_normal(pdss.local_mass.shape)
+            pdss.apply(q)
+            pdss.apply(q)
+            assert len(calls) == 2
+            assert pdss.accounting.exchanges == 2

@@ -18,10 +18,12 @@ import pytest
 
 import repro.cubesphere.curve as curve_mod
 import repro.seam.dss as dss_mod
+import repro.seam.parallel as parallel_mod
 from repro import _native
 from repro.cubesphere import cubed_sphere_mesh
 from repro.graphs import mesh_graph
 from repro.metis import part_graph
+from repro.partition import sfc_partition
 from repro.seam import build_geometry
 from repro.server.http import decode_json_body, json_body
 from repro.sfc.keys import curve_keys
@@ -63,7 +65,8 @@ def test_every_declared_kernel_is_called(monkeypatch):
     assert {mod.__name__ for mod, _ in gated} >= {
         "repro.graphs.csr", "repro.metis.bisection", "repro.metis.coarsen",
         "repro.metis.initial", "repro.metis.matching", "repro.metis.refine",
-        "repro.seam.dss", "repro.server.http", "repro.sfc.keys",
+        "repro.seam.dss", "repro.seam.parallel", "repro.server.http",
+        "repro.sfc.keys",
     }
     for mod, attr in gated:
         monkeypatch.setattr(mod, attr, proxy)
@@ -77,6 +80,7 @@ def test_every_declared_kernel_is_called(monkeypatch):
     geom = build_geometry(2, 4)
     field = np.random.default_rng(0).standard_normal(geom.jac.shape)
     dss_mod.DSSOperator(geom).apply(field)
+    parallel_mod.PartitionedDSS(geom, sfc_partition(2, 3)).apply(field)
     curve_mod.element_keys(4)
     curve_keys(np.arange(4), np.arange(4), schedule="HH")
     json_body({"assignment": np.arange(4, dtype=np.int64)})
