@@ -3,7 +3,8 @@
 Regenerates the constructions the paper illustrates (Hilbert level 1-2,
 level-1 m-Peano, the 36-cell level-1 Hilbert-Peano curve) as ASCII
 artifacts, and benchmarks raw curve generation throughput up to
-1024 x 1024 cells (the vectorized level-at-a-time expansion).
+1024 x 1024 cells: ``generate_curve`` keys every cell and inverts the
+keys, timed with its LRU emptied before every round.
 """
 
 from __future__ import annotations
@@ -66,16 +67,34 @@ def test_locality_summary_artifact(benchmark, save_artifact):
     )
 
 
+def _time_cold(benchmark, schedule: str):
+    """Time ``generate_curve(schedule=...)`` with its LRU emptied first."""
+    from repro.sfc.generator import _generate_cached
+
+    return benchmark.pedantic(
+        generate_curve,
+        kwargs={"schedule": schedule},
+        setup=_generate_cached.cache_clear,
+        rounds=10,
+    )
+
+
 @pytest.mark.parametrize("level", [6, 8, 10], ids=lambda n: f"2^{n}")
 def test_hilbert_generation_speed(benchmark, level):
-    from repro.sfc.generator import _expand
-
-    coords = benchmark(_expand, "H" * level)
-    assert len(coords) == 4**level
+    curve = _time_cold(benchmark, "H" * level)
+    assert len(curve) == 4**level
 
 
 @pytest.mark.parametrize("schedule", ["PPP", "PPHH", "PPPHH"])
 def test_mixed_generation_speed(benchmark, schedule):
-    from repro.sfc.generator import _expand
+    _time_cold(benchmark, schedule)
 
-    benchmark(_expand, schedule)
+
+@pytest.mark.parametrize("ne", [64, 256])
+def test_cubed_sphere_curve_build_speed(benchmark, ne):
+    """``build_curve`` on a prebuilt mesh: the global curve alone."""
+    from repro.cubesphere import build_curve, cubed_sphere_mesh
+
+    mesh = cubed_sphere_mesh(ne)
+    curve = benchmark.pedantic(build_curve, args=(mesh,), rounds=10)
+    assert len(curve) == 6 * ne * ne

@@ -8,9 +8,11 @@ magnitude past that; this bench quantifies the two claims behind it:
 
 1. **Memory** — ``sfc_partition`` (chunked uint64 keying) partitions a
    full cubed-sphere at each Ne with peak RSS that stays O(chunk) while
-   the materialized ``partition_curve(cubed_sphere_curve(ne), ...)``
-   path (the golden oracle in ``tests/partition/reference_sfc.py``)
-   grows O(K).  Each measurement runs in its own subprocess so
+   the materialized path grows O(K): the golden oracles
+   ``partition_curve(reference_cubed_sphere_curve(ne), ...)`` from
+   ``tests/partition/reference_sfc.py`` and
+   ``tests/cubesphere/reference_curve.py``, which build the curve
+   forward, independently of the keys.  Each measurement runs in its own subprocess so
    ``ru_maxrss`` is attributable.
 2. **Throughput** — cells keyed per second for each curve family
    (Hilbert, Peano, Hilbert-Peano, Morton) at multi-million K.
@@ -78,15 +80,15 @@ def _peak_rss_bytes() -> int:
 
 def child_partition(path: str, ne: int, nparts: int) -> dict:
     """One partition in this process; peak RSS is attributable to it."""
-    from repro.cubesphere.curve import cubed_sphere_curve
     from repro.partition.sfc import sfc_partition
+    from tests.cubesphere.reference_curve import reference_cubed_sphere_curve
     from tests.partition.reference_sfc import partition_curve
 
     t0 = perf_counter()
     if path == "keyed":
         part = sfc_partition(ne, nparts)
     else:
-        part = partition_curve(cubed_sphere_curve(ne), nparts)
+        part = partition_curve(reference_cubed_sphere_curve(ne), nparts)
     elapsed = perf_counter() - t0
     k = 6 * ne * ne
     return {
@@ -139,7 +141,7 @@ def child_throughput(label: str, ne: int, schedule: str | None) -> dict:
 
 def _spawn(argv: list[str]) -> dict:
     # ``src`` for the package, the repository root for ``tests`` (the
-    # materialized oracle).
+    # materialized oracles).
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join([str(HERE.parent / "src"), str(HERE.parent)])
     proc = subprocess.run(

@@ -10,11 +10,19 @@ one corner cell, exit at an adjacent corner cell of the same side), a
 global chaining is fully specified by (a) an ordering of the six faces
 in which consecutive faces share a cube edge, and (b) one dihedral
 orientation per face.  Rather than hand-transcribing the paper's
-figure, the assignment is *searched*: candidate chains and orientations
-are enumerated deterministically and validated against the exact mesh
-edge-adjacency, so the result is correct by construction for every
-resolution (the corner-cell alignment across a cube edge does not
-depend on ``Ne``, but the validation is re-run per mesh anyway).
+figure, the assignment is *searched* (:func:`find_face_chain`):
+candidate chains and orientations are enumerated deterministically and
+validated against the exact mesh edge-adjacency.  The corner-cell
+alignment across a cube edge does not depend on ``Ne``, so the search
+runs once, on a tiny mesh (:func:`face_chain`).
+
+The chain and the face-local keys (:mod:`repro.sfc.keys`) then define
+the whole curve through one function, :func:`element_keys`: element id
+→ global curve position.  The partition path streams those keys;
+:func:`build_curve` materializes a :class:`CubedSphereCurve` by keying
+every element and inverting the permutation.  The forward construction
+(each face's curve transformed into place, face after face) is kept
+only as the test oracle in ``tests/cubesphere/reference_curve.py``.
 """
 
 from __future__ import annotations
@@ -26,7 +34,6 @@ from itertools import permutations
 import numpy as np
 
 from ..sfc.factorization import default_schedule, schedule_size
-from ..sfc.generator import generate_curve
 from ..sfc.keys import KEY_DTYPE, _face_keys_c, curve_keys, schedule_tables
 from ..sfc.transforms import ALL_TRANSFORMS, Transform
 from ..telemetry import span
@@ -183,9 +190,10 @@ def element_keys(
 ) -> np.ndarray:
     """Global curve positions of elements, straight from their ids.
 
-    Bit-identical to ``cubed_sphere_curve(ne, schedule).position[gids]``
-    but computed with the uint64 key path (:mod:`repro.sfc.keys`): no
-    mesh, no materialized curve — O(levels) vectorized passes over the
+    The one definition of the global curve:
+    ``cubed_sphere_curve(ne, schedule).position`` is these keys.  Computed
+    with the uint64 key path (:mod:`repro.sfc.keys`): no mesh, no
+    materialized curve — O(levels) vectorized passes over the
     requested ids, so callers can stream a huge mesh in chunks with
     O(chunk) peak memory.
 
@@ -197,6 +205,10 @@ def element_keys(
 
     Returns:
         uint64 array of curve positions, same shape as ``gids``.
+
+    Raises:
+        ValueError: ``schedule`` does not generate size ``ne``, or an
+            id lies outside ``[0, 6 ne^2)``.
     """
     if schedule is None:
         schedule = default_schedule(ne)
@@ -208,10 +220,15 @@ def element_keys(
     n2 = ne * ne
     if gids is None:
         gids = np.arange(6 * n2, dtype=np.int64)
-    gids = np.asarray(gids, dtype=np.int64)
-    rank, coef = _chain_key_tables()
+    else:
+        gids = np.asarray(gids, dtype=np.int64)
+        # Both decodes index per-face tables by ``gid // ne^2``: an id
+        # off the mesh would read past them (or wrap, in NumPy).
+        if gids.size and not (0 <= gids.min() and gids.max() < 6 * n2):
+            raise ValueError(f"element ids must lie in [0, {6 * n2}) for ne={ne}")
     shape = gids.shape
-    flat = np.ascontiguousarray(gids, dtype=np.int64).ravel()
+    flat = np.ascontiguousarray(gids).ravel()
+    rank, coef = _chain_key_tables()
     keys = _face_keys_c(flat, ne, schedule_tables(schedule), rank, coef)
     if keys is None:
         face, rem = np.divmod(flat, n2)
@@ -269,6 +286,10 @@ def build_curve(
 ) -> CubedSphereCurve:
     """Construct the global curve for a mesh.
 
+    The curve is the inverse of :func:`element_keys`: ``position`` is
+    every element's key and ``order`` scatters each element to its
+    position, along the canonical :func:`face_chain`.
+
     Args:
         mesh: Cubed-sphere mesh; ``mesh.ne`` must be of the form
             ``2^n * 3^m``.
@@ -281,27 +302,13 @@ def build_curve(
     """
     if schedule is None:
         schedule = default_schedule(mesh.ne)
-    local = generate_curve(schedule=schedule)
-    if local.size != mesh.ne:
-        raise ValueError(
-            f"schedule {schedule!r} generates size {local.size}, "
-            f"mesh has ne={mesh.ne}"
-        )
-    chain = find_face_chain(mesh)
-    n = mesh.ne
-    # int32 halves the persistent curve memory whenever ids fit;
-    # int64 gid arithmetic guards against overflow at huge ``ne``.
+    # int32 halves the persistent curve memory whenever ids fit.
     dtype = np.int32 if mesh.nelem < 2**31 else np.int64
-    coords64 = local.coords.astype(np.int64, copy=False)
-    pieces = []
-    for face, tr in zip(chain.faces, chain.transforms):
-        cells = tr.apply_points(coords64, n)
-        pieces.append(mesh.gids(face, cells[:, 0], cells[:, 1]))
-    order = np.concatenate(pieces).astype(dtype, copy=False)
-    position = np.empty(mesh.nelem, dtype=dtype)
-    position[order] = np.arange(mesh.nelem, dtype=dtype)
+    position = element_keys(mesh.ne, schedule).astype(dtype)
+    order = np.empty(mesh.nelem, dtype=dtype)
+    order[position] = np.arange(mesh.nelem, dtype=dtype)
     return CubedSphereCurve(
-        mesh=mesh, schedule=schedule, chain=chain, order=order, position=position
+        mesh=mesh, schedule=schedule, chain=face_chain(), order=order, position=position
     )
 
 

@@ -9,8 +9,9 @@ graph computation is needed.  This module implements that story for
 the cubed-sphere:
 
 * :func:`repartition_curve` — re-cut the curve under new weights, on
-  the streaming key path (the curve is never materialized when you
-  pass ``ne``; a prebuilt :class:`CubedSphereCurve` also works);
+  the streaming key path (given ``ne`` or a prebuilt
+  :class:`CubedSphereCurve`, whose ``ne`` and schedule key the same
+  way: the curve is never materialized per step);
 * :func:`migration_cost` — how many elements (and how much weight)
   change owners between two partitions;
 * :func:`plan_repartition` — the service-facing verb: given an old
@@ -27,14 +28,13 @@ the cubed-sphere:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable
 
 import numpy as np
 
 from ..cubesphere.curve import CubedSphereCurve
 from .base import Partition
 from .metrics import load_balance
-from .registry import PartitionProblem, get as get_partitioner, validate_weights
+from .registry import PartitionProblem, get as get_partitioner
 from .sfc import curve_key_fn, keyed_cut
 
 __all__ = [
@@ -94,28 +94,6 @@ def migration_cost(
     )
 
 
-def _curve_keys(
-    curve: CubedSphereCurve | int,
-    schedule: str | None,
-) -> tuple[Callable[[np.ndarray], np.ndarray], int]:
-    """Key function + cell count for a curve given by ``ne`` or object.
-
-    Passing ``ne`` (the fast path) keys through
-    :func:`repro.partition.sfc.curve_key_fn`, so trajectories never
-    materialize — or rebuild — the curve per step: a mesh within one
-    keying chunk reuses its cached positions, a larger one streams.
-    """
-    if isinstance(curve, (int, np.integer)):
-        ne = int(curve)
-        return curve_key_fn(ne, schedule), 6 * ne * ne
-    if schedule is not None and schedule != curve.schedule:
-        raise ValueError(
-            f"schedule {schedule!r} conflicts with the curve's "
-            f"({curve.schedule!r}); pass ne instead of a curve to rekey"
-        )
-    return (lambda ids: curve.position[ids]), len(curve)
-
-
 def repartition_curve(
     curve: CubedSphereCurve | int,
     weights: np.ndarray,
@@ -131,9 +109,9 @@ def repartition_curve(
     codes (tested: migration stays far below a fresh graph partition's).
 
     Args:
-        curve: The global SFC — either a materialized
-            :class:`CubedSphereCurve` or just ``ne`` (streams uint64
-            keys; nothing is materialized or rebuilt per step).
+        curve: The global SFC — ``ne``, or a :class:`CubedSphereCurve`,
+            which keys as its ``ne`` and schedule.  Either way uint64
+            keys stream; nothing is materialized or rebuilt per step.
         weights: Per-element (gid-indexed) positive weights.
         nparts: Number of processors.
         schedule: Refinement schedule (only with ``curve`` given as
@@ -143,10 +121,22 @@ def repartition_curve(
     Returns:
         A :class:`Partition` labeled ``"sfc-rebal"``.
     """
-    key_fn, ncells = _curve_keys(curve, schedule)
-    weights = validate_weights(weights, ncells)
+    if isinstance(curve, CubedSphereCurve):
+        if schedule is not None and schedule != curve.schedule:
+            raise ValueError(
+                f"schedule {schedule!r} conflicts with the curve's "
+                f"({curve.schedule!r}); pass ne instead of a curve to rekey"
+            )
+        ne, schedule = curve.mesh.ne, curve.schedule
+    else:
+        ne = int(curve)
     return keyed_cut(
-        key_fn, ncells, nparts, weights=weights, chunk=chunk, method="sfc-rebal"
+        curve_key_fn(ne, schedule),
+        6 * ne * ne,
+        nparts,
+        weights=weights,
+        chunk=chunk,
+        method="sfc-rebal",
     )
 
 
@@ -282,12 +272,12 @@ def plan_repartition(
         raise ValueError("old_assignment owners must be >= 0")
     if nparts is None:
         nparts = int(old.max()) + 1 if len(old) else 1
-    weights = validate_weights(weights, k)
-    spec = get_partitioner(method)
-    new = spec(PartitionProblem(
+    problem = PartitionProblem(
         ne=int(ne), nparts=int(nparts), seed=int(seed),
         schedule=schedule, weights=weights,
-    ))
+    )
+    weights = problem.weights
+    new = get_partitioner(method)(problem)
     if method == "sfc":
         new = new.with_method("sfc-rebal")
     moved, moves = group_moves(old, new.assignment)
@@ -313,9 +303,8 @@ class LoadTracker:
     """Drive a sequence of rebalancing steps over changing weights.
 
     Args:
-        curve: The fixed global SFC — a :class:`CubedSphereCurve`, or
-            just ``ne`` to use the streaming key path (preferred at
-            Ne >= 256: nothing is rebuilt per step).
+        curve: The fixed global SFC — ``ne`` or a
+            :class:`CubedSphereCurve` (see :func:`repartition_curve`).
         nparts: Processor count.
         schedule: Refinement schedule (with ``curve`` given as ``ne``).
     """

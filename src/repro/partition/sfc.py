@@ -23,10 +23,12 @@ One cutting *path* applies the rules: :func:`keyed_cut` /
 element ids in chunks, map each chunk straight to uint64 curve keys
 (:func:`repro.cubesphere.curve.element_keys`), and bucket the keys
 against the prefix-sum cut bounds.  Peak memory is O(chunk) beyond the
-assignment itself, and the result is bit-identical to cutting the
-materialized :class:`~repro.cubesphere.curve.CubedSphereCurve` (the
-paper's construction, O(K) curve arrays), whose cut lives on only as
-the golden oracle ``partition_curve`` in ``tests/partition/reference_sfc.py``.
+assignment itself.  The keys are the only definition of the curve: a
+materialized :class:`~repro.cubesphere.curve.CubedSphereCurve` is their
+inverse.  The paper's construction, cutting a forward-built O(K)
+curve, lives on only as the golden oracle ``partition_curve`` in
+``tests/partition/reference_sfc.py``, and the keyed cut is
+bit-identical to it.
 
 The curve never changes between cuts, only the cut points do, so
 :func:`curve_key_fn` keys each ``(ne, schedule)`` once per process:
@@ -150,7 +152,11 @@ def cut_positions_weighted(weights: np.ndarray, nparts: int) -> np.ndarray:
         weights: Positive, finite weight of each cell *in curve order*.
         nparts: Number of segments (``1 <= nparts <= len(weights)``).
     """
-    weights = validate_weights(weights)
+    return _cut_weighted(validate_weights(weights), nparts)
+
+
+def _cut_weighted(weights: np.ndarray, nparts: int) -> np.ndarray:
+    """:func:`cut_positions_weighted` of already validated weights."""
     ncells = len(weights)
     if nparts < 1:
         raise ValueError("nparts must be >= 1")
@@ -256,7 +262,8 @@ def keyed_cut(
         nparts: Number of segments.
         weights: Optional per-element (id-indexed) weights; cuts then
             balance weight instead of element count (the keying pass
-            also scatters the weights into key order).
+            also scatters the weights into key order).  Checked here,
+            once, with :func:`~repro.partition.registry.validate_weights`.
         chunk: Elements keyed per pass (default :data:`DEFAULT_CHUNK`).
         method: Label stamped on the produced partition.
 
@@ -267,11 +274,12 @@ def keyed_cut(
     chunk = DEFAULT_CHUNK if chunk is None else int(chunk)
     if chunk < 1:
         raise ValueError(f"chunk must be >= 1, got {chunk}")
+    if weights is not None:
+        # The one weight check of every cut, in id order so that a bad
+        # entry is named by its element id.
+        weights = validate_weights(weights, ncells)
     with span("keyed_cut", "sfc", ncells=ncells, nparts=nparts, method=method):
         if weights is not None:
-            weights = np.asarray(weights, dtype=np.float64)
-            if len(weights) != ncells:
-                raise ValueError("weights must have one entry per element")
             along_curve = np.empty(ncells, dtype=np.float64)
         # One keying pass: the keys wait in the assignment buffer (while
         # any weights are scattered into curve order) until the cut
@@ -286,7 +294,7 @@ def keyed_cut(
         if weights is None:
             bounds = cut_positions_uniform(ncells, nparts)
         else:
-            bounds = cut_positions_weighted(along_curve, nparts)
+            bounds = _cut_weighted(along_curve, nparts)
         if ncells <= chunk:
             # One chunk holds every key anyway, so an owner per curve
             # position adds no peak memory, and a gather is about four

@@ -211,6 +211,8 @@ class DSSOperator:
             Array of ``field``'s shape, continuous across elements
             (``out`` if given, else newly allocated).
         """
+        if not np.can_cast(field.dtype, np.float64):
+            raise TypeError(f"field dtype {field.dtype} does not cast to float64")
         entry = self._shapes.get(field.shape)
         if entry is None:
             entry = self._prepare_shape(field.shape)

@@ -20,7 +20,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .generator import SpaceFillingCurve
+from .generator import SpaceFillingCurve, _from_keys
+from .keys import morton_keys
 
 __all__ = ["boustrophedon_curve", "morton_curve", "is_continuous_ordering"]
 
@@ -49,24 +50,19 @@ def boustrophedon_curve(size: int) -> SpaceFillingCurve:
 def morton_curve(level: int) -> SpaceFillingCurve:
     """Morton (Z-order) curve of side ``2**level``.
 
-    Interleaves the bits of x and y.  NOT continuous: consecutive curve
+    Materialized from :func:`repro.sfc.keys.morton_keys`, which
+    interleaves the bits of x and y.  NOT continuous: consecutive curve
     positions may be far apart (tested), which is exactly why the paper
     needs Hilbert rather than the cheaper Morton order.
     """
     if level < 0:
         raise ValueError("level must be non-negative")
     n = 2**level
-    k = np.arange(n * n, dtype=np.int64)
-    x = np.zeros_like(k)
-    y = np.zeros_like(k)
-    for bit in range(level):
-        y |= ((k >> (2 * bit)) & 1) << bit
-        x |= ((k >> (2 * bit + 1)) & 1) << bit
-    coords = np.stack([x, y], axis=1)
-    index = np.empty((n, n), dtype=np.int64)
-    index[coords[:, 0], coords[:, 1]] = k
-    return SpaceFillingCurve(
-        schedule=f"morton:{level}", size=n, coords=coords, index=index
+    return _from_keys(
+        f"morton:{level}",
+        n,
+        lambda x, y: morton_keys(x, y, n, check=False),
+        np.int64,
     )
 
 

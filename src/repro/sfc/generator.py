@@ -1,28 +1,27 @@
-"""Vectorized generation of Hilbert, m-Peano and Hilbert-Peano curves.
+"""Hilbert, m-Peano and Hilbert-Peano curves, materialized from their keys.
 
-The generator expands a refinement schedule (see
-:mod:`repro.sfc.factorization`) into the full visit order of an
-``n x n`` domain.  Rather than the per-cell recursion of the paper's
-Fortran pseudo-code (Fig. 3), the same recursion is evaluated *one
-level at a time over whole arrays*: if ``sub`` is the ``(s*s, 2)``
-array of the already-generated child curve, one refinement step of
-radix ``r`` produces the ``(r*r*s*s, 2)`` parent curve by applying each
-child-block D4 transform to ``sub`` with a single vectorized signed
-permutation and adding the block offset.  This is mathematically
-identical to the recursive definition but runs at NumPy speed
-(~10^7 cells/s) instead of Python call speed.
+A refinement schedule (see :mod:`repro.sfc.factorization`) defines its
+curve through one function, :func:`repro.sfc.keys.curve_keys`, which
+maps each cell ``(x, y)`` of the ``n x n`` domain to its position along
+the curve.  :func:`generate_curve` keys every cell once and inverts
+that permutation into the visit order, so the materialized curve and
+the keyed path that partitions are one definition.  The paper's forward
+construction (Fig. 3), which wraps the child curve in one refinement
+level at a time, is kept only as the test oracle in
+``tests/sfc/reference_curve.py``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import Callable
 
 import numpy as np
 
 from ..telemetry import span
-from .curves import TEMPLATES, CurveTemplate
 from .factorization import default_schedule, schedule_size
+from .keys import curve_keys
 
 __all__ = [
     "SpaceFillingCurve",
@@ -96,54 +95,35 @@ class SpaceFillingCurve:
         return "\n".join(rows)
 
 
-def _expand(schedule: str) -> np.ndarray:
-    """Expand a schedule into the ``(n*n, 2)`` visit-order array.
+def _from_keys(
+    schedule: str, n: int, keys_of: Callable, dtype: type
+) -> SpaceFillingCurve:
+    """The curve whose cell ``(x, y)`` lies at position ``keys_of(x, y)``.
 
-    The schedule is consumed from the *finest* level outwards: start
-    with the single-cell curve and repeatedly wrap it in one
-    refinement step, ending with the coarsest (first) entry.  The final
-    buffer is allocated once up front and every refinement step expands
-    the child curve in place — child block 0 always sits at the start
-    of the buffer, so blocks are written back-to-front and block 0 is
-    transformed last, when the other blocks no longer read from it.
-    int32 coordinates halve the curve's memory whenever positions fit.
+    Keys every cell of the ``n x n`` grid once: laid out on the grid
+    the keys are :attr:`SpaceFillingCurve.index`, and scattering each
+    cell to its key inverts them into :attr:`SpaceFillingCurve.coords`.
     """
-    n = schedule_size(schedule)
-    dtype = np.int32 if n * n < 2**31 else np.int64
+    cells = np.arange(n, dtype=np.int64)
+    x, y = np.repeat(cells, n), np.tile(cells, n)  # row-major (n, n) grid
+    index = keys_of(x, y).astype(dtype).reshape(n, n)
     coords = np.empty((n * n, 2), dtype=dtype)
-    coords[0] = 0
-    size = 1
-    count = 1
-    for code in reversed(schedule):
-        tpl: CurveTemplate = TEMPLATES[code]
-        r = tpl.radix
-        sub = coords[:count]
-        for i in range(r * r - 1, -1, -1):
-            bx, by = tpl.blocks[i]
-            tr = tpl.transforms[i]
-            x, y = tr.apply(sub[:, 0], sub[:, 1], size)
-            dst = coords[i * count : (i + 1) * count]
-            dst[:, 0] = x + bx * size
-            dst[:, 1] = y + by * size
-        size *= r
-        count *= r * r
-    return coords
+    coords[index.ravel(), 0] = x
+    coords[index.ravel(), 1] = y
+    return SpaceFillingCurve(schedule=schedule, size=n, coords=coords, index=index)
 
 
 @lru_cache(maxsize=64)
 def _generate_cached(schedule: str) -> SpaceFillingCurve:
-    for code in schedule:
-        if code not in ("H", "P"):
-            raise ValueError(f"unknown refinement code {code!r}")
     n = schedule_size(schedule)
     # Only cold builds reach this span (the lru_cache answers repeats).
     with span("generate_curve", "sfc", schedule=schedule, size=n):
-        coords = _expand(schedule)
-        dtype = coords.dtype
-        index = np.empty((n, n), dtype=dtype)
-        index[coords[:, 0], coords[:, 1]] = np.arange(n * n, dtype=dtype)
-        return SpaceFillingCurve(
-            schedule=schedule, size=n, coords=coords, index=index
+        # int32 halves the curve's memory whenever positions fit.
+        return _from_keys(
+            schedule,
+            n,
+            lambda x, y: curve_keys(x, y, schedule=schedule, check=False),
+            np.int32 if n * n < 2**31 else np.int64,
         )
 
 

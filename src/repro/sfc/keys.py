@@ -1,26 +1,25 @@
 """Bitwise uint64 SFC keying: coordinates → curve positions, no curve.
 
-:func:`repro.sfc.generator.generate_curve` materializes the full visit
-order — an ``(n*n, 2)`` coordinate array plus an ``(n, n)`` inverse —
-before anything can be partitioned.  That is fine at the paper's sizes
-(K ≤ 1944) but becomes the memory- and time-bound step long before the
-tens-of-millions-element meshes the partition service targets.  This
-module computes each cell's curve position *directly from its
-coordinates*, the way Cubism's bit-twiddling Hilbert transpose and
-Cornerstone's ``sfcKey()`` encoding do (and Borrell et al.'s parallel
-SFC partitioner assumes): a vectorized per-level decode of the
-refinement schedule using integer table lookups, O(levels) passes over
-the coordinate arrays and O(1) memory beyond them.
+This module is the one definition of every curve the package serves:
+it computes each cell's curve position *directly from its coordinates*,
+the way Cubism's bit-twiddling Hilbert transpose and Cornerstone's
+``sfcKey()`` encoding do (and Borrell et al.'s parallel SFC partitioner
+assumes): a vectorized per-level decode of the refinement schedule
+using integer table lookups, O(levels) passes over the coordinate
+arrays and O(1) memory beyond them.  The partition path streams these
+keys and never builds a curve; where a whole curve is wanted,
+:func:`repro.sfc.generator.generate_curve` and
+:func:`repro.sfc.baselines.morton_curve` key every cell and invert the
+permutation.
 
-The decode inverts the generator's recursion one level at a time.  At a
-level of radix ``r`` with child block size ``s``, the block coordinates
-``(x // s, y // s)`` identify which child the cell lies in; the child's
-visit rank contributes ``rank * s*s`` to the key; and the child's
-inverse D4 transform maps the cell into the child's canonical frame for
-the next level.  Composing the per-level inverse transforms on the fly
-is exactly the transform composition the generator performs — run
-backwards — so the resulting key is *bit-identical* to the curve
-position (golden-tested at every admissible size).
+The decode runs the paper's recursion (Fig. 3) backwards, one level at
+a time.  At a level of radix ``r`` with child block size ``s``, the
+block coordinates ``(x // s, y // s)`` identify which child the cell
+lies in; the child's visit rank contributes ``rank * s*s`` to the key;
+and the child's inverse D4 transform maps the cell into the child's
+canonical frame for the next level.  The result is *bit-identical* to
+the forward construction kept in ``tests/sfc/reference_curve.py``
+(golden-tested at every admissible size).
 
 Two implementations share the packed level tables:
 
@@ -225,9 +224,9 @@ def curve_keys(
 ) -> np.ndarray:
     """Curve positions of cells ``(x, y)``, straight from coordinates.
 
-    Bit-identical in visit order to
-    ``generate_curve(...).index[x, y]`` but never materializes the
-    curve: O(levels) vectorized passes over the coordinate arrays.
+    ``generate_curve(...).index[x, y]`` is these keys laid out on the
+    grid; this never materializes the curve: O(levels) vectorized
+    passes over the coordinate arrays.
 
     Args:
         x: Cell x-coordinates (any shape; int-like).
@@ -260,8 +259,8 @@ def curve_keys(
 
 def morton_keys(x, y, size: int, *, check: bool = True) -> np.ndarray:
     """Morton (Z-order) keys: interleave the bits of ``y`` (even bit
-    positions) and ``x`` (odd), matching
-    :func:`repro.sfc.baselines.morton_curve`'s visit order.
+    positions) and ``x`` (odd): the visit order of
+    :func:`repro.sfc.baselines.morton_curve`.
 
     Z-order is cheaper than Hilbert but *discontinuous* — consecutive
     keys may be far apart, so Morton cannot chain the six cube faces

@@ -1,9 +1,11 @@
-"""Global element keys equal the materialized curve's positions.
+"""Global element keys equal the forward-constructed curve's positions.
 
-``element_keys`` must agree with ``cubed_sphere_curve(ne).position``
-for every admissible resolution and schedule — including the ``ne = 1``
+``element_keys`` must agree with the position array of the forward
+construction in ``tests/cubesphere/reference_curve.py`` for every
+admissible resolution and schedule — including the ``ne = 1``
 degenerate case — and the canonical face chain it relies on must be
-independent of resolution.
+independent of resolution.  Ids off the mesh are rejected on both the
+kernel and the NumPy path.
 """
 
 from __future__ import annotations
@@ -18,14 +20,15 @@ from repro.cubesphere.curve import (
     find_face_chain,
 )
 from repro.cubesphere.mesh import cubed_sphere_mesh
+from tests.cubesphere.reference_curve import reference_cubed_sphere_curve
 
 NES = (1, 2, 3, 4, 6, 8, 12)
 
 
 class TestGoldenEquivalence:
     @pytest.mark.parametrize("ne", NES)
-    def test_matches_materialized_curve(self, ne):
-        curve = cubed_sphere_curve(ne)
+    def test_matches_forward_construction(self, ne):
+        curve = reference_cubed_sphere_curve(ne)
         keys = element_keys(ne)
         assert keys.dtype == np.uint64
         np.testing.assert_array_equal(
@@ -37,7 +40,7 @@ class TestGoldenEquivalence:
         from repro.sfc.factorization import schedule_size
 
         ne = schedule_size(schedule)
-        curve = cubed_sphere_curve(ne, schedule)
+        curve = reference_cubed_sphere_curve(ne, schedule)
         np.testing.assert_array_equal(
             element_keys(ne, schedule).astype(np.int64),
             curve.position.astype(np.int64),
@@ -94,6 +97,44 @@ class TestKernelParity:
 
         assert run(no_ckernels=False) == run(no_ckernels=True)
 
+    @pytest.mark.parametrize("no_ckernels", [False, True])
+    def test_ids_off_the_mesh_rejected_on_both_paths(self, no_ckernels):
+        """An id off the mesh raises before either decode reads a table.
+
+        Runs in a subprocess: the kernel would crash the interpreter,
+        and the fallback is only reachable without the kernel library.
+        """
+        import os
+        import subprocess
+        import sys
+
+        script = (
+            "import numpy as np\n"
+            "from repro._native import LIB\n"
+            "from repro.cubesphere.curve import element_keys\n"
+            "print('kernel' if LIB is not None else 'numpy')\n"
+            "for bad in (-1, 24, 10**12):\n"
+            "    try:\n"
+            "        element_keys(2, gids=np.array([23, bad]))\n"
+            "    except ValueError as exc:\n"
+            "        print(exc)\n"
+        )
+        env = dict(os.environ)
+        env.pop("REPRO_NO_CKERNELS", None)
+        if no_ckernels:
+            env["REPRO_NO_CKERNELS"] = "1"
+        proc = subprocess.run(
+            [sys.executable, "-c", script],
+            capture_output=True,
+            text=True,
+            env=env,
+        )
+        assert proc.returncode == 0, proc.stderr
+        path, *errors = proc.stdout.splitlines()
+        if no_ckernels:
+            assert path == "numpy"
+        assert errors == ["element ids must lie in [0, 24) for ne=2"] * 3
+
 
 class TestFaceChain:
     @pytest.mark.parametrize("ne", [2, 3, 4, 6])
@@ -115,12 +156,11 @@ class TestDowncast:
         assert curve.position.dtype == np.int32
 
     def test_downcast_positions_unchanged(self):
-        # The int32 arrays still encode the same permutation the
-        # uint64 key path computes independently.
+        # The int32 arrays still encode the permutation the forward
+        # construction builds independently.
         curve = cubed_sphere_curve(8)
         np.testing.assert_array_equal(
-            curve.position.astype(np.int64),
-            element_keys(8).astype(np.int64),
+            curve.position, reference_cubed_sphere_curve(8).position
         )
         np.testing.assert_array_equal(
             np.sort(curve.order), np.arange(6 * 64, dtype=np.int32)

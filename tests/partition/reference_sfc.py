@@ -1,9 +1,10 @@
 """The materialized SFC cut: the keyed cut's golden oracle.
 
 :func:`partition_curve` is the paper's construction taken literally:
-build the whole global curve (:func:`cubed_sphere_curve`, O(K) arrays),
-cut its traversal order into segments, and scatter the owners back to
-element ids.  The library only cuts by streaming keys
+build the whole global curve (O(K) arrays; the forward construction in
+``tests/cubesphere/reference_curve.py`` keeps it independent of the
+keys), cut its traversal order into segments, and scatter the owners
+back to element ids.  The library only cuts by streaming keys
 (:func:`repro.partition.sfc.keyed_cut`); this copy stays here so
 
 * ``tests/partition/test_sfc.py`` can assert the keyed cut is
@@ -29,7 +30,8 @@ def partition_curve(
     """Partition a cubed-sphere mesh by cutting its global curve.
 
     Args:
-        curve: Global SFC over the mesh (:func:`cubed_sphere_curve`).
+        curve: Global SFC over the mesh (``reference_cubed_sphere_curve``
+            or :func:`cubed_sphere_curve`).
         nparts: Number of processors.
         weights: Optional per-*element* (gid-indexed) weights; when
             given, cuts balance weight rather than element count.

@@ -19,6 +19,8 @@ from repro.partition.sfc import (
     sfc_partition,
 )
 
+from tests.cubesphere.reference_curve import reference_cubed_sphere_curve
+
 from .reference_sfc import partition_curve
 
 
@@ -150,7 +152,7 @@ class TestKeyedCut:
     @pytest.mark.parametrize("ne,nparts", [(2, 4), (4, 7), (6, 9), (12, 30)])
     def test_keyed_equals_materialized(self, ne, nparts):
         keyed = sfc_partition(ne, nparts)
-        golden = partition_curve(cubed_sphere_curve(ne), nparts)
+        golden = partition_curve(reference_cubed_sphere_curve(ne), nparts)
         np.testing.assert_array_equal(keyed.assignment, golden.assignment)
 
     @pytest.mark.parametrize("chunk", [1, 7, 100, 10**9])
@@ -164,12 +166,12 @@ class TestKeyedCut:
         rng = np.random.default_rng(7)
         w = rng.uniform(0.5, 2.0, size=96)
         keyed = sfc_partition(4, 8, weights=w, chunk=13)
-        golden = partition_curve(cubed_sphere_curve(4), 8, weights=w)
+        golden = partition_curve(reference_cubed_sphere_curve(4), 8, weights=w)
         np.testing.assert_array_equal(keyed.assignment, golden.assignment)
 
     def test_schedule_flows_through_key_path(self):
         keyed = sfc_partition(6, 8, schedule="HP")
-        golden = partition_curve(cubed_sphere_curve(6, "HP"), 8)
+        golden = partition_curve(reference_cubed_sphere_curve(6, "HP"), 8)
         np.testing.assert_array_equal(keyed.assignment, golden.assignment)
 
     def test_inadmissible_ne_rejected_before_work(self):

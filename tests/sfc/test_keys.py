@@ -1,9 +1,11 @@
-"""The uint64 key path is bit-identical to the materialized curve.
+"""The uint64 key path is bit-identical to the forward construction.
 
-``curve_keys`` must reproduce ``generate_curve(...).index`` exactly —
-for every admissible size, every refinement schedule, and every
-implementation (C kernel, generic NumPy decode).  The materialized
-generator is the golden oracle.
+``curve_keys`` must reproduce the visit order of the forward expansion
+in ``tests/sfc/reference_curve.py`` exactly — for every admissible
+size, every refinement schedule, and every implementation (C kernel,
+generic NumPy decode).  The library materializes its curves from these
+keys, so :class:`TestMaterializedCurves` checks them against the same
+oracles, arrays and dtypes alike.
 """
 
 from __future__ import annotations
@@ -15,8 +17,10 @@ import sys
 import numpy as np
 import pytest
 
+from repro.cubesphere.curve import build_curve
+from repro.cubesphere.mesh import cubed_sphere_mesh
 from repro.sfc.baselines import morton_curve
-from repro.sfc.factorization import admissible_sizes, all_schedules
+from repro.sfc.factorization import admissible_sizes, all_schedules, default_schedule
 from repro.sfc.generator import generate_curve
 from repro.sfc.keys import (
     KEY_DTYPE,
@@ -25,6 +29,8 @@ from repro.sfc.keys import (
     morton_keys,
     schedule_tables,
 )
+from tests.cubesphere.reference_curve import reference_cubed_sphere_curve
+from tests.sfc.reference_curve import reference_curve, reference_morton_curve
 
 #: Every admissible size the golden sweep covers (through 24 this is
 #: {1, 2, 3, 4, 6, 8, 9, 12, 16, 18, 24} — all radix mixes appear).
@@ -38,10 +44,10 @@ def _grid(n: int) -> tuple[np.ndarray, np.ndarray]:
 
 class TestGoldenEquivalence:
     @pytest.mark.parametrize("n", SIZES)
-    def test_every_schedule_matches_generator(self, n):
+    def test_every_schedule_matches_forward_expansion(self, n):
         x, y = _grid(n)
         for schedule in all_schedules(n):
-            golden = generate_curve(schedule=schedule).index[x, y]
+            golden = reference_curve(schedule).index[x, y]
             keys = curve_keys(x, y, schedule=schedule)
             assert keys.dtype == KEY_DTYPE
             np.testing.assert_array_equal(keys.astype(np.int64), golden)
@@ -49,7 +55,7 @@ class TestGoldenEquivalence:
     @pytest.mark.parametrize("n", SIZES)
     def test_size_selector_uses_default_schedule(self, n):
         x, y = _grid(n)
-        golden = generate_curve(n).index[x, y]
+        golden = reference_curve(default_schedule(n)).index[x, y]
         np.testing.assert_array_equal(
             curve_keys(x, y, size=n).astype(np.int64), golden
         )
@@ -64,10 +70,10 @@ class TestImplementationParity:
     """Both decoders agree (the dispatch is an optimization only)."""
 
     @pytest.mark.parametrize("schedule", ["PP", "PHP", "HPH", "HHH", "HHHH"])
-    def test_generic_matches_generator(self, schedule):
+    def test_generic_matches_forward_expansion(self, schedule):
         kt = schedule_tables(schedule)
         x, y = _grid(kt.size)
-        golden = generate_curve(schedule=schedule).index[x, y]
+        golden = reference_curve(schedule).index[x, y]
         np.testing.assert_array_equal(
             _keys_numpy(x, y, kt).astype(np.int64), golden
         )
@@ -109,8 +115,8 @@ class TestImplementationParity:
 
 class TestMorton:
     @pytest.mark.parametrize("level", [0, 1, 2, 3])
-    def test_matches_materialized_z_order(self, level):
-        mc = morton_curve(level)
+    def test_matches_de_interleaved_z_order(self, level):
+        mc = reference_morton_curve(level)
         n = mc.size
         keys = morton_keys(mc.coords[:, 0], mc.coords[:, 1], n)
         np.testing.assert_array_equal(
@@ -175,3 +181,51 @@ class TestGeneratorDowncast:
             c.coords[:, 0], c.coords[:, 1], schedule="PH"
         )
         np.testing.assert_array_equal(golden.astype(np.int64), np.arange(36))
+
+
+#: Bounds of the materialized-curve sweep: every schedule of every
+#: admissible size up to these, about a second with or without kernels.
+FACE_BOUND = 200
+MORTON_LEVELS = 10
+SPHERE_BOUND = 96
+
+
+def _materialized_cases():
+    for n in admissible_sizes(FACE_BOUND):
+        yield pytest.param("face", n, id=f"face-{n}")
+    for level in range(MORTON_LEVELS):
+        yield pytest.param("morton", level, id=f"morton-{level}")
+    for ne in admissible_sizes(SPHERE_BOUND):
+        yield pytest.param("sphere", ne, id=f"sphere-{ne}")
+
+
+def _assert_same_arrays(got, want, names):
+    for name in names:
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype, name
+        np.testing.assert_array_equal(a, b, err_msg=name)
+
+
+class TestMaterializedCurves:
+    """Curves inverted from their keys equal the forward constructions."""
+
+    @pytest.mark.parametrize("kind,size", _materialized_cases())
+    def test_matches_forward_construction(self, kind, size):
+        if kind == "morton":
+            _assert_same_arrays(
+                morton_curve(size), reference_morton_curve(size), ("coords", "index")
+            )
+            return
+        for schedule in all_schedules(size):
+            if kind == "face":
+                _assert_same_arrays(
+                    generate_curve(schedule=schedule),
+                    reference_curve(schedule),
+                    ("coords", "index"),
+                )
+            else:
+                _assert_same_arrays(
+                    build_curve(cubed_sphere_mesh(size), schedule),
+                    reference_cubed_sphere_curve(size, schedule),
+                    ("order", "position"),
+                )
