@@ -107,8 +107,6 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--ci", action="store_true", help="Ne=16 row only")
     args = parser.parse_args(argv)
 
-    from repro._native import LIB
-
     rows: list[dict] = []
     failures: list[str] = []
     stages = ("mesh", "graph", "partition", "evaluate", "point_map")
@@ -128,7 +126,6 @@ def main(argv: list[str] | None = None) -> int:
             {
                 "schema": 1,
                 "profile": "ci" if args.ci else "full",
-                "ckernels": LIB is not None,
                 "repeat": REPEAT,
                 "rows": rows,
                 "failures": failures,

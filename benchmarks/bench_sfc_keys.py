@@ -24,8 +24,7 @@ when an acceptance check fails:
   smallest Ne of the sweep);
 * at the largest common Ne of a full run (>= 1024), keyed peak RSS is
   >= 10x below the materialized path's;
-* Hilbert keying sustains >= 1e7 cells/s (C kernels; the NumPy
-  fallback is exempt).
+* Hilbert keying sustains >= 1e7 cells/s (full runs only).
 
 Run ``PYTHONPATH=src python benchmarks/bench_sfc_keys.py`` for the
 full sweep (Ne up to 1024, K = 6.3M; the materialized side needs
@@ -235,11 +234,8 @@ def main(argv: list[str] | None = None) -> int:
                 f"RSS ratio {ratio:.1f}x < {MIN_RSS_RATIO}x at ne={big}"
             )
 
-    from repro._native import LIB
-
-    kernels = LIB is not None
     hilbert = next(r for r in throughput if r["curve"] == "hilbert")
-    if kernels and not args.ci and hilbert["cells_per_s"] < MIN_CELLS_PER_S:
+    if not args.ci and hilbert["cells_per_s"] < MIN_CELLS_PER_S:
         failures.append(
             f"hilbert keying {hilbert['cells_per_s']:.2e} cells/s "
             f"< {MIN_CELLS_PER_S:.0e}"
@@ -251,7 +247,6 @@ def main(argv: list[str] | None = None) -> int:
             {
                 "schema": 1,
                 "profile": "ci" if args.ci else "full",
-                "ckernels": kernels,
                 "partitions": partitions,
                 "throughput": throughput,
                 "rss_ratio_at_largest_ne": ratio,

@@ -2,8 +2,7 @@
  *
  * Compiled on demand by repro._native with the system C compiler and
  * loaded through ctypes; every routine is an exact int64 re-statement
- * of the pure-Python kernels in repro.metis (which remain the
- * reference implementation and the fallback):
+ * of the pure-Python oracles in tests/metis/reference_kernels.py:
  *
  *   kway_refine   one greedy K-way refinement sweep (edge-cut or
  *                 TotalVol gain) of refine.greedy_kway_refine;
@@ -36,10 +35,10 @@
  * (addresses as int64), then [5] side, [6] fine-to-coarse map, [7]
  * coarse side, [8] cap0, [9] cap1 — columns a kernel does not use are
  * ignored.  The batched kernels return -1 on allocation failure and
- * -3 when a gain bound exceeds the caller's max_bound; either way the
- * caller reruns the whole computation in Python.
+ * -3 when a gain bound exceeds the caller's max_bound; the caller
+ * raises (repro._native.check).
  *
- * Bit-identity contract: the Python kernels drain a lazy max-priority
+ * Bit-identity contract: the Python oracles drain a lazy max-priority
  * queue whose keys (-gain, insertion counter) are unique, so the pop
  * order is exactly "highest gain first, FIFO within a gain value".
  * The linked-list bucket queues below reproduce that order verbatim;
@@ -325,11 +324,11 @@ static int64_t kway_volume_census(
  * order), tie-broken by connectivity, and accepted under the same
  * three rules: strict gain, any gain under hard overflow, zero gain
  * that drains a part above ideal_cap.  The volume gain is the same
- * two-hop census as _VolumeGainKernel, evaluated for every candidate
+ * two-hop census as the oracle's _VolumeGainKernel, evaluated for every candidate
  * in one sweep over the census.
  *
  * Returns the number of accepted moves, or -1 on allocation failure
- * (before anything is modified; the caller falls back to Python).
+ * (before anything is modified).
  */
 int64_t kway_refine(
     int64_t n,
@@ -1090,12 +1089,12 @@ int64_t rb_split(
  *   plan[5] bmass     (const double *)
  *   plan[6] inv_bgmass (const double *)
  *
- * Bit-identity contract with the numpy fallback in repro.seam.dss:
+ * Bit-identity contract with the NumPy oracle in tests/seam:
  * each point's contributions accumulate in ascending element-local
  * order (the same per-point order as weighted np.bincount over the
  * segment-major id array), the average is a multiply by the
  * reciprocal mass, and the library is compiled with -ffp-contract=off
- * so the mul/add pair is never fused into an FMA the fallback would
+ * so the mul/add pair is never fused into an FMA the oracle would
  * not perform.
  */
 int64_t dss_apply(
@@ -1185,9 +1184,9 @@ int64_t dss_apply(
  *                       source ranks ascend among one slot's messages
  *   plan[7] mass        (const double *) assembled mass of each slot
  *
- * Bit-identity contract with the numpy fallback (weighted np.bincount
- * gather and exchange, a true division, a fancy-index scatter): every
- * sum starts from 0.0 and adds in the fallback's order — a slot's
+ * Bit-identity contract with a rank-by-rank execution (the oracle in
+ * tests/seam/reference_parallel.py): every
+ * sum starts from 0.0 and adds in its order — a slot's
  * points in ascending element-local index; a slot's own partial, then
  * its co-owners' in ascending source rank — and the average divides
  * by the mass instead of multiplying by its reciprocal.  Starting from
@@ -1297,7 +1296,7 @@ int64_t sfc_keys(
  * rank[face] is the face's position in the canonical chain; coef holds
  * six (mxx, mxy, myx, myy, xneg, yneg) rows — the inverse orientation
  * of each face.  Fusing the face decode keeps the whole pipeline in
- * registers (the vectorized fallback pays ~10 array passes for it). */
+ * registers (a vectorized NumPy decode pays ~10 array passes for it). */
 int64_t sfc_face_keys(
     int64_t npts, int64_t nlevels, const int64_t *tables, int64_t ne,
     const int64_t *rank, const int64_t *coef,

@@ -18,10 +18,12 @@ it once with the system C compiler into a content-addressed cache
 directory and loads it through :mod:`ctypes` — no third-party build
 machinery, no install step.
 
-Everything degrades gracefully: if there is no compiler, the build
-fails, or ``REPRO_NO_CKERNELS`` is set in the environment, ``LIB`` is
-``None`` and every caller falls back to the pure-Python kernels (which
-produce bit-identical results, just slower).
+The library is required: importing this module compiles and loads it
+or raises :class:`ImportError` naming the compiler that is missing or
+failed.  Each kernel has this one implementation in the package; the
+Python restatements it must match bit for bit are test oracles under
+``tests/``.  :func:`check` turns a kernel's negative return codes into
+exceptions.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ import subprocess
 import tempfile
 from pathlib import Path
 
-__all__ = ["LIB", "SIGNATURES", "load"]
+__all__ = ["LIB", "SIGNATURES", "check", "load"]
 
 _SOURCE = Path(__file__).with_name("_kernels.c")
 _I64P = ctypes.POINTER(ctypes.c_int64)
@@ -42,12 +44,12 @@ _F64P = ctypes.POINTER(ctypes.c_double)
 _VP = ctypes.c_void_p
 
 # -ffp-contract=off: the float kernels (dss_apply, pdss_*) promise
-# bit-identity with the numpy fallbacks, which never fuse a multiply-add
+# bit-identity with their NumPy oracles, which never fuse a multiply-add
 # into an FMA.
 _CFLAGS = ["-O2", "-ffp-contract=off", "-shared", "-fPIC"]
 
-# Gain bounds above this make the bucket arrays unreasonably large;
-# such graphs (enormous edge weights) take the Python heap path.
+#: Largest gain bound (total edge weight at one vertex) the bucket-queue
+#: kernels accept; past it their bucket arrays grow unreasonably large.
 MAX_BOUND = 1 << 22
 
 #: Width of a graph-table row of the batched rb_* kernels: ``[n,
@@ -175,10 +177,19 @@ def _cache_dir() -> Path:
     return Path(tempfile.gettempdir()) / f"repro-kernels-{os.getuid()}"
 
 
-def _compile(source: Path, out: Path) -> bool:
+def _compile(source: Path, out: Path) -> None:
+    """Compile ``source`` into the shared library ``out``.
+
+    Raises:
+        ImportError: No C compiler was found, or it failed; the message
+            names the compiler.
+    """
     cc = os.environ.get("CC") or shutil.which("cc") or shutil.which("gcc")
     if cc is None:
-        return False
+        raise ImportError(
+            "repro needs a C compiler to build its kernels: none found "
+            "(set CC, or install cc/gcc)"
+        )
     tmp = out.with_name(f"{out.stem}.{os.getpid()}.tmp{out.suffix}")
     try:
         subprocess.run(
@@ -188,42 +199,74 @@ def _compile(source: Path, out: Path) -> bool:
             timeout=120,
         )
         os.replace(tmp, out)
-        return True
-    except (OSError, subprocess.SubprocessError):
+    except subprocess.CalledProcessError as exc:
         tmp.unlink(missing_ok=True)
-        return False
+        detail = exc.stderr.decode(errors="replace").strip()
+        raise ImportError(
+            f"C compiler {cc!r} failed to build the repro kernels: {detail}"
+        ) from exc
+    except (OSError, subprocess.SubprocessError) as exc:
+        tmp.unlink(missing_ok=True)
+        raise ImportError(
+            f"C compiler {cc!r} could not build the repro kernels: {exc}"
+        ) from exc
 
 
-def load() -> ctypes.CDLL | None:
-    """Compile (if needed) and load the kernel library, or ``None``."""
-    if os.environ.get("REPRO_NO_CKERNELS"):
-        return None
-    try:
-        source_text = _SOURCE.read_bytes()
-    except OSError:
-        return None
+def load() -> ctypes.CDLL:
+    """Compile (if needed) and load the kernel library.
+
+    Raises:
+        ImportError: The library cannot be built or loaded.
+    """
+    source_text = _SOURCE.read_bytes()
     tag = hashlib.sha256(source_text + " ".join(_CFLAGS).encode()).hexdigest()[:16]
     cache = _cache_dir()
     lib_path = cache / f"kernels-{tag}.so"
     if not lib_path.exists():
         try:
             cache.mkdir(parents=True, exist_ok=True)
-        except OSError:
-            return None
-        if not _compile(_SOURCE, lib_path):
-            return None
+        except OSError as exc:
+            raise ImportError(f"cannot create the kernel cache {cache}: {exc}") from exc
+        _compile(_SOURCE, lib_path)
     try:
         lib = ctypes.CDLL(str(lib_path))
-    except OSError:
-        return None
-    try:
         for name, argtypes in SIGNATURES.items():
             fn = getattr(lib, name)
             fn.restype = ctypes.c_int64
             fn.argtypes = argtypes
-    except AttributeError:
-        return None
+    except (OSError, AttributeError) as exc:
+        raise ImportError(f"cannot load the kernel library {lib_path}: {exc}") from exc
     return lib
+
+
+#: What each negative kernel return code means.
+_ERRORS = {
+    -1: (MemoryError, "a compiled kernel could not allocate its scratch"),
+    -2: (
+        ValueError,
+        "subgraph vertex ids must be strictly ascending and lie in the graph",
+    ),
+    -3: (
+        ValueError,
+        "a vertex's total edge weight (the gain bound) exceeds "
+        f"MAX_BOUND = {MAX_BOUND}",
+    ),
+}
+
+
+def check(rc: int) -> int:
+    """Return a kernel's result ``rc``, raising if it is an error code.
+
+    Raises:
+        MemoryError: ``-1``, an allocation failed.
+        ValueError: ``-2``, subgraph ids not strictly ascending, out of
+            range or repeated; ``-3``, a gain bound above
+            :data:`MAX_BOUND`.
+    """
+    if rc < 0:
+        exc, message = _ERRORS[rc]
+        raise exc(message)
+    return rc
 
 
 def as_i64p(arr) -> ctypes.POINTER(ctypes.c_int64):  # type: ignore[valid-type]

@@ -34,7 +34,7 @@ from itertools import permutations
 import numpy as np
 
 from ..sfc.factorization import default_schedule, schedule_size
-from ..sfc.keys import KEY_DTYPE, _face_keys_c, curve_keys, schedule_tables
+from ..sfc.keys import _face_keys_c, schedule_tables
 from ..sfc.transforms import ALL_TRANSFORMS, Transform
 from ..telemetry import span
 from .mesh import CubedSphereMesh, cubed_sphere_mesh
@@ -192,9 +192,9 @@ def element_keys(
 
     The one definition of the global curve:
     ``cubed_sphere_curve(ne, schedule).position`` is these keys.  Computed
-    with the uint64 key path (:mod:`repro.sfc.keys`): no mesh, no
-    materialized curve — O(levels) vectorized passes over the
-    requested ids, so callers can stream a huge mesh in chunks with
+    by the fused ``sfc_face_keys`` kernel (:mod:`repro.sfc.keys`): no
+    mesh, no materialized curve — one pass over the requested ids, so
+    callers can stream a huge mesh in chunks with
     O(chunk) peak memory.
 
     Args:
@@ -222,22 +222,14 @@ def element_keys(
         gids = np.arange(6 * n2, dtype=np.int64)
     else:
         gids = np.asarray(gids, dtype=np.int64)
-        # Both decodes index per-face tables by ``gid // ne^2``: an id
-        # off the mesh would read past them (or wrap, in NumPy).
+        # The decode indexes per-face tables by ``gid // ne^2``: an id
+        # off the mesh would read past them.
         if gids.size and not (0 <= gids.min() and gids.max() < 6 * n2):
             raise ValueError(f"element ids must lie in [0, {6 * n2}) for ne={ne}")
     shape = gids.shape
     flat = np.ascontiguousarray(gids).ravel()
     rank, coef = _chain_key_tables()
     keys = _face_keys_c(flat, ne, schedule_tables(schedule), rank, coef)
-    if keys is None:
-        face, rem = np.divmod(flat, n2)
-        iy, ix = np.divmod(rem, ne)
-        c = coef[face]
-        u = c[..., 0] * ix + c[..., 1] * iy + c[..., 4] * (ne - 1)
-        v = c[..., 2] * ix + c[..., 3] * iy + c[..., 5] * (ne - 1)
-        keys = curve_keys(u, v, schedule=schedule, check=False)
-        keys += rank[face].astype(KEY_DTYPE) * np.uint64(n2)
     return keys.reshape(shape)
 
 

@@ -1,9 +1,8 @@
-"""Graph substrate: CSR graphs, traversal, Laplacian, METIS-format I/O."""
+"""Graph substrate: CSR graphs, traversal, METIS-format I/O."""
 
 from .csr import CSRGraph, graph_from_edges, mesh_graph
 from .generators import caterpillar, grid_2d, random_geometric, torus_2d
 from .io import read_metis_graph, write_metis_graph
-from .laplacian import fiedler_vector, laplacian_matrix, spectral_bisection_order
 from .traversal import (
     bfs_levels,
     connected_components,
@@ -16,16 +15,13 @@ __all__ = [
     "bfs_levels",
     "caterpillar",
     "connected_components",
-    "fiedler_vector",
     "graph_from_edges",
     "grid_2d",
     "is_connected",
-    "laplacian_matrix",
     "mesh_graph",
     "pseudo_peripheral_vertex",
     "random_geometric",
     "read_metis_graph",
-    "spectral_bisection_order",
     "torus_2d",
     "write_metis_graph",
 ]

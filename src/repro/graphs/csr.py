@@ -20,6 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .._native import LIB as _NATIVE
+from .._native import check
 
 __all__ = ["CSRGraph", "graph_from_edges", "mesh_graph"]
 
@@ -73,7 +74,7 @@ class CSRGraph:
     def adjacency_lists(self) -> tuple[list[int], list[int], list[int], list[int]]:
         """CSR arrays as plain Python int lists (cached per graph).
 
-        The sequential kernels (matching, FM, greedy K-way, GGGP) walk
+        The sequential Python loops (random matching, BFS) walk
         adjacency one vertex at a time; at mesh-graph degrees (~8)
         Python-int list indexing beats NumPy scalar indexing by an
         order of magnitude, and — everything being exact int64
@@ -100,19 +101,11 @@ class CSRGraph:
             object.__setattr__(self, "_total_vweight", cached)
         return cached
 
-    def max_vweight(self) -> int:
-        """Largest vertex weight (cached); 0 for the empty graph."""
-        cached = self.__dict__.get("_max_vweight")
-        if cached is None:
-            cached = int(self.vweights.max()) if len(self.vweights) else 0
-            object.__setattr__(self, "_max_vweight", cached)
-        return cached
-
     def neighbor_slices(self) -> tuple[list, list]:
         """Per-vertex neighbor and edge-weight lists (cached).
 
         ``(nbrs, wts)`` with ``nbrs[v]`` / ``wts[v]`` plain-int lists —
-        the feed for the sequential kernels (FM passes, greedy growth,
+        the feed for the sequential Python loops (random matching,
         BFS), which iterate ``zip(nbrs[v], wts[v])`` instead of
         re-slicing the flat CSR arrays on every visit.
         """
@@ -166,27 +159,6 @@ class CSRGraph:
         mask = src < self.indices
         return src[mask], self.indices[mask], self.eweights[mask]
 
-    def max_incident_weight(self) -> int:
-        """Largest total edge weight incident to any vertex (cached).
-
-        Bounds every move gain in the refinement kernels; the
-        bucket-gain queues size their gain range with it.
-        """
-        cached = self.__dict__.get("_max_incident")
-        if cached is None:
-            n = self.nvertices
-            if n == 0:
-                cached = 0
-            elif n <= 64:
-                _, wts = self.neighbor_slices()
-                cached = max(map(sum, wts))
-            else:
-                inc = np.zeros(n, dtype=np.int64)
-                np.add.at(inc, self.edge_sources(), self.eweights)
-                cached = int(inc.max())
-            object.__setattr__(self, "_max_incident", cached)
-        return cached
-
     # -- validation ------------------------------------------------------
     def validate(self) -> None:
         """Raise :class:`ValueError` on structural inconsistencies.
@@ -218,62 +190,24 @@ class CSRGraph:
             raise ValueError("edge weights are not symmetric")
 
     # -- derived quantities ----------------------------------------------
-    def adjacency_matrix(self):
-        """The graph as a ``scipy.sparse.csr_matrix`` of edge weights."""
-        from scipy.sparse import csr_matrix
-
-        return csr_matrix(
-            (self.eweights.astype(np.float64), self.indices, self.indptr),
-            shape=(self.nvertices, self.nvertices),
-        )
-
     def subgraph(self, vertices: np.ndarray) -> tuple["CSRGraph", np.ndarray]:
-        """Induced subgraph on ``vertices``.
+        """Induced subgraph on ``vertices``, in the compiled ``rb_extract``.
+
+        Args:
+            vertices: Strictly ascending vertex ids; the subgraph's
+                vertex ``i`` is ``vertices[i]``, and each of its
+                adjacency rows keeps the parent's order.
 
         Returns:
             ``(sub, mapping)`` where ``mapping[i]`` is the original id
             of the subgraph's vertex ``i``.
-        """
-        vertices = np.asarray(vertices, dtype=np.int64)
-        if _NATIVE is not None:
-            sub = self._subgraph_native(vertices)
-            if sub is not None:
-                return sub, vertices
-        if len(vertices) <= 48:
-            sub = self._subgraph_small(vertices.tolist())
-            if sub is not None:
-                return sub, vertices
-        local = -np.ones(self.nvertices, dtype=np.int64)
-        local[vertices] = np.arange(len(vertices))
-        src_all = self.edge_sources()
-        keep = (local[src_all] >= 0) & (local[self.indices] >= 0)
-        u = local[src_all[keep]]
-        v = local[self.indices[keep]]
-        w = self.eweights[keep]
-        order = np.lexsort((v, u))
-        u, v, w = u[order], v[order], w[order]
-        indptr = np.searchsorted(u, np.arange(len(vertices) + 1)).astype(np.int64)
-        return (
-            CSRGraph(
-                indptr=indptr,
-                indices=v.copy(),
-                eweights=w.copy(),
-                vweights=self.vweights[vertices].copy(),
-            ),
-            vertices,
-        )
 
-    def _subgraph_native(self, vertices: np.ndarray) -> "CSRGraph | None":
-        """Compiled-kernel induced subgraph for ascending vertex sets.
-
-        One ``rb_extract`` call with a single vertex set.  Returns
-        ``None`` (vectorized/list fallback) when the kernel declines:
-        ``vertices`` not strictly ascending or out of range.  Row
-        filtering in ascending-local-id order produces the exact arrays
-        of the lexsort-based path.
+        Raises:
+            ValueError: ``vertices`` is not strictly ascending or leaves
+                ``[0, n)``.
         """
+        vertices = np.ascontiguousarray(vertices, dtype=np.int64).ravel()
         k = len(vertices)
-        vertices = np.ascontiguousarray(vertices, dtype=np.int64)
         cap = int(self.indptr[-1])
         out_indptr = np.empty(k + 1, dtype=np.int64)
         out_indices = np.empty(cap, dtype=np.int64)
@@ -282,96 +216,21 @@ class CSRGraph:
         offsets = np.array([0, k], dtype=np.int64)
         edge_offsets = np.empty(2, dtype=np.int64)
         scalars = np.empty(3, dtype=np.int64)
-        nnz = _NATIVE.rb_extract(
+        nnz = check(_NATIVE.rb_extract(
             self.nvertices, *self.addresses(), vertices.ctypes.data,
             offsets.ctypes.data, 1,
             out_indptr.ctypes.data, out_indices.ctypes.data,
             out_weights.ctypes.data, out_vweights.ctypes.data,
             edge_offsets.ctypes.data, scalars.ctypes.data,
-        )
-        if nnz < 0:
-            return None
+        ))
         sub = CSRGraph(
             indptr=out_indptr,
             indices=out_indices[:nnz].copy(),
             eweights=out_weights[:nnz].copy(),
             vweights=out_vweights,
         )
-        object.__setattr__(sub, "_max_incident", int(scalars[0]))
         object.__setattr__(sub, "_total_vweight", int(scalars[1]))
-        object.__setattr__(sub, "_max_vweight", int(scalars[2]))
-        return sub
-
-    def _subgraph_small(self, verts: list[int]) -> "CSRGraph | None":
-        """List-kernel induced subgraph for small ascending vertex sets.
-
-        Returns ``None`` when ``verts`` is not strictly ascending (the
-        vectorized path handles arbitrary order).  With ascending
-        vertices the local ids are monotone in the global ids, so
-        filtering each (already id-sorted) parent adjacency slice
-        yields the exact arrays of the lexsort-based path.
-        """
-        prev = -1
-        for g in verts:
-            if g <= prev:
-                return None
-            prev = g
-        _, _, _, vweights = self.adjacency_lists()
-        nbrs, wts = self.neighbor_slices()
-        n = self.nvertices
-        if n <= 4 * len(verts) + 64:
-            local: list[int] = [-1] * n
-            for i, g in enumerate(verts):
-                local[g] = i
-        else:
-            # Sparse selection from a big parent: dict avoids the O(n)
-            # scratch fill.
-            local = _DictLocal(verts)  # type: ignore[assignment]
-        sub_indptr = [0]
-        sub_indices: list[int] = []
-        sub_weights: list[int] = []
-        app_i = sub_indices.append
-        app_w = sub_weights.append
-        maxinc = 0
-        for g in verts:
-            inc = 0
-            for u, w in zip(nbrs[g], wts[g]):
-                li = local[u]
-                if li >= 0:
-                    app_i(li)
-                    app_w(w)
-                    inc += w
-            if inc > maxinc:
-                maxinc = inc
-            sub_indptr.append(len(sub_indices))
-        sub_vweights = [vweights[g] for g in verts]
-        sub = CSRGraph(
-            indptr=np.array(sub_indptr, dtype=np.int64),
-            indices=np.array(sub_indices, dtype=np.int64),
-            eweights=np.array(sub_weights, dtype=np.int64),
-            vweights=np.array(sub_vweights, dtype=np.int64),
-        )
-        # The list forms and per-vertex sums are already in hand — seed
-        # the kernel caches so the partitioner doesn't recompute them
-        # from the arrays.
-        object.__setattr__(
-            sub, "_adj_lists", (sub_indptr, sub_indices, sub_weights, sub_vweights)
-        )
-        object.__setattr__(sub, "_max_incident", maxinc)
-        if sub_vweights:
-            object.__setattr__(sub, "_total_vweight", sum(sub_vweights))
-            object.__setattr__(sub, "_max_vweight", max(sub_vweights))
-        return sub
-
-
-class _DictLocal(dict):
-    """Global→local vertex map returning ``-1`` for unselected vertices."""
-
-    def __init__(self, verts: list[int]) -> None:
-        super().__init__((g, i) for i, g in enumerate(verts))
-
-    def __missing__(self, key: int) -> int:
-        return -1
+        return sub, vertices
 
 
 def graph_from_edges(

@@ -8,7 +8,7 @@ baseline: recursive bisection (RB), multilevel K-way minimizing edgecut
 from .api import METIS_METHODS, part_graph
 from .bisection import multilevel_bisection, recursive_bisection
 from .coarsen import CoarseLevel, coarsen_to, contract
-from .initial import greedy_graph_growing, spectral_initial_bisection
+from .initial import greedy_graph_growing
 from .kway import multilevel_kway
 from .matching import heavy_edge_matching, random_matching
 from .refine import balance_constraint, fm_refine_bisection, greedy_kway_refine
@@ -28,5 +28,4 @@ __all__ = [
     "part_graph",
     "random_matching",
     "recursive_bisection",
-    "spectral_initial_bisection",
 ]

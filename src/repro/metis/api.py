@@ -9,7 +9,6 @@ Mirrors the three algorithms the paper compares (Sec. 2):
 
 from __future__ import annotations
 
-from .._native import LIB as _NATIVE
 from ..graphs.csr import CSRGraph
 from ..partition.base import Partition
 from ..telemetry import inc, span
@@ -19,10 +18,6 @@ from .kway import multilevel_kway
 __all__ = ["part_graph", "METIS_METHODS"]
 
 METIS_METHODS = ("rb", "kway", "tv")
-
-#: Which inner-loop implementation this process selected at import.
-KERNELS = "c" if _NATIVE is not None else "python"
-
 
 def part_graph(
     graph: CSRGraph,
@@ -47,7 +42,7 @@ def part_graph(
     """
     if method not in METIS_METHODS:
         raise ValueError(f"unknown method {method!r}; choose from {METIS_METHODS}")
-    inc("part_graph_total", method=method, kernels=KERNELS)
+    inc("part_graph_total", method=method)
     with span("part_graph", "metis", method=method, nparts=int(nparts)):
         if method == "rb":
             # METIS 4's pmetis allowed ~1% imbalance per bisection; the

@@ -17,14 +17,13 @@ import math
 import numpy as np
 
 from .._native import LIB as _NATIVE
-from .._native import MAX_BOUND as _MAX_BOUND
-from .._native import TABLE_COLUMNS
+from .._native import MAX_BOUND, TABLE_COLUMNS, check
 from ..graphs.csr import CSRGraph
 from ..partition.base import Partition
 from ..telemetry import span
-from .coarsen import MAX_LEVELS, coarsen_to
-from .initial import NTRIALS, greedy_graph_growing, spectral_initial_bisection
-from .refine import FM_PASSES, fm_refine_bisection
+from .coarsen import MAX_LEVELS
+from .initial import NTRIALS
+from .refine import FM_PASSES
 
 __all__ = ["multilevel_bisection", "recursive_bisection"]
 
@@ -37,9 +36,12 @@ def multilevel_bisection(
     target_left: int,
     ubfactor: float = 1.001,
     seed: int = 0,
-    initial: str = "ggg",
 ) -> np.ndarray:
     """Bisect a graph with the full multilevel pipeline.
+
+    Coarsen with HEM, grow an initial bisection of the coarsest graph
+    (GGGP), then refine with FM at every level on the way back up: one
+    group of :func:`_bisect_level`.
 
     Args:
         graph: Graph to split.
@@ -47,41 +49,20 @@ def multilevel_bisection(
         ubfactor: Per-side imbalance cap (default: essentially exact,
             METIS RB behaviour).
         seed: Determinism seed.
-        initial: Coarsest-level method, ``"ggg"`` or ``"spectral"``.
 
     Returns:
         ``(n,)`` int array of sides (0/1).
     """
-    total = graph.total_vweight()
-    target_right = total - target_left
-    if not 0 < target_left < total:
-        raise ValueError("target_left must be strictly between 0 and total weight")
-    with span("coarsen", "metis"):
-        levels = coarsen_to(graph, COARSEST_NVERTICES, seed=seed)
-    coarsest = levels[-1].graph if levels else graph
-    with span("initial", "metis"):
-        if initial == "spectral" and coarsest.nvertices >= 4:
-            side = spectral_initial_bisection(coarsest, target_left, seed=seed)
-        else:
-            side = greedy_graph_growing(coarsest, target_left, seed=seed)
-    max_left = max(int(np.floor(ubfactor * target_left + 1e-9)), target_left)
-    max_right = max(int(np.floor(ubfactor * target_right + 1e-9)), target_right)
-    # Feasibility: the two caps must jointly cover the total weight.
-    max_left = min(max_left, total)
-    max_right = min(max_right, total)
-    if max_left + max_right < total:  # pragma: no cover - defensive
-        max_left = total - target_right
-        max_right = total - target_left
-    with span("refine", "metis"):
-        side = fm_refine_bisection(coarsest, side, max_left, max_right)
-    # Project back through the hierarchy, refining at every level.
-    # levels[i] was contracted from fine_graphs[i].
-    fine_graphs = [graph] + [lv.graph for lv in levels[:-1]]
-    with span("uncoarsen", "metis"):
-        for level, fine in zip(reversed(levels), reversed(fine_graphs)):
-            side = side[level.fine_to_coarse]
-            side = fm_refine_bisection(fine, side, max_left, max_right)
-    return side
+    n = graph.nvertices
+    return _bisect_level(
+        graph,
+        np.arange(n, dtype=np.int64),
+        np.array([0, n], dtype=np.int64),
+        len(graph.indices),
+        np.array([target_left], dtype=np.int64),
+        [seed],
+        ubfactor,
+    )
 
 
 def recursive_bisection(
@@ -89,83 +70,81 @@ def recursive_bisection(
     nparts: int,
     ubfactor: float = 1.001,
     seed: int = 0,
-    initial: str = "ggg",
 ) -> Partition:
     """METIS-style recursive bisection into ``nparts`` parts.
 
     Part counts need not be powers of two: each split divides the
     target weight proportionally to the part counts of the two halves
-    (``pmetis`` semantics).
+    (``pmetis`` semantics).  A split whose side receives fewer vertices
+    than the parts it must host (possible when the imbalance slack
+    exceeds the region size) becomes an exact order-based split, since
+    pmetis never returns empty parts.
 
-    With the C kernels loaded (and ``initial`` not ``"spectral"``) the
-    recursion runs breadth-first, one recursion level at a time (see
-    :func:`_recursive_bisection_native`); the depth-first loop below
-    is the reference and the fallback.  Both give the same partition.
+    The recursion runs level-synchronously.  Every bisection depends
+    only on its vertex set, its part range and its seed ``seed + depth
+    * 7919 + first``, never on the order a depth-first loop would visit
+    it, so all bisections at one recursion depth ("groups") run
+    together: their induced subgraphs are stored back to back in one
+    set of buffers and each multilevel stage is one kernel call for all
+    of them (:func:`_bisect_level`).  Every random stream is still drawn
+    here, from the same generator calls a depth-first loop makes (the
+    oracle in ``tests/metis/reference_kernels.py``).
 
     Returns:
         A :class:`Partition` labeled ``"rb"``.
+
+    Raises:
+        ValueError: ``nparts`` is outside ``[1, n]``, ``ubfactor`` is
+            not finite, a split's weight target is not strictly between
+            0 and its region's weight, or the vertex weights are too
+            large for exact float split targets.
     """
     n = graph.nvertices
     if not 1 <= nparts <= n:
         raise ValueError("need 1 <= nparts <= nvertices")
-    if _NATIVE is not None and initial != "spectral":
-        assignment = _recursive_bisection_native(graph, nparts, ubfactor, seed)
-        if assignment is not None:
-            return Partition(assignment, nparts=nparts, method="rb")
     assignment = np.zeros(n, dtype=np.int64)
-    # Queue of (vertex ids, first part, part count, depth).
-    stack: list[tuple[np.ndarray, int, int, int]] = [
-        (np.arange(n, dtype=np.int64), 0, nparts, 0)
-    ]
-    while stack:
-        ids, first, parts, depth = stack.pop()
-        if parts == 1:
-            assignment[ids] = first
-            continue
-        with span("subgraph", "metis"):
-            sub, mapping = graph.subgraph(ids)
-        left_parts = parts // 2
-        right_parts = parts - left_parts
-        total = sub.total_vweight()
-        target_left = int(round(total * left_parts / parts))
-        side = multilevel_bisection(
-            sub,
-            target_left,
-            ubfactor=ubfactor,
-            seed=seed + depth * 7919 + first,
-            initial=initial,
+    if nparts == 1:
+        return Partition(assignment, nparts=1, method="rb")
+    degrees = graph.degrees()
+    ids = np.arange(n, dtype=np.int64)
+    gv = np.array([0, n], dtype=np.int64)
+    first = np.zeros(1, dtype=np.int64)
+    parts = np.array([nparts], dtype=np.int64)
+    depth = 0
+    while len(parts):  # every group here has >= 2 parts
+        seeds = [seed + depth * 7919 + f for f in first.tolist()]
+        left = parts // 2
+        totals = np.add.reduceat(graph.vweights[ids], gv[:-1])
+        if (totals * left).max() >= 2**53:  # the float targets are exact below
+            raise ValueError("vertex weights too large for exact split targets")
+        targets = np.rint(totals * left / parts).astype(np.int64)
+        nedges = int(degrees[ids].sum())
+        side = _bisect_level(graph, ids, gv, nedges, targets, seeds, ubfactor)
+        k = len(parts)
+        sizes = np.diff(gv)
+        half = np.maximum(
+            left,
+            np.minimum(sizes - (parts - left), np.rint(sizes * left / parts).astype(np.int64)),
         )
-        left_ids = mapping[side == 0]
-        right_ids = mapping[side == 1]
-        if len(left_ids) < left_parts or len(right_ids) < right_parts:
-            # A side received fewer vertices than the parts it must
-            # host (possible when the imbalance slack exceeds the
-            # region size).  pmetis never returns empty parts, so fall
-            # back to an exact order-based split.
-            half = max(
-                left_parts,
-                min(
-                    len(ids) - right_parts,
-                    int(round(len(ids) * left_parts / parts)),
-                ),
-            )
-            left_ids, right_ids = ids[:half], ids[half:]
-        stack.append((left_ids, first, left_parts, depth + 1))
-        stack.append((right_ids, first + left_parts, right_parts, depth + 1))
+        next_ids = np.empty(len(ids), dtype=np.int64)
+        next_gv = np.empty(2 * k + 1, dtype=np.int64)
+        next_first = np.empty(2 * k, dtype=np.int64)
+        next_parts = np.empty(2 * k, dtype=np.int64)
+        nk = _NATIVE.rb_split(
+            k, ids.ctypes.data, gv.ctypes.data, side.ctypes.data,
+            first.ctypes.data, parts.ctypes.data, half.ctypes.data,
+            assignment.ctypes.data, next_ids.ctypes.data, next_gv.ctypes.data,
+            next_first.ctypes.data, next_parts.ctypes.data,
+        )
+        ids = next_ids[: next_gv[nk]]
+        gv, first, parts = next_gv[: nk + 1], next_first[:nk], next_parts[:nk]
+        depth += 1
     return Partition(assignment, nparts=nparts, method="rb")
 
 
 # ---------------------------------------------------------------------
-# Level-synchronous recursive bisection over the C kernels
+# Level-synchronous multilevel bisection over the C kernels
 # ---------------------------------------------------------------------
-#
-# Every bisection depends only on its vertex set, its part range and
-# its seed ``seed + depth * 7919 + first``, never on the order the
-# depth-first loop visits it.  So all bisections at one recursion
-# depth ("groups") run together: their induced subgraphs are stored
-# back to back in one set of buffers and each multilevel stage is one
-# kernel call for all of them.  Every random stream is still drawn here,
-# from the same generator calls as the depth-first loop makes.
 
 _ITEM = np.dtype(np.int64).itemsize
 
@@ -225,94 +204,41 @@ def _caps(target: np.ndarray, totals: np.ndarray, ubfactor: float) -> np.ndarray
     return np.maximum(cap.astype(np.int64), target)
 
 
-def _recursive_bisection_native(
-    graph: CSRGraph, nparts: int, ubfactor: float, seed: int
-) -> np.ndarray | None:
-    """Level-synchronous :func:`recursive_bisection` (``initial="ggg"``).
-
-    Returns the assignment, or ``None`` when a kernel declines (an
-    allocation fails, a gain bound exceeds ``MAX_BOUND``) or an input
-    needs the depth-first loop's own handling (a zero-weight split
-    target, a non-finite ``ubfactor``, weights past float precision);
-    the caller then runs the depth-first loop from the start.
-    """
-    n = graph.nvertices
-    assignment = np.zeros(n, dtype=np.int64)
-    if nparts == 1:
-        return assignment
-    if not math.isfinite(ubfactor):
-        return None
-    degrees = graph.degrees()
-    ids = np.arange(n, dtype=np.int64)
-    gv = np.array([0, n], dtype=np.int64)
-    first = np.zeros(1, dtype=np.int64)
-    parts = np.array([nparts], dtype=np.int64)
-    depth = 0
-    while len(parts):  # every group here still has >= 2 parts
-        seeds = [seed + depth * 7919 + f for f in first.tolist()]
-        nedges = int(degrees[ids].sum())
-        side = _bisect_level(graph, ids, gv, nedges, parts, seeds, ubfactor)
-        if side is None:
-            return None
-        k = len(parts)
-        sizes = np.diff(gv)
-        left = parts // 2
-        half = np.maximum(
-            left,
-            np.minimum(sizes - (parts - left), np.rint(sizes * left / parts).astype(np.int64)),
-        )
-        next_ids = np.empty(len(ids), dtype=np.int64)
-        next_gv = np.empty(2 * k + 1, dtype=np.int64)
-        next_first = np.empty(2 * k, dtype=np.int64)
-        next_parts = np.empty(2 * k, dtype=np.int64)
-        nk = _NATIVE.rb_split(
-            k, ids.ctypes.data, gv.ctypes.data, side.ctypes.data,
-            first.ctypes.data, parts.ctypes.data, half.ctypes.data,
-            assignment.ctypes.data, next_ids.ctypes.data, next_gv.ctypes.data,
-            next_first.ctypes.data, next_parts.ctypes.data,
-        )
-        ids = next_ids[: next_gv[nk]]
-        gv, first, parts = next_gv[: nk + 1], next_first[:nk], next_parts[:nk]
-        depth += 1
-    return assignment
-
-
 def _bisect_level(
     graph: CSRGraph,
     ids: np.ndarray,
     gv: np.ndarray,
     nedges: int,
-    parts: np.ndarray,
+    target: np.ndarray,
     seeds: list[int],
     ubfactor: float,
-) -> np.ndarray | None:
+) -> np.ndarray:
     """:func:`multilevel_bisection` of every group of one level.
 
     Group ``g`` is the vertex set ``ids[gv[g]:gv[g+1]]`` (ascending), to
-    be split into ``parts[g] // 2`` and the remaining parts with seed
-    ``seeds[g]``.  ``nedges`` bounds the groups' total edge count.
-    Returns the sides, aligned with ``ids``, or ``None`` (see
-    :func:`_recursive_bisection_native`).
+    be split with ``target[g]`` weight on side 0 and seed ``seeds[g]``.
+    ``nedges`` bounds the groups' total edge count.  Returns the sides,
+    aligned with ``ids``.
+
+    Raises:
+        ValueError: ``ubfactor`` is not finite, or a target is not
+            strictly between 0 and its group's weight.
     """
-    k = len(parts)
+    if not math.isfinite(ubfactor):
+        raise ValueError(f"ubfactor must be finite, got {ubfactor}")
+    k = len(target)
     with span("subgraph", "metis", groups=k):
         base = _Union(len(ids), np.arange(k), nedges)
         stats = np.empty((k, 3), dtype=np.int64)
-        rc = _NATIVE.rb_extract(
+        check(_NATIVE.rb_extract(
             graph.nvertices, *graph.addresses(), ids.ctypes.data,
             gv.ctypes.data, k, *base.csr_out, base.offsets_out[1],
             stats.ctypes.data,
-        )
-        if rc < 0:
-            return None
+        ))
         base.gv[:] = gv
     totals = stats[:, 1]
-    left = parts // 2
-    if (totals * left).max() >= 2**53:  # the float targets are exact below
-        return None
-    target = np.rint(totals * left / parts).astype(np.int64)
     if not ((target > 0) & (target < totals)).all():
-        return None
+        raise ValueError("target_left must be strictly between 0 and total weight")
     cap_left = _caps(target, totals, ubfactor)
     cap_right = _caps(totals - target, totals, ubfactor)
 
@@ -339,12 +265,10 @@ def _bisect_level(
             )
             f2c = np.empty(len(perm), dtype=np.int64)
             tab = fine.table(rows)
-            rc = _NATIVE.rb_coarsen(
+            check(_NATIVE.rb_coarsen(
                 len(rows), tab.ctypes.data, perm.ctypes.data, f2c.ctypes.data,
                 *coarse.csr_out, *coarse.offsets_out,
-            )
-            if rc < 0:
-                return None
+            ))
             nc = np.diff(coarse.gv)
             kept = ~(nc > 0.9 * fine_n)
             f2c_at = np.concatenate(([0], np.cumsum(fine_n)[:-1]))
@@ -368,16 +292,14 @@ def _bisect_level(
                 m, size=NTRIALS - 1
             )
         targets = target[groups]
-        if _NATIVE.rb_initial(
+        check(_NATIVE.rb_initial(
             len(tab), tab.ctypes.data, targets.ctypes.data,
-            starts.ctypes.data, NTRIALS, _MAX_BOUND,
-        ):
-            return None
+            starts.ctypes.data, NTRIALS, MAX_BOUND,
+        ))
     with span("refine", "metis", groups=k):
         tab[:, 8] = cap_left[groups]
         tab[:, 9] = cap_right[groups]
-        if _NATIVE.rb_refine(len(tab), tab.ctypes.data, FM_PASSES, _MAX_BOUND):
-            return None
+        check(_NATIVE.rb_refine(len(tab), tab.ctypes.data, FM_PASSES, MAX_BOUND))
     # Uncoarsening, deepest level first: project every group that kept
     # round r's level from it to its level-r graph, then refine.
     with span("uncoarsen", "metis", groups=k):
@@ -390,6 +312,5 @@ def _bisect_level(
             tab[:, 7] = coarse.base[4] + _ITEM * coarse.gv[at]
             tab[:, 8] = cap_left[coarse.groups[at]]
             tab[:, 9] = cap_right[coarse.groups[at]]
-            if _NATIVE.rb_refine(len(tab), tab.ctypes.data, FM_PASSES, _MAX_BOUND):
-                return None
+            check(_NATIVE.rb_refine(len(tab), tab.ctypes.data, FM_PASSES, MAX_BOUND))
     return base.side

@@ -7,6 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .._native import LIB as _NATIVE
+from .._native import check
 from ..graphs.csr import CSRGraph
 from .matching import heavy_edge_matching
 
@@ -33,61 +34,29 @@ def contract(graph: CSRGraph, match: np.ndarray) -> CoarseLevel:
     Matched pairs become one coarse vertex whose weight is the pair
     sum; parallel coarse edges are merged with summed weights and
     intra-pair edges vanish (their weight is "hidden" inside the
-    coarse vertex — the point of heavy-edge matching).  A matching of
-    in-range ids runs in the C ``contract`` kernel (same arrays).
+    coarse vertex — the point of heavy-edge matching).  Runs in the
+    compiled ``contract`` kernel.
+
+    Raises:
+        ValueError: ``match`` is not ``(n,)`` or holds an id outside
+            ``[0, n)``.
     """
     n = graph.nvertices
-    match = np.asarray(match)
-    if (
-        _NATIVE is not None
-        and match.shape == (n,)
-        and (n == 0 or (match.min() >= 0 and match.max() < n))
-    ):
-        level = _contract_native(graph, np.ascontiguousarray(match, dtype=np.int64))
-        if level is not None:
-            return level
-    # Coarse ids: number pairs by their smaller endpoint.
-    rep = np.minimum(np.arange(n), match)
-    uniq, coarse_of = np.unique(rep, return_inverse=True)
-    nc = len(uniq)
-    cvw = np.zeros(nc, dtype=np.int64)
-    np.add.at(cvw, coarse_of, graph.vweights)
-    # Directed fine edges mapped to coarse ids; drop internal edges,
-    # merge duplicates by summation.
-    src = np.repeat(np.arange(n), graph.degrees())
-    csrc = coarse_of[src]
-    cdst = coarse_of[graph.indices]
-    keep = csrc != cdst
-    csrc, cdst, w = csrc[keep], cdst[keep], graph.eweights[keep]
-    key = csrc.astype(np.int64) * nc + cdst
-    order = np.argsort(key, kind="stable")
-    key, w = key[order], w[order]
-    uniq_key, start = np.unique(key, return_index=True)
-    sums = np.add.reduceat(w, start) if len(key) else np.empty(0, dtype=np.int64)
-    usrc = (uniq_key // nc).astype(np.int64)
-    udst = (uniq_key % nc).astype(np.int64)
-    indptr = np.searchsorted(usrc, np.arange(nc + 1)).astype(np.int64)
-    coarse = CSRGraph(
-        indptr=indptr, indices=udst.copy(), eweights=sums.astype(np.int64), vweights=cvw
-    )
-    return CoarseLevel(graph=coarse, fine_to_coarse=coarse_of)
-
-
-def _contract_native(graph: CSRGraph, match: np.ndarray) -> CoarseLevel | None:
-    """:func:`contract` through the C kernel; ``None`` if it cannot allocate."""
-    n = graph.nvertices
+    match = np.ascontiguousarray(match, dtype=np.int64)
+    if match.shape != (n,):
+        raise ValueError(f"match must have shape ({n},), got {match.shape}")
+    if n and not (match.min() >= 0 and match.max() < n):
+        raise ValueError(f"match ids must lie in [0, {n})")
     fine_to_coarse = np.empty(n, dtype=np.int64)
     indptr = np.empty(n + 1, dtype=np.int64)
     indices = np.empty(len(graph.indices), dtype=np.int64)
     eweights = np.empty(len(graph.indices), dtype=np.int64)
     vweights = np.empty(n, dtype=np.int64)
-    nc = _NATIVE.contract(
+    nc = check(_NATIVE.contract(
         n, *graph.addresses(), match.ctypes.data, fine_to_coarse.ctypes.data,
         indptr.ctypes.data, indices.ctypes.data, eweights.ctypes.data,
         vweights.ctypes.data,
-    )
-    if nc < 0:
-        return None
+    ))
     nnz = int(indptr[nc])
     coarse = CSRGraph(
         indptr=indptr[: nc + 1].copy(),

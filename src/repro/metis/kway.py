@@ -60,9 +60,7 @@ def multilevel_kway(
     # per-bisection tolerance mirrors kmetis (the refinement owns the
     # final balance, not the initial split).
     with span("initial", "metis"):
-        init = recursive_bisection(
-            coarsest, nparts, ubfactor=1.01, seed=seed, initial="ggg"
-        )
+        init = recursive_bisection(coarsest, nparts, ubfactor=1.01, seed=seed)
     assignment = init.assignment.copy()
     with span("refine", "metis"):
         assignment = greedy_kway_refine(

@@ -12,6 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from .._native import LIB as _NATIVE
+from .._native import check
 from ..graphs.csr import CSRGraph
 
 __all__ = ["random_matching", "heavy_edge_matching"]
@@ -60,38 +61,20 @@ def random_matching(graph: CSRGraph, seed: int = 0) -> np.ndarray:
 def heavy_edge_matching(graph: CSRGraph, seed: int = 0) -> np.ndarray:
     """Maximal matching preferring heavy edges (HEM/SHEM).
 
-    Same claim-kernel structure as :func:`random_matching`; each vertex
+    Same visit/claim structure as :func:`random_matching`; each vertex
     claims its heaviest free neighbor, first-in-adjacency-order on
-    ties (the ``argmax`` tie-break of the historical implementation).
+    ties.  The claim loop is the compiled ``hem_claim`` kernel.
 
     Returns:
         ``(n,)`` int array as in :func:`random_matching`.
     """
     rng = np.random.default_rng(seed)
     n = graph.nvertices
-    order = _visit_order(graph, rng, sort_by_degree=True)
-    if _NATIVE is not None:
-        order = np.ascontiguousarray(order, dtype=np.int64)
-        match_arr = np.empty(n, dtype=np.int64)
-        rc = _NATIVE.hem_claim(
-            n, *graph.addresses()[:3], order.ctypes.data, match_arr.ctypes.data
-        )
-        if rc == 0:
-            return match_arr
-    nbrs, wts = graph.neighbor_slices()
-    match = list(range(n))
-    matched = bytearray(n)
-    for v in order.tolist():
-        if matched[v]:
-            continue
-        best_w = -1
-        best_u = -1
-        for u, w in zip(nbrs[v], wts[v]):
-            if not matched[u] and w > best_w:
-                best_w = w
-                best_u = u
-        if best_u >= 0:
-            match[v] = best_u
-            match[best_u] = v
-            matched[v] = matched[best_u] = 1
-    return np.array(match, dtype=np.int64)
+    order = np.ascontiguousarray(
+        _visit_order(graph, rng, sort_by_degree=True), dtype=np.int64
+    )
+    match = np.empty(n, dtype=np.int64)
+    check(_NATIVE.hem_claim(
+        n, *graph.addresses()[:3], order.ctypes.data, match.ctypes.data
+    ))
+    return match

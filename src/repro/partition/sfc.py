@@ -45,7 +45,7 @@ from typing import Callable
 import numpy as np
 
 from ..cubesphere.curve import element_keys
-from ..sfc.factorization import factorize_2_3
+from ..sfc.factorization import default_schedule, factorize_2_3
 from ..sfc.keys import morton_keys
 from ..telemetry import span
 from .base import Partition
@@ -72,7 +72,7 @@ DEFAULT_CHUNK = 1 << 20
 POSITIONS_CACHE = StageCache("positions", maxsize=4)
 
 
-def _all_positions(ne: int, schedule: str | None) -> np.ndarray:
+def _all_positions(ne: int, schedule: str) -> np.ndarray:
     positions = element_keys(ne, schedule)
     positions.setflags(write=False)
     return positions
@@ -89,8 +89,11 @@ def curve_key_fn(
     positions of every element are computed once per process and kept
     read-only in a small LRU (:data:`POSITIONS_CACHE`); past that, ids
     are keyed afresh per chunk, so the streaming path keeps its O(chunk)
-    peak memory.
+    peak memory.  ``schedule=None`` is the default schedule, and shares
+    its cache entry.
     """
+    if schedule is None:
+        schedule = default_schedule(ne)
     if 6 * ne * ne > DEFAULT_CHUNK:
         return lambda ids: element_keys(ne, schedule, gids=ids)
     positions = POSITIONS_CACHE.get_or_compute(

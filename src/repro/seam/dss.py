@@ -18,10 +18,10 @@ corner nodes at ``m = 1`` (multiplicities are validated: 1 interior,
 
 Batched layout: :class:`DSSOperator` works on the stacked
 ``(nelem, np, np[, comps...])`` representation end to end.  The scatter
-runs through a fused C kernel (``repro._kernels.c::dss_apply``) when
-available, else a weighted ``np.bincount`` per component — both
-accumulate in ascending element-local point order, so results are
-bit-identical to each other.  ``apply`` accepts trailing component
+runs through a fused C kernel (``repro._kernels.c::dss_apply``) that
+accumulates in ascending element-local point order, bit-identical to a
+weighted ``np.bincount`` per component (its oracle in
+``tests/seam/reference_dss.py``).  ``apply`` accepts trailing component
 axes, projecting e.g. a ``(nelem, np, np, 3)`` velocity in one call.
 """
 
@@ -98,8 +98,8 @@ class DSSOperator:
     points by their mass-weighted average.
 
     The operator is batched: index arrays, the flat mass vector, the
-    reciprocal global mass, and (when the C kernels are loaded) the
-    ctypes pointers are all precomputed once, and :meth:`apply` handles
+    reciprocal global mass, and the kernel plan of raw addresses are
+    all precomputed once, and :meth:`apply` handles
     any number of trailing component axes in a single fused
     scatter-average-gather pass.
 
@@ -216,7 +216,7 @@ class DSSOperator:
         entry = self._shapes.get(field.shape)
         if entry is None:
             entry = self._prepare_shape(field.shape)
-        ncomp, num, num_a = entry
+        ncomp, _, num_a = entry
         if out is None:
             out = np.empty(field.shape)
         elif (
@@ -228,48 +228,9 @@ class DSSOperator:
                 f"out must be C-contiguous float64 of shape {field.shape}, "
                 f"got {out.dtype} {out.shape}"
             )
-        if LIB is not None:
-            flat = np.ascontiguousarray(field, dtype=np.float64)
-            LIB.dss_apply(
-                self._plan_a, ncomp, self._addr(flat), num_a, self._addr(out)
-            )
-            return out
-        self._apply_numpy(field, out, ncomp, num)
+        flat = np.ascontiguousarray(field, dtype=np.float64)
+        LIB.dss_apply(self._plan_a, ncomp, self._addr(flat), num_a, self._addr(out))
         return out
-
-    def _apply_numpy(
-        self, field: np.ndarray, out: np.ndarray, ncomp: int, num: np.ndarray
-    ) -> None:
-        """Pure-numpy fallback, bit-identical to the C kernel.
-
-        Same structure: interior points copy through; boundary copies
-        scatter via weighted ``np.bincount`` (which accumulates in
-        ascending index order, exactly like the kernel's loop and the
-        historical ``np.add.at``), scale by the reciprocal boundary
-        mass, and gather back.
-        """
-        np.copyto(out, field)
-        if not self._nb:
-            return
-        if ncomp == 1:
-            flat = field.reshape(-1)
-            weighted = self._bmass * flat[self._bidx]
-            np.multiply(
-                np.bincount(self._bids, weights=weighted, minlength=self._nbpoints),
-                self._inv_bgmass,
-                out=num,
-            )
-            out.reshape(-1)[self._bidx] = num[self._bids]
-            return
-        flat = field.reshape(self._n_local, ncomp)
-        weighted = self._bmass[:, None] * flat[self._bidx]
-        num2 = num.reshape(self._nbpoints, ncomp)
-        for c in range(ncomp):
-            num2[:, c] = np.bincount(
-                self._bids, weights=weighted[:, c], minlength=self._nbpoints
-            )
-        np.multiply(num2, self._inv_bgmass[:, None], out=num2)
-        out.reshape(self._n_local, ncomp)[self._bidx] = num2[self._bids]
 
     def is_continuous(self, field: np.ndarray, atol: float = 1e-12) -> bool:
         """Whether all copies of every shared point agree within ``atol``."""

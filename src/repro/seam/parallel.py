@@ -16,14 +16,13 @@ Layout: every rank's partial sums are one segment of a single float64
 buffer ordered by (rank, global point), and every message is one entry
 of a single outbox ordered by (src rank, dst rank, point).  A DSS is
 then three whole-buffer passes (gather, exchange, scatter) with no loop
-over ranks or rank pairs: compiled kernels
+over ranks or rank pairs, each a compiled kernel
 (``repro._kernels.c::pdss_gather``, ``pdss_exchange``,
-``pdss_scatter``) when they are loaded, else NumPy passes.  Each pass
-adds in the order a rank-by-rank execution would (each rank sums its
-elements in ascending order; a shared point takes its own partial, then
-its co-owners' in ascending source rank), so both are bit-identical to
-it; the rank-by-rank version is kept as a test oracle
-(``tests/seam/reference_parallel.py``).
+``pdss_scatter``).  Each pass adds in the order a rank-by-rank
+execution would (each rank sums its elements in ascending order; a
+shared point takes its own partial, then its co-owners' in ascending
+source rank), so the result is bit-identical to it; the rank-by-rank
+version is kept as a test oracle (``tests/seam/reference_parallel.py``).
 """
 
 from __future__ import annotations
@@ -81,17 +80,14 @@ class PartitionedDSS:
 
     :meth:`apply` is three passes, each in a fixed order that matches a
     rank-by-rank execution bit for bit.  Each is a C kernel sharing one
-    int64 plan of the constant layout when the kernels are loaded, else
-    the NumPy pass named below:
+    int64 plan of the constant layout:
 
     * gather — each slot starts at 0.0 and adds the weighted
       element-local values of its points in element order (so each
-      slot sums its rank's elements in ascending order); weighted
-      ``np.bincount``;
+      slot sums its rank's elements in ascending order);
     * exchange — a slot starts at 0.0, adds its own partial, then the
       pre-exchange partials of its co-owners in ascending source rank
-      (BSP semantics: all sends read the pre-exchange state); one
-      ``np.bincount`` over every slot followed by every message;
+      (BSP semantics: all sends read the pre-exchange state);
     * scatter — each element-local point reads ``partial / mass`` of
       its slot (a true division), where ``mass`` is the assembled mass,
       completed once by the same exchange.
@@ -118,9 +114,10 @@ class PartitionedDSS:
         self.accounting = ExchangeAccounting(nranks=self.nranks)
         self._build_layout()
         #: ``(nslots,)`` assembled mass of every slot (equal on every
-        #: co-owning rank after the exchange).
+        #: co-owning rank after the exchange): the gather of a field of
+        #: ones weighs each point by its mass alone.
         self.mass = self._exchange_into(
-            self._gather(self.local_mass.ravel()), count=False
+            self._gather(np.ones(self.local_mass.shape)), count=False
         )
         self._plan[7] = self.mass.ctypes.data
 
@@ -159,8 +156,6 @@ class PartitionedDSS:
         order = np.lexsort((self.slot_point[src], dst_rank, src_rank))
         self.msg_src, self.msg_dst = src[order], dst[order]
 
-        # Exchange index: every slot once, then every message's target.
-        self._exchange_idx = np.concatenate([np.arange(self.nslots), self.msg_dst])
         self._local_flat = np.ascontiguousarray(self.local_mass.ravel())
         # 8-slot kernel plan (see _kernels.c); the mass address is
         # filled in once the mass is assembled.  The referenced arrays
@@ -185,9 +180,12 @@ class PartitionedDSS:
         self._pairs = int(np.count_nonzero(np.diff(pair))) + 1 if len(pair) else 0
         self._sent = np.bincount(src_rank, minlength=self.nranks)
 
-    def _gather(self, field_flat: np.ndarray) -> np.ndarray:
-        """Rank-local partial sums of a flat element-local point field."""
-        return np.bincount(self._slot_of, weights=field_flat, minlength=self.nslots)
+    def _gather(self, field_: np.ndarray) -> np.ndarray:
+        """Rank-local partial sums of the mass-weighted point field."""
+        flat = np.ascontiguousarray(field_, dtype=np.float64)
+        partials = np.empty(self.nslots)
+        LIB.pdss_gather(self._plan_a, flat.ctypes.data, partials.ctypes.data)
+        return partials
 
     def _exchange_into(self, partials: np.ndarray, count: bool = True) -> np.ndarray:
         """Return ``partials`` with every message added into its target.
@@ -201,12 +199,9 @@ class PartitionedDSS:
             acct.messages += self._pairs
             acct.values += len(self.msg_src)
             acct.per_rank_sent += self._sent
-        if LIB is not None:
-            totals = np.empty(self.nslots)
-            LIB.pdss_exchange(self._plan_a, partials.ctypes.data, totals.ctypes.data)
-            return totals
-        sent = np.concatenate([partials, partials[self.msg_src]])
-        return np.bincount(self._exchange_idx, weights=sent, minlength=self.nslots)
+        totals = np.empty(self.nslots)
+        LIB.pdss_exchange(self._plan_a, partials.ctypes.data, totals.ctypes.data)
+        return totals
 
     def apply(self, field_: np.ndarray) -> np.ndarray:
         """Partitioned DSS projection of an element-wise field.
@@ -233,18 +228,9 @@ class PartitionedDSS:
         if not np.can_cast(field_.dtype, np.float64):
             raise TypeError(f"field dtype {field_.dtype} does not cast to float64")
         with span("pdss_apply", "seam"):
-            if LIB is None:
-                partials = self._gather((self.local_mass * field_).ravel())
-                partials = self._exchange_into(partials)
-                partials /= self.mass
-                out = partials[self._slot_of].reshape(field_.shape)
-            else:
-                flat = np.ascontiguousarray(field_, dtype=np.float64)
-                partials = np.empty(self.nslots)
-                LIB.pdss_gather(self._plan_a, flat.ctypes.data, partials.ctypes.data)
-                totals = self._exchange_into(partials)
-                out = np.empty(field_.shape)
-                LIB.pdss_scatter(self._plan_a, totals.ctypes.data, out.ctypes.data)
+            totals = self._exchange_into(self._gather(field_))
+            out = np.empty(field_.shape)
+            LIB.pdss_scatter(self._plan_a, totals.ctypes.data, out.ctypes.data)
         inc("pdss_applies")
         return out
 

@@ -253,11 +253,9 @@ def json_body(payload: dict | list) -> bytes:
     byte-for-byte ``json.dumps(payload_with_lists, sort_keys=True)``.
     The ``json`` module's C encoder writes the skeleton with a mark
     where each 1-D int64 array goes, and the ``json_int_array`` kernel
-    writes each array's text, spliced in at its mark; other arrays, and
-    every array without the kernels, go through ``.tolist()``.
+    writes each array's text, spliced in at its mark; other arrays go
+    through ``.tolist()``.
     """
-    if _NATIVE is None:
-        return _plain_body(payload)
     arrays: list[np.ndarray] = []
 
     def mark(obj: object) -> object:
@@ -298,7 +296,7 @@ class BodyTemplate:
     the placeholder's text; :meth:`render` writes each field's own JSON
     string text there.  Sorted keys put the fields in name order, so
     ``build(p, names).render(values)`` is ``json_body({**p, **values})``
-    byte for byte, native or not, for any string values.
+    byte for byte, for any string values.
 
     Attributes:
         names: The fields, sorted.
@@ -360,9 +358,8 @@ def decode_json_body(body: bytes) -> object:
     (``old_assignment``, list-form ``weights``, ``weights.inline``) of
     the body itself and of each item of a list or ``{"requests":
     [...]}`` body.  A mark left anywhere else, a skeleton that does not
-    decode, a body holding the escape ``\\u0000`` (a string could then
-    equal a mark), and every body without the kernels go through
-    ``json.loads`` whole, so every other value, and every error, is
+    decode, and a body holding the escape ``\\u0000`` (a string could
+    then equal a mark) go through ``json.loads`` whole, so every other value, and every error, is
     exactly ``json.loads``'s.
 
     Raises:
@@ -371,7 +368,7 @@ def decode_json_body(body: bytes) -> object:
         RecursionError: The body nests too deeply.
     """
     text = body.decode("utf-8")
-    if _NATIVE is None or b"[" not in body or b"\\u0000" in body:
+    if b"[" not in body or b"\\u0000" in body:
         return json.loads(text)
     n = len(body)
     spans = np.empty(3 * (n // 3 + 1), dtype=np.int64)

@@ -21,14 +21,10 @@ canonical frame for the next level.  The result is *bit-identical* to
 the forward construction kept in ``tests/sfc/reference_curve.py``
 (golden-tested at every admissible size).
 
-Two implementations share the packed level tables:
-
-* a C kernel (``sfc_keys`` in ``_kernels.c``, loaded via
-  :mod:`repro._native`, disabled by ``REPRO_NO_CKERNELS=1``);
-* a generic vectorized NumPy decode (any Hilbert/m-Peano/Hilbert-Peano
-  schedule, ~10 array passes per level).
-
-Both return identical uint64 keys.
+The decode runs in the C kernels ``sfc_keys`` (and ``sfc_face_keys``
+for the chained cube faces) of ``_kernels.c``, over the packed level
+tables built here; a vectorized NumPy restatement is kept as their
+test oracle in ``tests/sfc/reference_keys.py``.
 """
 
 from __future__ import annotations
@@ -140,10 +136,8 @@ def schedule_tables(schedule: str) -> KeyTables:
     )
 
 
-def _keys_c(x: np.ndarray, y: np.ndarray, kt: KeyTables) -> np.ndarray | None:
-    """C-kernel decode; ``None`` when the library is unavailable."""
-    if LIB is None or not hasattr(LIB, "sfc_keys"):
-        return None
+def _keys_c(x: np.ndarray, y: np.ndarray, kt: KeyTables) -> np.ndarray:
+    """C-kernel decode of int64 coordinate arrays."""
     keys = np.empty(x.shape[0], dtype=KEY_DTYPE)
     LIB.sfc_keys(
         x.shape[0],
@@ -163,16 +157,12 @@ def _face_keys_c(
     kt: KeyTables,
     rank: np.ndarray,
     coef: np.ndarray,
-) -> np.ndarray | None:
+) -> np.ndarray:
     """Fused gid → global-key C decode (cubed-sphere face chaining).
 
     One register-resident pass: gid → face + face-local cell →
     chain-oriented coordinates → per-level decode → chain offset.
-    ``None`` when the library is unavailable; the caller falls back to
-    the vectorized NumPy pipeline.
     """
-    if LIB is None or not hasattr(LIB, "sfc_face_keys"):
-        return None
     keys = np.empty(gids.shape[0], dtype=KEY_DTYPE)
     LIB.sfc_face_keys(
         gids.shape[0],
@@ -184,26 +174,6 @@ def _face_keys_c(
         as_i64p(gids),
         keys.ctypes.data_as(_U64P),
     )
-    return keys
-
-
-def _keys_numpy(x: np.ndarray, y: np.ndarray, kt: KeyTables) -> np.ndarray:
-    """Generic vectorized decode: any mixed Hilbert/Peano schedule."""
-    u = x.copy()
-    v = y.copy()
-    keys = np.zeros(u.shape, dtype=KEY_DTYPE)
-    for row in kt.tables:
-        r = int(row[_OFF_R])
-        s = int(row[_OFF_S])
-        bx = u // s
-        by = v // s
-        i = row[_OFF_RANK + bx * 3 + by]
-        keys = keys * np.uint64(r * r) + i.astype(KEY_DTYPE)
-        u -= bx * s
-        v -= by * s
-        un = row[_OFF_MXX + i] * u + row[_OFF_MXY + i] * v + row[_OFF_XNEG + i] * (s - 1)
-        v = row[_OFF_MYX + i] * u + row[_OFF_MYY + i] * v + row[_OFF_YNEG + i] * (s - 1)
-        u = un
     return keys
 
 
@@ -251,10 +221,7 @@ def curve_keys(
         raise ValueError("x and y must have the same shape")
     xs = _as_coord_array(x, kt.size, "x", check)
     ys = _as_coord_array(y, kt.size, "y", check)
-    keys = _keys_c(xs, ys, kt)
-    if keys is None:
-        keys = _keys_numpy(xs, ys, kt)
-    return keys.reshape(shape)
+    return _keys_c(xs, ys, kt).reshape(shape)
 
 
 def morton_keys(x, y, size: int, *, check: bool = True) -> np.ndarray:

@@ -62,7 +62,7 @@ HELP_BY_METRIC: dict[str, str] = {
     "cache_hits": "Requests answered from the partition cache.",
     "cache_misses": "Requests that missed the partition cache.",
     "dss_memo_total": "Shared DSS-operator memo lookups by outcome.",
-    "part_graph_total": "part_graph calls by method and kernel path.",
+    "part_graph_total": "part_graph calls by method.",
     "pool_queue_depth": "Cache misses queued on the engine worker pool.",
     "request_compute_seconds": "Worker compute time per computed request.",
     "request_edgecut": "Edge cut of served partitions.",

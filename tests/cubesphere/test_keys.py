@@ -4,8 +4,9 @@
 construction in ``tests/cubesphere/reference_curve.py`` for every
 admissible resolution and schedule — including the ``ne = 1``
 degenerate case — and the canonical face chain it relies on must be
-independent of resolution.  Ids off the mesh are rejected on both the
-kernel and the NumPy path.
+independent of resolution.  The fused C kernel matches its NumPy
+oracle (``tests/sfc/reference_keys.py``), and ids off the mesh are
+rejected before the kernel reads a table.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from repro.cubesphere.curve import (
 )
 from repro.cubesphere.mesh import cubed_sphere_mesh
 from tests.cubesphere.reference_curve import reference_cubed_sphere_curve
+from tests.sfc.reference_keys import element_keys_numpy
 
 NES = (1, 2, 3, 4, 6, 8, 12)
 
@@ -65,44 +67,15 @@ class TestGoldenEquivalence:
 
 
 class TestKernelParity:
-    def test_fused_kernel_and_fallback_identical(self):
-        """Global keys do not depend on whether the C kernel loaded.
+    @pytest.mark.parametrize("ne", (1, 2, 6, 8, 12))
+    def test_fused_kernel_matches_numpy_oracle(self, ne):
+        np.testing.assert_array_equal(element_keys(ne), element_keys_numpy(ne))
 
-        Each side runs in a subprocess because the kernel library is
-        chosen at import time.
-        """
-        import os
-        import subprocess
-        import sys
+    def test_ids_off_the_mesh_rejected(self):
+        """An id off the mesh raises before the decode reads a table.
 
-        script = (
-            "import json\n"
-            "from repro.cubesphere.curve import element_keys\n"
-            "print(json.dumps({str(ne): element_keys(ne).tolist()\n"
-            "                  for ne in (1, 2, 6, 8, 12)}))\n"
-        )
-
-        def run(no_ckernels: bool) -> str:
-            env = dict(os.environ)
-            env.pop("REPRO_NO_CKERNELS", None)
-            if no_ckernels:
-                env["REPRO_NO_CKERNELS"] = "1"
-            return subprocess.run(
-                [sys.executable, "-c", script],
-                capture_output=True,
-                text=True,
-                env=env,
-                check=True,
-            ).stdout
-
-        assert run(no_ckernels=False) == run(no_ckernels=True)
-
-    @pytest.mark.parametrize("no_ckernels", [False, True])
-    def test_ids_off_the_mesh_rejected_on_both_paths(self, no_ckernels):
-        """An id off the mesh raises before either decode reads a table.
-
-        Runs in a subprocess: the kernel would crash the interpreter,
-        and the fallback is only reachable without the kernel library.
+        Runs in a subprocess: a regression would let the kernel read
+        past its tables and crash the interpreter.
         """
         import os
         import subprocess
@@ -110,29 +83,21 @@ class TestKernelParity:
 
         script = (
             "import numpy as np\n"
-            "from repro._native import LIB\n"
             "from repro.cubesphere.curve import element_keys\n"
-            "print('kernel' if LIB is not None else 'numpy')\n"
             "for bad in (-1, 24, 10**12):\n"
             "    try:\n"
             "        element_keys(2, gids=np.array([23, bad]))\n"
             "    except ValueError as exc:\n"
             "        print(exc)\n"
         )
-        env = dict(os.environ)
-        env.pop("REPRO_NO_CKERNELS", None)
-        if no_ckernels:
-            env["REPRO_NO_CKERNELS"] = "1"
         proc = subprocess.run(
             [sys.executable, "-c", script],
             capture_output=True,
             text=True,
-            env=env,
+            env=dict(os.environ),
         )
         assert proc.returncode == 0, proc.stderr
-        path, *errors = proc.stdout.splitlines()
-        if no_ckernels:
-            assert path == "numpy"
+        errors = proc.stdout.splitlines()
         assert errors == ["element ids must lie in [0, 24) for ne=2"] * 3
 
 

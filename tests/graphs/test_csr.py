@@ -105,7 +105,9 @@ class TestDerived:
     def test_adjacency_matrix_matches_networkx(self, graph4):
         import networkx as nx
 
-        a = graph4.adjacency_matrix()
+        from tests.graphs.spectral import adjacency_matrix
+
+        a = adjacency_matrix(graph4)
         u, v, w = graph4.edge_array()
         gx = nx.Graph()
         gx.add_nodes_from(range(graph4.nvertices))

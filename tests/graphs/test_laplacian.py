@@ -5,12 +5,12 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.graphs.laplacian import (
+from tests.conftest import grid_graph, path_graph, two_cliques
+from tests.graphs.spectral import (
     fiedler_vector,
     laplacian_matrix,
     spectral_bisection_order,
 )
-from tests.conftest import grid_graph, path_graph, two_cliques
 
 
 class TestLaplacian:

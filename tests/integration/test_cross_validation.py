@@ -55,7 +55,7 @@ class TestGraphEquivalence:
         assert ours == theirs
 
     def test_algebraic_connectivity_positive(self):
-        from repro.graphs import fiedler_vector, laplacian_matrix
+        from tests.graphs.spectral import fiedler_vector, laplacian_matrix
 
         g = grid_2d(7, 7)
         lap = laplacian_matrix(g).toarray()

@@ -1,27 +1,33 @@
-"""Fixtures shared by the METIS suites: run a test on both kernel paths."""
+"""Fixtures shared by the METIS suites: the compiled kernels and their
+Python oracles behind one interface."""
 
 from __future__ import annotations
 
+from types import SimpleNamespace
+
 import pytest
 
-import repro.graphs.csr as csr_mod
-import repro.metis.bisection as bisection_mod
-import repro.metis.coarsen as coarsen_mod
-import repro.metis.initial as initial_mod
-import repro.metis.matching as matching_mod
-import repro.metis.refine as refine_mod
+from repro.metis import (
+    fm_refine_bisection,
+    greedy_kway_refine,
+    heavy_edge_matching,
+    part_graph,
+)
 
-#: Modules whose ``_NATIVE`` gate selects C kernels vs pure Python
-#: (``bisection``: the level-synchronous driver vs the depth-first one).
-KERNEL_MODULES = (
-    csr_mod, bisection_mod, coarsen_mod, initial_mod, matching_mod, refine_mod,
+from . import reference_kernels
+
+#: The compiled kernels, through the package's public functions.
+COMPILED = SimpleNamespace(
+    part_graph=lambda graph, nparts, method, seed=0: part_graph(
+        graph, nparts, method, seed=seed
+    ).assignment,
+    heavy_edge_matching=heavy_edge_matching,
+    fm_refine_bisection=fm_refine_bisection,
+    greedy_kway_refine=greedy_kway_refine,
 )
 
 
-@pytest.fixture(params=["kernels", "pure-python"])
-def kernel_mode(request, monkeypatch):
-    """Run once per kernel path; ``pure-python`` forces the fallback."""
-    if request.param == "pure-python":
-        for mod in KERNEL_MODULES:
-            monkeypatch.setattr(mod, "_NATIVE", None)
-    return request.param
+@pytest.fixture(params=["c", "oracle"])
+def kernels(request):
+    """Run once on the compiled kernels and once on their oracles."""
+    return COMPILED if request.param == "c" else reference_kernels

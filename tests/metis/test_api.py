@@ -2,9 +2,15 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
+from repro._native import MAX_BOUND, check
+from repro.graphs import graph_from_edges
 from repro.metis.api import METIS_METHODS, part_graph
+from repro.metis.coarsen import contract
+from repro.metis.initial import greedy_graph_growing
+from repro.metis.refine import fm_refine_bisection
 from repro.partition.metrics import evaluate_partition, load_balance
 
 
@@ -43,3 +49,42 @@ class TestPartGraph:
         kw = evaluate_partition(graph8, part_graph(graph8, 96, "kway", seed=0))
         assert kw.weighted_edgecut <= rb.weighted_edgecut
         assert kw.lb_nelemd >= rb.lb_nelemd
+
+
+class TestKernelErrors:
+    """A kernel's negative return code surfaces as an exception."""
+
+    #: Two vertices joined by one edge whose weight exceeds MAX_BOUND.
+    HEAVY = graph_from_edges(2, np.array([[0, 1]]), np.array([2**23]))
+
+    def test_fm_gain_bound(self):
+        with pytest.raises(ValueError, match=f"MAX_BOUND = {MAX_BOUND}"):
+            fm_refine_bisection(self.HEAVY, np.array([0, 1]), 1, 1)
+
+    def test_ggg_gain_bound(self):
+        with pytest.raises(ValueError, match=f"MAX_BOUND = {MAX_BOUND}"):
+            greedy_graph_growing(self.HEAVY, 1)
+
+    def test_rb_gain_bound(self):
+        with pytest.raises(ValueError, match=f"MAX_BOUND = {MAX_BOUND}"):
+            part_graph(self.HEAVY, 2, "rb")
+
+    def test_subgraph_ids_not_ascending(self, graph4):
+        with pytest.raises(ValueError, match="strictly ascending"):
+            graph4.subgraph(np.array([2, 1]))
+        with pytest.raises(ValueError, match="strictly ascending"):
+            graph4.subgraph(np.array([1, 1]))
+
+    def test_contract_bad_match(self, graph4):
+        n = graph4.nvertices
+        with pytest.raises(ValueError, match="must lie in"):
+            contract(graph4, np.full(n, n))
+        with pytest.raises(ValueError, match="must lie in"):
+            contract(graph4, np.full(n, -1))
+        with pytest.raises(ValueError, match="shape"):
+            contract(graph4, np.arange(n - 1))
+
+    def test_error_codes(self):
+        assert check(5) == 5
+        with pytest.raises(MemoryError):
+            check(-1)

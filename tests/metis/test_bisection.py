@@ -7,7 +7,6 @@ import math
 import numpy as np
 import pytest
 
-import repro.metis.bisection as bisection_mod
 from repro.cubesphere import cubed_sphere_mesh
 from repro.graphs import mesh_graph
 from repro.metis.bisection import multilevel_bisection, recursive_bisection
@@ -36,10 +35,6 @@ class TestMultilevelBisection:
         g = two_cliques(10)
         side = multilevel_bisection(g, target_left=10, seed=0)
         assert cut_of(g, side) == 1
-
-    def test_spectral_initialization(self, graph4):
-        side = multilevel_bisection(graph4, target_left=48, seed=0, initial="spectral")
-        assert (side == 0).sum() == 48
 
     def test_bad_target_rejected(self, graph4):
         with pytest.raises(ValueError, match="target_left"):
@@ -99,7 +94,6 @@ class TestRecursiveBisection:
         assert 0.0 <= lb <= 0.34
 
 
-@pytest.mark.skipif(bisection_mod._NATIVE is None, reason="C kernels unavailable")
 class TestNativeSpans:
     """The level-synchronous path records each stage once per level."""
 

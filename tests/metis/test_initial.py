@@ -4,8 +4,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.metis.initial import greedy_graph_growing, spectral_initial_bisection
+from repro.metis.initial import greedy_graph_growing
+from repro.metis.refine import fm_refine_bisection
 from tests.conftest import grid_graph, two_cliques
+from tests.graphs.spectral import spectral_initial_bisection
 
 
 def cut_of(graph, side):
@@ -82,3 +84,9 @@ class TestSpectralBisection:
         side = spectral_initial_bisection(g, target_left=32)
         assert (side == 0).sum() == 32
         assert cut_of(g, side) <= 12  # a straight cut costs 8
+
+    def test_refined_spectral_split_keeps_balance(self, graph4):
+        """FM refinement of a spectral initial split holds the target."""
+        side = spectral_initial_bisection(graph4, target_left=48)
+        side = fm_refine_bisection(graph4, side, 48, 48)
+        assert (side == 0).sum() == 48

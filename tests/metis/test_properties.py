@@ -7,16 +7,11 @@ topology, weights, seed, or part count.
 
 from __future__ import annotations
 
-from unittest import mock
-
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-import repro.metis.bisection as bisection_mod
-import repro.metis.coarsen as coarsen_mod
-import repro.metis.refine as refine_mod
 from repro.graphs.csr import CSRGraph, graph_from_edges
 from repro.metis import part_graph
 from repro.metis.bisection import recursive_bisection
@@ -24,7 +19,7 @@ from repro.metis.coarsen import contract
 from repro.metis.refine import balance_constraint, greedy_kway_refine
 from repro.partition.metrics import evaluate_partition
 
-from .conftest import KERNEL_MODULES
+from . import reference_kernels as oracle
 
 
 @st.composite
@@ -159,9 +154,8 @@ _RING6 = graph_from_edges(
 )
 
 
-@pytest.mark.skipif(refine_mod._NATIVE is None, reason="C kernels unavailable")
 class TestKwayKernelParity:
-    """The C sweep kernel and the Python loop refine to the same array."""
+    """The C sweep kernel and its Python oracle refine to the same array."""
 
     @settings(max_examples=100, deadline=None)
     @given(
@@ -181,8 +175,7 @@ class TestKwayKernelParity:
         graph, assignment, nparts = inputs
         args = (graph, assignment, nparts, ubfactor, objective, max_passes, seed)
         native = greedy_kway_refine(*args)
-        with mock.patch.object(refine_mod, "_NATIVE", None):
-            python = greedy_kway_refine(*args)
+        python = oracle.greedy_kway_refine(*args)
         np.testing.assert_array_equal(native, python)
         assert native.dtype == python.dtype
 
@@ -222,9 +215,8 @@ def rb_graphs(draw) -> CSRGraph:
     return graph_from_edges(n, edges.reshape(-1, 2), ew, vw)
 
 
-@pytest.mark.skipif(bisection_mod._NATIVE is None, reason="C kernels unavailable")
 class TestRecursiveBisectionKernelParity:
-    """Level-synchronous native RB and the depth-first Python loop agree."""
+    """Level-synchronous native RB and the depth-first Python oracle agree."""
 
     @settings(max_examples=120, deadline=None)
     @given(
@@ -239,18 +231,9 @@ class TestRecursiveBisectionKernelParity:
             st.one_of(st.integers(1, n), st.sampled_from([n, max(1, n - 1)])),
             label="nparts",
         )
-        native = bisection_mod._recursive_bisection_native(
-            graph, nparts, ubfactor, seed
-        )
-        assert native is not None  # no silent fallback on these inputs
-        with pytest.MonkeyPatch.context() as mp:
-            for mod in KERNEL_MODULES:  # the depth-first loop, pure Python
-                mp.setattr(mod, "_NATIVE", None)
-            python = recursive_bisection(graph, nparts, ubfactor, seed).assignment
+        native = recursive_bisection(graph, nparts, ubfactor, seed).assignment
+        python = oracle.recursive_bisection(graph, nparts, ubfactor, seed)
         np.testing.assert_array_equal(native, python)
-        np.testing.assert_array_equal(
-            recursive_bisection(graph, nparts, ubfactor, seed).assignment, python
-        )
 
 
 @st.composite
@@ -267,20 +250,36 @@ def matchings(draw) -> tuple[CSRGraph, np.ndarray]:
     return graph, match
 
 
-@pytest.mark.skipif(coarsen_mod._NATIVE is None, reason="C kernels unavailable")
 class TestContractKernelParity:
-    """The C ``contract`` kernel and the NumPy pipeline build the same level."""
+    """The C ``contract`` kernel and its NumPy oracle build the same level."""
 
     @settings(max_examples=100, deadline=None)
     @given(matchings())
     def test_c_contract_matches_numpy(self, inputs):
         graph, match = inputs
         native = contract(graph, match)
-        with mock.patch.object(coarsen_mod, "_NATIVE", None):
-            python = contract(graph, match)
+        python = oracle.contract(graph, match)
         for name in ("indptr", "indices", "eweights", "vweights"):
             got, want = getattr(native.graph, name), getattr(python.graph, name)
             np.testing.assert_array_equal(got, want)
             assert got.dtype == want.dtype
         np.testing.assert_array_equal(native.fine_to_coarse, python.fine_to_coarse)
         assert native.fine_to_coarse.dtype == python.fine_to_coarse.dtype
+
+
+class TestSubgraphKernelParity:
+    """``CSRGraph.subgraph`` (``rb_extract``) and its oracle agree."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(rb_graphs(), st.integers(0, 2**31))
+    def test_c_subgraph_matches_numpy(self, graph, pick):
+        rng = np.random.default_rng(pick)
+        ids = np.flatnonzero(rng.random(graph.nvertices) < rng.random())
+        native, mapping = graph.subgraph(ids)
+        python = oracle.subgraph(graph, ids)
+        np.testing.assert_array_equal(mapping, ids)
+        for name in ("indptr", "indices", "eweights", "vweights"):
+            got, want = getattr(native, name), getattr(python, name)
+            np.testing.assert_array_equal(got, want)
+            assert got.dtype == want.dtype
+        assert native.total_vweight() == int(python.vweights.sum())

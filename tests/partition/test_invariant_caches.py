@@ -21,7 +21,7 @@ from repro.partition.pipeline import clear_stage_caches, mesh_stage
 from repro.partition.repartition import plan_repartition, repartition_curve
 from repro.service.engine import compute_response
 from repro.service.requests import RepartitionRequest
-from repro.sfc.factorization import admissible_sizes, all_schedules
+from repro.sfc.factorization import admissible_sizes, all_schedules, default_schedule
 
 
 @pytest.fixture(autouse=True)
@@ -109,6 +109,15 @@ class TestPositionCache:
         assert keys.call_count == 1
         assert sfc.POSITIONS_CACHE.stats() == {
             "hits": 10, "misses": 1, "entries": 1,
+        }
+
+    def test_default_schedule_shares_one_entry(self):
+        ne = 6
+        implicit = sfc.curve_key_fn(ne).__self__
+        explicit = sfc.curve_key_fn(ne, default_schedule(ne)).__self__
+        assert explicit is implicit
+        assert sfc.POSITIONS_CACHE.stats() == {
+            "hits": 1, "misses": 1, "entries": 1,
         }
 
     def test_cached_positions_are_read_only(self):

@@ -23,6 +23,7 @@ from repro.seam import (
 from repro.seam.dss import DSSOperator
 from repro.seam.element import _element_geometry
 
+from .reference_dss import apply_numpy
 from .reference_serial import ReferenceDSS, ReferenceShallowWaterSolver
 
 
@@ -97,19 +98,11 @@ class TestDSSGolden:
         with pytest.raises(ValueError, match="C-contiguous float64"):
             dss.apply(v, out=np.empty((*v.shape, 2))[..., 0])
 
-    def test_c_kernel_bitwise_matches_numpy_fallback(self, geom, dss):
-        """The C path and the pure-numpy path agree to the last bit."""
-        from repro._native import LIB
-
-        if LIB is None:
-            pytest.skip("C kernels disabled; only the numpy path runs")
+    def test_c_kernel_bitwise_matches_numpy_oracle(self, geom, dss):
+        """The C kernel and the NumPy oracle agree to the last bit."""
         for shape in [geom.xyz.shape[:3], (*geom.xyz.shape[:3], 3)]:
             q = np.random.default_rng(5).standard_normal(shape)
-            via_c = dss.apply(q)
-            via_np = np.empty_like(q)
-            ncomp, num, _ = dss._shapes[q.shape]
-            dss._apply_numpy(q, via_np, ncomp, num)
-            np.testing.assert_array_equal(via_c, via_np)
+            np.testing.assert_array_equal(dss.apply(q), apply_numpy(dss, q))
 
     def test_interior_points_pass_through_unchanged(self, geom, dss):
         """Multiplicity-1 points are untouched copies, bit for bit."""

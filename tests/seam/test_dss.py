@@ -5,9 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro import _native
 from repro.partition.sfc import sfc_partition
-from repro.seam import dss as dss_mod
 from repro.seam.dss import DSSOperator, build_halo_schedule, build_point_map
 from repro.seam.element import build_geometry
 
@@ -121,13 +119,11 @@ class TestDSS:
         q = rng.standard_normal(dss.local_mass.shape)
         assert not dss.is_continuous(q)
 
-    def test_complex_field_raises_on_both_paths(self, geom, pmap, monkeypatch):
+    def test_complex_field_raises(self, geom, pmap):
         """A complex field is refused, not truncated to its real part."""
-        for lib in {_native.LIB, None}:
-            monkeypatch.setattr(dss_mod, "LIB", lib)
-            op = DSSOperator(geom, pmap)
-            with pytest.raises(TypeError, match="complex128"):
-                op.apply(np.full(op.local_mass.shape, 1 + 2j))
+        op = DSSOperator(geom, pmap)
+        with pytest.raises(TypeError, match="complex128"):
+            op.apply(np.full(op.local_mass.shape, 1 + 2j))
 
 
 class TestExchangeSchedule:

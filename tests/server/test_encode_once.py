@@ -7,8 +7,7 @@ These tests pin that such a body is byte for byte the whole encoding,
 ``json_body(_stamp_identity(to_payload()))``, for both request kinds,
 weighted or not, from every source; that a computed answer is encoded
 exactly once; and that an entry holds one template however often it is
-hit, and none once it is evicted.  CI also runs this suite with
-``REPRO_NO_CKERNELS=1``, which covers the pure-Python encoder.
+hit, and none once it is evicted.
 """
 
 from __future__ import annotations

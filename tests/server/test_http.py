@@ -11,7 +11,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.server.http import (
-    _NATIVE,
     HTTPError,
     decode_json_body,
     error_body,
@@ -403,8 +402,7 @@ class TestDecodeJsonBody:
              "weights": {"scenario": "storm", "step": 3}}
         ).encode()
         data = decode_json_body(body)
-        if _NATIVE is not None:
-            assert isinstance(data["old_assignment"], np.ndarray)
+        assert isinstance(data["old_assignment"], np.ndarray)
         _assert_same(data, _plain(body))
 
     @pytest.mark.parametrize(

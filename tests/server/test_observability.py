@@ -1,9 +1,6 @@
 """Observability end-to-end: trace propagation, debug endpoints, logs.
 
-Each test runs a real server on an ephemeral port.  The trace
-continuity test is also executed with the C kernels disabled
-(``REPRO_NO_CKERNELS=1``) in a subprocess, mirroring the kernel-parity
-suite: request identity must survive both compute paths.
+Each test runs a real server on an ephemeral port.
 """
 
 from __future__ import annotations
@@ -11,8 +8,6 @@ from __future__ import annotations
 import asyncio
 import json
 import os
-import subprocess
-import sys
 
 from repro.server import Connection, fetch
 from repro.telemetry import (
@@ -298,28 +293,3 @@ class TestTraceContinuity:
         # The cache-hit request produced its own (worker-free) trace.
         hit_spans = [s for s in spans if s.args.get("trace_id") == hit_trace]
         assert {s.name for s in hit_spans} == {"request"}
-
-    def test_trace_continuity_without_ckernels(self):
-        """The same continuity holds on the pure-NumPy kernel path."""
-        script = (
-            "import sys; sys.argv = ['pytest']\n"
-            "from tests.server.test_observability import TestTraceContinuity\n"
-            "TestTraceContinuity()"
-            ".test_one_trace_covers_server_engine_and_worker()\n"
-            "print('CONTINUITY-OK')\n"
-        )
-        env = dict(os.environ)
-        env["REPRO_NO_CKERNELS"] = "1"
-        env["PYTHONPATH"] = os.pathsep.join(
-            p for p in ("src", env.get("PYTHONPATH", "")) if p
-        )
-        proc = subprocess.run(
-            [sys.executable, "-c", script],
-            capture_output=True,
-            text=True,
-            env=env,
-            cwd=os.path.dirname(os.path.dirname(os.path.dirname(__file__))),
-            timeout=300,
-        )
-        assert proc.returncode == 0, proc.stderr
-        assert "CONTINUITY-OK" in proc.stdout

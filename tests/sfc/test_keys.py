@@ -2,17 +2,13 @@
 
 ``curve_keys`` must reproduce the visit order of the forward expansion
 in ``tests/sfc/reference_curve.py`` exactly — for every admissible
-size, every refinement schedule, and every implementation (C kernel,
-generic NumPy decode).  The library materializes its curves from these
+size and every refinement schedule — and so must the NumPy oracle of
+its C kernel (``tests/sfc/reference_keys.py``).  The library materializes its curves from these
 keys, so :class:`TestMaterializedCurves` checks them against the same
 oracles, arrays and dtypes alike.
 """
 
 from __future__ import annotations
-
-import os
-import subprocess
-import sys
 
 import numpy as np
 import pytest
@@ -22,15 +18,10 @@ from repro.cubesphere.mesh import cubed_sphere_mesh
 from repro.sfc.baselines import morton_curve
 from repro.sfc.factorization import admissible_sizes, all_schedules, default_schedule
 from repro.sfc.generator import generate_curve
-from repro.sfc.keys import (
-    KEY_DTYPE,
-    _keys_numpy,
-    curve_keys,
-    morton_keys,
-    schedule_tables,
-)
+from repro.sfc.keys import KEY_DTYPE, curve_keys, morton_keys, schedule_tables
 from tests.cubesphere.reference_curve import reference_cubed_sphere_curve
 from tests.sfc.reference_curve import reference_curve, reference_morton_curve
+from tests.sfc.reference_keys import keys_numpy
 
 #: Every admissible size the golden sweep covers (through 24 this is
 #: {1, 2, 3, 4, 6, 8, 9, 12, 16, 18, 24} — all radix mixes appear).
@@ -66,51 +57,23 @@ class TestGoldenEquivalence:
         assert sorted(keys.tolist()) == list(range(12 * 12))
 
 
-class TestImplementationParity:
-    """Both decoders agree (the dispatch is an optimization only)."""
+class TestNumpyOracle:
+    """The NumPy oracle of the ``sfc_keys`` kernel."""
 
     @pytest.mark.parametrize("schedule", ["PP", "PHP", "HPH", "HHH", "HHHH"])
-    def test_generic_matches_forward_expansion(self, schedule):
+    def test_oracle_matches_forward_expansion(self, schedule):
         kt = schedule_tables(schedule)
         x, y = _grid(kt.size)
         golden = reference_curve(schedule).index[x, y]
+        np.testing.assert_array_equal(keys_numpy(x, y, kt).astype(np.int64), golden)
+
+    @pytest.mark.parametrize("schedule", ["HHHH", "PP", "PHHP"])
+    def test_c_kernel_matches_oracle(self, schedule):
+        kt = schedule_tables(schedule)
+        x, y = _grid(kt.size)
         np.testing.assert_array_equal(
-            _keys_numpy(x, y, kt).astype(np.int64), golden
+            curve_keys(x, y, schedule=schedule), keys_numpy(x, y, kt)
         )
-
-    def test_ckernel_and_fallback_identical(self):
-        """Keys do not depend on whether the C kernel loaded.
-
-        Each side runs in a subprocess because the kernel library is
-        chosen at import time (same idiom as the telemetry parity test).
-        """
-        script = (
-            "import json, numpy as np\n"
-            "from repro.sfc.keys import curve_keys\n"
-            "out = {}\n"
-            "for sched in ('HHHH', 'PP', 'PHHP'):\n"
-            "    from repro.sfc.factorization import schedule_size\n"
-            "    n = schedule_size(sched)\n"
-            "    y, x = np.meshgrid(np.arange(n), np.arange(n), indexing='ij')\n"
-            "    out[sched] = curve_keys(\n"
-            "        x.ravel(), y.ravel(), schedule=sched).tolist()\n"
-            "print(json.dumps(out))\n"
-        )
-
-        def run(no_ckernels: bool) -> str:
-            env = dict(os.environ)
-            env.pop("REPRO_NO_CKERNELS", None)
-            if no_ckernels:
-                env["REPRO_NO_CKERNELS"] = "1"
-            return subprocess.run(
-                [sys.executable, "-c", script],
-                capture_output=True,
-                text=True,
-                env=env,
-                check=True,
-            ).stdout
-
-        assert run(no_ckernels=False) == run(no_ckernels=True)
 
 
 class TestMorton:

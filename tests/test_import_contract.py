@@ -1,8 +1,12 @@
 """Layering contract: service and partition never import experiments.
 
-A second contract: importing the server and the service loads no SciPy
-(only the spectral initial bisection needs it, and serving never runs
-it by default), so a server starts without paying for that import.
+A second contract: no module of the package imports SciPy (the
+spectral bisection and the sparse matrices that need it are test
+helpers), so a server starts without paying for that import.
+
+A third: the compiled kernel library is required.  Without a working C
+compiler, importing the package's kernels raises ``ImportError`` naming
+the compiler.
 
 The registry + pipeline refactor inverted the old experiments→service
 dependency; the experiments package is the *top* layer (figure/table
@@ -132,3 +136,61 @@ def test_serving_imports_no_scipy():
         text=True, check=True, timeout=120,
     )
     assert out.stdout.strip() == "[]", out.stdout
+
+
+def _imports_scipy(source: str) -> list[str]:
+    """Lines of ``source`` that import ``scipy`` or a submodule of it."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [node.module or ""]
+        else:
+            continue
+        if any(name.split(".")[0] == "scipy" for name in names):
+            found.append(f"line {node.lineno}")
+    return found
+
+
+def test_no_module_imports_scipy():
+    offenders = {
+        str(path.relative_to(SRC)): lines
+        for path in sorted(SRC.rglob("*.py"))
+        if (lines := _imports_scipy(path.read_text()))
+    }
+    assert not offenders, f"SciPy imports under src/repro: {offenders}"
+
+
+@pytest.mark.parametrize(
+    "source",
+    ["import scipy", "import scipy.sparse as sp", "from scipy.sparse import diags"],
+)
+def test_scipy_detector_catches_imports(source):
+    assert _imports_scipy(source)
+
+
+def test_missing_compiler_fails_the_import(tmp_path):
+    """With no usable compiler and an empty kernel cache, importing the
+    METIS package raises ``ImportError`` that names the compiler."""
+    code = (
+        "try:\n"
+        "    import repro.metis\n"
+        "except ImportError as exc:\n"
+        "    print(exc)\n"
+        "else:\n"
+        "    print('IMPORTED')\n"
+    )
+    env = {
+        **os.environ,
+        "XDG_CACHE_HOME": str(tmp_path),
+        "CC": "/nonexistent",
+        "PYTHONPATH": os.pathsep.join(
+            [str(SRC.parent), os.environ.get("PYTHONPATH", "")]
+        ),
+    }
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True,
+        text=True, check=True, timeout=120,
+    )
+    assert "compiler '/nonexistent'" in out.stdout, out.stdout

@@ -1,8 +1,9 @@
 """Every compiled kernel the loader declares is called by its wrapper.
 
 A Python wrapper that stops calling its kernel (a "de-kernelized" hot
-path) still passes every parity test — the pure-Python fallback gives
-the same answer, only slower.  This test wraps the loaded library in a
+path, say one that re-grows a Python copy of it) still passes every
+golden and oracle test — it gives the same answer, only slower.  This
+test wraps the loaded library in a
 counting proxy in every module that gates on it, runs a small workload
 through the public entry points, and requires one call or more of each
 symbol in :data:`repro._native.SIGNATURES`.
@@ -14,7 +15,6 @@ import collections
 import sys
 
 import numpy as np
-import pytest
 
 import repro.cubesphere.curve as curve_mod
 import repro.seam.dss as dss_mod
@@ -27,9 +27,6 @@ from repro.partition import sfc_partition
 from repro.seam import build_geometry
 from repro.server.http import decode_json_body, json_body
 from repro.sfc.keys import curve_keys
-
-pytestmark = pytest.mark.skipif(_native.LIB is None, reason="C kernels unavailable")
-
 
 class _CountingLib:
     """Forwards to the kernel library, counting calls per symbol."""
