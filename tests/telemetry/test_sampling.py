@@ -17,11 +17,26 @@ def _spin(deadline: float) -> None:
         sum(range(100))
 
 
+def _spin_until_sampled(sampler, seconds: float, timeout: float = 10.0) -> None:
+    """Spin for ``seconds``, then on until the sampler has seen ``_spin``.
+
+    On a loaded machine the sampler thread can be starved for the whole
+    of a short fixed spin; waiting for the first ``_spin`` stack keeps
+    the test about what is sampled, not about scheduling.
+    """
+    _spin(time.perf_counter() + seconds)
+    deadline = time.perf_counter() + timeout
+    while time.perf_counter() < deadline:
+        if any(f.endswith(":_spin") for stack in list(sampler.counts) for f in stack):
+            return
+        _spin(time.perf_counter() + 0.005)
+
+
 class TestStackSampler:
     def test_collects_samples_of_running_code(self):
         sampler = StackSampler(interval=0.002)
         with sampler:
-            _spin(time.perf_counter() + 0.08)
+            _spin_until_sampled(sampler, 0.08)
         assert sampler.samples > 0
         text = sampler.collapsed()
         assert text
@@ -67,7 +82,7 @@ class TestStackSampler:
         assert gc.isenabled()
         sampler = StackSampler(interval=0.002)
         with sampler:
-            _spin(time.perf_counter() + 0.03)
+            _spin_until_sampled(sampler, 0.03)
         assert enabled_during and not any(enabled_during)
         assert gc.isenabled()
         assert "_spin" in sampler.collapsed()
