@@ -4,22 +4,25 @@
 A cold ``/partition`` request builds the mesh, the weighted element
 graph, the partition and its quality metrics; a SEAM run additionally
 builds the DSS point map.  This harness times each of those steps on
-its own, cold, at Ne = 16, 64, 256 (K = 1,536 / 24,576 / 393,216):
+its own, cold, at Ne = 16, 64, 256, 512 (K = 1,536 / 24,576 / 393,216 /
+1,572,864):
 
-* ``mesh`` — ``CubedSphereMesh(ne)`` (corner-node ids + adjacency);
+* ``mesh`` — ``CubedSphereMesh(ne)`` (the closed-form neighbor table);
 * ``graph`` — ``mesh_graph`` with the SEAM weights (np=8 / 1);
 * ``partition`` — ``sfc_partition(ne, 96)`` with its position cache
   cleared first;
 * ``evaluate`` — ``evaluate_partition`` of that partition;
 * ``point_map`` — ``build_point_map`` at np=8.  It reads only the mesh
   and ``np`` of a geometry, so the harness passes those instead of the
-  ``(K, np, np, ...)`` geometry stacks (about 3 GB at Ne=256).
+  ``(K, np, np, ...)`` geometry stacks (about 3 GB at Ne=256).  It is
+  skipped above ``POINT_MAP_MAX_NE`` (256): at Ne=512 it would need
+  about 7 GB.
 
 Each stage reports the best of ``REPEAT`` (3) runs, so the
 figures show where time goes; served-request speed claims come from
 ``perfbench/run.py``.  Writes ``benchmarks/results/pipeline_scaling.json``
-and exits non-zero if a stage returns a wrong-sized result (node and
-point counts, neighbor degrees, part sizes).
+and exits non-zero if a stage returns a wrong-sized result (neighbor
+degrees, graph and point counts, part sizes).
 
 Run ``PYTHONPATH=src python benchmarks/bench_pipeline_scaling.py`` for
 the full sweep or ``--ci`` for the Ne=16 row only.
@@ -39,10 +42,11 @@ sys.path.insert(0, str(HERE.parent / "src"))
 
 RESULTS_PATH = HERE / "results" / "pipeline_scaling.json"
 
-FULL_NES = (16, 64, 256)
+FULL_NES = (16, 64, 256, 512)
 CI_NES = (16,)
 NPARTS = 96
 NPTS = 8
+POINT_MAP_MAX_NE = 256
 REPEAT = 3
 
 
@@ -78,16 +82,20 @@ def measure(ne: int) -> tuple[dict, list[str]]:
 
     part, times["partition"] = _best(cold_partition)
     _, times["evaluate"] = _best(lambda: evaluate_partition(graph, part))
-    geom = SimpleNamespace(mesh=mesh, npts=NPTS)
-    pmap, times["point_map"] = _best(lambda: build_point_map(geom))
-
     failures = []
-    if mesh.nnodes != k + 2:
-        failures.append(f"ne={ne}: {mesh.nnodes} mesh nodes, want {k + 2}")
-    if not (mesh.edge_adjacency.degrees() == 4).all():
+    if ne <= POINT_MAP_MAX_NE:
+        geom = SimpleNamespace(mesh=mesh, npts=NPTS)
+        pmap, times["point_map"] = _best(lambda: build_point_map(geom))
+        if pmap.npoints != 6 * (ne * (NPTS - 1)) ** 2 + 2:
+            failures.append(f"ne={ne}: {pmap.npoints} DSS points")
+
+    if not (mesh.neighbors[:, :4] >= 0).all():
         failures.append(f"ne={ne}: an element lacks 4 edge neighbors")
-    if pmap.npoints != 6 * (ne * (NPTS - 1)) ** 2 + 2:
-        failures.append(f"ne={ne}: {pmap.npoints} DSS points")
+    degree = np.count_nonzero(mesh.neighbors >= 0, axis=1)
+    if np.count_nonzero(degree == 7) != 24 or np.count_nonzero(degree == 8) != k - 24:
+        failures.append(f"ne={ne}: degrees {np.bincount(degree).tolist()}, want 24 of 7")
+    if graph.nedges != 4 * k - 12:
+        failures.append(f"ne={ne}: {graph.nedges} graph edges, want {4 * k - 12}")
     sizes = np.bincount(part.assignment, minlength=NPARTS)
     if sizes.sum() != k or sizes.min() == 0:
         failures.append(f"ne={ne}: partition sizes {sizes.min()}..{sizes.max()}")
@@ -117,7 +125,10 @@ def main(argv: list[str] | None = None) -> int:
         failures += bad
         print(
             f"{ne:5d} {row['k']:9,d} "
-            + " ".join(f"{row['seconds'][s] * 1e3:13.1f}" for s in stages)
+            + " ".join(
+                f"{row['seconds'][s] * 1e3:13.1f}" if s in row["seconds"] else f"{'-':>13}"
+                for s in stages
+            )
         )
 
     RESULTS_PATH.parent.mkdir(exist_ok=True)

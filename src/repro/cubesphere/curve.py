@@ -12,7 +12,7 @@ in which consecutive faces share a cube edge, and (b) one dihedral
 orientation per face.  Rather than hand-transcribing the paper's
 figure, the assignment is *searched* (:func:`find_face_chain`):
 candidate chains and orientations are enumerated deterministically and
-validated against the exact mesh edge-adjacency.  The corner-cell
+validated against the mesh's edge neighbors.  The corner-cell
 alignment across a cube edge does not depend on ``Ne``, so the search
 runs once, on a tiny mesh (:func:`face_chain`).
 
@@ -65,16 +65,11 @@ class FaceChain:
 
 
 def _face_adjacency(mesh: CubedSphereMesh) -> set[tuple[int, int]]:
-    """Pairs of faces sharing a cube edge, derived from the mesh."""
-    pairs = set()
-    edge_pairs, _ = mesh.neighbor_pairs()
+    """Pairs of faces sharing a cube edge, read off the edge neighbors."""
     ne2 = mesh.ne * mesh.ne
-    fa = edge_pairs[:, 0] // ne2
-    fb = edge_pairs[:, 1] // ne2
-    for a, b in zip(fa, fb):
-        if a != b:
-            pairs.add((min(int(a), int(b)), max(int(a), int(b))))
-    return pairs
+    fa = np.repeat(np.arange(NUM_FACES), 4 * ne2).tolist()
+    fb = (mesh.neighbors[:, :4].ravel() // ne2).tolist()
+    return {(min(a, b), max(a, b)) for a, b in zip(fa, fb) if a != b}
 
 
 def _entry_exit_gids(
@@ -105,10 +100,8 @@ def find_face_chain(mesh: CubedSphereMesh) -> FaceChain:
     def faces_adjacent(a: int, b: int) -> bool:
         return (min(a, b), max(a, b)) in adjacent
 
-    edge_adj = mesh.edge_adjacency
-
     def elements_adjacent(a: int, b: int) -> bool:
-        return b in edge_adj.neighbors(a)
+        return b in mesh.neighbors[a, :4]
 
     for order in permutations(range(NUM_FACES)):
         if any(
@@ -266,11 +259,8 @@ class CubedSphereCurve:
 
         True by construction; exposed for tests and sanity checks.
         """
-        adj = self.mesh.edge_adjacency
-        return all(
-            self.order[k + 1] in adj.neighbors(int(self.order[k]))
-            for k in range(len(self) - 1)
-        )
+        edge = self.mesh.neighbors[self.order[:-1], :4]
+        return bool((edge == self.order[1:, None]).any(axis=1).all())
 
 
 def build_curve(

@@ -7,41 +7,25 @@ processors is determined by neighboring elements that share a boundary
 (*edge neighbors*, ``np`` shared GLL points) or a single corner point
 (*corner neighbors*, one shared point).
 
-Corner nodes are the integer lattice ids of
-:func:`repro.cubesphere.topology.lattice_ids` at one interval per
-element edge, the same function that numbers the DSS points of the
-spectral element grid.  Adjacency is counted from shared node ids in
-one sorted int64 pair key, so cross-face neighbors and the eight
-special cube corners — where only three elements meet and an element
-has seven, not eight, neighbors — come out of the same code path as
-face-interior neighbors.
+Both relations are columns of one closed-form ``(K, 8)`` table,
+:func:`repro.cubesphere.topology.neighbor_table`: four edge neighbors,
+then four corner neighbors, ``-1`` where there is none.  Cross-face
+neighbors and the eight special cube corners — where only three
+elements meet and an element has seven, not eight, neighbors — come
+out of integer steps on the cube, with no sort between ``Ne`` and the
+adjacency.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
 from .projection import element_center_local, local_to_sphere, sphere_to_lonlat
-from .topology import NUM_FACES, lattice_coords, lattice_ids
+from .topology import NUM_FACES, corner_nodes_scaled, neighbor_table
 
 __all__ = ["CubedSphereMesh", "cubed_sphere_mesh"]
-
-
-@dataclass(frozen=True)
-class _Adjacency:
-    """CSR-style neighbor lists (indptr/indices) for one relation."""
-
-    indptr: np.ndarray
-    indices: np.ndarray
-
-    def neighbors(self, e: int) -> np.ndarray:
-        return self.indices[self.indptr[e] : self.indptr[e + 1]]
-
-    def degrees(self) -> np.ndarray:
-        return np.diff(self.indptr)
 
 
 class CubedSphereMesh:
@@ -64,7 +48,10 @@ class CubedSphereMesh:
         self.ne = int(ne)
         self.projection = projection
         self.nelem = 6 * self.ne * self.ne
-        self._build_topology()
+        #: ``(nelem, 8)`` read-only neighbor table: edge neighbors in
+        #: columns 0-3, corner neighbors in 4-7, ``-1`` where none.
+        self.neighbors = neighbor_table(self.ne)
+        self.neighbors.setflags(write=False)
         self._centers_xyz: np.ndarray | None = None
         self._centers_lonlat: tuple[np.ndarray, np.ndarray] | None = None
         self._center_lat_trig: tuple[np.ndarray, np.ndarray] | None = None
@@ -94,72 +81,22 @@ class CubedSphereMesh:
         return face, ix, iy
 
     # ------------------------------------------------------------------
-    # Construction
-    # ------------------------------------------------------------------
-    def _build_topology(self) -> None:
-        ids, keys = lattice_ids(self.ne, 1)
-        self.nnodes = int(keys.shape[0])
-        #: (nelem, 4) node ids of each element's corners (CCW in face
-        #: frame): (ix,iy) -> nodes (i,j),(i+1,j),(i+1,j+1),(i,j+1).
-        self.element_nodes = ids[:, [0, 1, 1, 0], [0, 0, 1, 1]]
-        self._node_keys = keys
-        # The 3 or 4 elements meeting at each node, as runs of one sort;
-        # every pair within a run shares that node.  A pair sharing two
-        # nodes shares an edge, one sharing a single node a corner.
-        flat = self.element_nodes.ravel()
-        order = np.argsort(flat, kind="stable")
-        elems = order // 4
-        starts = np.flatnonzero(np.r_[True, np.diff(flat[order]) != 0])
-        counts = np.diff(np.r_[starts, len(order)])
-        pair_keys = []
-        for size in np.unique(counts).tolist():
-            members = elems[starts[counts == size][:, None] + np.arange(size)]
-            # The stable sort keeps each run in ascending element order.
-            a, b = np.triu_indices(size, 1)
-            pair_keys.append((members[:, a] * self.nelem + members[:, b]).ravel())
-        pairs, shared = np.unique(np.concatenate(pair_keys), return_counts=True)
-        self.edge_adjacency = self._to_csr(pairs[shared >= 2])
-        self.corner_adjacency = self._to_csr(pairs[shared == 1])
-
-    def _to_csr(self, pairs: np.ndarray) -> _Adjacency:
-        """CSR of undirected ``lo * nelem + hi`` pair keys, both ways."""
-        lo, hi = np.divmod(pairs, self.nelem)
-        both = np.sort(np.concatenate([pairs, hi * self.nelem + lo]))
-        src, dst = np.divmod(both, self.nelem)
-        indptr = np.searchsorted(src, np.arange(self.nelem + 1))
-        return _Adjacency(indptr=indptr, indices=dst)
-
-    # ------------------------------------------------------------------
     # Queries
     # ------------------------------------------------------------------
     def edge_neighbors(self, gid: int) -> np.ndarray:
-        """Elements sharing a full edge with ``gid`` (always 4)."""
-        return self.edge_adjacency.neighbors(gid)
+        """Elements sharing a full edge with ``gid`` (always 4), sorted."""
+        return np.sort(self.neighbors[gid, :4])
 
     def corner_neighbors(self, gid: int) -> np.ndarray:
-        """Elements sharing exactly one corner point with ``gid``
+        """Elements sharing exactly one corner point with ``gid``, sorted
         (4 for generic elements, 3 for the 24 cube-corner elements)."""
-        return self.corner_adjacency.neighbors(gid)
+        row = self.neighbors[gid, 4:]
+        return np.sort(row[row >= 0])
 
     def all_neighbors(self, gid: int) -> np.ndarray:
         """Union of edge and corner neighbors, sorted."""
-        return np.sort(
-            np.concatenate([self.edge_neighbors(gid), self.corner_neighbors(gid)])
-        )
-
-    def neighbor_pairs(self) -> tuple[np.ndarray, np.ndarray]:
-        """Undirected neighbor pairs ``(edge_pairs, corner_pairs)``.
-
-        Returns:
-            Two ``(m, 2)`` arrays with ``pair[:, 0] < pair[:, 1]``.
-        """
-
-        def undirected(adj: _Adjacency) -> np.ndarray:
-            src = np.repeat(np.arange(self.nelem), adj.degrees())
-            mask = src < adj.indices
-            return np.stack([src[mask], adj.indices[mask]], axis=1)
-
-        return undirected(self.edge_adjacency), undirected(self.corner_adjacency)
+        row = self.neighbors[gid]
+        return np.sort(row[row >= 0])
 
     # ------------------------------------------------------------------
     # Geometry
@@ -210,7 +147,8 @@ class CubedSphereMesh:
         quad.  Sums to ``4 * pi`` over the mesh (tested).
         """
         ne = self.ne
-        scaled = lattice_coords(self._node_keys, ne).astype(np.float64) / ne
+        nodes = np.stack([corner_nodes_scaled(f, ne) for f in range(NUM_FACES)])
+        scaled = nodes.astype(np.float64) / ne
         if self.projection == "equiangular":
             # Node coordinates are linear on the cube; re-warp the two
             # in-face components so areas match the equiangular grid.
@@ -218,8 +156,14 @@ class CubedSphereMesh:
             warped = np.tan(scaled * (np.pi / 4.0))
             on_axis = np.abs(np.abs(scaled) - 1.0) < 1e-12
             scaled = np.where(on_axis, scaled, warped)
-        xyz = scaled / np.linalg.norm(scaled, axis=1, keepdims=True)
-        quads = xyz[self.element_nodes]  # (nelem, 4, 3)
+        xyz = scaled / np.linalg.norm(scaled, axis=-1, keepdims=True)
+        # Corners CCW in the face frame, (i,j),(i+1,j),(i+1,j+1),(i,j+1),
+        # of elements in gid order (face, iy, ix).
+        ix = np.arange(ne)[None, :]
+        quads = np.stack(
+            [xyz[:, ix + di, ix.T + dj] for di, dj in ((0, 0), (1, 0), (1, 1), (0, 1))],
+            axis=3,
+        ).reshape(self.nelem, 4, 3)
 
         def tri_solid_angle(a, b, c):
             num = np.einsum("ij,ij->i", a, np.cross(b, c))

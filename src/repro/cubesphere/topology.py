@@ -1,10 +1,11 @@
-"""Cube topology: face frames and exact lattice-point identification.
+"""Cube topology: face frames, exact lattice points and the neighbour table.
 
 The cubed-sphere (paper Fig. 1) tiles the sphere with the gnomonic
 image of the six faces of the circumscribing cube, each subdivided into
 ``Ne x Ne`` quadrilateral elements.  This module defines the six face
-coordinate frames on the cube ``[-1, 1]^3`` and the *exact* (integer)
-corner-node coordinates used to stitch faces together.
+coordinate frames on the cube ``[-1, 1]^3``, the *exact* (integer)
+lattice-point coordinates used to stitch faces together, and the
+element adjacency.
 
 Face layout (equatorial belt 0-3, north 4, south 5)::
 
@@ -19,12 +20,13 @@ Each face has an outward normal ``n`` and right-handed in-face axes
 ``(ex, ey)`` with ``ex x ey = n``; local coordinates ``(a, b)`` in
 ``[-1, 1]^2`` map to the cube point ``n + a*ex + b*ey``.
 
-Cross-face adjacency is *derived*, not hand-coded: face lattice points
-are integer (scaled) so points on cube edges coincide exactly between
-faces, and :func:`lattice_ids` numbers them with one int64 key sort —
-mesh corner nodes at ``m = 1``, DSS points at ``m = np - 1``.  Two
-elements are neighbors precisely when they share two (edge neighbor) or
-one (corner neighbor) nodes, which gets the eight cube corners right.
+Adjacency has a closed form, :func:`neighbor_table`: an interior
+element's eight neighbours are ``gid + dx + ne*dy``, and only the ring
+elements of a face are stepped in integer cube coordinates, where
+leaving the face through one cube edge lands on the adjacent face and
+leaving through two (a cube corner) finds no neighbour.
+:func:`lattice_ids` numbers shared lattice points across faces with one
+int64 key sort, for the DSS points of the spectral element grid.
 """
 
 from __future__ import annotations
@@ -33,8 +35,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["Face", "FACES", "NUM_FACES", "face_point", "corner_nodes_scaled",
-           "lattice_ids", "lattice_coords"]
+__all__ = ["Face", "FACES", "NUM_FACES", "NEIGHBOR_STEPS", "face_point",
+           "corner_nodes_scaled", "lattice_ids", "neighbor_table"]
 
 NUM_FACES = 6
 
@@ -142,14 +144,13 @@ def lattice_ids(ne: int, m: int) -> tuple[np.ndarray, np.ndarray]:
     ``corner_nodes_scaled(face, ne*m)``.  Each node's integer xyz is one
     mixed-radix int64 key (x most significant), and ids number the
     distinct keys in ascending, i.e. row-lexicographic xyz, order.
-    ``m = 1`` gives mesh corner nodes; ``m = np - 1`` the GLL points of
+    ``m = 1`` gives element corner nodes; ``m = np - 1`` the GLL points of
     the spectral element grid, which are symmetric in each element and
     so are identified across face edges exactly as lattice points are.
 
     Returns:
         ``(ids, keys)``: the ``(6*ne*ne, m+1, m+1)`` int64 ids, elements
-        in gid order, and the sorted key of each id (``npoints`` long,
-        decoded by :func:`lattice_coords`).
+        in gid order, and the sorted key of each id (``npoints`` long).
     """
     n = ne * m
     base = 2 * n + 1
@@ -166,9 +167,58 @@ def lattice_ids(ne: int, m: int) -> tuple[np.ndarray, np.ndarray]:
     return ids.reshape(NUM_FACES * ne * ne, m + 1, m + 1), uniq
 
 
-def lattice_coords(keys: np.ndarray, n: int) -> np.ndarray:
-    """``(len(keys), 3)`` node xyz on ``[-n, n]^3`` of keys at ``n = ne*m``."""
-    base = 2 * n + 1
-    xy, z = np.divmod(keys, base)
-    x, y = np.divmod(xy, base)
-    return np.stack([x, y, z], axis=1) - n
+#: Face-local steps ``(dx, dy)`` of :func:`neighbor_table`'s columns:
+#: the four edge neighbours (-x, +x, -y, +y), then the four diagonals.
+NEIGHBOR_STEPS = np.array(
+    [(-1, 0), (1, 0), (0, -1), (0, 1), (-1, -1), (1, -1), (-1, 1), (1, 1)],
+    dtype=np.int64,
+)
+NEIGHBOR_STEPS.setflags(write=False)
+
+
+def neighbor_table(ne: int) -> np.ndarray:
+    """The eight neighbours of every element, in closed form.
+
+    Column ``c`` of row ``gid`` is the element one face-local step
+    ``NEIGHBOR_STEPS[c]`` away: columns 0-3 are the edge neighbours,
+    4-7 the corner neighbours, and ``-1`` marks a step across a cube
+    corner, where only three elements meet.  So the 24 cube-corner
+    elements have 7 neighbours and the rest 8 (at ``ne = 1`` every
+    diagonal is ``-1``).
+
+    Returns:
+        ``(6*ne*ne, 8)`` int64 element ids.
+    """
+    normal, ex, ey = np.array([(f.normal, f.ex, f.ey) for f in FACES]).transpose(1, 0, 2)
+    dx, dy = NEIGHBOR_STEPS.T
+    gid = np.arange(NUM_FACES * ne * ne, dtype=np.int64).reshape(NUM_FACES, ne, ne)
+    table = np.empty((NUM_FACES, ne, ne, 8), dtype=np.int64)
+    table[:, 1:-1, 1:-1] = gid[:, 1:-1, 1:-1, None] + dx + ne * dy
+
+    # Ring elements: step the centre ne*n + a*ex + b*ey, a = 2*ix + 1 - ne
+    # and b = 2*iy + 1 - ne, on the cube [-ne, ne]^3.  A coordinate that
+    # leaves is clamped and its excess taken off the normal one, which
+    # lands on the centre across the cube edge.
+    ring = np.ones((NUM_FACES, ne, ne), dtype=bool)
+    ring[:, 1:-1, 1:-1] = False
+    face, iy, ix = np.nonzero(ring)
+    n, x, y = normal[face, None], ex[face, None], ey[face, None]
+    a = (2 * ix + 1 - ne)[:, None, None] + 2 * dx[:, None]
+    b = (2 * iy + 1 - ne)[:, None, None] + 2 * dy[:, None]
+    step = ne * n + a * x + b * y  # (ring, 8, 3)
+    excess = np.maximum(np.abs(step) - ne, 0)
+    found = np.count_nonzero(excess, axis=-1) < 2  # two leave: a cube corner
+    step = np.clip(step, -ne, ne) - excess.sum(axis=-1, keepdims=True) * n
+    step = step[found]
+    # The one coordinate of a centre on the cube surface is its face's
+    # normal, coded as ``normal @ (1, 2, 3)`` in ``[-3, 3]``.
+    code = np.array([1, 2, 3], dtype=np.int64)
+    face_of = np.empty(7, dtype=np.int64)
+    face_of[normal @ code + 3] = np.arange(NUM_FACES)
+    to = face_of[np.where(np.abs(step) == ne, np.sign(step), 0) @ code + 3]
+    to_x = (np.einsum("rj,rj->r", step, ex[to]) + ne - 1) // 2
+    to_y = (np.einsum("rj,rj->r", step, ey[to]) + ne - 1) // 2
+    nbr = np.full(found.shape, -1, dtype=np.int64)
+    nbr[found] = to * ne * ne + to_y * ne + to_x
+    table[face, iy, ix] = nbr
+    return table.reshape(-1, 8)

@@ -233,6 +233,16 @@ class CSRGraph:
         return sub, vertices
 
 
+def _vertex_weights(vweights: np.ndarray | None, n: int) -> np.ndarray:
+    """``vweights`` as int64 (all 1 when omitted), checked to be ``n`` long."""
+    if vweights is None:
+        return np.ones(n, dtype=np.int64)
+    vweights = np.asarray(vweights, dtype=np.int64)
+    if len(vweights) != n:
+        raise ValueError("vweights length mismatch")
+    return vweights
+
+
 def graph_from_edges(
     nvertices: int,
     edges: np.ndarray,
@@ -257,12 +267,7 @@ def graph_from_edges(
         eweights = np.asarray(eweights, dtype=np.int64)
         if len(eweights) != m:
             raise ValueError("eweights length mismatch")
-    if vweights is None:
-        vweights = np.ones(nvertices, dtype=np.int64)
-    else:
-        vweights = np.asarray(vweights, dtype=np.int64)
-        if len(vweights) != nvertices:
-            raise ValueError("vweights length mismatch")
+    vweights = _vertex_weights(vweights, nvertices)
     if m and (edges.min() < 0 or edges.max() >= nvertices):
         raise ValueError("edge endpoint out of range")
     if m and (edges[:, 0] == edges[:, 1]).any():
@@ -300,17 +305,26 @@ def mesh_graph(
     point for corner neighbors.
 
     Args:
-        mesh: A :class:`repro.cubesphere.CubedSphereMesh`.
+        mesh: A :class:`repro.cubesphere.CubedSphereMesh`; its
+            neighbor table is the graph's adjacency.
         edge_weight: Weight of edge-neighbor links (shared points).
         corner_weight: Weight of corner-neighbor links.
         vweights: Optional per-element computation weights.
     """
-    edge_pairs, corner_pairs = mesh.neighbor_pairs()
-    edges = np.concatenate([edge_pairs, corner_pairs], axis=0)
-    ew = np.concatenate(
-        [
-            np.full(len(edge_pairs), edge_weight, dtype=np.int64),
-            np.full(len(corner_pairs), corner_weight, dtype=np.int64),
-        ]
+    k = mesh.nelem
+    vweights = _vertex_weights(vweights, k)
+    # Key each table entry as neighbor id * 8 + column: a row sort orders
+    # the neighbors and carries each one's column, hence its edge/corner
+    # weight; the missing (-1) entries sort first and are dropped.
+    key = mesh.neighbors * 8 + np.arange(8)
+    key.sort(axis=1)
+    missing = np.flatnonzero(key < 0)
+    key = np.delete(key, missing)
+    rows = np.arange(k + 1)
+    weights = np.repeat(np.array([edge_weight, corner_weight], dtype=np.int64), 4)
+    return CSRGraph(
+        indptr=8 * rows - np.searchsorted(missing // 8, rows),
+        indices=key >> 3,
+        eweights=weights[key & 7],
+        vweights=vweights,
     )
-    return graph_from_edges(mesh.nelem, edges, ew, vweights)

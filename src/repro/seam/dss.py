@@ -12,9 +12,9 @@ The global point identity map is topological, not geometric: GLL point
 ``(i, j)`` of element ``(face, ix, iy)`` is lattice point
 ``(ix*m + i, iy*m + j)`` of its face with ``m = np - 1``, and
 :func:`repro.cubesphere.topology.lattice_ids` numbers the distinct
-lattice points exactly in integers — the same ids the mesh uses for its
-corner nodes at ``m = 1`` (multiplicities are validated: 1 interior,
-2 edge, 3 at cube corners / 4 at regular corners — tested).
+lattice points exactly in integers (``m = 1`` numbers the element
+corner nodes; multiplicities are validated: 1 interior, 2 edge, 3 at
+cube corners / 4 at regular corners — tested).
 
 Batched layout: :class:`DSSOperator` works on the stacked
 ``(nelem, np, np[, comps...])`` representation end to end.  The scatter

@@ -1,11 +1,13 @@
 """Reference mesh topology: the row-unique node and dict-loop adjacency builders.
 
 This is the historical construction of ``CubedSphereMesh``'s topology,
-kept as the oracle for :func:`repro.cubesphere.topology.lattice_ids`:
-corner nodes are deduplicated by ``np.unique(axis=0)`` over integer xyz
-rows, and neighbors are found by counting, in a Python dict, the nodes
-each pair of elements shares.  The mesh must reproduce its arrays bit
-for bit (``tests/cubesphere/test_mesh.py::TestLatticeOracle``).
+kept as the oracle for :func:`repro.cubesphere.topology.lattice_ids` and
+:func:`repro.cubesphere.topology.neighbor_table`: corner nodes are
+deduplicated by ``np.unique(axis=0)`` over integer xyz rows, and
+neighbors are found by counting, in a Python dict, the nodes each pair
+of elements shares.  The lattice ids, the table's rows and
+``mesh_graph``'s CSR must reproduce its arrays bit for bit
+(``tests/cubesphere/test_mesh.py::TestLatticeOracle``).
 """
 
 from __future__ import annotations
@@ -79,3 +81,12 @@ def _to_csr(
         both[:, 0], np.arange(nelem + 1), side="left"
     ).astype(np.int64)
     return indptr, both[:, 1].copy()
+
+
+def lattice_coords(keys: np.ndarray, n: int) -> np.ndarray:
+    """``(len(keys), 3)`` node xyz on ``[-n, n]^3`` of ``lattice_ids`` keys
+    at ``n = ne*m``."""
+    base = 2 * n + 1
+    xy, z = np.divmod(keys, base)
+    x, y = np.divmod(xy, base)
+    return np.stack([x, y, z], axis=1) - n

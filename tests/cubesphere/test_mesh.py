@@ -6,9 +6,10 @@ import numpy as np
 import pytest
 
 from repro.cubesphere.mesh import CubedSphereMesh, cubed_sphere_mesh
-from repro.cubesphere.topology import lattice_coords
+from repro.cubesphere.topology import lattice_ids
+from repro.graphs.csr import graph_from_edges, mesh_graph
 
-from .reference_mesh import reference_adjacency, reference_nodes
+from .reference_mesh import lattice_coords, reference_adjacency, reference_nodes
 
 
 class TestIndexing:
@@ -35,11 +36,11 @@ class TestIndexing:
 
 class TestAdjacency:
     def test_every_element_has_four_edge_neighbors(self, mesh4):
-        assert (mesh4.edge_adjacency.degrees() == 4).all()
+        assert (mesh4.neighbors[:, :4] >= 0).all()
 
     def test_corner_neighbor_counts(self, mesh4):
         """24 cube-corner elements have 3 corner neighbors, rest 4."""
-        deg = mesh4.corner_adjacency.degrees()
+        deg = np.count_nonzero(mesh4.neighbors[:, 4:] >= 0, axis=1)
         vals, counts = np.unique(deg, return_counts=True)
         assert dict(zip(vals.tolist(), counts.tolist())) == {3: 24, 4: 72}
 
@@ -81,24 +82,22 @@ class TestAdjacency:
             mesh4.edge_neighbors(gid).tolist()
         ) | set(mesh4.corner_neighbors(gid).tolist())
 
-    def test_neighbor_pairs_counts(self, mesh4):
-        edge_pairs, corner_pairs = mesh4.neighbor_pairs()
-        # 4 edge neighbors each -> 2*nelem undirected edges.
-        assert len(edge_pairs) == 2 * mesh4.nelem
-        assert (edge_pairs[:, 0] < edge_pairs[:, 1]).all()
-        assert (corner_pairs[:, 0] < corner_pairs[:, 1]).all()
-
     def test_ne1_adjacency(self):
         """At ne=1 each face-element touches the four adjacent faces."""
         m = CubedSphereMesh(1)
-        assert (m.edge_adjacency.degrees() == 4).all()
+        assert (m.neighbors[:, :4] >= 0).all()
         # No pure corner neighbors: all face pairs meeting at a corner
         # already share an edge at this degenerate resolution.
-        assert (m.corner_adjacency.degrees() == 0).all()
+        assert (m.neighbors[:, 4:] == -1).all()
+
+    def test_table_is_read_only(self, mesh4):
+        with pytest.raises(ValueError):
+            mesh4.neighbors[0, 0] = 1
 
 
 class TestLatticeOracle:
-    """The lattice-id topology equals the row-unique + dict-loop builders."""
+    """Lattice ids, the neighbor table and the mesh graph equal the
+    row-unique + dict-loop builders."""
 
     @staticmethod
     def _assert_identical(got: np.ndarray, want: np.ndarray) -> None:
@@ -106,20 +105,40 @@ class TestLatticeOracle:
         assert got.shape == want.shape
         assert np.array_equal(got, want)
 
+    @staticmethod
+    def _pairs(indptr: np.ndarray, indices: np.ndarray) -> np.ndarray:
+        src = np.repeat(np.arange(len(indptr) - 1), np.diff(indptr))
+        keep = src < indices
+        return np.stack([src[keep], indices[keep]], axis=1)
+
     @pytest.mark.parametrize("ne", range(1, 25))
     def test_bit_identical_to_reference(self, ne):
         mesh = CubedSphereMesh(ne)
         element_nodes, nnodes, coords = reference_nodes(ne)
-        (edge_ptr, edge_idx), (corner_ptr, corner_idx) = reference_adjacency(
-            element_nodes, nnodes
-        )
-        assert mesh.nnodes == nnodes
-        self._assert_identical(mesh.element_nodes, element_nodes)
-        self._assert_identical(lattice_coords(mesh._node_keys, ne), coords)
-        self._assert_identical(mesh.edge_adjacency.indptr, edge_ptr)
-        self._assert_identical(mesh.edge_adjacency.indices, edge_idx)
-        self._assert_identical(mesh.corner_adjacency.indptr, corner_ptr)
-        self._assert_identical(mesh.corner_adjacency.indices, corner_idx)
+        ids, keys = lattice_ids(ne, 1)
+        self._assert_identical(ids[:, [0, 1, 1, 0], [0, 0, 1, 1]], element_nodes)
+        assert len(keys) == nnodes
+        self._assert_identical(lattice_coords(keys, ne), coords)
+
+        edge, corner = reference_adjacency(element_nodes, nnodes)
+        for cols, (indptr, indices) in ((slice(0, 4), edge), (slice(4, 8), corner)):
+            rows = mesh.neighbors[:, cols]
+            # Missing (-1) entries sort last as nelem, then drop.
+            rows = np.sort(np.where(rows < 0, mesh.nelem, rows))
+            has = rows < mesh.nelem
+            self._assert_identical(rows[has], indices)
+            self._assert_identical(np.r_[0, np.cumsum(has.sum(axis=1))], indptr)
+
+        edge_pairs, corner_pairs = self._pairs(*edge), self._pairs(*corner)
+        edges = np.concatenate([edge_pairs, corner_pairs])
+        vweights = np.arange(mesh.nelem) % 5 + 1
+        for kwargs in ({}, {"vweights": vweights}):
+            for ew, cw in ((8, 1), (3, 2)):
+                eweights = np.r_[np.full(len(edge_pairs), ew), np.full(len(corner_pairs), cw)]
+                want = graph_from_edges(mesh.nelem, edges, eweights, **kwargs)
+                got = mesh_graph(mesh, ew, cw, **kwargs)
+                for name in ("indptr", "indices", "eweights", "vweights"):
+                    self._assert_identical(getattr(got, name), getattr(want, name))
 
 
 class TestGeometry:
@@ -149,7 +168,11 @@ class TestGeometry:
         assert eq.max() / eq.min() < ed.max() / ed.min()
 
     def test_nnodes(self, mesh4):
-        assert mesh4.nnodes == 6 * 16 + 2
+        """Euler's V = 2 - F + E over the table's edges numbers exactly
+        the lattice's corner nodes."""
+        _, keys = lattice_ids(mesh4.ne, 1)
+        nedges = np.count_nonzero(mesh4.neighbors[:, :4] >= 0) // 2
+        assert len(keys) == 2 - mesh4.nelem + nedges == 6 * 16 + 2
 
 
 class TestCache:

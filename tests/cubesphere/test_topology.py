@@ -7,16 +7,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.cubesphere.mesh import CubedSphereMesh
 from repro.cubesphere.topology import (
     FACES,
+    NEIGHBOR_STEPS,
     NUM_FACES,
     Face,
     corner_nodes_scaled,
     face_point,
-    lattice_coords,
     lattice_ids,
+    neighbor_table,
 )
+
+from .reference_mesh import lattice_coords
 
 
 class TestFaces:
@@ -145,21 +147,50 @@ class TestLatticeIds:
         assert hist == {k: v for k, v in want.items() if v}
 
     @settings(max_examples=30, deadline=None)
-    @given(ne=st.integers(1, 24))
+    @given(ne=st.integers(1, 96))
     def test_neighbor_counts_and_symmetry(self, ne):
-        mesh = CubedSphereMesh(ne)
-        assert (mesh.edge_adjacency.degrees() == 4).all()
-        corner = mesh.corner_adjacency.degrees()
+        """The table is symmetric, class for class, with degree 8 but 7
+        at the 24 cube-corner elements, and no row repeats an id."""
+        table = neighbor_table(ne)
+        k = 6 * ne * ne
+        assert table.shape == (k, 8) and table.dtype == np.int64
+        assert table.min() >= -1 and table.max() < k
+        assert (table[:, :4] >= 0).all()
+        degree = np.count_nonzero(table >= 0, axis=1)
         if ne == 1:
             # Every face pair meeting at a corner also shares an edge.
-            assert (corner == 0).all()
+            assert (degree == 4).all()
         else:
-            # 3 elements meet at each of the 8 cube corners.
-            assert np.count_nonzero(corner == 3) == 24
-            assert np.count_nonzero(corner == 4) == mesh.nelem - 24
-        for adj in (mesh.edge_adjacency, mesh.corner_adjacency):
-            src = np.repeat(np.arange(mesh.nelem), adj.degrees())
-            fwd = np.sort(src * mesh.nelem + adj.indices)
-            rev = np.sort(adj.indices * mesh.nelem + src)
+            assert np.count_nonzero(degree == 7) == 24
+            assert np.count_nonzero(degree == 8) == k - 24
+        rows = np.sort(np.where(table < 0, k + np.arange(8), table), axis=1)
+        assert (np.diff(rows, axis=1) > 0).all()
+        gid = np.arange(k)
+        assert not (table == gid[:, None]).any()
+        for cols in (slice(0, 4), slice(4, 8)):
+            src = np.broadcast_to(gid[:, None], table[:, cols].shape)
+            has = table[:, cols] >= 0
+            fwd = np.sort(src[has] * k + table[:, cols][has])
+            rev = np.sort(table[:, cols][has] * k + src[has])
             assert np.array_equal(fwd, rev)
-            assert not (src == adj.indices).any()
+
+
+class TestNeighborTable:
+    def test_interior_rows_are_grid_steps(self):
+        ne = 5
+        table = neighbor_table(ne)
+        gid = 3 * ne * ne + 2 * ne + 2  # face 3, (ix, iy) = (2, 2)
+        dx, dy = NEIGHBOR_STEPS.T
+        assert np.array_equal(table[gid], gid + dx + ne * dy)
+
+    def test_cube_corner_diagonal_is_missing(self):
+        """The outward diagonal of a face-corner element crosses a cube
+        corner, where only three elements meet."""
+        ne = 4
+        table = neighbor_table(ne)
+        for face in range(NUM_FACES):
+            for ix, iy in ((0, 0), (ne - 1, 0), (0, ne - 1), (ne - 1, ne - 1)):
+                gid = face * ne * ne + iy * ne + ix
+                (missing,) = np.flatnonzero(table[gid] < 0)
+                outward = (1 if ix else -1, 1 if iy else -1)
+                assert tuple(NEIGHBOR_STEPS[missing]) == outward

@@ -12,7 +12,8 @@ The registry + pipeline refactor inverted the old experiments→service
 dependency; the experiments package is the *top* layer (figure/table
 drivers) and nothing below it may reach back up.  This test walks the
 AST of every module in the lower layers so the contract cannot rot
-silently (CI additionally greps for the same thing).
+silently; it is the only check of it, and unlike a text grep it also
+catches ``from .. import experiments``.
 """
 
 from __future__ import annotations
