@@ -1060,29 +1060,18 @@ def _cmd_methods(args: argparse.Namespace) -> int:
 
 def _cmd_cache(args: argparse.Namespace) -> int:
     """``repro cache info``: pipeline versions + optional dir scan."""
+    from .memo import stage_cache_stats
     from .partition.pipeline import STAGE_VERSIONS, cache_version
-    from .seam.dss import dss_memo_stats
-    from .seam.element import geometry_cache_stats
     from .service.cache import scan_cache_dir
 
     print(f"cache version: {cache_version()}")
     stages = " ".join(f"{s}={v}" for s, v in STAGE_VERSIONS.items())
     print(f"stage versions: {stages}")
-    geo = geometry_cache_stats()
-    entries = ", ".join(
-        f"ne={k['ne']}/np={k['npts']} ({k['bytes']} B)" for k in geo["keys"]
-    )
-    print(
-        f"geometry cache: {geo['entries']}/{geo['maxsize']} entries, "
-        f"{geo['hits']} hits, {geo['misses']} misses, "
-        f"{geo['evictions']} evictions"
-        + (f" [{entries}]" if entries else "")
-    )
-    memo = dss_memo_stats()
-    print(
-        f"dss operator memo: {memo['entries']} entries, "
-        f"{memo['hits']} hits, {memo['misses']} misses"
-    )
+    for stage, memo in stage_cache_stats().items():
+        print(
+            f"memo {stage}: {memo['entries']} entries, "
+            f"{memo['hits']} hits, {memo['misses']} misses"
+        )
     if args.cache_dir is not None:
         info = scan_cache_dir(args.cache_dir)
         print(f"cache dir: {args.cache_dir}")

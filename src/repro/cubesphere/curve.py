@@ -33,10 +33,10 @@ from itertools import permutations
 
 import numpy as np
 
+from ..memo import StageCache
 from ..sfc.factorization import default_schedule, schedule_size
 from ..sfc.keys import _face_keys_c, schedule_tables
 from ..sfc.transforms import ALL_TRANSFORMS, Transform
-from ..telemetry import span
 from .mesh import CubedSphereMesh, cubed_sphere_mesh
 from .topology import NUM_FACES
 
@@ -294,21 +294,23 @@ def build_curve(
     )
 
 
-@lru_cache(maxsize=32)
-def _cached_curve(ne: int, schedule: str, projection: str) -> CubedSphereCurve:
-    # Only cold builds reach this span (the lru_cache answers repeats).
-    with span("cubed_sphere_curve", "sfc", ne=ne, schedule=schedule):
-        return build_curve(cubed_sphere_mesh(ne, projection), schedule)
+#: Materialized curves of this process, one per ``(ne, schedule, projection)``.
+_CURVE_MEMO = StageCache("curve", maxsize=32)
 
 
 def cubed_sphere_curve(
     ne: int, schedule: str | None = None, projection: str = "equiangular"
 ) -> CubedSphereCurve:
-    """Cached global curve for resolution ``ne``.
+    """Memoized global curve for resolution ``ne``.
 
-    See :func:`build_curve`; meshes and curves are memoized because
+    See :func:`build_curve`; meshes and curves are memoized (the
+    ``mesh`` and ``curve`` memos of :mod:`repro.memo`) because
     experiments sweep many processor counts over the same resolution.
     """
+    ne = int(ne)
     if schedule is None:
         schedule = default_schedule(ne)
-    return _cached_curve(ne, schedule, projection)
+    return _CURVE_MEMO.get_or_compute(
+        (ne, schedule, projection),
+        lambda: build_curve(cubed_sphere_mesh(ne, projection), schedule),
+    )

@@ -18,10 +18,9 @@ adjacency.
 
 from __future__ import annotations
 
-from functools import lru_cache
-
 import numpy as np
 
+from ..memo import StageCache
 from .projection import element_center_local, local_to_sphere, sphere_to_lonlat
 from .topology import NUM_FACES, corner_nodes_scaled, neighbor_table
 
@@ -186,12 +185,19 @@ class CubedSphereMesh:
         )
 
 
-@lru_cache(maxsize=32)
+#: Meshes of this process, one per ``(ne, projection)``.
+_MESH_MEMO = StageCache("mesh", maxsize=32)
+
+
 def cubed_sphere_mesh(ne: int, projection: str = "equiangular") -> CubedSphereMesh:
-    """Cached constructor for :class:`CubedSphereMesh`.
+    """Memoized constructor for :class:`CubedSphereMesh`.
 
     Experiments and the partition service re-use the same handful of
     resolutions, so meshes — topology plus the lazily built geometry
-    caches — are memoized (they are immutable after construction).
+    caches — are kept in the process's ``mesh`` memo
+    (:mod:`repro.memo`); they are immutable after construction.
     """
-    return CubedSphereMesh(ne, projection)
+    ne = int(ne)
+    return _MESH_MEMO.get_or_compute(
+        (ne, projection), lambda: CubedSphereMesh(ne, projection)
+    )

@@ -10,13 +10,14 @@ traced (a ``stage:<name>`` telemetry span) and versioned:
 * **partition** — the registry-resolved method applied to the problem;
 * **evaluate** — the Table-2 quality metrics of the partition.
 
-The mesh and graph stages are memoized in small per-process LRU caches
-keyed by ``(stage version, parameters)``, so a batch that sweeps many
-methods at the same ``ne`` builds the mesh and graph **once** and every
-other method reuses them (``stage_cache_total{stage=...,outcome=hit}``
-counts the reuse).  The partition and evaluate stages are *not*
-memoized here — their results are exactly what the service engine's
-two-tier response cache stores, content-addressed by request.
+The mesh and graph stages are memoized in the process's ``mesh`` and
+``graph`` memos (:mod:`repro.memo`; the graph's keys carry its stage
+version), so a batch that sweeps many methods at the same ``ne`` builds
+the mesh and graph **once** and every other method reuses them
+(``stage_cache_total{stage=...,outcome=hit}`` counts the reuse).  The
+partition and evaluate stages are *not* memoized here — their results
+are exactly what the service engine's two-tier response cache stores,
+content-addressed by request.
 
 :data:`STAGE_VERSIONS` tags every stage's implementation; bump a
 stage's version whenever its output changes and :func:`cache_version`
@@ -32,11 +33,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..cubesphere.mesh import cubed_sphere_mesh
+from ..memo import StageCache, clear_stage_caches, stage_cache_stats
 from ..telemetry import span
-from . import registry, sfc
+from . import registry
 from .base import Partition
 from .metrics import PartitionQuality, evaluate_partition
-from .stagecache import StageCache
 
 __all__ = [
     "STAGE_VERSIONS",
@@ -74,31 +75,9 @@ def cache_version() -> str:
     return ".".join(f"{s}{STAGE_VERSIONS[s]}" for s in STAGE_VERSIONS)
 
 
-_MESH_CACHE = StageCache(
-    "mesh", maxsize=32, version=lambda: STAGE_VERSIONS["mesh"]
-)
 _GRAPH_CACHE = StageCache(
     "graph", maxsize=16, version=lambda: STAGE_VERSIONS["graph"]
 )
-
-
-def stage_cache_stats() -> dict[str, dict[str, int]]:
-    """Hit/miss/entry counts of the memoized stages (this process)."""
-    return {"mesh": _MESH_CACHE.stats(), "graph": _GRAPH_CACHE.stats()}
-
-
-def clear_stage_caches() -> None:
-    """Drop every per-process stage cache and reset its counters.
-
-    Besides the mesh/graph stage caches this drops the memoized
-    :func:`~repro.cubesphere.mesh.cubed_sphere_mesh` meshes (so the
-    next :func:`mesh_stage` really builds one, with the center
-    geometry cached on it) and the SFC curve-position arrays.
-    """
-    _MESH_CACHE.clear()
-    _GRAPH_CACHE.clear()
-    cubed_sphere_mesh.cache_clear()
-    sfc.POSITIONS_CACHE.clear()
 
 
 def _default_npts() -> int:
@@ -110,12 +89,12 @@ def _default_npts() -> int:
 
 
 def mesh_stage(ne: int):
-    """The cubed-sphere mesh at ``ne`` (stage-cached per process)."""
-    return _MESH_CACHE.get_or_compute((int(ne),), lambda: cubed_sphere_mesh(ne))
+    """The cubed-sphere mesh at ``ne``: the process's ``mesh`` memo."""
+    return cubed_sphere_mesh(ne)
 
 
 def graph_stage(ne: int, npts: int | None = None):
-    """The weighted element graph at ``ne`` (stage-cached per process).
+    """The weighted element graph at ``ne``: the process's ``graph`` memo.
 
     Args:
         ne: Elements per cube-face edge.

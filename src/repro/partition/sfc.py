@@ -45,12 +45,12 @@ from typing import Callable
 import numpy as np
 
 from ..cubesphere.curve import element_keys
+from ..memo import StageCache
 from ..sfc.factorization import default_schedule, factorize_2_3
 from ..sfc.keys import morton_keys
 from ..telemetry import span
 from .base import Partition
 from .registry import validate_weights
-from .stagecache import StageCache
 
 __all__ = [
     "DEFAULT_CHUNK",

@@ -20,7 +20,6 @@ from .dss import (
     build_halo_schedule,
     build_point_map,
     clear_dss_memo,
-    dss_memo_stats,
     shared_dss_operator,
 )
 from .element import (
@@ -28,7 +27,6 @@ from .element import (
     GridGeometry,
     build_geometry,
     clear_geometry_cache,
-    geometry_cache_stats,
 )
 from .gll import GLLBasis, gll_basis, legendre_and_derivative
 from .transport import (
@@ -62,9 +60,7 @@ __all__ = [
     "clear_geometry_cache",
     "conservation_drift",
     "cosine_bell",
-    "dss_memo_stats",
     "error_norms",
-    "geometry_cache_stats",
     "gll_basis",
     "legendre_and_derivative",
     "rotate_about_axis",

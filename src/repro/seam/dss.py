@@ -27,13 +27,13 @@ axes, projecting e.g. a ``(nelem, np, np, 3)`` velocity in one call.
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
 
 from .._native import LIB
 from ..cubesphere.topology import lattice_ids
+from ..memo import StageCache
 from ..partition.base import Partition
 from ..telemetry import inc, span
 from .element import GridGeometry
@@ -44,7 +44,6 @@ __all__ = [
     "DSSOperator",
     "shared_dss_operator",
     "clear_dss_memo",
-    "dss_memo_stats",
     "build_halo_schedule",
 ]
 
@@ -241,68 +240,24 @@ class DSSOperator:
         return float((self.local_mass * field).sum())
 
 
-class _DSSMemo:
-    """Per-geometry DSS operator memo (mirrors the pipeline stage memo).
-
-    ``ShallowWaterSolver`` and ``TransportSolver`` each build a
-    ``DSSOperator`` (and thus a point map) when none is passed; solvers
-    at the same resolution now share one operator instead.  Keyed by
-    ``(ne, npts)`` with an identity check on the geometry object, so a
-    rebuilt geometry (e.g. after ``clear_geometry_cache``) never pairs
-    with a stale operator.
-    """
-
-    def __init__(self, maxsize: int = 8) -> None:
-        self.maxsize = maxsize
-        self._entries: OrderedDict[tuple[int, int], DSSOperator] = OrderedDict()
-        self.hits = 0
-        self.misses = 0
-
-    def get_or_build(self, geom: GridGeometry) -> DSSOperator:
-        key = (geom.mesh.ne, geom.npts)
-        op = self._entries.get(key)
-        if op is not None and op.geom is geom:
-            self._entries.move_to_end(key)
-            self.hits += 1
-            inc("dss_memo_total", outcome="hit")
-            return op
-        self.misses += 1
-        inc("dss_memo_total", outcome="miss")
-        op = DSSOperator(geom)
-        self._entries[key] = op
-        while len(self._entries) > self.maxsize:
-            self._entries.popitem(last=False)
-        return op
-
-    def stats(self) -> dict[str, int]:
-        return {
-            "hits": self.hits,
-            "misses": self.misses,
-            "entries": len(self._entries),
-        }
-
-    def clear(self) -> None:
-        self._entries.clear()
-        self.hits = 0
-        self.misses = 0
-
-
-_DSS_MEMO = _DSSMemo(maxsize=8)
+#: DSS operators of this process, one per geometry object.
+_DSS_MEMO = StageCache("dss", maxsize=8)
 
 
 def shared_dss_operator(geom: GridGeometry) -> DSSOperator:
     """A :class:`DSSOperator` for ``geom``, shared across solvers.
 
-    Returns the memoized operator when ``geom`` is the same object as
-    the one the cached operator was built for; otherwise builds (and
-    memoizes) a fresh one.
+    ``ShallowWaterSolver`` and ``TransportSolver`` each take this
+    operator when none is passed, so solvers at the same resolution
+    share one.  The process's ``dss`` memo keys it by ``(ne, npts,
+    id(geom))``: a rebuilt geometry (e.g. after
+    ``clear_geometry_cache``) never pairs with a stale operator, and
+    since the cached operator holds ``geom``, the id cannot be reused
+    while its entry lives.
     """
-    return _DSS_MEMO.get_or_build(geom)
-
-
-def dss_memo_stats() -> dict[str, int]:
-    """Hit/miss counts of the shared DSS operator memo."""
-    return _DSS_MEMO.stats()
+    return _DSS_MEMO.get_or_compute(
+        (geom.mesh.ne, geom.npts, id(geom)), lambda: DSSOperator(geom)
+    )
 
 
 def clear_dss_memo() -> None:

@@ -27,14 +27,13 @@ elements]`` on every construction.
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
 
 from ..cubesphere.mesh import CubedSphereMesh
 from ..cubesphere.topology import FACES
-from ..telemetry import inc, span
+from ..memo import StageCache
 from .gll import GLLBasis, gll_basis
 
 __all__ = [
@@ -42,7 +41,6 @@ __all__ = [
     "GridGeometry",
     "build_geometry",
     "clear_geometry_cache",
-    "geometry_cache_stats",
 ]
 
 
@@ -147,16 +145,6 @@ class GridGeometry:
     @property
     def nelem(self) -> int:
         return self.mesh.nelem
-
-    def nbytes(self) -> int:
-        """Memory footprint of the stacked arrays."""
-        return sum(
-            a.nbytes
-            for a in (
-                self.xyz, self.basis_a, self.basis_b,
-                self.jac, self.ginv, self.local_mass,
-            )
-        )
 
     def total_area(self) -> float:
         """Quadrature surface area (should be ``4 pi``; tested)."""
@@ -354,7 +342,7 @@ def _build_stacks(
 
 
 def _build_grid_geometry(ne: int, npts: int) -> GridGeometry:
-    """Uncached geometry construction (the geometry-cache miss path)."""
+    """Uncached geometry construction (the ``geometry`` memo's miss path)."""
     from ..cubesphere.mesh import cubed_sphere_mesh
 
     mesh = cubed_sphere_mesh(ne)
@@ -365,87 +353,27 @@ def _build_grid_geometry(ne: int, npts: int) -> GridGeometry:
     return GridGeometry(mesh, basis, *stacks)
 
 
-class GeometryCache:
-    """Documented LRU cache of built grid geometries.
-
-    Replaces the historical opaque ``lru_cache(maxsize=8)`` on
-    :func:`build_geometry`: same eviction policy (least recently used
-    beyond ``maxsize`` entries), but with hit/miss counters published
-    to the metrics registry (``geometry_cache_total{outcome=...}``), a
-    traced build span (``geometry_build``), and per-entry stats
-    surfaced by ``repro cache info``.  The eviction hazard is now
-    observable: a workload cycling through more than ``maxsize``
-    distinct ``(ne, npts)`` resolutions shows up as a rising miss
-    count, not silent rebuild latency.
-    """
-
-    def __init__(self, maxsize: int = 8) -> None:
-        self.maxsize = maxsize
-        self._entries: OrderedDict[tuple[int, int], GridGeometry] = OrderedDict()
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0
-
-    def get_or_build(self, ne: int, npts: int) -> GridGeometry:
-        key = (ne, npts)
-        geom = self._entries.get(key)
-        if geom is not None:
-            self._entries.move_to_end(key)
-            self.hits += 1
-            inc("geometry_cache_total", outcome="hit")
-            return geom
-        self.misses += 1
-        inc("geometry_cache_total", outcome="miss")
-        with span("geometry_build", "seam", ne=ne, npts=npts):
-            geom = _build_grid_geometry(ne, npts)
-        self._entries[key] = geom
-        while len(self._entries) > self.maxsize:
-            self._entries.popitem(last=False)
-            self.evictions += 1
-        return geom
-
-    def stats(self) -> dict[str, object]:
-        return {
-            "hits": self.hits,
-            "misses": self.misses,
-            "evictions": self.evictions,
-            "entries": len(self._entries),
-            "maxsize": self.maxsize,
-            "keys": [
-                {"ne": ne, "npts": npts, "bytes": geom.nbytes()}
-                for (ne, npts), geom in self._entries.items()
-            ],
-        }
-
-    def clear(self) -> None:
-        self._entries.clear()
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0
-
-
-_GEOMETRY_CACHE = GeometryCache(maxsize=8)
-
-
-def geometry_cache_stats() -> dict[str, object]:
-    """Hit/miss/eviction counts and entries of the geometry cache."""
-    return _GEOMETRY_CACHE.stats()
+#: Grid geometries of this process, one per ``(ne, npts)``.
+_GEOMETRY_MEMO = StageCache("geometry", maxsize=8)
 
 
 def clear_geometry_cache() -> None:
-    """Drop all cached geometries and reset the counters."""
-    _GEOMETRY_CACHE.clear()
+    """Drop all memoized geometries and reset the counters."""
+    _GEOMETRY_MEMO.clear()
 
 
 def build_geometry(ne: int, npts: int = 8) -> GridGeometry:
     """Build (and cache) the SE grid geometry for resolution ``ne``.
 
-    Cached in a process-wide :class:`GeometryCache` (LRU, 8 entries,
-    hit/miss counters under ``geometry_cache_total``); repeated calls
-    at the same resolution return the same object.
+    Kept in the process's ``geometry`` memo (:mod:`repro.memo`: LRU,
+    8 entries, counted under ``stage_cache_total{stage="geometry"}``);
+    repeated calls at the same resolution return the same object.
 
     Args:
         ne: Elements per cube-face edge.
         npts: GLL points per element edge (SEAM default 8).
     """
-    return _GEOMETRY_CACHE.get_or_build(int(ne), int(npts))
+    ne, npts = int(ne), int(npts)
+    return _GEOMETRY_MEMO.get_or_compute(
+        (ne, npts), lambda: _build_grid_geometry(ne, npts)
+    )

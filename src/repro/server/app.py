@@ -21,7 +21,8 @@
 * ``GET /metrics`` — Prometheus text exposition of the active
   telemetry session's registry.
 * ``GET /debug/vars`` — live internals: build info, cache hit rates,
-  pool/coalescing depth, geometry-cache counters, SLO windows.
+  pool/coalescing depth, the hit/miss/entry counts of this process's
+  memos (``memos``, by stage), SLO windows.
 * ``GET /debug/requests`` — ring buffer of the last N requests
   (status, latency, source, trace id).
 * ``GET /debug/profile?seconds=S`` — collapsed-stack wall-clock
@@ -85,9 +86,8 @@ from contextlib import ExitStack, suppress
 from time import perf_counter
 
 from .. import __version__
+from ..memo import stage_cache_stats
 from ..partition import registry
-from ..seam.dss import dss_memo_stats
-from ..seam.element import geometry_cache_stats
 from ..service import PartitionEngine, PartitionRequest, RepartitionRequest
 from ..service.cache import encoded_body
 from ..service.engine import _pool_compute
@@ -667,8 +667,7 @@ class PartitionServer:
             },
             "engine": self.engine.stats.summary(),
             "cache": self.engine.cache.stats(),
-            "geometry_cache": geometry_cache_stats(),
-            "dss_memo": dss_memo_stats(),
+            "memos": stage_cache_stats(),
             "slo": self.slo.health(),
             "recent_requests": {
                 "size": len(self._recent),

@@ -61,7 +61,6 @@ BUCKETS_BY_METRIC: dict[str, tuple[float, ...]] = {
 HELP_BY_METRIC: dict[str, str] = {
     "cache_hits": "Requests answered from the partition cache.",
     "cache_misses": "Requests that missed the partition cache.",
-    "dss_memo_total": "Shared DSS-operator memo lookups by outcome.",
     "part_graph_total": "part_graph calls by method.",
     "pool_queue_depth": "Cache misses queued on the engine worker pool.",
     "request_compute_seconds": "Worker compute time per computed request.",
@@ -87,6 +86,7 @@ HELP_BY_METRIC: dict[str, str] = {
     "server_request_seconds": "Server request latency (accept to response).",
     "server_requests_total": "HTTP requests served, by status and partitioner.",
     "service_requests_total": "Partition requests served, by source.",
+    "stage_cache_total": "Per-process memo lookups, by stage and outcome.",
     "worker_payloads_merged": "Worker telemetry payloads merged by the parent.",
 }
 

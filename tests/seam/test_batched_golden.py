@@ -11,12 +11,11 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.memo import stage_cache_stats
 from repro.seam import (
     ShallowWaterSolver,
     build_geometry,
     clear_dss_memo,
-    dss_memo_stats,
-    geometry_cache_stats,
     shared_dss_operator,
     williamson_tc2,
 )
@@ -174,7 +173,7 @@ class TestCaches:
         op1 = shared_dss_operator(geom)
         op2 = shared_dss_operator(geom)
         assert op1 is op2
-        stats = dss_memo_stats()
+        stats = stage_cache_stats()["dss"]
         assert stats["hits"] >= 1 and stats["misses"] >= 1
 
     def test_solvers_share_default_operator(self, geom):
@@ -195,12 +194,9 @@ class TestCaches:
         assert op2.geom is rebuilt
 
     def test_geometry_cache_counts_hits(self, geom):
-        before = geometry_cache_stats()
-        build_geometry(geom.mesh.ne, geom.npts)  # already cached
-        after = geometry_cache_stats()
+        before = stage_cache_stats()["geometry"]
+        cached = build_geometry(geom.mesh.ne, geom.npts)  # already cached
+        after = stage_cache_stats()["geometry"]
         assert after["hits"] == before["hits"] + 1
         assert after["misses"] == before["misses"]
-        assert any(
-            k["ne"] == geom.mesh.ne and k["npts"] == geom.npts
-            for k in after["keys"]
-        )
+        assert cached is geom

@@ -113,8 +113,8 @@ class TestDebugEndpoints:
                 assert data["server"]["closing"] is False
                 assert data["engine"]["requests"] >= 1
                 assert "hit_rate" in data["cache"]
-                assert "hits" in data["geometry_cache"]
-                assert "hits" in data["dss_memo"]
+                assert "hits" in data["memos"]["mesh"]
+                assert "hits" in data["memos"]["graph"]
                 assert data["slo"]["status"] == "ok"
                 assert data["coalescing"]["inflight"] == 0
 

@@ -192,10 +192,15 @@ class TestPrometheusExposition:
         reg.counter("cache_hits").inc()
         reg.counter("server_requests_total", status="200").inc()
         reg.counter("server_requests_total", status="503").inc()
+        reg.counter("stage_cache_total", stage="mesh", outcome="hit").inc()
         text = reg.to_prometheus()
         assert (
             "# HELP cache_hits Requests answered from the partition cache."
             in text
+        )
+        assert (
+            "# HELP stage_cache_total Per-process memo lookups, by stage "
+            "and outcome." in text
         )
         assert text.count("# HELP server_requests_total") == 1
         assert text.count("# TYPE server_requests_total") == 1

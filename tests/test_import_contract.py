@@ -1,4 +1,5 @@
-"""Layering contract: service and partition never import experiments.
+"""Layering contract: service and partition never import experiments,
+and the server never imports the SEAM core.
 
 A second contract: no module of the package imports SciPy (the
 spectral bisection and the sparse matrices that need it are test
@@ -13,7 +14,9 @@ dependency; the experiments package is the *top* layer (figure/table
 drivers) and nothing below it may reach back up.  This test walks the
 AST of every module in the lower layers so the contract cannot rot
 silently; it is the only check of it, and unlike a text grep it also
-catches ``from .. import experiments``.
+catches ``from .. import experiments``.  The same walk keeps
+``repro.seam`` out of ``server/`` (a server reports the memos through
+the leaf :mod:`repro.memo`, which imports only ``repro.telemetry``).
 """
 
 from __future__ import annotations
@@ -33,8 +36,10 @@ FORBIDDEN_PACKAGE = "experiments"
 LOWER_LAYERS = ("service", "partition")
 
 
-def _violations(source: str, depth: int) -> list[str]:
-    """Imports of repro.experiments (absolute or relative) in ``source``.
+def _violations(
+    source: str, depth: int, forbidden: str = FORBIDDEN_PACKAGE
+) -> list[str]:
+    """Imports of repro.<forbidden> (absolute or relative) in ``source``.
 
     ``depth`` is how many packages below ``repro`` the module lives
     (``repro/service/x.py`` is 1 deep, so ``from ..experiments ...``
@@ -45,17 +50,17 @@ def _violations(source: str, depth: int) -> list[str]:
         if isinstance(node, ast.Import):
             for alias in node.names:
                 parts = alias.name.split(".")
-                if parts[0] == "repro" and FORBIDDEN_PACKAGE in parts:
+                if parts[0] == "repro" and forbidden in parts:
                     found.append(f"line {node.lineno}: import {alias.name}")
         elif isinstance(node, ast.ImportFrom):
             module_parts = node.module.split(".") if node.module else []
             lands_in_repro = (
                 (node.level == 0 and module_parts[:1] == ["repro"])
-                or node.level >= depth
+                or node.level > depth
             )
             if lands_in_repro and (
-                FORBIDDEN_PACKAGE in module_parts
-                or any(a.name == FORBIDDEN_PACKAGE for a in node.names)
+                forbidden in module_parts
+                or any(a.name == forbidden for a in node.names)
             ):
                 dots = "." * node.level
                 names = ", ".join(a.name for a in node.names)
@@ -66,13 +71,13 @@ def _violations(source: str, depth: int) -> list[str]:
     return found
 
 
-def _lower_layer_modules():
-    for layer in LOWER_LAYERS:
+def _layer_modules(layers=LOWER_LAYERS):
+    for layer in layers:
         for path in sorted((SRC / layer).rglob("*.py")):
             yield pytest.param(path, id=str(path.relative_to(SRC)))
 
 
-@pytest.mark.parametrize("path", _lower_layer_modules())
+@pytest.mark.parametrize("path", _layer_modules())
 def test_no_experiments_imports(path):
     depth = len(path.relative_to(SRC).parts) - 1
     violations = _violations(path.read_text(), depth)
@@ -83,7 +88,72 @@ def test_no_experiments_imports(path):
 
 
 def test_contract_scans_something():
-    assert len(list(_lower_layer_modules())) >= 10
+    assert len(list(_layer_modules())) >= 10
+    assert len(list(_layer_modules(["server"]))) >= 4
+
+
+@pytest.mark.parametrize("path", _layer_modules(["server"]))
+def test_server_imports_no_seam(path):
+    violations = _violations(path.read_text(), depth=1, forbidden="seam")
+    assert not violations, (
+        f"{path.relative_to(SRC.parent)} imports the SEAM core: {violations}"
+    )
+
+
+@pytest.mark.parametrize(
+    "source",
+    [
+        "from ..seam.dss import shared_dss_operator",
+        "from .. import seam",
+        "import repro.seam.element",
+        "from repro.seam import build_geometry",
+    ],
+)
+def test_seam_detector_catches_imports(source):
+    assert _violations(source, depth=1, forbidden="seam")
+
+
+def _repro_imports(source: str) -> set[str]:
+    """``repro`` subpackages imported by a module of package ``repro``."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [node.module or ""]
+        elif isinstance(node, ast.ImportFrom):
+            names = [
+                f"repro.{node.module or alias.name}" for alias in node.names
+            ]
+        else:
+            continue
+        found |= {
+            ".".join(name.split(".")[:2])
+            for name in names
+            if name.split(".")[0] == "repro"
+        }
+    return found
+
+
+def test_memo_imports_only_telemetry():
+    """:mod:`repro.memo` is a leaf: reporting the memos loads no layer
+    that fills them."""
+    assert _repro_imports((SRC / "memo.py").read_text()) == {"repro.telemetry"}
+
+
+@pytest.mark.parametrize(
+    "source, imported",
+    [
+        ("from .telemetry import inc", {"repro.telemetry"}),
+        ("from .telemetry.runtime import inc", {"repro.telemetry"}),
+        ("from . import partition", {"repro.partition"}),
+        ("import repro", {"repro"}),
+        ("from repro.seam.dss import x", {"repro.seam"}),
+        ("from collections import OrderedDict", set()),
+    ],
+)
+def test_repro_imports_detector(source, imported):
+    assert _repro_imports(source) == imported
 
 
 @pytest.mark.parametrize(
@@ -113,6 +183,7 @@ def test_detector_catches_violations(source):
         # A *local* sibling named like the forbidden package at a level
         # that stays inside the layer is not a layering violation.
         "from .experiments_helpers import x",
+        "from .experiments import x",
     ],
 )
 def test_detector_allows_clean_imports(source):
