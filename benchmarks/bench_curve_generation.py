@@ -68,13 +68,13 @@ def test_locality_summary_artifact(benchmark, save_artifact):
 
 
 def _time_cold(benchmark, schedule: str):
-    """Time ``generate_curve(schedule=...)`` with its LRU emptied first."""
-    from repro.sfc.generator import _generate_cached
+    """Time ``generate_curve(schedule=...)`` with its memo emptied first."""
+    from repro.memo import MEMOS
 
     return benchmark.pedantic(
         generate_curve,
         kwargs={"schedule": schedule},
-        setup=_generate_cached.cache_clear,
+        setup=MEMOS["face_curve"].clear,
         rounds=10,
     )
 

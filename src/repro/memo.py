@@ -1,8 +1,9 @@
 """The per-process memo: one small LRU class, one registry of instances.
 
 The paper's curve is fixed and only the cut points move, so the mesh,
-graph, curve, curve positions, SE geometry and DSS operator are pure
-functions of a few parameters, built once per process and reused.
+graph, curve, curve positions, face curves, key tables, GLL bases, SE
+geometry and DSS operator are pure functions of a few parameters, built
+once per process and reused.
 Each is memoized in a :class:`StageCache` that registers under its
 stage name, so every memo is bounded, counted (``stage_cache_total``),
 traced on a miss (a ``stage:<name>`` span), reported by

@@ -12,9 +12,10 @@ Legendre polynomials.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
+
+from ..memo import StageCache
 
 __all__ = ["GLLBasis", "gll_basis", "legendre_and_derivative"]
 
@@ -91,13 +92,20 @@ def _gll_nodes(npts: int) -> np.ndarray:
     return np.concatenate([[-1.0], x, [1.0]])
 
 
-@lru_cache(maxsize=16)
+#: GLL bases of this process, one per point count.
+_GLL_MEMO = StageCache("gll_basis", maxsize=16)
+
+
 def gll_basis(npts: int) -> GLLBasis:
-    """Construct (and cache) the GLL basis with ``npts`` points.
+    """The GLL basis with ``npts`` points (the ``gll_basis`` memo).
 
     Raises:
         ValueError: If ``npts < 2`` (Lobatto rules need both endpoints).
     """
+    return _GLL_MEMO.get_or_compute((npts,), lambda: _build_basis(npts))
+
+
+def _build_basis(npts: int) -> GLLBasis:
     if npts < 2:
         raise ValueError("GLL basis needs at least 2 points")
     n = npts - 1

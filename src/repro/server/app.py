@@ -49,11 +49,15 @@ Serving mechanics, in request order:
 3. **Admission control**: at most ``max_pending`` computes may be in
    flight; requests beyond that are rejected with ``503`` and a
    ``Retry-After`` hint instead of queueing unboundedly.
-4. **Compute in worker processes**: misses run the request's
-   ``compute()`` in the engine's
-   ``ProcessPoolExecutor`` via ``run_in_executor`` — the event loop
-   never blocks on partitioning, and worker telemetry payloads are
-   replayed into the server's session.
+4. **Compute through the engine**: a miss awaits
+   :meth:`~repro.service.engine.PartitionEngine.submit`'s future (the
+   request's ``compute()`` in a worker process, so the event loop never
+   blocks on partitioning), then
+   :meth:`~repro.service.engine.PartitionEngine.finish` replays the
+   worker's telemetry and stores the answer, and every answer is
+   counted by :meth:`~repro.service.engine.PartitionEngine.record` — the
+   same miss path a batch takes.  The server itself keeps only HTTP,
+   coalescing and admission.
 5. **Encode once per cached answer**: a computed answer is encoded
    whole.  A reused one — a memory or disk hit, or a coalesced joiner —
    is its cache entry's :class:`~repro.server.http.BodyTemplate` with
@@ -90,7 +94,6 @@ from ..memo import stage_cache_stats
 from ..partition import registry
 from ..service import PartitionEngine, PartitionRequest, RepartitionRequest
 from ..service.cache import encoded_body
-from ..service.engine import _pool_compute
 from ..service.requests import Request, Response
 from ..telemetry import (
     RequestContext,
@@ -103,11 +106,9 @@ from ..telemetry import (
     log_event,
     observe,
     parse_traceparent,
-    replay_payload,
     request_context,
     set_gauge,
     span,
-    telemetry_active,
 )
 from ..telemetry.sampling import MAX_SECONDS, sample_stacks
 from .http import (
@@ -733,7 +734,7 @@ class PartitionServer:
         """Answer one request, of either kind, on the event loop."""
         hit = self.engine.cache.get(request)
         if hit is not None:
-            self._record(hit)
+            self.engine.record(hit)
             return hit
         key = request.cache_key()
         inflight = self._inflight.get(key)
@@ -741,7 +742,7 @@ class PartitionServer:
             inc("server_coalesced_total")
             response = await asyncio.shield(inflight)
             response = response.with_source("coalesced")
-            self._record(response)
+            self.engine.record(response)
             return response
         if self._closing:
             raise HTTPError(
@@ -761,7 +762,7 @@ class PartitionServer:
         task.add_done_callback(lambda t, key=key: self._forget_inflight(key, t))
         set_gauge("server_queue_depth", len(self._inflight))
         response = await asyncio.shield(task)
-        self._record(response)
+        self.engine.record(response)
         return response
 
     def _forget_inflight(self, key: str, task: asyncio.Task) -> None:
@@ -771,29 +772,13 @@ class PartitionServer:
             task.exception()  # consume: every waiter may have disconnected
 
     async def _compute(self, request: Request) -> Response:
-        """Run one cache miss in the engine's worker pool.
+        """Run one cache miss through the engine's miss path.
 
         The compute task inherits the *first* requester's trace context
-        (``create_task`` copies the contextvars), so worker-side spans
-        and log records join that request's trace; coalesced joiners
-        share the result but keep their own request ids.
+        (``create_task`` copies the contextvars, and ``submit`` reads
+        them), so worker-side spans and log records join that request's
+        trace; coalesced joiners share the result but keep their own
+        request ids.
         """
-        loop = asyncio.get_running_loop()
-        collect = telemetry_active()
-        ctx = current_context()
-        response, payload = await loop.run_in_executor(
-            self.engine.executor(),
-            _pool_compute,
-            (request, collect, ctx.to_dict() if ctx is not None else None),
-        )
-        if payload is not None:
-            replay_payload(payload)
-            inc("worker_payloads_merged")
-        response = response.with_request(request)
-        self.engine.cache.put(request, response)
-        return response
-
-    def _record(self, response: Response) -> None:
-        """Per-response bookkeeping shared by every serve path."""
-        self.engine.stats.record(response)
-        response.record()
+        outcome = await asyncio.wrap_future(self.engine.submit(request))
+        return self.engine.finish(request, outcome)

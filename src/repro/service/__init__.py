@@ -37,7 +37,7 @@ from .requests import (
     load_request_file,
     quality_metrics,
 )
-from .stats import RequestRecord, ServiceStats
+from .stats import ServiceStats
 
 __all__ = [
     "METRIC_FIELDS",
@@ -47,7 +47,6 @@ __all__ = [
     "PartitionResponse",
     "RepartitionRequest",
     "RepartitionResponse",
-    "RequestRecord",
     "ServiceStats",
     "WeightSpec",
     "compute_response",

@@ -46,6 +46,7 @@ from pathlib import Path
 import numpy as np
 
 from ..partition.pipeline import cache_version
+from ..telemetry import inc
 from .requests import Request, Response
 
 __all__ = ["PartitionCache", "encoded_body", "scan_cache_dir"]
@@ -146,20 +147,25 @@ class PartitionCache:
         """Return the cached response for ``request``, or ``None``.
 
         The returned response's ``source`` reflects the tier that
-        answered (``"memory"`` or ``"disk"``).
+        answered (``"memory"`` or ``"disk"``).  Every lookup bumps the
+        ``cache_hits`` or ``cache_misses`` counter, whichever serve path
+        asked.
         """
         key = request.cache_key()
         hit = self._memory.get(key)
         if hit is not None:
             self._memory.move_to_end(key)
             self.memory_hits += 1
+            inc("cache_hits")
             return hit.with_source("memory")
         hit = self._load_disk(key, request)
         if hit is not None:
             self.disk_hits += 1
+            inc("cache_hits")
             self._remember(key, hit)
             return hit
         self.misses += 1
+        inc("cache_misses")
         return None
 
     def put(self, request: Request, response: Response) -> None:

@@ -1,6 +1,7 @@
 """Batch partition execution engine.
 
-The engine is the serving core: submit any number of requests — a
+The engine is the serving core and the only owner of the miss path:
+submit any number of requests — a
 :class:`~repro.service.requests.PartitionRequest` or a
 :class:`~repro.service.requests.RepartitionRequest`, mixed freely —
 and get back one response per request, in request order, with
@@ -17,9 +18,17 @@ bit-identical answers to serial in-process computation.  Per batch it
 4. **stores** every computed response back into the cache and records
    telemetry in :class:`~repro.service.stats.ServiceStats`.
 
-``jobs=1`` (the default) computes misses inline — no pool, no fork —
-which keeps single-request CLI calls and small test batches cheap and
-trivially debuggable.
+Each miss takes the same three steps whoever drives it:
+:meth:`PartitionEngine.submit` runs it on the persistent pool,
+:meth:`PartitionEngine.finish` merges the worker's telemetry and stores
+the answer, and :meth:`PartitionEngine.record` counts every answer.
+:meth:`PartitionEngine.run` drives them for a batch; the asyncio server
+(:mod:`repro.server`) awaits ``submit``'s future and adds only
+coalescing and admission control.
+
+``jobs=1`` (the default) computes a batch's misses inline — no pool,
+no fork — which keeps single-request CLI calls and small test batches
+cheap and trivially debuggable.
 """
 
 from __future__ import annotations
@@ -27,7 +36,7 @@ from __future__ import annotations
 import threading
 import time
 from collections.abc import Sequence
-from concurrent.futures import Executor, ProcessPoolExecutor, wait
+from concurrent.futures import Future, ProcessPoolExecutor, wait
 from time import perf_counter
 
 from ..telemetry import (
@@ -52,15 +61,16 @@ __all__ = ["PartitionEngine", "compute_response"]
 def compute_response(request: Request) -> Response:
     """Compute one request's response from scratch, of either kind.
 
-    Module-level (picklable) on purpose: what a pool worker runs.
-    Deterministic for a given request, so parallel and serial execution
-    agree bit-for-bit.
+    Deterministic for a given request, so a pool worker (which runs
+    :func:`_pool_compute`) and serial in-process computation agree
+    bit-for-bit.
     """
     return request.compute()
 
 
 def _pool_compute(item: tuple[Request, bool, dict | None]):
-    """Pool task: compute one response, optionally with telemetry.
+    """Pool task of :meth:`PartitionEngine.submit`: compute one
+    response, optionally with telemetry.
 
     When the parent had a collector active, a fresh worker-local
     session records every span, metric, and log record produced by the
@@ -98,8 +108,9 @@ class PartitionEngine:
     Args:
         cache: Response cache; ``None`` builds a default memory-only
             :class:`PartitionCache`.
-        jobs: Worker processes for cache misses.  ``1`` computes
-            inline in this process.
+        jobs: Worker processes for cache misses.  At ``1``,
+            :meth:`run` computes inline in this process; :meth:`submit`
+            always uses a worker process.
     """
 
     def __init__(self, cache: PartitionCache | None = None, jobs: int = 1) -> None:
@@ -148,19 +159,6 @@ class PartitionEngine:
                 )
             return self._pool
 
-    def executor(self) -> Executor:
-        """The pool as a ``concurrent.futures.Executor`` (server path).
-
-        Always process-backed — even at ``jobs=1`` — so an asyncio
-        front-end can ``run_in_executor`` CPU-bound computes without
-        ever blocking the event loop (or racing the process-global
-        telemetry state from a worker thread).
-
-        Raises:
-            RuntimeError: The engine has been closed.
-        """
-        return self._ensure_pool()
-
     def warm(self) -> int:
         """Fork every worker process now; returns the worker count.
 
@@ -193,6 +191,53 @@ class PartitionEngine:
         """Serve a single request (batch of one)."""
         return self.run([request])[0]
 
+    # -- the miss path: submit -> finish -> record ----------------------
+
+    def submit(self, request: Request) -> Future:
+        """Compute one miss on the persistent worker pool.
+
+        The pool is process-backed even at ``jobs=1``, so an asyncio
+        front-end can await the future without ever blocking its event
+        loop (or racing the process-global telemetry state from a
+        worker thread).  The task carries the caller's telemetry flag
+        and trace context, so worker-side spans and log records join
+        the caller's trace.  The future's result is the pair
+        :meth:`finish` takes.
+
+        Raises:
+            RuntimeError: The engine has been closed.
+        """
+        pool = self._ensure_pool()
+        ctx = current_context()
+        return pool.submit(
+            _pool_compute,
+            (request, telemetry_active(), ctx.to_dict() if ctx is not None else None),
+        )
+
+    def finish(
+        self, request: Request, outcome: tuple[Response, dict | None]
+    ) -> Response:
+        """Store one computed miss; returns its response.
+
+        ``outcome`` is a ``(response, worker telemetry payload)`` pair:
+        the payload is replayed into the active session, the request is
+        re-attached to the response, and the answer goes into the cache.
+        """
+        response, payload = outcome
+        if payload is not None:
+            replay_payload(payload)
+            inc("worker_payloads_merged")
+        response = response.with_request(request)
+        self.cache.put(request, response)
+        return response
+
+    def record(self, response: Response) -> None:
+        """Per-response bookkeeping shared by every serve path."""
+        self.stats.record(response)
+        response.record()
+
+    # -- batches ----------------------------------------------------------
+
     def run(self, requests: Sequence[Request]) -> list[Response]:
         """Serve a batch; responses align with ``requests`` by index."""
         self._check_open()
@@ -221,11 +266,8 @@ class PartitionEngine:
                     resolved[key] = hit
                 else:
                     misses.append(req)
-        inc("cache_hits", len(resolved))
-        inc("cache_misses", len(misses))
 
         for response in self._compute_all(misses):
-            self.cache.put(response.request, response)
             resolved[response.request.cache_key()] = response
             log_event(
                 "engine.compute",
@@ -249,8 +291,7 @@ class PartitionEngine:
             served.add(key)
             responses.append(response)
         for response in responses:
-            self.stats.record(response)
-            response.record()
+            self.record(response)
         return responses
 
     def _compute_all(self, misses: list[Request]) -> list[Response]:
@@ -258,25 +299,21 @@ class PartitionEngine:
             return []
         if self.jobs == 1 or len(misses) == 1:
             with span("compute_inline", "service"):
-                return [req.compute() for req in misses]
+                computed = [req.compute() for req in misses]
+            return [
+                self.finish(req, (response, None))
+                for req, response in zip(misses, computed)
+            ]
         # The pool persists across run() calls: repeated sweeps pay the
         # worker fork/import cost once per engine, not once per batch.
-        pool = self._ensure_pool()
-        collect = telemetry_active()
-        ctx = current_context()
-        ctx_dict = ctx.to_dict() if ctx is not None else None
         set_gauge("pool_queue_depth", len(misses))
-        responses: list[Response] = []
         with span("pool", "service", misses=len(misses), jobs=self.jobs):
-            # Replay inside the pool span so worker spans re-parent
-            # under it in the trace.
-            results = pool.map(
-                _pool_compute, [(req, collect, ctx_dict) for req in misses]
-            )
-            for req, (response, payload) in zip(misses, results):
-                if payload is not None:
-                    replay_payload(payload)
-                    inc("worker_payloads_merged")
-                responses.append(response.with_request(req))
+            futures = [self.submit(req) for req in misses]
+            # Finish inside the pool span so replayed worker spans
+            # re-parent under it in the trace.
+            responses = [
+                self.finish(req, future.result())
+                for req, future in zip(misses, futures)
+            ]
         set_gauge("pool_queue_depth", 0)
         return responses

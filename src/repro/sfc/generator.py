@@ -14,11 +14,11 @@ level at a time, is kept only as the test oracle in
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Callable
 
 import numpy as np
 
+from ..memo import StageCache
 from ..telemetry import span
 from .factorization import default_schedule, schedule_size
 from .keys import curve_keys
@@ -113,10 +113,13 @@ def _from_keys(
     return SpaceFillingCurve(schedule=schedule, size=n, coords=coords, index=index)
 
 
-@lru_cache(maxsize=64)
-def _generate_cached(schedule: str) -> SpaceFillingCurve:
+#: Face curves of this process, one per schedule.
+_FACE_CURVE_MEMO = StageCache("face_curve", maxsize=64)
+
+
+def _build_face_curve(schedule: str) -> SpaceFillingCurve:
+    """Uncached curve construction (the ``face_curve`` memo's miss path)."""
     n = schedule_size(schedule)
-    # Only cold builds reach this span (the lru_cache answers repeats).
     with span("generate_curve", "sfc", schedule=schedule, size=n):
         # int32 halves the curve's memory whenever positions fit.
         return _from_keys(
@@ -153,7 +156,9 @@ def generate_curve(
     if schedule is None:
         assert size is not None
         schedule = default_schedule(size)
-    return _generate_cached(schedule)
+    return _FACE_CURVE_MEMO.get_or_compute(
+        (schedule,), lambda: _build_face_curve(schedule)
+    )
 
 
 def hilbert_curve(level: int) -> SpaceFillingCurve:

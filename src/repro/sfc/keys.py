@@ -31,11 +31,11 @@ from __future__ import annotations
 
 import ctypes
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
 from .._native import LIB, as_i64p
+from ..memo import StageCache
 from .curves import TEMPLATES, CurveTemplate
 from .factorization import default_schedule, schedule_size
 
@@ -102,9 +102,18 @@ class KeyTables:
         return self.tables.shape[0]
 
 
-@lru_cache(maxsize=128)
+#: Packed decode tables of this process, one per schedule.
+_TABLES_MEMO = StageCache("key_tables", maxsize=128)
+
+
 def schedule_tables(schedule: str) -> KeyTables:
-    """Build (and cache) the packed decode tables for a schedule."""
+    """The packed decode tables for a schedule (the ``key_tables`` memo)."""
+    return _TABLES_MEMO.get_or_compute(
+        (schedule,), lambda: _build_tables(schedule)
+    )
+
+
+def _build_tables(schedule: str) -> KeyTables:
     for code in schedule:
         if code not in ("H", "P"):
             raise ValueError(f"unknown refinement code {code!r}")

@@ -220,6 +220,29 @@ class TestCoalescing:
         run(inner())
 
 
+class TestOneMissPath:
+    def test_served_misses_and_hits_reach_the_cache_counters(self):
+        """A served miss and two memory hits count like a batch would."""
+
+        async def inner():
+            async with serving() as server:
+                host, port = server.address
+                async with await Connection.open(host, port) as conn:
+                    sources = [
+                        (await conn.post_json("/partition", {"ne": 2, "nparts": 4}))
+                        .json()["source"]
+                        for _ in range(3)
+                    ]
+                assert sources == ["computed", "memory", "memory"]
+                metrics = (await fetch(host, port, "GET", "/metrics")).body.decode()
+                lines = metrics.splitlines()
+                assert "cache_misses 1" in lines
+                assert "cache_hits 2" in lines
+                assert server.engine.cache.stats()["stores"] == 1
+
+        run(inner())
+
+
 class TestAdmissionControl:
     def test_over_limit_distinct_requests_get_503_retry_after(self, slowstub):
         async def inner():

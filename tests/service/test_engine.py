@@ -202,11 +202,11 @@ class TestLifecycle:
         with pytest.raises(RuntimeError, match="closed"):
             engine.run([PartitionRequest(ne=2, nparts=4)])
 
-    def test_executor_after_close_is_a_clear_error(self):
+    def test_submit_after_close_is_a_clear_error(self):
         engine = PartitionEngine()
         engine.close()
         with pytest.raises(RuntimeError, match="closed"):
-            engine.executor()
+            engine.submit(PartitionRequest(ne=2, nparts=4))
 
     def test_context_manager_closes(self):
         with PartitionEngine() as engine:
@@ -228,34 +228,53 @@ class TestLifecycle:
         assert engine._pool is None
         assert len(responses) == 2
 
-    def test_executor_is_process_backed_even_at_jobs_1(self):
-        with PartitionEngine(jobs=1) as engine:
-            pool = engine.executor()
-            assert pool is engine.executor()  # one pool, reused
-            import os
+    def test_submit_is_process_backed_even_at_jobs_1(self):
+        import os
 
-            worker_pid = pool.submit(os.getpid).result()
-            assert worker_pid != os.getpid()
+        from repro.telemetry import telemetry_session
+
+        req = PartitionRequest(ne=2, nparts=4)
+        with PartitionEngine(jobs=1) as engine, telemetry_session():
+            _, payload = engine.submit(req).result()
+            pool = engine._pool
+            engine.submit(req).result()
+            assert engine._pool is pool  # one pool, reused
+        worker_pids = {s["pid"] for s in payload["spans"]}
+        assert worker_pids and os.getpid() not in worker_pids
 
     def test_warm_forks_all_workers_up_front(self):
         with PartitionEngine(jobs=2) as engine:
             assert engine.warm() == 2
 
-    def test_concurrent_executor_calls_share_one_pool(self):
+    def test_concurrent_first_submits_share_one_pool(self, monkeypatch):
         import threading
+        from concurrent.futures import ProcessPoolExecutor
 
-        engine = PartitionEngine(jobs=2)
+        from repro.service import engine as engine_module
+
         pools = []
+
+        class CountingPool(ProcessPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                pools.append(self)
+
+        monkeypatch.setattr(engine_module, "ProcessPoolExecutor", CountingPool)
+        engine = PartitionEngine(jobs=2)
+        futures = []
         barrier = threading.Barrier(4)
 
-        def grab():
+        def grab(nparts):
             barrier.wait()
-            pools.append(engine.executor())
+            futures.append(engine.submit(PartitionRequest(ne=2, nparts=nparts)))
 
-        threads = [threading.Thread(target=grab) for _ in range(4)]
+        threads = [
+            threading.Thread(target=grab, args=(n,)) for n in (2, 3, 4, 6)
+        ]
         for t in threads:
             t.start()
         for t in threads:
             t.join()
-        assert len(set(map(id, pools))) == 1
+        assert len(pools) == 1
+        assert all(f.result()[0].request is None for f in futures)
         engine.close()

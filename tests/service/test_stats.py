@@ -36,7 +36,7 @@ def test_empty_stats_summary_and_render_do_not_crash():
     assert summary["requests"] == 0
     assert summary["hit_rate"] == 0.0
     assert summary["throughput_rps"] == 0.0
-    text = stats.render(per_request=True)
+    text = stats.render()
     assert "Partition service stats" in text
 
 
@@ -49,7 +49,7 @@ def test_zero_elapsed_batch_does_not_crash():
     assert stats.worker_utilization == 0.0
     summary = stats.summary()
     assert summary["wall_s"] == 0.0
-    assert "memory" in stats.render(per_request=True)
+    assert "memory" in stats.render()
 
 
 def test_engine_empty_batch():
@@ -79,7 +79,8 @@ def test_throughput_and_utilization():
     stats = ServiceStats(jobs=2)
     stats.record(response(2, "computed", 0.6))
     stats.record(response(3, "computed", 0.6))
-    stats.record_batch_wall(1.0)
+    stats.record_batch_wall(0.25)  # batch walls add up
+    stats.record_batch_wall(0.75)
     assert stats.wall_s == 1.0
     assert stats.throughput == 2.0
     assert stats.worker_utilization == 0.6  # 1.2s compute over 2 workers x 1s
@@ -94,29 +95,20 @@ def test_summary_keys_match_render():
     stats.record(response(2, "computed", 0.05))
     stats.record_batch_wall(0.1)
     summary = stats.summary()
-    text = stats.render(per_request=True)
+    text = stats.render()
     for key in summary:
         assert key in text
     assert "Partition service stats" in text
-    assert "Requests" in text  # per-request table title
-    assert "computed" in text
 
 
 def test_counts_stay_exact_past_the_kept_rows():
-    """Counts and sums cover every request; only the newest rows stay."""
-    from repro.service.stats import RECORDS_KEPT
-
+    """Counts and sums cover every request; no per-request row is kept."""
     computed, hit = response(2, "computed", 0.5), response(3, "memory", 0.0)
     stats = ServiceStats()
-    for i in range(RECORDS_KEPT + 10):
+    for i in range(1034):
         stats.record(computed if i < 10 else hit)
-    assert stats.total_requests == RECORDS_KEPT + 10
+    assert stats.total_requests == 1034
     assert stats.count("computed") == 10
-    assert stats.count("memory") == RECORDS_KEPT
+    assert stats.count("memory") == 1024
     assert stats.compute_s == 5.0
-    assert stats.summary()["hit_rate"] == RECORDS_KEPT / (RECORDS_KEPT + 10)
-    assert len(stats.records) == RECORDS_KEPT
-    assert all(r.source == "memory" for r in stats.records)
-    rows = stats.render(per_request=True).split("Requests", 1)[1]
-    assert rows.count("memory") == RECORDS_KEPT
-    assert "computed" not in rows
+    assert stats.summary()["hit_rate"] == 1024 / 1034

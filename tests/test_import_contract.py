@@ -16,7 +16,9 @@ AST of every module in the lower layers so the contract cannot rot
 silently; it is the only check of it, and unlike a text grep it also
 catches ``from .. import experiments``.  The same walk keeps
 ``repro.seam`` out of ``server/`` (a server reports the memos through
-the leaf :mod:`repro.memo`, which imports only ``repro.telemetry``).
+the leaf :mod:`repro.memo`, which imports only ``repro.telemetry``),
+and keeps ``server/`` on the engine's public miss path: it imports no
+``_``-prefixed name from ``repro.service``.
 """
 
 from __future__ import annotations
@@ -111,6 +113,54 @@ def test_server_imports_no_seam(path):
 )
 def test_seam_detector_catches_imports(source):
     assert _violations(source, depth=1, forbidden="seam")
+
+
+def _private_service_imports(source: str, depth: int = 1) -> list[str]:
+    """``_``-prefixed names that ``source`` imports from ``repro.service``.
+
+    ``depth`` is as for :func:`_violations`: a ``server/`` module is 1
+    deep, so ``from ..service.engine import x`` lands in ``repro.service``.
+    """
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.ImportFrom):
+            continue
+        parts = node.module.split(".") if node.module else []
+        if node.level == 0:
+            in_service = parts[:2] == ["repro", "service"]
+        else:
+            in_service = node.level == depth + 1 and parts[:1] == ["service"]
+        found += [
+            f"line {node.lineno}: {alias.name}"
+            for alias in node.names
+            if in_service and alias.name.startswith("_")
+        ]
+    return found
+
+
+@pytest.mark.parametrize("path", _layer_modules(["server"]))
+def test_server_imports_no_private_service_names(path):
+    violations = _private_service_imports(path.read_text())
+    assert not violations, (
+        f"{path.relative_to(SRC.parent)} reaches past the engine's public "
+        f"miss path: {violations}"
+    )
+
+
+@pytest.mark.parametrize(
+    "source, caught",
+    [
+        ("from ..service.engine import _pool_compute", True),
+        ("from ..service import PartitionEngine, _helper", True),
+        ("from repro.service.engine import _pool_compute", True),
+        ("from repro.service.cache import encoded_body", False),
+        ("from ..service import PartitionEngine", False),
+        ("from ..telemetry import _SESSION", False),
+        ("from .http import _Result", False),
+    ],
+)
+def test_private_service_import_detector(source, caught):
+    assert bool(_private_service_imports(source)) is caught
 
 
 def _repro_imports(source: str) -> set[str]:

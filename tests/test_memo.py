@@ -22,13 +22,23 @@ from repro.partition.pipeline import (
 )
 from repro.seam.dss import shared_dss_operator
 from repro.seam.element import build_geometry
+from repro.seam.gll import gll_basis
 from repro.sfc.factorization import admissible_sizes, all_schedules
+from repro.sfc.generator import generate_curve
+from repro.sfc.keys import schedule_tables
 
 _CURVE_KEYS = [
     (ne, schedule, projection)
     for projection in ("equiangular", "equidistant")
     for ne in admissible_sizes(24)
     for schedule in all_schedules(ne)
+]
+
+#: Every H/P schedule of 1-7 levels, shortest (smallest curve) first.
+_SCHEDULES = [
+    "".join("HP"[(i >> bit) & 1] for bit in range(levels))
+    for levels in range(1, 8)
+    for i in range(2**levels)
 ]
 
 #: The i-th distinct entry of every memo, built through its function.
@@ -39,6 +49,9 @@ BUILD = {
     "positions": lambda i: sfc.curve_key_fn(admissible_sizes(24)[i]).__self__,
     "geometry": lambda i: build_geometry(1, i + 2),
     "dss": lambda i: shared_dss_operator(build_geometry(1, i + 2)),
+    "face_curve": lambda i: generate_curve(schedule=_SCHEDULES[i]),
+    "key_tables": lambda i: schedule_tables(_SCHEDULES[i]),
+    "gll_basis": lambda i: gll_basis(i + 2),
 }
 
 
