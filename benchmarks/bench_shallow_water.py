@@ -110,8 +110,9 @@ def test_batched_engine_speedup(save_artifact):
     from tests.seam.reference_serial import (
         ReferenceDSS,
         ReferenceShallowWaterSolver,
+        reference_element_geometry,
     )
-    from repro.seam.element import _build_grid_geometry, _element_geometry
+    from repro.seam.element import _build_grid_geometry
 
     ne, npts = 3, 8
     geom = build_geometry(ne, npts)
@@ -151,7 +152,7 @@ def test_batched_engine_speedup(save_artifact):
 
     def old_geometry_loop() -> None:
         for gid in range(mesh.nelem):
-            _element_geometry(mesh, basis, gid)
+            reference_element_geometry(mesh, basis, gid)
 
     geo_old = _best(old_geometry_loop, inner=1, repeats=3)
 

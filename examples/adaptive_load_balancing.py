@@ -8,7 +8,8 @@ convection physics) circles the equator.  At every step the load is
 rebalanced two ways:
 
 * re-cutting the fixed global SFC under the new weights
-  (``repro.partition.repartition``), and
+  (``repro.partition.LoadTracker``, which plans each step with
+  ``plan_repartition``), and
 * running a fresh METIS-style K-way partition of the weighted graph.
 
 Both achieve similar load balance — but the SFC re-cut migrates a
@@ -24,7 +25,7 @@ import sys
 
 import numpy as np
 
-from repro import cubed_sphere_curve, mesh_graph, part_graph
+from repro import cubed_sphere_mesh, mesh_graph, part_graph
 from repro.experiments import format_table
 from repro.partition import (
     LoadTracker,
@@ -44,12 +45,10 @@ def storm_weights(mesh, lon_center: float, boost: float = 4.0) -> np.ndarray:
 def main() -> None:
     ne = int(sys.argv[1]) if len(sys.argv) > 1 else 8
     nproc = int(sys.argv[2]) if len(sys.argv) > 2 else 48
-    curve = cubed_sphere_curve(ne)
-    mesh = curve.mesh
-    graph_template = mesh_graph(mesh)
+    mesh = cubed_sphere_mesh(ne)
     print(f"K={mesh.nelem}, Nproc={nproc}, storm circling the equator\n")
 
-    tracker = LoadTracker(curve, nparts=nproc)
+    tracker = LoadTracker(ne, nparts=nproc)
     metis_prev = None
     rows = []
     for step, lon_center in enumerate(np.linspace(0, 2 * np.pi, 9)[:-1]):
@@ -96,7 +95,6 @@ def main() -> None:
         f"\nAverage migration per rebalance: SFC {100 * sfc_avg:.1f}% of elements; "
         "fresh graph partitioning reshuffles most of the mesh."
     )
-    del graph_template
 
 
 if __name__ == "__main__":

@@ -7,7 +7,6 @@ from .traversal import (
     bfs_levels,
     connected_components,
     is_connected,
-    pseudo_peripheral_vertex,
 )
 
 __all__ = [
@@ -19,7 +18,6 @@ __all__ = [
     "grid_2d",
     "is_connected",
     "mesh_graph",
-    "pseudo_peripheral_vertex",
     "random_geometric",
     "read_metis_graph",
     "torus_2d",

@@ -1,9 +1,9 @@
-"""Graph traversal utilities: BFS, connected components, peripheries.
+"""Graph traversal utilities: BFS levels and connected components.
 
-These back the METIS-style partitioner (greedy graph growing seeds
-initial bisections from pseudo-peripheral vertices) and validation
-(partition parts should usually be connected for good quality, and the
-mesh graph itself must be connected).
+These back partition analysis and validation (partition parts should
+usually be connected for good quality, and the mesh graph itself must
+be connected).  The METIS-style partitioner's pseudo-peripheral seed
+search runs in the compiled kernels.
 """
 
 from __future__ import annotations
@@ -16,7 +16,6 @@ __all__ = [
     "bfs_levels",
     "connected_components",
     "is_connected",
-    "pseudo_peripheral_vertex",
 ]
 
 
@@ -33,17 +32,10 @@ def bfs_levels(graph: CSRGraph, source: int, mask: np.ndarray | None = None) -> 
         ``(n,)`` int array of BFS levels; ``-1`` for unreachable
         vertices.
     """
-    mask_l = None if mask is None else mask.tolist()
-    return np.array(_bfs_levels_list(graph, source, mask_l), dtype=np.int64)
-
-
-def _bfs_levels_list(
-    graph: CSRGraph, source: int, mask_l: list | None
-) -> list[int]:
-    """BFS levels as a plain Python list (the kernel behind the API)."""
     n = graph.nvertices
-    if mask_l is not None and not mask_l[source]:
-        return [-1] * n
+    if mask is not None and not mask[source]:
+        return np.full(n, -1, dtype=np.int64)
+    mask_l = None if mask is None else mask.tolist()
     nbrs, _ = graph.neighbor_slices()
     level = [-1] * n
     level[source] = 0
@@ -59,7 +51,7 @@ def _bfs_levels_list(
                     level[u] = depth
                     append(u)
         frontier = nxt
-    return level
+    return np.array(level, dtype=np.int64)
 
 
 def connected_components(graph: CSRGraph) -> np.ndarray:
@@ -87,33 +79,3 @@ def is_connected(graph: CSRGraph) -> bool:
     if graph.nvertices == 0:
         return True
     return bool((connected_components(graph) == 0).all())
-
-
-def pseudo_peripheral_vertex(
-    graph: CSRGraph, mask: np.ndarray | None = None, start: int | None = None
-) -> int:
-    """A vertex of near-maximal eccentricity (George-Liu heuristic).
-
-    Repeatedly BFS from the current candidate and jump to a farthest
-    vertex until the eccentricity stops growing.  Used to seed greedy
-    graph growing so the grown region sweeps across the graph instead
-    of curling around an interior seed.
-    """
-    if start is None:
-        if mask is None:
-            start = 0
-        else:
-            nz = np.flatnonzero(mask)
-            if len(nz) == 0:
-                raise ValueError("mask selects no vertices")
-            start = int(nz[0])
-    mask_l = None if mask is None else mask.tolist()
-    current = start
-    ecc = -1
-    while True:
-        level = _bfs_levels_list(graph, current, mask_l)
-        far = max(level)
-        if far <= ecc:
-            return current
-        ecc = far
-        current = level.index(far)

@@ -29,7 +29,6 @@ from .repartition import (
     RepartitionPlan,
     migration_cost,
     plan_repartition,
-    repartition_curve,
 )
 from .metrics import (
     CommunicationPattern,
@@ -84,7 +83,6 @@ __all__ = [
     "morton_partition",
     "plan_repartition",
     "RepartitionPlan",
-    "repartition_curve",
     "random_partition",
     "rcb_partition",
     "sfc_partition",

@@ -63,11 +63,13 @@ __all__ = [
 def validate_weights(weights, k: int | None = None) -> np.ndarray:
     """Normalize and validate a per-element weight array.
 
-    The single weight-sanity gate shared by every boundary — request
-    parsing, :class:`PartitionProblem` construction, the repartition
-    planner — so a bad weight vector fails the same way everywhere
-    (and maps to HTTP 422 at the server) instead of silently producing
-    garbage cuts.
+    The single weight-sanity gate, run once per cut path: by
+    :class:`PartitionProblem` on the registry's path (which the
+    pipeline, the repartition planner and the load tracker take), by
+    the public cuts of :mod:`repro.partition.sfc`, and by request
+    parsing for inline weights.  So a bad weight vector fails the same
+    way everywhere (and maps to HTTP 422 at the server) instead of
+    silently producing garbage cuts.
 
     Args:
         weights: Array-like of per-element weights.
@@ -130,7 +132,8 @@ class PartitionProblem:
         schedule: Optional face-local refinement schedule (methods with
             ``supports_schedule`` only).
         weights: Optional per-element (gid-indexed) weights (methods
-            with ``weighted`` only).
+            with ``weighted`` only), checked here: the one
+            :func:`validate_weights` call on the registry's path.
 
     ``mesh()`` and ``graph()`` resolve through the staged pipeline's
     caches (:mod:`repro.partition.pipeline`), so builders that need the
@@ -327,13 +330,17 @@ def weighted_methods() -> tuple[str, ...]:
 #
 # Builders import their implementation lazily so that loading the
 # registry (e.g. for CLI --method choices or request validation) stays
-# cheap and free of import cycles.
+# cheap and free of import cycles.  The SFC builders cut through
+# ``_keyed_cut``, which skips the weight check: ``PartitionProblem``
+# made it already.
 
 
 def _build_sfc(p: PartitionProblem) -> Partition:
-    from .sfc import sfc_partition
+    from .sfc import _keyed_cut, curve_key_fn
 
-    return sfc_partition(p.ne, p.nparts, schedule=p.schedule, weights=p.weights)
+    return _keyed_cut(
+        curve_key_fn(p.ne, p.schedule), p.k, p.nparts, p.weights, "sfc"
+    )
 
 
 def _metis_builder(method: str) -> Callable[[PartitionProblem], Partition]:
@@ -346,9 +353,9 @@ def _metis_builder(method: str) -> Callable[[PartitionProblem], Partition]:
 
 
 def _build_morton(p: PartitionProblem) -> Partition:
-    from .sfc import morton_partition
+    from .sfc import _keyed_cut, _morton_key_fn
 
-    return morton_partition(p.ne, p.nparts, weights=p.weights)
+    return _keyed_cut(_morton_key_fn(p.ne), p.k, p.nparts, p.weights, "morton")
 
 
 def _morton_admissible(ne: int) -> bool:

@@ -8,21 +8,20 @@ re-cutting the same one-dimensional curve: elements only migrate to
 graph computation is needed.  This module implements that story for
 the cubed-sphere:
 
-* :func:`repartition_curve` — re-cut the curve under new weights, on
-  the streaming key path (given ``ne`` or a prebuilt
-  :class:`CubedSphereCurve`, whose ``ne`` and schedule key the same
-  way: the curve is never materialized per step);
 * :func:`migration_cost` — how many elements (and how much weight)
   change owners between two partitions;
-* :func:`plan_repartition` — the service-facing verb: given an old
-  assignment and new weights, produce a :class:`RepartitionPlan`
-  (moved gids per destination rank, elements/weight moved, LB before
-  and after) without touching elements that stay put;
+* :func:`plan_repartition` — the one re-cut: given an old assignment
+  and new weights, produce a :class:`RepartitionPlan` (moved gids per
+  destination rank, elements/weight moved, LB before and after)
+  without touching elements that stay put;
+* :func:`validate_old_assignment` — the one check of an old
+  assignment, shared with the service's repartition request;
 * :func:`group_moves` — a plan's moved gids grouped by destination
   rank, rebuilt from the old and new assignments alone;
 * :class:`LoadTracker` — convenience driver for a time series of
-  weights (e.g. a storm moving around the sphere), recording balance
-  and migration per rebalancing step.
+  weights (e.g. a storm moving around the sphere), re-cutting through
+  :func:`plan_repartition` and recording balance and migration per
+  rebalancing step.
 """
 
 from __future__ import annotations
@@ -31,11 +30,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..cubesphere.curve import CubedSphereCurve
 from .base import Partition
 from .metrics import load_balance
 from .registry import PartitionProblem, get as get_partitioner
-from .sfc import curve_key_fn, keyed_cut
 
 __all__ = [
     "LoadTracker",
@@ -44,7 +41,7 @@ __all__ = [
     "group_moves",
     "migration_cost",
     "plan_repartition",
-    "repartition_curve",
+    "validate_old_assignment",
 ]
 
 
@@ -94,50 +91,30 @@ def migration_cost(
     )
 
 
-def repartition_curve(
-    curve: CubedSphereCurve | int,
-    weights: np.ndarray,
-    nparts: int,
-    schedule: str | None = None,
-    chunk: int | None = None,
-) -> Partition:
-    """Re-cut the global curve for new element weights.
+def validate_old_assignment(old_assignment, ne: int) -> np.ndarray:
+    """The owners a re-cut at ``ne`` starts from, as an int64 array.
 
-    Because the curve ordering is fixed, successive repartitions only
-    shift the cut points, so elements migrate between *neighboring*
-    ranks — the property that makes SFC rebalancing cheap in adaptive
-    codes (tested: migration stays far below a fresh graph partition's).
+    The one check of an old assignment, made by :func:`plan_repartition`
+    and by the service's repartition request: one owner per element
+    (1-D, ``K = 6 ne^2`` entries), each in ``[0, K)``.
 
-    Args:
-        curve: The global SFC — ``ne``, or a :class:`CubedSphereCurve`,
-            which keys as its ``ne`` and schedule.  Either way uint64
-            keys stream; nothing is materialized or rebuilt per step.
-        weights: Per-element (gid-indexed) positive weights.
-        nparts: Number of processors.
-        schedule: Refinement schedule (only with ``curve`` given as
-            ``ne``; a curve object carries its own).
-        chunk: Elements keyed per streaming pass.
-
-    Returns:
-        A :class:`Partition` labeled ``"sfc-rebal"``.
+    Raises:
+        ValueError: Not an integer array, the wrong shape, or an owner
+            out of range.
     """
-    if isinstance(curve, CubedSphereCurve):
-        if schedule is not None and schedule != curve.schedule:
-            raise ValueError(
-                f"schedule {schedule!r} conflicts with the curve's "
-                f"({curve.schedule!r}); pass ne instead of a curve to rekey"
-            )
-        ne, schedule = curve.mesh.ne, curve.schedule
-    else:
-        ne = int(curve)
-    return keyed_cut(
-        curve_key_fn(ne, schedule),
-        6 * ne * ne,
-        nparts,
-        weights=weights,
-        chunk=chunk,
-        method="sfc-rebal",
-    )
+    k = 6 * ne * ne
+    try:
+        old = np.asarray(old_assignment, dtype=np.int64)
+    except (TypeError, ValueError, OverflowError):
+        raise ValueError("old_assignment must be an integer array") from None
+    if old.ndim != 1 or len(old) != k:
+        raise ValueError(
+            f"old_assignment must have one owner per element: expected "
+            f"{k} entries for ne={ne}, got shape {old.shape}"
+        )
+    if len(old) and (old.min() < 0 or old.max() >= k):
+        raise ValueError("old_assignment owners must be in [0, K)")
+    return old
 
 
 @dataclass(frozen=True)
@@ -262,16 +239,11 @@ def plan_repartition(
             does not support weights).
     """
     k = 6 * int(ne) * int(ne)
-    old = np.asarray(old_assignment, dtype=np.int64)
-    if old.ndim != 1 or len(old) != k:
-        raise ValueError(
-            f"old_assignment must have one owner per element: expected "
-            f"{k} entries for ne={ne}, got shape {old.shape}"
-        )
-    if len(old) and old.min() < 0:
-        raise ValueError("old_assignment owners must be >= 0")
+    old = validate_old_assignment(old_assignment, int(ne))
+    # LB-before bins every *old* owner even when shrinking nparts.
+    old_nparts = int(old.max()) + 1 if len(old) else 1
     if nparts is None:
-        nparts = int(old.max()) + 1 if len(old) else 1
+        nparts = old_nparts
     problem = PartitionProblem(
         ne=int(ne), nparts=int(nparts), seed=int(seed),
         schedule=schedule, weights=weights,
@@ -281,8 +253,6 @@ def plan_repartition(
     if method == "sfc":
         new = new.with_method("sfc-rebal")
     moved, moves = group_moves(old, new.assignment)
-    # LB-before bins every *old* owner even when shrinking nparts.
-    old_nparts = (int(old.max()) + 1) if len(old) else 1
     before = np.bincount(old, weights=weights, minlength=old_nparts)
     after = np.bincount(new.assignment, weights=weights, minlength=int(nparts))
     return RepartitionPlan(
@@ -302,14 +272,18 @@ def plan_repartition(
 class LoadTracker:
     """Drive a sequence of rebalancing steps over changing weights.
 
+    The first step cuts the fixed global SFC afresh (the registry's
+    ``sfc`` method, labelled ``"sfc-rebal"``, with nothing moved); every
+    later step re-cuts it through :func:`plan_repartition` from the
+    previous step's owners.
+
     Args:
-        curve: The fixed global SFC — ``ne`` or a
-            :class:`CubedSphereCurve` (see :func:`repartition_curve`).
+        ne: Elements per cube-face edge.
         nparts: Processor count.
-        schedule: Refinement schedule (with ``curve`` given as ``ne``).
+        schedule: Optional refinement schedule of the curve.
     """
 
-    curve: CubedSphereCurve | int
+    ne: int
     nparts: int
     schedule: str | None = None
 
@@ -323,24 +297,29 @@ class LoadTracker:
         Returns:
             The new partition.
         """
-        new = repartition_curve(
-            self.curve, weights, self.nparts, schedule=self.schedule
-        )
-        loads = np.bincount(
-            new.assignment, weights=weights, minlength=self.nparts
-        )
-        entry = {
+        if self.current is None:
+            problem = PartitionProblem(
+                ne=self.ne, nparts=self.nparts, schedule=self.schedule,
+                weights=weights,
+            )
+            new = get_partitioner("sfc")(problem).with_method("sfc-rebal")
+            moved, fraction = 0, 0.0
+        else:
+            plan = plan_repartition(
+                self.current.assignment, weights, ne=self.ne,
+                nparts=self.nparts, schedule=self.schedule,
+            )
+            new = Partition(plan.new_assignment, self.nparts, plan.method)
+            moved, fraction = plan.elements_moved, plan.fraction_moved
+        # One bincount gives every step's loads; its LB is the plan's
+        # lb_after.
+        loads = np.bincount(new.assignment, weights=weights, minlength=self.nparts)
+        self.history.append({
             "lb": load_balance(loads),
             "max_load": float(loads.max()),
             "mean_load": float(loads.mean()),
-        }
-        if self.current is not None:
-            cost = migration_cost(self.current, new, weights)
-            entry["elements_moved"] = float(cost.elements_moved)
-            entry["fraction_moved"] = cost.fraction_moved
-        else:
-            entry["elements_moved"] = 0.0
-            entry["fraction_moved"] = 0.0
-        self.history.append(entry)
+            "elements_moved": float(moved),
+            "fraction_moved": fraction,
+        })
         self.current = new
         return new

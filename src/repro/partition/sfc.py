@@ -247,17 +247,17 @@ def keyed_cut(
     ncells: int,
     nparts: int,
     weights: np.ndarray | None = None,
-    chunk: int | None = None,
     method: str = "sfc",
 ) -> Partition:
     """Cut a curve by streaming its keys — never materializing it.
 
     The keys of ``[0, ncells)`` must be a bijection onto ``[0, ncells)``
     (each element's position along the traversal).  Elements are keyed
-    in chunks and bucketed against the cut bounds with a binary search
-    (a single chunk looks each key's owner up directly), so peak memory
-    is O(chunk) beyond the assignment array itself — the chunked keying
-    + prefix-sum cutting pass of Borrell et al.
+    in chunks of :data:`DEFAULT_CHUNK` and bucketed against the cut
+    bounds with a binary search (a single chunk looks each key's owner
+    up directly), so peak memory is O(chunk) beyond the assignment
+    array itself — the chunked keying + prefix-sum cutting pass of
+    Borrell et al.
 
     Args:
         key_fn: Maps an array of element ids to their uint64 keys.
@@ -265,22 +265,34 @@ def keyed_cut(
         nparts: Number of segments.
         weights: Optional per-element (id-indexed) weights; cuts then
             balance weight instead of element count (the keying pass
-            also scatters the weights into key order).  Checked here,
-            once, with :func:`~repro.partition.registry.validate_weights`.
-        chunk: Elements keyed per pass (default :data:`DEFAULT_CHUNK`).
+            also scatters the weights into key order).  Checked with
+            :func:`~repro.partition.registry.validate_weights`, in id
+            order, so that a bad entry is named by its element id.
         method: Label stamped on the produced partition.
 
     Returns:
         The :class:`Partition`; bit-identical to cutting the
         materialized traversal with the same rule.
     """
-    chunk = DEFAULT_CHUNK if chunk is None else int(chunk)
-    if chunk < 1:
-        raise ValueError(f"chunk must be >= 1, got {chunk}")
     if weights is not None:
-        # The one weight check of every cut, in id order so that a bad
-        # entry is named by its element id.
         weights = validate_weights(weights, ncells)
+    return _keyed_cut(key_fn, ncells, nparts, weights, method)
+
+
+def _keyed_cut(
+    key_fn: Callable[[np.ndarray], np.ndarray],
+    ncells: int,
+    nparts: int,
+    weights: np.ndarray | None,
+    method: str,
+) -> Partition:
+    """:func:`keyed_cut` of already validated weights.
+
+    The registry's builders cut through here: their
+    :class:`~repro.partition.registry.PartitionProblem` has checked the
+    weights once already.
+    """
+    chunk = DEFAULT_CHUNK
     with span("keyed_cut", "sfc", ncells=ncells, nparts=nparts, method=method):
         if weights is not None:
             along_curve = np.empty(ncells, dtype=np.float64)
@@ -316,7 +328,6 @@ def sfc_partition(
     nparts: int,
     schedule: str | None = None,
     weights: np.ndarray | None = None,
-    chunk: int | None = None,
 ) -> Partition:
     """Convenience wrapper: SFC-partition the cubed-sphere at ``ne``.
 
@@ -333,39 +344,15 @@ def sfc_partition(
         schedule: Optional face-local refinement schedule (for the
             refinement-order ablation).
         weights: Optional per-element weights.
-        chunk: Elements keyed per streaming pass.
     """
     factorize_2_3(ne)  # surface inadmissible sizes before any work
     return keyed_cut(
-        curve_key_fn(ne, schedule),
-        6 * ne * ne,
-        nparts,
-        weights=weights,
-        chunk=chunk,
-        method="sfc",
+        curve_key_fn(ne, schedule), 6 * ne * ne, nparts, weights=weights
     )
 
 
-def morton_partition(
-    ne: int,
-    nparts: int,
-    weights: np.ndarray | None = None,
-    chunk: int | None = None,
-) -> Partition:
-    """Partition by cutting the per-face Morton (Z-order) traversal.
-
-    Faces are visited in storage order with the identity orientation —
-    Morton's "Z" jumps make it *discontinuous*, so no face chaining can
-    produce a single continuous curve (the curve-baselines ablation
-    demonstrates this), and segments may straddle distant blocks.
-    Registered as the ``morton`` method for exactly that comparison.
-
-    Args:
-        ne: Elements per cube-face edge; must be a power of two.
-        nparts: Number of processors.
-        weights: Optional per-element weights.
-        chunk: Elements keyed per streaming pass.
-    """
+def _morton_key_fn(ne: int) -> Callable[[np.ndarray], np.ndarray]:
+    """Key function of the per-face Morton traversal at ``ne`` (``2^n``)."""
     if ne < 1 or ne & (ne - 1):
         raise ValueError(
             f"morton partitioning needs ne = 2^n (bit interleave), got {ne}"
@@ -379,6 +366,27 @@ def morton_partition(
         keys += face.astype(np.uint64) * np.uint64(n2)
         return keys
 
+    return key_fn
+
+
+def morton_partition(
+    ne: int,
+    nparts: int,
+    weights: np.ndarray | None = None,
+) -> Partition:
+    """Partition by cutting the per-face Morton (Z-order) traversal.
+
+    Faces are visited in storage order with the identity orientation —
+    Morton's "Z" jumps make it *discontinuous*, so no face chaining can
+    produce a single continuous curve (the curve-baselines ablation
+    demonstrates this), and segments may straddle distant blocks.
+    Registered as the ``morton`` method for exactly that comparison.
+
+    Args:
+        ne: Elements per cube-face edge; must be a power of two.
+        nparts: Number of processors.
+        weights: Optional per-element weights.
+    """
     return keyed_cut(
-        key_fn, 6 * n2, nparts, weights=weights, chunk=chunk, method="morton"
+        _morton_key_fn(ne), 6 * ne * ne, nparts, weights=weights, method="morton"
     )

@@ -151,69 +151,6 @@ class GridGeometry:
         return float(self.local_mass.sum())
 
 
-def _element_geometry(
-    mesh: CubedSphereMesh, basis: GLLBasis, gid: int
-) -> ElementGeometry:
-    """Reference per-element construction (the historical scalar loop).
-
-    Kept as the golden reference for the vectorized stack builder:
-    :func:`_build_stacks` must reproduce these arrays bit-for-bit
-    (tested in ``tests/seam/test_batched_golden.py``).
-    """
-    face, ix, iy = mesh.locate(gid)
-    ne = mesh.ne
-    f = FACES[face]
-    n = np.array(f.normal, dtype=np.float64)
-    ex = np.array(f.ex, dtype=np.float64)
-    ey = np.array(f.ey, dtype=np.float64)
-    # Abstract local coordinate of each GLL node: a = 2*(ix + t)/ne - 1
-    # with t in [0, 1]; the same expression on both sides of an
-    # element interface makes shared points bit-identical.
-    t = (basis.nodes + 1.0) / 2.0
-    a = 2.0 * (ix + t) / ne - 1.0  # (np,)
-    b = 2.0 * (iy + t) / ne - 1.0
-    alpha = a * (np.pi / 4.0)
-    beta = b * (np.pi / 4.0)
-    x_ = np.tan(alpha)[:, None]  # X(alpha), broadcast over j
-    y_ = np.tan(beta)[None, :]
-    p = (
-        n[None, None, :]
-        + x_[..., None] * ex[None, None, :]
-        + y_[..., None] * ey[None, None, :]
-    )
-    delta = np.linalg.norm(p, axis=-1)
-    r = p / delta[..., None]
-    # d r / d alpha = (1 + X^2) * (ex - r (r . ex)) / delta, then chain
-    # rule to reference coords: d alpha / d xi = (pi/4) * (1/ne) * ...
-    # a = 2 (ix + (xi+1)/2)/ne - 1  =>  da/dxi = 1/ne.
-    dalpha_dxi = (np.pi / 4.0) / ne
-    sec2a = 1.0 + x_**2  # sec^2(alpha) = 1 + tan^2
-    sec2b = 1.0 + y_**2
-    r_dot_ex = np.einsum("ijk,k->ij", r, ex)
-    r_dot_ey = np.einsum("ijk,k->ij", r, ey)
-    dra = (sec2a[..., None] * (ex[None, None, :] - r * r_dot_ex[..., None])) / delta[
-        ..., None
-    ]
-    drb = (sec2b[..., None] * (ey[None, None, :] - r * r_dot_ey[..., None])) / delta[
-        ..., None
-    ]
-    basis_a = dra * dalpha_dxi
-    basis_b = drb * dalpha_dxi
-    g11 = np.einsum("ijk,ijk->ij", basis_a, basis_a)
-    g12 = np.einsum("ijk,ijk->ij", basis_a, basis_b)
-    g22 = np.einsum("ijk,ijk->ij", basis_b, basis_b)
-    det = g11 * g22 - g12 * g12
-    jac = np.sqrt(det)
-    ginv = np.empty(g11.shape + (2, 2))
-    ginv[..., 0, 0] = g22 / det
-    ginv[..., 1, 1] = g11 / det
-    ginv[..., 0, 1] = -g12 / det
-    ginv[..., 1, 0] = -g12 / det
-    return ElementGeometry(
-        gid=gid, xyz=r, basis_a=basis_a, basis_b=basis_b, jac=jac, ginv=ginv
-    )
-
-
 def _axis_of(v: tuple[int, int, int]) -> int:
     """Index of the single nonzero component of a signed unit vector."""
     return next(c for c in range(3) if v[c] != 0)
@@ -226,7 +163,9 @@ def _build_stacks(
 
     One vectorized pass over every element of every face.  The
     floating-point expressions (and their evaluation order) are the
-    element-wise transcription of :func:`_element_geometry`, evaluated
+    element-wise transcription of the historical per-element loop
+    (kept as ``reference_element_geometry`` in
+    ``tests/seam/reference_serial.py``), evaluated
     in-place into the preallocated output stacks with a small set of
     reused scratch buffers — the stacks are bit-identical to the
     per-element loop (tested), without the loop's per-element Python
@@ -240,7 +179,7 @@ def _build_stacks(
     idx = np.arange(ne)
     # a depends only on ix (b only on iy) and both run over the same
     # per-face index range, so one (ne, np) table serves both axes:
-    # a = 2*(ix + t)/ne - 1, elementwise as in _element_geometry.
+    # a = 2*(ix + t)/ne - 1, elementwise as in the per-element loop.
     a = 2.0 * (idx[:, None] + t[None, :]) / ne - 1.0
     tan_a = np.tan(a * (np.pi / 4.0))  # (ne, np)
     # Face-local element e = iy*ne + ix  =>  ix = e % ne, iy = e // ne.

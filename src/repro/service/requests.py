@@ -44,6 +44,12 @@ from time import perf_counter
 import numpy as np
 
 from ..partition import registry
+from ..partition.repartition import (
+    RepartitionPlan,
+    group_moves,
+    plan_repartition,
+    validate_old_assignment,
+)
 from ..telemetry import inc, observe, span
 
 __all__ = [
@@ -153,6 +159,15 @@ def _int_field(data: dict, name: str, default: int | None = None) -> int:
         raise ValueError(
             f"{name} must be an integer, got {reprlib.repr(value)}"
         ) from None
+
+
+def _schedule_field(schedule) -> str | None:
+    """A request's refinement schedule: a string, or ``None`` for the
+    default.  An empty string is the default too, as on the wire, so a
+    request keys the same before and after a JSON round trip."""
+    if schedule is not None and not isinstance(schedule, str):
+        raise ValueError("schedule must be a string or None")
+    return schedule or None
 
 
 def _float_array(values) -> np.ndarray:
@@ -368,8 +383,7 @@ class PartitionRequest(_ContentAddressed):
             raise ValueError(
                 f"nparts must be in [1, K={self.k}], got {self.nparts}"
             )
-        if self.schedule is not None and not isinstance(self.schedule, str):
-            raise ValueError("schedule must be a string or None")
+        object.__setattr__(self, "schedule", _schedule_field(self.schedule))
         object.__setattr__(self, "weights", WeightSpec.coerce(self.weights, self.k))
         # Raises UnknownPartitionerError (with a did-you-mean) for a
         # bad name, CapabilityError for a contract violation.
@@ -619,17 +633,7 @@ class RepartitionRequest(_ContentAddressed):
             object.__setattr__(self, name, int(value))
         if self.ne < 1:
             raise ValueError(f"ne must be >= 1, got {self.ne}")
-        try:
-            old = np.asarray(self.old_assignment, dtype=np.int64)
-        except (TypeError, ValueError, OverflowError):
-            raise ValueError("old_assignment must be an integer array") from None
-        if old.ndim != 1 or len(old) != self.k:
-            raise ValueError(
-                f"old_assignment must have one owner per element: expected "
-                f"{self.k} entries for ne={self.ne}, got shape {old.shape}"
-            )
-        if len(old) and (old.min() < 0 or old.max() >= self.k):
-            raise ValueError("old_assignment owners must be in [0, K)")
+        old = validate_old_assignment(self.old_assignment, self.ne)
         old.setflags(write=False)
         object.__setattr__(self, "old_assignment", old)
         nparts = self.nparts
@@ -640,8 +644,7 @@ class RepartitionRequest(_ContentAddressed):
         if not 1 <= int(nparts) <= self.k:
             raise ValueError(f"nparts must be in [1, K={self.k}], got {nparts}")
         object.__setattr__(self, "nparts", int(nparts))
-        if self.schedule is not None and not isinstance(self.schedule, str):
-            raise ValueError("schedule must be a string or None")
+        object.__setattr__(self, "schedule", _schedule_field(self.schedule))
         weights = WeightSpec.coerce(self.weights, self.k)
         if weights is None:
             raise ValueError("repartition requires weights (the new load)")
@@ -696,8 +699,6 @@ class RepartitionRequest(_ContentAddressed):
         Runs :func:`~repro.partition.repartition.plan_repartition`;
         deterministic, like :meth:`PartitionRequest.compute`.
         """
-        from ..partition.repartition import plan_repartition
-
         start = perf_counter()
         with span(
             "repartition", "service", key=self.cache_key()[:12],
@@ -720,8 +721,6 @@ class RepartitionRequest(_ContentAddressed):
         wire body); the moves are regrouped from this request's old
         assignment.
         """
-        from ..partition.repartition import RepartitionPlan, group_moves
-
         scalars = {
             k: v for k, v in meta["plan"].items() if k not in ("assignment", "moves")
         }

@@ -11,9 +11,9 @@ from repro.graphs.traversal import (
     bfs_levels,
     connected_components,
     is_connected,
-    pseudo_peripheral_vertex,
 )
 from tests.conftest import grid_graph, path_graph
+from tests.metis.reference_kernels import pseudo_peripheral_vertex
 
 
 class TestBFS:

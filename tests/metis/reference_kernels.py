@@ -8,6 +8,7 @@ they exist only as test oracles (``tests/metis/test_golden.py``,
 * :func:`subgraph` — ``rb_extract`` / ``CSRGraph.subgraph``;
 * :func:`heavy_edge_matching` — ``hem_claim``;
 * :func:`contract` — ``contract``;
+* :func:`pseudo_peripheral_vertex` — ``pseudo_peripheral``;
 * :func:`greedy_graph_growing` — ``rb_initial`` (GGG trials);
 * :func:`fm_refine_bisection` — ``rb_refine`` (rebalance + FM passes);
 * :func:`greedy_kway_refine` — ``kway_refine``;
@@ -27,7 +28,7 @@ import heapq
 import numpy as np
 
 from repro.graphs.csr import CSRGraph
-from repro.graphs.traversal import pseudo_peripheral_vertex
+from repro.graphs.traversal import bfs_levels
 from repro.metis.bisection import COARSEST_NVERTICES
 from repro.metis.coarsen import MAX_LEVELS, CoarseLevel
 from repro.metis.initial import NTRIALS
@@ -124,6 +125,35 @@ def coarsen_to(graph: CSRGraph, target_nvertices: int, seed: int = 0) -> list[Co
         levels.append(level)
         current = level.graph
     return levels
+
+
+def pseudo_peripheral_vertex(
+    graph: CSRGraph, mask: np.ndarray | None = None, start: int | None = None
+) -> int:
+    """A vertex of near-maximal eccentricity (George-Liu heuristic).
+
+    Repeatedly BFS from the current candidate and jump to the first
+    farthest vertex until the eccentricity stops growing.  Seeds greedy
+    graph growing so the grown region sweeps across the graph instead
+    of curling around an interior seed.
+    """
+    if start is None:
+        if mask is None:
+            start = 0
+        else:
+            nz = np.flatnonzero(mask)
+            if len(nz) == 0:
+                raise ValueError("mask selects no vertices")
+            start = int(nz[0])
+    current = start
+    ecc = -1
+    while True:
+        level = bfs_levels(graph, current, mask)
+        far = int(level.max())
+        if far <= ecc:
+            return current
+        ecc = far
+        current = int(np.argmax(level))
 
 
 def greedy_graph_growing(

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 from repro.partition import sfc
 from repro.partition.pipeline import clear_stage_caches, mesh_stage
-from repro.partition.repartition import plan_repartition, repartition_curve
+from repro.partition.repartition import LoadTracker, plan_repartition
 from repro.service.engine import compute_response
 from repro.service.requests import RepartitionRequest
 from repro.sfc.factorization import admissible_sizes, all_schedules, default_schedule
@@ -31,10 +31,11 @@ def fresh_caches():
     clear_stage_caches()
 
 
-def streamed(k: int):
-    """Context in which a mesh of ``k`` elements no longer fits the
-    position cache, so every cut keys it afresh in chunks."""
-    return mock.patch.object(sfc, "DEFAULT_CHUNK", k - 1)
+def streamed(chunk: int):
+    """Context in which every cut keys ``chunk`` elements per pass, so a
+    mesh of more elements no longer fits the position cache and is keyed
+    afresh in chunks."""
+    return mock.patch.object(sfc, "DEFAULT_CHUNK", chunk)
 
 
 def counted_element_keys():
@@ -50,7 +51,7 @@ def cut_cases(draw):
         "ne": ne,
         "schedule": draw(st.sampled_from([None, *all_schedules(ne)])),
         "nparts": draw(st.integers(1, min(k, 48))),
-        "chunk": draw(st.one_of(st.none(), st.integers(1, 2 * k))),
+        "chunk": draw(st.integers(1, max(k - 1, 1))),
         "seed": draw(st.integers(0, 2**32 - 1)),
     }
 
@@ -67,12 +68,12 @@ class TestCachedMatchesStreamed:
         old = rng.integers(0, max(nparts - 1, 1), size=k)
 
         def run():
+            tracker = LoadTracker(ne, nparts, schedule=schedule)
+            tracker.update(weights)
             return (
-                sfc.sfc_partition(ne, nparts, schedule=schedule, chunk=chunk),
-                sfc.sfc_partition(
-                    ne, nparts, schedule=schedule, weights=weights, chunk=chunk
-                ),
-                repartition_curve(ne, weights, nparts, schedule=schedule, chunk=chunk),
+                sfc.sfc_partition(ne, nparts, schedule=schedule),
+                sfc.sfc_partition(ne, nparts, schedule=schedule, weights=weights),
+                tracker.current,
                 plan_repartition(
                     old, weights, ne=ne, nparts=nparts, schedule=schedule
                 ),
@@ -80,7 +81,7 @@ class TestCachedMatchesStreamed:
 
         cached = run()
         assert sfc.POSITIONS_CACHE.stats()["entries"] >= 1
-        with streamed(k):
+        with streamed(chunk):
             want = run()
         for got, ref in zip(cached[:3], want[:3]):
             np.testing.assert_array_equal(got.assignment, ref.assignment)
@@ -133,7 +134,7 @@ class TestPositionCache:
         with mock.patch.object(sfc, "DEFAULT_CHUNK", k - 1), \
                 counted_element_keys() as keys:
             a = sfc.sfc_partition(ne, 8)
-            b = repartition_curve(ne, np.linspace(1.0, 2.0, k), 8)
+            b = sfc.sfc_partition(ne, 8, weights=np.linspace(1.0, 2.0, k))
             assert keys.call_count == 4  # two chunks per cut
             assert max(len(c.kwargs["gids"]) for c in keys.call_args_list) == k - 1
         assert sfc.POSITIONS_CACHE.stats()["entries"] == 0

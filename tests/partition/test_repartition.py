@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from unittest import mock
+
 import numpy as np
 import pytest
 
@@ -10,10 +12,15 @@ from repro.partition import (
     LoadTracker,
     load_balance,
     migration_cost,
-    repartition_curve,
+    plan_repartition,
+    sfc,
     sfc_partition,
 )
 from repro.partition.base import Partition
+
+from tests.cubesphere.reference_curve import reference_cubed_sphere_curve
+
+from .reference_sfc import partition_curve
 
 
 @pytest.fixture(scope="module")
@@ -30,6 +37,15 @@ def moving_weights(curve, center_gid: int, boost: float = 4.0) -> np.ndarray:
     hot = curve.order[lo:hi]
     w[hot] = boost
     return w
+
+
+def recut(weights: np.ndarray, nparts: int, old: Partition | None = None) -> Partition:
+    """Re-cut the ne=4 curve for ``weights`` through the one re-cut path,
+    from ``old`` (default: the unweighted SFC cut)."""
+    if old is None:
+        old = sfc_partition(4, nparts)
+    plan = plan_repartition(old.assignment, weights, ne=4, nparts=nparts)
+    return Partition(plan.new_assignment, nparts, plan.method)
 
 
 class TestMigrationCost:
@@ -62,20 +78,21 @@ class TestMigrationCost:
 class TestRepartitionCurve:
     def test_balances_new_weights(self, curve):
         w = moving_weights(curve, center_gid=10)
-        p = repartition_curve(curve, w, 12)
+        p = recut(w, 12)
         loads = np.bincount(p.assignment, weights=w, minlength=12)
         assert load_balance(loads) < 0.35
 
     def test_method_label(self, curve):
-        p = repartition_curve(curve, np.ones(len(curve)), 8)
-        assert p.method == "sfc-rebal"
+        assert recut(np.ones(len(curve)), 8).method == "sfc-rebal"
+        tracker = LoadTracker(4, nparts=8)
+        assert tracker.update(np.ones(len(curve))).method == "sfc-rebal"
 
     def test_small_weight_change_small_migration(self, curve):
         """The SFC rebalancing selling point: cuts only shift."""
         w1 = moving_weights(curve, center_gid=10)
         w2 = moving_weights(curve, center_gid=14)  # hotspot drifts
-        p1 = repartition_curve(curve, w1, 12)
-        p2 = repartition_curve(curve, w2, 12)
+        p1 = recut(w1, 12)
+        p2 = recut(w2, 12, old=p1)
         cost = migration_cost(p1, p2)
         assert cost.fraction_moved < 0.25
 
@@ -87,8 +104,8 @@ class TestRepartitionCurve:
 
         w1 = moving_weights(curve, 10)
         w2 = moving_weights(curve, 14)
-        p1 = repartition_curve(curve, w1, 12)
-        p2 = repartition_curve(curve, w2, 12)
+        p1 = recut(w1, 12)
+        p2 = recut(w2, 12, old=p1)
         sfc_cost = migration_cost(p1, p2)
         g = mesh_graph(curve.mesh, vweights=np.round(w2).astype(np.int64))
         metis_new = part_graph(g, 12, "kway", seed=0)
@@ -97,17 +114,17 @@ class TestRepartitionCurve:
 
     def test_migration_monotone_with_hotspot_speed(self, curve):
         w0 = moving_weights(curve, 10)
-        p0 = repartition_curve(curve, w0, 12)
+        p0 = recut(w0, 12)
         costs = []
         for target in (12, 30):
-            p = repartition_curve(curve, moving_weights(curve, target), 12)
+            p = recut(moving_weights(curve, target), 12, old=p0)
             costs.append(migration_cost(p0, p).elements_moved)
         assert costs[0] <= costs[1]
 
 
 class TestLoadTracker:
     def test_history_records_balance_and_migration(self, curve):
-        tracker = LoadTracker(curve, nparts=12)
+        tracker = LoadTracker(4, nparts=12)
         for center in (5, 9, 13, 17):
             tracker.update(moving_weights(curve, center))
         assert len(tracker.history) == 4
@@ -117,7 +134,7 @@ class TestLoadTracker:
             assert entry["lb"] < 0.5
 
     def test_current_partition_valid(self, curve):
-        tracker = LoadTracker(curve, nparts=8)
+        tracker = LoadTracker(4, nparts=8)
         p = tracker.update(np.ones(len(curve)))
         p.validate()
         assert tracker.current is p
@@ -125,7 +142,7 @@ class TestLoadTracker:
     def test_single_rebalance_step(self, curve):
         """One update: no prior partition, so migration is zero and the
         history holds exactly one fully-populated entry."""
-        tracker = LoadTracker(curve, nparts=12)
+        tracker = LoadTracker(4, nparts=12)
         p = tracker.update(moving_weights(curve, center_gid=20))
         assert len(tracker.history) == 1
         entry = tracker.history[0]
@@ -138,7 +155,7 @@ class TestLoadTracker:
     def test_all_equal_weights_zero_migration(self, curve):
         """Unchanged uniform weights re-cut identically: no migration,
         perfect balance at every step."""
-        tracker = LoadTracker(curve, nparts=12)
+        tracker = LoadTracker(4, nparts=12)
         w = np.ones(len(curve))
         first = tracker.update(w)
         second = tracker.update(w)
@@ -152,8 +169,8 @@ class TestLoadTracker:
     def test_nparts_exceeding_k_degenerate(self, curve):
         """More parts than elements cannot yield non-empty segments."""
         k = len(curve)
-        tracker = LoadTracker(curve, nparts=k + 1)
-        with pytest.raises(ValueError, match="more parts"):
+        tracker = LoadTracker(4, nparts=k + 1)
+        with pytest.raises(ValueError, match=f"nparts must be in \\[1, K={k}\\]"):
             tracker.update(np.ones(k))
         assert tracker.current is None  # failed update records nothing
         assert tracker.history == []
@@ -161,7 +178,7 @@ class TestLoadTracker:
     def test_nparts_equal_k_single_element_parts(self, curve):
         """nparts == K is the extreme legal cut: one element each."""
         k = len(curve)
-        tracker = LoadTracker(curve, nparts=k)
+        tracker = LoadTracker(4, nparts=k)
         p = tracker.update(np.ones(k))
         p.validate()
         assert np.array_equal(np.sort(p.assignment), np.arange(k))
@@ -169,35 +186,19 @@ class TestLoadTracker:
 
 
 class TestKeyedCurvePath:
-    """The streaming (pass-``ne``) path must match the materialized curve."""
+    """The re-cut's streaming key path equals cutting the materialized curve."""
 
     def test_keyed_matches_materialized(self, curve):
         w = moving_weights(curve, center_gid=10)
-        via_curve = repartition_curve(curve, w, 12)
-        via_ne = repartition_curve(4, w, 12)
-        np.testing.assert_array_equal(via_curve.assignment, via_ne.assignment)
+        golden = partition_curve(reference_cubed_sphere_curve(4), 12, weights=w)
+        np.testing.assert_array_equal(recut(w, 12).assignment, golden.assignment)
 
     def test_keyed_matches_materialized_chunked(self, curve):
         w = moving_weights(curve, center_gid=20)
-        via_curve = repartition_curve(curve, w, 8)
-        via_ne = repartition_curve(4, w, 8, chunk=17)
-        np.testing.assert_array_equal(via_curve.assignment, via_ne.assignment)
-
-    def test_schedule_conflict_rejected(self, curve):
-        with pytest.raises(ValueError, match="conflicts with the curve's"):
-            repartition_curve(curve, np.ones(len(curve)), 4, schedule="0:d1")
-
-    def test_tracker_accepts_plain_ne(self, curve):
-        """LoadTracker(ne, ...) never materializes the curve — the
-        Ne >= 256 trajectory path — and matches the curve-built one."""
-        by_curve = LoadTracker(curve, nparts=12)
-        by_ne = LoadTracker(4, nparts=12)
-        for center in (5, 9, 13):
-            w = moving_weights(curve, center)
-            a = by_curve.update(w)
-            b = by_ne.update(w)
-            np.testing.assert_array_equal(a.assignment, b.assignment)
-        assert by_curve.history == by_ne.history
+        golden = partition_curve(reference_cubed_sphere_curve(4), 8, weights=w)
+        with mock.patch.object(sfc, "DEFAULT_CHUNK", 17):
+            via_ne = recut(w, 8)
+        np.testing.assert_array_equal(via_ne.assignment, golden.assignment)
 
 
 class TestPlanRepartition:
@@ -292,7 +293,7 @@ class TestPlanRepartition:
             plan_repartition(np.zeros(5, dtype=int), np.ones(96), ne=4)
         bad = np.zeros(96, dtype=int)
         bad[0] = -1
-        with pytest.raises(ValueError, match=">= 0"):
+        with pytest.raises(ValueError, match="in \\[0, K\\)"):
             plan_repartition(bad, np.ones(96), ne=4)
 
     def test_plan_to_dict_json_ready(self, curve):

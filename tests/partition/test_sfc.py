@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+from contextlib import nullcontext
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,6 +13,7 @@ from hypothesis import strategies as st
 from repro.cubesphere.curve import cubed_sphere_curve
 from repro.graphs.csr import mesh_graph
 from repro.graphs.traversal import is_connected
+from repro.partition import sfc as sfc_module
 from repro.partition.metrics import load_balance
 from repro.partition.sfc import (
     cut_positions_uniform,
@@ -22,6 +26,14 @@ from repro.partition.sfc import (
 from tests.cubesphere.reference_curve import reference_cubed_sphere_curve
 
 from .reference_sfc import partition_curve
+
+
+def chunked(chunk: int | None):
+    """Context in which every cut keys ``chunk`` elements per pass
+    (``None``: the default chunk)."""
+    if chunk is None:
+        return nullcontext()
+    return mock.patch.object(sfc_module, "DEFAULT_CHUNK", chunk)
 
 
 class TestUniformCuts:
@@ -158,14 +170,15 @@ class TestKeyedCut:
     @pytest.mark.parametrize("chunk", [1, 7, 100, 10**9])
     def test_chunk_size_never_changes_the_cut(self, chunk):
         whole = sfc_partition(6, 9)
-        np.testing.assert_array_equal(
-            sfc_partition(6, 9, chunk=chunk).assignment, whole.assignment
-        )
+        with chunked(chunk):
+            part = sfc_partition(6, 9)
+        np.testing.assert_array_equal(part.assignment, whole.assignment)
 
     def test_weighted_keyed_equals_materialized(self):
         rng = np.random.default_rng(7)
         w = rng.uniform(0.5, 2.0, size=96)
-        keyed = sfc_partition(4, 8, weights=w, chunk=13)
+        with chunked(13):
+            keyed = sfc_partition(4, 8, weights=w)
         golden = partition_curve(reference_cubed_sphere_curve(4), 8, weights=w)
         np.testing.assert_array_equal(keyed.assignment, golden.assignment)
 
@@ -177,10 +190,6 @@ class TestKeyedCut:
     def test_inadmissible_ne_rejected_before_work(self):
         with pytest.raises(ValueError):
             sfc_partition(5, 2)
-
-    def test_bad_chunk(self):
-        with pytest.raises(ValueError, match="chunk"):
-            keyed_cut(lambda ids: ids.astype(np.uint64), 24, 4, chunk=0)
 
     @pytest.mark.parametrize("weighted", [False, True])
     @pytest.mark.parametrize("chunk", [1, 7, 96, 1000])
@@ -195,7 +204,8 @@ class TestKeyedCut:
             return element_keys(4, gids=ids)
 
         w = np.random.default_rng(3).uniform(0.5, 2.0, 96) if weighted else None
-        part = keyed_cut(key_fn, 96, 8, weights=w, chunk=chunk)
+        with chunked(chunk):
+            part = keyed_cut(key_fn, 96, 8, weights=w)
         assert len(calls) == -(-96 // chunk) and sum(calls) == 96
         np.testing.assert_array_equal(
             part.assignment, sfc_partition(4, 8, weights=w).assignment
@@ -212,9 +222,10 @@ class TestMortonPartition:
 
     @pytest.mark.parametrize("chunk", [1, 11, None])
     def test_chunk_invariant(self, chunk):
+        with chunked(chunk):
+            part = morton_partition(4, 7)
         np.testing.assert_array_equal(
-            morton_partition(4, 7, chunk=chunk).assignment,
-            morton_partition(4, 7).assignment,
+            part.assignment, morton_partition(4, 7).assignment
         )
 
     def test_power_of_two_required(self):

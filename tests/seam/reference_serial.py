@@ -1,9 +1,9 @@
 """Historical (pre-batched) serial SEAM reference implementations.
 
 These are verbatim snapshots of the per-element / einsum code paths
-that :mod:`repro.seam.dss` and :mod:`repro.seam.shallow_water` used
-before the batched engine landed.  They are deliberately slow and kept
-only as golden oracles:
+that :mod:`repro.seam.element`, :mod:`repro.seam.dss` and
+:mod:`repro.seam.shallow_water` used before the batched engine
+landed.  They are deliberately slow and kept only as golden oracles:
 
 * the equivalence tests (``tests/seam/test_batched_golden.py``) assert
   the batched paths reproduce these results bit-identically or to
@@ -16,11 +16,18 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.cubesphere.mesh import CubedSphereMesh
+from repro.cubesphere.topology import FACES
 from repro.seam.dss import PointMap, build_point_map
-from repro.seam.element import GridGeometry
+from repro.seam.element import ElementGeometry, GridGeometry
+from repro.seam.gll import GLLBasis
 from repro.seam.shallow_water import SWState
 
-__all__ = ["ReferenceDSS", "ReferenceShallowWaterSolver"]
+__all__ = [
+    "ReferenceDSS",
+    "ReferenceShallowWaterSolver",
+    "reference_element_geometry",
+]
 
 Z_AXIS = np.array([0.0, 0.0, 1.0])
 
@@ -147,3 +154,66 @@ class ReferenceShallowWaterSolver:
                 h=state.h / 3.0 + (2.0 / 3.0) * end.h,
             )
         )
+
+
+def reference_element_geometry(
+    mesh: CubedSphereMesh, basis: GLLBasis, gid: int
+) -> ElementGeometry:
+    """Reference per-element construction (the historical scalar loop).
+
+    The golden reference for the vectorized stack builder:
+    ``repro.seam.element._build_stacks`` must reproduce these arrays
+    bit-for-bit (``tests/seam/test_batched_golden.py``).
+    """
+    face, ix, iy = mesh.locate(gid)
+    ne = mesh.ne
+    f = FACES[face]
+    n = np.array(f.normal, dtype=np.float64)
+    ex = np.array(f.ex, dtype=np.float64)
+    ey = np.array(f.ey, dtype=np.float64)
+    # Abstract local coordinate of each GLL node: a = 2*(ix + t)/ne - 1
+    # with t in [0, 1]; the same expression on both sides of an
+    # element interface makes shared points bit-identical.
+    t = (basis.nodes + 1.0) / 2.0
+    a = 2.0 * (ix + t) / ne - 1.0  # (np,)
+    b = 2.0 * (iy + t) / ne - 1.0
+    alpha = a * (np.pi / 4.0)
+    beta = b * (np.pi / 4.0)
+    x_ = np.tan(alpha)[:, None]  # X(alpha), broadcast over j
+    y_ = np.tan(beta)[None, :]
+    p = (
+        n[None, None, :]
+        + x_[..., None] * ex[None, None, :]
+        + y_[..., None] * ey[None, None, :]
+    )
+    delta = np.linalg.norm(p, axis=-1)
+    r = p / delta[..., None]
+    # d r / d alpha = (1 + X^2) * (ex - r (r . ex)) / delta, then chain
+    # rule to reference coords: d alpha / d xi = (pi/4) * (1/ne) * ...
+    # a = 2 (ix + (xi+1)/2)/ne - 1  =>  da/dxi = 1/ne.
+    dalpha_dxi = (np.pi / 4.0) / ne
+    sec2a = 1.0 + x_**2  # sec^2(alpha) = 1 + tan^2
+    sec2b = 1.0 + y_**2
+    r_dot_ex = np.einsum("ijk,k->ij", r, ex)
+    r_dot_ey = np.einsum("ijk,k->ij", r, ey)
+    dra = (sec2a[..., None] * (ex[None, None, :] - r * r_dot_ex[..., None])) / delta[
+        ..., None
+    ]
+    drb = (sec2b[..., None] * (ey[None, None, :] - r * r_dot_ey[..., None])) / delta[
+        ..., None
+    ]
+    basis_a = dra * dalpha_dxi
+    basis_b = drb * dalpha_dxi
+    g11 = np.einsum("ijk,ijk->ij", basis_a, basis_a)
+    g12 = np.einsum("ijk,ijk->ij", basis_a, basis_b)
+    g22 = np.einsum("ijk,ijk->ij", basis_b, basis_b)
+    det = g11 * g22 - g12 * g12
+    jac = np.sqrt(det)
+    ginv = np.empty(g11.shape + (2, 2))
+    ginv[..., 0, 0] = g22 / det
+    ginv[..., 1, 1] = g11 / det
+    ginv[..., 0, 1] = -g12 / det
+    ginv[..., 1, 0] = -g12 / det
+    return ElementGeometry(
+        gid=gid, xyz=r, basis_a=basis_a, basis_b=basis_b, jac=jac, ginv=ginv
+    )

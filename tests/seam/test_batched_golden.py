@@ -20,10 +20,13 @@ from repro.seam import (
     williamson_tc2,
 )
 from repro.seam.dss import DSSOperator
-from repro.seam.element import _element_geometry
 
 from .reference_dss import apply_numpy
-from .reference_serial import ReferenceDSS, ReferenceShallowWaterSolver
+from .reference_serial import (
+    ReferenceDSS,
+    ReferenceShallowWaterSolver,
+    reference_element_geometry,
+)
 
 
 @pytest.fixture(scope="module")
@@ -41,7 +44,7 @@ class TestGeometryStacks:
 
     def test_stacks_match_element_loop(self, geom):
         for gid in [0, 1, geom.nelem // 2, geom.nelem - 1]:
-            ref = _element_geometry(geom.mesh, geom.basis, gid)
+            ref = reference_element_geometry(geom.mesh, geom.basis, gid)
             np.testing.assert_array_equal(geom.xyz[gid], ref.xyz)
             np.testing.assert_allclose(
                 geom.basis_a[gid], ref.basis_a, rtol=0, atol=1e-15

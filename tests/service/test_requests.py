@@ -102,6 +102,23 @@ class TestPartitionRequest:
         req = PartitionRequest(ne=4, nparts=8, method="kway", seed=3)
         assert PartitionRequest.from_json(req.to_json()) == req
 
+    def test_empty_schedule_is_the_default(self):
+        """The wire reads an empty schedule as the default, so a request
+        built with one keys the same before and after a round trip."""
+        from repro.service import RepartitionRequest
+
+        req = PartitionRequest(ne=1, nparts=2, schedule="")
+        assert req.schedule is None
+        decoded = PartitionRequest.from_json(req.to_json())
+        assert decoded.cache_key() == req.cache_key()
+        rreq = RepartitionRequest(
+            ne=1, old_assignment=np.zeros(6, dtype=np.int64),
+            weights=np.ones(6), schedule="",
+        )
+        assert rreq.schedule is None
+        decoded = RepartitionRequest.from_json(rreq.to_json())
+        assert decoded.cache_key() == rreq.cache_key()
+
     def test_from_dict_rejects_unknown_fields(self):
         with pytest.raises(ValueError, match="unknown request fields"):
             PartitionRequest.from_dict({"ne": 4, "nparts": 8, "foo": 1})

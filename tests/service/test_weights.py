@@ -289,3 +289,137 @@ class TestEngineServing:
         plain = compute_response(PartitionRequest(ne=NE, nparts=4))
         heavy = compute_response(inline_request(np.full(K, 5.0)))
         np.testing.assert_array_equal(plain.assignment, heavy.assignment)
+
+
+def identity_keys(ids: np.ndarray) -> np.ndarray:
+    return ids.astype(np.uint64)
+
+
+def counted_validate_weights():
+    """Patch every binding of ``validate_weights`` with one call counter."""
+    from contextlib import ExitStack
+    from unittest import mock
+
+    from repro.partition import registry, sfc
+
+    counter = mock.Mock(wraps=registry.validate_weights)
+    stack = ExitStack()
+    for module in (registry, sfc):
+        stack.enter_context(mock.patch.object(module, "validate_weights", counter))
+    return stack, counter
+
+
+class TestOneWeightCheck:
+    """Each cut path checks its weights exactly once; outside input is
+    still rejected, naming the bad entry, before any cut."""
+
+    STORM = {"scenario": "storm", "step": 3}
+
+    def count(self, fn) -> int:
+        stack, counter = counted_validate_weights()
+        with stack:
+            fn()
+        return counter.call_count
+
+    def test_partition_compute_checks_once(self):
+        request = PartitionRequest(ne=4, nparts=12, weights=self.STORM)
+        assert self.count(lambda: compute_response(request)) == 1
+
+    def test_repartition_compute_checks_once(self):
+        from repro.partition import sfc_partition
+
+        request = RepartitionRequest(
+            ne=4, old_assignment=sfc_partition(4, 12).assignment,
+            weights=self.STORM, nparts=12,
+        )
+        assert self.count(lambda: compute_response(request)) == 1
+
+    def test_inline_parse_adds_one(self):
+        from repro.scenarios import scenario_weights
+
+        body = {"ne": 4, "nparts": 12, "weights": scenario_weights("storm", 4, 3)}
+        parsed = []
+        assert self.count(lambda: parsed.append(PartitionRequest.from_dict(body))) == 1
+        assert self.count(lambda: compute_response(parsed[0])) == 1
+
+    def test_tracker_step_checks_once(self):
+        from repro.partition import LoadTracker
+        from repro.scenarios import scenario_weights
+
+        tracker = LoadTracker(4, nparts=12)
+        for step in range(3):
+            weights = scenario_weights("storm", 4, step)
+            assert self.count(lambda: tracker.update(weights)) == 1
+
+    def test_public_cuts_check_once(self):
+        from repro.partition import (
+            keyed_cut,
+            morton_partition,
+            plan_repartition,
+            sfc_partition,
+        )
+
+        k = 96
+        w = np.linspace(1.0, 2.0, k)
+        old = sfc_partition(4, 8).assignment
+        for call in (
+            lambda: sfc_partition(4, 8, weights=w),
+            lambda: morton_partition(4, 8, weights=w),
+            lambda: keyed_cut(identity_keys, k, 8, weights=w),
+            lambda: plan_repartition(old, w, ne=4),
+        ):
+            assert self.count(call) == 1
+
+    def test_bad_weights_rejected_before_any_cut(self):
+        from unittest import mock
+
+        from repro.partition import (
+            LoadTracker,
+            keyed_cut,
+            morton_partition,
+            plan_repartition,
+            sfc,
+            sfc_partition,
+        )
+
+        bad = np.ones(96)
+        bad[11] = -1.0
+        old = np.zeros(96, dtype=np.int64)
+        with mock.patch.object(sfc, "_cut_weighted") as cut:
+            for call in (
+                lambda: sfc_partition(4, 8, weights=bad),
+                lambda: morton_partition(4, 8, weights=bad),
+                lambda: keyed_cut(identity_keys, 96, 8, weights=bad),
+                lambda: plan_repartition(old, bad, ne=4, nparts=8),
+                lambda: LoadTracker(4, nparts=8).update(bad),
+            ):
+                with pytest.raises(ValueError, match="positive; entry 11 is -1.0"):
+                    call()
+        cut.assert_not_called()
+
+    def test_bad_inline_weight_422_body(self):
+        """The whole 422 body of a bad inline weight; ``/repartition``'s
+        is checked in ``tests/server/test_repartition_http.py``."""
+        import asyncio
+
+        from repro.server import Connection
+        from tests.server.serving import serving
+
+        weights = [1.0] * 96
+        weights[7] = -2.0
+        body = {"ne": 4, "nparts": 12, "weights": weights}
+
+        async def post():
+            async with serving() as server:
+                host, port = server.address
+                async with await Connection.open(host, port) as conn:
+                    resp = await conn.post_json("/partition", body)
+                    return resp.status, resp.json()
+
+        status, data = asyncio.run(asyncio.wait_for(post(), 60.0))
+        assert status == 422
+        assert data == {"error": {
+            "code": "invalid_request",
+            "message": "weights must be positive; entry 7 is -2.0",
+            "status": 422,
+        }}

@@ -19,11 +19,18 @@ catches ``from .. import experiments``.  The same walk keeps
 the leaf :mod:`repro.memo`, which imports only ``repro.telemetry``),
 and keeps ``server/`` on the engine's public miss path: it imports no
 ``_``-prefixed name from ``repro.service``.
+
+The scripts outside the package (``benchmarks/``, ``perfbench/`` and
+``examples/``), some of which no CI job runs, get one more walk: every
+name they import from ``repro``, also inside function bodies, must
+exist, so deleting a name from the package cannot strand a script.
 """
 
 from __future__ import annotations
 
 import ast
+import importlib
+import importlib.util
 import os
 import subprocess
 import sys
@@ -34,6 +41,8 @@ import pytest
 import repro
 
 SRC = Path(repro.__file__).resolve().parent
+REPO = SRC.parent.parent
+SCRIPT_DIRS = ("benchmarks", "perfbench", "examples")
 FORBIDDEN_PACKAGE = "experiments"
 LOWER_LAYERS = ("service", "partition")
 
@@ -161,6 +170,73 @@ def test_server_imports_no_private_service_names(path):
 )
 def test_private_service_import_detector(source, caught):
     assert bool(_private_service_imports(source)) is caught
+
+
+def _unresolved_repro_imports(source: str) -> list[str]:
+    """``repro`` modules and names that ``source`` imports but that do
+    not exist, at any depth of the file (function bodies included)."""
+    missing = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            wanted = [(alias.name, None) for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0 and node.module:
+            wanted = [(node.module, alias.name) for alias in node.names]
+        else:
+            continue
+        for module, name in wanted:
+            if module.split(".")[0] != "repro":
+                continue
+            try:
+                found = importlib.import_module(module)
+            except ImportError:
+                missing.append(f"line {node.lineno}: {module}")
+                continue
+            if name in (None, "*") or hasattr(found, name):
+                continue
+            try:
+                spec = importlib.util.find_spec(f"{module}.{name}")
+            except ImportError:
+                spec = None
+            if spec is None:
+                missing.append(f"line {node.lineno}: {module}.{name}")
+    return missing
+
+
+def _script_modules():
+    for folder in SCRIPT_DIRS:
+        for path in sorted((REPO / folder).glob("*.py")):
+            yield pytest.param(path, id=str(path.relative_to(REPO)))
+
+
+def test_script_walk_scans_every_folder():
+    scanned = {path.values[0].parent.name for path in _script_modules()}
+    assert scanned == set(SCRIPT_DIRS)
+
+
+@pytest.mark.parametrize("path", _script_modules())
+def test_scripts_import_only_existing_names(path):
+    missing = _unresolved_repro_imports(path.read_text())
+    assert not missing, (
+        f"{path.relative_to(REPO)} imports names the package lacks: {missing}"
+    )
+
+
+@pytest.mark.parametrize(
+    "source, caught",
+    [
+        ("from repro.partition import repartition_curve", True),
+        ("def f():\n    from repro.partition.sfc import nope\n", True),
+        ("import repro.nope", True),
+        ("from repro.nope import x", True),
+        ("from repro.partition import sfc, plan_repartition", False),
+        ("from repro.seam import element", False),
+        ("import repro.partition.sfc", False),
+        ("from tests.partition.reference_cuts import is_optimal", False),
+        ("from .local import anything", False),
+    ],
+)
+def test_unresolved_import_detector(source, caught):
+    assert bool(_unresolved_repro_imports(source)) is caught
 
 
 def _repro_imports(source: str) -> set[str]:
