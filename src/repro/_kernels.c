@@ -19,6 +19,9 @@
  *                 (refine.fm_refine_bisection) of each of a batch;
  *   rb_split      the left/right split of bisection.recursive_bisection,
  *                 order-based fallback included;
+ *   rng_seed, rng_permutations, rng_integers  batches of the drivers'
+ *                 random streams, each drawing exactly what NumPy's
+ *                 default_rng(seed) draws (metis/rng.py);
  *   json_int_array  the JSON text of an int64 array (the response
  *                 bodies' assignment and gid lists);
  *   json_int_arrays  the int arrays of a JSON text (the request
@@ -1478,4 +1481,213 @@ int64_t json_int_arrays(int64_t n, const char *t, int64_t *spans, int64_t *value
         }
     }
     return narrays;
+}
+
+/* ---------------------------------------------------------------------
+ * NumPy's default_rng(seed) streams: SeedSequence-seeded PCG64
+ *
+ * Every random draw of the METIS drivers comes from here.  A stream is
+ * RNG_SLOTS uint64 words: the 128-bit LCG state and increment (high
+ * word first), then PCG64's buffered-half-word flag and the buffered
+ * upper 32 bits.  The seeding, the XSL-RR output, the 32-bit buffering
+ * and the two draws restate NumPy's C (bit_generator.pyx SeedSequence,
+ * pcg64.h, distributions.c random_interval and the buffered 32-bit
+ * Lemire bounded integers, Generator.shuffle's Fisher-Yates), so each
+ * stream draws exactly what np.random.default_rng(seed) draws;
+ * tests/metis/test_rng.py pins that against the installed NumPy.
+ * ------------------------------------------------------------------ */
+
+typedef unsigned __int128 u128;
+
+#define RNG_SLOTS 6
+#define PCG_MULT ((((u128)2549297995355413924ULL) << 64) | 4865540595714422341ULL)
+
+typedef struct {
+    u128 state, inc;
+    int has32;
+    uint32_t buf32;
+} pcg64_t;
+
+static void pcg_load(pcg64_t *r, const uint64_t *s)
+{
+    r->state = ((u128)s[0] << 64) | s[1];
+    r->inc = ((u128)s[2] << 64) | s[3];
+    r->has32 = s[4] != 0;
+    r->buf32 = (uint32_t)s[5];
+}
+
+static void pcg_store(const pcg64_t *r, uint64_t *s)
+{
+    s[0] = (uint64_t)(r->state >> 64);
+    s[1] = (uint64_t)r->state;
+    s[2] = (uint64_t)(r->inc >> 64);
+    s[3] = (uint64_t)r->inc;
+    s[4] = (uint64_t)r->has32;
+    s[5] = r->buf32;
+}
+
+static uint64_t pcg_next64(pcg64_t *r)
+{
+    r->state = r->state * PCG_MULT + r->inc;
+    const uint64_t x = (uint64_t)(r->state >> 64) ^ (uint64_t)r->state;
+    const unsigned rot = (unsigned)(r->state >> 122);
+    return (x >> rot) | (x << ((64 - rot) & 63));
+}
+
+/* Half a 64-bit output per call: the low half, then the buffered high. */
+static uint32_t pcg_next32(pcg64_t *r)
+{
+    if (r->has32) {
+        r->has32 = 0;
+        return r->buf32;
+    }
+    const uint64_t next = pcg_next64(r);
+    r->has32 = 1;
+    r->buf32 = (uint32_t)(next >> 32);
+    return (uint32_t)next;
+}
+
+static uint32_t ss_hashmix(uint32_t value, uint32_t *hash)
+{
+    value ^= *hash;
+    *hash *= 0x931e8875u;
+    value *= *hash;
+    return value ^ (value >> 16);
+}
+
+static uint32_t ss_mix(uint32_t x, uint32_t y)
+{
+    const uint32_t r = 0xca01f9ddu * x - 0x4973f715u * y;
+    return r ^ (r >> 16);
+}
+
+/* PCG64(SeedSequence(seed)) from the seed's little-endian 32-bit words
+ * (one word, 0, for seed 0): the 4-word entropy pool, its 8-word
+ * generate_state(4, uint64) output, and pcg64_set_seed. */
+static void pcg_seed(pcg64_t *r, const uint32_t *words, int64_t nwords)
+{
+    uint32_t pool[4], hash = 0x43b0d7e5u, st[8];
+    for (int i = 0; i < 4; i++)
+        pool[i] = ss_hashmix(i < nwords ? words[i] : 0, &hash);
+    for (int src = 0; src < 4; src++)
+        for (int dst = 0; dst < 4; dst++)
+            if (src != dst)
+                pool[dst] = ss_mix(pool[dst], ss_hashmix(pool[src], &hash));
+    for (int64_t src = 4; src < nwords; src++)
+        for (int dst = 0; dst < 4; dst++)
+            pool[dst] = ss_mix(pool[dst], ss_hashmix(words[src], &hash));
+    hash = 0x8b51f9ddu;
+    for (int i = 0; i < 8; i++) {
+        uint32_t v = pool[i & 3] ^ hash;
+        hash *= 0x58f38dedu;
+        v *= hash;
+        st[i] = v ^ (v >> 16);
+    }
+    const u128 initstate = ((u128)(((uint64_t)st[1] << 32) | st[0]) << 64)
+                           | (((uint64_t)st[3] << 32) | st[2]);
+    const u128 initseq = ((u128)(((uint64_t)st[5] << 32) | st[4]) << 64)
+                         | (((uint64_t)st[7] << 32) | st[6]);
+    r->state = 0;
+    r->inc = (initseq << 1) | 1;
+    pcg_next64(r);
+    r->state += initstate;
+    pcg_next64(r);
+    r->has32 = 0;
+    r->buf32 = 0;
+}
+
+/* Uniform in [0, max] by masked rejection (NumPy's random_interval). */
+static uint64_t rng_interval(pcg64_t *r, uint64_t max)
+{
+    if (max == 0)
+        return 0;
+    uint64_t mask = max, v;
+    for (int s = 1; s < 64; s <<= 1)
+        mask |= mask >> s;
+    if (max <= 0xffffffffULL) {
+        while ((v = pcg_next32(r) & mask) > max)
+            ;
+    } else {
+        while ((v = pcg_next64(r) & mask) > max)
+            ;
+    }
+    return v;
+}
+
+/* Uniform in [0, rng], rng < 2^32, by Lemire's multiply-shift with
+ * rejection (NumPy's random_bounded_uint64_fill, unmasked, 32-bit
+ * range). */
+static uint32_t rng_bounded(pcg64_t *r, uint32_t rng)
+{
+    if (rng == 0)
+        return 0;
+    if (rng == UINT32_MAX)
+        return pcg_next32(r);
+    const uint32_t excl = rng + 1;
+    uint64_t m = (uint64_t)pcg_next32(r) * excl;
+    if ((uint32_t)m < excl) {
+        const uint32_t threshold = (UINT32_MAX - rng) % excl;
+        while ((uint32_t)m < threshold)
+            m = (uint64_t)pcg_next32(r) * excl;
+    }
+    return (uint32_t)(m >> 32);
+}
+
+/* Seed stream i from words[offsets[i]:offsets[i+1]] (nonempty). */
+int64_t rng_seed(int64_t nstreams, const uint32_t *words, const int64_t *offsets,
+                 uint64_t *states)
+{
+    for (int64_t i = 0; i < nstreams; i++) {
+        if (offsets[i + 1] <= offsets[i])
+            return -4;
+        pcg64_t r;
+        pcg_seed(&r, words + offsets[i], offsets[i + 1] - offsets[i]);
+        pcg_store(&r, states + RNG_SLOTS * i);
+    }
+    return 0;
+}
+
+/* Stream i's permutation(sizes[i]), the streams' written back to back
+ * into out: arange, then Fisher-Yates from the top down. */
+int64_t rng_permutations(int64_t nstreams, uint64_t *states, const int64_t *sizes,
+                         int64_t *out)
+{
+    for (int64_t i = 0; i < nstreams; i++)
+        if (sizes[i] < 0)
+            return -4;
+    for (int64_t i = 0; i < nstreams; i++) {
+        pcg64_t r;
+        pcg_load(&r, states + RNG_SLOTS * i);
+        const int64_t n = sizes[i];
+        for (int64_t j = 0; j < n; j++)
+            out[j] = j;
+        for (int64_t j = n - 1; j > 0; j--) {
+            const int64_t k = (int64_t)rng_interval(&r, (uint64_t)j);
+            const int64_t t = out[k];
+            out[k] = out[j];
+            out[j] = t;
+        }
+        pcg_store(&r, states + RNG_SLOTS * i);
+        out += n;
+    }
+    return 0;
+}
+
+/* Stream i's integers(highs[i], size=k), 1 <= highs[i] <= 2^32, into
+ * row i of out (nstreams x k). */
+int64_t rng_integers(int64_t nstreams, uint64_t *states, const int64_t *highs,
+                     int64_t k, int64_t *out)
+{
+    for (int64_t i = 0; i < nstreams; i++)
+        if (highs[i] < 1 || highs[i] > ((int64_t)1 << 32) || k < 0)
+            return -4;
+    for (int64_t i = 0; i < nstreams; i++) {
+        pcg64_t r;
+        pcg_load(&r, states + RNG_SLOTS * i);
+        const uint32_t rng = (uint32_t)(highs[i] - 1);
+        for (int64_t j = 0; j < k; j++)
+            out[k * i + j] = rng_bounded(&r, rng);
+        pcg_store(&r, states + RNG_SLOTS * i);
+    }
+    return 0;
 }

@@ -9,11 +9,14 @@ contraction (``contract``), and the batched recursive-bisection stages
 greedy graph growing, rebalance + FM refinement with optional
 projection, and the left/right split), which also serve the
 single-graph ``CSRGraph.subgraph``, ``greedy_graph_growing`` and
-``fm_refine_bisection`` — plus the SEAM DSS projection, the gather,
-halo exchange and scatter passes of the partitioned DSS, SFC keying and
-the JSON text of int64 arrays (``json_int_array``, for the server's
-response bodies; see that file for the bit-identity contract) and its
-inverse (``json_int_arrays``, for request bodies).  This module compiles
+``fm_refine_bisection``, and the METIS drivers' random streams
+(``rng_seed``, ``rng_permutations``, ``rng_integers``: NumPy's
+``default_rng`` restated, see :mod:`repro.metis.rng`) — plus the SEAM
+DSS projection, the gather, halo exchange and scatter passes of the
+partitioned DSS, SFC keying and the JSON text of int64 arrays
+(``json_int_array``, for the server's response bodies; see that file
+for the bit-identity contract) and its inverse (``json_int_arrays``,
+for request bodies).  This module compiles
 it once with the system C compiler into a content-addressed cache
 directory and loads it through :mod:`ctypes` — no third-party build
 machinery, no install step.
@@ -40,7 +43,6 @@ __all__ = ["LIB", "SIGNATURES", "check", "load"]
 
 _SOURCE = Path(__file__).with_name("_kernels.c")
 _I64P = ctypes.POINTER(ctypes.c_int64)
-_F64P = ctypes.POINTER(ctypes.c_double)
 _VP = ctypes.c_void_p
 
 # -ffp-contract=off: the float kernels (dss_apply, pdss_*) promise
@@ -51,6 +53,9 @@ _CFLAGS = ["-O2", "-ffp-contract=off", "-shared", "-fPIC"]
 #: Largest gain bound (total edge weight at one vertex) the bucket-queue
 #: kernels accept; past it their bucket arrays grow unreasonably large.
 MAX_BOUND = 1 << 22
+
+#: uint64 words of one random stream's state in the rng_* kernels.
+RNG_SLOTS = 6
 
 #: Width of a graph-table row of the batched rb_* kernels: ``[n,
 #: indptr, indices, eweights, vweights, side, fine_to_coarse,
@@ -164,6 +169,23 @@ SIGNATURES: dict[str, list] = {
         _VP,  # spans (out, rows of [start, stop, count])
         _VP,  # int64 values (out)
     ],
+    # NumPy default_rng streams: RNG_SLOTS uint64 words of state each.
+    "rng_seed": [
+        _I64,  # stream count
+        _VP, _VP,  # uint32 seed words, per-stream word offsets
+        _VP,  # states (out)
+    ],
+    "rng_permutations": [
+        _I64, _VP,  # stream count, states (inout)
+        _VP,  # permutation sizes
+        _VP,  # permutations, back to back (out)
+    ],
+    "rng_integers": [
+        _I64, _VP,  # stream count, states (inout)
+        _VP,  # exclusive upper bounds
+        _I64,  # draws per stream
+        _VP,  # draws (out, streams x draws)
+    ],
 }
 
 
@@ -251,6 +273,10 @@ _ERRORS = {
         "a vertex's total edge weight (the gain bound) exceeds "
         f"MAX_BOUND = {MAX_BOUND}",
     ),
+    -4: (
+        ValueError,
+        "a random draw needs a size >= 0, a bound in [1, 2^32] and a seed word",
+    ),
 }
 
 
@@ -261,7 +287,8 @@ def check(rc: int) -> int:
         MemoryError: ``-1``, an allocation failed.
         ValueError: ``-2``, subgraph ids not strictly ascending, out of
             range or repeated; ``-3``, a gain bound above
-            :data:`MAX_BOUND`.
+            :data:`MAX_BOUND`; ``-4``, a negative permutation size, an
+            ``integers`` bound outside ``[1, 2^32]`` or an empty seed.
     """
     if rc < 0:
         exc, message = _ERRORS[rc]
@@ -272,11 +299,6 @@ def check(rc: int) -> int:
 def as_i64p(arr) -> ctypes.POINTER(ctypes.c_int64):  # type: ignore[valid-type]
     """C pointer to a contiguous int64 NumPy array's data."""
     return arr.ctypes.data_as(_I64P)
-
-
-def as_f64p(arr) -> ctypes.POINTER(ctypes.c_double):  # type: ignore[valid-type]
-    """C pointer to a contiguous float64 NumPy array's data."""
-    return arr.ctypes.data_as(_F64P)
 
 
 LIB = load()

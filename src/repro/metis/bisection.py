@@ -24,6 +24,7 @@ from ..telemetry import span
 from .coarsen import MAX_LEVELS
 from .initial import NTRIALS
 from .refine import FM_PASSES
+from .rng import Streams
 
 __all__ = ["multilevel_bisection", "recursive_bisection"]
 
@@ -86,9 +87,10 @@ def recursive_bisection(
     it, so all bisections at one recursion depth ("groups") run
     together: their induced subgraphs are stored back to back in one
     set of buffers and each multilevel stage is one kernel call for all
-    of them (:func:`_bisect_level`).  Every random stream is still drawn
-    here, from the same generator calls a depth-first loop makes (the
-    oracle in ``tests/metis/reference_kernels.py``).
+    of them (:func:`_bisect_level`).  Every random stream still draws
+    what the depth-first loop's NumPy ``default_rng`` calls draw
+    (the oracle in ``tests/metis/reference_kernels.py``), a level's
+    streams in one batch (:class:`~repro.metis.rng.Streams`).
 
     Returns:
         A :class:`Partition` labeled ``"rb"``.
@@ -256,10 +258,9 @@ def _bisect_level(
                 break
             groups = fine.groups[rows]
             fine_n = fine.gv[rows + 1] - fine.gv[rows]
-            perm = np.concatenate([
-                np.random.default_rng(seeds[g] + lvl).permutation(m)
-                for g, m in zip(groups.tolist(), fine_n.tolist())
-            ])
+            perm = Streams(
+                [seeds[g] + lvl for g in groups.tolist()]
+            ).permutations(fine_n)
             coarse = _Union(
                 len(perm), groups, int((fine.ge[rows + 1] - fine.ge[rows]).sum())
             )
@@ -287,10 +288,9 @@ def _bisect_level(
         tab = np.concatenate([u.table(rows) for u, rows in coarsest])
         groups = np.concatenate([u.groups[rows] for u, rows in coarsest])
         starts = np.full((len(tab), NTRIALS), -1, dtype=np.int64)
-        for i, (g, m) in enumerate(zip(groups.tolist(), tab[:, 0].tolist())):
-            starts[i, 1:] = np.random.default_rng(seeds[g]).integers(
-                m, size=NTRIALS - 1
-            )
+        starts[:, 1:] = Streams([seeds[g] for g in groups.tolist()]).integers(
+            tab[:, 0], NTRIALS - 1
+        )
         targets = target[groups]
         check(_NATIVE.rb_initial(
             len(tab), tab.ctypes.data, targets.ctypes.data,

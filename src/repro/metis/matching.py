@@ -14,12 +14,13 @@ import numpy as np
 from .._native import LIB as _NATIVE
 from .._native import check
 from ..graphs.csr import CSRGraph
+from .rng import Streams
 
 __all__ = ["random_matching", "heavy_edge_matching"]
 
 
-def _visit_order(graph: CSRGraph, rng: np.random.Generator, sort_by_degree: bool) -> np.ndarray:
-    order = rng.permutation(graph.nvertices)
+def _visit_order(graph: CSRGraph, rng: Streams, sort_by_degree: bool) -> np.ndarray:
+    order = rng.permutations([graph.nvertices])
     if sort_by_degree:
         # Visit low-degree vertices first (METIS's SHEM tweak): they
         # have the fewest matching options, so serve them early.
@@ -31,17 +32,17 @@ def _visit_order(graph: CSRGraph, rng: np.random.Generator, sort_by_degree: bool
 def random_matching(graph: CSRGraph, seed: int = 0) -> np.ndarray:
     """Maximal matching by random vertex visitation.
 
-    Visit/claim kernel: the visit order is drawn once (NumPy), then the
-    sequential claim loop runs over plain-int adjacency lists.  The RNG
-    call sequence (one ``integers`` draw per vertex with free
-    neighbors) matches the historical per-vertex NumPy loop exactly,
-    so matchings are bit-identical under a fixed seed.
+    Visit/claim loop: the visit order is drawn once, then the
+    sequential claim loop runs over plain-int adjacency lists, with one
+    ``integers`` draw per vertex with free neighbors from the same
+    stream (:class:`~repro.metis.rng.Streams`, the draws of
+    NumPy's ``default_rng(seed)``).
 
     Returns:
         ``(n,)`` int array ``match`` with ``match[v]`` the partner of
         ``v`` (``match[v] == v`` for unmatched vertices).
     """
-    rng = np.random.default_rng(seed)
+    rng = Streams([seed])
     n = graph.nvertices
     nbrs, _ = graph.neighbor_slices()
     match = list(range(n))
@@ -51,7 +52,7 @@ def random_matching(graph: CSRGraph, seed: int = 0) -> np.ndarray:
             continue
         free = [u for u in nbrs[v] if not matched[u]]
         if free:
-            u = free[int(rng.integers(len(free)))]
+            u = free[int(rng.integers([len(free)], 1)[0, 0])]
             match[v] = u
             match[u] = v
             matched[v] = matched[u] = 1
@@ -68,11 +69,8 @@ def heavy_edge_matching(graph: CSRGraph, seed: int = 0) -> np.ndarray:
     Returns:
         ``(n,)`` int array as in :func:`random_matching`.
     """
-    rng = np.random.default_rng(seed)
     n = graph.nvertices
-    order = np.ascontiguousarray(
-        _visit_order(graph, rng, sort_by_degree=True), dtype=np.int64
-    )
+    order = _visit_order(graph, Streams([seed]), sort_by_degree=True)
     match = np.empty(n, dtype=np.int64)
     check(_NATIVE.hem_claim(
         n, *graph.addresses()[:3], order.ctypes.data, match.ctypes.data

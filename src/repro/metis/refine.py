@@ -21,6 +21,7 @@ import numpy as np
 from .._native import LIB as _NATIVE
 from .._native import MAX_BOUND, check
 from ..graphs.csr import CSRGraph
+from .rng import Streams
 
 __all__ = ["fm_refine_bisection", "greedy_kway_refine", "balance_constraint"]
 
@@ -137,14 +138,14 @@ def greedy_kway_refine(
         assign, weights=graph.vweights, minlength=nparts
     ).astype(np.int64)
     volume = objective == "volume"
-    rng = np.random.default_rng(seed)
+    rng = Streams([seed])
     csr = graph.addresses()
     assign_p, pweights_p = assign.ctypes.data, pweights.ctypes.data
     # Each pass draws its visit order here; the kernel sweeps it and
     # reports how many moves it accepted.  A pass without moves ends
     # the loop.
     for _ in range(max_passes):
-        perm = rng.permutation(n).astype(np.int64, copy=False)
+        perm = rng.permutations([n])
         moved = check(_NATIVE.kway_refine(
             n, *csr, perm.ctypes.data, assign_p, pweights_p,
             len(pweights), cap, ideal_cap, volume,

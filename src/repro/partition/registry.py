@@ -216,11 +216,14 @@ class Partitioner:
         nparts: int,
         schedule: str | None = None,
         weighted: bool = False,
+        seed: int = 0,
     ) -> None:
         """Raise :class:`CapabilityError` on a contract violation.
 
         Called at request-validation time so violations surface before
-        any mesh/graph/partition compute starts.
+        any mesh/graph/partition compute starts.  A seeded method needs
+        a non-negative ``seed`` (its random streams are NumPy's
+        ``default_rng(seed)``); seedless methods ignore it.
         """
         if ne < 1:
             raise CapabilityError(f"ne must be >= 1, got {ne}")
@@ -253,6 +256,10 @@ class Partitioner:
                 f"method {self.name!r} does not support per-element "
                 f"weights; weighted methods: {weighted_methods()}"
             )
+        if self.uses_seed and seed < 0:
+            raise CapabilityError(
+                f"method {self.name!r} needs a non-negative seed, got {seed}"
+            )
 
     def __call__(self, problem: PartitionProblem) -> Partition:
         """Validate the problem against the contract, then build."""
@@ -261,6 +268,7 @@ class Partitioner:
             nparts=problem.nparts,
             schedule=problem.schedule,
             weighted=problem.weights is not None,
+            seed=problem.seed,
         )
         return self.build(problem)
 

@@ -94,9 +94,11 @@ def migration_cost(
 def validate_old_assignment(old_assignment, ne: int) -> np.ndarray:
     """The owners a re-cut at ``ne`` starts from, as an int64 array.
 
-    The one check of an old assignment, made by :func:`plan_repartition`
-    and by the service's repartition request: one owner per element
-    (1-D, ``K = 6 ne^2`` entries), each in ``[0, K)``.
+    The one check of an old assignment: one owner per element (1-D,
+    ``K = 6 ne^2`` entries), each in ``[0, K)``.  :func:`plan_repartition`
+    makes it; the service's repartition request makes it when it is
+    built, then plans through ``_plan_repartition``, which does not
+    check again.
 
     Raises:
         ValueError: Not an integer array, the wrong shape, or an owner
@@ -238,8 +240,25 @@ def plan_repartition(
         CapabilityError: ``method`` cannot honor the problem (e.g. it
             does not support weights).
     """
+    return _plan_repartition(
+        validate_old_assignment(old_assignment, int(ne)), weights,
+        ne=ne, nparts=nparts, method=method, seed=seed, schedule=schedule,
+    )
+
+
+def _plan_repartition(
+    old: np.ndarray,
+    weights: np.ndarray,
+    *,
+    ne: int,
+    nparts: int | None,
+    method: str,
+    seed: int,
+    schedule: str | None,
+) -> RepartitionPlan:
+    """:func:`plan_repartition` of an already checked old assignment
+    (the int64 array :func:`validate_old_assignment` returns)."""
     k = 6 * int(ne) * int(ne)
-    old = validate_old_assignment(old_assignment, int(ne))
     # LB-before bins every *old* owner even when shrinking nparts.
     old_nparts = int(old.max()) + 1 if len(old) else 1
     if nparts is None:

@@ -47,7 +47,7 @@ from ..partition import registry
 from ..partition.repartition import (
     RepartitionPlan,
     group_moves,
-    plan_repartition,
+    _plan_repartition,
     validate_old_assignment,
 )
 from ..telemetry import inc, observe, span
@@ -178,6 +178,16 @@ def _float_array(values) -> np.ndarray:
         raise ValueError(f"inline weights must be numbers: {exc}") from None
 
 
+def _frozen(arr: np.ndarray, given) -> np.ndarray:
+    """``arr``, checked from the caller's ``given``, made read-only: a
+    copy when it is ``given`` itself, so the caller's array stays
+    writeable and cannot change a request after its key is taken."""
+    if arr is given:
+        arr = arr.copy()
+    arr.setflags(write=False)
+    return arr
+
+
 @dataclass(frozen=True, eq=False)
 class WeightSpec:
     """Per-element weights of a request: inline values OR a named scenario.
@@ -234,9 +244,8 @@ class WeightSpec:
                 )
             object.__setattr__(self, "params", params)
         else:
-            arr = registry.validate_weights(self.values)
-            arr.setflags(write=False)
-            object.__setattr__(self, "values", arr)
+            arr = registry.validate_weights(_float_array(self.values))
+            object.__setattr__(self, "values", _frozen(arr, self.values))
 
     @classmethod
     def coerce(cls, obj, k: int | None = None) -> "WeightSpec | None":
@@ -271,13 +280,13 @@ class WeightSpec:
                 extra = sorted(set(obj) - {"inline"})
                 if extra:
                     raise ValueError(f"unknown inline weight fields: {extra}")
-                spec = cls(values=_float_array(obj["inline"]))
+                spec = cls(values=obj["inline"])
             else:
                 raise ValueError(
                     "weights object needs a 'scenario' name or 'inline' values"
                 )
         elif isinstance(obj, (list, tuple, np.ndarray)):
-            spec = cls(values=_float_array(obj))
+            spec = cls(values=obj)
         else:
             raise ValueError(
                 "weights must be a numeric list, an array, or a scenario "
@@ -392,6 +401,7 @@ class PartitionRequest(_ContentAddressed):
             nparts=self.nparts,
             schedule=self.schedule,
             weighted=self.weights is not None,
+            seed=self.seed,
         )
 
     @property
@@ -634,7 +644,7 @@ class RepartitionRequest(_ContentAddressed):
         if self.ne < 1:
             raise ValueError(f"ne must be >= 1, got {self.ne}")
         old = validate_old_assignment(self.old_assignment, self.ne)
-        old.setflags(write=False)
+        old = _frozen(old, self.old_assignment)
         object.__setattr__(self, "old_assignment", old)
         nparts = self.nparts
         if nparts is None:
@@ -654,6 +664,7 @@ class RepartitionRequest(_ContentAddressed):
             nparts=self.nparts,
             schedule=self.schedule,
             weighted=True,
+            seed=self.seed,
         )
 
     @property
@@ -696,15 +707,17 @@ class RepartitionRequest(_ContentAddressed):
     def compute(self) -> "RepartitionResponse":
         """Plan the migration on the streaming key path.
 
-        Runs :func:`~repro.partition.repartition.plan_repartition`;
-        deterministic, like :meth:`PartitionRequest.compute`.
+        Runs :func:`~repro.partition.repartition.plan_repartition` on
+        the old assignment this request has already checked (so it is
+        not checked again); deterministic, like
+        :meth:`PartitionRequest.compute`.
         """
         start = perf_counter()
         with span(
             "repartition", "service", key=self.cache_key()[:12],
             method=self.method, ne=self.ne, nparts=self.nparts,
         ):
-            plan = plan_repartition(
+            plan = _plan_repartition(
                 self.old_assignment, self.resolve_weights(),
                 ne=self.ne, nparts=self.nparts, method=self.method,
                 seed=self.seed, schedule=self.schedule,

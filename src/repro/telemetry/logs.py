@@ -33,7 +33,6 @@ from __future__ import annotations
 
 import json
 import os
-import sys
 import threading
 from contextlib import contextmanager
 from pathlib import Path
@@ -237,11 +236,3 @@ def read_log(path: Path | str) -> list[dict]:
         if isinstance(record, dict):
             records.append(record)
     return records
-
-
-def _self_test() -> None:  # pragma: no cover - debugging helper
-    sink = add_sink(sys.stderr)
-    try:
-        log_event("logs.self_test", ok=True)
-    finally:
-        remove_sink(sink)

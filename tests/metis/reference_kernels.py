@@ -33,7 +33,6 @@ from repro.metis.bisection import COARSEST_NVERTICES
 from repro.metis.coarsen import MAX_LEVELS, CoarseLevel
 from repro.metis.initial import NTRIALS
 from repro.metis.kway import COARSEN_VERTICES_PER_PART, MIN_COARSE_VERTICES
-from repro.metis.matching import _visit_order
 from repro.metis.refine import FM_PASSES, balance_constraint
 
 
@@ -59,11 +58,12 @@ def subgraph(graph: CSRGraph, vertices: np.ndarray) -> CSRGraph:
 
 
 def heavy_edge_matching(graph: CSRGraph, seed: int = 0) -> np.ndarray:
-    """HEM/SHEM: each vertex claims its heaviest free neighbor, the
-    first in adjacency order on ties."""
-    rng = np.random.default_rng(seed)
+    """HEM/SHEM: vertices visit in a random order stably sorted by
+    degree; each claims its heaviest free neighbor, the first in
+    adjacency order on ties."""
     n = graph.nvertices
-    order = _visit_order(graph, rng, sort_by_degree=True)
+    order = np.random.default_rng(seed).permutation(n)
+    order = order[np.argsort(graph.degrees()[order], kind="stable")]
     nbrs, wts = graph.neighbor_slices()
     match = list(range(n))
     matched = bytearray(n)

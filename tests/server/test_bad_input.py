@@ -29,6 +29,8 @@ PARTITION_422 = [
     {"ne": 2, "nparts": 4, "weights": {"inline": {}}},
     {"ne": 2, "nparts": 4, "weights": {**STORM, "params": {"lat0": 10**400}}},
     {"ne": 2, "nparts": 4, "weights": [1e308] * (K - 1) + [1.0]},
+    {"ne": 2, "nparts": 4, "method": "kway", "seed": -5},
+    {"ne": 2, "nparts": 4, "method": "random", "seed": -1},
 ]
 
 #: Repartition request objects that are JSON but not valid requests.

@@ -423,3 +423,112 @@ class TestOneWeightCheck:
             "message": "weights must be positive; entry 7 is -2.0",
             "status": 422,
         }}
+
+
+class TestOneOldAssignmentCheck:
+    """A ``/repartition`` checks its old assignment once, at the request;
+    the public planner still checks what it is given."""
+
+    def count(self, fn) -> int:
+        from unittest import mock
+
+        from repro.partition import repartition
+        from repro.service import requests
+
+        counter = mock.Mock(wraps=repartition.validate_old_assignment)
+        with mock.patch.object(repartition, "validate_old_assignment", counter), \
+                mock.patch.object(requests, "validate_old_assignment", counter):
+            fn()
+        return counter.call_count
+
+    def test_request_and_compute_check_once(self):
+        from repro.partition import sfc_partition
+
+        old = sfc_partition(4, 12).assignment
+        built = []
+        assert self.count(lambda: built.append(RepartitionRequest(
+            ne=4, old_assignment=old, weights={"scenario": "storm"}, nparts=12,
+        ))) == 1
+        assert self.count(lambda: compute_response(built[0])) == 0
+
+    def test_public_planner_checks_once(self):
+        from repro.partition import plan_repartition, sfc_partition
+
+        old = sfc_partition(4, 12).assignment
+        assert self.count(lambda: plan_repartition(old, np.ones(96), ne=4)) == 1
+
+
+class TestCallerArraysStayWriteable:
+    """Building a request freezes its own arrays, not the caller's."""
+
+    def test_old_assignment_and_inline_weights(self):
+        from repro.partition import sfc_partition
+
+        old = sfc_partition(4, 12).assignment.copy()
+        weights = np.linspace(1.0, 2.0, 96)
+        repart = RepartitionRequest(
+            ne=4, old_assignment=old, weights=weights, nparts=12
+        )
+        part = PartitionRequest(ne=4, nparts=12, weights=weights)
+        assert old.flags.writeable and weights.flags.writeable
+        assert not repart.old_assignment.flags.writeable
+        assert not repart.weights.values.flags.writeable
+        assert not part.weights.values.flags.writeable
+        # Same keys as requests built from lists (always fresh arrays).
+        assert repart.cache_key() == RepartitionRequest(
+            ne=4, old_assignment=old.tolist(), weights=weights.tolist(), nparts=12
+        ).cache_key()
+        assert part.cache_key() == PartitionRequest(
+            ne=4, nparts=12, weights=weights.tolist()
+        ).cache_key()
+        # The caller writing to its arrays later changes no request.
+        keys = repart.cache_key(), part.cache_key()
+        old[:] = 0
+        weights[:] = 5.0
+        assert RepartitionRequest(
+            ne=4, old_assignment=repart.old_assignment.tolist(),
+            weights=repart.weights.values.tolist(), nparts=12,
+        ).cache_key() == keys[0]
+        assert PartitionRequest(
+            ne=4, nparts=12, weights=part.weights.values.tolist()
+        ).cache_key() == keys[1]
+
+
+class TestSeedContract:
+    """A seeded method needs a non-negative seed; seedless ones ignore it."""
+
+    def test_negative_seed_on_seeded_method_is_a_capability_error(self):
+        for method in ("rb", "kway", "tv", "random"):
+            with pytest.raises(CapabilityError, match="non-negative seed"):
+                PartitionRequest(ne=NE, nparts=4, method=method, seed=-5)
+
+    def test_seedless_methods_ignore_a_negative_seed(self):
+        from repro.partition import sfc_partition
+
+        PartitionRequest(ne=NE, nparts=4, method="sfc", seed=-5)
+        PartitionRequest(ne=NE, nparts=4, method="block", seed=-5)
+        RepartitionRequest(
+            ne=NE, old_assignment=sfc_partition(NE, 4).assignment,
+            weights={"scenario": "storm"}, seed=-5,
+        )
+
+    def test_repartition_with_a_seeded_method_checks_the_seed(self):
+        from repro.partition import registry, sfc_partition
+
+        spec = registry.Partitioner(
+            name="seeded_sfc", build=registry.get("sfc").build,
+            weighted=True, uses_seed=True,
+        )
+        registry.register(spec)
+        try:
+            with pytest.raises(CapabilityError, match="non-negative seed"):
+                RepartitionRequest(
+                    ne=NE, old_assignment=sfc_partition(NE, 4).assignment,
+                    weights={"scenario": "storm"}, method="seeded_sfc", seed=-1,
+                )
+        finally:
+            registry.unregister("seeded_sfc")
+
+    def test_seeds_past_64_bits_stay_valid(self):
+        request = PartitionRequest(ne=NE, nparts=4, method="kway", seed=2**70)
+        assert compute_response(request).assignment.shape == (K,)

@@ -62,6 +62,7 @@ def test_every_declared_kernel_is_called(monkeypatch):
     assert {mod.__name__ for mod, _ in gated} >= {
         "repro.graphs.csr", "repro.metis.bisection", "repro.metis.coarsen",
         "repro.metis.initial", "repro.metis.matching", "repro.metis.refine",
+        "repro.metis.rng",
         "repro.seam.dss", "repro.seam.parallel", "repro.server.http",
         "repro.sfc.keys",
     }
