@@ -19,70 +19,59 @@ Quickstart::
     print(evaluate_partition(graph, part))
 """
 
-from .cubesphere import (
-    CubedSphereCurve,
-    CubedSphereMesh,
-    cubed_sphere_curve,
-    cubed_sphere_mesh,
-)
-from .graphs import CSRGraph, graph_from_edges, mesh_graph
-from .machine import P690_CLUSTER, MachineSpec, PerformanceModel
-from .metis import part_graph
-from .partition import (
-    Partition,
-    PartitionQuality,
-    evaluate_partition,
-    load_balance,
-    sfc_partition,
-)
-from .telemetry import MetricsRegistry, TelemetrySession, telemetry_session
-from .seam import DEFAULT_COST_MODEL, SEAMCostModel
-from .service import (
-    PartitionCache,
-    PartitionEngine,
-    PartitionRequest,
-    PartitionResponse,
-)
-from .sfc import (
-    SpaceFillingCurve,
-    generate_curve,
-    hilbert_curve,
-    hilbert_peano_curve,
-    peano_curve,
-)
+import importlib
+
+#: The module each top-level name comes from.  Names load on first use
+#: (PEP 562), so ``import repro`` builds nothing: ``python -m repro``
+#: imports this package before its entry point runs, and the entry
+#: point reports a kernel build failure as one line.
+_EXPORTS = {
+    "CubedSphereCurve": "cubesphere",
+    "CubedSphereMesh": "cubesphere",
+    "cubed_sphere_curve": "cubesphere",
+    "cubed_sphere_mesh": "cubesphere",
+    "CSRGraph": "graphs",
+    "graph_from_edges": "graphs",
+    "mesh_graph": "graphs",
+    "P690_CLUSTER": "machine",
+    "MachineSpec": "machine",
+    "PerformanceModel": "machine",
+    "part_graph": "metis",
+    "Partition": "partition",
+    "PartitionQuality": "partition",
+    "evaluate_partition": "partition",
+    "load_balance": "partition",
+    "sfc_partition": "partition",
+    "MetricsRegistry": "telemetry",
+    "TelemetrySession": "telemetry",
+    "telemetry_session": "telemetry",
+    "DEFAULT_COST_MODEL": "seam",
+    "SEAMCostModel": "seam",
+    "PartitionCache": "service",
+    "PartitionEngine": "service",
+    "PartitionRequest": "service",
+    "PartitionResponse": "service",
+    "SpaceFillingCurve": "sfc",
+    "generate_curve": "sfc",
+    "hilbert_curve": "sfc",
+    "hilbert_peano_curve": "sfc",
+    "peano_curve": "sfc",
+}
+
+
+def __getattr__(name: str):
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_EXPORTS})
+
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "CSRGraph",
-    "CubedSphereCurve",
-    "CubedSphereMesh",
-    "DEFAULT_COST_MODEL",
-    "MachineSpec",
-    "MetricsRegistry",
-    "P690_CLUSTER",
-    "Partition",
-    "PartitionCache",
-    "PartitionEngine",
-    "PartitionQuality",
-    "PartitionRequest",
-    "PartitionResponse",
-    "PerformanceModel",
-    "SEAMCostModel",
-    "SpaceFillingCurve",
-    "TelemetrySession",
-    "__version__",
-    "cubed_sphere_curve",
-    "cubed_sphere_mesh",
-    "evaluate_partition",
-    "generate_curve",
-    "graph_from_edges",
-    "hilbert_curve",
-    "hilbert_peano_curve",
-    "load_balance",
-    "mesh_graph",
-    "part_graph",
-    "peano_curve",
-    "sfc_partition",
-    "telemetry_session",
-]
+__all__ = sorted([*_EXPORTS, "__version__"])

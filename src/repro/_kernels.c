@@ -10,15 +10,15 @@
  *   contract      coarsen.contract (matched pairs -> coarse graph);
  *   rb_extract    induced subgraphs of disjoint ascending vertex sets
  *                 (one set = CSRGraph.subgraph);
- *   rb_coarsen    one coarsening round (degree-sorted HEM + contract)
- *                 of each of a batch of graphs;
- *   rb_initial    greedy graph growing (initial.greedy_graph_growing)
- *                 of each of a batch of graphs;
- *   rb_refine     optional projection through a coarsening map, then
- *                 refine._rebalance_bisection + the FM pass loop
- *                 (refine.fm_refine_bisection) of each of a batch;
- *   rb_split      the left/right split of bisection.recursive_bisection,
- *                 order-based fallback included;
+ *   rb_initial    greedy graph growing (initial.greedy_graph_growing);
+ *   rb_refine     refine._rebalance_bisection + the FM pass loop
+ *                 (refine.fm_refine_bisection);
+ *   rb_partition  all of bisection.recursive_bisection: per recursion
+ *                 depth, subgraph extraction, HEM coarsening rounds,
+ *                 greedy graph growing, FM refinement, uncoarsening
+ *                 and the left/right split, random streams included;
+ *   rb_bisect     bisection.multilevel_bisection, one level of the
+ *                 same driver with one group;
  *   rng_seed, rng_permutations, rng_integers  batches of the drivers'
  *                 random streams, each drawing exactly what NumPy's
  *                 default_rng(seed) draws (metis/rng.py);
@@ -27,19 +27,9 @@
  *   json_int_arrays  the int arrays of a JSON text (the request
  *                 bodies' old assignments), parsed in one pass.
  *
- * The rb_* kernels let recursive bisection run level-synchronously:
- * every bisection at one recursion depth is independent of the others
- * (its seed depends on depth and first part only), so a level's
- * groups are solved together, one call per pipeline stage.  A batch is
- * a "graph table": one int64 row per graph, laid out
- *
- *   [0] n  [1] indptr  [2] indices  [3] eweights  [4] vweights
- *
- * (addresses as int64), then [5] side, [6] fine-to-coarse map, [7]
- * coarse side, [8] cap0, [9] cap1 — columns a kernel does not use are
- * ignored.  The batched kernels return -1 on allocation failure and
- * -3 when a gain bound exceeds the caller's max_bound; the caller
- * raises (repro._native.check).
+ * The METIS kernels return -1 on allocation failure and -3 when a
+ * gain bound exceeds the caller's max_bound (rb_partition's further
+ * codes are listed with it); the caller raises (repro._native.check).
  *
  * Bit-identity contract: the Python oracles drain a lazy max-priority
  * queue whose keys (-gain, insertion counter) are unique, so the pop
@@ -50,9 +40,11 @@
  * on every value these algorithms can produce.
  */
 
+#include <math.h>
 #include <stdint.h>
 #include <stdlib.h>
 #include <string.h>
+#include <time.h>
 
 /* malloc that never returns NULL for a zero-length request. */
 static void *xmalloc(int64_t count, size_t size)
@@ -67,16 +59,6 @@ typedef struct {
     const int64_t *eweights;
     const int64_t *vweights;
 } csr_t;
-
-#define ADDR(x) ((int64_t *)(intptr_t)(x))
-#define TAB_COLS 10
-
-/* The graph of one graph-table row. */
-static csr_t row_graph(const int64_t *row)
-{
-    csr_t g = {row[0], ADDR(row[1]), ADDR(row[2]), ADDR(row[3]), ADDR(row[4])};
-    return g;
-}
 
 /* Largest total edge weight incident to one vertex (0 if n == 0). */
 static int64_t max_incident(const csr_t *g)
@@ -634,7 +616,8 @@ int64_t rb_extract(
     for (int64_t g = 0; g < k; g++) {
         int64_t lo = gv[g], hi = gv[g + 1], e0 = nnz;
         int64_t *ip = out_indptr + lo + g;
-        int64_t maxinc = 0, total_vw = 0, max_vw = 0;
+        int64_t maxinc = 0, max_vw = 0;
+        uint64_t total_vw = 0;  /* wraps as NumPy's int64 sum does */
         out_ge[g] = nnz;
         ip[0] = 0;
         for (int64_t i = lo; i < hi; i++) {
@@ -653,11 +636,11 @@ int64_t rb_extract(
             ip[i - lo + 1] = nnz - e0;
             int64_t vw = vweights[x];
             out_vweights[i] = vw;
-            total_vw += vw;
+            total_vw += (uint64_t)vw;
             if (vw > max_vw) max_vw = vw;
         }
         out_stats[3 * g] = maxinc;
-        out_stats[3 * g + 1] = total_vw;
+        out_stats[3 * g + 1] = (int64_t)total_vw;
         out_stats[3 * g + 2] = max_vw;
     }
     out_ge[k] = nnz;
@@ -669,77 +652,55 @@ int64_t rb_extract(
 /* Coarsening rounds                                                   */
 /* ------------------------------------------------------------------ */
 
-/* One round of coarsen.coarsen_to for each of ng graphs (graph-table
- * rows): the visit order is the caller's permutation of the graph
- * (perm, concatenated in row order) stably sorted by degree
+/* One level of a group's coarsening hierarchy, in one allocation
+ * (block): the coarse graph, the map from the finer level's vertices
+ * to its vertices, and its bisection side. */
+typedef struct {
+    csr_t g;
+    int64_t *f2c;
+    int64_t *side;
+    int64_t *block;
+} level_t;
+
+/* One round of coarsen.coarsen_to on `fine`: the visit order is perm
+ * (a permutation of fine's vertices) stably sorted by degree
  * (heavy_edge_matching's SHEM order), then the HEM claims and the
- * contraction.  f2c receives each graph's fine-to-coarse map
- * (concatenated in row order); the coarse graphs form a disjoint
- * union laid out as in rb_extract, with out_gv / out_ge (ng + 1
- * entries) their vertex and edge offsets.  Returns the total coarse
- * edge count, or -1 on allocation failure.
- */
-int64_t rb_coarsen(
-    int64_t ng,
-    const int64_t *tab,
-    const int64_t *perm,
-    int64_t *f2c,
-    int64_t *out_indptr,
-    int64_t *out_indices,
-    int64_t *out_eweights,
-    int64_t *out_vweights,
-    int64_t *out_gv,
-    int64_t *out_ge)
+ * contraction into a freshly allocated level.  Scratch: order, match
+ * and matched hold n entries, cnt one more than the largest degree,
+ * contract CONTRACT_SCRATCH * n.  Returns the coarse vertex count, or
+ * -1 on allocation failure (nothing allocated). */
+static int64_t coarsen_round(
+    const csr_t *fine, const int64_t *perm, int64_t *order, int64_t *match,
+    uint8_t *matched, int64_t *cnt, int64_t *contract, level_t *out)
 {
-    int64_t maxn = 0, maxdeg = 0;
-    for (int64_t r = 0; r < ng; r++) {
-        csr_t g = row_graph(tab + TAB_COLS * r);
-        if (g.n > maxn) maxn = g.n;
-        for (int64_t v = 0; v < g.n; v++)
-            if (g.indptr[v + 1] - g.indptr[v] > maxdeg)
-                maxdeg = g.indptr[v + 1] - g.indptr[v];
+    const int64_t n = fine->n, nnz = fine->indptr[n];
+    const int64_t *indptr = fine->indptr;
+    int64_t *b = xmalloc(n + 1 + 2 * nnz + 3 * n, sizeof(int64_t));
+    if (!b) return -1;
+    int64_t *ip = b, *ix = b + n + 1, *ew = ix + nnz, *vw = ew + nnz;
+    out->f2c = vw + n;
+    out->side = out->f2c + n;
+    out->block = b;
+    /* Stable counting sort of the permutation by degree. */
+    int64_t maxdeg = 0;
+    for (int64_t v = 0; v < n; v++)
+        if (indptr[v + 1] - indptr[v] > maxdeg) maxdeg = indptr[v + 1] - indptr[v];
+    memset(cnt, 0, (size_t)(maxdeg + 1) * sizeof(int64_t));
+    for (int64_t t = 0; t < n; t++)
+        cnt[indptr[perm[t] + 1] - indptr[perm[t]]]++;
+    int64_t s = 0;
+    for (int64_t d = 0; d <= maxdeg; d++) {
+        int64_t c = cnt[d];
+        cnt[d] = s;
+        s += c;
     }
-    int64_t *order = xmalloc(maxn, sizeof(int64_t));
-    int64_t *match = xmalloc(maxn, sizeof(int64_t));
-    int64_t *cnt = xmalloc(maxdeg + 1, sizeof(int64_t));
-    uint8_t *matched = xmalloc(maxn, 1);
-    int64_t *scratch = xmalloc(CONTRACT_SCRATCH * maxn, sizeof(int64_t));
-    int64_t fv = 0, cv = 0, ce = 0;
-    if (!order || !match || !cnt || !matched || !scratch) {
-        ce = -1;
-        goto done;
-    }
-    for (int64_t r = 0; r < ng; r++) {
-        csr_t g = row_graph(tab + TAB_COLS * r);
-        const int64_t *p = perm + fv;
-        /* Stable counting sort of the permutation by degree. */
-        memset(cnt, 0, (size_t)(maxdeg + 1) * sizeof(int64_t));
-        for (int64_t t = 0; t < g.n; t++)
-            cnt[g.indptr[p[t] + 1] - g.indptr[p[t]]]++;
-        int64_t s = 0;
-        for (int64_t d = 0; d <= maxdeg; d++) {
-            int64_t c = cnt[d];
-            cnt[d] = s;
-            s += c;
-        }
-        for (int64_t t = 0; t < g.n; t++)
-            order[cnt[g.indptr[p[t] + 1] - g.indptr[p[t]]]++] = p[t];
-        hem_core(g.n, g.indptr, g.indices, g.eweights, order, match, matched);
-        out_gv[r] = cv;
-        out_ge[r] = ce;
-        int64_t *ip = out_indptr + cv + r;
-        int64_t nc = contract_core(&g, match, f2c + fv, ip,
-                                   out_indices + ce, out_eweights + ce,
-                                   out_vweights + cv, scratch);
-        fv += g.n;
-        cv += nc;
-        ce += ip[nc];
-    }
-    out_gv[ng] = cv;
-    out_ge[ng] = ce;
-done:
-    free(order); free(match); free(cnt); free(matched); free(scratch);
-    return ce;
+    for (int64_t t = 0; t < n; t++)
+        order[cnt[indptr[perm[t] + 1] - indptr[perm[t]]]++] = perm[t];
+    hem_core(n, indptr, fine->indices, fine->eweights, order, match, matched);
+    int64_t nc = contract_core(fine, match, out->f2c, ip, ix, ew, vw, contract);
+    csr_t g = {nc, ip, ix, ew, vw};
+    out->g = g;
+    return nc;
 }
 
 /* ------------------------------------------------------------------ */
@@ -949,110 +910,44 @@ static int64_t ggg_one(
 }
 
 /* ------------------------------------------------------------------ */
-/* Batched bisection stages                                            */
+/* Single-graph bisection stages                                       */
 /* ------------------------------------------------------------------ */
 
-/* Initial bisections: greedy_graph_growing of each of ng graphs into
- * their side column, growing side 0 to targets[r]; starts holds
- * ntrials start vertices per row (-1 = pseudo-peripheral).  Returns
- * 0, -1 or -3.
- */
+/* greedy_graph_growing: ntrials growths of side 0 toward target_left
+ * (starts[t] < 0: from a pseudo-peripheral vertex), the lowest cut's
+ * sides into side.  Returns 0, -1 or -3. */
 int64_t rb_initial(
-    int64_t ng,
-    const int64_t *tab,
-    const int64_t *targets,
+    int64_t n,
+    const int64_t *indptr,
+    const int64_t *indices,
+    const int64_t *eweights,
+    const int64_t *vweights,
+    int64_t target_left,
     const int64_t *starts,
     int64_t ntrials,
-    int64_t max_bound)
+    int64_t max_bound,
+    int64_t *side)
 {
-    for (int64_t r = 0; r < ng; r++) {
-        const int64_t *row = tab + TAB_COLS * r;
-        csr_t g = row_graph(row);
-        int64_t rc = ggg_one(&g, starts + ntrials * r, ntrials, targets[r],
-                             max_bound, ADDR(row[5]));
-        if (rc) return rc;
-    }
-    return 0;
+    csr_t g = {n, indptr, indices, eweights, vweights};
+    return ggg_one(&g, starts, ntrials, target_left, max_bound, side);
 }
 
-/* Refinement of each of ng bisections, in place in the side column,
- * under the caps of columns 8-9.  When column 6 is non-zero the side
- * is first projected, side[v] = coarse_side[f2c[v]] (an uncoarsening
- * step); then fm_refine_bisection runs.  Returns 0, -1 or -3.
- */
+/* fm_refine_bisection: rebalance, then FM passes, of side in place
+ * under the caps cap0 / cap1.  Returns 0, -1 or -3. */
 int64_t rb_refine(
-    int64_t ng,
-    const int64_t *tab,
+    int64_t n,
+    const int64_t *indptr,
+    const int64_t *indices,
+    const int64_t *eweights,
+    const int64_t *vweights,
+    int64_t *side,
+    int64_t cap0,
+    int64_t cap1,
     int64_t max_passes,
     int64_t max_bound)
 {
-    for (int64_t r = 0; r < ng; r++) {
-        const int64_t *row = tab + TAB_COLS * r;
-        csr_t g = row_graph(row);
-        int64_t *side = ADDR(row[5]);
-        if (row[6]) {
-            const int64_t *f2c = ADDR(row[6]), *cside = ADDR(row[7]);
-            for (int64_t v = 0; v < g.n; v++) side[v] = cside[f2c[v]];
-        }
-        int64_t rc = bisect_refine(&g, side, row[8], row[9], max_passes, max_bound);
-        if (rc) return rc;
-    }
-    return 0;
-}
-
-/* The split step of recursive_bisection for k groups: group g owns
- * ids[gv[g]:gv[g+1]] with sides side[gv[g]:gv[g+1]] and parts
- * [first[g], first[g] + parts[g]).  Its left child (side 0) takes
- * parts // 2 parts, its right child (side 1) the rest; if a child
- * gets fewer vertices than parts, the split is the order-based
- * ids[:half[g]] / ids[half[g]:] instead.  A child with one part is
- * written into assignment; the others (left before right) become the
- * next level's groups: their ids, vertex offsets (count + 1), first
- * parts and part counts.  Returns the next level's group count.
- */
-int64_t rb_split(
-    int64_t k,
-    const int64_t *ids,
-    const int64_t *gv,
-    const int64_t *side,
-    const int64_t *first,
-    const int64_t *parts,
-    const int64_t *half,
-    int64_t *assignment,
-    int64_t *out_ids,
-    int64_t *out_gv,
-    int64_t *out_first,
-    int64_t *out_parts)
-{
-    int64_t nk = 0, pos = 0;
-    out_gv[0] = 0;
-    for (int64_t g = 0; g < k; g++) {
-        int64_t lo = gv[g], hi = gv[g + 1];
-        int64_t lp = parts[g] / 2, rp = parts[g] - lp;
-        int64_t nl = 0, nr = 0;
-        for (int64_t i = lo; i < hi; i++) {
-            nl += side[i] == 0;
-            nr += side[i] == 1;
-        }
-        int64_t by_order = nl < lp || nr < rp;
-        for (int64_t c = 0; c < 2; c++) {
-            int64_t cfirst = c ? first[g] + lp : first[g];
-            int64_t cparts = c ? rp : lp;
-            for (int64_t i = lo; i < hi; i++) {
-                int in_child = by_order ? ((i - lo < half[g]) == !c)
-                                        : side[i] == c;
-                if (!in_child) continue;
-                if (cparts == 1) assignment[ids[i]] = cfirst;
-                else out_ids[pos++] = ids[i];
-            }
-            if (cparts > 1) {
-                out_first[nk] = cfirst;
-                out_parts[nk] = cparts;
-                out_gv[++nk] = pos;
-            }
-        }
-    }
-    return nk;
+    csr_t g = {n, indptr, indices, eweights, vweights};
+    return bisect_refine(&g, side, cap0, cap1, max_passes, max_bound);
 }
 
 /* ------------------------------------------------------------------ */
@@ -1633,6 +1528,20 @@ static uint32_t rng_bounded(pcg64_t *r, uint32_t rng)
     return (uint32_t)(m >> 32);
 }
 
+/* permutation(n) into out: arange, then Fisher-Yates from the top
+ * down. */
+static void rng_permutation(pcg64_t *r, int64_t n, int64_t *out)
+{
+    for (int64_t j = 0; j < n; j++)
+        out[j] = j;
+    for (int64_t j = n - 1; j > 0; j--) {
+        const int64_t k = (int64_t)rng_interval(r, (uint64_t)j);
+        const int64_t t = out[k];
+        out[k] = out[j];
+        out[j] = t;
+    }
+}
+
 /* Seed stream i from words[offsets[i]:offsets[i+1]] (nonempty). */
 int64_t rng_seed(int64_t nstreams, const uint32_t *words, const int64_t *offsets,
                  uint64_t *states)
@@ -1648,7 +1557,7 @@ int64_t rng_seed(int64_t nstreams, const uint32_t *words, const int64_t *offsets
 }
 
 /* Stream i's permutation(sizes[i]), the streams' written back to back
- * into out: arange, then Fisher-Yates from the top down. */
+ * into out. */
 int64_t rng_permutations(int64_t nstreams, uint64_t *states, const int64_t *sizes,
                          int64_t *out)
 {
@@ -1658,17 +1567,9 @@ int64_t rng_permutations(int64_t nstreams, uint64_t *states, const int64_t *size
     for (int64_t i = 0; i < nstreams; i++) {
         pcg64_t r;
         pcg_load(&r, states + RNG_SLOTS * i);
-        const int64_t n = sizes[i];
-        for (int64_t j = 0; j < n; j++)
-            out[j] = j;
-        for (int64_t j = n - 1; j > 0; j--) {
-            const int64_t k = (int64_t)rng_interval(&r, (uint64_t)j);
-            const int64_t t = out[k];
-            out[k] = out[j];
-            out[j] = t;
-        }
+        rng_permutation(&r, sizes[i], out);
         pcg_store(&r, states + RNG_SLOTS * i);
-        out += n;
+        out += sizes[i];
     }
     return 0;
 }
@@ -1690,4 +1591,428 @@ int64_t rng_integers(int64_t nstreams, uint64_t *states, const int64_t *highs,
         pcg_store(&r, states + RNG_SLOTS * i);
     }
     return 0;
+}
+
+/* ---------------------------------------------------------------------
+ * Recursive bisection (bisection.recursive_bisection)
+ *
+ * The whole pmetis recursion in one call.  It runs level-synchronously:
+ * every bisection depends only on its vertex set, its part range and
+ * its seed base + depth * 7919 + first part, never on the order a
+ * depth-first loop would visit it, so each recursion depth ("level")
+ * extracts all of its groups' subgraphs at once and then bisects them
+ * one after the other.  A group's multilevel bisection
+ * (multilevel_bisection) coarsens with rounds of coarsen_round, round
+ * lvl visiting in the permutation of a fresh stream seeded with the
+ * group seed + lvl, until the graph has at most `coarsest` vertices or
+ * a round shrinks it by less than 10% (that round is dropped); grows
+ * the coarsest graph's bisection (ggg_one, trial starts from a fresh
+ * stream on the group seed), refines it, and projects and refines it
+ * back up (bisect_refine).  Each stream draws what NumPy's
+ * default_rng(seed) draws, so the result is the depth-first oracle's
+ * (tests/metis/reference_kernels.py) bit for bit.
+ *
+ * params holds five int64: [coarsest, max_levels, ntrials,
+ * fm_passes, max_bound].  The base seed arrives as its little-endian
+ * 32-bit words (SeedSequence's entropy, at least one word, no zero
+ * words on top); every offset is added with carry.  timing is NULL, or
+ * RB_TIMES int64 per level: [groups, start (ns after the call began),
+ * then ns spent in subgraph, coarsen, initial, refine and uncoarsen].
+ * Error codes beyond -1, -3 and -4: -5, a split target not strictly
+ * between 0 and its group's weight; -6, vertex weights too large for
+ * exact float split targets (total * left parts >= 2^53).
+ * ------------------------------------------------------------------ */
+
+#define RB_TIMES 7
+
+static int64_t now_ns(void)
+{
+    struct timespec ts;
+    clock_gettime(CLOCK_MONOTONIC, &ts);
+    return (int64_t)ts.tv_sec * 1000000000 + ts.tv_nsec;
+}
+
+/* A run's parent graph, seed, caps factor, tuning constants and the
+ * scratch every group reuses: a level's subgraph union (rb_extract's
+ * layout, group g's stats at stats[3g:3g+3]) and the coarsening
+ * buffers, sized for the parent graph. */
+typedef struct {
+    csr_t graph;
+    const uint32_t *seed;
+    int64_t nseed;
+    double ubfactor;
+    int64_t coarsest, max_levels, ntrials, fm_passes, max_bound;
+    int64_t t_start;
+    int64_t *u_indptr, *u_indices, *u_eweights, *u_vweights, *u_ge, *stats;
+    int64_t *perm, *order, *match, *cnt, *contract, *starts;
+    uint8_t *matched;
+    uint32_t *words;
+    level_t *levels;
+    int64_t *block;
+} rb_t;
+
+static void rb_free(rb_t *rb)
+{
+    free(rb->block);
+    free(rb->matched);
+    free(rb->words);
+    free(rb->levels);
+}
+
+/* Returns 0, -1 (allocation) or -4 (no seed word). */
+static int64_t rb_init(
+    rb_t *rb, int64_t n, const int64_t *indptr, const int64_t *indices,
+    const int64_t *eweights, const int64_t *vweights, const uint32_t *seed,
+    int64_t nseed, double ubfactor, const int64_t *params)
+{
+    memset(rb, 0, sizeof *rb);
+    if (nseed < 1) return -4;
+    csr_t g = {n, indptr, indices, eweights, vweights};
+    rb->graph = g;
+    rb->seed = seed;
+    rb->nseed = nseed;
+    rb->ubfactor = ubfactor;
+    rb->coarsest = params[0];
+    rb->max_levels = params[1];
+    rb->ntrials = params[2];
+    rb->fm_passes = params[3];
+    rb->max_bound = params[4];
+    rb->t_start = now_ns();
+    const int64_t nnz = indptr[n];
+    /* A level has at most n / 2 groups; every graph of a hierarchy has
+     * at most nnz edges, so no degree exceeds nnz. */
+    int64_t sizes[] = {
+        2 * n + 1, nnz, nnz, n, n + 1, 3 * n,  /* union, stats */
+        n, n, n, nnz + 1, CONTRACT_SCRATCH * n, rb->ntrials,
+    };
+    int64_t total = 0;
+    for (size_t i = 0; i < sizeof sizes / sizeof *sizes; i++) total += sizes[i];
+    rb->block = xmalloc(total, sizeof(int64_t));
+    rb->matched = xmalloc(n, 1);
+    rb->words = xmalloc(nseed + 3, sizeof(uint32_t));
+    rb->levels = xmalloc(rb->max_levels, sizeof(level_t));
+    if (!rb->block || !rb->matched || !rb->words || !rb->levels) {
+        rb_free(rb);
+        return -1;
+    }
+    int64_t **slots[] = {
+        &rb->u_indptr, &rb->u_indices, &rb->u_eweights, &rb->u_vweights,
+        &rb->u_ge, &rb->stats, &rb->perm, &rb->order, &rb->match, &rb->cnt,
+        &rb->contract, &rb->starts,
+    };
+    int64_t *p = rb->block;
+    for (size_t i = 0; i < sizeof sizes / sizeof *sizes; i++) {
+        *slots[i] = p;
+        p += sizes[i];
+    }
+    return 0;
+}
+
+/* A fresh stream on the run's seed + offset. */
+static void rb_stream(rb_t *rb, uint64_t offset, pcg64_t *r)
+{
+    uint64_t carry = 0;
+    int64_t i = 0;
+    for (; i < rb->nseed || offset || carry; i++) {
+        uint64_t s = (i < rb->nseed ? rb->seed[i] : 0) + (offset & 0xffffffffu) + carry;
+        rb->words[i] = (uint32_t)s;
+        carry = s >> 32;
+        offset >>= 32;
+    }
+    pcg_seed(r, rb->words, i);
+}
+
+/* A side's weight cap, floor(ub * t + 1e-9) clipped to [t, total], as
+ * NumPy computed it: max(int64(min(floor(...), double(total))), t),
+ * where an out-of-range float-to-int64 conversion gives INT64_MIN. */
+static int64_t side_cap(double ub, int64_t t, int64_t total)
+{
+    double c = floor(ub * (double)t + 1e-9);
+    double m = (double)total;
+    if (c < m) m = c;
+    int64_t cap = (m >= -0x1p63 && m < 0x1p63) ? (int64_t)m : INT64_MIN;
+    return cap > t ? cap : t;
+}
+
+/* multilevel_bisection of one group's graph g toward `target` under
+ * the caps cap0 / cap1, its streams seeded with the run's seed +
+ * offset (+ lvl for coarsening round lvl); side gets g's n sides.
+ * times (NULL or 4 slots) accumulates ns of coarsen, initial, refine
+ * and uncoarsen.  Returns 0, -1, -3 or -4. */
+static int64_t bisect_group(
+    rb_t *rb, const csr_t *g, int64_t target, int64_t cap0, int64_t cap1,
+    uint64_t offset, int64_t *side, int64_t *times)
+{
+    level_t *lv = rb->levels;
+    int64_t nl = 0, rc = 0;
+    int64_t t0 = times ? now_ns() : 0;
+    const csr_t *fine = g;
+    for (int64_t lvl = 0; lvl < rb->max_levels && fine->n > rb->coarsest; lvl++) {
+        pcg64_t r;
+        rb_stream(rb, offset + (uint64_t)lvl, &r);
+        rng_permutation(&r, fine->n, rb->perm);
+        int64_t nc = coarsen_round(fine, rb->perm, rb->order, rb->match,
+                                   rb->matched, rb->cnt, rb->contract, lv + nl);
+        if (nc < 0) {
+            rc = nc;
+            goto done;
+        }
+        if ((double)nc > 0.9 * (double)fine->n) {
+            free(lv[nl].block);
+            break;
+        }
+        fine = &lv[nl++].g;
+    }
+    if (times) {
+        int64_t t = now_ns();
+        times[0] += t - t0;
+        t0 = t;
+    }
+    /* The coarsest graph: GGGP (trial 0 from a pseudo-peripheral
+     * vertex), then FM. */
+    int64_t *cside = nl ? lv[nl - 1].side : side;
+    if (fine->n < 1 || fine->n > ((int64_t)1 << 32)) {
+        rc = -4;
+        goto done;
+    }
+    pcg64_t r;
+    rb_stream(rb, offset, &r);
+    rb->starts[0] = -1;
+    for (int64_t t = 1; t < rb->ntrials; t++)
+        rb->starts[t] = rng_bounded(&r, (uint32_t)(fine->n - 1));
+    rc = ggg_one(fine, rb->starts, rb->ntrials, target, rb->max_bound, cside);
+    if (rc) goto done;
+    if (times) {
+        int64_t t = now_ns();
+        times[1] += t - t0;
+        t0 = t;
+    }
+    rc = bisect_refine(fine, cside, cap0, cap1, rb->fm_passes, rb->max_bound);
+    if (rc) goto done;
+    if (times) {
+        int64_t t = now_ns();
+        times[2] += t - t0;
+        t0 = t;
+    }
+    /* Uncoarsening, deepest level first: project, then refine. */
+    for (int64_t j = nl - 1; j >= 0; j--) {
+        const csr_t *fg = j ? &lv[j - 1].g : g;
+        int64_t *fs = j ? lv[j - 1].side : side;
+        for (int64_t v = 0; v < fg->n; v++) fs[v] = lv[j].side[lv[j].f2c[v]];
+        rc = bisect_refine(fg, fs, cap0, cap1, rb->fm_passes, rb->max_bound);
+        if (rc) goto done;
+    }
+    if (times) times[3] += now_ns() - t0;
+done:
+    for (int64_t j = 0; j < nl; j++) free(lv[j].block);
+    return rc;
+}
+
+/* multilevel_bisection of the k groups of one level: group g is the
+ * strictly ascending vertex set ids[gv[g]:gv[g+1]] of the parent
+ * graph, split toward targets[g] with seed offset offsets[g]; side
+ * (aligned with ids) gets the sides, row (NULL or RB_TIMES slots) the
+ * level's timings.  Returns 0, -1, -2, -3, -4 or -5. */
+static int64_t bisect_level(
+    rb_t *rb, const int64_t *ids, const int64_t *gv, int64_t k,
+    const int64_t *targets, const int64_t *offsets, int64_t *side,
+    int64_t *row)
+{
+    int64_t t0 = row ? now_ns() : 0;
+    const csr_t *pg = &rb->graph;
+    int64_t rc = rb_extract(pg->n, pg->indptr, pg->indices, pg->eweights,
+                            pg->vweights, ids, gv, k, rb->u_indptr,
+                            rb->u_indices, rb->u_eweights, rb->u_vweights,
+                            rb->u_ge, rb->stats);
+    if (rc < 0) return rc;
+    for (int64_t g = 0; g < k; g++)
+        if (!(targets[g] > 0 && targets[g] < rb->stats[3 * g + 1])) return -5;
+    if (row) {
+        row[0] = k;
+        row[1] = t0 - rb->t_start;
+        row[2] = now_ns() - t0;
+        for (int i = 3; i < RB_TIMES; i++) row[i] = 0;
+    }
+    for (int64_t g = 0; g < k; g++) {
+        const int64_t lo = gv[g], ge = rb->u_ge[g];
+        const int64_t total = rb->stats[3 * g + 1], t = targets[g];
+        csr_t sub = {gv[g + 1] - lo, rb->u_indptr + lo + g, rb->u_indices + ge,
+                     rb->u_eweights + ge, rb->u_vweights + lo};
+        rc = bisect_group(rb, &sub, t, side_cap(rb->ubfactor, t, total),
+                          side_cap(rb->ubfactor, total - t, total),
+                          (uint64_t)offsets[g], side + lo, row ? row + 3 : NULL);
+        if (rc) return rc;
+    }
+    return 0;
+}
+
+/* The split step of recursive_bisection for k groups: group g owns
+ * ids[gv[g]:gv[g+1]] with sides side[gv[g]:gv[g+1]] and parts
+ * [first[g], first[g] + parts[g]).  Its left child (side 0) takes
+ * parts // 2 parts, its right child (side 1) the rest; if a child
+ * gets fewer vertices than parts, the split is the order-based
+ * ids[:half[g]] / ids[half[g]:] instead.  A child with one part is
+ * written into assignment; the others (left before right) become the
+ * next level's groups: their ids, vertex offsets (count + 1), first
+ * parts and part counts.  Returns the next level's group count.
+ */
+static int64_t rb_split(
+    int64_t k,
+    const int64_t *ids,
+    const int64_t *gv,
+    const int64_t *side,
+    const int64_t *first,
+    const int64_t *parts,
+    const int64_t *half,
+    int64_t *assignment,
+    int64_t *out_ids,
+    int64_t *out_gv,
+    int64_t *out_first,
+    int64_t *out_parts)
+{
+    int64_t nk = 0, pos = 0;
+    out_gv[0] = 0;
+    for (int64_t g = 0; g < k; g++) {
+        int64_t lo = gv[g], hi = gv[g + 1];
+        int64_t lp = parts[g] / 2, rp = parts[g] - lp;
+        int64_t nl = 0, nr = 0;
+        for (int64_t i = lo; i < hi; i++) {
+            nl += side[i] == 0;
+            nr += side[i] == 1;
+        }
+        int64_t by_order = nl < lp || nr < rp;
+        for (int64_t c = 0; c < 2; c++) {
+            int64_t cfirst = c ? first[g] + lp : first[g];
+            int64_t cparts = c ? rp : lp;
+            for (int64_t i = lo; i < hi; i++) {
+                int in_child = by_order ? ((i - lo < half[g]) == !c)
+                                        : side[i] == c;
+                if (!in_child) continue;
+                if (cparts == 1) assignment[ids[i]] = cfirst;
+                else out_ids[pos++] = ids[i];
+            }
+            if (cparts > 1) {
+                out_first[nk] = cfirst;
+                out_parts[nk] = cparts;
+                out_gv[++nk] = pos;
+            }
+        }
+    }
+    return nk;
+}
+
+/* recursive_bisection into nparts >= 2 parts: every vertex's part
+ * into assignment.  Each level's group g (parts[g] >= 2 parts from
+ * first[g]) is split toward rint(total * (parts // 2) / parts) weight
+ * on the left with seed offset depth * 7919 + first[g], then rb_split
+ * passes its children on.  Returns the level count, or -1, -3, -4, -5
+ * or -6. */
+int64_t rb_partition(
+    int64_t n,
+    const int64_t *indptr,
+    const int64_t *indices,
+    const int64_t *eweights,
+    const int64_t *vweights,
+    int64_t nparts,
+    const uint32_t *seed,
+    int64_t nseed,
+    double ubfactor,
+    const int64_t *params,
+    int64_t *assignment,
+    int64_t *timing)
+{
+    rb_t rb;
+    int64_t rc = rb_init(&rb, n, indptr, indices, eweights, vweights, seed,
+                         nseed, ubfactor, params);
+    if (rc) return rc;
+    /* This level's and the next level's groups (ids, gv, first,
+     * parts), and per group its order-based split, target and seed
+     * offset; side is aligned with ids. */
+    int64_t *block = xmalloc(2 * (4 * n + 1) + 4 * n, sizeof(int64_t));
+    if (!block) {
+        rb_free(&rb);
+        return -1;
+    }
+    int64_t *ids = block, *gv = ids + n, *first = gv + n + 1, *parts = first + n;
+    int64_t *next_ids = parts + n, *next_gv = next_ids + n;
+    int64_t *next_first = next_gv + n + 1, *next_parts = next_first + n;
+    int64_t *half = next_parts + n, *targets = half + n, *offsets = targets + n;
+    int64_t *side = offsets + n;
+    for (int64_t i = 0; i < n; i++) ids[i] = i;
+    gv[0] = 0;
+    gv[1] = n;
+    first[0] = 0;
+    parts[0] = nparts;
+    int64_t k = nparts > 1, depth = 0;
+    while (k) {
+        for (int64_t g = 0; g < k; g++) {
+            /* int64 arithmetic wraps as NumPy's did. */
+            uint64_t total = 0;
+            for (int64_t i = gv[g]; i < gv[g + 1]; i++)
+                total += (uint64_t)vweights[ids[i]];
+            const int64_t left = parts[g] / 2;
+            const int64_t scaled = (int64_t)(total * (uint64_t)left);
+            if (scaled >= ((int64_t)1 << 53)) {
+                rc = -6;
+                goto done;
+            }
+            targets[g] = (int64_t)rint((double)scaled / (double)parts[g]);
+            offsets[g] = depth * 7919 + first[g];
+            const int64_t size = gv[g + 1] - gv[g];
+            int64_t h = (int64_t)rint((double)(size * left) / (double)parts[g]);
+            if (h > size - (parts[g] - left)) h = size - (parts[g] - left);
+            half[g] = h > left ? h : left;
+        }
+        rc = bisect_level(&rb, ids, gv, k, targets, offsets, side,
+                          timing ? timing + RB_TIMES * depth : NULL);
+        if (rc) goto done;
+        k = rb_split(k, ids, gv, side, first, parts, half, assignment,
+                     next_ids, next_gv, next_first, next_parts);
+        int64_t *t;
+        t = ids; ids = next_ids; next_ids = t;
+        t = gv; gv = next_gv; next_gv = t;
+        t = first; first = next_first; next_first = t;
+        t = parts; parts = next_parts; next_parts = t;
+        depth++;
+    }
+    rc = depth;
+done:
+    free(block);
+    rb_free(&rb);
+    return rc;
+}
+
+/* multilevel_bisection of the whole graph toward target_left: one
+ * level with one group and seed offset 0.  side gets the n sides,
+ * timing (NULL or RB_TIMES slots) the level's timings.  Returns 1, or
+ * -1, -3, -4 or -5. */
+int64_t rb_bisect(
+    int64_t n,
+    const int64_t *indptr,
+    const int64_t *indices,
+    const int64_t *eweights,
+    const int64_t *vweights,
+    int64_t target_left,
+    const uint32_t *seed,
+    int64_t nseed,
+    double ubfactor,
+    const int64_t *params,
+    int64_t *side,
+    int64_t *timing)
+{
+    rb_t rb;
+    int64_t rc = rb_init(&rb, n, indptr, indices, eweights, vweights, seed,
+                         nseed, ubfactor, params);
+    if (rc) return rc;
+    int64_t *ids = xmalloc(n, sizeof(int64_t));
+    if (!ids) {
+        rb_free(&rb);
+        return -1;
+    }
+    for (int64_t i = 0; i < n; i++) ids[i] = i;
+    const int64_t gv[2] = {0, n}, offset = 0;
+    rc = bisect_level(&rb, ids, gv, 1, &target_left, &offset, side, timing);
+    free(ids);
+    rb_free(&rb);
+    return rc ? rc : 1;
 }

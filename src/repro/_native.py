@@ -3,13 +3,14 @@
 ``_kernels.c`` holds exact C restatements of the METIS kernels — one
 greedy K-way refinement sweep (``kway_refine``, edge-cut or TotalVol
 gain), the heavy-edge matching claim loop (``hem_claim``), graph
-contraction (``contract``), and the batched recursive-bisection stages
-(``rb_extract``, ``rb_coarsen``, ``rb_initial``, ``rb_refine``,
-``rb_split``: subgraph extraction, a HEM + contract coarsening round,
-greedy graph growing, rebalance + FM refinement with optional
-projection, and the left/right split), which also serve the
-single-graph ``CSRGraph.subgraph``, ``greedy_graph_growing`` and
-``fm_refine_bisection``, and the METIS drivers' random streams
+contraction (``contract``), subgraph extraction (``rb_extract``),
+greedy graph growing (``rb_initial``) and rebalance + FM refinement
+(``rb_refine``), which serve ``CSRGraph.subgraph``,
+``greedy_graph_growing`` and ``fm_refine_bisection``; the whole
+recursive bisection in one call (``rb_partition``, and ``rb_bisect``
+for one multilevel bisection), which runs those stages, the
+coarsening rounds, the split and their random streams itself; and
+the METIS drivers' other random streams
 (``rng_seed``, ``rng_permutations``, ``rng_integers``: NumPy's
 ``default_rng`` restated, see :mod:`repro.metis.rng`) — plus the SEAM
 DSS projection, the gather, halo exchange and scatter passes of the
@@ -34,6 +35,7 @@ from __future__ import annotations
 import ctypes
 import hashlib
 import os
+import shlex
 import shutil
 import subprocess
 import tempfile
@@ -50,6 +52,12 @@ _VP = ctypes.c_void_p
 # into an FMA.
 _CFLAGS = ["-O2", "-ffp-contract=off", "-shared", "-fPIC"]
 
+#: Environment variable of extra compiler flags, split like a shell
+#: line and appended to ``_CFLAGS`` (e.g. a sanitizer build).  The
+#: library's cache tag covers them, so differently built libraries
+#: never mix.
+EXTRA_CFLAGS_ENV = "REPRO_CFLAGS"
+
 #: Largest gain bound (total edge weight at one vertex) the bucket-queue
 #: kernels accept; past it their bucket arrays grow unreasonably large.
 MAX_BOUND = 1 << 22
@@ -57,20 +65,13 @@ MAX_BOUND = 1 << 22
 #: uint64 words of one random stream's state in the rng_* kernels.
 RNG_SLOTS = 6
 
-#: Width of a graph-table row of the batched rb_* kernels: ``[n,
-#: indptr, indices, eweights, vweights, side, fine_to_coarse,
-#: coarse_side, cap0, cap1]`` (addresses as int64; unused columns 0).
-TABLE_COLUMNS = 10
-
-
 _I64 = ctypes.c_int64
 _U64P = ctypes.POINTER(ctypes.c_uint64)
 
 #: Every kernel the library exports, with its argument types; each
 #: returns int64.  METIS pointer params are void*: callers pass raw
 #: addresses (ints, ``arr.ctypes.data``), skipping ctypes' per-call
-#: POINTER conversion on the hot path.  The batched rb_* kernels take
-#: "graph tables": int64 rows of TABLE_COLUMNS (see _kernels.c).
+#: POINTER conversion on the hot path.
 SIGNATURES: dict[str, list] = {
     "kway_refine": [
         _I64,  # n
@@ -102,31 +103,45 @@ SIGNATURES: dict[str, list] = {
         _VP, _VP, _VP, _VP,  # union csr arrays (out)
         _VP, _VP,  # group edge offsets, group stats (out)
     ],
-    "rb_coarsen": [
-        _I64, _VP,  # rows, graph table
-        _VP,  # visit permutations
-        _VP,  # fine_to_coarse (out)
-        _VP, _VP, _VP, _VP,  # coarse union csr arrays (out)
-        _VP, _VP,  # coarse vertex and edge offsets (out)
-    ],
     "rb_initial": [
-        _I64, _VP,  # rows, graph table
-        _VP,  # side-0 weight targets
-        _VP,  # start vertices (rows x ntrials)
-        _I64,  # ntrials
+        _I64,  # n
+        _VP, _VP, _VP, _VP,  # indptr, indices, eweights, vweights
+        _I64,  # side-0 weight target
+        _VP, _I64,  # start vertices, ntrials
         _I64,  # max_bound
+        _VP,  # sides (out)
     ],
     "rb_refine": [
-        _I64, _VP,  # rows, graph table
+        _I64,  # n
+        _VP, _VP, _VP, _VP,  # indptr, indices, eweights, vweights
+        _VP,  # sides (inout)
+        _I64, _I64,  # cap0, cap1
         _I64,  # max_passes
         _I64,  # max_bound
     ],
-    "rb_split": [
-        _I64,  # group count
-        _VP, _VP, _VP,  # ids, group vertex offsets, sides
-        _VP, _VP, _VP,  # first part, part count, order-based split
-        _VP,  # assignment (inout)
-        _VP, _VP, _VP, _VP,  # next ids, offsets, first parts, counts (out)
+    # The recursive-bisection driver: the graph, a part count (or
+    # rb_bisect's side-0 target), the base seed's uint32 words, the
+    # ubfactor, 5 int64 tuning constants (see bisection.py), the
+    # output and an optional per-depth timing table (NULL: none).
+    "rb_partition": [
+        _I64,  # n
+        _VP, _VP, _VP, _VP,  # indptr, indices, eweights, vweights
+        _I64,  # nparts
+        _VP, _I64,  # seed words, word count
+        ctypes.c_double,  # ubfactor
+        _VP,  # tuning constants
+        _VP,  # assignment (out)
+        _VP,  # timing table (out) or NULL
+    ],
+    "rb_bisect": [
+        _I64,  # n
+        _VP, _VP, _VP, _VP,  # indptr, indices, eweights, vweights
+        _I64,  # side-0 weight target
+        _VP, _I64,  # seed words, word count
+        ctypes.c_double,  # ubfactor
+        _VP,  # tuning constants
+        _VP,  # sides (out)
+        _VP,  # timing row (out) or NULL
     ],
     # The DSS operator constants travel in a 7-slot int64 "plan" array
     # (see _kernels.c) to keep per-call marshalling at 5 arguments.
@@ -199,8 +214,13 @@ def _cache_dir() -> Path:
     return Path(tempfile.gettempdir()) / f"repro-kernels-{os.getuid()}"
 
 
-def _compile(source: Path, out: Path) -> None:
-    """Compile ``source`` into the shared library ``out``.
+def _cflags() -> list[str]:
+    """``_CFLAGS`` plus the extra flags of :data:`EXTRA_CFLAGS_ENV`."""
+    return [*_CFLAGS, *shlex.split(os.environ.get(EXTRA_CFLAGS_ENV, ""))]
+
+
+def _compile(source: Path, out: Path, cflags: list[str]) -> None:
+    """Compile ``source`` with ``cflags`` into the shared library ``out``.
 
     Raises:
         ImportError: No C compiler was found, or it failed; the message
@@ -215,7 +235,7 @@ def _compile(source: Path, out: Path) -> None:
     tmp = out.with_name(f"{out.stem}.{os.getpid()}.tmp{out.suffix}")
     try:
         subprocess.run(
-            [cc, *_CFLAGS, "-o", str(tmp), str(source)],
+            [cc, *cflags, "-o", str(tmp), str(source)],
             check=True,
             capture_output=True,
             timeout=120,
@@ -241,7 +261,8 @@ def load() -> ctypes.CDLL:
         ImportError: The library cannot be built or loaded.
     """
     source_text = _SOURCE.read_bytes()
-    tag = hashlib.sha256(source_text + " ".join(_CFLAGS).encode()).hexdigest()[:16]
+    cflags = _cflags()
+    tag = hashlib.sha256(source_text + " ".join(cflags).encode()).hexdigest()[:16]
     cache = _cache_dir()
     lib_path = cache / f"kernels-{tag}.so"
     if not lib_path.exists():
@@ -249,7 +270,7 @@ def load() -> ctypes.CDLL:
             cache.mkdir(parents=True, exist_ok=True)
         except OSError as exc:
             raise ImportError(f"cannot create the kernel cache {cache}: {exc}") from exc
-        _compile(_SOURCE, lib_path)
+        _compile(_SOURCE, lib_path, cflags)
     try:
         lib = ctypes.CDLL(str(lib_path))
         for name, argtypes in SIGNATURES.items():
@@ -277,6 +298,11 @@ _ERRORS = {
         ValueError,
         "a random draw needs a size >= 0, a bound in [1, 2^32] and a seed word",
     ),
+    -5: (
+        ValueError,
+        "target_left must be strictly between 0 and total weight",
+    ),
+    -6: (ValueError, "vertex weights too large for exact split targets"),
 }
 
 
@@ -288,7 +314,10 @@ def check(rc: int) -> int:
         ValueError: ``-2``, subgraph ids not strictly ascending, out of
             range or repeated; ``-3``, a gain bound above
             :data:`MAX_BOUND`; ``-4``, a negative permutation size, an
-            ``integers`` bound outside ``[1, 2^32]`` or an empty seed.
+            ``integers`` bound outside ``[1, 2^32]`` or an empty seed;
+            ``-5``, a bisection's weight target not strictly between 0
+            and its graph's weight; ``-6``, vertex weights so large
+            that a split target's float is inexact.
     """
     if rc < 0:
         exc, message = _ERRORS[rc]

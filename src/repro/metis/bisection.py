@@ -8,23 +8,31 @@ algorithm is best for load balancing, but results in larger edgecuts
 and total communication volume" — the tight per-split balance is what
 produces that behaviour, and it is enforced here with a per-bisection
 imbalance cap that defaults to (essentially) exact.
+
+The driver is compiled: one call of ``rb_partition`` (``_kernels.c``)
+runs the whole recursion, its stages, its split and its random
+streams, and ``rb_bisect`` runs one multilevel bisection through the
+same level function.  This module checks the arguments, passes the
+seed and the tuning constants, and turns the kernel's own per-depth
+timings into telemetry spans.
 """
 
 from __future__ import annotations
 
 import math
+from time import time_ns
 
 import numpy as np
 
 from .._native import LIB as _NATIVE
-from .._native import MAX_BOUND, TABLE_COLUMNS, check
+from .._native import MAX_BOUND, check
 from ..graphs.csr import CSRGraph
 from ..partition.base import Partition
-from ..telemetry import span
+from ..telemetry import record_span, telemetry_active
 from .coarsen import MAX_LEVELS
 from .initial import NTRIALS
 from .refine import FM_PASSES
-from .rng import Streams
+from .rng import seed_words
 
 __all__ = ["multilevel_bisection", "recursive_bisection"]
 
@@ -42,7 +50,8 @@ def multilevel_bisection(
 
     Coarsen with HEM, grow an initial bisection of the coarsest graph
     (GGGP), then refine with FM at every level on the way back up: one
-    group of :func:`_bisect_level`.
+    level of the compiled recursive-bisection driver with one group
+    (``rb_bisect``).
 
     Args:
         graph: Graph to split.
@@ -53,17 +62,15 @@ def multilevel_bisection(
 
     Returns:
         ``(n,)`` int array of sides (0/1).
+
+    Raises:
+        ValueError: ``ubfactor`` is not finite, ``seed`` is negative,
+            or ``target_left`` is not strictly between 0 and the
+            graph's weight.
     """
-    n = graph.nvertices
-    return _bisect_level(
-        graph,
-        np.arange(n, dtype=np.int64),
-        np.array([0, n], dtype=np.int64),
-        len(graph.indices),
-        np.array([target_left], dtype=np.int64),
-        [seed],
-        ubfactor,
-    )
+    side = np.empty(graph.nvertices, dtype=np.int64)
+    _run(_NATIVE.rb_bisect, graph, target_left, ubfactor, seed, side)
+    return side
 
 
 def recursive_bisection(
@@ -81,236 +88,75 @@ def recursive_bisection(
     exceeds the region size) becomes an exact order-based split, since
     pmetis never returns empty parts.
 
-    The recursion runs level-synchronously.  Every bisection depends
-    only on its vertex set, its part range and its seed ``seed + depth
-    * 7919 + first``, never on the order a depth-first loop would visit
-    it, so all bisections at one recursion depth ("groups") run
-    together: their induced subgraphs are stored back to back in one
-    set of buffers and each multilevel stage is one kernel call for all
-    of them (:func:`_bisect_level`).  Every random stream still draws
-    what the depth-first loop's NumPy ``default_rng`` calls draw
-    (the oracle in ``tests/metis/reference_kernels.py``), a level's
-    streams in one batch (:class:`~repro.metis.rng.Streams`).
+    One call of the compiled ``rb_partition`` kernel runs the whole
+    recursion, level-synchronously.  Every bisection depends only on
+    its vertex set, its part range and its seed ``seed + depth * 7919
+    + first``, never on the order a depth-first loop would visit it,
+    so each recursion depth extracts all of its bisections' ("groups'")
+    subgraphs at once, then coarsens, grows, refines and uncoarsens
+    each group, and splits them.  Every random stream still draws what
+    the depth-first loop's NumPy ``default_rng`` calls draw, so the
+    parts are those of the oracle in
+    ``tests/metis/reference_kernels.py``.
 
     Returns:
         A :class:`Partition` labeled ``"rb"``.
 
     Raises:
         ValueError: ``nparts`` is outside ``[1, n]``, ``ubfactor`` is
-            not finite, a split's weight target is not strictly between
-            0 and its region's weight, or the vertex weights are too
-            large for exact float split targets.
+            not finite, ``seed`` is negative, a split's weight target is
+            not strictly between 0 and its region's weight, or the
+            vertex weights are too large for exact float split targets.
     """
     n = graph.nvertices
     if not 1 <= nparts <= n:
         raise ValueError("need 1 <= nparts <= nvertices")
     assignment = np.zeros(n, dtype=np.int64)
-    if nparts == 1:
-        return Partition(assignment, nparts=1, method="rb")
-    degrees = graph.degrees()
-    ids = np.arange(n, dtype=np.int64)
-    gv = np.array([0, n], dtype=np.int64)
-    first = np.zeros(1, dtype=np.int64)
-    parts = np.array([nparts], dtype=np.int64)
-    depth = 0
-    while len(parts):  # every group here has >= 2 parts
-        seeds = [seed + depth * 7919 + f for f in first.tolist()]
-        left = parts // 2
-        totals = np.add.reduceat(graph.vweights[ids], gv[:-1])
-        if (totals * left).max() >= 2**53:  # the float targets are exact below
-            raise ValueError("vertex weights too large for exact split targets")
-        targets = np.rint(totals * left / parts).astype(np.int64)
-        nedges = int(degrees[ids].sum())
-        side = _bisect_level(graph, ids, gv, nedges, targets, seeds, ubfactor)
-        k = len(parts)
-        sizes = np.diff(gv)
-        half = np.maximum(
-            left,
-            np.minimum(sizes - (parts - left), np.rint(sizes * left / parts).astype(np.int64)),
-        )
-        next_ids = np.empty(len(ids), dtype=np.int64)
-        next_gv = np.empty(2 * k + 1, dtype=np.int64)
-        next_first = np.empty(2 * k, dtype=np.int64)
-        next_parts = np.empty(2 * k, dtype=np.int64)
-        nk = _NATIVE.rb_split(
-            k, ids.ctypes.data, gv.ctypes.data, side.ctypes.data,
-            first.ctypes.data, parts.ctypes.data, half.ctypes.data,
-            assignment.ctypes.data, next_ids.ctypes.data, next_gv.ctypes.data,
-            next_first.ctypes.data, next_parts.ctypes.data,
-        )
-        ids = next_ids[: next_gv[nk]]
-        gv, first, parts = next_gv[: nk + 1], next_first[:nk], next_parts[:nk]
-        depth += 1
+    if nparts > 1:
+        _run(_NATIVE.rb_partition, graph, nparts, ubfactor, seed, assignment)
     return Partition(assignment, nparts=nparts, method="rb")
 
 
-# ---------------------------------------------------------------------
-# Level-synchronous multilevel bisection over the C kernels
-# ---------------------------------------------------------------------
+#: The driver's tuning constants, in the order ``_kernels.c`` reads them.
+_PARAMS = np.array(
+    [COARSEST_NVERTICES, MAX_LEVELS, NTRIALS, FM_PASSES, MAX_BOUND], dtype=np.int64
+)
+_PARAMS_P = _PARAMS.ctypes.data
 
-_ITEM = np.dtype(np.int64).itemsize
+#: A recursion depth's stages, in the order of the timing table's columns.
+_STAGES = ("subgraph", "coarsen", "initial", "refine", "uncoarsen")
 
-
-class _Union:
-    """Graphs stored back to back in one set of flat CSR buffers.
-
-    Graph ``i`` has its vertices at ``gv[i]``, its ``n_i + 1`` indptr
-    entries (from 0) at ``gv[i] + i`` and its edges at ``ge[i]``, with
-    graph-local neighbor ids: the layout ``rb_extract`` and
-    ``rb_coarsen`` write.  ``side`` holds a bisection side per vertex;
-    ``groups[i]`` is the recursion group graph ``i`` belongs to.
-    """
-
-    def __init__(self, nverts: int, groups: np.ndarray, nedges: int) -> None:
-        self.groups = groups
-        self.indptr = np.empty(nverts + len(groups), dtype=np.int64)
-        self.indices = np.empty(nedges, dtype=np.int64)
-        self.eweights = np.empty(nedges, dtype=np.int64)
-        self.vweights = np.empty(nverts, dtype=np.int64)
-        self.side = np.empty(nverts, dtype=np.int64)
-        self.gv = np.empty(len(groups) + 1, dtype=np.int64)
-        self.ge = np.empty(len(groups) + 1, dtype=np.int64)
-        # Buffer addresses, read once (``ndarray.ctypes`` is slow).
-        self.base = np.array(
-            [a.ctypes.data for a in (
-                self.indptr, self.indices, self.eweights, self.vweights,
-                self.side, self.gv, self.ge,
-            )],
-            dtype=np.int64,
-        )
-        # Kernel output arguments: the CSR buffers, the gv/ge offsets.
-        self.csr_out = tuple(self.base[:4].tolist())
-        self.offsets_out = tuple(self.base[5:].tolist())
-
-    def table(self, rows: np.ndarray) -> np.ndarray:
-        """Kernel graph table of graphs ``rows``, side column filled."""
-        tab = np.zeros((len(rows), TABLE_COLUMNS), dtype=np.int64)
-        gv = self.gv[rows]
-        tab[:, 0] = self.gv[rows + 1] - gv
-        tab[:, 1] = gv + rows
-        tab[:, 2] = tab[:, 3] = self.ge[rows]
-        tab[:, 4] = tab[:, 5] = gv
-        tab[:, 1:6] *= _ITEM
-        tab[:, 1:6] += self.base[:5]
-        return tab
+#: Rows of the timing table: every depth halves the part count, so a
+#: count below 2^63 takes at most 63 depths.
+_DEPTHS = 64
 
 
-def _caps(target: np.ndarray, totals: np.ndarray, ubfactor: float) -> np.ndarray:
-    """Per-side weight caps of :func:`multilevel_bisection`, vectorized.
-
-    ``min(max(floor(ub * t + 1e-9), t), total)``, computed as
-    ``max(min(floor(...), total), t)`` (equal, since ``t <= total``) so
-    the float is clipped before it becomes an integer.
-    """
-    cap = np.minimum(np.floor(ubfactor * target + 1e-9), totals.astype(np.float64))
-    return np.maximum(cap.astype(np.int64), target)
-
-
-def _bisect_level(
-    graph: CSRGraph,
-    ids: np.ndarray,
-    gv: np.ndarray,
-    nedges: int,
-    target: np.ndarray,
-    seeds: list[int],
-    ubfactor: float,
-) -> np.ndarray:
-    """:func:`multilevel_bisection` of every group of one level.
-
-    Group ``g`` is the vertex set ``ids[gv[g]:gv[g+1]]`` (ascending), to
-    be split with ``target[g]`` weight on side 0 and seed ``seeds[g]``.
-    ``nedges`` bounds the groups' total edge count.  Returns the sides,
-    aligned with ``ids``.
+def _run(
+    kernel, graph: CSRGraph, arg: int, ubfactor: float, seed: int, out: np.ndarray
+) -> None:
+    """Call ``rb_partition`` or ``rb_bisect`` (``arg``: the part count or
+    the side-0 target) into ``out``, then record one span per stage of
+    each depth from the kernel's timing table while telemetry runs.
 
     Raises:
-        ValueError: ``ubfactor`` is not finite, or a target is not
-            strictly between 0 and its group's weight.
+        ValueError: ``ubfactor`` is not finite, ``seed`` is negative, or
+            the kernel's error code (see :func:`repro._native.check`).
     """
     if not math.isfinite(ubfactor):
         raise ValueError(f"ubfactor must be finite, got {ubfactor}")
-    k = len(target)
-    with span("subgraph", "metis", groups=k):
-        base = _Union(len(ids), np.arange(k), nedges)
-        stats = np.empty((k, 3), dtype=np.int64)
-        check(_NATIVE.rb_extract(
-            graph.nvertices, *graph.addresses(), ids.ctypes.data,
-            gv.ctypes.data, k, *base.csr_out, base.offsets_out[1],
-            stats.ctypes.data,
-        ))
-        base.gv[:] = gv
-    totals = stats[:, 1]
-    if not ((target > 0) & (target < totals)).all():
-        raise ValueError("target_left must be strictly between 0 and total weight")
-    cap_left = _caps(target, totals, ubfactor)
-    cap_right = _caps(totals - target, totals, ubfactor)
-
-    # Coarsening rounds: round r turns each still-coarsening group's
-    # level-r graph into its level-(r+1) graph.  A group stops once its
-    # graph has at most COARSEST_NVERTICES vertices, or when a round
-    # shrinks it by less than 10% (that round's level is dropped).
-    rounds = []
-    nlevels = np.zeros(k, dtype=np.int64)
-    with span("coarsen", "metis", groups=k):
-        fine = base
-        rows = np.flatnonzero(np.diff(gv) > COARSEST_NVERTICES)
-        for lvl in range(MAX_LEVELS):
-            if not len(rows):
-                break
-            groups = fine.groups[rows]
-            fine_n = fine.gv[rows + 1] - fine.gv[rows]
-            perm = Streams(
-                [seeds[g] + lvl for g in groups.tolist()]
-            ).permutations(fine_n)
-            coarse = _Union(
-                len(perm), groups, int((fine.ge[rows + 1] - fine.ge[rows]).sum())
-            )
-            f2c = np.empty(len(perm), dtype=np.int64)
-            tab = fine.table(rows)
-            check(_NATIVE.rb_coarsen(
-                len(rows), tab.ctypes.data, perm.ctypes.data, f2c.ctypes.data,
-                *coarse.csr_out, *coarse.offsets_out,
-            ))
-            nc = np.diff(coarse.gv)
-            kept = ~(nc > 0.9 * fine_n)
-            f2c_at = np.concatenate(([0], np.cumsum(fine_n)[:-1]))
-            rounds.append((fine, rows, f2c, f2c_at, coarse, kept))
-            nlevels[groups[kept]] += 1
-            fine, rows = coarse, np.flatnonzero(kept & (nc > COARSEST_NVERTICES))
-
-    with span("initial", "metis", groups=k):
-        # Each group's coarsest graph: its base graph if it kept no
-        # level, else the coarse graph of the last round it kept.
-        coarsest = [(base, np.flatnonzero(nlevels == 0))]
-        for r, (_, _, _, _, coarse, kept) in enumerate(rounds):
-            coarsest.append(
-                (coarse, np.flatnonzero(kept & (nlevels[coarse.groups] == r + 1)))
-            )
-        tab = np.concatenate([u.table(rows) for u, rows in coarsest])
-        groups = np.concatenate([u.groups[rows] for u, rows in coarsest])
-        starts = np.full((len(tab), NTRIALS), -1, dtype=np.int64)
-        starts[:, 1:] = Streams([seeds[g] for g in groups.tolist()]).integers(
-            tab[:, 0], NTRIALS - 1
-        )
-        targets = target[groups]
-        check(_NATIVE.rb_initial(
-            len(tab), tab.ctypes.data, targets.ctypes.data,
-            starts.ctypes.data, NTRIALS, MAX_BOUND,
-        ))
-    with span("refine", "metis", groups=k):
-        tab[:, 8] = cap_left[groups]
-        tab[:, 9] = cap_right[groups]
-        check(_NATIVE.rb_refine(len(tab), tab.ctypes.data, FM_PASSES, MAX_BOUND))
-    # Uncoarsening, deepest level first: project every group that kept
-    # round r's level from it to its level-r graph, then refine.
-    with span("uncoarsen", "metis", groups=k):
-        for fine, rows, f2c, f2c_at, coarse, kept in reversed(rounds):
-            at = np.flatnonzero(kept)
-            if not len(at):
-                continue
-            tab = fine.table(rows[at])
-            tab[:, 6] = f2c.ctypes.data + _ITEM * f2c_at[at]
-            tab[:, 7] = coarse.base[4] + _ITEM * coarse.gv[at]
-            tab[:, 8] = cap_left[coarse.groups[at]]
-            tab[:, 9] = cap_right[coarse.groups[at]]
-            check(_NATIVE.rb_refine(len(tab), tab.ctypes.data, FM_PASSES, MAX_BOUND))
-    return base.side
+    words, _ = seed_words([seed])
+    timing = None
+    if telemetry_active():
+        timing = np.zeros((_DEPTHS, 2 + len(_STAGES)), dtype=np.int64)
+    start = time_ns()
+    depths = check(kernel(
+        graph.nvertices, *graph.addresses(), arg, words.ctypes.data, len(words),
+        ubfactor, _PARAMS_P, out.ctypes.data,
+        None if timing is None else timing.ctypes.data,
+    ))
+    if timing is not None:
+        for groups, at, *durations in timing[:depths].tolist():
+            ts = start + at
+            for name, dur in zip(_STAGES, durations):
+                record_span(name, "metis", ts, dur, groups=groups)
+                ts += dur

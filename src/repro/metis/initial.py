@@ -47,12 +47,8 @@ def greedy_graph_growing(
     starts[0] = -1  # trial 0: a pseudo-peripheral seed
     starts[1:] = Streams([seed]).integers([n], ntrials - 1)[0]
     out = np.empty(n, dtype=np.int64)
-    row = np.array(
-        [[n, *graph.addresses(), out.ctypes.data, 0, 0, 0, 0]], dtype=np.int64
-    )
-    target = np.array([target_left], dtype=np.int64)
     check(_NATIVE.rb_initial(
-        1, row.ctypes.data, target.ctypes.data, starts.ctypes.data,
-        ntrials, MAX_BOUND,
+        n, *graph.addresses(), target_left, starts.ctypes.data, ntrials,
+        MAX_BOUND, out.ctypes.data,
     ))
     return out

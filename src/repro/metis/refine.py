@@ -77,13 +77,10 @@ def fm_refine_bisection(
     side_arr = np.array(side, dtype=np.int64)
     if side_arr.shape != (n,):
         raise ValueError(f"side must have shape ({n},), got {side_arr.shape}")
-    # One row of the batched kernel: rebalance + passes in C.
-    row = np.array(
-        [[n, *graph.addresses(), side_arr.ctypes.data, 0, 0,
-          max_left_weight, max_right_weight]],
-        dtype=np.int64,
-    )
-    check(_NATIVE.rb_refine(1, row.ctypes.data, max_passes, MAX_BOUND))
+    check(_NATIVE.rb_refine(
+        n, *graph.addresses(), side_arr.ctypes.data, max_left_weight,
+        max_right_weight, max_passes, MAX_BOUND,
+    ))
     return side_arr
 
 

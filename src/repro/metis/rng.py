@@ -1,10 +1,12 @@
 """Compiled random streams that draw what NumPy's ``default_rng`` draws.
 
-Every random number of the METIS drivers — coarsening visit orders,
-greedy-graph-growing trial starts, K-way sweep orders, random-matching
-claims — comes from a :class:`Streams` object: PCG64 streams seeded
-through NumPy's ``SeedSequence``, run by the ``rng_*`` kernels of
-``repro/_kernels.c``.  Stream ``i`` of ``Streams(seeds)`` draws exactly
+Every random number the METIS drivers draw in Python — K-way
+coarsening visit orders, K-way sweep orders, greedy-graph-growing trial
+starts, random-matching claims — comes from a :class:`Streams` object:
+PCG64 streams seeded through NumPy's ``SeedSequence``, run by the
+``rng_*`` kernels of ``repro/_kernels.c``.  Recursive bisection draws
+the same streams inside its compiled driver (``rb_partition``), from
+the same C code.  Stream ``i`` of ``Streams(seeds)`` draws exactly
 what NumPy's ``default_rng(seeds[i])`` draws from the same calls
 (``permutation(n)``, ``integers(high, size=k)``), so the partitions are
 those the NumPy generators gave.  A batch of streams is seeded in one
@@ -26,7 +28,7 @@ __all__ = ["Streams"]
 _MASK32 = 0xFFFFFFFF
 
 
-def _seed_words(seeds: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
+def seed_words(seeds: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
     """Each seed's little-endian 32-bit words (``[0]`` for 0), back to
     back, and the word offsets: ``SeedSequence``'s entropy.
 
@@ -60,7 +62,7 @@ class Streams:
     """
 
     def __init__(self, seeds: Sequence[int]) -> None:
-        words, offsets = _seed_words(seeds)
+        words, offsets = seed_words(seeds)
         self.nstreams = len(seeds)
         self._state = np.empty((self.nstreams, RNG_SLOTS), dtype=np.uint64)
         self._state_p = self._state.ctypes.data

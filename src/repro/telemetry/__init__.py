@@ -77,6 +77,7 @@ from .runtime import (
     current_session,
     inc,
     observe,
+    record_span,
     replay_payload,
     set_gauge,
     span,
@@ -122,6 +123,7 @@ __all__ = [
     "parse_traceparent",
     "read_log",
     "read_run_log",
+    "record_span",
     "remove_sink",
     "render_stage_profile",
     "replay_payload",

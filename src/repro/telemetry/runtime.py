@@ -41,6 +41,7 @@ __all__ = [
     "activate",
     "replay_payload",
     "span",
+    "record_span",
     "inc",
     "observe",
     "set_gauge",
@@ -203,13 +204,6 @@ class _LiveSpan:
 
     def __exit__(self, *exc) -> bool:
         dt = perf_counter() - self._t0
-        # Stamp the active request's identity on the span, so one
-        # trace id links server, engine, and worker-process spans
-        # (the worker re-enters the context it was shipped).
-        ctx = current_context()
-        if ctx is not None:
-            self._args["trace_id"] = ctx.trace_id
-            self._args["request_id"] = ctx.request_id
         self._tracer.end(
             self._sid,
             self._parent,
@@ -217,9 +211,20 @@ class _LiveSpan:
             self._cat,
             self._ts // 1000,
             dt * 1e6,
-            self._args,
+            _stamped(self._args),
         )
         return False
+
+
+def _stamped(args: dict) -> dict:
+    """``args`` with the active request's identity, so one trace id
+    links server, engine, and worker-process spans (the worker
+    re-enters the context it was shipped)."""
+    ctx = current_context()
+    if ctx is not None:
+        args["trace_id"] = ctx.trace_id
+        args["request_id"] = ctx.request_id
+    return args
 
 
 def span(name: str, cat: str = "", **args):
@@ -228,6 +233,17 @@ def span(name: str, cat: str = "", **args):
     if session is None or session.tracer is None:
         return _NOOP
     return _LiveSpan(session.tracer, name, cat, args)
+
+
+def record_span(name: str, cat: str, ts_ns: int, dur_ns: int, **args) -> None:
+    """Record a region timed elsewhere, such as inside a compiled
+    kernel: it started at epoch ``ts_ns`` and lasted ``dur_ns``."""
+    session = _SESSION
+    if session is None or session.tracer is None:
+        return
+    tracer = session.tracer
+    sid, parent = tracer.begin()
+    tracer.end(sid, parent, name, cat, ts_ns // 1000, dur_ns / 1e3, _stamped(args))
 
 
 def inc(name: str, n: float = 1, **labels: str) -> None:

@@ -12,8 +12,9 @@ they exist only as test oracles (``tests/metis/test_golden.py``,
 * :func:`greedy_graph_growing` — ``rb_initial`` (GGG trials);
 * :func:`fm_refine_bisection` — ``rb_refine`` (rebalance + FM passes);
 * :func:`greedy_kway_refine` — ``kway_refine``;
-* :func:`recursive_bisection` — the level-synchronous ``rb_*`` driver,
-  as the depth-first loop over :func:`multilevel_bisection`;
+* :func:`multilevel_bisection` — ``rb_bisect``;
+* :func:`recursive_bisection` — ``rb_partition``, the level-synchronous
+  driver, as the depth-first loop over :func:`multilevel_bisection`;
 * :func:`part_graph` — ``repro.metis.part_graph`` over these oracles.
 
 Each priority queue is a lazy binary heap keyed ``(-gain, insertion

@@ -2,7 +2,12 @@
 
 from __future__ import annotations
 
+import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -120,3 +125,69 @@ class TestNativeSpans:
         # still reports (the profile tables list coarsen and refine).
         spans = self._spans(mesh_graph(cubed_sphere_mesh(2)), 6)
         assert {s.name for s in spans} >= set(self.STAGES)
+
+
+#: Bad inputs of the compiled driver and the ValueError each raises.
+#: ``path(w)`` is a path graph with vertex weights ``w``.
+BAD_INPUTS = {
+    "recursive_bisection(path([1] * 100), 0)": "need 1 <= nparts <= nvertices",
+    "recursive_bisection(path([1] * 100), 101)": "need 1 <= nparts <= nvertices",
+    "recursive_bisection(path([1] * 100), 4, ubfactor=math.nan)":
+        "ubfactor must be finite, got nan",
+    "multilevel_bisection(path([1] * 100), 50, ubfactor=math.inf)":
+        "ubfactor must be finite, got inf",
+    "recursive_bisection(path([1] * 100), 4, seed=-1)":
+        "expected non-negative integer seed, got -1",
+    # total * left = 2^55 at depth 0.
+    "recursive_bisection(path([2**52] * 4), 4)":
+        "vertex weights too large for exact split targets",
+    # The int64 total wraps to -2^63 (as NumPy's sum does).
+    "recursive_bisection(path([2**61] * 4), 4)":
+        "target_left must be strictly between 0 and total weight",
+    "recursive_bisection(path([0] * 100), 4)":
+        "target_left must be strictly between 0 and total weight",
+    # Depth 1: two groups of weight 1 and 2 parts, target rint(0.5) = 0.
+    "recursive_bisection(path([0] * 98 + [1, 1]), 4)":
+        "target_left must be strictly between 0 and total weight",
+    "multilevel_bisection(path([1] * 100), 0)":
+        "target_left must be strictly between 0 and total weight",
+    "multilevel_bisection(path([1] * 100), 100)":
+        "target_left must be strictly between 0 and total weight",
+}
+
+_BAD_INPUT_SCRIPT = """
+import json, math, sys
+import numpy as np
+from repro.graphs import graph_from_edges
+from repro.metis.bisection import multilevel_bisection, recursive_bisection
+
+def path(weights):
+    n = len(weights)
+    edges = np.array([(i, i + 1) for i in range(n - 1)], dtype=np.int64)
+    return graph_from_edges(n, edges, vweights=np.array(weights, dtype=np.int64))
+
+out = {}
+for call in json.loads(sys.argv[1]):
+    try:
+        eval(call)
+        out[call] = None
+    except ValueError as exc:
+        out[call] = str(exc)
+print(json.dumps(out))
+"""
+
+
+def test_bad_input_raises_without_crashing():
+    """Each bad input is a ValueError from ``rb_partition``'s input
+    validation or its kernel's error codes, in a child interpreter that
+    survives them all (a crash in the kernel would kill it)."""
+    src = Path(__file__).resolve().parents[2] / "src"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(src), os.environ.get("PYTHONPATH", "")]
+    )}
+    run = subprocess.run(
+        [sys.executable, "-c", _BAD_INPUT_SCRIPT, json.dumps(list(BAD_INPUTS))],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert run.returncode == 0, run.stderr
+    assert json.loads(run.stdout) == BAD_INPUTS

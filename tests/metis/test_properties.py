@@ -14,10 +14,12 @@ from hypothesis import strategies as st
 
 from repro.graphs.csr import CSRGraph, graph_from_edges
 from repro.metis import part_graph
-from repro.metis.bisection import recursive_bisection
+from repro.metis.bisection import multilevel_bisection, recursive_bisection
 from repro.metis.coarsen import contract
 from repro.metis.refine import balance_constraint, greedy_kway_refine
 from repro.partition.metrics import evaluate_partition
+
+from tests.conftest import grid_graph
 
 from . import reference_kernels as oracle
 
@@ -215,24 +217,53 @@ def rb_graphs(draw) -> CSRGraph:
     return graph_from_edges(n, edges.reshape(-1, 2), ew, vw)
 
 
+@st.composite
+def rb_inputs(draw) -> tuple[CSRGraph, int]:
+    """A :func:`rb_graphs` graph and a part count in ``[1, n]``, ``n``
+    and ``n - 1`` drawn often."""
+    graph = draw(rb_graphs())
+    n = graph.nvertices
+    nparts = draw(st.one_of(st.integers(1, n), st.sampled_from([n, max(1, n - 1)])))
+    return graph, nparts
+
+
+#: Seeds of the parity property.  Group seeds are ``seed + depth * 7919
+#: + first`` and coarsening round ``lvl`` adds ``lvl``, which the kernel
+#: adds to the seed's 32-bit words with carry: the ranges just below
+#: 2^32 and 2^64 make those sums carry into a new word, and the wide
+#: range gives seeds of up to six words.
+RB_SEEDS = st.one_of(
+    st.integers(0, 99),
+    st.integers(2**32 - 8000, 2**32 - 1),
+    st.integers(2**64 - 8000, 2**64 - 1),
+    st.integers(0, 2**160),
+)
+
+#: 625 vertices coarsen in four rounds (lvl 0-3) at depth 0.
+_GRID = (grid_graph(25, 25), 7)
+
+
 class TestRecursiveBisectionKernelParity:
-    """Level-synchronous native RB and the depth-first Python oracle agree."""
+    """The compiled RB driver and the depth-first Python oracle agree."""
 
     @settings(max_examples=120, deadline=None)
-    @given(
-        rb_graphs(),
-        st.data(),
-        st.sampled_from([1.0, 1.001, 1.01, 1.1]),
-        st.integers(0, 99),
-    )
-    def test_native_matches_python_driver(self, graph, data, ubfactor, seed):
-        n = graph.nvertices
-        nparts = data.draw(
-            st.one_of(st.integers(1, n), st.sampled_from([n, max(1, n - 1)])),
-            label="nparts",
-        )
+    @given(rb_inputs(), st.sampled_from([1.0, 1.001, 1.01, 1.1]), RB_SEEDS)
+    @example(_GRID, 1.01, 2**32 - 3)  # round 3 of depth 0 reaches 2^32
+    @example(_GRID, 1.0, 2**64 - 5)
+    @example(_GRID, 1.1, 2**96 + 7)
+    def test_native_matches_python_driver(self, inputs, ubfactor, seed):
+        graph, nparts = inputs
         native = recursive_bisection(graph, nparts, ubfactor, seed).assignment
         python = oracle.recursive_bisection(graph, nparts, ubfactor, seed)
+        np.testing.assert_array_equal(native, python)
+
+    @settings(max_examples=60, deadline=None)
+    @given(rb_graphs(), st.data(), st.sampled_from([1.0, 1.001, 1.01, 1.1]), RB_SEEDS)
+    def test_multilevel_bisection_matches_python(self, graph, data, ubfactor, seed):
+        """``rb_bisect``, the driver's level with one group."""
+        target = data.draw(st.integers(1, graph.total_vweight() - 1), label="target")
+        native = multilevel_bisection(graph, target, ubfactor, seed)
+        python = oracle.multilevel_bisection(graph, target, ubfactor, seed)
         np.testing.assert_array_equal(native, python)
 
 

@@ -336,6 +336,28 @@ def test_serving_imports_no_scipy():
     assert out.stdout.strip() == "[]", out.stdout
 
 
+def test_serving_imports_only_what_it_serves():
+    """The lazy package root keeps the SEAM core, the machine model, the
+    METIS package and the experiments out of ``import repro.server,
+    repro.service`` (a pool worker imports METIS on its first METIS
+    request)."""
+    code = (
+        "import sys, repro.server, repro.service\n"
+        "print(sorted({m.split('.')[1] for m in sys.modules\n"
+        "              if m.startswith('repro.') and m.count('.') >= 1}))"
+    )
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(SRC.parent), os.environ.get("PYTHONPATH", "")]
+    )}
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True,
+        text=True, check=True, timeout=120,
+    )
+    loaded = set(ast.literal_eval(out.stdout.strip()))
+    assert "server" in loaded
+    assert not loaded & {"seam", "machine", "metis", "experiments"}, loaded
+
+
 def _imports_scipy(source: str) -> list[str]:
     """Lines of ``source`` that import ``scipy`` or a submodule of it."""
     found = []
@@ -392,3 +414,38 @@ def test_missing_compiler_fails_the_import(tmp_path):
         text=True, check=True, timeout=120,
     )
     assert "compiler '/nonexistent'" in out.stdout, out.stdout
+
+
+def test_cli_without_compiler_is_one_line(tmp_path):
+    """``python -m repro`` reports a kernel build failure as one line on
+    stderr and exits 2, without a traceback."""
+    env = {
+        **os.environ,
+        "XDG_CACHE_HOME": str(tmp_path),
+        "CC": "/nonexistent",
+        "PYTHONPATH": os.pathsep.join(
+            [str(SRC.parent), os.environ.get("PYTHONPATH", "")]
+        ),
+    }
+    out = subprocess.run(
+        [sys.executable, "-m", "repro", "--version"], env=env,
+        capture_output=True, text=True, timeout=120,
+    )
+    assert out.returncode == 2, out
+    assert out.stdout == ""
+    assert out.stderr.startswith("repro: C compiler '/nonexistent'"), out.stderr
+    assert out.stderr.count("\n") == 1, out.stderr
+
+
+def test_extra_cflags_get_their_own_library(tmp_path, monkeypatch):
+    """Flags from ``REPRO_CFLAGS`` are appended and change the cache
+    tag, so an instrumented build never replaces a plain one."""
+    from repro import _native
+
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+    monkeypatch.setenv(_native.EXTRA_CFLAGS_ENV, "-DREPRO_TAG_TEST=1 -g")
+    assert _native._cflags() == [*_native._CFLAGS, "-DREPRO_TAG_TEST=1", "-g"]
+    lib = _native.load()
+    built = Path(lib._name)
+    assert built.parent == tmp_path / "repro-kernels"
+    assert built.name != Path(_native.LIB._name).name

@@ -22,7 +22,13 @@ import repro.seam.parallel as parallel_mod
 from repro import _native
 from repro.cubesphere import cubed_sphere_mesh
 from repro.graphs import mesh_graph
-from repro.metis import part_graph
+from repro.metis import (
+    fm_refine_bisection,
+    greedy_graph_growing,
+    multilevel_bisection,
+    part_graph,
+    recursive_bisection,
+)
 from repro.partition import sfc_partition
 from repro.seam import build_geometry
 from repro.server.http import decode_json_body, json_body
@@ -75,6 +81,12 @@ def test_every_declared_kernel_is_called(monkeypatch):
     # K=96 sits below the K-way coarsening target (128 vertices), so one
     # K=216 request runs kway's own coarsening (HEM claims + contract).
     part_graph(mesh_graph(cubed_sphere_mesh(6)), 4, "kway")
+    # The single-graph wrappers of the extraction, growth and
+    # refinement kernels that rb_partition runs internally.
+    side = multilevel_bisection(graph, 48)
+    greedy_graph_growing(graph, 48)
+    fm_refine_bisection(graph, side, 49, 49)
+    graph.subgraph(np.flatnonzero(side))
     geom = build_geometry(2, 4)
     field = np.random.default_rng(0).standard_normal(geom.jac.shape)
     dss_mod.DSSOperator(geom).apply(field)
@@ -86,3 +98,15 @@ def test_every_declared_kernel_is_called(monkeypatch):
 
     missing = sorted(set(_native.SIGNATURES) - set(proxy.calls))
     assert not missing, f"declared kernels never called: {missing}"
+
+
+def test_recursive_bisection_is_one_kernel_call(monkeypatch):
+    """The recursion, its stages and its streams all run inside
+    ``rb_partition``: no per-depth or per-round Python loop calls back
+    into the library."""
+    graph = mesh_graph(cubed_sphere_mesh(8))
+    proxy = _CountingLib(_native.LIB)
+    for mod, attr in _gated_modules():
+        monkeypatch.setattr(mod, attr, proxy)
+    recursive_bisection(graph, 96, ubfactor=1.01)
+    assert proxy.calls == {"rb_partition": 1}
