@@ -5,16 +5,18 @@
 
 * ``POST /partition`` — one :class:`~repro.service.requests.PartitionRequest`
   as a JSON object; answers with the full response (assignment +
-  Table-2 metrics + source).
+  Table-2 metrics + source).  A request that carries an
+  ``old_assignment`` (and then needs new ``weights``) is a rebalance,
+  answered with the migration-minimizing plan (moved gids per rank,
+  weight moved, LB before/after).
 * ``POST /batch`` — a JSON list of request objects (or
   ``{"requests": [...]}``); answers per item, errors included inline.
-* ``POST /repartition`` — one
-  :class:`~repro.service.requests.RepartitionRequest` (old assignment
-  + new weights); answers with the migration-minimizing plan (moved
-  gids per rank, weight moved, LB before/after).  A plan is a pure
-  function of its request, so it is served exactly like ``/partition``:
-  one path through the engine's cache, coalescing, admission control,
-  metrics and trace propagation.
+* ``POST /repartition`` — ``/partition`` for a body that must be a
+  rebalance: one without ``old_assignment`` or ``weights`` is a 422.
+  A plan is a pure function of its request, so it is served exactly
+  like a partition: one parse, and one path through the engine's
+  cache, coalescing, admission control, metrics and trace
+  propagation.
 * ``GET /healthz`` — liveness, the in-flight/pending picture, and the
   rolling multi-window SLO verdict (``ok`` / ``degraded``).
 * ``GET /methods`` — the partitioner registry as JSON.
@@ -92,9 +94,13 @@ from time import perf_counter
 from .. import __version__
 from ..memo import stage_cache_stats
 from ..partition import registry
-from ..service import PartitionEngine, PartitionRequest, RepartitionRequest
+from ..service import (
+    PartitionEngine,
+    PartitionRequest,
+    PartitionResponse,
+    RepartitionResponse,
+)
 from ..service.cache import encoded_body
-from ..service.requests import Request, Response
 from ..telemetry import (
     RequestContext,
     SLOTracker,
@@ -458,11 +464,11 @@ class PartitionServer:
     async def _dispatch(self, request: HTTPRequest) -> _Result:
         route = (request.method, request.path)
         if route == ("POST", "/partition"):
-            return await self._serve_request(request, PartitionRequest)
+            return await self._serve_request(request)
         if route == ("POST", "/batch"):
             return await self._serve_batch(request)
         if route == ("POST", "/repartition"):
-            return await self._serve_request(request, RepartitionRequest)
+            return await self._serve_request(request)
         if route == ("GET", "/healthz"):
             return self._serve_healthz()
         if route == ("GET", "/methods"):
@@ -486,14 +492,14 @@ class PartitionServer:
             + ", ".join(KNOWN_ROUTES),
         )
 
-    def _parse_request(self, data: object, kind: type) -> Request:
-        """One request of ``kind`` (a request class) from a JSON object."""
+    def _parse_request(self, data: object) -> PartitionRequest:
+        """One request from a JSON object."""
         if not isinstance(data, dict):
             raise HTTPError(
                 400, "bad_json", "request body must be a JSON object"
             )
         try:
-            return kind.from_dict(data)
+            return PartitionRequest.from_dict(data)
         except ValueError as exc:
             # UnknownPartitionerError (did-you-mean), CapabilityError
             # (inadmissible ne / schedule contract), bad weights or old
@@ -517,15 +523,27 @@ class PartitionServer:
             data["trace_id"] = ctx.trace_id
         return data
 
-    async def _serve_request(self, request: HTTPRequest, kind: type) -> _Result:
-        req = self._parse_request(self._decode_json(request.body), kind)
+    async def _serve_request(self, request: HTTPRequest) -> _Result:
+        data = self._decode_json(request.body)
+        if request.path == "/repartition" and isinstance(data, dict):
+            missing = sorted(
+                {"ne", "old_assignment", "weights"}
+                - {name for name, value in data.items() if value is not None}
+            )
+            if missing:
+                raise HTTPError(
+                    422, "invalid_request",
+                    "repartition needs 'ne', 'old_assignment' and 'weights' "
+                    f"(missing: {missing})",
+                )
+        req = self._parse_request(data)
         response = await self._resolve(req)
         return _Result(
             200, self._encode(response), partitioner=req.method,
             source=response.source,
         )
 
-    def _encode(self, response: Response) -> bytes:
+    def _encode(self, response: PartitionResponse | RepartitionResponse) -> bytes:
         """``response``'s JSON body, stamped with this request's ids.
 
         A computed answer is encoded whole.  A reused answer fills its
@@ -566,9 +584,7 @@ class PartitionServer:
 
         async def one(item: object) -> dict:
             try:
-                response = await self._resolve(
-                    self._parse_request(item, PartitionRequest)
-                )
+                response = await self._resolve(self._parse_request(item))
                 return response.to_payload()
             except HTTPError as exc:
                 return json.loads(error_body(exc))
@@ -730,8 +746,10 @@ class PartitionServer:
 
     # -- the serving core: cache -> coalesce -> admit -> compute --------
 
-    async def _resolve(self, request: Request) -> Response:
-        """Answer one request, of either kind, on the event loop."""
+    async def _resolve(
+        self, request: PartitionRequest
+    ) -> PartitionResponse | RepartitionResponse:
+        """Answer one request on the event loop."""
         hit = self.engine.cache.get(request)
         if hit is not None:
             self.engine.record(hit)
@@ -771,7 +789,9 @@ class PartitionServer:
         if not task.cancelled():
             task.exception()  # consume: every waiter may have disconnected
 
-    async def _compute(self, request: Request) -> Response:
+    async def _compute(
+        self, request: PartitionRequest
+    ) -> PartitionResponse | RepartitionResponse:
         """Run one cache miss through the engine's miss path.
 
         The compute task inherits the *first* requester's trace context

@@ -91,8 +91,9 @@ class Connection:
         return await self.post_json("/partition", request)
 
     async def repartition(self, request) -> ClientResponse:
-        """POST one repartition request (a wire dict or a
-        :class:`~repro.service.requests.RepartitionRequest`)."""
+        """POST one rebalance (a wire dict or a
+        :class:`~repro.service.requests.PartitionRequest` with an
+        ``old_assignment``) to ``/repartition``."""
         if hasattr(request, "to_wire"):
             request = request.to_wire()
         return await self.post_json("/repartition", request)

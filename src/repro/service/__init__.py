@@ -7,7 +7,8 @@ package turns that into a request/response engine:
 * :mod:`~repro.service.requests` — validated, JSON-round-tripping
   request/response schema with a canonical hashed form;
 * :mod:`~repro.service.cache` — content-addressed two-tier cache
-  (in-memory LRU + on-disk NPZ store) shared by both request kinds;
+  (in-memory LRU + on-disk NPZ store) shared by partitions and
+  rebalances;
 * :mod:`~repro.service.engine` — batch engine: dedupe, cache lookup,
   process-pool fan-out for misses;
 * :mod:`~repro.service.stats` — hit/miss counters, timings, worker
@@ -31,7 +32,6 @@ from .requests import (
     METRIC_FIELDS,
     PartitionRequest,
     PartitionResponse,
-    RepartitionRequest,
     RepartitionResponse,
     WeightSpec,
     load_request_file,
@@ -45,7 +45,6 @@ __all__ = [
     "PartitionEngine",
     "PartitionRequest",
     "PartitionResponse",
-    "RepartitionRequest",
     "RepartitionResponse",
     "ServiceStats",
     "WeightSpec",

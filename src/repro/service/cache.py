@@ -1,13 +1,14 @@
 """Content-addressed response cache: in-memory LRU + on-disk store.
 
-Partitions and repartition plans are pure functions of their request's
-canonical form, so the cache is content-addressed: the key is the
-SHA-256 of the request's canonical JSON (``cache_key()``).  Per-element
-weights are part of that form — inline weights as an O(1) content
-digest, scenario weights as their ``(name, step, params)`` spec — and a
-plan's form also carries a ``"kind"`` marker and a digest of its old
-assignment, so no two distinct requests can collide, with no
-cache-layer special-casing.  Both kinds share two tiers:
+Partitions and repartition plans are pure functions of their
+:class:`~repro.service.requests.PartitionRequest`'s canonical form, so
+the cache is content-addressed: the key is the SHA-256 of the request's
+canonical JSON (``cache_key()``).  Per-element weights are part of that
+form — inline weights as an O(1) content digest, scenario weights as
+their ``(name, step, params)`` spec — and a rebalance's form (a request
+with an old assignment) also carries a ``"kind"`` marker and a digest
+of its old assignment, so no two distinct requests can collide, with
+no cache-layer special-casing.  Partitions and plans share two tiers:
 
 * an in-memory LRU (bounded by ``capacity`` responses of either kind)
   that makes repeated requests inside one process near-free;
@@ -47,7 +48,7 @@ import numpy as np
 
 from ..partition.pipeline import cache_version
 from ..telemetry import inc
-from .requests import Request, Response
+from .requests import PartitionRequest, _Response
 
 __all__ = ["PartitionCache", "encoded_body", "scan_cache_dir"]
 
@@ -113,7 +114,7 @@ class EncodedBody:
         return 0 if self.template is None else self.template.nbytes
 
 
-def encoded_body(response: Response) -> EncodedBody | None:
+def encoded_body(response: _Response) -> EncodedBody | None:
     """The body slot ``response`` shares with its memory entry, if any."""
     return response.__dict__.get("_encoded")
 
@@ -134,7 +135,7 @@ class PartitionCache:
             raise ValueError("capacity must be >= 1")
         self.capacity = capacity
         self.cache_dir = Path(cache_dir) if cache_dir is not None else None
-        self._memory: OrderedDict[str, Response] = OrderedDict()
+        self._memory: OrderedDict[str, _Response] = OrderedDict()
         self.memory_hits = 0
         self.disk_hits = 0
         self.misses = 0
@@ -143,7 +144,7 @@ class PartitionCache:
 
     # -- lookup ---------------------------------------------------------
 
-    def get(self, request: Request) -> Response | None:
+    def get(self, request: PartitionRequest) -> _Response | None:
         """Return the cached response for ``request``, or ``None``.
 
         The returned response's ``source`` reflects the tier that
@@ -168,7 +169,7 @@ class PartitionCache:
         inc("cache_misses")
         return None
 
-    def put(self, request: Request, response: Response) -> None:
+    def put(self, request: PartitionRequest, response: _Response) -> None:
         """Insert a computed response into both tiers."""
         key = request.cache_key()
         self._remember(key, response)
@@ -176,7 +177,7 @@ class PartitionCache:
             self._store_disk(key, response)
         self.stores += 1
 
-    def __contains__(self, request: Request) -> bool:
+    def __contains__(self, request: PartitionRequest) -> bool:
         key = request.cache_key()
         return key in self._memory or (
             self.cache_dir is not None and self._path(key).exists()
@@ -216,7 +217,7 @@ class PartitionCache:
 
     # -- internals ------------------------------------------------------
 
-    def _remember(self, key: str, response: Response) -> None:
+    def _remember(self, key: str, response: _Response) -> None:
         object.__setattr__(response, "_encoded", EncodedBody())
         self._memory[key] = response
         self._memory.move_to_end(key)
@@ -229,7 +230,7 @@ class PartitionCache:
         assert self.cache_dir is not None
         return self.cache_dir / f"{key}.npz"
 
-    def _store_disk(self, key: str, response: Response) -> None:
+    def _store_disk(self, key: str, response: _Response) -> None:
         assert self.cache_dir is not None
         self.cache_dir.mkdir(parents=True, exist_ok=True)
         path = self._path(key)
@@ -253,7 +254,7 @@ class PartitionCache:
         finally:
             tmp.unlink(missing_ok=True)
 
-    def _load_disk(self, key: str, request: Request) -> Response | None:
+    def _load_disk(self, key: str, request: PartitionRequest) -> _Response | None:
         if self.cache_dir is None:
             return None
         path = self._path(key)

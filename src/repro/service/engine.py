@@ -1,10 +1,10 @@
 """Batch partition execution engine.
 
 The engine is the serving core and the only owner of the miss path:
-submit any number of requests — a
-:class:`~repro.service.requests.PartitionRequest` or a
-:class:`~repro.service.requests.RepartitionRequest`, mixed freely —
-and get back one response per request, in request order, with
+submit any number of
+:class:`~repro.service.requests.PartitionRequest` objects — partitions
+and rebalances (requests with an old assignment), mixed freely — and
+get back one response per request, in request order, with
 bit-identical answers to serial in-process computation.  Per batch it
 
 1. **deduplicates** requests by content hash (a sweep that asks the
@@ -52,14 +52,15 @@ from ..telemetry import (
     worker_session,
 )
 from .cache import PartitionCache
-from .requests import Request, Response
+from .requests import PartitionRequest, _Response
 from .stats import ServiceStats
 
 __all__ = ["PartitionEngine", "compute_response"]
 
 
-def compute_response(request: Request) -> Response:
-    """Compute one request's response from scratch, of either kind.
+def compute_response(request: PartitionRequest) -> _Response:
+    """Compute one request's response from scratch: a partition, or a
+    rebalance's migration plan.
 
     Deterministic for a given request, so a pool worker (which runs
     :func:`_pool_compute`) and serial in-process computation agree
@@ -68,7 +69,7 @@ def compute_response(request: Request) -> Response:
     return request.compute()
 
 
-def _pool_compute(item: tuple[Request, bool, dict | None]):
+def _pool_compute(item: tuple[PartitionRequest, bool, dict | None]):
     """Pool task of :meth:`PartitionEngine.submit`: compute one
     response, optionally with telemetry.
 
@@ -82,7 +83,7 @@ def _pool_compute(item: tuple[Request, bool, dict | None]):
     records carry the same trace id as the server-side request.
 
     The response travels back without its request (the caller holds
-    it and re-attaches it with ``with_request``): a repartition's old
+    it and re-attaches it with ``with_request``): a rebalance's old
     assignment would otherwise double the pickled result.
     """
     request, collect, ctx_dict = item
@@ -187,13 +188,13 @@ class PartitionEngine:
     def __exit__(self, *exc) -> None:
         self.close()
 
-    def serve(self, request: Request) -> Response:
+    def serve(self, request: PartitionRequest) -> _Response:
         """Serve a single request (batch of one)."""
         return self.run([request])[0]
 
     # -- the miss path: submit -> finish -> record ----------------------
 
-    def submit(self, request: Request) -> Future:
+    def submit(self, request: PartitionRequest) -> Future:
         """Compute one miss on the persistent worker pool.
 
         The pool is process-backed even at ``jobs=1``, so an asyncio
@@ -215,8 +216,8 @@ class PartitionEngine:
         )
 
     def finish(
-        self, request: Request, outcome: tuple[Response, dict | None]
-    ) -> Response:
+        self, request: PartitionRequest, outcome: tuple[_Response, dict | None]
+    ) -> _Response:
         """Store one computed miss; returns its response.
 
         ``outcome`` is a ``(response, worker telemetry payload)`` pair:
@@ -231,14 +232,14 @@ class PartitionEngine:
         self.cache.put(request, response)
         return response
 
-    def record(self, response: Response) -> None:
+    def record(self, response: _Response) -> None:
         """Per-response bookkeeping shared by every serve path."""
         self.stats.record(response)
         response.record()
 
     # -- batches ----------------------------------------------------------
 
-    def run(self, requests: Sequence[Request]) -> list[Response]:
+    def run(self, requests: Sequence[PartitionRequest]) -> list[_Response]:
         """Serve a batch; responses align with ``requests`` by index."""
         self._check_open()
         start = perf_counter()
@@ -247,18 +248,18 @@ class PartitionEngine:
         self.stats.record_batch_wall(perf_counter() - start)
         return responses
 
-    def _run_batch(self, requests: Sequence[Request]) -> list[Response]:
+    def _run_batch(self, requests: Sequence[PartitionRequest]) -> list[_Response]:
         # Dedupe by content hash, preserving first-seen order.
         order: list[str] = []
-        unique: dict[str, Request] = {}
+        unique: dict[str, PartitionRequest] = {}
         with span("dedup", "service"):
             for req in requests:
                 key = req.cache_key()
                 order.append(key)
                 unique.setdefault(key, req)
 
-        resolved: dict[str, Response] = {}
-        misses: list[Request] = []
+        resolved: dict[str, _Response] = {}
+        misses: list[PartitionRequest] = []
         with span("cache", "service"):
             for key, req in unique.items():
                 hit = self.cache.get(req)
@@ -282,7 +283,7 @@ class PartitionEngine:
         # Duplicate requests within the batch share the first
         # occurrence's answer; label repeats ``dedup`` so telemetry
         # doesn't double-count the compute time.
-        responses: list[Response] = []
+        responses: list[_Response] = []
         served: set[str] = set()
         for key in order:
             response = resolved[key]
@@ -294,7 +295,7 @@ class PartitionEngine:
             self.record(response)
         return responses
 
-    def _compute_all(self, misses: list[Request]) -> list[Response]:
+    def _compute_all(self, misses: list[PartitionRequest]) -> list[_Response]:
         if not misses:
             return []
         if self.jobs == 1 or len(misses) == 1:

@@ -83,7 +83,7 @@ class TestStormTrajectory:
         """One trajectory step through ``POST /repartition``: the wire
         plan matches the in-process planner bit for bit at Ne=64."""
         from repro.server import Connection
-        from repro.service import RepartitionRequest
+        from repro.service import PartitionRequest
         from tests.server.serving import serving
 
         step = 10
@@ -101,7 +101,7 @@ class TestStormTrajectory:
             async with serving() as server:
                 host, port = server.address
                 async with await Connection.open(host, port) as conn:
-                    resp = await conn.repartition(RepartitionRequest(
+                    resp = await conn.repartition(PartitionRequest(
                         ne=NE,
                         old_assignment=old_assignment,
                         weights={"scenario": "storm", "step": step},

@@ -20,7 +20,7 @@ from repro.partition import sfc
 from repro.partition.pipeline import clear_stage_caches, mesh_stage
 from repro.partition.repartition import LoadTracker, plan_repartition
 from repro.service.engine import compute_response
-from repro.service.requests import RepartitionRequest
+from repro.service.requests import PartitionRequest
 from repro.sfc.factorization import admissible_sizes, all_schedules, default_schedule
 
 
@@ -102,7 +102,7 @@ class TestPositionCache:
         with counted_element_keys() as keys:
             old = sfc.sfc_partition(ne, nparts).assignment
             for step in range(10):
-                request = RepartitionRequest.from_dict({
+                request = PartitionRequest.from_dict({
                     "ne": ne, "nparts": nparts, "old_assignment": old,
                     "weights": {"scenario": "storm", "step": step},
                 })

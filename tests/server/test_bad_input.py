@@ -2,7 +2,9 @@
 
 Each probe once escaped request validation as a ``TypeError``,
 ``OverflowError`` or ``RecursionError`` and was answered ``500``.
-Bodies that are not JSON (nested past the decoder's recursion limit)
+A falsy schedule that is not a string (``0``, ``false``, ``[]``,
+``{}``) was once served as the default curve.  Bodies that are not JSON
+(nested past the decoder's recursion limit)
 are a ``400 bad_json``; JSON that is not a valid request is a ``422``,
 per item for ``/batch``.
 """
@@ -19,6 +21,8 @@ from tests.server.serving import serving
 
 K = 24  # ne=2
 STORM = {"scenario": "storm", "step": 1}
+#: Schedules that are not strings, yet falsy: once served as the default.
+FALSY = [0, False, [], {}]
 
 #: Partition request objects that are JSON but not valid requests.
 PARTITION_422 = [
@@ -31,6 +35,7 @@ PARTITION_422 = [
     {"ne": 2, "nparts": 4, "weights": [1e308] * (K - 1) + [1.0]},
     {"ne": 2, "nparts": 4, "method": "kway", "seed": -5},
     {"ne": 2, "nparts": 4, "method": "random", "seed": -1},
+    *({"ne": 2, "nparts": 2, "schedule": falsy} for falsy in FALSY),
 ]
 
 #: Repartition request objects that are JSON but not valid requests.
@@ -43,6 +48,10 @@ REPARTITION_422 = [
     {"ne": 2, "old_assignment": [-(2**64)] + [0] * (K - 1), "weights": STORM},
     {"ne": 2, "old_assignment": [0] * K, "weights": [10**400] * K},
     {"ne": 2, "old_assignment": [0] * K, "weights": [1e308] * (K - 1) + [1.0]},
+    *(
+        {"ne": 2, "old_assignment": [0] * K, "weights": STORM, "schedule": falsy}
+        for falsy in FALSY
+    ),
 ]
 
 DEEP = b"[" * 100_000

@@ -28,7 +28,6 @@ from repro.service import (
     PartitionCache,
     PartitionEngine,
     PartitionRequest,
-    RepartitionRequest,
 )
 from repro.service.cache import encoded_body
 from repro.telemetry import RequestContext, request_context
@@ -91,7 +90,7 @@ def requests(draw):
     )
     if draw(st.booleans()):
         old = draw(st.lists(st.integers(0, nparts - 1), min_size=k, max_size=k))
-        return RepartitionRequest(
+        return PartitionRequest(
             ne=ne, old_assignment=old, nparts=nparts,
             weights=weights if weights is not None else [1.0] * k,
         )
@@ -183,7 +182,7 @@ class TestServedBodies:
 
     def test_plan_memory_hit_and_disk_hit(self, tmp_path):
         k = 6 * 4 * 4
-        plan = RepartitionRequest(
+        plan = PartitionRequest(
             ne=4, old_assignment=np.arange(k) % 8, nparts=8,
             weights={"scenario": "storm", "step": 2},
         )
@@ -239,7 +238,7 @@ class TestServedBodies:
                     old = np.arange(k) % 8
                     for step in range(1, 4):
                         resp = await conn.repartition(
-                            RepartitionRequest(
+                            PartitionRequest(
                                 ne=4, old_assignment=old, nparts=8,
                                 weights={"scenario": "storm", "step": step},
                             )

@@ -226,12 +226,12 @@ class TestJsonBody:
 
     def test_repartition_response_payload(self):
         from repro.partition.sfc import sfc_partition
-        from repro.service import RepartitionRequest
+        from repro.service import PartitionRequest
         from repro.service.engine import compute_response
 
         old = sfc_partition(4, 8).assignment
         resp = compute_response(
-            RepartitionRequest(
+            PartitionRequest(
                 ne=4,
                 old_assignment=old,
                 weights={"scenario": "storm", "step": 3},

@@ -17,7 +17,7 @@ import numpy as np
 from repro.partition import plan_repartition, sfc_partition
 from repro.scenarios import scenario_weights
 from repro.server import Connection, fetch
-from repro.service import PartitionCache, PartitionEngine, RepartitionRequest
+from repro.service import PartitionCache, PartitionEngine, PartitionRequest
 from repro.telemetry import telemetry_session
 from tests.server.serving import serving
 
@@ -31,8 +31,8 @@ def run(coro, timeout: float = 60.0):
     return asyncio.run(asyncio.wait_for(coro, timeout))
 
 
-def storm_request(step: int = 3, nparts: int = 12) -> RepartitionRequest:
-    return RepartitionRequest(
+def storm_request(step: int = 3, nparts: int = 12) -> PartitionRequest:
+    return PartitionRequest(
         ne=NE,
         old_assignment=sfc_partition(NE, nparts).assignment,
         weights={"scenario": "storm", "step": step},
@@ -91,6 +91,30 @@ class TestPlanParity:
 
         data = run(inner())
         assert data["plan"]["nparts"] == 8  # inferred from old_assignment
+
+
+    def test_every_route_parses_a_rebalance(self):
+        """``/repartition`` is ``/partition`` with an old assignment:
+        ``/partition`` and a ``/batch`` item answer the same plan, from
+        the same cache entry."""
+        body = storm_request().to_wire()
+
+        async def inner():
+            async with serving() as server:
+                async with await Connection.open(*server.address) as conn:
+                    first = await conn.post_json("/repartition", body)
+                    again = await conn.post_json("/partition", body)
+                    batch = await conn.post_json("/batch", [body])
+                    return first.json(), again.json(), batch.json()
+
+        first, again, batch = run(inner())
+        (item,) = batch["responses"]
+        assert [first["source"], again["source"], item["source"]] == [
+            "computed", "memory", "memory",
+        ]
+        for answer in (again, item):
+            assert answer["plan"] == first["plan"]
+            assert answer["request"] == first["request"] == body
 
 
 class TestCachingAndCoalescing:
@@ -249,6 +273,19 @@ class TestValidation:
         status, data = run(self._post({"ne": NE, "old_assignment": [0] * K}))
         assert status == 422
         assert "weights" in data["error"]["message"]
+
+    def test_a_partition_body_is_422_here(self):
+        """Only ``/repartition`` insists on the rebalance fields."""
+        body = {"ne": NE, "nparts": 4, "weights": [1.0] * K}
+        status, data = run(self._post(body))
+        assert status == 422
+        assert data["error"]["message"] == (
+            "repartition needs 'ne', 'old_assignment' and 'weights' "
+            "(missing: ['old_assignment'])"
+        )
+        status, data = run(self._post({**body, "old_assignment": None}))
+        assert status == 422
+        assert "(missing: ['old_assignment'])" in data["error"]["message"]
 
     def test_unweighted_method_422_names_weighted_ones(self):
         status, data = run(self._post({

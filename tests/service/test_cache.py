@@ -11,14 +11,13 @@ from repro.service import (
     PartitionCache,
     PartitionEngine,
     PartitionRequest,
-    RepartitionRequest,
     compute_response,
 )
 from repro.service.cache import scan_cache_dir
 
 
-def plan_request(step: int = 3) -> RepartitionRequest:
-    return RepartitionRequest(
+def plan_request(step: int = 3) -> PartitionRequest:
+    return PartitionRequest(
         ne=2,
         old_assignment=np.arange(24) % 4,
         weights={"scenario": "storm", "step": step},

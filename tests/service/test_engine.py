@@ -19,7 +19,6 @@ from repro.service import (
     PartitionEngine,
     PartitionRequest,
     PartitionResponse,
-    RepartitionRequest,
     RepartitionResponse,
 )
 
@@ -73,8 +72,8 @@ class TestEngineBasics:
         assert engine.stats.hit_rate == 0.5  # 1 of 2 served from cache
 
 
-def storm_request(step: int = 3) -> RepartitionRequest:
-    return RepartitionRequest(
+def storm_request(step: int = 3) -> PartitionRequest:
+    return PartitionRequest(
         ne=4,
         old_assignment=sfc_partition(4, 12).assignment,
         weights={"scenario": "storm", "step": step},
@@ -82,7 +81,7 @@ def storm_request(step: int = 3) -> RepartitionRequest:
     )
 
 
-class TestRepartitionRequests:
+class TestRebalanceRequests:
     """Plans are served by the same engine, cache and pool as partitions."""
 
     def test_serve_returns_the_plan_and_persists_it(self, tmp_path):

@@ -2,9 +2,10 @@
 
 A :class:`~repro.partition.LoadTracker` step, a direct
 :func:`~repro.partition.plan_repartition` call and a served
-:class:`~repro.service.RepartitionRequest` all re-cut through the same
-planner, so for any admissible problem they must agree exactly, and the
-request's stored and JSON forms must rebuild the same plan.
+:class:`~repro.service.PartitionRequest` with an old assignment all
+re-cut through the same planner, so for any admissible problem they
+must agree exactly, and the request's stored and JSON forms must
+rebuild the same plan.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.partition import LoadTracker, plan_repartition
-from repro.service import RepartitionRequest, RepartitionResponse
+from repro.service import PartitionRequest, RepartitionResponse
 from repro.sfc.factorization import admissible_sizes, all_schedules
 
 
@@ -66,7 +67,7 @@ def test_tracker_planner_and_request_agree(case):
         plan = plan_repartition(
             old, case["after"], ne=ne, nparts=nparts, schedule=schedule
         )
-        request = RepartitionRequest(
+        request = PartitionRequest(
             ne=ne, old_assignment=old, weights=case["after"],
             nparts=nparts, schedule=schedule,
         )

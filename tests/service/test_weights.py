@@ -10,7 +10,6 @@ from repro.service import (
     PartitionCache,
     PartitionEngine,
     PartitionRequest,
-    RepartitionRequest,
     WeightSpec,
 )
 from repro.service.engine import compute_response
@@ -177,7 +176,7 @@ class TestCacheKeys:
     def test_repartition_key_disjoint_from_partition(self):
         """The ``kind`` marker keeps the shared in-flight map safe."""
         old = np.zeros(K, dtype=np.int64)
-        rreq = RepartitionRequest(
+        rreq = PartitionRequest(
             ne=NE, old_assignment=old, weights=np.ones(K) * 3.0, nparts=4
         )
         preq = inline_request(np.ones(K) * 3.0)
@@ -186,12 +185,12 @@ class TestCacheKeys:
 
     def test_repartition_old_assignment_feeds_the_key(self):
         w = np.ones(K) * 2.0
-        a = RepartitionRequest(
+        a = PartitionRequest(
             ne=NE, old_assignment=np.zeros(K, dtype=int), weights=w, nparts=4
         )
         old2 = np.zeros(K, dtype=int)
         old2[0] = 1
-        b = RepartitionRequest(ne=NE, old_assignment=old2, weights=w, nparts=4)
+        b = PartitionRequest(ne=NE, old_assignment=old2, weights=w, nparts=4)
         assert a.cache_key() != b.cache_key()
 
 
@@ -212,17 +211,17 @@ class TestRoundTrips:
         assert back.cache_key() == req.cache_key()
 
     def test_repartition_request_json_round_trip(self):
-        req = RepartitionRequest(
+        req = PartitionRequest(
             ne=NE,
             old_assignment=np.arange(K) % 4,
             weights={"scenario": "storm", "step": 2},
         )
-        back = RepartitionRequest.from_json(req.to_json())
+        back = PartitionRequest.from_json(req.to_json())
         assert back == req
         np.testing.assert_array_equal(back.old_assignment, req.old_assignment)
 
     def test_repartition_response_json_round_trip(self):
-        req = RepartitionRequest(
+        req = PartitionRequest(
             ne=NE, old_assignment=np.arange(K) % 4, weights=np.ones(K) * 2.0
         )
         resp = compute_response(req)
@@ -236,7 +235,7 @@ class TestRoundTrips:
 
     def test_repartition_requires_weights(self):
         with pytest.raises(ValueError, match="requires weights"):
-            RepartitionRequest(ne=NE, old_assignment=np.zeros(K, dtype=int))
+            PartitionRequest(ne=NE, old_assignment=np.zeros(K, dtype=int))
 
 
 class TestEngineServing:
@@ -328,7 +327,7 @@ class TestOneWeightCheck:
     def test_repartition_compute_checks_once(self):
         from repro.partition import sfc_partition
 
-        request = RepartitionRequest(
+        request = PartitionRequest(
             ne=4, old_assignment=sfc_partition(4, 12).assignment,
             weights=self.STORM, nparts=12,
         )
@@ -446,7 +445,7 @@ class TestOneOldAssignmentCheck:
 
         old = sfc_partition(4, 12).assignment
         built = []
-        assert self.count(lambda: built.append(RepartitionRequest(
+        assert self.count(lambda: built.append(PartitionRequest(
             ne=4, old_assignment=old, weights={"scenario": "storm"}, nparts=12,
         ))) == 1
         assert self.count(lambda: compute_response(built[0])) == 0
@@ -466,7 +465,7 @@ class TestCallerArraysStayWriteable:
 
         old = sfc_partition(4, 12).assignment.copy()
         weights = np.linspace(1.0, 2.0, 96)
-        repart = RepartitionRequest(
+        repart = PartitionRequest(
             ne=4, old_assignment=old, weights=weights, nparts=12
         )
         part = PartitionRequest(ne=4, nparts=12, weights=weights)
@@ -475,7 +474,7 @@ class TestCallerArraysStayWriteable:
         assert not repart.weights.values.flags.writeable
         assert not part.weights.values.flags.writeable
         # Same keys as requests built from lists (always fresh arrays).
-        assert repart.cache_key() == RepartitionRequest(
+        assert repart.cache_key() == PartitionRequest(
             ne=4, old_assignment=old.tolist(), weights=weights.tolist(), nparts=12
         ).cache_key()
         assert part.cache_key() == PartitionRequest(
@@ -485,7 +484,7 @@ class TestCallerArraysStayWriteable:
         keys = repart.cache_key(), part.cache_key()
         old[:] = 0
         weights[:] = 5.0
-        assert RepartitionRequest(
+        assert PartitionRequest(
             ne=4, old_assignment=repart.old_assignment.tolist(),
             weights=repart.weights.values.tolist(), nparts=12,
         ).cache_key() == keys[0]
@@ -507,7 +506,7 @@ class TestSeedContract:
 
         PartitionRequest(ne=NE, nparts=4, method="sfc", seed=-5)
         PartitionRequest(ne=NE, nparts=4, method="block", seed=-5)
-        RepartitionRequest(
+        PartitionRequest(
             ne=NE, old_assignment=sfc_partition(NE, 4).assignment,
             weights={"scenario": "storm"}, seed=-5,
         )
@@ -522,7 +521,7 @@ class TestSeedContract:
         registry.register(spec)
         try:
             with pytest.raises(CapabilityError, match="non-negative seed"):
-                RepartitionRequest(
+                PartitionRequest(
                     ne=NE, old_assignment=sfc_partition(NE, 4).assignment,
                     weights={"scenario": "storm"}, method="seeded_sfc", seed=-1,
                 )
