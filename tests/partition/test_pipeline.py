@@ -59,13 +59,19 @@ class TestStageCaches:
         assert stats == {"hits": 1, "misses": 1, "entries": 1}
 
     def test_graph_reused_across_methods_at_equal_ne(self):
-        """The batch-serving win: one graph serves every method."""
-        for method in ("sfc", "rb", "kway", "block"):
+        """The batch-serving win: one graph serves every METIS method,
+        and the methods that do not read it never build it."""
+        for method in ("sfc", "rb", "kway", "tv", "block"):
             run_pipeline(method, 2, 4)
         stats = stage_cache_stats()
         assert stats["graph"]["misses"] == 1
-        assert stats["graph"]["hits"] >= 3
+        assert stats["graph"]["hits"] == 2
         assert stats["mesh"]["misses"] == 1
+
+    def test_curve_answers_build_no_graph(self):
+        for method in ("sfc", "morton", "block"):
+            run_pipeline(method, 4, 6)
+        assert stage_cache_stats()["graph"] == {"hits": 0, "misses": 0, "entries": 0}
 
     def test_distinct_ne_distinct_entries(self):
         graph_stage(2)

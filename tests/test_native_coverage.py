@@ -29,7 +29,7 @@ from repro.metis import (
     part_graph,
     recursive_bisection,
 )
-from repro.partition import sfc_partition
+from repro.partition import evaluate_partition, sfc_partition
 from repro.seam import build_geometry
 from repro.server.http import decode_json_body, json_body
 from repro.sfc.keys import curve_keys
@@ -68,7 +68,7 @@ def test_every_declared_kernel_is_called(monkeypatch):
     assert {mod.__name__ for mod, _ in gated} >= {
         "repro.graphs.csr", "repro.metis.bisection", "repro.metis.coarsen",
         "repro.metis.initial", "repro.metis.matching", "repro.metis.refine",
-        "repro.metis.rng",
+        "repro.metis.rng", "repro.partition.metrics",
         "repro.seam.dss", "repro.seam.parallel", "repro.server.http",
         "repro.sfc.keys",
     }
@@ -87,6 +87,7 @@ def test_every_declared_kernel_is_called(monkeypatch):
     greedy_graph_growing(graph, 48)
     fm_refine_bisection(graph, side, 49, 49)
     graph.subgraph(np.flatnonzero(side))
+    evaluate_partition(graph, sfc_partition(4, 8))
     geom = build_geometry(2, 4)
     field = np.random.default_rng(0).standard_normal(geom.jac.shape)
     dss_mod.DSSOperator(geom).apply(field)
