@@ -37,6 +37,7 @@ share one serialization.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import hashlib
 import json
@@ -197,15 +198,15 @@ class _ContentAddressed:
         return hash(self.cache_key())
 
 
-def _int_field(data: dict, name: str, default: int | None = None) -> int:
-    """``int()`` of a wire request's field; ``ValueError`` if it fails."""
+def _int_field(data: dict, name: str, default: int | None = None):
+    """A wire request's integer field: a digit string (as CSV request
+    files carry) parsed, anything else left for the constructor's check,
+    which rejects floats and booleans rather than truncating them."""
     value = data.get(name, default)
-    try:
-        return int(value)
-    except (TypeError, ValueError, OverflowError):
-        raise ValueError(
-            f"{name} must be an integer, got {reprlib.repr(value)}"
-        ) from None
+    if isinstance(value, str):
+        with contextlib.suppress(ValueError):
+            return int(value)
+    return value
 
 
 def _schedule_field(schedule) -> str | None:
@@ -429,7 +430,9 @@ class PartitionRequest(_ContentAddressed):
             if value is None and name == "nparts" and old is not None:
                 continue
             if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
+                raise ValueError(
+                    f"{name} must be an integer, got {reprlib.repr(value)}"
+                )
             object.__setattr__(self, name, int(value))
         if self.ne < 1:
             raise ValueError(f"ne must be >= 1, got {self.ne}")
@@ -516,14 +519,10 @@ class PartitionRequest(_ContentAddressed):
         """Compute the answer from scratch.
 
         Deterministic, so parallel and serial execution agree
-        bit-for-bit.  A partition runs the staged pipeline (mesh →
-        graph → partition → evaluate,
-        :func:`repro.partition.pipeline.run_pipeline`): each stage is
-        traced, and the mesh/graph stages are memoized per process, so
-        a batch sweeping several methods at one ``ne`` builds them once.
-        For weighted requests the ``lb_weight`` metric reports the load
-        imbalance under the *request's* weights (the quantity a weighted
-        cut balances), not the graph's uniform vertex weights.
+        bit-for-bit.  A partition runs the staged pipeline
+        (:func:`repro.partition.pipeline.run_pipeline`).  For weighted
+        requests ``lb_weight`` is the imbalance under the *request's*
+        weights (what a weighted cut balances), not uniform ones.
 
         A rebalance plans the migration on the streaming key path,
         :func:`~repro.partition.repartition.plan_repartition` on the old

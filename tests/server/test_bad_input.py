@@ -33,6 +33,9 @@ PARTITION_422 = [
     {"ne": 2, "nparts": 4, "weights": {"inline": {}}},
     {"ne": 2, "nparts": 4, "weights": {**STORM, "params": {"lat0": 10**400}}},
     {"ne": 2, "nparts": 4, "weights": [1e308] * (K - 1) + [1.0]},
+    {"ne": 2.9, "nparts": 4},
+    {"ne": 2, "nparts": 4.7},
+    {"ne": 2, "nparts": 4, "seed": True},
     {"ne": 2, "nparts": 4, "method": "kway", "seed": -5},
     {"ne": 2, "nparts": 4, "method": "random", "seed": -1},
     *({"ne": 2, "nparts": 2, "schedule": falsy} for falsy in FALSY),
@@ -44,6 +47,8 @@ REPARTITION_422 = [
     {"ne": None, "old_assignment": [0] * K, "weights": STORM},
     {"ne": 2, "seed": {}, "old_assignment": [0] * K, "weights": STORM},
     {"ne": 2, "nparts": [2], "old_assignment": [0] * K, "weights": STORM},
+    {"ne": 2.0, "old_assignment": [0] * K, "weights": STORM},
+    {"ne": 2, "seed": False, "old_assignment": [0] * K, "weights": STORM},
     {"ne": 2, "old_assignment": [2**63] + [0] * (K - 1), "weights": STORM},
     {"ne": 2, "old_assignment": [-(2**64)] + [0] * (K - 1), "weights": STORM},
     {"ne": 2, "old_assignment": [0] * K, "weights": [10**400] * K},

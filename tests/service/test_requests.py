@@ -36,6 +36,20 @@ class TestPartitionRequest:
         with pytest.raises(ValueError, match="must be an integer"):
             PartitionRequest(ne=4.5, nparts=8)
 
+    @pytest.mark.parametrize("field, value", [
+        ("ne", 2.9), ("ne", 4.0), ("nparts", 4.7), ("nparts", True),
+        ("seed", True), ("seed", False), ("seed", 1.0), ("ne", "2.9"), ("seed", "x"),
+    ])
+    def test_wire_integers_must_be_integers(self, field, value):
+        """A float or boolean is never truncated into another request."""
+        data = {"ne": 4, "nparts": 8, field: value}
+        with pytest.raises(ValueError, match=f"{field} must be an integer"):
+            PartitionRequest.from_dict(data)
+
+    def test_wire_integers_accept_digit_strings(self):
+        req = PartitionRequest.from_dict({"ne": "4", "nparts": " 8 ", "seed": "+3"})
+        assert req == PartitionRequest(ne=4, nparts=8, seed=3)
+
     def test_numpy_ints_normalized(self):
         req = PartitionRequest(ne=np.int64(4), nparts=np.int32(8))
         assert isinstance(req.ne, int) and isinstance(req.nparts, int)
