@@ -19,9 +19,9 @@ the cubed-sphere:
 * :func:`group_moves` — a plan's moved gids grouped by destination
   rank, rebuilt from the old and new assignments alone;
 * :class:`LoadTracker` — convenience driver for a time series of
-  weights (e.g. a storm moving around the sphere), re-cutting through
-  :func:`plan_repartition` and recording balance and migration per
-  rebalancing step.
+  weights (e.g. a storm moving around the sphere), re-cutting as
+  :func:`plan_repartition` does and recording balance and migration
+  per rebalancing step.
 """
 
 from __future__ import annotations
@@ -246,6 +246,19 @@ def plan_repartition(
     )
 
 
+def _recut(weights, *, ne: int, nparts: int, method: str, seed: int, schedule):
+    """The re-cut of :func:`plan_repartition` and :class:`LoadTracker`,
+    and the weights as the problem checked them."""
+    problem = PartitionProblem(
+        ne=int(ne), nparts=int(nparts), seed=int(seed),
+        schedule=schedule, weights=weights,
+    )
+    new = get_partitioner(method)(problem)
+    if method == "sfc":
+        new = new.with_method("sfc-rebal")
+    return new, problem.weights
+
+
 def _plan_repartition(
     old: np.ndarray,
     weights: np.ndarray,
@@ -263,14 +276,9 @@ def _plan_repartition(
     old_nparts = int(old.max()) + 1 if len(old) else 1
     if nparts is None:
         nparts = old_nparts
-    problem = PartitionProblem(
-        ne=int(ne), nparts=int(nparts), seed=int(seed),
-        schedule=schedule, weights=weights,
+    new, weights = _recut(
+        weights, ne=ne, nparts=nparts, method=method, seed=seed, schedule=schedule
     )
-    weights = problem.weights
-    new = get_partitioner(method)(problem)
-    if method == "sfc":
-        new = new.with_method("sfc-rebal")
     moved, moves = group_moves(old, new.assignment)
     before = np.bincount(old, weights=weights, minlength=old_nparts)
     after = np.bincount(new.assignment, weights=weights, minlength=int(nparts))
@@ -291,10 +299,10 @@ def _plan_repartition(
 class LoadTracker:
     """Drive a sequence of rebalancing steps over changing weights.
 
-    The first step cuts the fixed global SFC afresh (the registry's
-    ``sfc`` method, labelled ``"sfc-rebal"``, with nothing moved); every
-    later step re-cuts it through :func:`plan_repartition` from the
-    previous step's owners.
+    Every step re-cuts the fixed global SFC under its weights (the
+    registry's ``sfc`` method, labelled ``"sfc-rebal"``) with the
+    re-cut :func:`plan_repartition` makes, and counts the elements
+    whose owner changed since the previous step (none at the first).
 
     Args:
         ne: Elements per cube-face edge.
@@ -316,20 +324,13 @@ class LoadTracker:
         Returns:
             The new partition.
         """
-        if self.current is None:
-            problem = PartitionProblem(
-                ne=self.ne, nparts=self.nparts, schedule=self.schedule,
-                weights=weights,
-            )
-            new = get_partitioner("sfc")(problem).with_method("sfc-rebal")
-            moved, fraction = 0, 0.0
-        else:
-            plan = plan_repartition(
-                self.current.assignment, weights, ne=self.ne,
-                nparts=self.nparts, schedule=self.schedule,
-            )
-            new = Partition(plan.new_assignment, self.nparts, plan.method)
-            moved, fraction = plan.elements_moved, plan.fraction_moved
+        new, weights = _recut(
+            weights, ne=self.ne, nparts=self.nparts, method="sfc", seed=0,
+            schedule=self.schedule,
+        )
+        moved = 0 if self.current is None else int(
+            np.count_nonzero(new.assignment != self.current.assignment)
+        )
         # One bincount gives every step's loads; its LB is the plan's
         # lb_after.
         loads = np.bincount(new.assignment, weights=weights, minlength=self.nparts)
@@ -338,7 +339,7 @@ class LoadTracker:
             "max_load": float(loads.max()),
             "mean_load": float(loads.mean()),
             "elements_moved": float(moved),
-            "fraction_moved": fraction,
+            "fraction_moved": moved / len(new.assignment),
         })
         self.current = new
         return new

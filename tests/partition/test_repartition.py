@@ -133,6 +133,36 @@ class TestLoadTracker:
             assert entry["elements_moved"] >= 0
             assert entry["lb"] < 0.5
 
+    def test_history_equals_a_plan_per_step(self):
+        """The tracker's history equals what a plan per step reports:
+        the storm at Ne=8 on 16 parts, once through the tracker and once
+        through ``plan_repartition`` from the previous step's owners."""
+        from repro.scenarios import scenario_weights
+
+        tracker = LoadTracker(8, nparts=16)
+        old, rows = None, []
+        for step in range(12):
+            w = scenario_weights("storm", 8, step)
+            tracker.update(w)
+            if old is None:
+                new = sfc_partition(8, 16, weights=w).assignment
+                moved, fraction = 0.0, 0.0
+            else:
+                plan = plan_repartition(old, w, ne=8, nparts=16)
+                new = plan.new_assignment
+                moved, fraction = float(plan.elements_moved), plan.fraction_moved
+                assert plan.lb_after == tracker.history[-1]["lb"]
+            loads = np.bincount(new, weights=w, minlength=16)
+            rows.append({
+                "lb": load_balance(loads), "max_load": float(loads.max()),
+                "mean_load": float(loads.mean()), "elements_moved": moved,
+                "fraction_moved": fraction,
+            })
+            np.testing.assert_array_equal(tracker.current.assignment, new)
+            old = new
+        assert tracker.history == rows
+        assert any(row["elements_moved"] for row in rows)
+
     def test_current_partition_valid(self, curve):
         tracker = LoadTracker(4, nparts=8)
         p = tracker.update(np.ones(len(curve)))
