@@ -42,7 +42,7 @@ def subgraph(graph: CSRGraph, vertices: np.ndarray) -> CSRGraph:
     vertices = np.asarray(vertices, dtype=np.int64)
     local = -np.ones(graph.nvertices, dtype=np.int64)
     local[vertices] = np.arange(len(vertices))
-    src_all = graph.edge_sources()
+    src_all = np.repeat(np.arange(graph.nvertices), graph.degrees())
     keep = (local[src_all] >= 0) & (local[graph.indices] >= 0)
     u = local[src_all[keep]]
     v = local[graph.indices[keep]]
@@ -236,7 +236,7 @@ def _grow_trial(
 
 def _external_internal(graph: CSRGraph, side: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Per-vertex external/internal degree for a 2-way partition."""
-    src = graph.edge_sources()
+    src = np.repeat(np.arange(graph.nvertices), graph.degrees())
     same = side[src] == side[graph.indices]
     ed = np.zeros(graph.nvertices, dtype=np.int64)
     idg = np.zeros(graph.nvertices, dtype=np.int64)
