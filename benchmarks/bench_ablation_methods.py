@@ -11,19 +11,19 @@ from __future__ import annotations
 import pytest
 
 from repro.experiments import (
-    ALL_METHODS,
     PAPER_RESOLUTIONS,
     format_table,
     network_ablation,
     run_method,
 )
+from repro.partition import registry
 
 
 def _method_matrix():
     out = []
     for res in PAPER_RESOLUTIONS[:2]:  # K=384, K=486 (fast paper cases)
         nproc = res.nprocs()[-1] // 4  # 4 elements per processor
-        for method in ALL_METHODS:
+        for method in registry.available():
             out.append((res, nproc, method, run_method(res.ne, nproc, method)))
     return out
 

@@ -19,7 +19,8 @@ choose between:
 Reports per-step load balance (``max/ideal``), the SFC cut's maximum
 load over the optimal one (``max/optimum``) and migration fraction
 for SFC, the sampled METIS migration fractions, and writes everything
-to ``benchmarks/results/bench_dynamic_load.json``.  Exits non-zero if
+to ``benchmarks/results/bench_dynamic_load.json`` (by default;
+``bench_dynamic_load_ci.json`` under ``--ci``).  Exits non-zero if
 an acceptance gate fails:
 
 * SFC keeps ``max_load <= (1 + --lb-slack) * ideal`` at every step
@@ -205,10 +206,13 @@ def main(argv: list[str] | None = None) -> int:
         "--ci", action="store_true",
         help="reduced profile (Ne=16, 30 steps) for the CI perf job",
     )
-    parser.add_argument("--out", type=Path, default=RESULTS_PATH)
+    parser.add_argument("--out", type=Path)
     args = parser.parse_args(argv)
     if args.ci:
         args.ne, args.steps = 16, 30
+    if args.out is None:
+        stem = f"{RESULTS_PATH.stem}_ci" if args.ci else RESULTS_PATH.stem
+        args.out = RESULTS_PATH.with_stem(stem)
 
     report = run_trajectory(
         args.ne, args.nparts, args.steps, args.metis_every, args.scenario

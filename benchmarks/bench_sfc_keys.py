@@ -17,8 +17,10 @@ magnitude past that; this bench quantifies the two claims behind it:
 2. **Throughput** — cells keyed per second for each curve family
    (Hilbert, Peano, Hilbert-Peano, Morton) at multi-million K.
 
-Writes ``benchmarks/results/bench_sfc_keys.json`` and exits non-zero
-when an acceptance check fails:
+Writes ``benchmarks/results/bench_sfc_keys.json``
+(``bench_sfc_keys_ci.json`` under ``--ci``, so a CI run leaves the
+committed full profile alone) and exits non-zero when an acceptance
+check fails:
 
 * keyed and materialized assignments are bit-identical (checked at the
   smallest Ne of the sweep);
@@ -241,8 +243,9 @@ def main(argv: list[str] | None = None) -> int:
             f"< {MIN_CELLS_PER_S:.0e}"
         )
 
-    RESULTS_PATH.parent.mkdir(exist_ok=True)
-    RESULTS_PATH.write_text(
+    out = RESULTS_PATH.with_stem(f"{RESULTS_PATH.stem}_ci") if args.ci else RESULTS_PATH
+    out.parent.mkdir(exist_ok=True)
+    out.write_text(
         json.dumps(
             {
                 "schema": 1,
@@ -257,7 +260,7 @@ def main(argv: list[str] | None = None) -> int:
         )
         + "\n"
     )
-    print(f"wrote {RESULTS_PATH}")
+    print(f"wrote {out}")
     if failures:
         print("FAIL: " + "; ".join(failures))
         return 1

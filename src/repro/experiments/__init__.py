@@ -11,8 +11,6 @@ from .convergence import ConvergencePoint, transport_convergence
 from .future_scaling import FutureScalingPoint, future_scaling_study, scaled_p690
 from .sensitivity import SensitivityPoint, network_sensitivity
 from .figures import (
-    ALL_METHODS,
-    METIS_BASELINES,
     MethodResult,
     best_metis,
     run_method,
@@ -28,11 +26,9 @@ from .resolutions import (
 from .table2 import TABLE2_METHODS, Table2Row, render_table2, table2
 
 __all__ = [
-    "ALL_METHODS",
     "ConvergencePoint",
     "FutureScalingPoint",
     "GapPoint",
-    "METIS_BASELINES",
     "MethodResult",
     "PAPER_RESOLUTIONS",
     "Resolution",

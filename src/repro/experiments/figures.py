@@ -26,18 +26,12 @@ __all__ = [
     "run_method",
     "speedup_sweep",
     "best_metis",
-    "ALL_METHODS",
-    "METIS_BASELINES",
 ]
 
-#: Deprecated aliases: the partitioner registry is the source of truth
-#: for the method set.  Snapshotted at import for backwards
-#: compatibility; new code should call ``registry.available()`` /
-#: filter ``registry.specs()`` by family.
-METIS_BASELINES = tuple(
-    s.name for s in registry.specs() if s.family == "metis"
-)
-ALL_METHODS = registry.available()
+
+def _metis_methods() -> tuple[str, ...]:
+    """The registered METIS-family methods, read at call time."""
+    return tuple(s.name for s in registry.specs() if s.family == "metis")
 
 
 @dataclass(frozen=True)
@@ -99,7 +93,7 @@ def run_method(
 
 def speedup_sweep(
     ne: int,
-    methods: tuple[str, ...] = ("sfc", *METIS_BASELINES),
+    methods: tuple[str, ...] | None = None,
     nprocs: list[int] | None = None,
     machine: MachineSpec = P690_CLUSTER,
     cost: SEAMCostModel = DEFAULT_COST_MODEL,
@@ -110,7 +104,8 @@ def speedup_sweep(
 
     Args:
         ne: Resolution (elements per face edge).
-        methods: Partitioners to compare.
+        methods: Partitioners to compare; defaults to ``sfc`` and every
+            registered METIS-family method.
         nprocs: Processor counts; defaults to the divisors of
             ``K = 6 ne^2`` up to the machine's job limit.
         machine: Machine model.
@@ -125,6 +120,8 @@ def speedup_sweep(
     Returns:
         ``{method: [MethodResult per nproc]}``.
     """
+    if methods is None:
+        methods = ("sfc", *_metis_methods())
     # Fail fast (did-you-mean, capability checks) before sweeping.
     for method in methods:
         registry.get(method).validate(ne=ne, nparts=1)
@@ -170,9 +167,7 @@ def best_metis(results: dict[str, list[MethodResult]], index: int) -> MethodResu
     Mirrors the paper's figures, which plot "SFC vs *best* METIS
     partitioning".
     """
-    candidates = [
-        results[m][index] for m in METIS_BASELINES if m in results
-    ]
+    candidates = [results[m][index] for m in _metis_methods() if m in results]
     if not candidates:
         raise ValueError("no METIS methods present in the sweep")
     return max(candidates, key=lambda r: r.speedup)

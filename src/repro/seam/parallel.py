@@ -12,9 +12,11 @@ a partitioned run can be
   prices, closing the loop between the numerical substrate and the
   performance study.
 
-Layout: every rank's partial sums are one segment of a single float64
-buffer ordered by (rank, global point), and every message is one entry
-of a single outbox ordered by (src rank, dst rank, point).  A DSS is
+Layout (:class:`repro.seam.dss.HaloLayout`, which also gives
+:func:`repro.seam.dss.build_halo_schedule`): every rank's partial sums
+are one segment of a single float64 buffer ordered by (rank, global
+point), and every value sent is one entry of a single outbox ordered
+by (src rank, dst rank, point).  A DSS is
 then three whole-buffer passes (gather, exchange, scatter) with no loop
 over ranks or rank pairs, each a compiled kernel
 (``repro._kernels.c::pdss_gather``, ``pdss_exchange``,
@@ -34,7 +36,7 @@ import numpy as np
 from .._native import LIB
 from ..partition.base import Partition
 from ..telemetry import inc, span
-from .dss import PointMap, build_point_map
+from .dss import HaloLayout, PointMap, checked_point_map
 from .element import GridGeometry
 from .transport import TransportSolver
 
@@ -76,7 +78,8 @@ class PartitionedDSS:
     ``(slot_rank[s], slot_point[s])``, slots sort by (rank, global
     point), and rank ``r`` owns ``[offsets[r], offsets[r + 1])``.
     Messages are one outbox sorted by (src rank, dst rank, point); each
-    entry carries the partial of a source slot into a destination slot.
+    entry carries the partial of a source slot into a destination slot
+    (all from the partition's :class:`repro.seam.dss.HaloLayout`).
 
     :meth:`apply` is three passes, each in a fixed order that matches a
     rank-by-rank execution bit for bit.  Each is a C kernel sharing one
@@ -96,6 +99,9 @@ class PartitionedDSS:
         geom: Grid geometry.
         partition: Element-to-rank assignment.
         point_map: Optional pre-built global point identification.
+
+    Raises:
+        ValueError: ``partition`` or ``point_map`` is of another grid.
     """
 
     def __init__(
@@ -104,58 +110,18 @@ class PartitionedDSS:
         partition: Partition,
         point_map: PointMap | None = None,
     ):
-        if partition.nvertices != geom.nelem:
-            raise ValueError("partition does not match the grid")
         self.geom = geom
         self.partition = partition
-        self.point_map = point_map if point_map is not None else build_point_map(geom)
+        self.point_map = checked_point_map(geom, point_map)
         self.nranks = partition.nparts
         self.local_mass = geom.local_mass
         self.accounting = ExchangeAccounting(nranks=self.nranks)
-        self._build_layout()
-        #: ``(nslots,)`` assembled mass of every slot (equal on every
-        #: co-owning rank after the exchange): the gather of a field of
-        #: ones weighs each point by its mass alone.
-        self.mass = self._exchange_into(
-            self._gather(np.ones(self.local_mass.shape)), count=False
-        )
-        self._plan[7] = self.mass.ctypes.data
-
-    def _build_layout(self) -> None:
-        ids = self.point_map.point_ids.reshape(self.geom.nelem, -1)
-        npoints = np.int64(self.point_map.npoints)
-        owner = np.asarray(self.partition.assignment, dtype=np.int64)
-        keys = (owner[:, None] * npoints + ids).ravel()
-        slot_keys, self._slot_of = np.unique(keys, return_inverse=True)
-        self.nslots = len(slot_keys)
-        self.slot_rank, self.slot_point = np.divmod(slot_keys, npoints)
-        self.offsets = np.searchsorted(self.slot_rank, np.arange(self.nranks + 1))
-
-        # Messages: every slot of a point shared by c ranks sends its
-        # partial to the other c - 1 slots of that point.  Sorted by
-        # point, the slots of one point are a run; pair each run
-        # position with all c positions of its run, then drop self-pairs.
-        by_point = np.argsort(self.slot_point, kind="stable")
-        pts = self.slot_point[by_point]
-        starts = np.flatnonzero(np.r_[True, pts[1:] != pts[:-1]])
-        counts = np.diff(np.r_[starts, self.nslots])
-        run_size = np.repeat(counts, counts)
-        src = np.repeat(np.arange(self.nslots), run_size)
-        nth = np.arange(len(src)) - np.repeat(np.cumsum(run_size) - run_size, run_size)
-        dst = np.repeat(np.repeat(starts, counts), run_size) + nth
-        src, dst = by_point[src], by_point[dst]
-        keep = src != dst
-        src, dst = src[keep], dst[keep]
-        # The kernel's inbox is this list with the roles swapped.  Each
-        # pair is in it both ways, and for each ``src`` slot its ``dst``
-        # slots (so their ranks) ascend, so read as (receiver, sender)
-        # it gives every slot its incoming messages in ascending source
-        # rank, the order the exchange adds them.  No sort is needed.
-        self._recv_dst, self._recv_src = src, dst
-        src_rank, dst_rank = self.slot_rank[src], self.slot_rank[dst]
-        order = np.lexsort((self.slot_point[src], dst_rank, src_rank))
-        self.msg_src, self.msg_dst = src[order], dst[order]
-
+        layout = HaloLayout(self.point_map, partition)
+        (
+            self.slot_rank, self.slot_point, self.offsets, self._slot_of,
+            self._recv_dst, self._recv_src, self.msg_src, self.msg_dst,
+        ) = layout.slots()
+        self.nslots = len(self.slot_rank)
         self._local_flat = np.ascontiguousarray(self.local_mass.ravel())
         # 8-slot kernel plan (see _kernels.c); the mass address is
         # filled in once the mass is assembled.  The referenced arrays
@@ -176,9 +142,15 @@ class PartitionedDSS:
         )
         self._plan_a = int(self._plan.ctypes.data)
         # Accounting of one exchange, counted once here.
-        pair = src_rank[order] * np.int64(self.nranks) + dst_rank[order]
-        self._pairs = int(np.count_nonzero(np.diff(pair))) + 1 if len(pair) else 0
-        self._sent = np.bincount(src_rank, minlength=self.nranks)
+        self._pairs = len(layout.runs)
+        self._sent = np.bincount(layout.src_rank, minlength=self.nranks)
+        #: ``(nslots,)`` assembled mass of every slot (equal on every
+        #: co-owning rank after the exchange): the gather of a field of
+        #: ones weighs each point by its mass alone.
+        self.mass = self._exchange_into(
+            self._gather(np.ones(self.local_mass.shape)), count=False
+        )
+        self._plan[7] = self.mass.ctypes.data
 
     def _gather(self, field_: np.ndarray) -> np.ndarray:
         """Rank-local partial sums of the mass-weighted point field."""
@@ -242,9 +214,9 @@ class PartitionedDSS:
 class PartitionedTransportRun:
     """The transport solver executed under a domain decomposition.
 
-    Drop-in variant of :class:`repro.seam.transport.TransportSolver`
-    whose DSS goes through :class:`PartitionedDSS`, so every run
-    carries exact message accounting.
+    A :class:`repro.seam.transport.TransportSolver` whose DSS is a
+    :class:`PartitionedDSS`, so every run carries exact message
+    accounting; ``stable_dt``, ``step`` and ``run`` are the solver's.
 
     Args:
         geom: Grid geometry.
@@ -256,8 +228,7 @@ class PartitionedTransportRun:
         self, geom: GridGeometry, wind_cart: np.ndarray, partition: Partition
     ):
         self.pdss = PartitionedDSS(geom, partition)
-        # Reuse the serial solver's RHS machinery; only DSS differs.
-        self._solver = TransportSolver(geom, wind_cart, dss=_NullDSS())
+        self._solver = TransportSolver(geom, wind_cart, dss=self.pdss)
         self.geom = geom
         self.partition = partition
 
@@ -269,25 +240,7 @@ class PartitionedTransportRun:
         return self._solver.stable_dt(cfl)
 
     def step(self, q: np.ndarray, dt: float) -> np.ndarray:
-        rhs = self._solver.rhs
-        dss = self.pdss.apply
-        q1 = dss(q + dt * rhs(q))
-        q2 = dss(0.75 * q + 0.25 * (q1 + dt * rhs(q1)))
-        return dss(q / 3.0 + 2.0 / 3.0 * (q2 + dt * rhs(q2)))
+        return self._solver.step(q, dt)
 
     def run(self, q0: np.ndarray, t_end: float, cfl: float = 0.5) -> np.ndarray:
-        dt = self.stable_dt(cfl)
-        nsteps = max(1, int(np.ceil(t_end / dt)))
-        dt = t_end / nsteps
-        q = self.pdss.apply(q0)
-        for _ in range(nsteps):
-            q = self.step(q, dt)
-        return q
-
-
-class _NullDSS:
-    """Placeholder satisfying TransportSolver's dss attribute; the
-    partitioned runner routes all projections through PartitionedDSS."""
-
-    def apply(self, field_: np.ndarray) -> np.ndarray:  # pragma: no cover
-        raise RuntimeError("partitioned runs must use PartitionedDSS")
+        return self._solver.run(q0, t_end, cfl)

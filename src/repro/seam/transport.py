@@ -18,11 +18,15 @@ decreases with ``np``).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .dss import DSSOperator, shared_dss_operator
 from .element import GridGeometry
+
+if TYPE_CHECKING:
+    from .parallel import PartitionedDSS
 
 __all__ = [
     "solid_body_wind",
@@ -85,12 +89,14 @@ class TransportSolver:
     Args:
         geom: Grid geometry.
         wind_cart: ``(nelem, np, np, 3)`` Cartesian tangent wind.
-        dss: Optional pre-built DSS operator (rebuilt otherwise).
+        dss: Optional pre-built DSS operator (the grid's shared one
+            otherwise); a :class:`repro.seam.PartitionedDSS` runs the
+            solver under a domain decomposition.
     """
 
     geom: GridGeometry
     wind_cart: np.ndarray
-    dss: DSSOperator | None = None
+    dss: DSSOperator | PartitionedDSS | None = None
 
     def __post_init__(self) -> None:
         if self.dss is None:

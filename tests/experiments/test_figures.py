@@ -5,18 +5,17 @@ from __future__ import annotations
 import pytest
 
 from repro.experiments.figures import (
-    ALL_METHODS,
     best_metis,
     run_method,
     speedup_sweep,
 )
-from repro.partition import partition_stage
+from repro.partition import partition_stage, registry
 
 
 class TestMakePartition:
     """``partition_stage`` dispatches every sweep method through the registry."""
 
-    @pytest.mark.parametrize("method", ALL_METHODS)
+    @pytest.mark.parametrize("method", registry.available())
     def test_all_methods(self, method):
         p = partition_stage(method, 4, 8)
         assert p.nparts == 8

@@ -125,6 +125,12 @@ class TestDSS:
         with pytest.raises(TypeError, match="complex128"):
             op.apply(np.full(op.local_mass.shape, 1 + 2j))
 
+    def test_point_map_of_another_grid_rejected(self):
+        """A map of another np is refused, naming both shapes."""
+        other = build_point_map(build_geometry(3, 4))
+        with pytest.raises(ValueError, match=r"\(54, 4, 4\).*\(54, 8, 8\)"):
+            DSSOperator(build_geometry(3, 8), other)
+
 
 class TestExchangeSchedule:
     def test_symmetric_pairs(self, pmap):
