@@ -16,15 +16,27 @@ from repro.experiments import (
     network_ablation,
     run_method,
 )
-from repro.partition import registry
+from repro.partition import CapabilityError, registry
+
+
+def _admits(method: str, ne: int, nproc: int) -> bool:
+    """Whether the registry's capability check accepts the method here."""
+    try:
+        registry.get(method).validate(ne=ne, nparts=nproc)
+    except CapabilityError:
+        return False
+    return True
 
 
 def _method_matrix():
+    """Every registered method at each size whose ``ne`` it admits
+    (``morton`` needs ``ne = 2^n``, so it sits out K=486)."""
     out = []
     for res in PAPER_RESOLUTIONS[:2]:  # K=384, K=486 (fast paper cases)
         nproc = res.nprocs()[-1] // 4  # 4 elements per processor
         for method in registry.available():
-            out.append((res, nproc, method, run_method(res.ne, nproc, method)))
+            if _admits(method, res.ne, nproc):
+                out.append((res, nproc, method, run_method(res.ne, nproc, method)))
     return out
 
 

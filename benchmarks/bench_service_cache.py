@@ -12,8 +12,8 @@ The acceptance bar for the serving subsystem: the warm pass answers
 
 A second benchmark measures the staged pipeline's intra-batch reuse:
 a cold batch sweeping many methods at one ``ne`` must build the mesh
-and the element graph exactly once, with every other method hitting
-the per-process stage caches.
+and the element graph exactly once, with every other METIS request
+hitting the per-process graph cache (curve methods build no graph).
 """
 
 from __future__ import annotations
@@ -21,6 +21,8 @@ from __future__ import annotations
 import os
 from time import perf_counter
 
+from repro.cubesphere.curve import face_chain
+from repro.partition import registry
 from repro.partition.pipeline import clear_stage_caches, stage_cache_stats
 from repro.report import format_table
 from repro.service import PartitionCache, PartitionEngine, PartitionRequest
@@ -87,6 +89,7 @@ def test_stage_cache_reuse_across_methods(save_artifact):
     observable; with pool workers each process keeps its own caches.
     """
     clear_stage_caches()
+    chains = face_chain.cache_info().misses
     requests = [
         PartitionRequest(ne=NE, nparts=nparts, method=method)
         for method in METHODS
@@ -110,8 +113,16 @@ def test_stage_cache_reuse_across_methods(save_artifact):
     )
     save_artifact("stage_cache_reuse", text)
 
-    # Mesh and graph computed once; every other lookup (one per request
-    # for evaluation, plus one per graph-consuming builder) is a hit.
-    assert stats["mesh"]["misses"] == 1
+    # One mesh per distinct ne, plus the ne=2 mesh the SFC face chain
+    # is found on the first time the process keys a curve (it is then
+    # cached for good, so an earlier test in the same pytest run may have
+    # built it).
+    chain_meshes = face_chain.cache_info().misses - chains
+    assert chain_meshes in (0, 1)
+    assert stats["mesh"]["misses"] == len({r.ne for r in requests}) + chain_meshes
+    # Only METIS methods read the element graph (curve answers are cut
+    # and evaluated from the mesh), so it is built once and every later
+    # METIS request hits.
+    metis = sum(registry.get(r.method).family == "metis" for r in requests)
     assert stats["graph"]["misses"] == 1
-    assert stats["graph"]["hits"] >= len(requests) - 1
+    assert stats["graph"]["hits"] == metis - 1

@@ -27,7 +27,10 @@
  *   json_int_arrays  the int arrays of a JSON text (the request
  *                 bodies' old assignments), parsed in one pass;
  *   part_metrics  an assignment's Table-2 quantities in one pass over
- *                 a CSR or a mesh's neighbour table.
+ *                 a CSR or a mesh's neighbour table;
+ *   rk3_stage, dss_apply, pdss_gather, pdss_exchange, pdss_scatter
+ *                 the SEAM core's SSP-RK3 stage combination and its
+ *                 serial and partitioned DSS projections.
  *
  * The METIS kernels return -1 on allocation failure and -3 when a
  * gain bound exceeds the caller's max_bound (rb_partition's further
@@ -953,6 +956,61 @@ int64_t rb_refine(
 }
 
 /* ------------------------------------------------------------------ */
+/* SSP-RK3 stage combination (SEAM)                                    */
+/* ------------------------------------------------------------------ */
+
+/* Returned for a stage outside 0..3 (repro._native.check). */
+#define RK3_BAD_STAGE -8
+
+/* Stage `stage` of the SSP-RK3 step from q (the step's start), qk (the
+ * previous stage; stage 1 ignores it) and r (the tendency at qk):
+ *
+ *   0  q
+ *   1  q + dt r
+ *   2  0.75 q + 0.25 (qk + dt r)
+ *   3  q / 3 + 2/3 (qk + dt r)
+ *
+ * in NumPy's op order for the same expressions: q / 3.0 is a true
+ * division and 2.0 / 3.0 the folded constant, and -ffp-contract=off
+ * keeps every multiply and add separately rounded. */
+static inline double rk3_combine(
+    int64_t stage, double dt, double q, double qk, double r)
+{
+    switch (stage) {
+    case 1: return q + dt * r;
+    case 2: return 0.75 * q + 0.25 * (qk + dt * r);
+    case 3: return q / 3.0 + 2.0 / 3.0 * (qk + dt * r);
+    default: return q;
+    }
+}
+
+/* One loop per stage, so the stage's formula is resolved outside it. */
+static inline void rk3_loop(
+    int64_t stage, int64_t n, double dt,
+    const double *q, const double *qk, const double *r, double *out)
+{
+    for (int64_t i = 0; i < n; i++)
+        out[i] = rk3_combine(stage, dt, q[i], qk[i], r[i]);
+}
+
+/* out = stage `stage` of (q, qk, r), n values; out may alias qk or r
+ * (each value is read before it is written).  Returns 0, or
+ * RK3_BAD_STAGE. */
+int64_t rk3_stage(
+    int64_t n, int64_t stage, double dt,
+    const double *q, const double *qk, const double *r, double *out)
+{
+    switch (stage) {
+    case 0: rk3_loop(0, n, dt, q, qk, r, out); break;
+    case 1: rk3_loop(1, n, dt, q, qk, r, out); break;
+    case 2: rk3_loop(2, n, dt, q, qk, r, out); break;
+    case 3: rk3_loop(3, n, dt, q, qk, r, out); break;
+    default: return RK3_BAD_STAGE;
+    }
+    return 0;
+}
+
+/* ------------------------------------------------------------------ */
 /* Direct stiffness summation (SEAM)                                   */
 /* ------------------------------------------------------------------ */
 
@@ -1068,7 +1126,7 @@ int64_t dss_apply(
 /* Partitioned DSS                                                     */
 /* ------------------------------------------------------------------ */
 
-/* The three passes of repro.seam.parallel.PartitionedDSS.apply over
+/* The three passes of repro.seam.parallel.PartitionedDSS.apply_stage over
  * its rank-segmented slot buffer (one slot per (rank, global point)
  * pair a rank's elements touch).  The constant layout arrives as an
  * 8-slot plan built once per operator:
@@ -1094,14 +1152,36 @@ int64_t dss_apply(
  * bincount has it.  The library is compiled with -ffp-contract=off, so
  * no multiply-add is fused.
  */
-int64_t pdss_gather(const int64_t *plan, const double *field, double *partial)
+static inline void pdss_gather_loop(
+    const int64_t *plan, int64_t stage, double dt,
+    const double *q, const double *qk, const double *r, double *partial)
 {
-    const int64_t n = plan[0], nslots = plan[1];
+    const int64_t n = plan[0];
     const int64_t *slot_of = (const int64_t *)plan[2];
     const double *local_mass = (const double *)plan[3];
-    for (int64_t s = 0; s < nslots; s++) partial[s] = 0.0;
     for (int64_t i = 0; i < n; i++)
-        partial[slot_of[i]] += local_mass[i] * field[i];
+        partial[slot_of[i]] +=
+            local_mass[i] * rk3_combine(stage, dt, q[i], qk[i], r[i]);
+}
+
+/* Gathers stage `stage` of (q, qk, r) (see rk3_combine; stage 0 is q
+ * itself), so no stage field is stored: each element-local point adds
+ * local_mass * its stage value into its slot, in the same order as a
+ * gather of the stored stage field.  qk and r must hold n values even
+ * where the stage ignores them.  Returns 0, or RK3_BAD_STAGE. */
+int64_t pdss_gather(
+    const int64_t *plan, int64_t stage, double dt,
+    const double *q, const double *qk, const double *r, double *partial)
+{
+    const int64_t nslots = plan[1];
+    if (stage < 0 || stage > 3) return RK3_BAD_STAGE;
+    for (int64_t s = 0; s < nslots; s++) partial[s] = 0.0;
+    switch (stage) {
+    case 0: pdss_gather_loop(plan, 0, dt, q, qk, r, partial); break;
+    case 1: pdss_gather_loop(plan, 1, dt, q, qk, r, partial); break;
+    case 2: pdss_gather_loop(plan, 2, dt, q, qk, r, partial); break;
+    default: pdss_gather_loop(plan, 3, dt, q, qk, r, partial); break;
+    }
     return 0;
 }
 
@@ -1119,13 +1199,21 @@ int64_t pdss_exchange(const int64_t *plan, const double *partial, double *total)
 }
 
 /* Divides total by the mass in place, then copies each slot's average
- * to every element-local point of the slot. */
+ * to every element-local point of the slot.  The division takes two
+ * slots a step, which -O2 turns into one packed division: the same
+ * correctly rounded quotients at twice the throughput. */
 int64_t pdss_scatter(const int64_t *plan, double *total, double *out)
 {
     const int64_t n = plan[0], nslots = plan[1];
     const int64_t *slot_of = (const int64_t *)plan[2];
     const double *mass = (const double *)plan[7];
-    for (int64_t s = 0; s < nslots; s++) total[s] = total[s] / mass[s];
+    int64_t s = 0;
+    for (; s + 2 <= nslots; s += 2) {
+        double a = total[s] / mass[s], b = total[s + 1] / mass[s + 1];
+        total[s] = a;
+        total[s + 1] = b;
+    }
+    for (; s < nslots; s++) total[s] = total[s] / mass[s];
     for (int64_t i = 0; i < n; i++) out[i] = total[slot_of[i]];
     return 0;
 }

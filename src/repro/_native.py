@@ -13,8 +13,10 @@ coarsening rounds, the split and their random streams itself; and
 the METIS drivers' other random streams
 (``rng_seed``, ``rng_permutations``, ``rng_integers``: NumPy's
 ``default_rng`` restated, see :mod:`repro.metis.rng`) — plus the SEAM
-DSS projection, the gather, halo exchange and scatter passes of the
-partitioned DSS, SFC keying and the JSON text of int64 arrays
+core's SSP-RK3 stage combination (``rk3_stage``), its DSS projection
+(``dss_apply``) and the gather (which forms the stage itself), halo
+exchange and scatter passes of the partitioned DSS (``pdss_gather``,
+``pdss_exchange``, ``pdss_scatter``), SFC keying and the JSON text of int64 arrays
 (``json_int_array``, for the server's response bodies; see that file
 for the bit-identity contract) and its inverse (``json_int_arrays``,
 for request bodies), and Table-2 metrics (``part_metrics``).  This
@@ -151,9 +153,12 @@ SIGNATURES: dict[str, list] = {
         _VP,  # field
         _VP, _VP,  # num scratch, out
     ],
+    # n, stage, dt, q, qk, r, out: one SSP-RK3 stage combination.
+    "rk3_stage": [_I64, _I64, ctypes.c_double, _VP, _VP, _VP, _VP],
     # The partitioned DSS passes share one 8-slot int64 plan (see
-    # _kernels.c); each takes the plan, one input and one output.
-    "pdss_gather": [_VP, _VP, _VP],  # plan, field, partials (out)
+    # _kernels.c); the gather takes (stage, dt, q, qk, r), the stage of
+    # rk3_stage it sums, the others one input and one output.
+    "pdss_gather": [_VP, _I64, ctypes.c_double, _VP, _VP, _VP, _VP],
     "pdss_exchange": [_VP, _VP, _VP],  # plan, partials, totals (out)
     "pdss_scatter": [_VP, _VP, _VP],  # plan, totals (inout), out
     "sfc_keys": [
@@ -307,6 +312,7 @@ _ERRORS = {
     -6: (ValueError, "vertex weights too large for exact split targets"),
     -7: (ValueError, "CSR offsets must ascend within the edge arrays; "
          "ids must be in range"),
+    -8: (ValueError, "an SSP-RK3 stage must be 0, 1, 2 or 3"),
 }
 
 
@@ -322,7 +328,8 @@ def check(rc: int) -> int:
             ``-5``, a bisection's weight target not strictly between 0
             and its graph's weight; ``-6``, vertex weights so large
             that a split target's float is inexact; ``-7``, a CSR offset,
-            neighbour id or part id out of range in ``part_metrics``.
+            neighbour id or part id out of range in ``part_metrics``;
+            ``-8``, an RK3 stage outside 0..3.
     """
     if rc < 0:
         exc, message = _ERRORS[rc]

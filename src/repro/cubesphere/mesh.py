@@ -22,7 +22,7 @@ import numpy as np
 
 from ..memo import StageCache
 from .projection import element_center_local, local_to_sphere, sphere_to_lonlat
-from .topology import NUM_FACES, corner_nodes_scaled, neighbor_table
+from .topology import NUM_FACES, neighbor_table
 
 __all__ = ["CubedSphereMesh", "cubed_sphere_mesh"]
 
@@ -136,47 +136,6 @@ class CubedSphereMesh:
             cos_lat.setflags(write=False)
             self._center_lat_trig = (sin_lat, cos_lat)
         return self._center_lat_trig
-
-    def element_areas(self) -> np.ndarray:
-        """Spherical area (steradians) of each element.
-
-        Computed as the solid angle of the spherical quadrilateral
-        spanned by the projected corner nodes, via the Van
-        Oosterom-Strackee triangle formula on the two triangles of the
-        quad.  Sums to ``4 * pi`` over the mesh (tested).
-        """
-        ne = self.ne
-        nodes = np.stack([corner_nodes_scaled(f, ne) for f in range(NUM_FACES)])
-        scaled = nodes.astype(np.float64) / ne
-        if self.projection == "equiangular":
-            # Node coordinates are linear on the cube; re-warp the two
-            # in-face components so areas match the equiangular grid.
-            # The face-normal component has |c| == 1; warp the others.
-            warped = np.tan(scaled * (np.pi / 4.0))
-            on_axis = np.abs(np.abs(scaled) - 1.0) < 1e-12
-            scaled = np.where(on_axis, scaled, warped)
-        xyz = scaled / np.linalg.norm(scaled, axis=-1, keepdims=True)
-        # Corners CCW in the face frame, (i,j),(i+1,j),(i+1,j+1),(i,j+1),
-        # of elements in gid order (face, iy, ix).
-        ix = np.arange(ne)[None, :]
-        quads = np.stack(
-            [xyz[:, ix + di, ix.T + dj] for di, dj in ((0, 0), (1, 0), (1, 1), (0, 1))],
-            axis=3,
-        ).reshape(self.nelem, 4, 3)
-
-        def tri_solid_angle(a, b, c):
-            num = np.einsum("ij,ij->i", a, np.cross(b, c))
-            d = (
-                1.0
-                + np.einsum("ij,ij->i", a, b)
-                + np.einsum("ij,ij->i", b, c)
-                + np.einsum("ij,ij->i", a, c)
-            )
-            return 2.0 * np.arctan2(np.abs(num), d)
-
-        t1 = tri_solid_angle(quads[:, 0], quads[:, 1], quads[:, 2])
-        t2 = tri_solid_angle(quads[:, 0], quads[:, 2], quads[:, 3])
-        return t1 + t2
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

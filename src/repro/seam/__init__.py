@@ -20,6 +20,7 @@ from .dss import (
     build_halo_schedule,
     build_point_map,
     clear_dss_memo,
+    rk3_stage,
     shared_dss_operator,
 )
 from .element import (
@@ -63,6 +64,7 @@ __all__ = [
     "error_norms",
     "gll_basis",
     "legendre_and_derivative",
+    "rk3_stage",
     "rotate_about_axis",
     "shared_dss_operator",
     "solid_body_wind",

@@ -35,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .._native import LIB
+from .._native import LIB, check
 from ..cubesphere.topology import lattice_ids
 from ..memo import StageCache
 from ..partition.base import Partition
@@ -50,7 +50,46 @@ __all__ = [
     "clear_dss_memo",
     "HaloLayout",
     "build_halo_schedule",
+    "rk3_stage",
 ]
+
+
+def rk3_stage(stage: int, dt: float, q, qk, r, out: np.ndarray) -> np.ndarray:
+    """Write stage ``stage`` of an SSP-RK3 step into ``out`` and return it.
+
+    Stage 0 is ``q``, 1 ``q + dt*r``, 2 ``0.75*q + 0.25*(qk + dt*r)`` and
+    3 ``q/3 + 2/3*(qk + dt*r)``, rounded as those NumPy expressions
+    (``repro._kernels.c::rk3_combine``).  ``out`` may alias ``qk`` or
+    ``r``.
+
+    Raises:
+        ValueError: ``stage`` is not 0, 1, 2 or 3, or the arrays are not
+            C-contiguous float64 of one size with ``out`` writable.
+    """
+    if not out.flags.writeable or any(
+        a.dtype != np.float64 or not a.flags.c_contiguous or a.size != out.size
+        for a in (q, qk, r, out)
+    ):
+        raise ValueError("rk3_stage needs C-contiguous float64 arrays of one size")
+    addrs = (a.ctypes.data for a in (q, qk, r, out))
+    check(LIB.rk3_stage(out.size, stage, dt, *addrs))
+    return out
+
+
+def float64_fields(shape: tuple[int, ...], *fields: np.ndarray) -> list[np.ndarray]:
+    """``fields`` as C-contiguous float64 arrays, each of ``shape``.
+
+    Raises:
+        ValueError: A field is not of ``shape``.
+        TypeError: A field's dtype does not cast safely to float64
+            (complex values are never truncated).
+    """
+    for f in fields:
+        if f.shape != shape:
+            raise ValueError(f"field shape {f.shape} is not {shape}")
+        if not np.can_cast(f.dtype, np.float64):
+            raise TypeError(f"field dtype {f.dtype} does not cast to float64")
+    return [np.ascontiguousarray(f, dtype=np.float64) for f in fields]
 
 
 @dataclass(frozen=True)
@@ -154,9 +193,6 @@ class DSSOperator:
             bpt, counts = np.unique(ids[self._bidx], return_counts=True)
             self._nb = int(self._bidx.shape[0])
             self._nbpoints = int(bpt.shape[0])
-            self._bids = np.ascontiguousarray(
-                np.repeat(np.arange(self._nbpoints), counts)
-            )
             seg = np.zeros(self._nbpoints + 1, dtype=np.int64)
             np.cumsum(counts, out=seg[1:])
             self._seg = seg
@@ -228,8 +264,7 @@ class DSSOperator:
             Array of ``field``'s shape, continuous across elements
             (``out`` if given, else newly allocated).
         """
-        if not np.can_cast(field.dtype, np.float64):
-            raise TypeError(f"field dtype {field.dtype} does not cast to float64")
+        (flat,) = float64_fields(field.shape, field)
         entry = self._shapes.get(field.shape)
         if entry is None:
             entry = self._prepare_shape(field.shape)
@@ -239,15 +274,31 @@ class DSSOperator:
         elif (
             out.shape != field.shape
             or out.dtype != np.float64
-            or not out.flags.c_contiguous
+            or not (out.flags.c_contiguous and out.flags.writeable)
         ):
             raise ValueError(
-                f"out must be C-contiguous float64 of shape {field.shape}, "
-                f"got {out.dtype} {out.shape}"
+                f"out must be writable C-contiguous float64 of shape "
+                f"{field.shape}, got {out.dtype} {out.shape}"
             )
-        flat = np.ascontiguousarray(field, dtype=np.float64)
         LIB.dss_apply(self._plan_a, ncomp, self._addr(flat), num_a, self._addr(out))
         return out
+
+    def apply_stage(
+        self, stage: int, dt: float, q: np.ndarray, qk: np.ndarray, r: np.ndarray
+    ) -> np.ndarray:
+        """Project stage ``stage`` of an SSP-RK3 step (see :func:`rk3_stage`).
+
+        The stage is formed into a new array, which is then projected
+        in place.
+
+        Raises:
+            ValueError: ``stage`` is not 0..3, or ``qk`` or ``r`` is not
+                of ``q``'s shape, or ``q`` is not a field of the grid.
+            TypeError: A dtype does not cast safely to float64.
+        """
+        q, qk, r = float64_fields(q.shape, q, qk, r)
+        out = rk3_stage(stage, dt, q, qk, r, np.empty(q.shape))
+        return self.apply(out, out=out)
 
     def is_continuous(self, field: np.ndarray, atol: float = 1e-12) -> bool:
         """Whether all copies of every shared point agree within ``atol``."""
@@ -318,8 +369,7 @@ class HaloLayout:
         rank = key - point * nranks
         starts = np.flatnonzero(np.r_[True, point[1:] != point[:-1]])
         counts = np.diff(np.r_[starts, len(point)])
-        keep = np.repeat(counts > 1, counts)
-        self._pair_point, self._pair_rank = point[keep], rank[keep]
+        pair_rank = rank[np.repeat(counts > 1, counts)]
         counts = counts[counts > 1]
         starts = np.cumsum(counts) - counts
         # Pair each position of a point's run with every position of the
@@ -334,7 +384,7 @@ class HaloLayout:
         self._near, self._far = near[off], far[off]
         # Outbox: ``near`` sends to ``far``.  A stable sort by rank pair
         # keeps each pair's points ascending.
-        near_rank, far_rank = self._pair_rank[self._near], self._pair_rank[self._far]
+        near_rank, far_rank = pair_rank[self._near], pair_rank[self._far]
         pair = near_rank * np.int64(nranks) + far_rank
         self._outbox = np.argsort(pair, kind="stable")
         pair = pair[self._outbox]
@@ -364,14 +414,15 @@ class HaloLayout:
         slot_of[by_key] = np.cumsum(new) - 1
         slot_keys = ordered[new]
         rank = slot_keys // npoints
-        pair_slot = np.searchsorted(
-            slot_keys, self._pair_rank * npoints + self._pair_point
-        )
+        point = slot_keys - rank * npoints
+        # The slots of points on two or more ranks, reordered by (point,
+        # rank), are the layout's pairs.
+        pair_slot = np.flatnonzero(np.bincount(point)[point] > 1)
+        pair_slot = pair_slot[np.argsort(point[pair_slot], kind="stable")]
         near, far = pair_slot[self._near], pair_slot[self._far]
         # Read the other way round, the messages give every slot its
         # incoming partials in ascending source rank: the inbox.
         offsets = np.searchsorted(rank, np.arange(self.nranks + 1))
-        point = slot_keys - rank * npoints
         outbox = near[self._outbox], far[self._outbox]
         return rank, point, offsets, slot_of, near, far, *outbox
 
@@ -385,9 +436,11 @@ def build_halo_schedule(
     processor must receive the partial sums of every *other* owning
     processor.  The returned schedule counts, for each ordered pair
     ``(src, dst)``, how many point values ``src`` sends to ``dst`` per
-    DSS application — the exact communication the performance model
-    charges for: the (src, dst) run lengths of the :class:`HaloLayout`
-    outbox that :class:`repro.seam.PartitionedDSS` sends.
+    DSS application: the (src, dst) run lengths of the
+    :class:`HaloLayout` outbox that :class:`repro.seam.PartitionedDSS`
+    sends.  The machine simulator does not price this schedule; it
+    prices the element-graph pairs of
+    :func:`repro.partition.metrics.communication_pattern`.
 
     Returns:
         Dict ``(src, dst) -> number of point values``, in ascending

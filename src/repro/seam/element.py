@@ -68,21 +68,6 @@ class ElementGeometry:
     jac: np.ndarray
     ginv: np.ndarray
 
-    def contravariant_wind(self, u_cart: np.ndarray) -> np.ndarray:
-        """Contravariant components of a Cartesian tangent wind field.
-
-        Args:
-            u_cart: ``(np, np, 3)`` tangent vectors at the GLL points.
-
-        Returns:
-            ``(np, np, 2)`` contravariant components ``(u^1, u^2)`` in
-            reference coordinates.
-        """
-        cov1 = np.einsum("ijk,ijk->ij", u_cart, self.basis_a)
-        cov2 = np.einsum("ijk,ijk->ij", u_cart, self.basis_b)
-        cov = np.stack([cov1, cov2], axis=-1)
-        return np.einsum("ijab,ijb->ija", self.ginv, cov)
-
 
 class GridGeometry:
     """Geometry of every element of a cubed-sphere SE grid.

@@ -20,7 +20,9 @@ by (src rank, dst rank, point).  A DSS is
 then three whole-buffer passes (gather, exchange, scatter) with no loop
 over ranks or rank pairs, each a compiled kernel
 (``repro._kernels.c::pdss_gather``, ``pdss_exchange``,
-``pdss_scatter``).  Each pass adds in the order a rank-by-rank
+``pdss_scatter``); the gather also forms the RK3 stage being projected
+(:meth:`PartitionedDSS.apply_stage`), so a transport stage stores no
+stage field.  Each pass adds in the order a rank-by-rank
 execution would (each rank sums its elements in ascending order; a
 shared point takes its own partial, then its co-owners' in ascending
 source rank), so the result is bit-identical to it; the rank-by-rank
@@ -33,10 +35,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .._native import LIB
+from .._native import LIB, check
 from ..partition.base import Partition
 from ..telemetry import inc, span
-from .dss import HaloLayout, PointMap, checked_point_map
+from .dss import HaloLayout, PointMap, checked_point_map, float64_fields
 from .element import GridGeometry
 from .transport import TransportSolver
 
@@ -81,13 +83,15 @@ class PartitionedDSS:
     entry carries the partial of a source slot into a destination slot
     (all from the partition's :class:`repro.seam.dss.HaloLayout`).
 
-    :meth:`apply` is three passes, each in a fixed order that matches a
-    rank-by-rank execution bit for bit.  Each is a C kernel sharing one
-    int64 plan of the constant layout:
+    :meth:`apply_stage` (and :meth:`apply`, its stage 0) is three
+    passes, each in a fixed order that matches a rank-by-rank execution
+    bit for bit.  Each is a C kernel sharing one int64 plan of the
+    constant layout:
 
     * gather — each slot starts at 0.0 and adds the weighted
       element-local values of its points in element order (so each
-      slot sums its rank's elements in ascending order);
+      slot sums its rank's elements in ascending order), each value
+      formed from the stage's inputs as it is read;
     * exchange — a slot starts at 0.0, adds its own partial, then the
       pre-exchange partials of its co-owners in ascending source rank
       (BSP semantics: all sends read the pre-exchange state);
@@ -146,18 +150,11 @@ class PartitionedDSS:
         self._sent = np.bincount(layout.src_rank, minlength=self.nranks)
         #: ``(nslots,)`` assembled mass of every slot (equal on every
         #: co-owning rank after the exchange): the gather of a field of
-        #: ones weighs each point by its mass alone.
+        #: ones, each slot's local masses summed in element order.
         self.mass = self._exchange_into(
-            self._gather(np.ones(self.local_mass.shape)), count=False
+            np.bincount(self._slot_of, self._local_flat, self.nslots), count=False
         )
         self._plan[7] = self.mass.ctypes.data
-
-    def _gather(self, field_: np.ndarray) -> np.ndarray:
-        """Rank-local partial sums of the mass-weighted point field."""
-        flat = np.ascontiguousarray(field_, dtype=np.float64)
-        partials = np.empty(self.nslots)
-        LIB.pdss_gather(self._plan_a, flat.ctypes.data, partials.ctypes.data)
-        return partials
 
     def _exchange_into(self, partials: np.ndarray, count: bool = True) -> np.ndarray:
         """Return ``partials`` with every message added into its target.
@@ -176,32 +173,44 @@ class PartitionedDSS:
         return totals
 
     def apply(self, field_: np.ndarray) -> np.ndarray:
-        """Partitioned DSS projection of an element-wise field.
+        """Partitioned DSS projection of an element-wise field
+        (:meth:`apply_stage` 0)."""
+        return self.apply_stage(0, 0.0, field_, field_, field_)
 
-        Numerically equal to :meth:`repro.seam.dss.DSSOperator.apply`
-        up to floating-point summation order (tested to 1e-12).
+    def apply_stage(
+        self, stage: int, dt: float, q: np.ndarray, qk: np.ndarray, r: np.ndarray
+    ) -> np.ndarray:
+        """Partitioned DSS projection of stage ``stage`` of an SSP-RK3 step.
+
+        Numerically equal to :meth:`repro.seam.dss.DSSOperator.apply_stage`
+        up to floating-point summation order (tested to 1e-12).  The
+        gather forms the stage from ``(q, qk, r)`` point by point
+        (:func:`repro.seam.dss.rk3_stage` has the formulas; stage 0 is
+        ``q``), so the stage field is never stored.
 
         Args:
-            field_: ``(nelem, np, np)`` point values of any dtype that
-                casts safely to float64.
+            stage: 0..3.
+            dt: The step's time step.
+            q, qk, r: ``(nelem, np, np)`` fields of any dtype that casts
+                safely to float64: the step's start, the previous stage
+                and the tendency at it.
 
         Returns:
-            A new float64 array of ``field_``'s shape.
+            A new float64 array of ``q``'s shape.
 
         Raises:
-            ValueError: ``field_`` is not of shape ``(nelem, np, np)``.
-            TypeError: ``field_``'s dtype does not cast safely to
-                float64 (complex values are never truncated).
+            ValueError: ``stage`` is not 0..3, or a field is not of
+                shape ``(nelem, np, np)``.
+            TypeError: A dtype does not cast safely to float64 (complex
+                values are never truncated).
         """
-        if field_.shape != self.local_mass.shape:
-            raise ValueError(
-                f"field shape {field_.shape} is not {self.local_mass.shape}"
-            )
-        if not np.can_cast(field_.dtype, np.float64):
-            raise TypeError(f"field dtype {field_.dtype} does not cast to float64")
+        q, qk, r = float64_fields(self.local_mass.shape, q, qk, r)
         with span("pdss_apply", "seam"):
-            totals = self._exchange_into(self._gather(field_))
-            out = np.empty(field_.shape)
+            partials = np.empty(self.nslots)
+            addrs = (a.ctypes.data for a in (q, qk, r, partials))
+            check(LIB.pdss_gather(self._plan_a, stage, dt, *addrs))
+            totals = self._exchange_into(partials)
+            out = np.empty(q.shape)
             LIB.pdss_scatter(self._plan_a, totals.ctypes.data, out.ctypes.data)
         inc("pdss_applies")
         return out

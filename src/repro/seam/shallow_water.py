@@ -34,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dss import DSSOperator, shared_dss_operator
+from .dss import DSSOperator, rk3_stage, shared_dss_operator
 from .element import GridGeometry
 
 __all__ = ["SWState", "ShallowWaterSolver", "williamson_tc2"]
@@ -364,46 +364,24 @@ class ShallowWaterSolver:
     def step(self, state: SWState, dt: float) -> SWState:
         """One SSP RK3 step with per-stage projection.
 
-        Stage tendencies and intermediate states live in preallocated
-        buffers; only the returned state is freshly allocated.
+        Each stage is one :func:`repro.seam.dss.rk3_stage` per field into
+        a preallocated stage buffer; only the returned state is freshly
+        allocated.
         """
-        kv, kh, sv, sh = self._kv, self._kh, self._sv, self._sh
-        # Stage 1: s = P(state + dt k1).
-        self._rhs_into(state.v, state.h, kv, kh)
-        np.multiply(kv, dt, out=kv)
-        np.add(state.v, kv, out=sv)
-        np.multiply(kh, dt, out=kh)
-        np.add(state.h, kh, out=sh)
-        self._project_state_inplace(sv, sh)
-        # Stage 2: s = P(3/4 state + 1/4 (s + dt k2)).
-        self._rhs_into(sv, sh, kv, kh)
-        np.multiply(kv, dt, out=kv)
-        np.add(sv, kv, out=kv)
-        np.multiply(kv, 0.25, out=kv)
-        np.multiply(state.v, 0.75, out=sv)
-        np.add(sv, kv, out=sv)
-        np.multiply(kh, dt, out=kh)
-        np.add(sh, kh, out=kh)
-        np.multiply(kh, 0.25, out=kh)
-        np.multiply(state.h, 0.75, out=sh)
-        np.add(sh, kh, out=sh)
-        self._project_state_inplace(sv, sh)
-        # Stage 3: P(1/3 state + 2/3 (s + dt k3)), freshly allocated.
-        out_v = np.empty(state.v.shape)
-        out_h = np.empty(state.h.shape)
-        self._rhs_into(sv, sh, kv, kh)
-        np.multiply(kv, dt, out=kv)
-        np.add(sv, kv, out=kv)
-        np.multiply(kv, 2.0 / 3.0, out=kv)
-        np.divide(state.v, 3.0, out=out_v)
-        np.add(out_v, kv, out=out_v)
-        np.multiply(kh, dt, out=kh)
-        np.add(sh, kh, out=kh)
-        np.multiply(kh, 2.0 / 3.0, out=kh)
-        np.divide(state.h, 3.0, out=out_h)
-        np.add(out_h, kh, out=out_h)
-        self._project_state_inplace(out_v, out_h)
-        return SWState(v=out_v, h=out_h)
+        kv, kh = self._kv, self._kh
+        v0 = np.ascontiguousarray(state.v, dtype=np.float64)
+        h0 = np.ascontiguousarray(state.h, dtype=np.float64)
+        sv, sh = v0, h0
+        for stage in (1, 2, 3):
+            self._rhs_into(sv, sh, kv, kh)
+            if stage == 3:
+                out_v, out_h = np.empty(v0.shape), np.empty(h0.shape)
+            else:
+                out_v, out_h = self._sv, self._sh
+            sv = rk3_stage(stage, dt, v0, sv, kv, out_v)
+            sh = rk3_stage(stage, dt, h0, sh, kh, out_h)
+            self._project_state_inplace(sv, sh)
+        return SWState(v=sv, h=sh)
 
     def run(self, state: SWState, t_end: float, cfl: float = 0.4) -> SWState:
         """Integrate to ``t_end``."""

@@ -9,7 +9,10 @@ communication).  The equation solved is
     d(q)/dt + (1/J) [ d(J u^1 q)/dxi_1 + d(J u^2 q)/dxi_2 ] = 0
 
 with ``u^i`` the contravariant wind components, integrated with SSP
-RK3 and a DSS projection after every stage.  Solid-body rotation of a
+RK3 and a DSS projection after every stage; the DSS forms each stage's
+combination itself (``apply_stage``, the ``rk3_stage`` kernel), so a
+stage is one right-hand side and one projection, serial or
+partitioned.  Solid-body rotation of a
 cosine bell — the standard Williamson test case 1 — gives an analytic
 solution to validate against (tests assert the error is small and
 decreases with ``np``).
@@ -166,12 +169,15 @@ class TransportSolver:
         return cfl * self._min_dxi / self._max_speed
 
     def step(self, q: np.ndarray, dt: float) -> np.ndarray:
-        """One SSP RK3 step with DSS projection after every stage."""
-        dss = self.dss
-        assert dss is not None
-        q1 = dss.apply(q + dt * self.rhs(q))
-        q2 = dss.apply(0.75 * q + 0.25 * (q1 + dt * self.rhs(q1)))
-        return dss.apply(q / 3.0 + 2.0 / 3.0 * (q2 + dt * self.rhs(q2)))
+        """One SSP RK3 step with DSS projection after every stage.
+
+        Each stage combination is formed inside its projection
+        (``apply_stage``), for the serial and the partitioned DSS alike.
+        """
+        qk = q
+        for stage in (1, 2, 3):
+            qk = self.dss.apply_stage(stage, dt, q, qk, self.rhs(qk))
+        return qk
 
     def run(self, q0: np.ndarray, t_end: float, cfl: float = 0.5) -> np.ndarray:
         """Integrate from ``q0`` to ``t_end``; returns the final field."""

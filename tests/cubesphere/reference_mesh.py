@@ -8,6 +8,10 @@ neighbors are found by counting, in a Python dict, the nodes each pair
 of elements shares.  The lattice ids, the table's rows and
 ``mesh_graph``'s CSR must reproduce its arrays bit for bit
 (``tests/cubesphere/test_mesh.py::TestLatticeOracle``).
+
+:func:`exact_element_areas` is the exact spherical area of every
+element, the oracle of the SE grid's quadrature areas
+(``tests/seam/test_element.py``).
 """
 
 from __future__ import annotations
@@ -90,3 +94,45 @@ def lattice_coords(keys: np.ndarray, n: int) -> np.ndarray:
     xy, z = np.divmod(keys, base)
     x, y = np.divmod(xy, base)
     return np.stack([x, y, z], axis=1) - n
+
+
+def exact_element_areas(mesh) -> np.ndarray:
+    """Spherical area (steradians) of each element of ``mesh``.
+
+    Computed as the solid angle of the spherical quadrilateral spanned
+    by the projected corner nodes, via the Van Oosterom-Strackee
+    triangle formula on the two triangles of the quad.  Sums to
+    ``4 * pi`` over the mesh (tested).
+    """
+    ne = mesh.ne
+    nodes = np.stack([corner_nodes_scaled(f, ne) for f in range(NUM_FACES)])
+    scaled = nodes.astype(np.float64) / ne
+    if mesh.projection == "equiangular":
+        # Node coordinates are linear on the cube; re-warp the two
+        # in-face components so areas match the equiangular grid.
+        # The face-normal component has |c| == 1; warp the others.
+        warped = np.tan(scaled * (np.pi / 4.0))
+        on_axis = np.abs(np.abs(scaled) - 1.0) < 1e-12
+        scaled = np.where(on_axis, scaled, warped)
+    xyz = scaled / np.linalg.norm(scaled, axis=-1, keepdims=True)
+    # Corners CCW in the face frame, (i,j),(i+1,j),(i+1,j+1),(i,j+1),
+    # of elements in gid order (face, iy, ix).
+    ix = np.arange(ne)[None, :]
+    quads = np.stack(
+        [xyz[:, ix + di, ix.T + dj] for di, dj in ((0, 0), (1, 0), (1, 1), (0, 1))],
+        axis=3,
+    ).reshape(mesh.nelem, 4, 3)
+
+    def tri_solid_angle(a, b, c):
+        num = np.einsum("ij,ij->i", a, np.cross(b, c))
+        d = (
+            1.0
+            + np.einsum("ij,ij->i", a, b)
+            + np.einsum("ij,ij->i", b, c)
+            + np.einsum("ij,ij->i", a, c)
+        )
+        return 2.0 * np.arctan2(np.abs(num), d)
+
+    t1 = tri_solid_angle(quads[:, 0], quads[:, 1], quads[:, 2])
+    t2 = tri_solid_angle(quads[:, 0], quads[:, 2], quads[:, 3])
+    return t1 + t2

@@ -21,11 +21,13 @@ def apply_numpy(op: DSSOperator, field: np.ndarray) -> np.ndarray:
     ncomp = int(np.prod(field.shape[3:], dtype=np.int64))
     flat = field.reshape(op._n_local, ncomp)
     weighted = op._bmass[:, None] * flat[op._bidx]
+    # The boundary point of every boundary copy, from the segments.
+    bids = np.repeat(np.arange(op._nbpoints), np.diff(op._seg))
     num = np.empty((op._nbpoints, ncomp))
     for c in range(ncomp):
         num[:, c] = np.bincount(
-            op._bids, weights=weighted[:, c], minlength=op._nbpoints
+            bids, weights=weighted[:, c], minlength=op._nbpoints
         )
     np.multiply(num, op._inv_bgmass[:, None], out=num)
-    out.reshape(op._n_local, ncomp)[op._bidx] = num[op._bids]
+    out.reshape(op._n_local, ncomp)[op._bidx] = num[bids]
     return out

@@ -10,6 +10,11 @@ landed.  They are deliberately slow and kept only as golden oracles:
   <= 1e-12, and
 * ``benchmarks/bench_shallow_water.py`` times them for the honest
   "before" column of the speedup table.
+
+:func:`reference_transport_step` and :func:`reference_sw_step` are the
+NumPy SSP-RK3 steps of the batched solvers from before each stage was
+formed by the ``rk3_stage`` kernel; ``tests/seam/test_rk3_stage.py``
+asserts the solvers' steps are bit-identical to them.
 """
 
 from __future__ import annotations
@@ -21,13 +26,77 @@ from repro.cubesphere.topology import FACES
 from repro.seam.dss import PointMap, build_point_map
 from repro.seam.element import ElementGeometry, GridGeometry
 from repro.seam.gll import GLLBasis
-from repro.seam.shallow_water import SWState
+from repro.seam.shallow_water import ShallowWaterSolver, SWState
+from repro.seam.transport import TransportSolver
 
 __all__ = [
     "ReferenceDSS",
     "ReferenceShallowWaterSolver",
+    "reference_contravariant_wind",
     "reference_element_geometry",
+    "reference_sw_step",
+    "reference_transport_step",
 ]
+
+
+def reference_contravariant_wind(e: ElementGeometry, u_cart: np.ndarray) -> np.ndarray:
+    """``(np, np, 2)`` contravariant components ``(u^1, u^2)`` of a
+    ``(np, np, 3)`` Cartesian tangent wind on one element."""
+    cov1 = np.einsum("ijk,ijk->ij", u_cart, e.basis_a)
+    cov2 = np.einsum("ijk,ijk->ij", u_cart, e.basis_b)
+    cov = np.stack([cov1, cov2], axis=-1)
+    return np.einsum("ijab,ijb->ija", e.ginv, cov)
+
+
+def reference_transport_step(
+    solver: TransportSolver, q: np.ndarray, dt: float
+) -> np.ndarray:
+    """``TransportSolver.step`` with its stages as NumPy temporaries."""
+    dss = solver.dss
+    q1 = dss.apply(q + dt * solver.rhs(q))
+    q2 = dss.apply(0.75 * q + 0.25 * (q1 + dt * solver.rhs(q1)))
+    return dss.apply(q / 3.0 + 2.0 / 3.0 * (q2 + dt * solver.rhs(q2)))
+
+
+def reference_sw_step(solver: ShallowWaterSolver, state: SWState, dt: float) -> SWState:
+    """``ShallowWaterSolver.step`` as 24 in-place NumPy operations."""
+    kv, kh, sv, sh = solver._kv, solver._kh, solver._sv, solver._sh
+    # Stage 1: s = P(state + dt k1).
+    solver._rhs_into(state.v, state.h, kv, kh)
+    np.multiply(kv, dt, out=kv)
+    np.add(state.v, kv, out=sv)
+    np.multiply(kh, dt, out=kh)
+    np.add(state.h, kh, out=sh)
+    solver._project_state_inplace(sv, sh)
+    # Stage 2: s = P(3/4 state + 1/4 (s + dt k2)).
+    solver._rhs_into(sv, sh, kv, kh)
+    np.multiply(kv, dt, out=kv)
+    np.add(sv, kv, out=kv)
+    np.multiply(kv, 0.25, out=kv)
+    np.multiply(state.v, 0.75, out=sv)
+    np.add(sv, kv, out=sv)
+    np.multiply(kh, dt, out=kh)
+    np.add(sh, kh, out=kh)
+    np.multiply(kh, 0.25, out=kh)
+    np.multiply(state.h, 0.75, out=sh)
+    np.add(sh, kh, out=sh)
+    solver._project_state_inplace(sv, sh)
+    # Stage 3: P(1/3 state + 2/3 (s + dt k3)), freshly allocated.
+    out_v = np.empty(state.v.shape)
+    out_h = np.empty(state.h.shape)
+    solver._rhs_into(sv, sh, kv, kh)
+    np.multiply(kv, dt, out=kv)
+    np.add(sv, kv, out=kv)
+    np.multiply(kv, 2.0 / 3.0, out=kv)
+    np.divide(state.v, 3.0, out=out_v)
+    np.add(out_v, kv, out=out_v)
+    np.multiply(kh, dt, out=kh)
+    np.add(sh, kh, out=kh)
+    np.multiply(kh, 2.0 / 3.0, out=kh)
+    np.divide(state.h, 3.0, out=out_h)
+    np.add(out_h, kh, out=out_h)
+    solver._project_state_inplace(out_v, out_h)
+    return SWState(v=out_v, h=out_h)
 
 Z_AXIS = np.array([0.0, 0.0, 1.0])
 

@@ -99,6 +99,11 @@ class TestDSSGolden:
             dss.apply(v, out=np.empty(v.shape, dtype=np.float32))
         with pytest.raises(ValueError, match="C-contiguous float64"):
             dss.apply(v, out=np.empty((*v.shape, 2))[..., 0])
+        frozen = np.zeros(v.shape)
+        frozen.setflags(write=False)
+        with pytest.raises(ValueError, match="writable"):
+            dss.apply(v, out=frozen)
+        assert not frozen.any()
 
     def test_c_kernel_bitwise_matches_numpy_oracle(self, geom, dss):
         """The C kernel and the NumPy oracle agree to the last bit."""

@@ -91,6 +91,7 @@ def test_every_declared_kernel_is_called(monkeypatch):
     geom = build_geometry(2, 4)
     field = np.random.default_rng(0).standard_normal(geom.jac.shape)
     dss_mod.DSSOperator(geom).apply(field)
+    dss_mod.DSSOperator(geom).apply_stage(2, 0.1, field, field, field)
     parallel_mod.PartitionedDSS(geom, sfc_partition(2, 3)).apply(field)
     curve_mod.element_keys(4)
     curve_keys(np.arange(4), np.arange(4), schedule="HH")
