@@ -10,11 +10,8 @@ records the answer.
 
 from __future__ import annotations
 
-from repro.cubesphere import cubed_sphere_mesh
 from repro.experiments import format_table
-from repro.graphs import mesh_graph
 from repro.machine import (
-    P690_CLUSTER,
     PerformanceModel,
     apply_mapping,
     greedy_comm_mapping,
@@ -26,21 +23,17 @@ NE, NPROC = 8, 192
 
 
 def _run_matrix():
-    graph = mesh_graph(cubed_sphere_mesh(NE))
     model = PerformanceModel()
     out = {}
     for method in ("sfc", "rb", "kway"):
         part = partition_stage(method, NE, NPROC)
         times = {
-            "identity": model.step_timing(graph, part).step_s,
+            "identity": model.step_timing(part).step_s,
             "random": model.step_timing(
-                graph, apply_mapping(part, random_mapping(NPROC, seed=1))
+                apply_mapping(part, random_mapping(NPROC, seed=1))
             ).step_s,
             "greedy": model.step_timing(
-                graph,
-                apply_mapping(
-                    part, greedy_comm_mapping(graph, part, P690_CLUSTER)
-                ),
+                apply_mapping(part, greedy_comm_mapping(model, part))
             ).step_s,
         }
         out[method] = times

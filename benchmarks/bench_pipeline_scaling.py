@@ -16,10 +16,9 @@ its own, cold, at Ne = 16, 64, 256, 512 (K = 1,536 / 24,576 / 393,216 /
   (``table_adjacency``, built on every evaluation from the table);
 * ``evaluate_table`` — ``evaluate_partition`` on that table (these
   two are left out of ``total_s``, which sums the graph path);
-* ``point_map`` — ``build_point_map`` at np=8.  It reads only the mesh
-  and ``np`` of a geometry, so the harness passes those instead of the
-  ``(K, np, np, ...)`` geometry stacks (about 3 GB at Ne=256).  It is
-  skipped above ``POINT_MAP_MAX_NE`` (256): at Ne=512 it would need
+* ``point_map`` — ``build_point_map`` at np=8.  It takes only ``ne``
+  and ``np``, so no ``(K, np, np, ...)`` geometry stacks (about 3 GB at
+  Ne=256) are built.  It is skipped above ``POINT_MAP_MAX_NE`` (256): at Ne=512 it would need
   about 7 GB.
 
 Each stage reports the best of ``REPEAT`` (3) runs, so the
@@ -46,7 +45,6 @@ import json
 import sys
 from pathlib import Path
 from time import perf_counter
-from types import SimpleNamespace
 
 HERE = Path(__file__).resolve().parent
 sys.path.insert(0, str(HERE.parent / "src"))
@@ -127,8 +125,7 @@ def measure(ne: int) -> tuple[dict, list[str]]:
             f"> {1e3 * budget:.0f} ms"
         )
     if ne <= POINT_MAP_MAX_NE:
-        geom = SimpleNamespace(mesh=mesh, npts=NPTS)
-        pmap, times["point_map"] = _best(lambda: build_point_map(geom))
+        pmap, times["point_map"] = _best(lambda: build_point_map(ne, NPTS))
         if pmap.npoints != 6 * (ne * (NPTS - 1)) ** 2 + 2:
             failures.append(f"ne={ne}: {pmap.npoints} DSS points")
 

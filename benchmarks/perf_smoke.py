@@ -94,7 +94,7 @@ def measure() -> dict[str, float]:
 
     timings["morton_key"] = _best_of(morton_key_loop) / inner
     geom = build_geometry(NE, 4)
-    pmap = build_point_map(geom)
+    pmap = build_point_map(NE, 4)
     part = sfc_partition(NE, NPARTS)
     build_halo_schedule(pmap, part)
     timings["halo_schedule"] = _best_of(lambda: build_halo_schedule(pmap, part))

@@ -27,14 +27,12 @@ from repro import (
 from repro.cubesphere import cubed_sphere_mesh
 from repro.experiments import format_table
 from repro.machine import P690_CLUSTER
-from repro.partition import communication_pattern
 
 
-def node_locality(partition, graph) -> float:
-    """Fraction of communicated bytes that stay inside an SMP node."""
-    comm = communication_pattern(graph, partition)
+def node_locality(model, partition) -> float:
+    """Fraction of exchanged halo points that stay inside an SMP node."""
     intra = total = 0
-    for (src, dst), pts in comm.pair_points.items():
+    for (src, dst), pts in model.halo_schedule(partition).items():
         total += pts
         if P690_CLUSTER.node_of(src) == P690_CLUSTER.node_of(dst):
             intra += pts
@@ -57,14 +55,14 @@ def main() -> None:
             else part_graph(graph, nproc, method)
         )
         q = evaluate_partition(graph, part)
-        t = model.step_timing(graph, part)
+        t = model.step_timing(part)
         rows.append(
             [
                 method,
                 f"{q.lb_nelemd:.3f}",
                 f"{q.lb_spcv:.3f}",
                 q.edgecut,
-                f"{100 * node_locality(part, graph):.0f}%",
+                f"{100 * node_locality(model, part):.0f}%",
                 f"{t.step_s * 1e6:.0f}",
                 f"{t.sustained_flops / 1e9:.0f}",
             ]

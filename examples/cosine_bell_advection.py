@@ -78,7 +78,7 @@ def main() -> None:
     while geom.mesh.nelem % nproc:
         nproc -= 1
     part = sfc_partition(ne, nproc)
-    sched = build_halo_schedule(build_point_map(geom), part)
+    sched = build_halo_schedule(build_point_map(ne, npts), part)
     send = np.zeros(nproc)
     for (src, _dst), pts in sched.items():
         send[src] += pts

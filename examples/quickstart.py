@@ -38,7 +38,7 @@ def main() -> None:
         ("metis rb", part_graph(graph, nprocs, "rb")),
     ]:
         q = evaluate_partition(graph, part)
-        t = model.step_timing(graph, part)
+        t = model.step_timing(part)
         rows.append(
             [
                 name,

@@ -1129,16 +1129,13 @@ def _cmd_table2(args: argparse.Namespace) -> int:
 
 
 def _cmd_trace(args: argparse.Namespace) -> int:
-    from .cubesphere import cubed_sphere_mesh
-    from .graphs import mesh_graph
     from .machine import PerformanceModel, trace_step
     from .partition.pipeline import partition_stage
 
-    graph = mesh_graph(cubed_sphere_mesh(args.ne))
     part = partition_stage(args.method, args.ne, args.nparts)
-    trace = trace_step(PerformanceModel(), graph, part)
+    trace = trace_step(PerformanceModel(), part)
     print(
-        f"K={graph.nvertices} method={args.method} nparts={args.nparts} "
+        f"K={part.nvertices} method={args.method} nparts={args.nparts} "
         f"idle={100 * trace.idle_fraction():.0f}%"
     )
     print(trace.render(width=args.width, max_ranks=args.max_ranks))

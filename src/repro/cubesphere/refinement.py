@@ -69,19 +69,6 @@ class RefinedMesh:
     def nleaves(self) -> int:
         return int(self.leaves_per_element().sum())
 
-    def leaf_offsets_along_curve(self) -> np.ndarray:
-        """Start position of each base element's leaf block.
-
-        Returns:
-            ``(nelem + 1,)`` prefix array in *curve order*:
-            element ``curve.order[i]``'s leaves occupy expanded-curve
-            positions ``[out[i], out[i + 1])``.
-        """
-        counts = self.leaves_per_element()[self.curve.order]
-        out = np.zeros(len(counts) + 1, dtype=np.int64)
-        np.cumsum(counts, out=out[1:])
-        return out
-
     # -- refinement operations -------------------------------------------
     def refined(self, gids: np.ndarray, delta: int = 1) -> "RefinedMesh":
         """New state with ``gids`` refined (or coarsened, delta<0)."""

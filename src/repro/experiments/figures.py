@@ -84,8 +84,8 @@ def run_method(
         )
     quality = evaluate_stage(graph, partition)
     model = PerformanceModel(machine, cost)
-    timing = model.step_timing(graph, partition)
-    speedup = model.serial_step_time(graph.nvertices) / timing.step_s
+    timing = model.step_timing(partition)
+    speedup = model.serial_step_time(partition.nvertices) / timing.step_s
     return MethodResult(
         method=method, nproc=nproc, quality=quality, timing=timing, speedup=speedup
     )

@@ -10,8 +10,8 @@ explicit, swappable step so the effect can be measured:
 * :func:`identity_mapping` — ranks as numbered (MPI block placement);
 * :func:`random_mapping` — adversarial scrambling (lower bound);
 * :func:`greedy_comm_mapping` — pack heavily-communicating parts onto
-  nodes greedily from the partition's communication graph, which is
-  what a topology-aware scheduler would do for METIS partitions.
+  nodes greedily from the partition's halo exchange, which is what a
+  topology-aware scheduler would do for METIS partitions.
 
 A mapping is a permutation ``perm`` with ``perm[part] = rank``; apply
 it with :func:`apply_mapping` to get a partition whose part ids *are*
@@ -22,10 +22,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..graphs.csr import CSRGraph
 from ..partition.base import Partition
-from ..partition.metrics import communication_pattern
-from .spec import MachineSpec
+from .perf import PerformanceModel
 
 __all__ = [
     "identity_mapping",
@@ -45,31 +43,27 @@ def random_mapping(nparts: int, seed: int = 0) -> np.ndarray:
     return np.random.default_rng(seed).permutation(nparts).astype(np.int64)
 
 
-def greedy_comm_mapping(
-    graph: CSRGraph,
-    partition: Partition,
-    machine: MachineSpec,
-) -> np.ndarray:
-    """Pack communicating parts onto SMP nodes greedily.
+def greedy_comm_mapping(model: PerformanceModel, partition: Partition) -> np.ndarray:
+    """Pack communicating parts onto ``model.machine``'s SMP nodes greedily.
 
-    Builds the part-to-part communication volumes, then fills nodes one
-    at a time: seed each node with the unplaced part having the largest
-    total volume, then repeatedly add the unplaced part with the most
-    traffic to the node's current members.
+    Reads the part-to-part point counts of the halo exchange the model
+    prices (:meth:`PerformanceModel.halo_schedule`), then fills nodes
+    one at a time: seed each node with the unplaced part having the
+    largest total volume, then repeatedly add the unplaced part with the
+    most traffic to the node's current members.
 
     Returns:
         Permutation ``perm[part] = rank``.
     """
     nparts = partition.nparts
-    comm = communication_pattern(graph, partition)
     volume = np.zeros((nparts, nparts), dtype=np.int64)
-    for (a, b), pts in comm.pair_points.items():
+    for (a, b), pts in model.halo_schedule(partition).items():
         volume[a, b] = pts
     total = volume.sum(axis=1) + volume.sum(axis=0)
     unplaced = set(range(nparts))
     perm = np.empty(nparts, dtype=np.int64)
     rank = 0
-    per_node = machine.procs_per_node
+    per_node = model.machine.procs_per_node
     while unplaced:
         seed_part = max(unplaced, key=lambda p: (int(total[p]), -p))
         members = [seed_part]

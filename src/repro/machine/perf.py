@@ -7,7 +7,10 @@ rate of SEAM under different partitions.  Per timestep, each processor
    load imbalance shows up here as the *maximum* over processors;
 2. exchanges boundary-point partial sums with every neighboring
    processor, once per RK stage, over the network tier (intra- or
-   inter-node) connecting the two ranks.
+   inter-node) connecting the two ranks.  The messages are those SEAM
+   sends: :func:`repro.seam.dss.build_halo_schedule`'s (src, dst) point
+   counts of the partition's ``np``-point grid, each shared GLL point
+   sent once to each co-owning rank.
 
 The step time is the maximum over processors of compute + communication
 (bulk-synchronous, no overlap — SEAM's halo exchange was blocking in
@@ -16,14 +19,14 @@ this era), and speedup / Gflops follow from it.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from ..graphs.csr import CSRGraph
 from ..partition.base import Partition
-from ..partition.metrics import CommunicationPattern, communication_pattern
 from ..seam.cost import DEFAULT_COST_MODEL, SEAMCostModel
+from ..seam.dss import build_halo_schedule, build_point_map
 from .spec import MachineSpec, P690_CLUSTER
 
 __all__ = ["StepTiming", "PerformanceModel"]
@@ -75,26 +78,36 @@ class PerformanceModel:
         self.machine = machine
         self.cost = cost
 
-    def step_timing(
-        self,
-        graph: CSRGraph,
-        partition: Partition,
-        comm: CommunicationPattern | None = None,
-    ) -> StepTiming:
+    def halo_schedule(self, partition: Partition) -> dict[tuple[int, int], int]:
+        """SEAM's ``(src, dst) -> points`` exchange under ``partition``.
+
+        The grid is the cubed sphere of ``K = 6 ne^2`` elements
+        (``K = partition.nvertices``) with ``self.cost.npts`` GLL points
+        per element edge.
+
+        Raises:
+            ValueError: ``K`` is not ``6 ne^2`` for a whole ``ne >= 1``.
+        """
+        k = partition.nvertices
+        ne = math.isqrt(k // 6)
+        if ne < 1 or 6 * ne * ne != k:
+            raise ValueError(f"K={k} elements is not a cubed sphere's 6*ne^2")
+        return build_halo_schedule(build_point_map(ne, self.cost.npts), partition)
+
+    def step_timing(self, partition: Partition) -> StepTiming:
         """Time one SEAM timestep under a partition.
 
         Args:
-            graph: Element-connectivity graph whose edge weights are
-                shared boundary points (:func:`repro.graphs.mesh_graph`).
-            partition: Assignment of elements to processors.
-            comm: Pre-computed communication pattern (recomputed
-                otherwise).
+            partition: Assignment of the cubed sphere's elements to
+                processors.
 
         Returns:
             The :class:`StepTiming`.
+
+        Raises:
+            ValueError: The job exceeds the machine, or the partition is
+                not of a cubed sphere (see :meth:`halo_schedule`).
         """
-        if comm is None:
-            comm = communication_pattern(graph, partition)
         nprocs = partition.nparts
         machine = self.machine
         cost = self.cost
@@ -110,7 +123,7 @@ class PerformanceModel:
         bpp = cost.bytes_per_point()
         exchanges = cost.exchanges_per_step()
         comm_s = np.zeros(nprocs)
-        for (src, dst), points in comm.pair_points.items():
+        for (src, dst), points in self.halo_schedule(partition).items():
             link = machine.link(src, dst)
             comm_s[src] += exchanges * link.message_time(points * bpp)
         step_s = float((compute + comm_s).max())
@@ -127,12 +140,7 @@ class PerformanceModel:
         """Single-processor step time (no communication)."""
         return self.cost.step_flops(nelem) / self.machine.sustained_flops
 
-    def speedup(
-        self,
-        graph: CSRGraph,
-        partition: Partition,
-        comm: CommunicationPattern | None = None,
-    ) -> float:
+    def speedup(self, partition: Partition) -> float:
         """Speedup of a partitioned run over one processor."""
-        timing = self.step_timing(graph, partition, comm)
-        return self.serial_step_time(graph.nvertices) / timing.step_s
+        timing = self.step_timing(partition)
+        return self.serial_step_time(partition.nvertices) / timing.step_s

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..graphs.csr import CSRGraph
 from ..partition.base import Partition
 from .perf import PerformanceModel, StepTiming
 
@@ -93,13 +92,9 @@ class StepTrace:
         return "\n".join(lines)
 
 
-def trace_step(
-    model: PerformanceModel,
-    graph: CSRGraph,
-    partition: Partition,
-) -> StepTrace:
+def trace_step(model: PerformanceModel, partition: Partition) -> StepTrace:
     """Trace one simulated timestep under a partition."""
-    timing = model.step_timing(graph, partition)
+    timing = model.step_timing(partition)
     totals = timing.compute_s + timing.comm_s
     critical = int(np.argmax(totals))
     segments = tuple(

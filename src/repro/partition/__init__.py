@@ -31,9 +31,7 @@ from .repartition import (
     plan_repartition,
 )
 from .metrics import (
-    CommunicationPattern,
     PartitionQuality,
-    communication_pattern,
     edgecut,
     evaluate_partition,
     load_balance,
@@ -49,7 +47,6 @@ from .sfc import (
 
 __all__ = [
     "CapabilityError",
-    "CommunicationPattern",
     "DuplicatePartitionerError",
     "PartShape",
     "Partitioner",
@@ -72,7 +69,6 @@ __all__ = [
     "registry",
     "run_pipeline",
     "stage_cache_stats",
-    "communication_pattern",
     "cut_positions_uniform",
     "cut_positions_weighted",
     "edgecut",

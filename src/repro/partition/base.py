@@ -72,25 +72,5 @@ class Partition:
             empty = np.flatnonzero(self.part_sizes() == 0)
             raise ValueError(f"empty parts: {empty.tolist()}")
 
-    def renumbered(self) -> "Partition":
-        """Relabel parts densely in order of first appearance.
-
-        Useful after algorithms that may leave gaps in part ids.
-        """
-        if len(self.assignment) == 0:
-            return Partition(self.assignment, nparts=self.nparts, method=self.method)
-        uniq, first_index, inverse = np.unique(
-            self.assignment, return_index=True, return_inverse=True
-        )
-        # uniq is sorted; rank each unique label by its first occurrence
-        # so label k maps to "k-th label to appear", as the old
-        # per-vertex loop did.
-        remap = np.empty(len(uniq), dtype=np.int64)
-        remap[np.argsort(first_index, kind="stable")] = np.arange(
-            len(uniq), dtype=np.int64
-        )
-        new = remap[inverse]
-        return Partition(new, nparts=len(uniq), method=self.method)
-
     def with_method(self, method: str) -> "Partition":
         return Partition(self.assignment, self.nparts, method)

@@ -34,8 +34,6 @@ __all__ = [
     "part_metrics",
     "edgecut",
     "weighted_edgecut",
-    "CommunicationPattern",
-    "communication_pattern",
     "PartitionQuality",
     "evaluate_partition",
 ]
@@ -94,69 +92,6 @@ def edgecut(graph: CSRGraph, partition: Partition) -> int:
 def weighted_edgecut(graph: CSRGraph, partition: Partition) -> int:
     """Total weight of cut edges (METIS's KWAY objective)."""
     return part_metrics(graph, partition.assignment, partition.nparts)[2]
-
-
-@dataclass(frozen=True)
-class CommunicationPattern:
-    """Who sends how much to whom, derived from a partition.
-
-    Every directed cut edge ``v -> u`` adds its full weight (the points
-    the link shares: ``np`` across an element edge, 1 across a corner)
-    to ``part[v]``'s send volume and to the ``(part[v], part[u])`` pair.
-    A point shared with several elements of one destination part counts
-    once per link: nothing is deduplicated or capped.
-
-    Attributes:
-        nparts: Number of processors.
-        send_points: ``(nparts,)`` points sent by each processor
-            (the paper's ``spcv`` in point units).
-        pair_points: Dict ``(src, dst) -> points`` for every directed
-            communicating pair.
-        message_counts: ``(nparts,)`` number of distinct destination
-            processors of each processor.
-        boundary_vertices: ``(nparts,)`` count of vertices with at
-            least one cut edge (METIS's unit-size volume per part).
-    """
-
-    nparts: int
-    send_points: np.ndarray
-    pair_points: dict[tuple[int, int], int]
-    message_counts: np.ndarray
-    boundary_vertices: np.ndarray
-
-    def total_points(self) -> int:
-        """Total communication volume in points (sum of ``spcv``)."""
-        return int(self.send_points.sum())
-
-    def total_bytes(self, bytes_per_point: int) -> int:
-        return self.total_points() * bytes_per_point
-
-    def pair_bytes(self, bytes_per_point: int) -> dict[tuple[int, int], int]:
-        return {k: v * bytes_per_point for k, v in self.pair_points.items()}
-
-
-def communication_pattern(graph, partition: Partition) -> CommunicationPattern:
-    """The :class:`CommunicationPattern` of a partition: per-part fields
-    from :func:`part_metrics`, the pair dict from the directed cut edges."""
-    a = partition.assignment
-    nparts = partition.nparts
-    parts, _, _ = part_metrics(graph, a, nparts)
-    src = a[np.repeat(np.arange(len(a)), np.diff(graph.indptr))]
-    dst = np.where(graph.indices < 0, src, a[graph.indices])  # -1: no neighbour
-    cut = src != dst
-    uniq, inv = np.unique(src[cut] * nparts + dst[cut], return_inverse=True)
-    sums = np.zeros(len(uniq), dtype=np.int64)
-    np.add.at(sums, inv, graph.eweights[cut])
-    pair_points = {
-        (int(k // nparts), int(k % nparts)): int(s) for k, s in zip(uniq, sums)
-    }
-    return CommunicationPattern(
-        nparts=nparts,
-        send_points=parts[2],
-        pair_points=pair_points,
-        message_counts=np.bincount(uniq // nparts, minlength=nparts),
-        boundary_vertices=parts[3],
-    )
 
 
 @dataclass(frozen=True)

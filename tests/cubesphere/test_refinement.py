@@ -48,21 +48,6 @@ class TestConstruction:
         assert rm2.nleaves == 96 + 2 * 3
 
 
-class TestLeafOffsets:
-    def test_prefix_structure(self, curve):
-        mask = np.zeros(96, dtype=bool)
-        mask[10] = True
-        rm = refine_where(curve, mask, level=1)
-        offs = rm.leaf_offsets_along_curve()
-        assert offs[0] == 0
-        assert offs[-1] == rm.nleaves
-        widths = np.diff(offs)
-        # One block of 4 leaves, the rest singletons, in curve order.
-        pos = curve.position[10]
-        assert widths[pos] == 4
-        assert (np.delete(widths, pos) == 1).all()
-
-
 class TestPartitioning:
     def test_uniform_matches_plain_sfc(self, curve):
         from repro.partition import sfc_partition

@@ -104,7 +104,7 @@ def main() -> None:
 
     # -- halo / exchange schedules --------------------------------------
     geom = build_geometry(4, 4)  # ne=4, np=4 GLL points
-    pmap = build_point_map(geom)
+    pmap = build_point_map(4, 4)
     schedules = {}
     parts = {
         "sfc7": sfc_partition(4, 7),

@@ -30,8 +30,7 @@ class TestEmptyRanks:
     def test_perf_model_idles_empty_ranks(self, partition_with_empty_rank):
         from repro.machine import PerformanceModel
 
-        g = mesh_graph(cubed_sphere_mesh(3))
-        t = PerformanceModel().step_timing(g, partition_with_empty_rank)
+        t = PerformanceModel().step_timing(partition_with_empty_rank)
         assert t.compute_s[3] == 0.0
         assert t.comm_s[3] == 0.0
 
@@ -49,8 +48,7 @@ class TestEmptyRanks:
     def test_trace_with_empty_rank(self, partition_with_empty_rank):
         from repro.machine import PerformanceModel, trace_step
 
-        g = mesh_graph(cubed_sphere_mesh(3))
-        tr = trace_step(PerformanceModel(), g, partition_with_empty_rank)
+        tr = trace_step(PerformanceModel(), partition_with_empty_rank)
         assert tr.segments[3].total_s == 0.0
         assert not tr.segments[3].critical
 

@@ -13,9 +13,14 @@ import pytest
 
 from repro.cubesphere import cubed_sphere_mesh
 from repro.graphs import is_connected, mesh_graph
-from repro.metis import part_graph
 from repro.partition import sfc_partition
-from repro.seam import DSSOperator, build_geometry, build_halo_schedule, build_point_map
+from repro.seam import (
+    DSSOperator,
+    PartitionedDSS,
+    build_geometry,
+    build_halo_schedule,
+    build_point_map,
+)
 
 
 class TestPartitionedDSS:
@@ -23,7 +28,7 @@ class TestPartitionedDSS:
 
     def test_partitioned_equals_serial(self):
         geom = build_geometry(4, 6)
-        pmap = build_point_map(geom)
+        pmap = build_point_map(4, 6)
         dss = DSSOperator(geom, pmap)
         rng = np.random.default_rng(7)
         q = rng.standard_normal(dss.local_mass.shape)
@@ -58,19 +63,48 @@ class TestPartitionedDSS:
             result[e] = vals
         np.testing.assert_allclose(result, serial, atol=1e-12)
 
-    def test_schedule_pairs_match_graph_model(self):
-        """The graph communication model and the point-level schedule
-        agree on who talks to whom for every partitioner."""
-        from repro.partition.metrics import communication_pattern
+    @pytest.mark.parametrize(
+        "method, ne, nparts",
+        [
+            *((m, 4, 48) for m in ("sfc", "rb", "kway")),
+            *((m, 16, 96) for m in ("sfc", "rb", "kway")),
+            ("empty-rank", 4, 48),
+        ],
+    )
+    def test_model_charges_what_seam_sends(self, method, ne, nparts):
+        """The simulator prices the messages one partitioned DSS sends:
+        the same points per rank, the same messages, and each message
+        priced on the link between its two ranks."""
+        from repro.machine import PerformanceModel
+        from repro.partition import Partition, partition_stage
 
-        geom = build_geometry(4, 6)
-        pmap = build_point_map(geom)
-        g = mesh_graph(cubed_sphere_mesh(4))
-        for method in ("rb", "kway"):
-            p = part_graph(g, 16, method, seed=0)
-            sched = build_halo_schedule(pmap, p)
-            comm = communication_pattern(g, p)
-            assert set(sched) == set(comm.pair_points)
+        model = PerformanceModel()
+        npts = model.cost.npts
+        if method == "empty-rank":  # rank 47 owns nothing
+            part = Partition(np.arange(6 * ne * ne) % (nparts - 1), nparts)
+        else:
+            part = partition_stage(method, ne, nparts)
+        pdss = PartitionedDSS(build_geometry(ne, npts), part, build_point_map(ne, npts))
+        pdss.apply(np.ones(pdss.local_mass.shape))
+        acct = pdss.accounting
+
+        sched = model.halo_schedule(part)
+        sent = np.zeros(nparts, dtype=np.int64)
+        for (src, _), points in sched.items():
+            sent[src] += points
+        np.testing.assert_array_equal(sent, acct.per_rank_sent)
+        assert len(sched) == acct.messages
+
+        src = pdss.slot_rank[pdss.msg_src]
+        dst = pdss.slot_rank[pdss.msg_dst]
+        pairs, points = np.unique(src * nparts + dst, return_counts=True)
+        want = np.zeros(nparts)
+        for pair, n in zip(pairs.tolist(), points.tolist()):
+            link = model.machine.link(pair // nparts, pair % nparts)
+            want[pair // nparts] += model.cost.exchanges_per_step() * link.message_time(
+                n * model.cost.bytes_per_point()
+            )
+        np.testing.assert_array_equal(model.step_timing(part).comm_s, want)
 
 
 class TestFullPipeline:

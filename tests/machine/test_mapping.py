@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from repro.machine import (
-    P690_CLUSTER,
     PerformanceModel,
     apply_mapping,
     greedy_comm_mapping,
@@ -30,21 +29,21 @@ class TestBasicMappings:
 
 
 class TestApplyMapping:
-    def test_relabels(self, graph4):
+    def test_relabels(self):
         p = sfc_partition(4, 4)
         perm = np.array([3, 2, 1, 0])
         q = apply_mapping(p, perm)
         np.testing.assert_array_equal(q.assignment, perm[p.assignment])
         assert q.method.endswith("+mapped")
 
-    def test_rejects_non_permutation(self, graph4):
+    def test_rejects_non_permutation(self):
         p = sfc_partition(4, 4)
         with pytest.raises(ValueError, match="permutation"):
             apply_mapping(p, np.array([0, 0, 1, 2]))
         with pytest.raises(ValueError, match="size"):
             apply_mapping(p, np.array([0, 1]))
 
-    def test_identity_is_noop_on_assignment(self, graph4):
+    def test_identity_is_noop_on_assignment(self):
         p = sfc_partition(4, 8)
         q = apply_mapping(p, identity_mapping(8))
         np.testing.assert_array_equal(q.assignment, p.assignment)
@@ -52,8 +51,9 @@ class TestApplyMapping:
 
 class TestGreedyCommMapping:
     def test_is_permutation(self, graph8):
+        model = PerformanceModel()
         p = part_graph(graph8, 48, "kway", seed=0)
-        perm = greedy_comm_mapping(graph8, p, P690_CLUSTER)
+        perm = greedy_comm_mapping(model, p)
         assert sorted(perm.tolist()) == list(range(48))
 
     def test_improves_metis_comm_time(self, graph8):
@@ -61,21 +61,21 @@ class TestGreedyCommMapping:
         should not lose to the arbitrary METIS numbering."""
         model = PerformanceModel()
         p = part_graph(graph8, 96, "kway", seed=0)
-        t_plain = model.step_timing(graph8, p).comm_s.sum()
+        t_plain = model.step_timing(p).comm_s.sum()
         t_rand = model.step_timing(
-            graph8, apply_mapping(p, random_mapping(96, seed=5))
+            apply_mapping(p, random_mapping(96, seed=5))
         ).comm_s.sum()
-        perm = greedy_comm_mapping(graph8, p, P690_CLUSTER)
-        t_greedy = model.step_timing(graph8, apply_mapping(p, perm)).comm_s.sum()
+        perm = greedy_comm_mapping(model, p)
+        t_greedy = model.step_timing(apply_mapping(p, perm)).comm_s.sum()
         assert t_greedy < t_rand
         assert t_greedy <= t_plain * 1.02
 
-    def test_sfc_already_well_mapped(self, graph8):
+    def test_sfc_already_well_mapped(self):
         """Greedy mapping cannot improve much on SFC's natural rank
         locality — the 'free mapping' property of curve partitions."""
         model = PerformanceModel()
         p = sfc_partition(8, 96)
-        base = model.step_timing(graph8, p).comm_s.sum()
-        perm = greedy_comm_mapping(graph8, p, P690_CLUSTER)
-        remapped = model.step_timing(graph8, apply_mapping(p, perm)).comm_s.sum()
+        base = model.step_timing(p).comm_s.sum()
+        perm = greedy_comm_mapping(model, p)
+        remapped = model.step_timing(apply_mapping(p, perm)).comm_s.sum()
         assert remapped > 0.7 * base  # no dramatic win available

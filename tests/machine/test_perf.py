@@ -23,68 +23,75 @@ class TestSerial:
         expect = model.cost.step_flops(384) / P690_CLUSTER.sustained_flops
         assert t == pytest.approx(expect)
 
-    def test_serial_sustained_rate_is_841_mflops(self, model, graph8):
+    def test_serial_sustained_rate_is_841_mflops(self, model):
         p = sfc_partition(8, 1)
-        timing = model.step_timing(graph8, p)
+        timing = model.step_timing(p)
         assert timing.sustained_flops == pytest.approx(841e6)
 
 
 class TestStepTiming:
-    def test_perfect_partition_splits_compute(self, model, graph8):
+    def test_perfect_partition_splits_compute(self, model):
         p = sfc_partition(8, 96)
-        timing = model.step_timing(graph8, p)
+        timing = model.step_timing(p)
         np.testing.assert_allclose(
             timing.compute_s, model.serial_step_time(384) / 96
         )
         assert timing.step_s > timing.compute_s[0]  # comm adds time
 
-    def test_speedup_monotone_through_midrange(self, model, graph8):
+    def test_speedup_monotone_through_midrange(self, model):
         speedups = [
-            model.speedup(graph8, sfc_partition(8, n)) for n in (2, 8, 32, 96)
+            model.speedup(sfc_partition(8, n)) for n in (2, 8, 32, 96)
         ]
         assert speedups == sorted(speedups)
 
-    def test_imbalanced_partition_slower(self, model, graph8):
+    def test_imbalanced_partition_slower(self, model):
         balanced = sfc_partition(8, 96)
         # Pile 2 extra elements onto rank 0.
         bad = balanced.assignment.copy()
         bad[balanced.members(1)[:2]] = 0
         imbalanced = Partition(bad, nparts=96)
-        t_good = model.step_timing(graph8, balanced).step_s
-        t_bad = model.step_timing(graph8, imbalanced).step_s
+        t_good = model.step_timing(balanced).step_s
+        t_bad = model.step_timing(imbalanced).step_s
         assert t_bad > t_good
 
-    def test_empty_parts_are_idle(self, model, graph8):
+    def test_empty_parts_are_idle(self, model):
         # All elements on rank 0 of 4: ranks 1-3 idle, time ~ serial.
         p = Partition(np.zeros(384, dtype=np.int64), nparts=4)
-        timing = model.step_timing(graph8, p)
+        timing = model.step_timing(p)
         assert timing.compute_s[1:].sum() == 0
         assert timing.step_s == pytest.approx(model.serial_step_time(384))
 
-    def test_job_limit_enforced(self, model, graph8):
+    def test_job_limit_enforced(self, model):
         p = Partition(np.arange(384) % 384, nparts=384)
         object.__setattr__(p, "nparts", 769)  # forge an oversized job
         with pytest.raises(ValueError, match="job limit"):
-            model.step_timing(graph8, p)
+            model.step_timing(p)
 
-    def test_total_flops_independent_of_partition(self, model, graph8):
-        a = model.step_timing(graph8, sfc_partition(8, 4)).total_flops
-        b = model.step_timing(graph8, sfc_partition(8, 96)).total_flops
+    @pytest.mark.parametrize("k", [0, 5, 100])
+    def test_grid_not_a_cubed_sphere_rejected(self, model, k):
+        """Only K = 6 ne^2 elements name a grid to exchange over."""
+        p = Partition(np.zeros(k, dtype=np.int64), nparts=2)
+        with pytest.raises(ValueError, match=f"K={k} "):
+            model.step_timing(p)
+
+    def test_total_flops_independent_of_partition(self, model):
+        a = model.step_timing(sfc_partition(8, 4)).total_flops
+        b = model.step_timing(sfc_partition(8, 96)).total_flops
         assert a == b
 
-    def test_compute_fraction_in_unit_interval(self, model, graph8):
-        t = model.step_timing(graph8, sfc_partition(8, 48))
+    def test_compute_fraction_in_unit_interval(self, model):
+        t = model.step_timing(sfc_partition(8, 48))
         assert 0 < t.compute_fraction <= 1
 
 
 class TestCostScaling:
-    def test_more_levels_more_time(self, graph8):
+    def test_more_levels_more_time(self):
         lo = PerformanceModel(cost=SEAMCostModel(nlev=1))
         hi = PerformanceModel(cost=SEAMCostModel(nlev=16))
         p = sfc_partition(8, 48)
-        assert hi.step_timing(graph8, p).step_s > lo.step_timing(graph8, p).step_s
+        assert hi.step_timing(p).step_s > lo.step_timing(p).step_s
 
-    def test_communication_uses_intra_node_links(self, graph8):
+    def test_communication_uses_intra_node_links(self):
         """Consecutive SFC ranks share SMP nodes, so SFC comm must be
         cheaper than the same partition with scrambled rank numbers."""
         model = PerformanceModel()
@@ -92,6 +99,6 @@ class TestCostScaling:
         rng = np.random.default_rng(0)
         perm = rng.permutation(96)
         scrambled = Partition(perm[p.assignment], nparts=96)
-        t_sfc = model.step_timing(graph8, p)
-        t_scr = model.step_timing(graph8, scrambled)
+        t_sfc = model.step_timing(p)
+        t_scr = model.step_timing(scrambled)
         assert t_sfc.comm_s.sum() < t_scr.comm_s.sum()

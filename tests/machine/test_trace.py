@@ -15,52 +15,52 @@ def model():
 
 
 class TestTrace:
-    def test_segments_cover_all_ranks(self, model, graph4):
-        tr = trace_step(model, graph4, sfc_partition(4, 12))
+    def test_segments_cover_all_ranks(self, model):
+        tr = trace_step(model, sfc_partition(4, 12))
         assert len(tr.segments) == 12
         assert [s.rank for s in tr.segments] == list(range(12))
 
-    def test_exactly_one_critical_rank(self, model, graph4):
-        tr = trace_step(model, graph4, sfc_partition(4, 12))
+    def test_exactly_one_critical_rank(self, model):
+        tr = trace_step(model, sfc_partition(4, 12))
         assert sum(s.critical for s in tr.segments) == 1
 
-    def test_critical_rank_sets_step_time(self, model, graph4):
-        tr = trace_step(model, graph4, sfc_partition(4, 12))
+    def test_critical_rank_sets_step_time(self, model):
+        tr = trace_step(model, sfc_partition(4, 12))
         crit = tr.segments[tr.critical_rank]
         assert crit.total_s == pytest.approx(tr.timing.step_s)
         for s in tr.segments:
             assert s.total_s <= crit.total_s + 1e-15
 
-    def test_idle_fraction_bounds(self, model, graph4):
-        tr = trace_step(model, graph4, sfc_partition(4, 12))
+    def test_idle_fraction_bounds(self, model):
+        tr = trace_step(model, sfc_partition(4, 12))
         assert 0.0 <= tr.idle_fraction() < 1.0
 
-    def test_imbalanced_partition_has_more_idle(self, model, graph4):
+    def test_imbalanced_partition_has_more_idle(self, model):
         balanced = sfc_partition(4, 8)
         bad = balanced.assignment.copy()
         bad[balanced.members(1)[:6]] = 0  # rank 0 takes half of rank 1
         imbalanced = Partition(bad, nparts=8)
-        idle_bal = trace_step(model, graph4, balanced).idle_fraction()
-        idle_bad = trace_step(model, graph4, imbalanced).idle_fraction()
+        idle_bal = trace_step(model, balanced).idle_fraction()
+        idle_bad = trace_step(model, imbalanced).idle_fraction()
         assert idle_bad > idle_bal
 
 
 class TestRender:
-    def test_contains_bars_and_marker(self, model, graph4):
-        tr = trace_step(model, graph4, sfc_partition(4, 8))
+    def test_contains_bars_and_marker(self, model):
+        tr = trace_step(model, sfc_partition(4, 8))
         text = tr.render(width=30)
         assert "<== critical" in text
         assert "#" in text and "~" in text
         assert sum(ln.startswith("rank ") for ln in text.splitlines()) == 8
 
-    def test_elides_large_rank_counts(self, model, graph8):
-        tr = trace_step(model, graph8, sfc_partition(8, 96))
+    def test_elides_large_rank_counts(self, model):
+        tr = trace_step(model, sfc_partition(8, 96))
         text = tr.render(width=30, max_ranks=10)
         assert "ranks elided" in text
         assert "<== critical" in text
 
-    def test_bar_lengths_proportional(self, model, graph4):
-        tr = trace_step(model, graph4, sfc_partition(4, 4))
+    def test_bar_lengths_proportional(self, model):
+        tr = trace_step(model, sfc_partition(4, 4))
         width = 40
         text = tr.render(width=width)
         crit_line = next(
@@ -69,8 +69,8 @@ class TestRender:
         bar = crit_line.split("|")[1]
         assert len(bar.rstrip()) == pytest.approx(width, abs=1)
 
-    def test_rank_sums(self, model, graph4):
-        tr = trace_step(model, graph4, sfc_partition(4, 6))
+    def test_rank_sums(self, model):
+        tr = trace_step(model, sfc_partition(4, 6))
         assert tr.timing.compute_s.sum() == pytest.approx(
             sum(s.compute_s for s in tr.segments)
         )

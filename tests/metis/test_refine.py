@@ -122,11 +122,9 @@ class TestGreedyKway:
 
     def test_volume_objective_reduces_count_volume(self, kernels):
         from repro.partition.base import Partition
-        from repro.partition.metrics import communication_pattern
 
         def count_volume(assignment, nparts):
             p = Partition(assignment, nparts=nparts)
-            comm = communication_pattern(g, p)
             # METIS unit-size volume: distinct external parts per vertex.
             total = 0
             a = p.assignment

@@ -55,64 +55,7 @@ class TestDerived:
             p.validate()
         p.validate(allow_empty=True)
 
-    def test_renumbered(self):
-        p = Partition(np.array([5, 2, 5, 9]), nparts=10)
-        r = p.renumbered()
-        assert r.assignment.tolist() == [0, 1, 0, 2]
-        assert r.nparts == 3
-        assert r.method == p.method
-
     def test_with_method(self):
         p = Partition(np.array([0]), nparts=1)
         assert p.with_method("x").method == "x"
 
-
-def _renumbered_reference(assignment: np.ndarray) -> tuple[np.ndarray, int]:
-    """The original Python-loop renumbering, kept as the golden oracle."""
-    mapping: dict[int, int] = {}
-    new = np.empty_like(assignment, dtype=np.int64)
-    for i, part in enumerate(assignment):
-        if part not in mapping:
-            mapping[part] = len(mapping)
-        new[i] = mapping[part]
-    return new, len(mapping)
-
-
-class TestRenumberedGolden:
-    """The vectorized renumbering is bit-identical to the old loop."""
-
-    @pytest.mark.parametrize(
-        "assignment",
-        [
-            [5, 2, 5, 9],
-            [0],
-            [7, 7, 7],
-            [3, 2, 1, 0],
-            [0, 1, 2, 3],
-            [9, 0, 9, 0, 4, 4, 9],
-        ],
-        ids=["gapped", "single", "constant", "reversed", "identity", "mixed"],
-    )
-    def test_matches_loop_reference(self, assignment):
-        arr = np.array(assignment)
-        r = Partition(arr, nparts=int(arr.max()) + 1).renumbered()
-        want, want_nparts = _renumbered_reference(arr)
-        np.testing.assert_array_equal(r.assignment, want)
-        assert r.nparts == want_nparts
-
-    def test_matches_loop_reference_random(self):
-        rng = np.random.default_rng(42)
-        for trial in range(20):
-            n = int(rng.integers(1, 400))
-            nparts = int(rng.integers(1, 64))
-            arr = rng.integers(0, nparts, size=n)
-            r = Partition(arr, nparts=nparts).renumbered()
-            want, want_nparts = _renumbered_reference(arr)
-            np.testing.assert_array_equal(r.assignment, want)
-            assert r.nparts == want_nparts
-            assert r.assignment.dtype == np.int64
-
-    def test_empty_assignment(self):
-        r = Partition(np.array([], dtype=np.int64), nparts=3).renumbered()
-        assert len(r.assignment) == 0
-        assert r.nparts == 3

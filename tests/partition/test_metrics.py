@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from repro.graphs.csr import graph_from_edges
 from repro.partition.base import Partition
 from repro.partition.metrics import (
-    communication_pattern,
     edgecut,
     evaluate_partition,
     load_balance,
@@ -62,42 +61,6 @@ class TestEdgecut:
         g = grid_graph(2, 2)
         p = Partition(np.arange(4), nparts=4)
         assert edgecut(g, p) == g.nedges
-
-
-class TestCommunicationPattern:
-    def test_pair_volumes_symmetric_for_uniform_weights(self):
-        g = grid_graph(4, 4)
-        p = Partition(np.repeat([0, 1], 8), nparts=2)
-        comm = communication_pattern(g, p)
-        assert comm.pair_points[(0, 1)] == comm.pair_points[(1, 0)]
-
-    def test_total_equals_directed_cut_weight(self):
-        g = grid_graph(4, 4)
-        p = Partition((np.arange(16) % 3), nparts=3)
-        comm = communication_pattern(g, p)
-        u, v, w = g.edge_array()
-        cut_w = int(w[p.assignment[u] != p.assignment[v]].sum())
-        assert comm.total_points() == 2 * cut_w
-
-    def test_message_counts(self):
-        g = grid_graph(2, 2)
-        p = Partition(np.array([0, 0, 1, 1]), nparts=2)
-        comm = communication_pattern(g, p)
-        assert comm.message_counts.tolist() == [1, 1]
-
-    def test_boundary_vertices(self):
-        g = grid_graph(3, 1)  # path 0-1-2
-        p = Partition(np.array([0, 0, 1]), nparts=2)
-        comm = communication_pattern(g, p)
-        # Vertices 1 and 2 touch the cut.
-        assert comm.boundary_vertices.tolist() == [1, 1]
-
-    def test_bytes_conversion(self):
-        g = grid_graph(2, 1)
-        p = Partition(np.array([0, 1]), nparts=2)
-        comm = communication_pattern(g, p)
-        assert comm.total_bytes(480) == comm.total_points() * 480
-        assert comm.pair_bytes(10)[(0, 1)] == comm.pair_points[(0, 1)] * 10
 
 
 class TestEvaluatePartition:

@@ -43,7 +43,7 @@ class RankByRankDSS:
             raise ValueError("partition does not match the grid")
         self.geom = geom
         self.partition = partition
-        self.point_map = point_map if point_map is not None else build_point_map(geom)
+        self.point_map = point_map if point_map is not None else build_point_map(geom.mesh.ne, geom.npts)
         self.nranks = partition.nparts
         self.local_mass = geom.local_mass
         self._build_rank_structures()

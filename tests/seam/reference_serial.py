@@ -113,7 +113,7 @@ class ReferenceDSS:
     def __init__(self, geom: GridGeometry, point_map: PointMap | None = None):
         self.geom = geom
         self.point_map = (
-            point_map if point_map is not None else build_point_map(geom)
+            point_map if point_map is not None else build_point_map(geom.mesh.ne, geom.npts)
         )
         w = geom.basis.weights
         w2 = w[:, None] * w[None, :]

@@ -17,7 +17,7 @@ from repro.cubesphere import cubed_sphere_mesh
 from repro.graphs import mesh_graph
 from repro.metis import part_graph
 from repro.partition import sfc_partition
-from repro.seam import build_geometry, build_point_map
+from repro.seam import build_point_map
 from repro.seam.dss import build_halo_schedule
 
 GOLDEN = json.loads(
@@ -27,7 +27,7 @@ GOLDEN = json.loads(
 
 @pytest.fixture(scope="module")
 def point_map():
-    return build_point_map(build_geometry(4, 4))
+    return build_point_map(4, 4)
 
 
 def _partition(label):

@@ -110,7 +110,7 @@ class TestPartitionedDSS:
         for ne, npts, method, nparts in SCHEDULE_CASES:
             geom = build_geometry(ne, npts)
             partition = _partition(method, ne, nparts)
-            pmap = build_point_map(geom)
+            pmap = build_point_map(ne, npts)
             parallel = PartitionedDSS(geom, partition, pmap)
             sched = build_halo_schedule(pmap, partition)
             case = (ne, npts, method, nparts)
@@ -152,7 +152,7 @@ class TestPartitionedDSS:
 
     def test_point_map_of_another_grid_rejected(self):
         """A map of another np is refused, naming both shapes."""
-        other = build_point_map(build_geometry(3, 4))
+        other = build_point_map(3, 4)
         with pytest.raises(ValueError, match=r"\(54, 4, 4\).*\(54, 8, 8\)"):
             PartitionedDSS(build_geometry(3, 8), sfc_partition(3, 6), other)
 

@@ -103,7 +103,7 @@ def pair(request):
     ne, npts, make, nranks = request.param
     geom = build_geometry(ne, npts)
     partition = make(ne, nranks)
-    pmap = build_point_map(geom)
+    pmap = build_point_map(ne, npts)
     return (
         RankByRankDSS(geom, partition, pmap),
         PartitionedDSS(geom, partition, pmap),
