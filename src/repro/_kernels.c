@@ -28,6 +28,9 @@
  *                 bodies' old assignments), parsed in one pass;
  *   part_metrics  an assignment's Table-2 quantities in one pass over
  *                 a CSR or a mesh's neighbour table;
+ *   transport_rhs the SEAM core's transport right-hand side, the
+ *                 derivative GEMMs summed as BLAS sums them (in FMA
+ *                 chains; see its comment);
  *   rk3_stage, dss_apply, pdss_gather, pdss_exchange, pdss_scatter
  *                 the SEAM core's SSP-RK3 stage combination and its
  *                 serial and partitioned DSS projections.
@@ -1215,6 +1218,190 @@ int64_t pdss_scatter(const int64_t *plan, double *total, double *out)
     }
     for (; s < nslots; s++) total[s] = total[s] / mass[s];
     for (int64_t i = 0; i < n; i++) out[i] = total[slot_of[i]];
+    return 0;
+}
+
+/* ------------------------------------------------------------------ */
+/* Transport right-hand side (SEAM)                                    */
+/* ------------------------------------------------------------------ */
+
+/* Returned for nelem < 0 or np outside [2, TRANSPORT_MAX_NP]. */
+#define TRANSPORT_BAD_SIZE -9
+#define TRANSPORT_MAX_NP (1 << 20)
+
+/* The right-hand side -(1/J) div(J u q) of repro.seam.transport's
+ * TransportSolver, one element at a time.  With fu = Fu q and
+ * fv = Fv q (each product rounded once), every output point is
+ *
+ *   out[e,i,b] = (s1 + s2) * neg_inv_jac[e,i,b]
+ *   s1 = sum_j D[i,j] fu[e,j,b]      (d/dxi_1, the first tensor index)
+ *   s2 = sum_j fv[e,i,j] D[b,j]      (d/dxi_2, the second)
+ *
+ * diff is D, (np, np) C-order; the other arrays are (nelem, np, np)
+ * C-order.
+ *
+ * Bit-identity contract with the NumPy oracle in tests/seam (a batched
+ * matmul for s1 and one GEMM for s2): each of s1 and s2 is a
+ * left-to-right chain of fused multiply-adds over j starting at 0.0,
+ * which is the order OpenBLAS's GEMM sums these shapes in (x86-64
+ * Haswell kernels, every np from 2 to 16; at np = 17 it sums in
+ * another order).  Separately rounded multiplies and adds would not
+ * match: at (Ne, np) = (16, 8) they change 3% of the values for a
+ * cosine bell and 44% for a random field.  So this kernel is the one
+ * place that fuses on purpose, through explicit fma calls and
+ * intrinsics that -ffp-contract=off leaves alone.  Its two paths give
+ * the same bits: four output columns at a time with AVX2+FMA where the
+ * CPU has them (checked at run time; building with -DREPRO_NO_AVX2
+ * leaves this path out), and C99 fma() anywhere else.
+ *
+ * Scratch holds fu and fv of one element and D transposed, each row
+ * padded to a multiple of 8 columns.  Returns 0, TRANSPORT_BAD_SIZE,
+ * or -1 if the scratch cannot be allocated. */
+
+#if (defined(__x86_64__) || defined(__i386__)) && !defined(REPRO_NO_AVX2)
+#include <immintrin.h>
+#define TRANSPORT_AVX2 1
+
+/* The lanes of a 4-column block that has `left` columns of its row
+ * left (all four when left >= 4). */
+__attribute__((target("avx2,fma")))
+static inline __m256i block_lanes(int64_t left)
+{
+    return _mm256_setr_epi64x(left > 0 ? -1 : 0, left > 1 ? -1 : 0,
+                              left > 2 ? -1 : 0, left > 3 ? -1 : 0);
+}
+
+/* out[at..] = s * neg_inv_jac[at..] for the block's `left` columns. */
+__attribute__((target("avx2,fma")))
+static inline void rhs_store(
+    double *out, const double *neg_inv_jac, int64_t at, int64_t left, __m256d s)
+{
+    if (left >= 4) {
+        _mm256_storeu_pd(out + at, _mm256_mul_pd(
+            s, _mm256_loadu_pd(neg_inv_jac + at)));
+    } else if (left > 0) {
+        __m256i m = block_lanes(left);
+        _mm256_maskstore_pd(out + at, m, _mm256_mul_pd(
+            s, _mm256_maskload_pd(neg_inv_jac + at, m)));
+    }
+}
+
+/* Scratch rows are padded to np8 columns, a multiple of 8, so that
+ * every tile below covers two whole blocks; the padding stays 0. */
+__attribute__((target("avx2,fma")))
+static void transport_rhs_avx2(
+    int64_t nelem, int64_t np, int64_t np8, const double *diff,
+    const double *dt, const double *flux_u, const double *flux_v,
+    const double *neg_inv_jac, const double *q, double *out,
+    double *fu, double *fv)
+{
+    const int64_t pp = np * np;
+    for (int64_t e = 0; e < nelem; e++) {
+        const int64_t o = e * pp;
+        for (int64_t j = 0; j < np; j++) {
+            const int64_t r = o + j * np, w = j * np8;
+            for (int64_t b = 0; b < np; b += 4) {
+                __m256d x, u, v;
+                if (np - b >= 4) {
+                    x = _mm256_loadu_pd(q + r + b);
+                    u = _mm256_loadu_pd(flux_u + r + b);
+                    v = _mm256_loadu_pd(flux_v + r + b);
+                } else {
+                    __m256i m = block_lanes(np - b);
+                    x = _mm256_maskload_pd(q + r + b, m);
+                    u = _mm256_maskload_pd(flux_u + r + b, m);
+                    v = _mm256_maskload_pd(flux_v + r + b, m);
+                }
+                _mm256_storeu_pd(fu + w + b, _mm256_mul_pd(u, x));
+                _mm256_storeu_pd(fv + w + b, _mm256_mul_pd(v, x));
+            }
+        }
+        /* Tiles of rows i and i + 1 (i + 1 clamped to the last row, so
+         * an odd np recomputes that row) by two column blocks: eight
+         * independent FMA chains, each broadcast of D or fv feeding two
+         * of them and each load of fu or D^T two others. */
+        for (int64_t i = 0; i < np; i += 2) {
+            const int64_t k = i + 1 < np ? i + 1 : i;
+            const double *da = diff + i * np, *db = diff + k * np;
+            const double *fa = fv + i * np8, *fb = fv + k * np8;
+            const int64_t ra = o + i * np, rb = o + k * np;
+            for (int64_t b = 0; b < np; b += 8) {
+                __m256d a0 = _mm256_setzero_pd(), a1 = a0, b0 = a0, b1 = a0;
+                __m256d c0 = a0, c1 = a0, e0 = a0, e1 = a0;
+                for (int64_t j = 0; j < np; j++) {
+                    const double *uj = fu + j * np8 + b, *dj = dt + j * np8 + b;
+                    __m256d u0 = _mm256_loadu_pd(uj), u1 = _mm256_loadu_pd(uj + 4);
+                    __m256d x = _mm256_set1_pd(da[j]), y = _mm256_set1_pd(db[j]);
+                    a0 = _mm256_fmadd_pd(x, u0, a0);
+                    a1 = _mm256_fmadd_pd(x, u1, a1);
+                    b0 = _mm256_fmadd_pd(y, u0, b0);
+                    b1 = _mm256_fmadd_pd(y, u1, b1);
+                    __m256d d0 = _mm256_loadu_pd(dj), d1 = _mm256_loadu_pd(dj + 4);
+                    x = _mm256_set1_pd(fa[j]);
+                    y = _mm256_set1_pd(fb[j]);
+                    c0 = _mm256_fmadd_pd(x, d0, c0);
+                    c1 = _mm256_fmadd_pd(x, d1, c1);
+                    e0 = _mm256_fmadd_pd(y, d0, e0);
+                    e1 = _mm256_fmadd_pd(y, d1, e1);
+                }
+                const int64_t left = np - b;
+                rhs_store(out, neg_inv_jac, ra + b, left, _mm256_add_pd(a0, c0));
+                rhs_store(out, neg_inv_jac, rb + b, left, _mm256_add_pd(b0, e0));
+                rhs_store(out, neg_inv_jac, ra + b + 4, left - 4, _mm256_add_pd(a1, c1));
+                rhs_store(out, neg_inv_jac, rb + b + 4, left - 4, _mm256_add_pd(b1, e1));
+            }
+        }
+    }
+}
+#endif
+
+static void transport_rhs_portable(
+    int64_t nelem, int64_t np, int64_t np8, const double *diff,
+    const double *dt, const double *flux_u, const double *flux_v,
+    const double *neg_inv_jac, const double *q, double *out,
+    double *fu, double *fv)
+{
+    const int64_t pp = np * np;
+    for (int64_t e = 0; e < nelem; e++) {
+        const int64_t o = e * pp;
+        for (int64_t j = 0; j < np; j++)
+            for (int64_t b = 0; b < np; b++) {
+                fu[j * np8 + b] = flux_u[o + j * np + b] * q[o + j * np + b];
+                fv[j * np8 + b] = flux_v[o + j * np + b] * q[o + j * np + b];
+            }
+        for (int64_t i = 0; i < np; i++)
+            for (int64_t b = 0; b < np; b++) {
+                double s1 = 0.0, s2 = 0.0;
+                for (int64_t j = 0; j < np; j++) {
+                    s1 = fma(diff[i * np + j], fu[j * np8 + b], s1);
+                    s2 = fma(fv[i * np8 + j], dt[j * np8 + b], s2);
+                }
+                out[o + i * np + b] = (s1 + s2) * neg_inv_jac[o + i * np + b];
+            }
+    }
+}
+
+int64_t transport_rhs(
+    int64_t nelem, int64_t np, const double *diff,
+    const double *flux_u, const double *flux_v, const double *neg_inv_jac,
+    const double *q, double *out)
+{
+    if (nelem < 0 || np < 2 || np > TRANSPORT_MAX_NP) return TRANSPORT_BAD_SIZE;
+    const int64_t np8 = (np + 7) & ~(int64_t)7;
+    double *scratch = calloc((size_t)(3 * np * np8), sizeof(double));
+    if (!scratch) return -1;
+    double *fu = scratch, *fv = fu + np * np8, *dt = fv + np * np8;
+    for (int64_t j = 0; j < np; j++)
+        for (int64_t b = 0; b < np; b++) dt[j * np8 + b] = diff[b * np + j];
+#ifdef TRANSPORT_AVX2
+    if (__builtin_cpu_supports("avx2") && __builtin_cpu_supports("fma"))
+        transport_rhs_avx2(nelem, np, np8, diff, dt, flux_u, flux_v,
+                           neg_inv_jac, q, out, fu, fv);
+    else
+#endif
+        transport_rhs_portable(nelem, np, np8, diff, dt, flux_u, flux_v,
+                               neg_inv_jac, q, out, fu, fv);
+    free(scratch);
     return 0;
 }
 

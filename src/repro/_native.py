@@ -13,7 +13,8 @@ coarsening rounds, the split and their random streams itself; and
 the METIS drivers' other random streams
 (``rng_seed``, ``rng_permutations``, ``rng_integers``: NumPy's
 ``default_rng`` restated, see :mod:`repro.metis.rng`) — plus the SEAM
-core's SSP-RK3 stage combination (``rk3_stage``), its DSS projection
+core's transport right-hand side (``transport_rhs``), its SSP-RK3
+stage combination (``rk3_stage``), its DSS projection
 (``dss_apply``) and the gather (which forms the stage itself), halo
 exchange and scatter passes of the partitioned DSS (``pdss_gather``,
 ``pdss_exchange``, ``pdss_scatter``), SFC keying and the JSON text of int64 arrays
@@ -49,9 +50,11 @@ _SOURCE = Path(__file__).with_name("_kernels.c")
 _I64P = ctypes.POINTER(ctypes.c_int64)
 _VP = ctypes.c_void_p
 
-# -ffp-contract=off: the float kernels (dss_apply, pdss_*) promise
-# bit-identity with their NumPy oracles, which never fuse a multiply-add
-# into an FMA.
+# -ffp-contract=off: the float kernels (rk3_stage, dss_apply, pdss_*)
+# promise bit-identity with their NumPy oracles, which never fuse a
+# multiply-add into an FMA.  The one exception is transport_rhs, whose
+# oracle is a BLAS GEMM that sums in FMA chains: it fuses on purpose,
+# through explicit fma() calls and intrinsics this flag does not touch.
 _CFLAGS = ["-O2", "-ffp-contract=off", "-shared", "-fPIC"]
 
 #: Environment variable of extra compiler flags, split like a shell
@@ -153,6 +156,9 @@ SIGNATURES: dict[str, list] = {
         _VP,  # field
         _VP, _VP,  # num scratch, out
     ],
+    # nelem, np, diff, flux_u, flux_v, -1/J, q, out (all C-order
+    # float64): the transport right-hand side.
+    "transport_rhs": [_I64, _I64, _VP, _VP, _VP, _VP, _VP, _VP],
     # n, stage, dt, q, qk, r, out: one SSP-RK3 stage combination.
     "rk3_stage": [_I64, _I64, ctypes.c_double, _VP, _VP, _VP, _VP],
     # The partitioned DSS passes share one 8-slot int64 plan (see
@@ -313,6 +319,10 @@ _ERRORS = {
     -7: (ValueError, "CSR offsets must ascend within the edge arrays; "
          "ids must be in range"),
     -8: (ValueError, "an SSP-RK3 stage must be 0, 1, 2 or 3"),
+    -9: (
+        ValueError,
+        "transport_rhs needs nelem >= 0 and 2 <= np <= 2^20 points per edge",
+    ),
 }
 
 
@@ -329,7 +339,9 @@ def check(rc: int) -> int:
             and its graph's weight; ``-6``, vertex weights so large
             that a split target's float is inexact; ``-7``, a CSR offset,
             neighbour id or part id out of range in ``part_metrics``;
-            ``-8``, an RK3 stage outside 0..3.
+            ``-8``, an RK3 stage outside 0..3; ``-9``, a transport
+            right-hand side of negative element count or of fewer than
+            2 or more than 2^20 points per element edge.
     """
     if rc < 0:
         exc, message = _ERRORS[rc]

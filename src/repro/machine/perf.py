@@ -24,12 +24,25 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..memo import StageCache
 from ..partition.base import Partition
 from ..seam.cost import DEFAULT_COST_MODEL, SEAMCostModel
-from ..seam.dss import build_halo_schedule, build_point_map
+from ..seam.dss import PointMap, build_halo_schedule, build_point_map
 from .spec import MachineSpec, P690_CLUSTER
 
-__all__ = ["StepTiming", "PerformanceModel"]
+__all__ = ["StepTiming", "PerformanceModel", "simulator_point_map"]
+
+#: The simulator's point maps by ``(ne, npts)``: a sweep prices dozens
+#: of partitions of one grid.  ``build_point_map`` itself stays
+#: uncached, so a set-up timed from cleared caches builds its own.
+_POINT_MAP_MEMO = StageCache("point_map", maxsize=4)
+
+
+def simulator_point_map(ne: int, npts: int) -> PointMap:
+    """The point map of the ``(ne, npts)`` grid, built once per process."""
+    return _POINT_MAP_MEMO.get_or_compute(
+        (ne, npts), lambda: build_point_map(ne, npts)
+    )
 
 
 @dataclass(frozen=True)
@@ -92,7 +105,7 @@ class PerformanceModel:
         ne = math.isqrt(k // 6)
         if ne < 1 or 6 * ne * ne != k:
             raise ValueError(f"K={k} elements is not a cubed sphere's 6*ne^2")
-        return build_halo_schedule(build_point_map(ne, self.cost.npts), partition)
+        return build_halo_schedule(simulator_point_map(ne, self.cost.npts), partition)
 
     def step_timing(self, partition: Partition) -> StepTiming:
         """Time one SEAM timestep under a partition.

@@ -2,9 +2,10 @@
 
 A conservative flux-form advection solver with the exact computational
 structure of SEAM's dynamical core: per-element tensor-product spectral
-derivatives (dense ``np x np`` matrix applications — the flops) and a
-DSS boundary exchange per right-hand-side evaluation (the
-communication).  The equation solved is
+derivatives (dense ``np x np`` matrix applications — the flops, one
+compiled ``transport_rhs`` pass over the elements) and a DSS boundary
+exchange per right-hand-side evaluation (the communication).  The
+equation solved is
 
     d(q)/dt + (1/J) [ d(J u^1 q)/dxi_1 + d(J u^2 q)/dxi_2 ] = 0
 
@@ -25,7 +26,8 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .dss import DSSOperator, shared_dss_operator
+from .._native import LIB, check
+from .dss import DSSOperator, _address, float64_fields, shared_dss_operator
 from .element import GridGeometry
 
 if TYPE_CHECKING:
@@ -95,6 +97,10 @@ class TransportSolver:
         dss: Optional pre-built DSS operator (the grid's shared one
             otherwise); a :class:`repro.seam.PartitionedDSS` runs the
             solver under a domain decomposition.
+
+    Raises:
+        ValueError: ``wind_cart`` is not of shape ``(nelem, np, np, 3)``.
+        TypeError: ``wind_cart``'s dtype does not cast safely to float64.
     """
 
     geom: GridGeometry
@@ -126,41 +132,46 @@ class TransportSolver:
         ginv = geom.ginv
         contra1 = ginv[..., 0, 0] * cov1 + ginv[..., 0, 1] * cov2
         contra2 = ginv[..., 1, 0] * cov1 + ginv[..., 1, 1] * cov2
-        self.flux_u = self.jac * contra1
-        self.flux_v = self.jac * contra2
+        # The kernel reads these as C-contiguous float64 stacks.
+        self.flux_u, self.flux_v, self._neg_inv_jac = float64_fields(
+            (nelem, npts, npts),
+            self.jac * contra1,
+            self.jac * contra2,
+            -1.0 / self.jac,
+        )
         self.diff = np.ascontiguousarray(geom.basis.diff)
-        self._diff_t = np.ascontiguousarray(self.diff.T)
-        self._neg_inv_jac = -1.0 / self.jac
+        # The kernel's constant operands, held privately so their
+        # addresses stay valid whatever happens to the public attributes.
+        self._rhs_operands = (self.diff, self.flux_u, self.flux_v, self._neg_inv_jac)
+        self._rhs_args = (
+            nelem, npts, *(a.ctypes.data for a in self._rhs_operands)
+        )
         # CFL constants for the frozen wind, hoisted out of stable_dt.
         self._min_dxi = float(np.min(np.diff(geom.basis.nodes)))
         speed = np.abs(self.flux_u / self.jac) + np.abs(self.flux_v / self.jac)
         self._max_speed = float(speed.max())
-        # RHS workspace (flux products and their derivatives).
-        shape = (nelem, npts, npts)
-        self._fu = np.empty(shape)
-        self._fv = np.empty(shape)
-        self._dfu = np.empty(shape)
-        self._dfv = np.empty(shape)
         self.rhs_evals = 0  # instrumentation for the cost model
 
     def rhs(self, q: np.ndarray) -> np.ndarray:
-        """Right-hand side ``-(1/J) div(J u q)`` (element-wise).
+        """Right-hand side ``-(1/J) div(J u q)`` (element-wise), new array.
 
-        The two reference-axis derivatives are BLAS matmuls: the
-        ``dxi_1`` derivative broadcasts ``diff`` over the element
-        stack, the ``dxi_2`` derivative is one ``(nelem*np, np)``
-        GEMM against ``diff.T``.
+        One ``transport_rhs`` kernel pass: per element, the flux
+        products ``J u^1 q`` and ``J u^2 q``, their ``dxi_1`` and
+        ``dxi_2`` derivatives (``diff`` applied to the first and the
+        second tensor index) and the sum times ``-1/J``.  Each
+        derivative is a chain of fused multiply-adds in the order a BLAS
+        GEMM sums it (``repro._kernels.c``).
+
+        Raises:
+            ValueError: ``q`` is not of the grid's ``(nelem, np, np)``
+                shape.
+            TypeError: ``q``'s dtype does not cast safely to float64.
         """
+        (q,) = float64_fields(self._neg_inv_jac.shape, q)
+        out = np.empty(q.shape)
+        check(LIB.transport_rhs(*self._rhs_args, _address(q), _address(out)))
         self.rhs_evals += 1
-        fu, fv, dfu, dfv = self._fu, self._fv, self._dfu, self._dfv
-        np.multiply(self.flux_u, q, out=fu)
-        np.multiply(self.flux_v, q, out=fv)
-        # d/dxi_1 acts on the first tensor index, d/dxi_2 on the second.
-        np.matmul(self.diff, fu, out=dfu)
-        npts = fv.shape[-1]
-        np.matmul(fv.reshape(-1, npts), self._diff_t, out=dfv.reshape(-1, npts))
-        np.add(dfu, dfv, out=dfu)
-        return dfu * self._neg_inv_jac
+        return out
 
     def stable_dt(self, cfl: float = 0.5) -> float:
         """CFL-limited timestep for the frozen wind."""

@@ -5,7 +5,10 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+import repro.machine.perf as perf_mod
+from repro.experiments.figures import speedup_sweep
 from repro.machine.perf import PerformanceModel
+from repro.memo import clear_stage_caches
 from repro.machine.spec import P690_CLUSTER
 from repro.partition.base import Partition
 from repro.partition.sfc import sfc_partition
@@ -102,3 +105,25 @@ class TestCostScaling:
         t_sfc = model.step_timing(p)
         t_scr = model.step_timing(scrambled)
         assert t_sfc.comm_s.sum() < t_scr.comm_s.sum()
+
+
+def test_a_sweep_builds_one_point_map_per_grid(monkeypatch):
+    """Every simulated point of a sweep prices its halo on the grid's one
+    memoized point map."""
+    calls = []
+    build = perf_mod.build_point_map
+
+    def counted(ne, npts):
+        calls.append((ne, npts))
+        return build(ne, npts)
+
+    monkeypatch.setattr(perf_mod, "build_point_map", counted)
+    clear_stage_caches()
+    try:
+        speedup_sweep(4, methods=("sfc", "rb"), nprocs=[2, 4, 8, 12])
+        speedup_sweep(4, methods=("sfc",), nprocs=[6])
+        assert calls == [(4, 8)]
+        speedup_sweep(2, methods=("sfc",), nprocs=[2, 3])
+        assert calls == [(4, 8), (2, 8)]
+    finally:
+        clear_stage_caches()

@@ -15,6 +15,9 @@ landed.  They are deliberately slow and kept only as golden oracles:
 NumPy SSP-RK3 steps of the batched solvers from before each stage was
 formed by the ``rk3_stage`` kernel; ``tests/seam/test_rk3_stage.py``
 asserts the solvers' steps are bit-identical to them.
+:func:`reference_transport_rhs` is ``TransportSolver.rhs`` as NumPy
+passes, from before the ``transport_rhs`` kernel computed it;
+``tests/seam/test_transport_rhs.py`` holds the kernel to it.
 """
 
 from __future__ import annotations
@@ -35,6 +38,7 @@ __all__ = [
     "reference_contravariant_wind",
     "reference_element_geometry",
     "reference_sw_step",
+    "reference_transport_rhs",
     "reference_transport_step",
 ]
 
@@ -46,6 +50,28 @@ def reference_contravariant_wind(e: ElementGeometry, u_cart: np.ndarray) -> np.n
     cov2 = np.einsum("ijk,ijk->ij", u_cart, e.basis_b)
     cov = np.stack([cov1, cov2], axis=-1)
     return np.einsum("ijab,ijb->ija", e.ginv, cov)
+
+
+def reference_transport_rhs(solver: TransportSolver, q: np.ndarray) -> np.ndarray:
+    """``TransportSolver.rhs`` as six NumPy passes.
+
+    The flux products, the ``dxi_1`` derivative as ``diff`` broadcast
+    over the element stack (a batched matmul), the ``dxi_2`` derivative
+    as one ``(nelem*np, np)`` GEMM against ``diff.T``, their sum, and
+    the product with ``-1/J`` into a new array.
+    """
+    fu = solver.flux_u * q
+    fv = solver.flux_v * q
+    npts = fv.shape[-1]
+    dfu = np.matmul(solver.diff, fu)
+    dfv = np.empty_like(fv)
+    np.matmul(
+        fv.reshape(-1, npts),
+        np.ascontiguousarray(solver.diff.T),
+        out=dfv.reshape(-1, npts),
+    )
+    np.add(dfu, dfv, out=dfu)
+    return dfu * (-1.0 / solver.jac)
 
 
 def reference_transport_step(

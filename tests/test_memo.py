@@ -13,6 +13,7 @@ import pytest
 from repro import memo
 from repro.cubesphere.curve import cubed_sphere_curve
 from repro.cubesphere.mesh import cubed_sphere_mesh
+from repro.machine.perf import simulator_point_map
 from repro.partition import sfc
 from repro.partition.pipeline import (
     clear_stage_caches,
@@ -52,6 +53,7 @@ BUILD = {
     "face_curve": lambda i: generate_curve(schedule=_SCHEDULES[i]),
     "key_tables": lambda i: schedule_tables(_SCHEDULES[i]),
     "gll_basis": lambda i: gll_basis(i + 2),
+    "point_map": lambda i: simulator_point_map(1, i + 2),
 }
 
 

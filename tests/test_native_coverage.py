@@ -30,7 +30,7 @@ from repro.metis import (
     recursive_bisection,
 )
 from repro.partition import evaluate_partition, sfc_partition
-from repro.seam import build_geometry
+from repro.seam import TransportSolver, build_geometry, solid_body_wind
 from repro.server.http import decode_json_body, json_body
 from repro.sfc.keys import curve_keys
 
@@ -69,8 +69,8 @@ def test_every_declared_kernel_is_called(monkeypatch):
         "repro.graphs.csr", "repro.metis.bisection", "repro.metis.coarsen",
         "repro.metis.initial", "repro.metis.matching", "repro.metis.refine",
         "repro.metis.rng", "repro.partition.metrics",
-        "repro.seam.dss", "repro.seam.parallel", "repro.server.http",
-        "repro.sfc.keys",
+        "repro.seam.dss", "repro.seam.parallel", "repro.seam.transport",
+        "repro.server.http", "repro.sfc.keys",
     }
     for mod, attr in gated:
         monkeypatch.setattr(mod, attr, proxy)
@@ -93,6 +93,8 @@ def test_every_declared_kernel_is_called(monkeypatch):
     dss_mod.DSSOperator(geom).apply(field)
     dss_mod.DSSOperator(geom).apply_stage(2, 0.1, field, field, field)
     parallel_mod.PartitionedDSS(geom, sfc_partition(2, 3)).apply(field)
+    wind = solid_body_wind(geom.xyz, np.array([0.0, 0.0, 1.0]), 1.0)
+    TransportSolver(geom, wind).step(field, 0.01)
     curve_mod.element_keys(4)
     curve_keys(np.arange(4), np.arange(4), schedule="HH")
     json_body({"assignment": np.arange(4, dtype=np.int64)})
